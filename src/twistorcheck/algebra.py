@@ -1,9 +1,17 @@
-"""Exact rational verification of the pointwise identities behind the bound chain.
+"""Exact verification of the pointwise identities behind the bound chain.
 
-Everything here runs over exact arbitrary-precision rationals (gmpy2.mpq when
-available, fractions.Fraction otherwise) with no tolerances: a single failed
-check is a transcription bug in the inequality chain, not numerical noise.  The objects are free algebraic models -- coefficient tensors with the
-right antisymmetries and skew matrices -- so no manifold is involved.
+Everything here runs in exact arithmetic with no tolerances: a single failed
+check is a transcription bug in the inequality chain, not numerical noise.  The
+objects are free algebraic models -- coefficient tensors with the right
+antisymmetries and skew matrices -- so no manifold is involved.
+
+The checks accept any exact rationals (``int`` or ``fractions.Fraction``).  The
+sweep draws rational samples but hands the checks Python ints: each sampled
+object (the C cube, the C' cube, a skew matrix, V) is multiplied by the lcm of
+its denominators.  Every checked statement is homogeneous of degree 1 or 2 in
+the entries of one object, and the wedge identity is bilinear in its two
+matrices, so scaling an object by a positive factor preserves every equality
+and inequality exactly, and the worst per-triple ratio is scale-free.
 
 Verified facts, each for every index combination:
 
@@ -22,14 +30,10 @@ Verified facts, each for every index combination:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-try:  # gmpy2.mpq is an exact drop-in for Fraction, roughly an order faster
-    from gmpy2 import mpq as _rational
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _rational = Fraction
 
 MAX_N = 6  # exhaustive index loops stay cheap up to here
 
@@ -48,15 +52,31 @@ class CheckResult:
         return self.ok
 
 
-def random_fraction(rng: random.Random):
-    """Exact rational with numerator in [-10^6, 10^6] and denominator in [1, 10^3]."""
-    return _rational(
-        rng.randint(-NUMERATOR_RANGE, NUMERATOR_RANGE), rng.randint(1, DENOMINATOR_RANGE)
-    )
+def random_fraction(rng: random.Random) -> tuple:
+    """One random rational as its (numerator, denominator) pair.
+
+    The numerator lies in [-10^6, 10^6] and the denominator in [1, 10^3].
+    """
+    return rng.randint(-NUMERATOR_RANGE, NUMERATOR_RANGE), rng.randint(1, DENOMINATOR_RANGE)
+
+
+def _scaled_draws(rng: random.Random, count: int, factor: int = 1) -> list:
+    """``count`` random rationals, all multiplied by ``factor`` times the lcm of
+    their denominators, so every entry is an int."""
+    pairs = [random_fraction(rng) for _ in range(count)]
+    scale = factor * math.lcm(*(q for _, q in pairs))
+    return [p * (scale // q) for p, q in pairs]
+
+
+def _half(x):
+    """x / 2 exactly: an even int halves to an int, anything else to a Fraction."""
+    if isinstance(x, int) and not x & 1:
+        return x >> 1
+    return Fraction(x) / 2
 
 
 def _zero_cube(n: int) -> list:
-    return [[[_rational(0)] * n for _ in range(n)] for _ in range(n)]
+    return [[[0] * n for _ in range(n)] for _ in range(n)]
 
 
 def _freeze_cube(c: list) -> tuple:
@@ -68,7 +88,8 @@ class RationalCTensor:
     """Free algebraic model of the C / C' coefficient tensors.
 
     Entries are exact rationals, antisymmetric in the last two indices; the
-    constructor rejects anything else.
+    constructor rejects anything else.  ``random`` draws each cube with int
+    entries, scaled by the lcm of that cube's denominators.
     """
 
     n: int
@@ -96,11 +117,12 @@ class RationalCTensor:
     def random(cls, n: int, rng: random.Random) -> "RationalCTensor":
         cubes = []
         for _ in range(2):
+            values = iter(_scaled_draws(rng, n * n * (n - 1) // 2))
             cube = _zero_cube(n)
             for i in range(n):
                 for j in range(n):
                     for k in range(j + 1, n):
-                        v = random_fraction(rng)
+                        v = next(values)
                         cube[i][j][k] = v
                         cube[i][k][j] = -v
             cubes.append(_freeze_cube(cube))
@@ -148,7 +170,12 @@ def check_case1_inequality(t: RationalCTensor) -> tuple:
     """
     d, dp = d_from_c(t)
     n = t.n
-    worst = _rational(0)
+    # worst ratio kept as a (numerator, denominator) pair, compared by cross-multiplying
+    worst_num, worst_den = 0, 1
+
+    def result(failure: str | None = None) -> tuple:
+        return CheckResult(failure is None, failure), Fraction(worst_num, worst_den)
+
     for name, c, dd in (("C", t.C, d), ("C'", t.Cp, dp)):
         total_c2 = sum(x * x for plane in c for row in plane for x in row)
         total_d2 = sum(x * x for plane in dd for row in plane for x in row)
@@ -162,25 +189,14 @@ def check_case1_inequality(t: RationalCTensor) -> tuple:
                     lhs = 4 * (c[i][j][k] ** 2 + c[j][k][i] ** 2 + c[k][i][j] ** 2)
                     expansion = 3 * s3 - 2 * (x * y + x * z + y * z)
                     if lhs != expansion:
-                        return (
-                            CheckResult(
-                                False,
-                                f"{name} expansion equality at ({i + 1},{j + 1},{k + 1})",
-                            ),
-                            worst,
-                        )
+                        return result(f"{name} expansion equality at ({i + 1},{j + 1},{k + 1})")
                     if lhs > 5 * s3:
-                        return (
-                            CheckResult(
-                                False, f"{name} 5-bound at ({i + 1},{j + 1},{k + 1})"
-                            ),
-                            worst,
-                        )
-                    if s3 > 0:
-                        worst = max(worst, lhs / s3)
+                        return result(f"{name} 5-bound at ({i + 1},{j + 1},{k + 1})")
+                    if s3 > 0 and lhs * worst_den > worst_num * s3:
+                        worst_num, worst_den = lhs, s3
         if 4 * total_c2 > 5 * total_d2:
-            return CheckResult(False, f"aggregate 5/4 bound for {name}"), worst
-    return CheckResult(True), worst
+            return result(f"aggregate 5/4 bound for {name}")
+    return result()
 
 
 def check_case2_identities(t: RationalCTensor) -> CheckResult:
@@ -203,7 +219,11 @@ def check_case2_identities(t: RationalCTensor) -> CheckResult:
 
 @dataclass(frozen=True)
 class RationalSkewMatrix:
-    """Skew 2n x 2n matrix over exact rationals."""
+    """Skew 2n x 2n matrix over exact rationals.
+
+    ``random`` draws int entries scaled by twice the lcm of the denominators,
+    so the halves that ``skew_decompose`` takes stay ints.
+    """
 
     n: int
     entries: tuple
@@ -220,17 +240,18 @@ class RationalSkewMatrix:
     @classmethod
     def random(cls, n: int, rng: random.Random) -> "RationalSkewMatrix":
         dim = 2 * n
-        m = [[_rational(0)] * dim for _ in range(dim)]
+        values = iter(_scaled_draws(rng, dim * (dim - 1) // 2, factor=2))
+        m = [[0] * dim for _ in range(dim)]
         for a in range(dim):
             for b in range(a + 1, dim):
-                v = random_fraction(rng)
+                v = next(values)
                 m[a][b] = v
                 m[b][a] = -v
         return cls(n=n, entries=tuple(tuple(r) for r in m))
 
     @classmethod
     def from_rows(cls, n: int, rows) -> "RationalSkewMatrix":
-        return cls(n=n, entries=tuple(tuple(_rational(x) for x in row) for row in rows))
+        return cls(n=n, entries=tuple(tuple(Fraction(x) for x in row) for row in rows))
 
 
 def _j0_left(m: tuple, n: int) -> tuple:
@@ -241,21 +262,19 @@ def _j0_left(m: tuple, n: int) -> tuple:
 
 
 def _j0_right(m: tuple, n: int) -> tuple:
-    """M J0 by column moves: columns (right block, -(left block))... exactly."""
-    dim = 2 * n
-    return tuple(
-        tuple(m[a][n + b] if b < n else -m[a][b - n] for b in range(dim)) for a in range(dim)
-    )
+    """M J0 by column moves: each row becomes (right half, -(left half))."""
+    return tuple(row[n:] + tuple(-x for x in row[:n]) for row in m)
 
 
-def _mat_scale_add(x: tuple, y: tuple, half: bool) -> tuple:
-    if half:
-        return tuple(tuple((xa + ya) / 2 for xa, ya in zip(xr, yr)) for xr, yr in zip(x, y))
+def _mat_add(x: tuple, y: tuple) -> tuple:
     return tuple(tuple(xa + ya for xa, ya in zip(xr, yr)) for xr, yr in zip(x, y))
 
 
-def _mat_sub_half(x: tuple, y: tuple) -> tuple:
-    return tuple(tuple((xa - ya) / 2 for xa, ya in zip(xr, yr)) for xr, yr in zip(x, y))
+def _mat_half_sum(x: tuple, y: tuple, sign: int) -> tuple:
+    """(x + sign * y) / 2, entry by entry, exactly."""
+    return tuple(
+        tuple(_half(xa + sign * ya) for xa, ya in zip(xr, yr)) for xr, yr in zip(x, y)
+    )
 
 
 def skew_decompose(omega: RationalSkewMatrix) -> tuple:
@@ -266,8 +285,8 @@ def skew_decompose(omega: RationalSkewMatrix) -> tuple:
     """
     n = omega.n
     conj = _j0_right(_j0_left(omega.entries, n), n)  # J0 omega J0
-    u_part = _mat_sub_half(omega.entries, conj)
-    sigma_part = _mat_scale_add(omega.entries, conj, half=True)
+    u_part = _mat_half_sum(omega.entries, conj, -1)
+    sigma_part = _mat_half_sum(omega.entries, conj, 1)
     return (
         RationalSkewMatrix(n=n, entries=u_part),
         RationalSkewMatrix(n=n, entries=sigma_part),
@@ -281,9 +300,7 @@ def commutes_with_j0(m: RationalSkewMatrix) -> bool:
 def anticommutes_with_j0(m: RationalSkewMatrix) -> bool:
     left = _j0_left(m.entries, m.n)
     right = _j0_right(m.entries, m.n)
-    return all(
-        left[a][b] == -right[a][b] for a in range(2 * m.n) for b in range(2 * m.n)
-    )
+    return all(x == -y for lrow, rrow in zip(left, right) for x, y in zip(lrow, rrow))
 
 
 def trace_pairing(p: RationalSkewMatrix, q: RationalSkewMatrix):
@@ -304,7 +321,7 @@ def canonical_j1(psi: RationalSkewMatrix, V: tuple) -> tuple:
     if not anticommutes_with_j0(psi):
         raise NotInSigma("psi does not anticommute with J0")
     n = psi.n
-    V = tuple(_rational(x) for x in V)
+    V = tuple(V)
     if len(V) != 2 * n:
         raise ValueError(f"V must have length {2 * n}")
     new_psi = RationalSkewMatrix(n=n, entries=_j0_left(psi.entries, n))
@@ -332,13 +349,14 @@ def check_wedge_identity(P: RationalSkewMatrix, Q: RationalSkewMatrix) -> CheckR
 
     With P = w(X) and Q = w(Y) for a skew matrix of 1-forms w, the left side
     is sum_ij (w_ij ^ w_{j,i+n} + w_{i,j+n} ^ w_{j+n,i+n})(X, Y) and the right
-    side is -1/2 sum_ij (alpha_ij ^ beta_ij)(X, Y).
+    side is -1/2 sum_ij (alpha_ij ^ beta_ij)(X, Y); they are compared as
+    2 lhs = -sum_ij (alpha_ij ^ beta_ij)(X, Y), without a division.
     """
     if P.n != Q.n:
         raise ValueError("matrices must share the same n")
     n = P.n
     p, q = P.entries, Q.entries
-    lhs = _rational(0)
+    lhs = 0
     for i in range(n):
         for j in range(n):
             lhs += (
@@ -349,13 +367,12 @@ def check_wedge_identity(P: RationalSkewMatrix, Q: RationalSkewMatrix) -> CheckR
             )
     ap, bp = _alpha_of(p, n), _beta_of(p, n)
     aq, bq = _alpha_of(q, n), _beta_of(q, n)
-    rhs = _rational(0)
+    wedge_sum = 0
     for i in range(n):
         for j in range(n):
-            rhs += ap[i][j] * bq[i][j] - aq[i][j] * bp[i][j]
-    rhs = -rhs / 2
-    if lhs != rhs:
-        return CheckResult(False, f"lhs={lhs} rhs={rhs}")
+            wedge_sum += ap[i][j] * bq[i][j] - aq[i][j] * bp[i][j]
+    if 2 * lhs != -wedge_sum:
+        return CheckResult(False, f"lhs={lhs} rhs={_half(-wedge_sum)}")
     return CheckResult(True)
 
 
@@ -367,7 +384,14 @@ def run_algebra_sweep(n_list, samples: int, seed: int) -> dict:
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    report = {"seed": seed, "samples": samples, "n_list": list(n_list), "checks": {}, "failures": []}
+    n_list = list(n_list)
+    for n in n_list:
+        if not 2 <= n <= MAX_N:
+            raise ValueError(f"n must lie in [2, {MAX_N}], got {n}")
+    # the rng seed depends only on (seed, n): a repeated n would replay its samples
+    if len(set(n_list)) != len(n_list):
+        raise ValueError(f"half-dimensions must be distinct, got {n_list}")
+    report = {"seed": seed, "samples": samples, "n_list": n_list, "checks": {}, "failures": []}
     counts: dict = {}
 
     def record(name: str, ok: bool, detail: str | None, n: int, k: int):
@@ -378,10 +402,8 @@ def run_algebra_sweep(n_list, samples: int, seed: int) -> dict:
                 {"check": name, "n": n, "sample": k, "detail": detail or ""}
             )
 
-    worst_ratio = _rational(0)
+    worst_ratio = Fraction(0)
     for n in n_list:
-        if not 2 <= n <= MAX_N:
-            raise ValueError(f"n must lie in [2, {MAX_N}], got {n}")
         rng = random.Random(seed * 100003 + n)
         for k in range(samples):
             tensor = RationalCTensor.random(n, rng)
@@ -400,13 +422,12 @@ def run_algebra_sweep(n_list, samples: int, seed: int) -> dict:
             ok = (
                 commutes_with_j0(u_part)
                 and anticommutes_with_j0(sigma_part)
-                and _mat_scale_add(u_part.entries, sigma_part.entries, half=False)
-                == skew.entries
+                and _mat_add(u_part.entries, sigma_part.entries) == skew.entries
                 and trace_pairing(u_part, sigma_part) == 0
             )
             record("skew_decompose", ok, None if ok else "decomposition failed", n, k)
 
-            V = tuple(random_fraction(rng) for _ in range(2 * n))
+            V = tuple(_scaled_draws(rng, 2 * n))
             psi = sigma_part
             psi1, v1 = canonical_j1(psi, V)
             psi2, v2 = canonical_j1(psi1, v1)

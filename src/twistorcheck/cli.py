@@ -299,21 +299,47 @@ def cmd_verify_geometry(args) -> int:
     return 0 if report["all_pass"] else 1
 
 
-def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Fill flag defaults from a JSON config file; explicit flags win."""
-    if not getattr(args, "config", None):
+def _config_value(action: argparse.Action, key: str, value):
+    """Convert one config value the way the parser converts the flag's text."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError(f"config key {key!r} needs a string or a number, got {json.dumps(value)}")
+    try:
+        converted = action.type(str(value)) if action.type else str(value)
+    except ValueError:
+        kind = action.type.__name__
+        raise ValueError(f"config key {key!r}: invalid {kind} value {value!r}") from None
+    if action.choices is not None and converted not in action.choices:
+        allowed = ", ".join(action.choices)
+        raise ValueError(f"config key {key!r}: {value!r} is not one of {allowed}")
+    return converted
+
+
+def _apply_config_file(args: argparse.Namespace) -> None:
+    """Fill flag defaults from a JSON config file; explicit flags win.
+
+    Keys are flag names of the subcommand (``n-list`` or ``n_list``); each value
+    goes through the flag's type and choices, as on the command line.
+    """
+    if not args.config:
         return
     try:
         with open(args.config, encoding="utf-8") as fh:
             values = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        parser.error(f"cannot read config file: {exc}")
+        raise ValueError(f"cannot read config file: {exc}") from None
     if not isinstance(values, dict):
-        parser.error("config file must hold a JSON object")
+        raise ValueError("config file must hold a JSON object")
+    actions = {
+        a.dest: a for a in args._parser._actions
+        if a.option_strings and a.dest not in ("help", "config")
+    }
     for key, value in values.items():
         attr = key.replace("-", "_")
-        if hasattr(args, attr) and args._explicit is not None and attr not in args._explicit:
-            setattr(args, attr, value)
+        if attr not in actions:
+            raise ValueError(f"unknown config key {key!r}")
+        converted = _config_value(actions[attr], key, value)
+        if attr not in args._explicit:
+            setattr(args, attr, converted)
 
 
 class _TrackExplicit(argparse.Action):
@@ -327,6 +353,7 @@ class _TrackExplicit(argparse.Action):
 
 
 def _add_common(sub: argparse.ArgumentParser, manifold: bool = True) -> None:
+    sub.set_defaults(_parser=sub)  # lets config keys be checked against this subcommand's flags
     if manifold:
         sub.add_argument("--manifold", required=True, action=_TrackExplicit,
                          help="catalog id: flat:<n>, conformal4, nk-s6, torus:eps=<r>,freq=<k>")
@@ -386,14 +413,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "_explicit", None) is None:
         args._explicit = set()
-    _apply_config_file(args, parser)
     try:
+        _apply_config_file(args)
         return args.func(args)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TwistorcheckError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # the only file a command opens is its output
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

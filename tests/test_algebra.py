@@ -1,5 +1,6 @@
 """Exact rational checks: identities, inequalities, decomposition, wedge identity."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -19,6 +20,9 @@ from twistorcheck import (
     skew_decompose,
 )
 from twistorcheck.algebra import (
+    DENOMINATOR_RANGE,
+    NUMERATOR_RANGE,
+    _scaled_draws,
     anticommutes_with_j0,
     commutes_with_j0,
     random_sigma_matrix,
@@ -159,6 +163,32 @@ class TestSkewDecompose:
         ]
         assert tuple(tuple(r) for r in total) == om.entries
 
+    @pytest.mark.parametrize(
+        "om",
+        [
+            RationalSkewMatrix(n=2, entries=(
+                (0, 1, -1, 5), (-1, 0, 7, 2), (1, -7, 0, 4), (-5, -2, -4, 0))),
+            skew_from_entries(2, {(0, 1): F(1, 3), (0, 3): F(-5, 7), (1, 2): F(2, 9)}),
+        ],
+        ids=["odd-int", "fraction"],
+    )
+    def test_exact_halves(self, om):
+        """Halving is exact: odd ints give Fraction halves, never a float or a floor."""
+        n, dim = om.n, 4
+        j0 = j0_skew(n).entries
+        matmul = lambda x, y: [  # noqa: E731
+            [sum(x[a][c] * y[c][b] for c in range(dim)) for b in range(dim)] for a in range(dim)
+        ]
+        conj = matmul(matmul(j0, om.entries), j0)
+        u_part, sigma_part = skew_decompose(om)
+        for a in range(dim):
+            for b in range(dim):
+                u, s = u_part.entries[a][b], sigma_part.entries[a][b]
+                assert isinstance(u, (int, Fraction)) and isinstance(s, (int, Fraction))
+                assert 2 * u == om.entries[a][b] - conj[a][b]
+                assert 2 * s == om.entries[a][b] + conj[a][b]
+        assert any(isinstance(x, Fraction) for row in u_part.entries for x in row)
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_random_reconstruction_and_orthogonality(self, n):
         rng = random.Random(400 + n)
@@ -241,6 +271,69 @@ class TestSkewMatrixType:
         assert m.entries[0][1] == 1
 
 
+def reference_draw(rng, count):
+    """Fraction draws making the rng calls of the integer path, with their lcm.
+
+    The lcm is taken over the denominators as drawn, before Fraction reduces them.
+    """
+    pairs = [
+        (rng.randint(-NUMERATOR_RANGE, NUMERATOR_RANGE), rng.randint(1, DENOMINATOR_RANGE))
+        for _ in range(count)
+    ]
+    return [Fraction(p, q) for p, q in pairs], math.lcm(*(q for _, q in pairs))
+
+
+def assert_scaled(ints, fractions, scale):
+    assert len(ints) == len(fractions)
+    for x, ref in zip(ints, fractions):
+        assert type(x) is int
+        assert x == ref * scale
+
+
+def assert_skew_scaled(rng, ref_rng, n):
+    """A random skew matrix carries twice the lcm, so its halves are ints too."""
+    dim = 2 * n
+    upper = [(a, b) for a in range(dim) for b in range(a + 1, dim)]
+    m = RationalSkewMatrix.random(n, rng)
+    ref, lcm = reference_draw(ref_rng, len(upper))
+    assert_scaled([m.entries[a][b] for a, b in upper], ref, 2 * lcm)
+    assert all(type(x) is int for row in m.entries for x in row)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_integer_draws_are_scaled_reference_draws(n):
+    """Each sampled object equals its Fraction draw times a positive common scale."""
+    rng, ref_rng = random.Random(900 + n), random.Random(900 + n)
+    dim = 2 * n
+    slots = [(i, j, k) for i in range(n) for j in range(n) for k in range(j + 1, n)]
+    for _ in range(20):
+        t = RationalCTensor.random(n, rng)
+        for cube in (t.C, t.Cp):
+            ref, lcm = reference_draw(ref_rng, len(slots))
+            assert_scaled([cube[i][j][k] for i, j, k in slots], ref, lcm)
+            assert all(cube[i][k][j] == -cube[i][j][k]
+                       for i in range(n) for j in range(n) for k in range(n))
+        assert_skew_scaled(rng, ref_rng, n)  # the decomposed matrix
+        ref, lcm = reference_draw(ref_rng, dim)
+        assert_scaled(_scaled_draws(rng, dim), ref, lcm)  # V
+        assert_skew_scaled(rng, ref_rng, n)  # the wedge partner
+        assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_case1_ratio_is_scale_free(n):
+    """An int sample and its Fraction reference give the same verdict and worst ratio."""
+    rng, ref_rng = random.Random(950 + n), random.Random(950 + n)
+    slots = [(i, j, k) for i in range(n) for j in range(n) for k in range(j + 1, n)]
+    for _ in range(20):
+        ok, worst = check_case1_inequality(RationalCTensor.random(n, rng))
+        c_ref = zip(slots, reference_draw(ref_rng, len(slots))[0])
+        cp_ref = zip(slots, reference_draw(ref_rng, len(slots))[0])
+        ref_ok, ref_worst = check_case1_inequality(tensor_from_entries(n, c_ref, cp_ref))
+        assert ok and ref_ok
+        assert type(worst) is Fraction and worst == ref_worst
+
+
 def test_sweep_smoke_deterministic():
     a = run_algebra_sweep([2, 3], samples=20, seed=42)
     b = run_algebra_sweep([2, 3], samples=20, seed=42)
@@ -257,3 +350,9 @@ def test_sweep_rejects_bad_input():
         run_algebra_sweep([2], samples=0, seed=1)
     with pytest.raises(ValueError):
         run_algebra_sweep([9], samples=1, seed=1)
+
+
+def test_sweep_rejects_duplicate_n():
+    # the rng seed depends only on (seed, n), so a repeat would replay the same samples
+    with pytest.raises(ValueError, match="distinct"):
+        run_algebra_sweep([2, 3, 2], samples=3, seed=1)

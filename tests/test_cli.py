@@ -4,7 +4,9 @@ import json
 import subprocess
 import sys
 
+import pytest
 
+from twistorcheck import algebra
 from twistorcheck.cli import main
 
 
@@ -122,6 +124,33 @@ def test_verify_algebra_zero_samples():
     assert run_cli(["verify-algebra", "--samples", "0"]) == 2
 
 
+def test_verify_algebra_rejects_duplicate_n(capsys):
+    assert run_cli(["verify-algebra", "--n-list", "2,2", "--samples", "3"]) == 2
+    assert "distinct" in capsys.readouterr().err
+
+
+def test_verify_algebra_unwritable_out(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert run_cli(["verify-algebra", "--samples", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output") and err.count("\n") == 1
+
+
+def test_verify_algebra_negative_control(tmp_path, monkeypatch):
+    """A sign slip in beta must surface as failed wedge-identity samples and exit 1."""
+    monkeypatch.setattr(
+        algebra, "_beta_of",
+        lambda m, n: [[m[i][j] - m[n + i][n + j] for j in range(n)] for i in range(n)],
+    )
+    out = tmp_path / "algebra.json"
+    code = run_cli(["verify-algebra", "--n-list", "2,3", "--samples", "3", "--out", str(out)])
+    assert code == 1
+    doc = json.loads(out.read_text())
+    assert doc["all_pass"] is False
+    assert doc["checks"]["wedge_identity"]["fail"] == 6
+    assert {f["check"] for f in doc["failures"]} == {"wedge_identity"}
+
+
 def test_verify_geometry_conformal(tmp_path):
     out = tmp_path / "geo.json"
     code = run_cli(
@@ -201,3 +230,36 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["margin"] == 1.0
+
+
+def test_config_string_value_goes_through_flag_type(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"samples": "5", "n-list": "2"}))
+    out = tmp_path / "algebra.json"
+    assert run_cli(["verify-algebra", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["checks"]["case2_identities"]["pass"] == 5
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"samples": "five"}, "invalid int value"),
+        ({"samples": 2.5}, "invalid int value"),
+        ({"n_list": [2, 3]}, "needs a string or a number"),
+        ({"bogus": 1}, "unknown config key 'bogus'"),
+        ({"manifold": "flat:2"}, "unknown config key 'manifold'"),
+    ],
+)
+def test_config_bad_values_are_input_errors(tmp_path, capsys, values, message):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(values))
+    assert run_cli(["verify-algebra", "--samples", "3", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+def test_config_choices_enforced(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"format": "xml"}))
+    assert run_cli(["scan", "--manifold", "flat:2", "--grid", "1", "--config", str(cfg)]) == 2
+    assert "not one of json, csv" in capsys.readouterr().err
