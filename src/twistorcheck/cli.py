@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import catalog
 from .connection import (
+    connection_derivative,
     curvature_forms,
     round_sphere_curvature_residual,
     structure_equation_residual,
@@ -37,29 +38,6 @@ CHERN_ID_TOL = 1e-4
 PHI_FORMULA_TOL = 1e-10
 N_ROUTE_TOL = 1e-6
 FRAME_INVARIANCE_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class ScanConfig:
-    """Validated parameters of a grid scan."""
-
-    manifold_id: str
-    grid: int
-    fd_step: float = 1e-5
-    tol: float = 1e-6
-    seed: int = 0
-    output_path: str | None = None
-    format: str = "csv"
-
-    def __post_init__(self):
-        if self.grid < 1:
-            raise ValueError("grid must be >= 1")
-        if not 1e-8 < self.fd_step < 1e-2:
-            raise ValueError("fd_step must lie in (1e-8, 1e-2)")
-        if self.format not in ("json", "csv"):
-            raise ValueError("format must be 'json' or 'csv'")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
 
 
 def _fmt_float(x: float) -> str:
@@ -108,8 +86,9 @@ def _parse_point(text: str, dim: int) -> np.ndarray:
 
 
 def report_payload(entry: catalog.CatalogEntry, point: np.ndarray, fd_step: float, tol: float) -> dict:
-    rep = theorem_report(entry.patch, point, step=fd_step, tol=tol)
-    structure = structure_equation_residual(entry.patch, point, step=fd_step)
+    frame = adapt_frame(entry.patch, point)
+    rep = theorem_report(entry.patch, point, step=fd_step, tol=tol, frame=frame)
+    structure = structure_equation_residual(entry.patch, point, step=fd_step, frame=frame)
     return {
         "manifold": entry.id,
         "point": [float(x) for x in rep.point],
@@ -137,14 +116,14 @@ def cmd_report(args) -> int:
     return 0 if all(payload["chain_ok"].values()) else 1
 
 
-def scan_rows(entry: catalog.CatalogEntry, config: ScanConfig):
-    total = config.grid ** entry.patch.dim
+def scan_rows(entry: catalog.CatalogEntry, grid: int, fd_step: float, tol: float):
+    total = grid ** entry.patch.dim
     if total > GRID_LIMIT:
         raise ValueError(f"grid^dim = {total} exceeds the {GRID_LIMIT} guard")
-    points = catalog.grid_points(entry.patch, config.grid)
+    points = catalog.grid_points(entry.patch, grid)
     rows = []
     for u in points:
-        rep = theorem_report(entry.patch, u, step=config.fd_step, tol=config.tol)
+        rep = theorem_report(entry.patch, u, step=fd_step, tol=tol)
         rows.append(
             {
                 "point": [float(x) for x in u],
@@ -196,20 +175,11 @@ def _scan_csv(entry: catalog.CatalogEntry, rows, summary) -> str:
 
 def cmd_scan(args) -> int:
     entry = catalog.resolve(args.manifold)
-    config = ScanConfig(
-        manifold_id=args.manifold,
-        grid=args.grid,
-        fd_step=args.fd_step,
-        tol=args.tol,
-        seed=args.seed,
-        output_path=args.out,
-        format=args.format,
-    )
     started = time.perf_counter()
-    rows = scan_rows(entry, config)
+    rows = scan_rows(entry, args.grid, args.fd_step, args.tol)
     summary = _scan_summary(rows)
     elapsed = time.perf_counter() - started
-    if config.format == "csv":
+    if args.format == "csv":
         text = _scan_csv(entry, rows, summary)
     else:
         flat_rows = []
@@ -233,8 +203,6 @@ def cmd_scan(args) -> int:
 def cmd_verify_algebra(args) -> int:
     from .algebra import run_algebra_sweep
 
-    if args.samples < 1:
-        raise ValueError("samples must be >= 1")
     n_list = [int(tok) for tok in args.n_list.split(",")]
     report = run_algebra_sweep(n_list, args.samples, args.seed)
     _emit(_to_json(report) + "\n", args.out)
@@ -260,14 +228,14 @@ def geometry_checks(entry: catalog.CatalogEntry, points: int, seed: int, rotatio
         checks[name]["max_residual"] = max(checks[name]["max_residual"], float(value))
 
     for u in samples:
-        base = theorem_report(patch, u, step=fd_step)
-        bump("structure_equation", structure_equation_residual(patch, u, step=fd_step))
+        frame = adapt_frame(patch, u)
+        base = theorem_report(patch, u, step=fd_step, frame=frame)
+        bump("structure_equation", structure_equation_residual(patch, u, step=fd_step, frame=frame))
         bump("phi_formula_equivalence", base.phi_formula_mismatch)
         bump("nijenhuis_route_equivalence", base.n_route_mismatch)
         for _ in range(rotations):
             U = random_unitary_rotation(patch.n, rng)
-            frame = rotate_frame(adapt_frame(patch, u), U)
-            rep = theorem_report(patch, u, step=fd_step, frame=frame)
+            rep = theorem_report(patch, u, step=fd_step, frame=rotate_frame(frame, U))
             dev = max(
                 abs(rep.normN2 - base.normN2) / max(1.0, abs(base.normN2)),
                 abs(rep.margin - base.margin) / max(1.0, abs(base.margin)),
@@ -276,8 +244,10 @@ def geometry_checks(entry: catalog.CatalogEntry, points: int, seed: int, rotatio
             )
             bump("frame_invariance", dev)
         if is_round:
-            bump("curvature_identity", round_sphere_curvature_residual(curvature_forms(patch, u)))
-            bump("chern_identity", chern_identity_residual(patch, u))
+            block = connection_derivative(patch, frame)
+            curvature = curvature_forms(patch, u, frame=frame, block=block)
+            bump("curvature_identity", round_sphere_curvature_residual(curvature))
+            bump("chern_identity", chern_identity_residual(patch, u, frame=frame, block=block))
     for slot in checks.values():
         slot["pass"] = slot["max_residual"] <= slot["tolerance"]
     return {
@@ -292,8 +262,6 @@ def geometry_checks(entry: catalog.CatalogEntry, points: int, seed: int, rotatio
 
 def cmd_verify_geometry(args) -> int:
     entry = catalog.resolve(args.manifold)
-    if args.points < 1:
-        raise ValueError("points must be >= 1")
     report = geometry_checks(entry, args.points, args.seed, args.rotations, args.fd_step)
     _emit(_to_json(report) + "\n", args.out)
     return 0 if report["all_pass"] else 1
@@ -305,6 +273,8 @@ def _config_value(action: argparse.Action, key: str, value):
         raise ValueError(f"config key {key!r} needs a string or a number, got {json.dumps(value)}")
     try:
         converted = action.type(str(value)) if action.type else str(value)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"config key {key!r}: {exc}") from None
     except ValueError:
         kind = action.type.__name__
         raise ValueError(f"config key {key!r}: invalid {kind} value {value!r}") from None
@@ -352,17 +322,45 @@ class _TrackExplicit(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
-def _add_common(sub: argparse.ArgumentParser, manifold: bool = True) -> None:
+def _checked(kind, ok, requirement: str):
+    """Argparse type: convert the text with ``kind``, then reject it unless ``ok``."""
+    def convert(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {text}")
+        return value
+    convert.__name__ = kind.__name__  # argparse reports "invalid int value: ..."
+    return convert
+
+
+FD_STEP = _checked(float, lambda h: 1e-8 < h < 1e-2, "must lie in (1e-8, 1e-2)")
+TOLERANCE = _checked(float, lambda t: math.isfinite(t) and t > 0.0, "must be finite and > 0")
+AT_LEAST_ONE = _checked(int, lambda k: k >= 1, "must be >= 1")
+NON_NEGATIVE = _checked(int, lambda k: k >= 0, "must be >= 0")
+
+SHARED_FLAGS = {
+    "--manifold": dict(required=True,
+                       help="catalog id: flat:<n>, conformal4, nk-s6, torus:eps=<r>,freq=<k>"),
+    "--fd-step": dict(type=FD_STEP, default=1e-5,
+                      help="finite difference step in (1e-8, 1e-2) (default 1e-5)"),
+    "--tol": dict(type=TOLERANCE, default=1e-6,
+                  help="tolerance for the inequality chain, finite and > 0 (default 1e-6)"),
+    "--seed": dict(type=int, default=0, help="seed for randomized sampling (default 0)"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Parser whose usage errors reach ``main`` as one-line input errors (exit 2)."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
+def _add_common(sub: argparse.ArgumentParser, *flags: str) -> None:
+    """Add the named ``SHARED_FLAGS`` and the --out and --config flags to a subcommand."""
     sub.set_defaults(_parser=sub)  # lets config keys be checked against this subcommand's flags
-    if manifold:
-        sub.add_argument("--manifold", required=True, action=_TrackExplicit,
-                         help="catalog id: flat:<n>, conformal4, nk-s6, torus:eps=<r>,freq=<k>")
-    sub.add_argument("--fd-step", type=float, default=1e-5, action=_TrackExplicit,
-                     help="finite difference step (default 1e-5)")
-    sub.add_argument("--tol", type=float, default=1e-6, action=_TrackExplicit,
-                     help="tolerance for the inequality chain (default 1e-6)")
-    sub.add_argument("--seed", type=int, default=0, action=_TrackExplicit,
-                     help="seed for randomized sampling (default 0)")
+    for flag in flags:
+        sub.add_argument(flag, action=_TrackExplicit, **SHARED_FLAGS[flag])
     sub.add_argument("--out", default=None, action=_TrackExplicit,
                      help="output path (default: stdout)")
     sub.add_argument("--config", default=None, action=_TrackExplicit,
@@ -370,7 +368,7 @@ def _add_common(sub: argparse.ArgumentParser, manifold: bool = True) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twistorcheck",
         description="Verify non-degeneracy bounds for the pulled-back twistor 2-form "
         "on almost Hermitian coordinate patches.",
@@ -378,42 +376,43 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("report", help="full certificate at a single point (JSON)")
-    _add_common(p)
+    _add_common(p, "--manifold", "--fd-step", "--tol")
     p.add_argument("--point", default=None, action=_TrackExplicit,
                    help="comma-separated coordinates (default: domain center)")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("scan", help="grid scan with per-point rows and a summary")
-    _add_common(p)
-    p.add_argument("--grid", type=int, default=3, action=_TrackExplicit,
-                   help="points per axis (default 3)")
+    _add_common(p, "--manifold", "--fd-step", "--tol")
+    p.add_argument("--seed", type=int, default=0, action=_TrackExplicit,
+                   help="accepted and ignored: the grid scan draws no random numbers")
+    p.add_argument("--grid", type=AT_LEAST_ONE, default=3, action=_TrackExplicit,
+                   help="points per axis, >= 1 (default 3)")
     p.add_argument("--format", choices=("json", "csv"), default="csv", action=_TrackExplicit)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("verify-algebra", help="exact rational identity sweep")
-    _add_common(p, manifold=False)
+    _add_common(p, "--seed")
     p.add_argument("--n-list", default="2,3", action=_TrackExplicit,
                    help="comma-separated half-dimensions (default 2,3)")
-    p.add_argument("--samples", type=int, default=10000, action=_TrackExplicit,
-                   help="random samples per n (default 10000)")
+    p.add_argument("--samples", type=AT_LEAST_ONE, default=10000, action=_TrackExplicit,
+                   help="random samples per n, >= 1 (default 10000)")
     p.set_defaults(func=cmd_verify_algebra)
 
     p = sub.add_parser("verify-geometry", help="residual checks on a catalog manifold")
-    _add_common(p)
-    p.add_argument("--points", type=int, default=10, action=_TrackExplicit,
-                   help="number of sampled interior points (default 10)")
-    p.add_argument("--rotations", type=int, default=4, action=_TrackExplicit,
-                   help="random frame rotations per point (default 4)")
+    _add_common(p, "--manifold", "--fd-step", "--seed")
+    p.add_argument("--points", type=AT_LEAST_ONE, default=10, action=_TrackExplicit,
+                   help="number of sampled interior points, >= 1 (default 10)")
+    p.add_argument("--rotations", type=NON_NEGATIVE, default=4, action=_TrackExplicit,
+                   help="random frame rotations per point, >= 0 (default 4)")
     p.set_defaults(func=cmd_verify_geometry)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "_explicit", None) is None:
-        args._explicit = set()
     try:
+        args = build_parser().parse_args(argv)
+        if getattr(args, "_explicit", None) is None:
+            args._explicit = set()
         _apply_config_file(args)
         return args.func(args)
     except (KeyError, ValueError) as exc:

@@ -21,6 +21,7 @@ from .geometry import (
     AdaptedFrame,
     ManifoldPatch,
     adapt_frame,
+    central_difference,
     christoffel,
     evaluate_frame_field,
     require_interior,
@@ -77,28 +78,17 @@ def coordinate_connection(
 
     Differentiates the adapted frame field determined by ``frame`` (same seed,
     same pivot sequence, same trailing rotation) at ``point``, defaulting to
-    the frame's own base point.
+    the frame's own base point, where the frame field's value is ``frame.E``.
     """
-    u = frame.point if point is None else np.asarray(point, dtype=float)
-    u = require_interior(patch, u, margin=step)
+    u = require_interior(patch, frame.point if point is None else point, margin=step)
     g = np.asarray(patch.metric_field(u), dtype=float)
-    E0 = evaluate_frame_field(patch, frame, u)
+    E0 = frame.E if point is None else evaluate_frame_field(patch, frame, u)
     Gamma = christoffel(patch, u, step=step)
-    dim = patch.dim
-    dE = np.empty((dim, dim, dim))
-    for c in range(dim):
-        up = u.copy()
-        dn = u.copy()
-        up[c] += step
-        dn[c] -= step
-        dE[c] = (
-            evaluate_frame_field(patch, frame, up) - evaluate_frame_field(patch, frame, dn)
-        ) / (2.0 * step)
+    dE = central_difference(lambda v: evaluate_frame_field(patch, frame, v), u, step)
     # (nabla_{d_a} e_B)^c = d_a E^c_B + Gamma^c_{ab} E^b_B
     cov = dE + np.einsum("cab,bB->acB", Gamma, E0)
     # w[B, A, a] = g(nabla_{d_a} e_B, e_A)
-    w = np.einsum("acB,cd,dA->BAa", cov, g, E0)
-    return w
+    return np.einsum("acB,cd,dA->BAa", cov, g, E0)
 
 
 def connection_coefficients(
@@ -106,28 +96,27 @@ def connection_coefficients(
 ) -> ConnectionTable:
     """Connection table omega_{AB}(e_C) for the given adapted frame."""
     w = coordinate_connection(patch, frame, step=step)
-    E0 = frame.E
-    omega = np.einsum("ABa,aC->ABC", w, E0)
-    return ConnectionTable(omega=omega)
+    return ConnectionTable(omega=np.einsum("ABa,aC->ABC", w, frame.E))
 
 
 def structure_equation_residual(
     patch: ManifoldPatch,
     point: np.ndarray,
     step: float = DEFAULT_FD_STEP,
-    seed: np.ndarray | None = None,
+    frame: AdaptedFrame | None = None,
     omega_sign: float = 1.0,
 ) -> float:
     """Max residual of d theta_A = sum_B theta_B ^ omega_{BA} on coordinate pairs.
 
+    ``frame`` is the adapted frame at ``point`` (built here when omitted).
     ``omega_sign`` exists as a deliberate tripwire: passing -1 must drive the
     residual far from zero on any patch with a nonzero connection, which is
     how tests pin the sign convention.
     """
     u = require_interior(patch, point, margin=2.0 * step)
-    frame = adapt_frame(patch, u, seed=seed)
+    if frame is None:
+        frame = adapt_frame(patch, u)
     w = omega_sign * coordinate_connection(patch, frame, step=step)
-    dim = patch.dim
 
     def coframe(v: np.ndarray) -> np.ndarray:
         # theta_A(d_a) = g(d_a, e_A) = (g E)_{aA}
@@ -135,18 +124,32 @@ def structure_equation_residual(
             patch, frame, v
         )
 
-    T0 = coframe(u)
-    dT = np.empty((dim, dim, dim))
-    for c in range(dim):
-        up = u.copy()
-        dn = u.copy()
-        up[c] += step
-        dn[c] -= step
-        dT[c] = (coframe(up) - coframe(dn)) / (2.0 * step)
+    T0 = np.asarray(patch.metric_field(u), dtype=float) @ frame.E
+    dT = central_difference(coframe, u, step)
     # dtheta[A, a, b] = d_a theta_A(d_b) - d_b theta_A(d_a)
     dtheta = np.einsum("abA->Aab", dT) - np.einsum("baA->Aab", dT)
     rhs = np.einsum("aB,BAb->Aab", T0, w) - np.einsum("bB,BAa->Aab", T0, w)
     return float(np.abs(dtheta - rhs).max())
+
+
+def connection_derivative(
+    patch: ManifoldPatch,
+    frame: AdaptedFrame,
+    step: float = DEFAULT_SECOND_ORDER_STEP,
+    inner_step: float = DEFAULT_FD_STEP,
+) -> tuple:
+    """The d omega block (w0, dw) of an adapted frame at its base point.
+
+    w0[A, B, a] = omega_{AB}(d_a) is ``coordinate_connection`` at the inner
+    step; dw[c, A, B, a] = d_c w0 is the central difference of the connection
+    field at the outer ``step``.  Curvature and the Chern identity both read
+    d omega from this one block.
+    """
+    w0 = coordinate_connection(patch, frame, step=inner_step)
+    dw = central_difference(
+        lambda v: coordinate_connection(patch, frame, v, step=inner_step), frame.point, step
+    )
+    return w0, dw
 
 
 def curvature_forms(
@@ -155,30 +158,21 @@ def curvature_forms(
     step: float = DEFAULT_SECOND_ORDER_STEP,
     inner_step: float = DEFAULT_FD_STEP,
     frame: AdaptedFrame | None = None,
+    block: tuple | None = None,
 ) -> CurvatureTable:
-    """Curvature table R_{AB}(e_C, e_D) from R = omega ^ omega - d omega."""
-    margin = step + 2.0 * inner_step
-    u = require_interior(patch, point, margin=margin)
+    """Curvature table R_{AB}(e_C, e_D) from R = omega ^ omega - d omega.
+
+    ``block`` is ``connection_derivative(patch, frame, step, inner_step)``,
+    computed here unless the caller already holds it.
+    """
+    u = require_interior(patch, point, margin=step + 2.0 * inner_step)
     if frame is None:
         frame = adapt_frame(patch, u)
-    dim = patch.dim
-    w0 = coordinate_connection(patch, frame, u, step=inner_step)
-    dw = np.empty((dim, dim, dim, dim))
-    for c in range(dim):
-        up = u.copy()
-        dn = u.copy()
-        up[c] += step
-        dn[c] -= step
-        dw[c] = (
-            coordinate_connection(patch, frame, up, step=inner_step)
-            - coordinate_connection(patch, frame, dn, step=inner_step)
-        ) / (2.0 * step)
+    w0, dw = connection_derivative(patch, frame, step, inner_step) if block is None else block
     # domega[A, B, a, b] = d_a omega_{AB}(d_b) - d_b omega_{AB}(d_a)
     domega = np.einsum("aABb->ABab", dw) - np.einsum("bABa->ABab", dw)
     wedge = np.einsum("ACa,CBb->ABab", w0, w0) - np.einsum("ACb,CBa->ABab", w0, w0)
-    r_coord = wedge - domega
-    E0 = frame.E
-    R = np.einsum("ABab,aC,bD->ABCD", r_coord, E0, E0)
+    R = np.einsum("ABab,aC,bD->ABCD", wedge - domega, frame.E, frame.E)
     return CurvatureTable(R=R)
 
 

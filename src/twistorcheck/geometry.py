@@ -274,6 +274,18 @@ def evaluate_frame_field(patch: ManifoldPatch, frame: AdaptedFrame, point: np.nd
     return E
 
 
+def central_difference(f: FieldMap, u: np.ndarray, h: float) -> np.ndarray:
+    """D[c] = (f(u + h e_c) - f(u - h e_c)) / (2h): the package's one difference stencil."""
+    D = []
+    for c in range(u.shape[0]):
+        up = u.copy()
+        dn = u.copy()
+        up[c] += h
+        dn[c] -= h
+        D.append((np.asarray(f(up), dtype=float) - np.asarray(f(dn), dtype=float)) / (2.0 * h))
+    return np.array(D)
+
+
 def field_derivative(
     patch: ManifoldPatch,
     point: np.ndarray,
@@ -298,20 +310,9 @@ def field_derivative(
     u = require_interior(patch, point, margin=step)
     if jet is not None:
         return np.asarray(jet(u), dtype=float)
-
-    def central(h: float) -> np.ndarray:
-        D = np.empty((patch.dim, patch.dim, patch.dim))
-        for c in range(patch.dim):
-            up = u.copy()
-            dn = u.copy()
-            up[c] += h
-            dn[c] -= h
-            D[c] = (np.asarray(fn(up), dtype=float) - np.asarray(fn(dn), dtype=float)) / (2.0 * h)
-        return D
-
     if richardson:
-        return (4.0 * central(step / 2.0) - central(step)) / 3.0
-    return central(step)
+        return (4.0 * central_difference(fn, u, step / 2.0) - central_difference(fn, u, step)) / 3.0
+    return central_difference(fn, u, step)
 
 
 def christoffel(

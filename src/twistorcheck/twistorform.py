@@ -41,7 +41,7 @@ from .connection import (
     DEFAULT_SECOND_ORDER_STEP,
     ConnectionTable,
     connection_coefficients,
-    coordinate_connection,
+    connection_derivative,
 )
 from .nijenhuis import nijenhuis_norm, nijenhuis_tensor, norm_from_coefficients
 
@@ -401,12 +401,16 @@ def chern_identity_residual(
     point: np.ndarray,
     step: float = DEFAULT_SECOND_ORDER_STEP,
     inner_step: float = DEFAULT_FD_STEP,
+    frame: AdaptedFrame | None = None,
+    block: tuple | None = None,
 ) -> float:
     """Residual of sum_i d omega_{i,i+n} = -phi on the unit round sphere patch.
 
     Only meaningful where the curvature terms R_{i,i+n} equal
     theta_i ^ theta_{i+n}, i.e. on a patch flagged ``unit_round_sphere``;
-    any other patch raises WrongPatch.
+    any other patch raises WrongPatch.  ``block`` is
+    ``connection_derivative(patch, frame, step, inner_step)``, computed here
+    unless the caller already holds it.
     """
     if "unit_round_sphere" not in patch.attributes:
         raise WrongPatch(
@@ -415,23 +419,15 @@ def chern_identity_residual(
         )
     u = require_interior(patch, point, margin=step + 2.0 * inner_step)
     n = patch.n
-    frame = adapt_frame(patch, u)
+    if frame is None:
+        frame = adapt_frame(patch, u)
+    w0, dw = connection_derivative(patch, frame, step, inner_step) if block is None else block
     dim = patch.dim
-    dw = np.empty((dim, dim, dim, dim))
-    for c in range(dim):
-        up = u.copy()
-        dn = u.copy()
-        up[c] += step
-        dn[c] -= step
-        dw[c] = (
-            coordinate_connection(patch, frame, up, step=inner_step)
-            - coordinate_connection(patch, frame, dn, step=inner_step)
-        ) / (2.0 * step)
     # sum_i d omega_{i,i+n}(d_a, d_b)
     dsum = np.zeros((dim, dim))
     for i in range(n):
         dsum += dw[:, i, n + i, :] - dw[:, i, n + i, :].T
-    table = connection_coefficients(patch, frame, step=inner_step)
+    table = ConnectionTable(omega=np.einsum("ABa,aC->ABC", w0, frame.E))
     F = phi_matrix(alpha_beta(table)).F
     g = np.asarray(patch.metric_field(u), dtype=float)
     T = g @ frame.E  # theta_A(d_a) = T[a, A]

@@ -1,13 +1,21 @@
 """Command-line contract: outputs, exit codes, determinism, config handling."""
 
+import dataclasses
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from twistorcheck import algebra
-from twistorcheck.cli import main
+from twistorcheck import algebra, catalog
+from twistorcheck.cli import geometry_checks, main
+from twistorcheck.connection import (
+    curvature_forms,
+    round_sphere_curvature_residual,
+    structure_equation_residual,
+)
+from twistorcheck.twistorform import chern_identity_residual
 
 
 def run_cli(args):
@@ -263,3 +271,106 @@ def test_config_choices_enforced(tmp_path, capsys):
     cfg.write_text(json.dumps({"format": "xml"}))
     assert run_cli(["scan", "--manifold", "flat:2", "--grid", "1", "--config", str(cfg)]) == 2
     assert "not one of json, csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["report", "--manifold", "flat:2", "--tol", "-1"], "--tol"),
+        (["report", "--manifold", "flat:2", "--tol", "nan"], "--tol"),
+        (["scan", "--manifold", "flat:2", "--grid", "1", "--tol", "-1"], "--tol"),
+        (["report", "--manifold", "nk-s6", "--fd-step", "1e-12"], "--fd-step"),
+        (["verify-geometry", "--manifold", "flat:2", "--points", "1", "--rotations", "-1"],
+         "--rotations"),
+    ],
+)
+def test_out_of_range_numbers_are_input_errors(capsys, argv, flag):
+    # Exit 1 means a failed mathematical check; a bad number never reaches one.
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: argument {flag}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, values, message",
+    [
+        (["report", "--manifold", "flat:2"], {"tol": "nan"}, "must be finite and > 0"),
+        (["report", "--manifold", "nk-s6"], {"fd-step": 1e-12}, "must lie in (1e-8, 1e-2)"),
+        (["scan", "--manifold", "flat:2"], {"grid": 0}, "must be >= 1"),
+        (["verify-geometry", "--manifold", "flat:2", "--points", "1"], {"rotations": -1},
+         "must be >= 0"),
+        (["verify-algebra", "--samples", "3"], {"tol": 1e-3}, "unknown config key 'tol'"),
+    ],
+)
+def test_config_values_get_the_flag_checks(tmp_path, capsys, argv, values, message):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(values))
+    assert run_cli(argv + ["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-algebra", "--samples", "3", "--fd-step", "1e-4"],
+        ["verify-algebra", "--samples", "3", "--tol", "1e-3"],
+        ["verify-geometry", "--manifold", "flat:2", "--points", "1", "--tol", "1e-3"],
+        ["report", "--manifold", "flat:2", "--seed", "3"],
+    ],
+)
+def test_flags_that_did_nothing_are_rejected(capsys, argv):
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unrecognized arguments: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--manifold", "nk-s6", "--bogus"],
+        ["report"],
+        [],
+        ["scan", "--manifold", "flat:2", "--format", "xml"],
+        ["scan", "--manifold", "flat:2", "--grid", "two"],
+    ],
+)
+def test_usage_errors_print_one_line(capsys, argv):
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_geometry_checks_share_without_changing_values():
+    """One frame and one d omega block per point give the standalone residuals exactly."""
+    entry = catalog.resolve("nk-s6")
+    patch = entry.patch
+    checks = geometry_checks(entry, points=2, seed=3, rotations=1, fd_step=1e-5)["checks"]
+    samples = catalog.sample_points(patch, 2, np.random.default_rng(3))
+    assert checks["structure_equation"]["max_residual"] == max(
+        structure_equation_residual(patch, u, 1e-5) for u in samples
+    )
+    assert checks["curvature_identity"]["max_residual"] == max(
+        round_sphere_curvature_residual(curvature_forms(patch, u)) for u in samples
+    )
+    assert checks["chern_identity"]["max_residual"] == max(
+        chern_identity_residual(patch, u) for u in samples
+    )
+
+
+def test_geometry_point_evaluates_j_within_budget():
+    # Rebuilding the frame and the d omega block for every check of one nk-s6
+    # point with 4 rotations evaluated J 939 times; sharing them needs 571.
+    entry = catalog.resolve("nk-s6")
+    j_field = entry.patch.j_field
+    calls = 0
+
+    def counting(u):
+        nonlocal calls
+        calls += 1
+        return j_field(u)
+
+    counted = dataclasses.replace(entry, patch=dataclasses.replace(entry.patch, j_field=counting))
+    assert geometry_checks(counted, points=1, seed=0, rotations=4, fd_step=1e-5)["all_pass"]
+    assert calls <= 575
