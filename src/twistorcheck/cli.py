@@ -19,9 +19,12 @@ import numpy as np
 
 from . import catalog
 from .connection import (
+    ConnectionTable,
     connection_derivative,
+    coordinate_connection,
     curvature_forms,
     round_sphere_curvature_residual,
+    sigma_part,
     structure_equation_residual,
 )
 from .errors import TwistorcheckError
@@ -38,6 +41,7 @@ CHERN_ID_TOL = 1e-4
 PHI_FORMULA_TOL = 1e-10
 N_ROUTE_TOL = 1e-6
 FRAME_INVARIANCE_TOL = 1e-8
+CONNECTION_ROUTE_TOL = 1e-8
 
 
 def _fmt_float(x: float) -> str:
@@ -209,6 +213,12 @@ def cmd_verify_algebra(args) -> int:
     return 0 if report["all_pass"] else 1
 
 
+def _sigma_route_gap(w: np.ndarray, E: np.ndarray, sigma: ConnectionTable) -> float:
+    """Max |sigma part of the frame-differentiated table - sigma from nabla J|."""
+    table = ConnectionTable(omega=np.einsum("ABa,aC->ABC", w, E))
+    return float(np.abs(sigma_part(table).omega - sigma.omega).max())
+
+
 def geometry_checks(entry: catalog.CatalogEntry, points: int, seed: int, rotations: int, fd_step: float) -> dict:
     patch = entry.patch
     rng = np.random.default_rng(seed)
@@ -219,6 +229,7 @@ def geometry_checks(entry: catalog.CatalogEntry, points: int, seed: int, rotatio
         "phi_formula_equivalence": {"max_residual": 0.0, "tolerance": PHI_FORMULA_TOL},
         "nijenhuis_route_equivalence": {"max_residual": 0.0, "tolerance": N_ROUTE_TOL},
         "frame_invariance": {"max_residual": 0.0, "tolerance": FRAME_INVARIANCE_TOL},
+        "connection_route_equivalence": {"max_residual": 0.0, "tolerance": CONNECTION_ROUTE_TOL},
     }
     if is_round:
         checks["curvature_identity"] = {"max_residual": 0.0, "tolerance": CURVATURE_ID_TOL}
@@ -229,13 +240,21 @@ def geometry_checks(entry: catalog.CatalogEntry, points: int, seed: int, rotatio
 
     for u in samples:
         frame = adapt_frame(patch, u)
+        # The frame-differentiated connection: the full omega the structure
+        # equation needs, and the independent route to the reports' sigma.
+        w = coordinate_connection(patch, frame, step=fd_step)
         base = theorem_report(patch, u, step=fd_step, frame=frame)
-        bump("structure_equation", structure_equation_residual(patch, u, step=fd_step, frame=frame))
+        bump("structure_equation", structure_equation_residual(patch, u, step=fd_step, frame=frame, w=w))
         bump("phi_formula_equivalence", base.phi_formula_mismatch)
         bump("nijenhuis_route_equivalence", base.n_route_mismatch)
+        bump("connection_route_equivalence", _sigma_route_gap(w, frame.E, base.sigma))
         for _ in range(rotations):
             U = random_unitary_rotation(patch.n, rng)
-            rep = theorem_report(patch, u, step=fd_step, frame=rotate_frame(frame, U))
+            rotated = rotate_frame(frame, U)
+            rep = theorem_report(patch, u, step=fd_step, frame=rotated)
+            # The rotated frame field is E U with U constant, so its slices are U^T w U.
+            w_rotated = np.einsum("DA,DEa,EB->ABa", U, w, U)
+            bump("connection_route_equivalence", _sigma_route_gap(w_rotated, rotated.E, rep.sigma))
             dev = max(
                 abs(rep.normN2 - base.normN2) / max(1.0, abs(base.normN2)),
                 abs(rep.margin - base.margin) / max(1.0, abs(base.margin)),

@@ -24,6 +24,7 @@ from .geometry import (
     central_difference,
     christoffel,
     evaluate_frame_field,
+    j0_matrix,
     require_interior,
 )
 
@@ -99,24 +100,74 @@ def connection_coefficients(
     return ConnectionTable(omega=np.einsum("ABa,aC->ABC", w, frame.E))
 
 
+def nabla_j_connection(
+    patch: ManifoldPatch,
+    frame: AdaptedFrame,
+    J: np.ndarray,
+    g: np.ndarray,
+    dJ: np.ndarray,
+    step: float = DEFAULT_FD_STEP,
+) -> ConnectionTable:
+    """The sigma part of the connection table, read off nabla J at one point.
+
+    ``J``, ``g`` and ``dJ`` (indexed [c, a, b] = d_c J^a_b) are the field
+    values and the J jet at ``frame.point``; ``step`` is the metric stencil of
+    the Christoffel symbols.  In an adapted frame nabla_{e_C} J has frame
+    matrix K_C = E^-1 (nabla_{e_C} J) E = [J0, omega(e_C)], and the bracket
+    only sees the J0-anticommuting part sigma of omega, so
+    sigma(e_C) = 1/2 K_C J0 with nabla_c J = d_c J + Gamma_c J - J Gamma_c.
+    It is formed as 1/4 (K_C J0 - J0 K_C), equal for an exact K_C and
+    anticommuting with J0 exactly even though dJ carries rounding.
+
+    The u(n) part of the returned table is therefore zero.  That loses
+    nothing the certificate reads: a u(n) slice [[a, -b], [b, a]] cancels in
+    alpha = omega_{i,j+n} + omega_{i+n,j} and beta = omega_{i+n,j+n} - omega_ij,
+    commutes with J0 in P = [J0, omega], and cancels against J0 omega J0 =
+    -omega in Q = omega + J0 omega J0.  The structure equation, curvature and
+    the Chern identity need the full omega and take it from
+    ``coordinate_connection`` instead.
+    """
+    Gamma = christoffel(patch, frame.point, step=step)
+    # (nabla_c J)^a_b = d_c J^a_b + Gamma^a_{cd} J^d_b - Gamma^d_{cb} J^a_d
+    nabla = dJ + np.einsum("acd,db->cab", Gamma, J) - np.einsum("dcb,ad->cab", Gamma, J)
+    E = frame.E
+    # K[C] = E^-1 (nabla_{e_C} J) E with E^-1 = E^T g
+    K = (E.T @ g) @ np.einsum("cC,cab->Cab", E, nabla) @ E
+    J0 = j0_matrix(frame.n)
+    sigma = 0.25 * (K @ J0 - J0 @ K)
+    return ConnectionTable(omega=sigma.transpose(1, 2, 0))
+
+
+def sigma_part(table: ConnectionTable) -> ConnectionTable:
+    """The J0-anticommuting part sigma(e_C) = 1/2 (w_C + J0 w_C J0) of each slice."""
+    J0 = j0_matrix(table.n)
+    om = table.omega
+    return ConnectionTable(omega=0.5 * (om + np.einsum("xz,zwC,wy->xyC", J0, om, J0)))
+
+
 def structure_equation_residual(
     patch: ManifoldPatch,
     point: np.ndarray,
     step: float = DEFAULT_FD_STEP,
     frame: AdaptedFrame | None = None,
     omega_sign: float = 1.0,
+    w: np.ndarray | None = None,
 ) -> float:
     """Max residual of d theta_A = sum_B theta_B ^ omega_{BA} on coordinate pairs.
 
-    ``frame`` is the adapted frame at ``point`` (built here when omitted).
-    ``omega_sign`` exists as a deliberate tripwire: passing -1 must drive the
-    residual far from zero on any patch with a nonzero connection, which is
-    how tests pin the sign convention.
+    ``frame`` is the adapted frame at ``point`` (built here when omitted) and
+    ``w`` is ``coordinate_connection(patch, frame, step=step)``, computed here
+    unless the caller already holds it.  ``omega_sign`` exists as a
+    deliberate tripwire: passing -1 must drive the residual far from zero on
+    any patch with a nonzero connection, which is how tests pin the sign
+    convention.
     """
     u = require_interior(patch, point, margin=2.0 * step)
     if frame is None:
         frame = adapt_frame(patch, u)
-    w = omega_sign * coordinate_connection(patch, frame, step=step)
+    if w is None:
+        w = coordinate_connection(patch, frame, step=step)
+    w = omega_sign * w
 
     def coframe(v: np.ndarray) -> np.ndarray:
         # theta_A(d_a) = g(d_a, e_A) = (g E)_{aA}

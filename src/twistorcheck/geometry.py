@@ -113,12 +113,8 @@ def require_interior(patch: ManifoldPatch, point: np.ndarray, margin: float = 0.
     return u
 
 
-def patch_residuals(patch: ManifoldPatch, point: np.ndarray) -> dict:
-    """Max-norm residuals of the pointwise patch invariants at ``point``."""
-    u = np.asarray(point, dtype=float)
-    g = np.asarray(patch.metric_field(u), dtype=float)
-    J = np.asarray(patch.j_field(u), dtype=float)
-    eye = np.eye(patch.dim)
+def _field_residuals(g: np.ndarray, J: np.ndarray) -> dict:
+    eye = np.eye(g.shape[0])
     return {
         "metric_symmetry": float(np.abs(g - g.T).max()),
         "metric_min_eigenvalue": float(np.linalg.eigvalsh(0.5 * (g + g.T)).min()),
@@ -127,20 +123,35 @@ def patch_residuals(patch: ManifoldPatch, point: np.ndarray) -> dict:
     }
 
 
-def validate_patch(patch: ManifoldPatch, point: np.ndarray) -> None:
-    """Raise IncompatibleStructure unless g is SPD, J^2 = -Id and J^T g J = g."""
-    res = patch_residuals(patch, point)
+def patch_residuals(patch: ManifoldPatch, point: np.ndarray) -> dict:
+    """Max-norm residuals of the pointwise patch invariants at ``point``."""
+    u = np.asarray(point, dtype=float)
+    g = np.asarray(patch.metric_field(u), dtype=float)
+    J = np.asarray(patch.j_field(u), dtype=float)
+    return _field_residuals(g, J)
+
+
+def validate_patch(patch: ManifoldPatch, point: np.ndarray) -> tuple:
+    """Raise IncompatibleStructure unless g is SPD, J^2 = -Id and J^T g J = g.
+
+    Returns the checked field values ``(g, J)`` at ``point``, so a caller that
+    needs them evaluates each field once.
+    """
+    u = np.asarray(point, dtype=float)
+    g = np.asarray(patch.metric_field(u), dtype=float)
+    J = np.asarray(patch.j_field(u), dtype=float)
+    res = _field_residuals(g, J)
     if res["metric_min_eigenvalue"] <= 0.0:
         raise IncompatibleStructure(
-            f"metric not positive definite at {np.asarray(point).tolist()} "
+            f"metric not positive definite at {u.tolist()} "
             f"(min eigenvalue {res['metric_min_eigenvalue']:.3e})"
         )
     for key in ("j_square", "compatibility"):
         if res[key] >= STRUCTURE_TOL:
             raise IncompatibleStructure(
-                f"{key} residual {res[key]:.3e} exceeds {STRUCTURE_TOL:g} "
-                f"at {np.asarray(point).tolist()}"
+                f"{key} residual {res[key]:.3e} exceeds {STRUCTURE_TOL:g} at {u.tolist()}"
             )
+    return g, J
 
 
 @dataclass(frozen=True)
@@ -219,9 +230,7 @@ def adapt_frame(
     patch the frame is the coordinate basis itself.
     """
     u = require_interior(patch, point)
-    validate_patch(patch, u)
-    g = np.asarray(patch.metric_field(u), dtype=float)
-    J = np.asarray(patch.j_field(u), dtype=float)
+    g, J = validate_patch(patch, u)
     seed_arr = np.eye(patch.dim) if seed is None else np.array(seed, dtype=float)
     if seed_arr.shape != (patch.dim, patch.dim):
         raise ValueError(f"seed must have shape ({patch.dim}, {patch.dim})")

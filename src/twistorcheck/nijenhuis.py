@@ -12,6 +12,8 @@ symmetries N(Y, X) = -N(X, Y) and N(JX, Y) = -J N(X, Y) = N(X, JY).
 
 The two routes share no code path, so their agreement (enforced whenever both
 are available) is a genuine cross-check of every sign convention in between.
+They may share input: ``theorem_report`` hands both the same J and dJ arrays,
+since a second stencil at the same point would return the same numbers.
 """
 
 from __future__ import annotations
@@ -53,17 +55,25 @@ class NijenhuisTensor:
 
 
 def nijenhuis_coordinates(
-    patch: ManifoldPatch, point: np.ndarray, step: float = DEFAULT_FD_STEP
+    patch: ManifoldPatch,
+    point: np.ndarray,
+    step: float = DEFAULT_FD_STEP,
+    J: np.ndarray | None = None,
+    dJ: np.ndarray | None = None,
 ) -> np.ndarray:
     """Coordinate components N[c, a, b] = N(d_a, d_b)^c from derivatives of J.
 
     Coordinate fields have vanishing mutual brackets, so the four brackets in
     the definition collapse to contractions of J with dJ.  The metric never
     enters, which keeps this route independent of the connection machinery.
+    ``J`` and ``dJ`` are the field value and its jet at ``point``, evaluated
+    here unless the caller already holds them.
     """
     u = np.asarray(point, dtype=float)
-    J = np.asarray(patch.j_field(u), dtype=float)
-    dJ = field_derivative(patch, u, which="j", step=step)
+    if J is None:
+        J = np.asarray(patch.j_field(u), dtype=float)
+    if dJ is None:
+        dJ = field_derivative(patch, u, which="j", step=step)
     return (
         np.einsum("da,dcb->cab", J, dJ)
         - np.einsum("db,dca->cab", J, dJ)
@@ -108,18 +118,24 @@ def nijenhuis_tensor(
     frame: AdaptedFrame | None = None,
     coeffs: "StructureCoefficients | None" = None,
     step: float = DEFAULT_FD_STEP,
+    g: np.ndarray | None = None,
+    J: np.ndarray | None = None,
+    dJ: np.ndarray | None = None,
 ) -> NijenhuisTensor:
     """Nijenhuis tensor at a point, with frame components cross-checked.
 
     When ``coeffs`` is given, the frame components come from the connection
     route and must agree with the frame change of the coordinate components
     to relative ``ROUTE_REL_TOL``; disagreement raises CrossPathMismatch.
+    ``g``, ``J`` and ``dJ`` are field values and the J jet at ``point``,
+    evaluated here unless the caller already holds them.
     """
     u = np.asarray(point, dtype=float)
-    coord = nijenhuis_coordinates(patch, u, step=step)
+    coord = nijenhuis_coordinates(patch, u, step=step, J=J, dJ=dJ)
     if frame is None:
         frame = adapt_frame(patch, u)
-    g = np.asarray(patch.metric_field(u), dtype=float)
+    if g is None:
+        g = np.asarray(patch.metric_field(u), dtype=float)
     converted = frame_components_from_coordinates(coord, frame.E, g)
     if coeffs is None:
         framec = converted

@@ -34,14 +34,15 @@ from .geometry import (
     AdaptedFrame,
     ManifoldPatch,
     adapt_frame,
+    field_derivative,
     j0_matrix,
     require_interior,
 )
 from .connection import (
     DEFAULT_SECOND_ORDER_STEP,
     ConnectionTable,
-    connection_coefficients,
     connection_derivative,
+    nabla_j_connection,
 )
 from .nijenhuis import nijenhuis_norm, nijenhuis_tensor, norm_from_coefficients
 
@@ -307,6 +308,7 @@ class TheoremReport:
     det_F: float
     phi_formula_mismatch: float
     n_route_mismatch: float
+    sigma: ConnectionTable
 
     def __post_init__(self):
         p = np.asarray(self.point, dtype=float)
@@ -324,6 +326,11 @@ def theorem_report(
 ) -> TheoremReport:
     """Run the full pipeline at a point and certify the bound chain.
 
+    The point is worked from one adapted frame and one point jet: g and J
+    once, and one J stencil whose dJ feeds both the sigma table
+    (``nabla_j_connection``, kept as ``sigma`` in the report) and the
+    coordinate Nijenhuis route.
+
     With ``strict`` the first failed inequality raises ChainViolation; the
     default returns the report with per-inequality booleans so sweeps can
     count violations.  A violation on valid input is a bug detector, never an
@@ -333,10 +340,13 @@ def theorem_report(
     n = patch.n
     if frame is None:
         frame = adapt_frame(patch, u)
-    table = connection_coefficients(patch, frame, step=step)
+    g = np.asarray(patch.metric_field(u), dtype=float)
+    J = np.asarray(patch.j_field(u), dtype=float)
+    dJ = field_derivative(patch, u, which="j", step=step)
+    table = nabla_j_connection(patch, frame, J, g, dJ, step=step)
     ab = alpha_beta(table)
     coeffs = structure_coefficients(ab)
-    tensor = nijenhuis_tensor(patch, u, frame=frame, coeffs=coeffs, step=step)
+    tensor = nijenhuis_tensor(patch, u, frame=frame, coeffs=coeffs, step=step, g=g, J=J, dJ=dJ)
     normN2 = nijenhuis_norm(tensor, coeffs)
     n_route_mismatch = abs(normN2 - norm_from_coefficients(coeffs)) / max(1.0, normN2)
 
@@ -393,6 +403,7 @@ def theorem_report(
         det_F=det_F,
         phi_formula_mismatch=phi_mismatch,
         n_route_mismatch=n_route_mismatch,
+        sigma=table,
     )
 
 

@@ -34,7 +34,7 @@ from twistorcheck import (
     theorem_report,
 )
 from twistorcheck.catalog import sample_points
-from twistorcheck.connection import curvature_forms, round_sphere_curvature_residual
+from twistorcheck.connection import curvature_forms, round_sphere_curvature_residual, sigma_part
 from twistorcheck.twistorform import chern_identity_residual
 
 
@@ -101,12 +101,18 @@ def test_criterion_3_route_equivalence():
         for entry in default_entries():
             worst_n = 0.0
             worst_phi = 0.0
+            worst_sigma = 0.0
             for point in sample_points(entry.patch, 50, rng):
-                rep = theorem_report(entry.patch, point)
+                frame = adapt_frame(entry.patch, point)
+                rep = theorem_report(entry.patch, point, frame=frame)
                 worst_n = max(worst_n, rep.n_route_mismatch)
                 worst_phi = max(worst_phi, rep.phi_formula_mismatch)
+                # sigma from nabla J against the frame-differentiated connection
+                full = sigma_part(connection_coefficients(entry.patch, frame))
+                worst_sigma = max(worst_sigma, float(np.abs(full.omega - rep.sigma.omega).max()))
             c.check(worst_n < 1e-6, f"{entry.id}: |N|^2 route mismatch {worst_n:.3e}")
             c.check(worst_phi < 1e-10, f"{entry.id}: phi formula mismatch {worst_phi:.3e}")
+            c.check(worst_sigma < 1e-8, f"{entry.id}: sigma route mismatch {worst_sigma:.3e}")
 
 
 def test_criterion_4_theorem_chain():
@@ -232,6 +238,15 @@ def test_criterion_8_negative_controls():
             conformal_hermitian().patch, np.array([1.3, 0.9, 1.1, 1.7]), omega_sign=-1.0
         )
         c.check(flipped > 1e-3, f"sign-flipped structure residual only {flipped:.3e}")
+
+        # flipped sigma: the frame-differentiated connection must reject it
+        s6 = nearly_kahler_s6().patch
+        u = np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])
+        frame = adapt_frame(s6, u)
+        sigma = theorem_report(s6, u, frame=frame).sigma.omega
+        full = sigma_part(connection_coefficients(s6, frame)).omega
+        gap = float(np.abs(full + sigma).max())
+        c.check(gap > 1e-3, f"sign-flipped sigma route mismatch only {gap:.3e}")
 
         # zeroed block: the form must report degenerate
         F = -j0_matrix(3)

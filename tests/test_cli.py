@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from twistorcheck import algebra, catalog
+from twistorcheck import algebra, catalog, cli
 from twistorcheck.cli import geometry_checks, main
 from twistorcheck.connection import (
     curvature_forms,
@@ -361,7 +361,10 @@ def test_geometry_checks_share_without_changing_values():
 
 def test_geometry_point_evaluates_j_within_budget():
     # Rebuilding the frame and the d omega block for every check of one nk-s6
-    # point with 4 rotations evaluated J 939 times; sharing them needs 571.
+    # point with 4 rotations evaluated J 939 times; sharing them needed 571.
+    # With sigma read off nabla J and one J per frame it takes 258: 1 frame,
+    # 12 + 12 stencil frames (connection, coframe), 5 reports of 1 + 12, and
+    # 168 in the d omega block.  The budget is that count plus 1 %.
     entry = catalog.resolve("nk-s6")
     j_field = entry.patch.j_field
     calls = 0
@@ -373,4 +376,24 @@ def test_geometry_point_evaluates_j_within_budget():
 
     counted = dataclasses.replace(entry, patch=dataclasses.replace(entry.patch, j_field=counting))
     assert geometry_checks(counted, points=1, seed=0, rotations=4, fd_step=1e-5)["all_pass"]
-    assert calls <= 575
+    assert calls <= 260
+
+
+@pytest.mark.parametrize("manifold", [entry.id for entry in catalog.default_entries()])
+def test_verify_geometry_compares_connection_routes(manifold):
+    report = geometry_checks(catalog.resolve(manifold), points=2, seed=4, rotations=2, fd_step=1e-5)
+    slot = report["checks"]["connection_route_equivalence"]
+    assert slot["tolerance"] == 1e-8
+    assert slot["pass"] and slot["max_residual"] <= 1e-8
+    assert report["all_pass"]
+
+
+def test_verify_geometry_connection_route_negative_control(monkeypatch, tmp_path):
+    """A sign slip in the frame-differentiated connection fails the route check with exit 1."""
+    original = cli.coordinate_connection
+    monkeypatch.setattr(cli, "coordinate_connection", lambda *a, **k: -original(*a, **k))
+    out = tmp_path / "geo.json"
+    argv = ["verify-geometry", "--manifold", "conformal4", "--points", "1", "--rotations", "1"]
+    assert run_cli(argv + ["--out", str(out)]) == 1
+    slot = json.loads(out.read_text())["checks"]["connection_route_equivalence"]
+    assert slot["pass"] is False and slot["max_residual"] > 1e-3

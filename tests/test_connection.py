@@ -9,14 +9,22 @@ from twistorcheck import (
     conformal_hermitian,
     connection_coefficients,
     curvature_forms,
+    default_entries,
+    field_derivative,
     flat_kahler,
+    j0_matrix,
     nearly_kahler_s6,
+    random_unitary_rotation,
+    rotate_frame,
     structure_equation_residual,
 )
+from twistorcheck.catalog import sample_points
 from twistorcheck.connection import (
     coordinate_connection,
     first_bianchi_residual,
+    nabla_j_connection,
     round_sphere_curvature_residual,
+    sigma_part,
 )
 from twistorcheck.geometry import AdaptedFrame, evaluate_frame_field
 
@@ -84,9 +92,6 @@ def test_first_bianchi_on_catalog():
 
 
 def test_structure_equation_across_catalog():
-    from twistorcheck import default_entries
-    from twistorcheck.catalog import sample_points
-
     rng = np.random.default_rng(19)
     for entry in default_entries():
         worst = max(
@@ -105,26 +110,17 @@ def test_metric_compatibility_via_antisymmetry():
     assert np.abs(w + w.transpose(1, 0, 2)).max() < 1e-9
 
 
-def nabla_j_frame_matrices(patch, point, frame):
-    """Frame matrices of nabla_{e_C} J computed purely from coordinate data."""
-    from twistorcheck.geometry import christoffel, field_derivative
-
-    u = np.asarray(point, dtype=float)
-    J = patch.j_field(u)
+def nabla_j_table(patch, frame):
+    """sigma from nabla J at the frame's point, with J and dJ evaluated here."""
+    u = frame.point
     dJ = field_derivative(patch, u, which="j")
-    G = christoffel(patch, u)
-    nab = dJ + np.einsum("acd,db->cab", G, J) - np.einsum("dcb,ad->cab", G, J)
-    E = frame.E
-    Einv = E.T @ patch.metric_field(u)
-    return np.einsum("cC,Aa,cab,bB->CAB", E, Einv, nab, E)
+    return nabla_j_connection(patch, frame, patch.j_field(u), patch.metric_field(u), dJ)
 
 
 def test_connection_encodes_nabla_j():
     # In an adapted frame, nabla_{e_C} J has frame matrix [J0, omega(e_C)].
-    # The right side never touches derivatives of J, so agreement is an
-    # independent certificate for the connection table.
-    from twistorcheck.geometry import j0_matrix
-
+    # The table read off nabla J never differentiates the frame field, so
+    # agreement of the brackets certifies the frame-differentiated table.
     cases = (
         (nearly_kahler_s6().patch, np.zeros(6)),
         (nearly_kahler_s6().patch, np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])),
@@ -132,11 +128,37 @@ def test_connection_encodes_nabla_j():
     )
     for patch, point in cases:
         frame = adapt_frame(patch, point)
-        om = connection_coefficients(patch, frame).omega
         J0 = j0_matrix(patch.n)
-        comm = np.stack([J0 @ om[:, :, C] - om[:, :, C] @ J0 for C in range(patch.dim)])
-        nj = nabla_j_frame_matrices(patch, point, frame)
-        assert np.abs(comm - nj).max() < 1e-8
+
+        def bracket(om):
+            return np.einsum("xz,zyC->Cxy", J0, om) - np.einsum("xzC,zy->Cxy", om, J0)
+
+        om = connection_coefficients(patch, frame).omega
+        sigma = nabla_j_table(patch, frame).omega
+        assert np.abs(bracket(om) - bracket(sigma)).max() < 1e-8
+
+
+def test_nabla_j_route_matches_sigma_part_on_catalog():
+    rng = np.random.default_rng(23)
+    for entry in default_entries():
+        patch = entry.patch
+        for point in sample_points(patch, 2, rng):
+            frame = adapt_frame(patch, point)
+            for fr in (frame, rotate_frame(frame, random_unitary_rotation(patch.n, rng))):
+                full = connection_coefficients(patch, fr)
+                sigma = nabla_j_table(patch, fr)
+                gap = np.abs(sigma_part(full).omega - sigma.omega).max()
+                assert gap < 1e-8, f"{entry.id}: sigma routes differ by {gap:.3e}"
+                # sigma anticommutes with J0 slice by slice: its u(n) part is zero
+                assert np.array_equal(sigma_part(sigma).omega, sigma.omega)
+
+
+def test_nabla_j_route_rejects_flipped_sigma():
+    patch = conformal_hermitian().patch
+    frame = adapt_frame(patch, CONFORMAL_POINT)
+    sigma = nabla_j_table(patch, frame).omega
+    reference = sigma_part(connection_coefficients(patch, frame)).omega
+    assert np.abs(reference + sigma).max() > 1e-3
 
 
 def test_nearly_kahler_connection_carries_the_torsion():
@@ -146,8 +168,9 @@ def test_nearly_kahler_connection_carries_the_torsion():
     # chart origin, which is what the symmetry of the conformal factor gives.
     patch = nearly_kahler_s6().patch
     frame = adapt_frame(patch, np.zeros(6))
-    nj = nabla_j_frame_matrices(patch, np.zeros(6), frame)
-    assert abs(float((nj**2).sum()) - 24.0) < 1e-6
+    # K_C = -2 sigma_C J0 with J0 orthogonal, so |nabla J|^2 = 4 |sigma|^2.
+    sigma = nabla_j_table(patch, frame).omega
+    assert abs(4.0 * float((sigma**2).sum()) - 24.0) < 1e-6
     om = connection_coefficients(patch, frame).omega
     assert np.abs(om).max() > 0.5
 

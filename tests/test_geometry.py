@@ -1,5 +1,7 @@
 """Patch invariants, adapted frames, field derivatives, Christoffel symbols."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -302,7 +304,43 @@ class TestPatchValidation:
             require_interior(patch, np.array([0.99, 0.0, 0.0, 0.0]), margin=0.05)
 
     def test_validate_patch_accepts_flat(self):
-        validate_patch(flat_patch(), np.zeros(4))
+        g, J = validate_patch(flat_patch(), np.zeros(4))
+        assert np.array_equal(g, np.eye(4)) and np.array_equal(J, j0_matrix(2))
+
+    def test_adapt_frame_evaluates_each_field_once(self):
+        from twistorcheck import nearly_kahler_s6
+
+        patch = nearly_kahler_s6().patch
+        calls = {"g": 0, "J": 0}
+
+        def counted(key, field):
+            def call(u):
+                calls[key] += 1
+                return field(u)
+            return call
+
+        counting = dataclasses.replace(
+            patch, metric_field=counted("g", patch.metric_field), j_field=counted("J", patch.j_field)
+        )
+        adapt_frame(counting, np.array([0.1, 0.0, -0.1, 0.05, 0.2, 0.0]))
+        assert calls == {"g": 1, "J": 1}
+
+    def test_displaced_frames_are_validated(self):
+        # J^2 = -Id breaks away from the base point only: the frame there is
+        # fine, and the stencil frames of the frame-differentiation route
+        # must still reject the field.
+        from twistorcheck.connection import coordinate_connection
+
+        n = 2
+        patch = ManifoldPatch(
+            n=n,
+            domain=box((-1.0, 1.0), 2 * n),
+            metric_field=lambda u: np.eye(2 * n),
+            j_field=lambda u: (1.0 + u[0]) * j0_matrix(n),
+        )
+        frame = adapt_frame(patch, np.zeros(4))
+        with pytest.raises(IncompatibleStructure):
+            coordinate_connection(patch, frame)
 
     def test_frame_field_reevaluation_matches(self):
         from twistorcheck import nearly_kahler_s6

@@ -1,5 +1,7 @@
 """Coefficient tables, both phi formulas, margin, Pfaffian, and the bound chain."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -278,6 +280,40 @@ class TestTheoremReport:
             rep = theorem_report(patch, point)
             if rep.margin > 1e-8:
                 assert rep.nondegenerate
+
+    def test_one_frame_and_one_j_stencil_per_point(self, monkeypatch):
+        # Differentiating the Gram-Schmidt frame field built 13 frames and
+        # evaluated J 39 times; the nabla J route needs one frame, J at the
+        # point and one 2 dim stencil, and g at most for the frame, the
+        # Christoffel symbols and the frame change.
+        from twistorcheck import connection, geometry, nijenhuis, twistorform
+
+        patch = nearly_kahler_s6().patch
+        calls = {"frame": 0, "g": 0, "J": 0}
+        original = geometry.adapt_frame
+
+        def counting_frame(*args, **kwargs):
+            calls["frame"] += 1
+            return original(*args, **kwargs)
+
+        for module in (geometry, connection, nijenhuis, twistorform):
+            if getattr(module, "adapt_frame", None) is original:
+                monkeypatch.setattr(module, "adapt_frame", counting_frame)
+
+        def counted(key, field):
+            def call(u):
+                calls[key] += 1
+                return field(u)
+            return call
+
+        counting = dataclasses.replace(
+            patch, metric_field=counted("g", patch.metric_field), j_field=counted("J", patch.j_field)
+        )
+        rep = theorem_report(counting, np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05]))
+        assert rep.chain_ok.all_ok
+        assert calls["frame"] == 1
+        assert calls["J"] <= 2 * patch.dim + 2
+        assert calls["g"] <= 4
 
 
 class TestChernIdentity:
