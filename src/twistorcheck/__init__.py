@@ -25,10 +25,12 @@ from .errors import (
 from .geometry import (
     AdaptedFrame,
     ManifoldPatch,
+    PointJet,
     adapt_frame,
     christoffel,
     field_derivative,
     j0_matrix,
+    point_jet,
     random_unitary_rotation,
     rotate_frame,
 )

@@ -28,7 +28,7 @@ from .connection import (
     structure_equation_residual,
 )
 from .errors import TwistorcheckError
-from .geometry import adapt_frame, random_unitary_rotation, rotate_frame
+from .geometry import DEFAULT_FD_STEP, point_jet, random_unitary_rotation
 from .twistorform import chern_identity_residual, theorem_report
 
 GRID_LIMIT = 10**7
@@ -90,9 +90,9 @@ def _parse_point(text: str, dim: int) -> np.ndarray:
 
 
 def report_payload(entry: catalog.CatalogEntry, point: np.ndarray, fd_step: float, tol: float) -> dict:
-    frame = adapt_frame(entry.patch, point)
-    rep = theorem_report(entry.patch, point, step=fd_step, tol=tol, frame=frame)
-    structure = structure_equation_residual(entry.patch, point, step=fd_step, frame=frame)
+    jet = point_jet(entry.patch, point, fd_step)
+    rep = theorem_report(jet, tol=tol)
+    structure = structure_equation_residual(entry.patch, point, step=fd_step, frame=jet.frame)
     return {
         "manifold": entry.id,
         "point": [float(x) for x in rep.point],
@@ -127,7 +127,7 @@ def scan_rows(entry: catalog.CatalogEntry, grid: int, fd_step: float, tol: float
     points = catalog.grid_points(entry.patch, grid)
     rows = []
     for u in points:
-        rep = theorem_report(entry.patch, u, step=fd_step, tol=tol)
+        rep = theorem_report(point_jet(entry.patch, u, fd_step), tol=tol)
         rows.append(
             {
                 "point": [float(x) for x in u],
@@ -239,22 +239,23 @@ def geometry_checks(entry: catalog.CatalogEntry, points: int, seed: int, rotatio
         checks[name]["max_residual"] = max(checks[name]["max_residual"], float(value))
 
     for u in samples:
-        frame = adapt_frame(patch, u)
+        jet = point_jet(patch, u, fd_step)
+        frame = jet.frame
         # The frame-differentiated connection: the full omega the structure
         # equation needs, and the independent route to the reports' sigma.
         w = coordinate_connection(patch, frame, step=fd_step)
-        base = theorem_report(patch, u, step=fd_step, frame=frame)
+        base = theorem_report(jet)
         bump("structure_equation", structure_equation_residual(patch, u, step=fd_step, frame=frame, w=w))
         bump("phi_formula_equivalence", base.phi_formula_mismatch)
         bump("nijenhuis_route_equivalence", base.n_route_mismatch)
         bump("connection_route_equivalence", _sigma_route_gap(w, frame.E, base.sigma))
         for _ in range(rotations):
             U = random_unitary_rotation(patch.n, rng)
-            rotated = rotate_frame(frame, U)
-            rep = theorem_report(patch, u, step=fd_step, frame=rotated)
+            rotated = jet.rotated(U)
+            rep = theorem_report(rotated)
             # The rotated frame field is E U with U constant, so its slices are U^T w U.
             w_rotated = np.einsum("DA,DEa,EB->ABa", U, w, U)
-            bump("connection_route_equivalence", _sigma_route_gap(w_rotated, rotated.E, rep.sigma))
+            bump("connection_route_equivalence", _sigma_route_gap(w_rotated, rotated.frame.E, rep.sigma))
             dev = max(
                 abs(rep.normN2 - base.normN2) / max(1.0, abs(base.normN2)),
                 abs(rep.margin - base.margin) / max(1.0, abs(base.margin)),
@@ -263,7 +264,10 @@ def geometry_checks(entry: catalog.CatalogEntry, points: int, seed: int, rotatio
             )
             bump("frame_invariance", dev)
         if is_round:
-            block = connection_derivative(patch, frame)
+            # The d omega block differentiates the slices at the default step, which w holds
+            # when fd_step is the default.
+            w0 = w if fd_step == DEFAULT_FD_STEP else coordinate_connection(patch, frame)
+            block = connection_derivative(patch, frame, w0)
             curvature = curvature_forms(patch, u, frame=frame, block=block)
             bump("curvature_identity", round_sphere_curvature_residual(curvature))
             bump("chern_identity", chern_identity_residual(patch, u, frame=frame, block=block))
@@ -360,7 +364,7 @@ NON_NEGATIVE = _checked(int, lambda k: k >= 0, "must be >= 0")
 SHARED_FLAGS = {
     "--manifold": dict(required=True,
                        help="catalog id: flat:<n>, conformal4, nk-s6, torus:eps=<r>,freq=<k>"),
-    "--fd-step": dict(type=FD_STEP, default=1e-5,
+    "--fd-step": dict(type=FD_STEP, default=DEFAULT_FD_STEP,
                       help="finite difference step in (1e-8, 1e-2) (default 1e-5)"),
     "--tol": dict(type=TOLERANCE, default=1e-6,
                   help="tolerance for the inequality chain, finite and > 0 (default 1e-6)"),

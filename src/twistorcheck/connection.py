@@ -20,6 +20,7 @@ from .geometry import (
     DEFAULT_FD_STEP,
     AdaptedFrame,
     ManifoldPatch,
+    PointJet,
     adapt_frame,
     central_difference,
     christoffel,
@@ -82,7 +83,7 @@ def coordinate_connection(
     the frame's own base point, where the frame field's value is ``frame.E``.
     """
     u = require_interior(patch, frame.point if point is None else point, margin=step)
-    g = np.asarray(patch.metric_field(u), dtype=float)
+    g = frame.g if point is None else np.asarray(patch.metric_field(u), dtype=float)
     E0 = frame.E if point is None else evaluate_frame_field(patch, frame, u)
     Gamma = christoffel(patch, u, step=step)
     dE = central_difference(lambda v: evaluate_frame_field(patch, frame, v), u, step)
@@ -100,21 +101,14 @@ def connection_coefficients(
     return ConnectionTable(omega=np.einsum("ABa,aC->ABC", w, frame.E))
 
 
-def nabla_j_connection(
-    patch: ManifoldPatch,
-    frame: AdaptedFrame,
-    J: np.ndarray,
-    g: np.ndarray,
-    dJ: np.ndarray,
-    step: float = DEFAULT_FD_STEP,
-) -> ConnectionTable:
+def nabla_j_connection(jet: PointJet) -> ConnectionTable:
     """The sigma part of the connection table, read off nabla J at one point.
 
-    ``J``, ``g`` and ``dJ`` (indexed [c, a, b] = d_c J^a_b) are the field
-    values and the J jet at ``frame.point``; ``step`` is the metric stencil of
-    the Christoffel symbols.  In an adapted frame nabla_{e_C} J has frame
-    matrix K_C = E^-1 (nabla_{e_C} J) E = [J0, omega(e_C)], and the bracket
-    only sees the J0-anticommuting part sigma of omega, so
+    Reads the jet's frame with its g and J, the J jet and the Christoffel
+    symbols; the frame field is never differentiated.  In an adapted frame
+    nabla_{e_C} J has frame matrix K_C = E^-1 (nabla_{e_C} J) E =
+    [J0, omega(e_C)], and the bracket only sees the J0-anticommuting part
+    sigma of omega, so
     sigma(e_C) = 1/2 K_C J0 with nabla_c J = d_c J + Gamma_c J - J Gamma_c.
     It is formed as 1/4 (K_C J0 - J0 K_C), equal for an exact K_C and
     anticommuting with J0 exactly even though dJ carries rounding.
@@ -127,12 +121,12 @@ def nabla_j_connection(
     the Chern identity need the full omega and take it from
     ``coordinate_connection`` instead.
     """
-    Gamma = christoffel(patch, frame.point, step=step)
+    frame, Gamma = jet.frame, jet.Gamma
+    J, E = frame.J, frame.E
     # (nabla_c J)^a_b = d_c J^a_b + Gamma^a_{cd} J^d_b - Gamma^d_{cb} J^a_d
-    nabla = dJ + np.einsum("acd,db->cab", Gamma, J) - np.einsum("dcb,ad->cab", Gamma, J)
-    E = frame.E
+    nabla = jet.dJ + np.einsum("acd,db->cab", Gamma, J) - np.einsum("dcb,ad->cab", Gamma, J)
     # K[C] = E^-1 (nabla_{e_C} J) E with E^-1 = E^T g
-    K = (E.T @ g) @ np.einsum("cC,cab->Cab", E, nabla) @ E
+    K = (E.T @ frame.g) @ np.einsum("cC,cab->Cab", E, nabla) @ E
     J0 = j0_matrix(frame.n)
     sigma = 0.25 * (K @ J0 - J0 @ K)
     return ConnectionTable(omega=sigma.transpose(1, 2, 0))
@@ -175,7 +169,7 @@ def structure_equation_residual(
             patch, frame, v
         )
 
-    T0 = np.asarray(patch.metric_field(u), dtype=float) @ frame.E
+    T0 = frame.g @ frame.E
     dT = central_difference(coframe, u, step)
     # dtheta[A, a, b] = d_a theta_A(d_b) - d_b theta_A(d_a)
     dtheta = np.einsum("abA->Aab", dT) - np.einsum("baA->Aab", dT)
@@ -186,17 +180,17 @@ def structure_equation_residual(
 def connection_derivative(
     patch: ManifoldPatch,
     frame: AdaptedFrame,
+    w0: np.ndarray,
     step: float = DEFAULT_SECOND_ORDER_STEP,
     inner_step: float = DEFAULT_FD_STEP,
 ) -> tuple:
     """The d omega block (w0, dw) of an adapted frame at its base point.
 
-    w0[A, B, a] = omega_{AB}(d_a) is ``coordinate_connection`` at the inner
-    step; dw[c, A, B, a] = d_c w0 is the central difference of the connection
-    field at the outer ``step``.  Curvature and the Chern identity both read
-    d omega from this one block.
+    w0[A, B, a] = omega_{AB}(d_a) is ``coordinate_connection(patch, frame,
+    step=inner_step)``, which the caller already holds; dw[c, A, B, a] = d_c w0
+    is the central difference of the connection field at the outer ``step``.
+    Curvature and the Chern identity both read d omega from this one block.
     """
-    w0 = coordinate_connection(patch, frame, step=inner_step)
     dw = central_difference(
         lambda v: coordinate_connection(patch, frame, v, step=inner_step), frame.point, step
     )
@@ -213,13 +207,16 @@ def curvature_forms(
 ) -> CurvatureTable:
     """Curvature table R_{AB}(e_C, e_D) from R = omega ^ omega - d omega.
 
-    ``block`` is ``connection_derivative(patch, frame, step, inner_step)``,
+    ``block`` is ``connection_derivative(patch, frame, w0, step, inner_step)``,
     computed here unless the caller already holds it.
     """
     u = require_interior(patch, point, margin=step + 2.0 * inner_step)
     if frame is None:
         frame = adapt_frame(patch, u)
-    w0, dw = connection_derivative(patch, frame, step, inner_step) if block is None else block
+    if block is None:
+        w0 = coordinate_connection(patch, frame, step=inner_step)
+        block = connection_derivative(patch, frame, w0, step, inner_step)
+    w0, dw = block
     # domega[A, B, a, b] = d_a omega_{AB}(d_b) - d_b omega_{AB}(d_a)
     domega = np.einsum("aABb->ABab", dw) - np.einsum("bABa->ABab", dw)
     wedge = np.einsum("ACa,CBb->ABab", w0, w0) - np.einsum("ACb,CBa->ABab", w0, w0)

@@ -7,12 +7,14 @@ is computed from frames adapted to J, i.e. orthonormal frames with
 e_{n+k} = J e_k, built here by a deterministic metric Gram-Schmidt sweep.
 
 Field derivatives come from analytic jets when a patch supplies them and
-from central finite differences otherwise.
+from central finite differences otherwise.  ``point_jet`` gathers everything
+the certificate at one point reads: the adapted frame (with g and J), the J
+jet and the Christoffel symbols.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -49,6 +51,9 @@ def j0_matrix(n: int) -> np.ndarray:
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
+    """A read-only float copy of ``a``; an array that already is one is kept as is."""
+    if isinstance(a, np.ndarray) and a.dtype == float and not a.flags.writeable and a.flags.owndata:
+        return a
     a = np.array(a, dtype=float)
     a.flags.writeable = False
     return a
@@ -132,7 +137,8 @@ def patch_residuals(patch: ManifoldPatch, point: np.ndarray) -> dict:
 
 
 def validate_patch(patch: ManifoldPatch, point: np.ndarray) -> tuple:
-    """Raise IncompatibleStructure unless g is SPD, J^2 = -Id and J^T g J = g.
+    """Raise IncompatibleStructure unless g is symmetric positive definite,
+    J^2 = -Id and J^T g J = g.
 
     Returns the checked field values ``(g, J)`` at ``point``, so a caller that
     needs them evaluates each field once.
@@ -146,7 +152,7 @@ def validate_patch(patch: ManifoldPatch, point: np.ndarray) -> tuple:
             f"metric not positive definite at {u.tolist()} "
             f"(min eigenvalue {res['metric_min_eigenvalue']:.3e})"
         )
-    for key in ("j_square", "compatibility"):
+    for key in ("metric_symmetry", "j_square", "compatibility"):
         if res[key] >= STRUCTURE_TOL:
             raise IncompatibleStructure(
                 f"{key} residual {res[key]:.3e} exceeds {STRUCTURE_TOL:g} at {u.tolist()}"
@@ -159,25 +165,25 @@ class AdaptedFrame:
     """Orthonormal frame with e_{n+k} = J e_k at a point.
 
     Column A of ``E`` holds the coordinate components of the frame vector e_A,
-    so E^T g E = Id.  ``pivots`` records which seed columns survived each
-    Gram-Schmidt step; displaced re-evaluations compare it to detect a
-    discontinuous frame field.  ``rotation`` is an optional constant U(n)
-    element applied on the right after orthogonalization.
+    so E^T g E = Id; ``g`` and ``J`` are the validated field values at
+    ``point`` it was built from.  ``pivots`` records which seed columns
+    survived each Gram-Schmidt step; displaced re-evaluations compare it to
+    detect a discontinuous frame field.  ``rotation`` is an optional constant
+    U(n) element applied on the right after orthogonalization.
     """
 
     point: np.ndarray
     E: np.ndarray
+    g: np.ndarray
+    J: np.ndarray
     pivots: tuple = ()
     seed: np.ndarray | None = None
     rotation: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "point", _readonly(self.point))
-        object.__setattr__(self, "E", _readonly(self.E))
-        if self.seed is not None:
-            object.__setattr__(self, "seed", _readonly(self.seed))
-        if self.rotation is not None:
-            object.__setattr__(self, "rotation", _readonly(self.rotation))
+        for name in ("point", "E", "g", "J", "seed", "rotation"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _readonly(getattr(self, name)))
 
     @property
     def n(self) -> int:
@@ -241,7 +247,7 @@ def adapt_frame(
             f"orthonormality residual {resid:.3e} after Gram-Schmidt; "
             "seed is too ill-conditioned for a reliable frame"
         )
-    return AdaptedFrame(point=u, E=E, pivots=pivots, seed=None if seed is None else seed_arr)
+    return AdaptedFrame(point=u, E=E, g=g, J=J, pivots=pivots, seed=None if seed is None else seed_arr)
 
 
 def rotate_frame(frame: AdaptedFrame, U: np.ndarray) -> AdaptedFrame:
@@ -255,13 +261,7 @@ def rotate_frame(frame: AdaptedFrame, U: np.ndarray) -> AdaptedFrame:
     if np.abs(U.T @ U - np.eye(2 * n)).max() > 1e-10 or np.abs(U @ J0 - J0 @ U).max() > 1e-10:
         raise ValueError("rotation must be orthogonal and commute with J0")
     combined = U if frame.rotation is None else frame.rotation @ U
-    return AdaptedFrame(
-        point=frame.point,
-        E=frame.E @ U,
-        pivots=frame.pivots,
-        seed=frame.seed,
-        rotation=combined,
-    )
+    return replace(frame, E=frame.E @ U, rotation=combined)
 
 
 def evaluate_frame_field(patch: ManifoldPatch, frame: AdaptedFrame, point: np.ndarray) -> np.ndarray:
@@ -338,6 +338,40 @@ def christoffel(
         np.einsum("cd,adb->cab", gi, dg)
         + np.einsum("cd,bda->cab", gi, dg)
         - np.einsum("cd,dab->cab", gi, dg)
+    )
+
+
+@dataclass(frozen=True)
+class PointJet:
+    """What the certificate at one point reads: an adapted frame, with the g
+    and J it was built from, the J jet dJ[c, a, b] = d_c J^a_b and the
+    Christoffel symbols Gamma[c, a, b] = Gamma^c_{ab}.
+    """
+
+    frame: AdaptedFrame
+    dJ: np.ndarray
+    Gamma: np.ndarray
+
+    def __post_init__(self):
+        for name in ("dJ", "Gamma"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
+
+    def rotated(self, U: np.ndarray) -> PointJet:
+        """The same jet in the frame E U; only the frame changes."""
+        return replace(self, frame=rotate_frame(self.frame, U))
+
+
+def point_jet(patch: ManifoldPatch, point: np.ndarray, step: float = DEFAULT_FD_STEP) -> PointJet:
+    """Evaluate the fields and their first derivatives at ``point``, once.
+
+    The frame validates g and J, ``step`` is the stencil of the J jet and of
+    the metric derivatives, and the point must lie 2 step inside the patch.
+    """
+    u = require_interior(patch, point, margin=2.0 * step)
+    return PointJet(
+        frame=adapt_frame(patch, u),
+        dJ=field_derivative(patch, u, which="j", step=step),
+        Gamma=christoffel(patch, u, step=step),
     )
 
 

@@ -12,8 +12,8 @@ symmetries N(Y, X) = -N(X, Y) and N(JX, Y) = -J N(X, Y) = N(X, JY).
 
 The two routes share no code path, so their agreement (enforced whenever both
 are available) is a genuine cross-check of every sign convention in between.
-They may share input: ``theorem_report`` hands both the same J and dJ arrays,
-since a second stencil at the same point would return the same numbers.
+They may share input: both read J and dJ from the same ``PointJet``, since a
+second stencil at the same point would return the same numbers.
 """
 
 from __future__ import annotations
@@ -24,14 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import CrossPathMismatch
-from .geometry import (
-    DEFAULT_FD_STEP,
-    AdaptedFrame,
-    ManifoldPatch,
-    adapt_frame,
-    field_derivative,
-    j0_matrix,
-)
+from .geometry import ManifoldPatch, PointJet, j0_matrix
 
 if TYPE_CHECKING:
     from .twistorform import StructureCoefficients
@@ -54,26 +47,15 @@ class NijenhuisTensor:
             object.__setattr__(self, name, a)
 
 
-def nijenhuis_coordinates(
-    patch: ManifoldPatch,
-    point: np.ndarray,
-    step: float = DEFAULT_FD_STEP,
-    J: np.ndarray | None = None,
-    dJ: np.ndarray | None = None,
-) -> np.ndarray:
-    """Coordinate components N[c, a, b] = N(d_a, d_b)^c from derivatives of J.
+def nijenhuis_coordinates(J: np.ndarray, dJ: np.ndarray) -> np.ndarray:
+    """Coordinate components N[c, a, b] = N(d_a, d_b)^c from J and its jet.
 
-    Coordinate fields have vanishing mutual brackets, so the four brackets in
-    the definition collapse to contractions of J with dJ.  The metric never
-    enters, which keeps this route independent of the connection machinery.
-    ``J`` and ``dJ`` are the field value and its jet at ``point``, evaluated
-    here unless the caller already holds them.
+    ``J`` is the field value and ``dJ[c, a, b] = d_c J^a_b`` its first
+    derivatives at one point.  Coordinate fields have vanishing mutual
+    brackets, so the four brackets in the definition collapse to contractions
+    of J with dJ.  The metric never enters, which keeps this route
+    independent of the connection machinery.
     """
-    u = np.asarray(point, dtype=float)
-    if J is None:
-        J = np.asarray(patch.j_field(u), dtype=float)
-    if dJ is None:
-        dJ = field_derivative(patch, u, which="j", step=step)
     return (
         np.einsum("da,dcb->cab", J, dJ)
         - np.einsum("db,dca->cab", J, dJ)
@@ -112,31 +94,17 @@ def nijenhuis_frame(coeffs: "StructureCoefficients") -> np.ndarray:
     return Nf
 
 
-def nijenhuis_tensor(
-    patch: ManifoldPatch,
-    point: np.ndarray,
-    frame: AdaptedFrame | None = None,
-    coeffs: "StructureCoefficients | None" = None,
-    step: float = DEFAULT_FD_STEP,
-    g: np.ndarray | None = None,
-    J: np.ndarray | None = None,
-    dJ: np.ndarray | None = None,
-) -> NijenhuisTensor:
-    """Nijenhuis tensor at a point, with frame components cross-checked.
+def nijenhuis_tensor(jet: PointJet, coeffs: "StructureCoefficients | None" = None) -> NijenhuisTensor:
+    """Nijenhuis tensor at the jet's point, with frame components cross-checked.
 
-    When ``coeffs`` is given, the frame components come from the connection
-    route and must agree with the frame change of the coordinate components
-    to relative ``ROUTE_REL_TOL``; disagreement raises CrossPathMismatch.
-    ``g``, ``J`` and ``dJ`` are field values and the J jet at ``point``,
-    evaluated here unless the caller already holds them.
+    The coordinate components come from the jet's J and dJ and change to the
+    jet's frame.  When ``coeffs`` is given, the frame components come from
+    the connection route and must agree with that frame change to relative
+    ``ROUTE_REL_TOL``; disagreement raises CrossPathMismatch.
     """
-    u = np.asarray(point, dtype=float)
-    coord = nijenhuis_coordinates(patch, u, step=step, J=J, dJ=dJ)
-    if frame is None:
-        frame = adapt_frame(patch, u)
-    if g is None:
-        g = np.asarray(patch.metric_field(u), dtype=float)
-    converted = frame_components_from_coordinates(coord, frame.E, g)
+    frame = jet.frame
+    coord = nijenhuis_coordinates(frame.J, jet.dJ)
+    converted = frame_components_from_coordinates(coord, frame.E, frame.g)
     if coeffs is None:
         framec = converted
     else:
@@ -148,7 +116,7 @@ def nijenhuis_tensor(
                 f"frame components from connection coefficients differ from the "
                 f"coordinate route by {resid:.3e} (scale {scale:.3e})"
             )
-    return NijenhuisTensor(coord=coord, frame=framec, point=u)
+    return NijenhuisTensor(coord=coord, frame=framec, point=frame.point)
 
 
 def norm_from_coefficients(coeffs: "StructureCoefficients") -> float:

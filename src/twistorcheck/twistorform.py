@@ -33,8 +33,8 @@ from .geometry import (
     DEFAULT_FD_STEP,
     AdaptedFrame,
     ManifoldPatch,
+    PointJet,
     adapt_frame,
-    field_derivative,
     j0_matrix,
     require_interior,
 )
@@ -42,6 +42,7 @@ from .connection import (
     DEFAULT_SECOND_ORDER_STEP,
     ConnectionTable,
     connection_derivative,
+    coordinate_connection,
     nabla_j_connection,
 )
 from .nijenhuis import nijenhuis_norm, nijenhuis_tensor, norm_from_coefficients
@@ -316,37 +317,24 @@ class TheoremReport:
         object.__setattr__(self, "point", p)
 
 
-def theorem_report(
-    patch: ManifoldPatch,
-    point: np.ndarray,
-    step: float = DEFAULT_FD_STEP,
-    tol: float = CHAIN_TOL,
-    frame: AdaptedFrame | None = None,
-    strict: bool = False,
-) -> TheoremReport:
-    """Run the full pipeline at a point and certify the bound chain.
+def theorem_report(jet: PointJet, tol: float = CHAIN_TOL, strict: bool = False) -> TheoremReport:
+    """Run the full pipeline at the jet's point and certify the bound chain.
 
-    The point is worked from one adapted frame and one point jet: g and J
-    once, and one J stencil whose dJ feeds both the sigma table
-    (``nabla_j_connection``, kept as ``sigma`` in the report) and the
-    coordinate Nijenhuis route.
+    The jet's dJ feeds both the sigma table (``nabla_j_connection``, kept as
+    ``sigma`` in the report) and the coordinate Nijenhuis route; nothing here
+    evaluates a field.
 
     With ``strict`` the first failed inequality raises ChainViolation; the
     default returns the report with per-inequality booleans so sweeps can
     count violations.  A violation on valid input is a bug detector, never an
     expected outcome.
     """
-    u = require_interior(patch, point, margin=2.0 * step)
-    n = patch.n
-    if frame is None:
-        frame = adapt_frame(patch, u)
-    g = np.asarray(patch.metric_field(u), dtype=float)
-    J = np.asarray(patch.j_field(u), dtype=float)
-    dJ = field_derivative(patch, u, which="j", step=step)
-    table = nabla_j_connection(patch, frame, J, g, dJ, step=step)
+    u = jet.frame.point
+    n = jet.frame.n
+    table = nabla_j_connection(jet)
     ab = alpha_beta(table)
     coeffs = structure_coefficients(ab)
-    tensor = nijenhuis_tensor(patch, u, frame=frame, coeffs=coeffs, step=step, g=g, J=J, dJ=dJ)
+    tensor = nijenhuis_tensor(jet, coeffs)
     normN2 = nijenhuis_norm(tensor, coeffs)
     n_route_mismatch = abs(normN2 - norm_from_coefficients(coeffs)) / max(1.0, normN2)
 
@@ -420,8 +408,8 @@ def chern_identity_residual(
     Only meaningful where the curvature terms R_{i,i+n} equal
     theta_i ^ theta_{i+n}, i.e. on a patch flagged ``unit_round_sphere``;
     any other patch raises WrongPatch.  ``block`` is
-    ``connection_derivative(patch, frame, step, inner_step)``, computed here
-    unless the caller already holds it.
+    ``connection_derivative(patch, frame, w0, step, inner_step)``, computed
+    here unless the caller already holds it.
     """
     if "unit_round_sphere" not in patch.attributes:
         raise WrongPatch(
@@ -432,7 +420,10 @@ def chern_identity_residual(
     n = patch.n
     if frame is None:
         frame = adapt_frame(patch, u)
-    w0, dw = connection_derivative(patch, frame, step, inner_step) if block is None else block
+    if block is None:
+        w0 = coordinate_connection(patch, frame, step=inner_step)
+        block = connection_derivative(patch, frame, w0, step, inner_step)
+    w0, dw = block
     dim = patch.dim
     # sum_i d omega_{i,i+n}(d_a, d_b)
     dsum = np.zeros((dim, dim))
@@ -440,7 +431,6 @@ def chern_identity_residual(
         dsum += dw[:, i, n + i, :] - dw[:, i, n + i, :].T
     table = ConnectionTable(omega=np.einsum("ABa,aC->ABC", w0, frame.E))
     F = phi_matrix(alpha_beta(table)).F
-    g = np.asarray(patch.metric_field(u), dtype=float)
-    T = g @ frame.E  # theta_A(d_a) = T[a, A]
+    T = frame.g @ frame.E  # theta_A(d_a) = T[a, A]
     phi_coord = T @ F @ T.T
     return float(np.abs(dsum + phi_coord).max())

@@ -17,6 +17,7 @@ from twistorcheck import (
     conformal_hermitian,
     critical_constant,
     default_entries,
+    field_derivative,
     flat_kahler,
     grid_points,
     j0_matrix,
@@ -26,8 +27,8 @@ from twistorcheck import (
     nondegenerate,
     perturbed_torus,
     phi_matrix,
+    point_jet,
     random_unitary_rotation,
-    rotate_frame,
     run_algebra_sweep,
     structure_equation_residual,
     symmetry_residuals,
@@ -72,7 +73,7 @@ def test_criterion_1_flat_kahler():
         for n in (2, 3, 4):
             patch = flat_kahler(n).patch
             origin = np.zeros(2 * n)
-            rep = theorem_report(patch, origin)
+            rep = theorem_report(point_jet(patch, origin))
             c.check(abs(rep.normN2) <= 1e-10, f"n={n}: |N|^2 = {rep.normN2:.3e}")
             c.check(abs(rep.margin - 1.0) <= 1e-9, f"n={n}: margin = {rep.margin!r}")
             F = phi_matrix(
@@ -103,12 +104,12 @@ def test_criterion_3_route_equivalence():
             worst_phi = 0.0
             worst_sigma = 0.0
             for point in sample_points(entry.patch, 50, rng):
-                frame = adapt_frame(entry.patch, point)
-                rep = theorem_report(entry.patch, point, frame=frame)
+                jet = point_jet(entry.patch, point)
+                rep = theorem_report(jet)
                 worst_n = max(worst_n, rep.n_route_mismatch)
                 worst_phi = max(worst_phi, rep.phi_formula_mismatch)
                 # sigma from nabla J against the frame-differentiated connection
-                full = sigma_part(connection_coefficients(entry.patch, frame))
+                full = sigma_part(connection_coefficients(entry.patch, jet.frame))
                 worst_sigma = max(worst_sigma, float(np.abs(full.omega - rep.sigma.omega).max()))
             c.check(worst_n < 1e-6, f"{entry.id}: |N|^2 route mismatch {worst_n:.3e}")
             c.check(worst_phi < 1e-10, f"{entry.id}: phi formula mismatch {worst_phi:.3e}")
@@ -121,7 +122,7 @@ def test_criterion_4_theorem_chain():
         for entry in default_entries():
             violations = []
             for point in grid_points(entry.patch, 2):
-                rep = theorem_report(entry.patch, point, tol=tol)
+                rep = theorem_report(point_jet(entry.patch, point), tol=tol)
                 if rep.margin < rep.bound_quarterA - tol:
                     violations.append(f"(a) at {point.tolist()}")
                 if rep.bound_quarterA < rep.bound_paper - tol:
@@ -144,7 +145,7 @@ def test_criterion_5_round_sphere_corollary_machinery():
         for point in points:
             worst_structure = max(worst_structure, structure_equation_residual(patch, point))
             worst_chern = max(worst_chern, chern_identity_residual(patch, point))
-            norms.append(nijenhuis_norm(nijenhuis_tensor(patch, point)))
+            norms.append(nijenhuis_norm(nijenhuis_tensor(point_jet(patch, point))))
         c.check(worst_structure < 1e-6, f"structure residual {worst_structure:.3e}")
         c.check(worst_chern < 1e-4, f"Chern identity residual {worst_chern:.3e}")
         worst_curv = max(
@@ -167,11 +168,11 @@ def test_criterion_6_frame_invariance():
             worst = 0.0
             sign_stable = True
             for point in sample_points(patch, 10, rng):
-                base = theorem_report(patch, point)
-                frame = adapt_frame(patch, point)
+                jet = point_jet(patch, point)
+                base = theorem_report(jet)
                 for _ in range(100):
                     U = random_unitary_rotation(patch.n, rng)
-                    rep = theorem_report(patch, point, frame=rotate_frame(frame, U))
+                    rep = theorem_report(jet.rotated(U))
                     worst = max(
                         worst,
                         abs(rep.normN2 - base.normN2) / max(1.0, abs(base.normN2)),
@@ -188,7 +189,7 @@ def test_criterion_7_perturbation_scaling():
         point = np.array([0.4, 0.1, -0.3, 0.2, 0.05, -0.1])
         eps_values = (0.05, 0.1, 0.2)
         norms = [
-            nijenhuis_norm(nijenhuis_tensor(perturbed_torus(eps=e).patch, point))
+            nijenhuis_norm(nijenhuis_tensor(point_jet(perturbed_torus(eps=e).patch, point)))
             for e in eps_values
         ]
         slopes = np.diff(np.log(norms)) / np.diff(np.log(eps_values))
@@ -200,7 +201,7 @@ def test_criterion_7_perturbation_scaling():
         min_margin = np.inf
         below_threshold = True
         for p in grid_points(entry.patch, 2):
-            rep = theorem_report(entry.patch, p)
+            rep = theorem_report(point_jet(entry.patch, p))
             min_margin = min(min_margin, rep.margin)
             below_threshold = below_threshold and rep.normN2 < 64.0 / 5.0
         c.check(below_threshold, "|N|^2 crossed 64/5 somewhere on the grid")
@@ -224,9 +225,8 @@ def test_criterion_8_negative_controls():
             label="corrupted",
         )
         u = np.array([0.3, 0.1, -0.2, 0.0, 0.1, -0.1])
-        tensor = NijenhuisTensor(
-            coord=nijenhuis_coordinates(patch, u), frame=np.zeros((6, 6, 6)), point=u
-        )
+        coord = nijenhuis_coordinates(patch.j_field(u), field_derivative(patch, u, "j"))
+        tensor = NijenhuisTensor(coord=coord, frame=np.zeros((6, 6, 6)), point=u)
         res = symmetry_residuals(tensor, patch, u)
         c.check(
             max(res.j_first_slot, res.j_second_slot) > 1e-4,
@@ -242,9 +242,9 @@ def test_criterion_8_negative_controls():
         # flipped sigma: the frame-differentiated connection must reject it
         s6 = nearly_kahler_s6().patch
         u = np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])
-        frame = adapt_frame(s6, u)
-        sigma = theorem_report(s6, u, frame=frame).sigma.omega
-        full = sigma_part(connection_coefficients(s6, frame)).omega
+        jet = point_jet(s6, u)
+        sigma = theorem_report(jet).sigma.omega
+        full = sigma_part(connection_coefficients(s6, jet.frame)).omega
         gap = float(np.abs(full + sigma).max())
         c.check(gap > 1e-3, f"sign-flipped sigma route mismatch only {gap:.3e}")
 

@@ -16,6 +16,7 @@ from twistorcheck import (
     nijenhuis_norm,
     nijenhuis_tensor,
     perturbed_torus,
+    point_jet,
     resolve,
     theorem_report,
 )
@@ -39,14 +40,14 @@ def test_integrable_entries_have_vanishing_norm():
         if "integrable" not in entry.attributes:
             continue
         for point in sample_points(entry.patch, 4, rng):
-            tensor = nijenhuis_tensor(entry.patch, point)
+            tensor = nijenhuis_tensor(point_jet(entry.patch, point))
             assert nijenhuis_norm(tensor) < 1e-8
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_flat_kahler_reports(n):
     entry = flat_kahler(n)
-    rep = theorem_report(entry.patch, np.zeros(2 * n))
+    rep = theorem_report(point_jet(entry.patch, np.zeros(2 * n)))
     assert rep.normN2 == 0.0
     assert rep.margin == pytest.approx(1.0, abs=1e-12)
     assert rep.chain_ok.all_ok
@@ -56,7 +57,7 @@ class TestConformal:
     def test_interior_report(self):
         entry = conformal_hermitian()
         point = np.array([1.05, 0.8, 0.9, 1.2])
-        rep = theorem_report(entry.patch, point)
+        rep = theorem_report(point_jet(entry.patch, point))
         assert rep.normN2 < 1e-8
         assert rep.margin > 0.0
         assert rep.margin >= 1.0 - rep.normN2 / 16.0 - 1e-6
@@ -95,7 +96,8 @@ class TestNearlyKahlerSphere:
         patch = nearly_kahler_s6().patch
         rng = np.random.default_rng(5)
         values = [
-            nijenhuis_norm(nijenhuis_tensor(patch, u)) for u in sample_points(patch, 12, rng)
+            nijenhuis_norm(nijenhuis_tensor(point_jet(patch, u)))
+            for u in sample_points(patch, 12, rng)
         ]
         values = np.array(values)
         assert values.min() >= 64.0 / 5.0
@@ -111,14 +113,14 @@ class TestPerturbedTorus:
     def test_eps_zero_reduces_to_flat(self):
         entry = perturbed_torus(eps=0.0)
         point = np.array([0.3, 0.0, -0.4, 0.1, 0.2, 0.0])
-        rep = theorem_report(entry.patch, point)
+        rep = theorem_report(point_jet(entry.patch, point))
         assert rep.normN2 == 0.0
         assert rep.margin == pytest.approx(1.0, abs=1e-12)
 
     def test_small_eps_within_threshold_bound(self):
         entry = perturbed_torus(eps=0.05, freq=1)
         for point in grid_points(entry.patch, 2):
-            rep = theorem_report(entry.patch, point)
+            rep = theorem_report(point_jet(entry.patch, point))
             assert 0.0 <= rep.normN2 < 64.0 / 5.0
             assert rep.margin >= 1.0 - (5.0 / 64.0) * rep.normN2 - 1e-6
             assert rep.margin > 0.0
@@ -127,7 +129,7 @@ class TestPerturbedTorus:
         point = np.array([0.4, 0.1, -0.3, 0.2, 0.05, -0.1])
         eps_values = (0.05, 0.1, 0.2)
         norms = [
-            nijenhuis_norm(nijenhuis_tensor(perturbed_torus(eps=e).patch, point))
+            nijenhuis_norm(nijenhuis_tensor(point_jet(perturbed_torus(eps=e).patch, point)))
             for e in eps_values
         ]
         slopes = np.diff(np.log(norms)) / np.diff(np.log(eps_values))

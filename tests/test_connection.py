@@ -1,11 +1,15 @@
 """Connection tables, structure equations, curvature, and the sign tripwire."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from twistorcheck import (
     FrameDiscontinuity,
+    PointJet,
     adapt_frame,
+    christoffel,
     conformal_hermitian,
     connection_coefficients,
     curvature_forms,
@@ -26,7 +30,7 @@ from twistorcheck.connection import (
     round_sphere_curvature_residual,
     sigma_part,
 )
-from twistorcheck.geometry import AdaptedFrame, evaluate_frame_field
+from twistorcheck.geometry import evaluate_frame_field
 
 CONFORMAL_POINT = np.array([1.3, 0.9, 1.1, 1.7])
 
@@ -111,10 +115,12 @@ def test_metric_compatibility_via_antisymmetry():
 
 
 def nabla_j_table(patch, frame):
-    """sigma from nabla J at the frame's point, with J and dJ evaluated here."""
+    """sigma from nabla J in ``frame``, with dJ and Gamma evaluated at its point."""
     u = frame.point
-    dJ = field_derivative(patch, u, which="j")
-    return nabla_j_connection(patch, frame, patch.j_field(u), patch.metric_field(u), dJ)
+    jet = PointJet(
+        frame=frame, dJ=field_derivative(patch, u, which="j"), Gamma=christoffel(patch, u)
+    )
+    return nabla_j_connection(jet)
 
 
 def test_connection_encodes_nabla_j():
@@ -178,8 +184,6 @@ def test_nearly_kahler_connection_carries_the_torsion():
 def test_frame_discontinuity_guard():
     patch = conformal_hermitian().patch
     frame = adapt_frame(patch, CONFORMAL_POINT)
-    doctored = AdaptedFrame(
-        point=frame.point, E=frame.E, pivots=(1, 0), seed=frame.seed, rotation=frame.rotation
-    )
+    doctored = dataclasses.replace(frame, pivots=(1, 0))
     with pytest.raises(FrameDiscontinuity):
         evaluate_frame_field(patch, doctored, frame.point)

@@ -14,6 +14,7 @@ from twistorcheck import (
     christoffel,
     field_derivative,
     j0_matrix,
+    point_jet,
     random_unitary_rotation,
     rotate_frame,
 )
@@ -135,6 +136,20 @@ class TestAdaptFrame:
             j_field=lambda u: bad_j,
         )
         with pytest.raises(IncompatibleStructure):
+            adapt_frame(patch, np.zeros(4))
+
+    def test_asymmetric_metric_rejected(self):
+        # g = I + 0.1 J0 has an SPD symmetric part and satisfies J^2 = -Id and
+        # J^T g J = g, so only the symmetry check can reject it.
+        n = 2
+        J0 = j0_matrix(n)
+        patch = ManifoldPatch(
+            n=n,
+            domain=box((-1.0, 1.0), 4),
+            metric_field=lambda u: np.eye(4) + 0.1 * J0,
+            j_field=lambda u: J0,
+        )
+        with pytest.raises(IncompatibleStructure, match="metric_symmetry residual 2.000e-01"):
             adapt_frame(patch, np.zeros(4))
 
     def test_point_outside_domain(self):
@@ -349,3 +364,43 @@ class TestPatchValidation:
         u = np.array([0.1, 0.0, -0.1, 0.05, 0.2, 0.0])
         frame = adapt_frame(patch, u)
         assert np.array_equal(evaluate_frame_field(patch, frame, u), frame.E)
+
+
+class TestPointJet:
+    POINT = np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])
+
+    def test_recomputed_jet_is_bitwise_equal(self):
+        from twistorcheck import nearly_kahler_s6
+
+        patch = nearly_kahler_s6().patch
+        first, second = point_jet(patch, self.POINT), point_jet(patch, self.POINT)
+        for name in ("point", "E", "g", "J"):
+            assert np.array_equal(getattr(first.frame, name), getattr(second.frame, name))
+        assert first.frame.pivots == second.frame.pivots
+        assert np.array_equal(first.dJ, second.dJ)
+        assert np.array_equal(first.Gamma, second.Gamma)
+
+    def test_rotation_reuses_the_jet_and_changes_only_the_frame(self):
+        from twistorcheck import nearly_kahler_s6
+
+        jet = point_jet(nearly_kahler_s6().patch, self.POINT)
+        U = random_unitary_rotation(3, np.random.default_rng(8))
+        rotated = jet.rotated(U)
+        assert rotated.dJ is jet.dJ and rotated.Gamma is jet.Gamma
+        assert rotated.frame.g is jet.frame.g and rotated.frame.J is jet.frame.J
+        assert rotated.frame.point is jet.frame.point
+        assert rotated.frame.pivots == jet.frame.pivots
+        assert np.array_equal(rotated.frame.E, jet.frame.E @ U)
+        assert np.array_equal(rotated.frame.rotation, U)
+        assert np.array_equal(rotated.rotated(U.T).frame.rotation, U @ U.T)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rotated.dJ = jet.Gamma
+        assert not rotated.dJ.flags.writeable and not rotated.frame.g.flags.writeable
+
+    def test_margin_and_validation(self):
+        patch = flat_patch()
+        with pytest.raises(BoundaryProximity):
+            point_jet(patch, np.array([1.0 - 1.5e-5, 0.0, 0.0, 0.0]))
+        jet = point_jet(patch, np.zeros(4))
+        assert np.array_equal(jet.frame.E, np.eye(4))
+        assert np.abs(jet.dJ).max() == 0.0 and np.abs(jet.Gamma).max() == 0.0

@@ -7,9 +7,9 @@ from twistorcheck import (
     CrossPathMismatch,
     ManifoldPatch,
     StructureCoefficients,
-    adapt_frame,
     alpha_beta,
     connection_coefficients,
+    field_derivative,
     j0_matrix,
     nearly_kahler_s6,
     nijenhuis_coordinates,
@@ -18,6 +18,7 @@ from twistorcheck import (
     nijenhuis_tensor,
     norm_from_coefficients,
     perturbed_torus,
+    point_jet,
     structure_coefficients,
     symmetry_residuals,
 )
@@ -32,44 +33,49 @@ def coeffs_from_d(n, d, dp=None):
     return StructureCoefficients(C=zero, Cp=zero, d=d, dp=dp, Arow=np.zeros((n, n)))
 
 
+def coordinate_route(patch, u):
+    """The coordinate Nijenhuis components from J and its jet at ``u``."""
+    return nijenhuis_coordinates(patch.j_field(u), field_derivative(patch, u, "j"))
+
+
 def test_constant_j_gives_zero():
     patch = perturbed_torus(eps=0.0).patch
-    N = nijenhuis_coordinates(patch, np.array([0.3, 0.1, -0.2, 0.0, 0.4, -0.1]))
+    N = coordinate_route(patch, np.array([0.3, 0.1, -0.2, 0.0, 0.4, -0.1]))
     assert np.abs(N).max() == 0.0
 
 
 def test_conformal_patch_zero_despite_curved_metric():
     from twistorcheck import conformal_hermitian
 
-    N = nijenhuis_coordinates(conformal_hermitian().patch, np.array([1.3, 0.9, 1.1, 1.7]))
+    N = coordinate_route(conformal_hermitian().patch, np.array([1.3, 0.9, 1.1, 1.7]))
     assert np.abs(N).max() == 0.0  # N depends on J only, not on g
 
 
 def test_nearly_kahler_nonzero_and_antisymmetric():
     patch = nearly_kahler_s6().patch
-    N = nijenhuis_coordinates(patch, NK_POINT)
+    N = coordinate_route(patch, NK_POINT)
     assert np.abs(N).max() > 0.1
     assert np.abs(N + N.transpose(0, 2, 1)).max() < 1e-8
 
 
 def test_cross_route_agreement_on_nearly_kahler():
     patch = nearly_kahler_s6().patch
-    frame = adapt_frame(patch, NK_POINT)
-    coeffs = structure_coefficients(alpha_beta(connection_coefficients(patch, frame)))
-    tensor = nijenhuis_tensor(patch, NK_POINT, frame=frame, coeffs=coeffs)
+    jet = point_jet(patch, NK_POINT)
+    coeffs = structure_coefficients(alpha_beta(connection_coefficients(patch, jet.frame)))
+    tensor = nijenhuis_tensor(jet, coeffs)
     norm = nijenhuis_norm(tensor, coeffs)  # raises CrossPathMismatch on disagreement
     assert abs(norm - norm_from_coefficients(coeffs)) < 1e-6 * max(1.0, norm)
 
 
 def test_cross_path_mismatch_detected():
     patch = nearly_kahler_s6().patch
-    frame = adapt_frame(patch, NK_POINT)
-    coeffs = structure_coefficients(alpha_beta(connection_coefficients(patch, frame)))
+    jet = point_jet(patch, NK_POINT)
+    coeffs = structure_coefficients(alpha_beta(connection_coefficients(patch, jet.frame)))
     wrong = StructureCoefficients(
         C=coeffs.C, Cp=coeffs.Cp, d=1.5 * coeffs.d, dp=coeffs.dp, Arow=coeffs.Arow
     )
     with pytest.raises(CrossPathMismatch):
-        nijenhuis_tensor(patch, NK_POINT, frame=frame, coeffs=wrong)
+        nijenhuis_tensor(jet, wrong)
 
 
 class TestFrameAssembly:
@@ -115,9 +121,9 @@ def test_integrable_catalog_norms_vanish():
         (conformal_hermitian(), np.array([1.3, 0.9, 1.1, 1.7])),
     ):
         patch = entry.patch
-        frame = adapt_frame(patch, point)
-        coeffs = structure_coefficients(alpha_beta(connection_coefficients(patch, frame)))
-        tensor = nijenhuis_tensor(patch, point, frame=frame, coeffs=coeffs)
+        jet = point_jet(patch, point)
+        coeffs = structure_coefficients(alpha_beta(connection_coefficients(patch, jet.frame)))
+        tensor = nijenhuis_tensor(jet, coeffs)
         assert nijenhuis_norm(tensor, coeffs) < 1e-10
 
 
@@ -127,7 +133,7 @@ def test_nearly_kahler_norm_constant_and_above_threshold():
     values = []
     for _ in range(10):
         u = rng.uniform(-0.3, 0.3, 6)
-        tensor = nijenhuis_tensor(patch, u)
+        tensor = nijenhuis_tensor(point_jet(patch, u))
         values.append(nijenhuis_norm(tensor))
     values = np.array(values)
     assert values.min() >= 64.0 / 5.0
@@ -140,13 +146,13 @@ class TestSymmetryResiduals:
     def test_constant_j_all_zero(self):
         patch = perturbed_torus(eps=0.0).patch
         u = np.array([0.2, 0.0, 0.1, -0.3, 0.0, 0.25])
-        tensor = nijenhuis_tensor(patch, u)
+        tensor = nijenhuis_tensor(point_jet(patch, u))
         res = symmetry_residuals(tensor, patch, u)
         assert res.max() == 0.0
 
     def test_nearly_kahler_small(self):
         patch = nearly_kahler_s6().patch
-        tensor = nijenhuis_tensor(patch, NK_POINT)
+        tensor = nijenhuis_tensor(point_jet(patch, NK_POINT))
         res = symmetry_residuals(tensor, patch, NK_POINT)
         assert res.max() < 1e-7
 
@@ -165,7 +171,7 @@ class TestSymmetryResiduals:
             label="corrupted",
         )
         u = np.array([0.3, 0.1, -0.2, 0.0, 0.1, -0.1])
-        coord = nijenhuis_coordinates(patch, u)
+        coord = nijenhuis_coordinates(patch.j_field(u), field_derivative(patch, u, "j"))
         from twistorcheck.nijenhuis import NijenhuisTensor
 
         tensor = NijenhuisTensor(coord=coord, frame=np.zeros((6, 6, 6)), point=u)
@@ -192,9 +198,9 @@ def test_metric_rescaling_exponent():
     scales = (1.0, 2.0, 4.0)
     for c in scales:
         patch = scaled_patch(c)
-        frame = adapt_frame(patch, u)
-        coeffs = structure_coefficients(alpha_beta(connection_coefficients(patch, frame)))
-        tensor = nijenhuis_tensor(patch, u, frame=frame, coeffs=coeffs)
+        jet = point_jet(patch, u)
+        coeffs = structure_coefficients(alpha_beta(connection_coefficients(patch, jet.frame)))
+        tensor = nijenhuis_tensor(jet, coeffs)
         norms.append(nijenhuis_norm(tensor, coeffs))
     slopes = np.diff(np.log(norms)) / np.diff(np.log(scales))
     assert np.allclose(slopes, -2.0, atol=1e-6), f"observed scaling exponent {slopes}"

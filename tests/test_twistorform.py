@@ -24,6 +24,7 @@ from twistorcheck import (
     perturbed_torus,
     phi_matrix,
     phi_via_bundle_formula,
+    point_jet,
     structure_coefficients,
     theorem_report,
 )
@@ -231,7 +232,7 @@ class TestNondegenerate:
 
 class TestTheoremReport:
     def test_flat_kahler(self):
-        rep = theorem_report(flat_kahler(2).patch, np.zeros(4))
+        rep = theorem_report(point_jet(flat_kahler(2).patch, np.zeros(4)))
         assert rep.normN2 == 0.0
         assert rep.margin == pytest.approx(1.0, abs=1e-12)
         assert rep.sumA2 == 0.0
@@ -241,7 +242,7 @@ class TestTheoremReport:
         assert rep.nondegenerate and rep.pfaffian_sign == 1
 
     def test_conformal_case2(self):
-        rep = theorem_report(conformal_hermitian().patch, np.array([1.3, 0.9, 1.1, 1.7]))
+        rep = theorem_report(point_jet(conformal_hermitian().patch, np.array([1.3, 0.9, 1.1, 1.7])))
         assert rep.normN2 < 1e-8
         assert rep.bound_paper == pytest.approx(1.0, abs=1e-8)
         assert rep.margin > 0.0
@@ -250,7 +251,8 @@ class TestTheoremReport:
         assert critical_constant(2) == 16.0
 
     def test_nearly_kahler(self):
-        rep = theorem_report(nearly_kahler_s6().patch, np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05]))
+        point = np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])
+        rep = theorem_report(point_jet(nearly_kahler_s6().patch, point))
         assert rep.normN2 >= 64.0 / 5.0
         assert rep.bound_paper <= 0.0  # hypothesis vacuous here
         assert rep.chain_ok.a and rep.chain_ok.b and rep.chain_ok.c and rep.chain_ok.d
@@ -260,7 +262,8 @@ class TestTheoremReport:
         assert not rep.nondegenerate and rep.pfaffian_sign == 0
 
     def test_torus_inside_threshold(self):
-        rep = theorem_report(perturbed_torus(eps=0.05).patch, np.array([0.4, 0.1, -0.3, 0.2, 0.05, -0.1]))
+        point = np.array([0.4, 0.1, -0.3, 0.2, 0.05, -0.1])
+        rep = theorem_report(point_jet(perturbed_torus(eps=0.05).patch, point))
         assert 0.0 < rep.normN2 < 64.0 / 5.0
         assert rep.margin >= 1.0 - (5.0 / 64.0) * rep.normN2 - 1e-6
         assert rep.chain_ok.all_ok and rep.nondegenerate
@@ -269,7 +272,7 @@ class TestTheoremReport:
         # Negative tolerance turns the flat equality margin == quarterA into a
         # strict-inequality failure: the (a) check must fire.
         with pytest.raises(ChainViolation, match=r"\(a\)"):
-            theorem_report(flat_kahler(2).patch, np.zeros(4), tol=-1e-3, strict=True)
+            theorem_report(point_jet(flat_kahler(2).patch, np.zeros(4)), tol=-1e-3, strict=True)
 
     def test_margin_positive_implies_nondegenerate(self):
         for patch, point in (
@@ -277,15 +280,15 @@ class TestTheoremReport:
             (conformal_hermitian().patch, np.array([1.2, 1.0, 0.9, 1.5])),
             (perturbed_torus(eps=0.1).patch, np.array([0.3, -0.2, 0.1, 0.0, 0.2, 0.1])),
         ):
-            rep = theorem_report(patch, point)
+            rep = theorem_report(point_jet(patch, point))
             if rep.margin > 1e-8:
                 assert rep.nondegenerate
 
     def test_one_frame_and_one_j_stencil_per_point(self, monkeypatch):
         # Differentiating the Gram-Schmidt frame field built 13 frames and
-        # evaluated J 39 times; the nabla J route needs one frame, J at the
-        # point and one 2 dim stencil, and g at most for the frame, the
-        # Christoffel symbols and the frame change.
+        # evaluated J 39 times; the point jet needs one frame, which
+        # evaluates g and J once, one 2 dim stencil of J, and g once more for
+        # the Christoffel symbols (nk-s6 has a metric jet).
         from twistorcheck import connection, geometry, nijenhuis, twistorform
 
         patch = nearly_kahler_s6().patch
@@ -309,11 +312,12 @@ class TestTheoremReport:
         counting = dataclasses.replace(
             patch, metric_field=counted("g", patch.metric_field), j_field=counted("J", patch.j_field)
         )
-        rep = theorem_report(counting, np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05]))
+        point = np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])
+        rep = theorem_report(point_jet(counting, point))
         assert rep.chain_ok.all_ok
         assert calls["frame"] == 1
-        assert calls["J"] <= 2 * patch.dim + 2
-        assert calls["g"] <= 4
+        assert calls["J"] <= 2 * patch.dim + 1
+        assert calls["g"] <= 2
 
 
 class TestChernIdentity:
@@ -328,7 +332,7 @@ class TestChernIdentity:
 
 
 def test_frame_invariance_of_scalars():
-    from twistorcheck import random_unitary_rotation, rotate_frame
+    from twistorcheck import random_unitary_rotation
 
     rng = np.random.default_rng(23)
     cases = (
@@ -336,11 +340,10 @@ def test_frame_invariance_of_scalars():
         (nearly_kahler_s6().patch, np.array([0.05, 0.1, -0.2, 0.15, 0.0, -0.1])),
     )
     for patch, point in cases:
-        base = theorem_report(patch, point)
+        base = theorem_report(point_jet(patch, point))
         for _ in range(10):
             U = random_unitary_rotation(patch.n, rng)
-            frame = rotate_frame(adapt_frame(patch, point), U)
-            rep = theorem_report(patch, point, frame=frame)
+            rep = theorem_report(point_jet(patch, point).rotated(U))
             assert abs(rep.normN2 - base.normN2) <= 1e-8 * max(1.0, abs(base.normN2))
             assert abs(rep.margin - base.margin) <= 1e-8 * max(1.0, abs(base.margin))
             assert abs(rep.det_F - base.det_F) <= 1e-8 * max(1.0, abs(base.det_F))
