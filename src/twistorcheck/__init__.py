@@ -31,6 +31,7 @@ from .geometry import (
     field_derivative,
     j0_matrix,
     point_jet,
+    pointwise,
     random_unitary_rotation,
     rotate_frame,
 )

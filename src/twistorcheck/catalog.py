@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ChartOverflow
-from .geometry import ManifoldPatch, j0_matrix
+from .geometry import ManifoldPatch, first_index, j0_matrix
 
 S6_CHART_RADIUS = 0.9
 # Axis bound chosen so every corner of the box satisfies |u| <= 0.35 sqrt(6) < 0.9,
@@ -49,28 +49,36 @@ _CROSS_F = _cross_structure_constants()
 
 
 def cross7(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Seven-dimensional cross product of imaginary octonions."""
-    return np.einsum("ijk,i,j->k", _CROSS_F, x, y)
+    """Seven-dimensional cross product of imaginary octonions (batched over leading axes)."""
+    return (_cross_operator(x) @ np.asarray(y, dtype=float)[..., None])[..., 0]
 
 
 def _cross_operator(p: np.ndarray) -> np.ndarray:
-    """Matrix of X -> p x X."""
-    return np.einsum("ijk,i->kj", _CROSS_F, p)
+    """Matrices of X -> p x X, L[..., k, j] = sum_i f_ijk p_i."""
+    p = np.asarray(p, dtype=float)
+    L = (p[..., None, :] @ _CROSS_F.reshape(7, 49)).reshape(p.shape[:-1] + (7, 7))
+    return np.swapaxes(L, -1, -2)
+
+
+def _norm2(u: np.ndarray) -> np.ndarray:
+    """|u|^2 along the last axis."""
+    return (u * u).sum(axis=-1)
 
 
 def stereographic_point(u: np.ndarray) -> np.ndarray:
     """Inverse stereographic map of the unit six-sphere, chart origin at a pole."""
     u = np.asarray(u, dtype=float)
-    s = 1.0 + u @ u
-    return np.concatenate([2.0 * u / s, [(u @ u - 1.0) / s]])
+    r2 = _norm2(u)[..., None]
+    s = 1.0 + r2
+    return np.concatenate([2.0 * u / s, (r2 - 1.0) / s], axis=-1)
 
 
 def stereographic_jacobian(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
-    s = 1.0 + u @ u
-    D = np.zeros((7, 6))
-    D[:6, :] = (2.0 / s) * (np.eye(6) - 2.0 * np.outer(u, u) / s)
-    D[6, :] = 4.0 * u / s**2
+    s = (1.0 + _norm2(u))[..., None, None]
+    D = np.zeros(u.shape[:-1] + (7, 6))
+    D[..., :6, :] = (2.0 / s) * (np.eye(6) - 2.0 * (u[..., :, None] * u[..., None, :]) / s)
+    D[..., 6, :] = 4.0 * u / s[..., 0] ** 2
     return D
 
 
@@ -91,22 +99,32 @@ def _box(bound_per_axis, dim: int) -> np.ndarray:
     return np.array([bound_per_axis] * dim, dtype=float)
 
 
+def _constant(value: np.ndarray):
+    """A field (or jet) that takes ``value`` at every point of a batch."""
+    value = np.array(value, dtype=float)
+    value.flags.writeable = False
+    return lambda u: np.broadcast_to(value, np.shape(u)[:-1] + value.shape)
+
+
+def _radial_jet(coef: np.ndarray, dim: int) -> np.ndarray:
+    """Jet of a conformal metric: [..., c, a, b] = coef[..., c] delta_ab."""
+    return coef[..., :, None, None] * np.eye(dim)
+
+
 def flat_kahler(n: int) -> CatalogEntry:
     """Euclidean metric with the constant reference complex structure."""
     if n < 2:
         raise ValueError("n must be at least 2")
     dim = 2 * n
-    eye = np.eye(dim)
-    J0 = j0_matrix(n)
-    zero_jet = np.zeros((dim, dim, dim))
+    zero_jet = _constant(np.zeros((dim, dim, dim)))
     attrs = frozenset({"integrable", "flat"})
     patch = ManifoldPatch(
         n=n,
         domain=_box((-1.0, 1.0), dim),
-        metric_field=lambda u, _g=eye: _g,
-        j_field=lambda u, _j=J0: _j,
-        metric_jet=lambda u, _z=zero_jet: _z,
-        j_jet=lambda u, _z=zero_jet: _z,
+        metric_field=_constant(np.eye(dim)),
+        j_field=_constant(j0_matrix(n)),
+        metric_jet=zero_jet,
+        j_jet=zero_jet,
         label=f"flat:{n}",
         attributes=attrs,
     )
@@ -127,26 +145,24 @@ def conformal_hermitian() -> CatalogEntry:
     """
     n = 2
     dim = 4
-    J0 = j0_matrix(n)
-    zero_jet = np.zeros((dim, dim, dim))
 
     def metric(u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        return np.eye(dim) / (u @ u)
+        return np.eye(dim) / _norm2(u)[..., None, None]
 
     def metric_jet(u: np.ndarray) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        r2 = u @ u
-        return np.einsum("c,ab->cab", -2.0 * u / r2**2, np.eye(dim))
+        r2 = _norm2(u)[..., None]
+        return _radial_jet(-2.0 * u / r2**2, dim)
 
     attrs = frozenset({"integrable"})
     patch = ManifoldPatch(
         n=n,
         domain=_box((0.5, 2.5), dim),
         metric_field=metric,
-        j_field=lambda u, _j=J0: _j,
+        j_field=_constant(j0_matrix(n)),
         metric_jet=metric_jet,
-        j_jet=lambda u, _z=zero_jet: _z,
+        j_jet=_constant(np.zeros((dim, dim, dim))),
         label="conformal4",
         attributes=attrs,
     )
@@ -157,27 +173,31 @@ def conformal_hermitian() -> CatalogEntry:
 
 def _s6_metric(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
-    s = 1.0 + u @ u
+    s = (1.0 + _norm2(u))[..., None, None]
     return (4.0 / s**2) * np.eye(6)
 
 
 def _s6_metric_jet(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
-    s = 1.0 + u @ u
-    return np.einsum("c,ab->cab", -16.0 * u / s**3, np.eye(6))
+    s = 1.0 + _norm2(u)[..., None]
+    return _radial_jet(-16.0 * u / s**3, 6)
 
 
 def _s6_j(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
-    if u @ u >= S6_CHART_RADIUS**2:
+    r2 = _norm2(u)
+    bad = first_index(r2 >= S6_CHART_RADIUS**2)
+    if bad is not None:
         raise ChartOverflow(
-            f"|u| = {np.sqrt(u @ u):.4f} >= {S6_CHART_RADIUS}; point left the chart"
+            f"|u| = {np.sqrt(r2[bad]):.4f} >= {S6_CHART_RADIUS} at {u[bad].tolist()}; "
+            "point left the chart"
         )
-    s = 1.0 + u @ u
+    s = 1.0 + r2
     D = stereographic_jacobian(u)
-    L = _cross_operator(stereographic_point(u))
+    J = np.swapaxes(D, -1, -2) @ (_cross_operator(stereographic_point(u)) @ D)
     # pinv(D) = (s^2/4) D^T because D^T D = (4/s^2) Id
-    return (s**2 / 4.0) * D.T @ L @ D
+    J *= (s**2 / 4.0)[..., None, None]
+    return J
 
 
 def nearly_kahler_s6() -> CatalogEntry:
@@ -226,21 +246,21 @@ def perturbed_torus(eps: float = 0.05, freq: int = 1) -> CatalogEntry:
     P = np.zeros((dim, dim))
     P[0, 0] = P[2, 2] = 1.0  # G^2 = -P, so exp(tG) has a closed form
 
-    def rotation(t: float) -> np.ndarray:
+    def rotation(t: np.ndarray) -> np.ndarray:
+        t = t[..., None, None]
         return eye - (1.0 - np.cos(t)) * P + np.sin(t) * G
 
     def j_field(u: np.ndarray) -> np.ndarray:
-        R = rotation(eps * np.sin(freq * u[0]))
-        return R @ J0 @ R.T
+        R = rotation(eps * np.sin(freq * np.asarray(u, dtype=float)[..., 0]))
+        return R @ J0 @ np.swapaxes(R, -1, -2)
 
-    zero_jet = np.zeros((dim, dim, dim))
     attrs = frozenset()
     patch = ManifoldPatch(
         n=n,
         domain=_box((-np.pi, np.pi), dim),
-        metric_field=lambda u, _g=eye: _g,
+        metric_field=_constant(eye),
         j_field=j_field,
-        metric_jet=lambda u, _z=zero_jet: _z,
+        metric_jet=_constant(np.zeros((dim, dim, dim))),
         j_jet=None,
         label=f"torus:eps={eps:g},freq={freq}",
         attributes=attrs,

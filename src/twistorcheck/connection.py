@@ -25,6 +25,7 @@ from .geometry import (
     central_difference,
     christoffel,
     evaluate_frame_field,
+    field_value,
     j0_matrix,
     require_interior,
 )
@@ -36,7 +37,7 @@ DEFAULT_SECOND_ORDER_STEP = 1e-4
 
 @dataclass(frozen=True)
 class ConnectionTable:
-    """Frame components omega[A, B, C] = omega_{AB}(e_C), skew in (A, B)."""
+    """Frame components omega[..., A, B, C] = omega_{AB}(e_C), skew in (A, B)."""
 
     omega: np.ndarray
 
@@ -47,15 +48,15 @@ class ConnectionTable:
 
     @property
     def n(self) -> int:
-        return self.omega.shape[0] // 2
+        return self.omega.shape[-1] // 2
 
     def antisymmetry_residual(self) -> float:
-        return float(np.abs(self.omega + self.omega.transpose(1, 0, 2)).max())
+        return float(np.abs(self.omega + np.swapaxes(self.omega, -3, -2)).max())
 
 
 @dataclass(frozen=True)
 class CurvatureTable:
-    """Frame components R[A, B, C, D] = R_{AB}(e_C, e_D)."""
+    """Frame components R[..., A, B, C, D] = R_{AB}(e_C, e_D)."""
 
     R: np.ndarray
 
@@ -65,9 +66,14 @@ class CurvatureTable:
         object.__setattr__(self, "R", R)
 
     def antisymmetry_residuals(self) -> tuple:
-        r1 = float(np.abs(self.R + self.R.transpose(1, 0, 2, 3)).max())
-        r2 = float(np.abs(self.R + self.R.transpose(0, 1, 3, 2)).max())
+        r1 = float(np.abs(self.R + np.swapaxes(self.R, -4, -3)).max())
+        r2 = float(np.abs(self.R + np.swapaxes(self.R, -2, -1)).max())
         return r1, r2
+
+
+def _slices(table: np.ndarray) -> np.ndarray:
+    """The matrices omega(X_C) of a table [..., A, B, C], indexed [..., C, A, B]."""
+    return np.moveaxis(table, -1, -3)
 
 
 def coordinate_connection(
@@ -76,33 +82,46 @@ def coordinate_connection(
     point: np.ndarray | None = None,
     step: float = DEFAULT_FD_STEP,
 ) -> np.ndarray:
-    """Coordinate slices w[A, B, a] = omega_{AB}(d/du^a) of the connection forms.
+    """Coordinate slices w[..., A, B, a] = omega_{AB}(d/du^a) of the connection forms.
 
     Differentiates the adapted frame field determined by ``frame`` (same seed,
     same pivot sequence, same trailing rotation) at ``point``, defaulting to
     the frame's own base point, where the frame field's value is ``frame.E``.
+    ``point`` may carry extra batch axes after the frame's; the frames at the
+    points and at their stencils are then built in one batched call.
     """
-    u = require_interior(patch, frame.point if point is None else point, margin=step)
-    g = frame.g if point is None else np.asarray(patch.metric_field(u), dtype=float)
-    E0 = frame.E if point is None else evaluate_frame_field(patch, frame, u)
-    Gamma = christoffel(patch, u, step=step)
-    dE = central_difference(lambda v: evaluate_frame_field(patch, frame, v), u, step)
-    # (nabla_{d_a} e_B)^c = d_a E^c_B + Gamma^c_{ab} E^b_B
-    cov = dE + np.einsum("cab,bB->acB", Gamma, E0)
+
+    def field(v: np.ndarray) -> np.ndarray:
+        return evaluate_frame_field(patch, frame, v)
+
+    if point is None:
+        u = require_interior(patch, frame.point, margin=step)
+        g, E0 = frame.g, frame.E
+        dE = central_difference(field, u, step)
+    else:
+        u = require_interior(patch, point, margin=step)
+        g = field_value(patch, u, "metric")
+        E0, dE = central_difference(field, u, step, centre=True)
+    Gamma = christoffel(patch, u, g, step=step)
+    dim = patch.dim
+    # (nabla_{d_a} e_B)^c = d_a E^c_B + Gamma^c_{ab} E^b_B, indexed [a, c, B]
+    GE = (Gamma.reshape(Gamma.shape[:-3] + (dim * dim, dim)) @ E0).reshape(Gamma.shape)
+    cov = dE + np.swapaxes(GE, -3, -2)
     # w[B, A, a] = g(nabla_{d_a} e_B, e_A)
-    return np.einsum("acB,cd,dA->BAa", cov, g, E0)
+    lowered = np.swapaxes(cov, -1, -2) @ (g @ E0)[..., None, :, :]
+    return np.moveaxis(lowered, -3, -1)
 
 
 def connection_coefficients(
     patch: ManifoldPatch, frame: AdaptedFrame, step: float = DEFAULT_FD_STEP
 ) -> ConnectionTable:
-    """Connection table omega_{AB}(e_C) for the given adapted frame."""
+    """Connection table omega_{AB}(e_C) for the given adapted frames."""
     w = coordinate_connection(patch, frame, step=step)
-    return ConnectionTable(omega=np.einsum("ABa,aC->ABC", w, frame.E))
+    return ConnectionTable(omega=w @ frame.E[..., None, :, :])
 
 
 def nabla_j_connection(jet: PointJet) -> ConnectionTable:
-    """The sigma part of the connection table, read off nabla J at one point.
+    """The sigma part of the connection table, read off nabla J at the jet's points.
 
     Reads the jet's frame with its g and J, the J jet and the Christoffel
     symbols; the frame field is never differentiated.  In an adapted frame
@@ -121,22 +140,34 @@ def nabla_j_connection(jet: PointJet) -> ConnectionTable:
     the Chern identity need the full omega and take it from
     ``coordinate_connection`` instead.
     """
-    frame, Gamma = jet.frame, jet.Gamma
-    J, E = frame.J, frame.E
-    # (nabla_c J)^a_b = d_c J^a_b + Gamma^a_{cd} J^d_b - Gamma^d_{cb} J^a_d
-    nabla = jet.dJ + np.einsum("acd,db->cab", Gamma, J) - np.einsum("dcb,ad->cab", Gamma, J)
+    frame = jet.frame
+    E, Et = frame.E, np.swapaxes(frame.E, -1, -2)
+    nabla = _nabla_j(frame.J, jet.dJ, jet.Gamma)
     # K[C] = E^-1 (nabla_{e_C} J) E with E^-1 = E^T g
-    K = (E.T @ frame.g) @ np.einsum("cC,cab->Cab", E, nabla) @ E
+    along = Et @ nabla.reshape(nabla.shape[:-3] + (E.shape[-1], -1))
+    K = (Et @ frame.g)[..., None, :, :] @ along.reshape(nabla.shape) @ E[..., None, :, :]
     J0 = j0_matrix(frame.n)
-    sigma = 0.25 * (K @ J0 - J0 @ K)
-    return ConnectionTable(omega=sigma.transpose(1, 2, 0))
+    # sigma = 1/4 (K J0 - J0 K), formed in place: a batch holds few temporaries
+    sigma = K @ J0
+    sigma -= J0 @ K
+    sigma *= 0.25
+    return ConnectionTable(omega=np.moveaxis(sigma, -3, -1))
+
+
+def _nabla_j(J: np.ndarray, dJ: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
+    """(nabla_c J)^a_b = d_c J^a_b + Gamma^a_{cd} J^d_b - Gamma^d_{cb} J^a_d, as [..., c, a, b]."""
+    dim = J.shape[-1]
+    # [a, c, b]: sum_d Gamma^a_{cd} J^d_b - J^a_d Gamma^d_{cb}
+    bracket = (Gamma.reshape(Gamma.shape[:-3] + (dim * dim, dim)) @ J).reshape(Gamma.shape)
+    bracket -= (J @ Gamma.reshape(Gamma.shape[:-3] + (dim, dim * dim))).reshape(Gamma.shape)
+    return dJ + np.swapaxes(bracket, -3, -2)
 
 
 def sigma_part(table: ConnectionTable) -> ConnectionTable:
     """The J0-anticommuting part sigma(e_C) = 1/2 (w_C + J0 w_C J0) of each slice."""
     J0 = j0_matrix(table.n)
-    om = table.omega
-    return ConnectionTable(omega=0.5 * (om + np.einsum("xz,zwC,wy->xyC", J0, om, J0)))
+    slices = _slices(table.omega)
+    return ConnectionTable(omega=np.moveaxis(0.5 * (slices + J0 @ slices @ J0), -3, -1))
 
 
 def structure_equation_residual(
@@ -147,7 +178,7 @@ def structure_equation_residual(
     omega_sign: float = 1.0,
     w: np.ndarray | None = None,
 ) -> float:
-    """Max residual of d theta_A = sum_B theta_B ^ omega_{BA} on coordinate pairs.
+    """Max residual of d theta_A = sum_B theta_B ^ omega_{BA} on coordinate pairs, per point.
 
     ``frame`` is the adapted frame at ``point`` (built here when omitted) and
     ``w`` is ``coordinate_connection(patch, frame, step=step)``, computed here
@@ -162,19 +193,22 @@ def structure_equation_residual(
     if w is None:
         w = coordinate_connection(patch, frame, step=step)
     w = omega_sign * w
+    dim = patch.dim
 
     def coframe(v: np.ndarray) -> np.ndarray:
         # theta_A(d_a) = g(d_a, e_A) = (g E)_{aA}
-        return np.asarray(patch.metric_field(v), dtype=float) @ evaluate_frame_field(
-            patch, frame, v
-        )
+        return field_value(patch, v, "metric") @ evaluate_frame_field(patch, frame, v)
 
     T0 = frame.g @ frame.E
     dT = central_difference(coframe, u, step)
     # dtheta[A, a, b] = d_a theta_A(d_b) - d_b theta_A(d_a)
-    dtheta = np.einsum("abA->Aab", dT) - np.einsum("baA->Aab", dT)
-    rhs = np.einsum("aB,BAb->Aab", T0, w) - np.einsum("bB,BAa->Aab", T0, w)
-    return float(np.abs(dtheta - rhs).max())
+    dtheta = np.moveaxis(dT, -1, -3)
+    dtheta = dtheta - np.swapaxes(dtheta, -1, -2)
+    # X[A, a, b] = sum_B theta_B(d_a) omega_{BA}(d_b)
+    X = (T0 @ w.reshape(w.shape[:-3] + (dim, dim * dim))).reshape(w.shape)
+    X = np.swapaxes(X, -3, -2)
+    rhs = X - np.swapaxes(X, -1, -2)
+    return np.abs(dtheta - rhs).max(axis=(-3, -2, -1))
 
 
 def connection_derivative(
@@ -186,10 +220,12 @@ def connection_derivative(
 ) -> tuple:
     """The d omega block (w0, dw) of an adapted frame at its base point.
 
-    w0[A, B, a] = omega_{AB}(d_a) is ``coordinate_connection(patch, frame,
-    step=inner_step)``, which the caller already holds; dw[c, A, B, a] = d_c w0
-    is the central difference of the connection field at the outer ``step``.
-    Curvature and the Chern identity both read d omega from this one block.
+    w0[..., A, B, a] = omega_{AB}(d_a) is ``coordinate_connection(patch,
+    frame, step=inner_step)``, which the caller already holds;
+    dw[..., c, A, B, a] = d_c w0 is the central difference of the connection
+    field at the outer ``step``, whose 2 dim points and their inner stencils
+    are one batch.  Curvature and the Chern identity both read d omega from
+    this one block.
     """
     dw = central_difference(
         lambda v: coordinate_connection(patch, frame, v, step=inner_step), frame.point, step
@@ -217,17 +253,21 @@ def curvature_forms(
         w0 = coordinate_connection(patch, frame, step=inner_step)
         block = connection_derivative(patch, frame, w0, step, inner_step)
     w0, dw = block
-    # domega[A, B, a, b] = d_a omega_{AB}(d_b) - d_b omega_{AB}(d_a)
-    domega = np.einsum("aABb->ABab", dw) - np.einsum("bABa->ABab", dw)
-    wedge = np.einsum("ACa,CBb->ABab", w0, w0) - np.einsum("ACb,CBa->ABab", w0, w0)
-    R = np.einsum("ABab,aC,bD->ABCD", wedge - domega, frame.E, frame.E)
-    return CurvatureTable(R=R)
+    # Both terms indexed [a, b, A, B]; slices[a] is the matrix omega(d_a).
+    slices = _slices(w0)
+    products = slices[..., :, None, :, :] @ slices[..., None, :, :, :]
+    wedge = products - np.swapaxes(products, -4, -3)
+    # domega[a, b, A, B] = d_a omega_{AB}(d_b) - d_b omega_{AB}(d_a)
+    dslices = _slices(dw)
+    domega = dslices - np.swapaxes(dslices, -4, -3)
+    pairs = np.moveaxis(wedge - domega, (-2, -1), (-4, -3))
+    E = frame.E[..., None, None, :, :]
+    return CurvatureTable(R=np.swapaxes(E, -1, -2) @ pairs @ E)
 
 
 def round_sphere_curvature_residual(table: CurvatureTable) -> float:
     """Distance of a curvature table from R_{AB}(e_C, e_D) = theta_A ^ theta_B."""
-    dim = table.R.shape[0]
-    eye = np.eye(dim)
+    eye = np.eye(table.R.shape[-1])
     expected = np.einsum("AC,BD->ABCD", eye, eye) - np.einsum("AD,BC->ABCD", eye, eye)
     return float(np.abs(table.R - expected).max())
 
@@ -235,5 +275,5 @@ def round_sphere_curvature_residual(table: CurvatureTable) -> float:
 def first_bianchi_residual(table: CurvatureTable) -> float:
     """Max over indices of the cyclic sum R_{AB}(e_C,e_D) + R_{AC}(e_D,e_B) + R_{AD}(e_B,e_C)."""
     R = table.R
-    cyc = R + R.transpose(0, 2, 3, 1) + R.transpose(0, 3, 1, 2)
+    cyc = R + np.moveaxis(R, -3, -1) + np.moveaxis(R, -1, -3)
     return float(np.abs(cyc).max())

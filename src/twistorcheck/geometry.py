@@ -1,19 +1,30 @@
 """Coordinate patches of almost Hermitian manifolds and adapted frames.
 
 A patch is a box in R^{2n} together with a metric field g(u) and an almost
-complex field J(u), both given as plain callables returning 2n x 2n arrays.
-Everything downstream (connection forms, Nijenhuis tensor, twistor 2-form)
-is computed from frames adapted to J, i.e. orthonormal frames with
-e_{n+k} = J e_k, built here by a deterministic metric Gram-Schmidt sweep.
+complex field J(u).  Both are callables on batches of points: they map an
+array of shape (..., 2n) to an array of shape (..., 2n, 2n), so a whole grid
+chunk or a whole difference stencil is one call.  A callable written for one
+point at a time is wrapped by ``pointwise``.  Everything downstream
+(connection forms, Nijenhuis tensor, twistor 2-form) is computed from frames
+adapted to J, i.e. orthonormal frames with e_{n+k} = J e_k, built here by a
+deterministic metric Gram-Schmidt sweep that runs on every point of a batch
+at once.
+
+Every function of the point pipeline takes leading batch axes; a single point
+is a batch of shape ().  Each point is computed with the same sequence of
+per-point operations whatever batch it sits in, so its values do not depend
+on the batch, and every validation runs at every point and names the first
+point (in C order) that fails it.
 
 Field derivatives come from analytic jets when a patch supplies them and
 from central finite differences otherwise.  ``point_jet`` gathers everything
-the certificate at one point reads: the adapted frame (with g and J), the J
+the certificate at a point reads: the adapted frame (with g and J), the J
 jet and the Christoffel symbols.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -37,8 +48,9 @@ METRIC_COND_LIMIT = 1e12
 
 FieldMap = Callable[[np.ndarray], np.ndarray]
 
-# A point is a plain float vector of length 2n; operations validate interiority
-# against the patch domain instead of wrapping coordinates in a class.
+# A point is a plain float vector of length 2n and a batch of points an array
+# of shape (..., 2n); operations validate interiority against the patch
+# domain instead of wrapping coordinates in a class.
 PointCoords = np.ndarray
 
 
@@ -59,15 +71,42 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def first_index(mask) -> tuple | None:
+    """Batch index of the first point (in C order) where ``mask`` holds, or None."""
+    mask = np.asarray(mask, dtype=bool)
+    if not mask.any():
+        return None
+    return np.unravel_index(int(np.argmax(mask)), mask.shape)
+
+
+def pointwise(f: FieldMap) -> FieldMap:
+    """Loop adapter: a field on (..., 2n) arrays from a callable on one point.
+
+    ``f`` takes a single coordinate vector of length 2n; the adapter calls it
+    once per point of the batch, in C order, and stacks the results.
+    """
+
+    @functools.wraps(f)
+    def batched(u):
+        u = np.asarray(u, dtype=float)
+        points = np.array(u.reshape(-1, u.shape[-1]))
+        values = np.stack([np.asarray(f(p), dtype=float) for p in points])
+        return values.reshape(u.shape[:-1] + values.shape[1:])
+
+    return batched
+
+
 @dataclass(frozen=True)
 class ManifoldPatch:
     """Local chart of an almost Hermitian manifold of real dimension 2n.
 
-    ``metric_field`` and ``j_field`` map a coordinate vector u to the matrices
-    g_{ab}(u) and J^a_b(u) in the coordinate basis.  ``domain`` holds per-axis
-    (lower, upper) bounds.  Optional jets return the third-order arrays of
-    first derivatives, indexed [c, a, b] = d_c(field)_{ab}; when present they
-    take precedence over finite differencing.
+    ``metric_field`` and ``j_field`` map points u of shape (..., 2n) to the
+    matrices g_{ab}(u) and J^a_b(u) in the coordinate basis, of shape
+    (..., 2n, 2n); wrap a per-point callable in ``pointwise``.  ``domain``
+    holds per-axis (lower, upper) bounds.  Optional jets return the arrays of
+    first derivatives, of shape (..., 2n, 2n, 2n) and indexed
+    [..., c, a, b] = d_c(field)_{ab}; when present they take precedence over
+    finite differencing.
     """
 
     n: int
@@ -104,79 +143,106 @@ class ManifoldPatch:
 
 
 def require_interior(patch: ManifoldPatch, point: np.ndarray, margin: float = 0.0) -> np.ndarray:
-    """Return the point as a float vector, or raise BoundaryProximity."""
+    """Return the points as a float array (..., 2n), or raise BoundaryProximity."""
     u = np.asarray(point, dtype=float)
-    if u.shape != (patch.dim,):
+    if u.ndim == 0 or u.shape[-1] != patch.dim:
         raise BoundaryProximity(
-            f"point has shape {u.shape}, expected ({patch.dim},) for patch {patch.label!r}"
+            f"point has shape {u.shape}, expected (..., {patch.dim}) for patch {patch.label!r}"
         )
-    if not patch.contains(u, margin):
+    inside = (u > patch.domain[:, 0] + margin) & (u < patch.domain[:, 1] - margin)
+    bad = first_index(~inside.all(axis=-1))
+    if bad is not None:
         raise BoundaryProximity(
-            f"point {u.tolist()} is not interior to patch {patch.label!r} "
+            f"point {u[bad].tolist()} is not interior to patch {patch.label!r} "
             f"with margin {margin:g}"
         )
     return u
 
 
+def _call_field(fn: FieldMap, u: np.ndarray, name: str, rank: int) -> np.ndarray:
+    """Evaluate a field or jet callable on the points ``u`` and check its shape."""
+    value = np.asarray(fn(u), dtype=float)
+    expected = u.shape[:-1] + (u.shape[-1],) * rank
+    if value.shape != expected:
+        raise ValueError(
+            f"{name} returned shape {value.shape} for points of shape {u.shape}, "
+            f"expected {expected}; wrap a per-point callable in geometry.pointwise"
+        )
+    return value
+
+
+def field_value(patch: ManifoldPatch, point: np.ndarray, which: str = "metric") -> np.ndarray:
+    """The metric ("metric") or J ("j") field at the points ``point``, shape (..., 2n, 2n)."""
+    u = np.asarray(point, dtype=float)
+    if which == "metric":
+        return _call_field(patch.metric_field, u, "metric_field", 2)
+    if which == "j":
+        return _call_field(patch.j_field, u, "j_field", 2)
+    raise ValueError("which must be 'metric' or 'j'")
+
+
 def _field_residuals(g: np.ndarray, J: np.ndarray) -> dict:
-    eye = np.eye(g.shape[0])
+    """Max-norm residuals of the pointwise invariants, one value per point."""
+    eye = np.eye(g.shape[-1])
+    gT = np.swapaxes(g, -1, -2)
     return {
-        "metric_symmetry": float(np.abs(g - g.T).max()),
-        "metric_min_eigenvalue": float(np.linalg.eigvalsh(0.5 * (g + g.T)).min()),
-        "j_square": float(np.abs(J @ J + eye).max()),
-        "compatibility": float(np.abs(J.T @ g @ J - g).max()),
+        "metric_symmetry": np.abs(g - gT).max(axis=(-2, -1)),
+        "metric_min_eigenvalue": np.linalg.eigvalsh(0.5 * (g + gT)).min(axis=-1),
+        "j_square": np.abs(J @ J + eye).max(axis=(-2, -1)),
+        "compatibility": np.abs(np.swapaxes(J, -1, -2) @ g @ J - g).max(axis=(-2, -1)),
     }
 
 
 def patch_residuals(patch: ManifoldPatch, point: np.ndarray) -> dict:
-    """Max-norm residuals of the pointwise patch invariants at ``point``."""
-    u = np.asarray(point, dtype=float)
-    g = np.asarray(patch.metric_field(u), dtype=float)
-    J = np.asarray(patch.j_field(u), dtype=float)
-    return _field_residuals(g, J)
+    """Max-norm residuals of the pointwise patch invariants at each point."""
+    return _field_residuals(field_value(patch, point, "metric"), field_value(patch, point, "j"))
 
 
 def validate_patch(patch: ManifoldPatch, point: np.ndarray) -> tuple:
-    """Raise IncompatibleStructure unless g is symmetric positive definite,
-    J^2 = -Id and J^T g J = g.
+    """Raise IncompatibleStructure unless, at every point, g is symmetric
+    positive definite, J^2 = -Id and J^T g J = g.
 
     Returns the checked field values ``(g, J)`` at ``point``, so a caller that
     needs them evaluates each field once.
     """
     u = np.asarray(point, dtype=float)
-    g = np.asarray(patch.metric_field(u), dtype=float)
-    J = np.asarray(patch.j_field(u), dtype=float)
+    g = field_value(patch, u, "metric")
+    J = field_value(patch, u, "j")
     res = _field_residuals(g, J)
-    if res["metric_min_eigenvalue"] <= 0.0:
+    keys = ("metric_symmetry", "j_square", "compatibility")
+    not_pd = res["metric_min_eigenvalue"] <= 0.0
+    bad = first_index(np.any([not_pd] + [res[key] >= STRUCTURE_TOL for key in keys], axis=0))
+    if bad is None:
+        return g, J
+    if not_pd[bad]:
         raise IncompatibleStructure(
-            f"metric not positive definite at {u.tolist()} "
-            f"(min eigenvalue {res['metric_min_eigenvalue']:.3e})"
+            f"metric not positive definite at {u[bad].tolist()} "
+            f"(min eigenvalue {res['metric_min_eigenvalue'][bad]:.3e})"
         )
-    for key in ("metric_symmetry", "j_square", "compatibility"):
-        if res[key] >= STRUCTURE_TOL:
-            raise IncompatibleStructure(
-                f"{key} residual {res[key]:.3e} exceeds {STRUCTURE_TOL:g} at {u.tolist()}"
-            )
-    return g, J
+    key = next(key for key in keys if res[key][bad] >= STRUCTURE_TOL)
+    raise IncompatibleStructure(
+        f"{key} residual {res[key][bad]:.3e} exceeds {STRUCTURE_TOL:g} at {u[bad].tolist()}"
+    )
 
 
 @dataclass(frozen=True)
 class AdaptedFrame:
-    """Orthonormal frame with e_{n+k} = J e_k at a point.
+    """Orthonormal frames with e_{n+k} = J e_k at a batch of points.
 
-    Column A of ``E`` holds the coordinate components of the frame vector e_A,
-    so E^T g E = Id; ``g`` and ``J`` are the validated field values at
-    ``point`` it was built from.  ``pivots`` records which seed columns
-    survived each Gram-Schmidt step; displaced re-evaluations compare it to
-    detect a discontinuous frame field.  ``rotation`` is an optional constant
-    U(n) element applied on the right after orthogonalization.
+    Column A of ``E[...]`` holds the coordinate components of the frame
+    vector e_A, so E^T g E = Id; ``g`` and ``J`` are the validated field
+    values at ``point`` it was built from.  ``pivots[..., k]`` records which
+    seed column survived Gram-Schmidt step k; displaced re-evaluations
+    compare it point by point to detect a discontinuous frame field.
+    ``rotation`` is an optional constant U(n) element applied on the right
+    after orthogonalization.
     """
 
     point: np.ndarray
     E: np.ndarray
     g: np.ndarray
     J: np.ndarray
-    pivots: tuple = ()
+    pivots: np.ndarray = ()
     seed: np.ndarray | None = None
     rotation: np.ndarray | None = None
 
@@ -184,52 +250,60 @@ class AdaptedFrame:
         for name in ("point", "E", "g", "J", "seed", "rotation"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _readonly(getattr(self, name)))
+        pivots = np.array(self.pivots, dtype=np.intp)
+        pivots.flags.writeable = False
+        object.__setattr__(self, "pivots", pivots)
 
     @property
     def n(self) -> int:
-        return self.E.shape[0] // 2
+        return self.E.shape[-1] // 2
 
 
-def _gram_schmidt_adapted(g: np.ndarray, J: np.ndarray, seed: np.ndarray, n: int):
-    """Deterministic J-adapted Gram-Schmidt. Returns (E, consumed pivots)."""
+def _gram_schmidt_adapted(g: np.ndarray, J: np.ndarray, seed: np.ndarray, u: np.ndarray):
+    """Deterministic J-adapted Gram-Schmidt at every point. Returns (E, pivots).
+
+    Step k projects every seed column against the accepted vectors and takes,
+    at each point, the first still available column whose g-norm reaches
+    PIVOT_TOL.
+    """
+    dim = g.shape[-1]
+    n = dim // 2
+    batch = g.shape[:-2]
+    available = np.ones(batch + (dim,), dtype=bool)
+    E = np.empty(batch + (dim, dim))
+    pivots = np.empty(batch + (n,), dtype=np.intp)
     accepted: list[np.ndarray] = []
-    columns: list[np.ndarray] = []
-    available = list(range(2 * n))
-    pivots = []
-    for _ in range(n):
-        chosen = None
-        for idx in available:
-            v = seed[:, idx].astype(float)
-            # Two projection passes keep the g-orthogonality near machine
-            # precision without changing the deterministic pivot order.
-            for _pass in range(2):
-                for w in accepted:
-                    v = v - (v @ g @ w) * w
-            nrm = float(np.sqrt(max(v @ g @ v, 0.0)))
-            if nrm >= PIVOT_TOL:
-                chosen = (idx, v / nrm)
-                break
-        if chosen is None:
+    for k in range(n):
+        V = np.broadcast_to(seed, batch + (dim, dim))
+        # Two projection passes keep the g-orthogonality near machine
+        # precision without changing the deterministic pivot order.
+        for _pass in range(2):
+            for w in accepted:
+                coef = np.swapaxes(V, -1, -2) @ (g @ w[..., None])
+                V = V - w[..., :, None] * np.swapaxes(coef, -1, -2)
+        nrm = np.sqrt(np.maximum((V * (g @ V)).sum(axis=-2), 0.0))
+        usable = available & (nrm >= PIVOT_TOL)
+        stuck = first_index(~usable.any(axis=-1))
+        if stuck is not None:
             raise DegeneratePivot(
-                f"all {len(available)} remaining seed columns project below {PIVOT_TOL:g}"
+                f"all {dim - k} remaining seed columns project below {PIVOT_TOL:g} "
+                f"at {u[stuck].tolist()}"
             )
-        idx, e = chosen
-        available.remove(idx)
-        pivots.append(idx)
-        je = J @ e
+        idx = np.argmax(usable, axis=-1)[..., None]
+        e = np.take_along_axis(V, idx[..., None], axis=-1)[..., 0] / np.take_along_axis(nrm, idx, axis=-1)
+        je = (J @ e[..., None])[..., 0]
+        np.put_along_axis(available, idx, False, axis=-1)
+        pivots[..., k] = idx[..., 0]
+        E[..., :, k] = e
+        E[..., :, n + k] = je
         accepted.extend([e, je])
-        columns.append((e, je))
-    E = np.empty((2 * n, 2 * n))
-    for k, (e, je) in enumerate(columns):
-        E[:, k] = e
-        E[:, n + k] = je
-    return E, tuple(pivots)
+    return E, pivots
 
 
 def adapt_frame(
     patch: ManifoldPatch, point: np.ndarray, seed: np.ndarray | None = None
 ) -> AdaptedFrame:
-    """Build the J-adapted orthonormal frame at ``point``.
+    """Build the J-adapted orthonormal frame at every point of ``point`` (..., 2n).
 
     The construction is deterministic: identical inputs give a bitwise
     identical frame.  The default seed is the identity, so on a flat Kahler
@@ -240,11 +314,12 @@ def adapt_frame(
     seed_arr = np.eye(patch.dim) if seed is None else np.array(seed, dtype=float)
     if seed_arr.shape != (patch.dim, patch.dim):
         raise ValueError(f"seed must have shape ({patch.dim}, {patch.dim})")
-    E, pivots = _gram_schmidt_adapted(g, J, seed_arr, patch.n)
-    resid = float(np.abs(E.T @ g @ E - np.eye(patch.dim)).max())
-    if resid > FRAME_ORTHO_TOL:
+    E, pivots = _gram_schmidt_adapted(g, J, seed_arr, u)
+    resid = np.abs(np.swapaxes(E, -1, -2) @ g @ E - np.eye(patch.dim)).max(axis=(-2, -1))
+    bad = first_index(resid > FRAME_ORTHO_TOL)
+    if bad is not None:
         raise DegeneratePivot(
-            f"orthonormality residual {resid:.3e} after Gram-Schmidt; "
+            f"orthonormality residual {resid[bad]:.3e} after Gram-Schmidt at {u[bad].tolist()}; "
             "seed is too ill-conditioned for a reliable frame"
         )
     return AdaptedFrame(point=u, E=E, g=g, J=J, pivots=pivots, seed=None if seed is None else seed_arr)
@@ -265,17 +340,23 @@ def rotate_frame(frame: AdaptedFrame, U: np.ndarray) -> AdaptedFrame:
 
 
 def evaluate_frame_field(patch: ManifoldPatch, frame: AdaptedFrame, point: np.ndarray) -> np.ndarray:
-    """Evaluate the adapted frame field through ``frame`` at a nearby point.
+    """Evaluate the adapted frame field through ``frame`` at nearby points.
 
-    Re-runs the Gram-Schmidt sweep with the same seed (and trailing rotation)
-    and demands the same pivot sequence, so finite differences of the frame
-    field are differences of one smooth matrix-valued function.
+    ``point`` has the frame's batch axes, then any number of extra axes, then
+    2n.  Re-runs the Gram-Schmidt sweep with the same seed (and trailing
+    rotation) and demands, point by point, the pivot sequence of the frame it
+    came from, so finite differences of the frame field are differences of
+    one smooth matrix-valued function.
     """
     moved = adapt_frame(patch, point, seed=frame.seed)
-    if moved.pivots != frame.pivots:
+    extra = moved.pivots.ndim - frame.pivots.ndim
+    reference = frame.pivots.reshape(frame.pivots.shape[:-1] + (1,) * extra + (frame.n,))
+    reference = np.broadcast_to(reference, moved.pivots.shape)
+    changed = first_index(np.any(moved.pivots != reference, axis=-1))
+    if changed is not None:
         raise FrameDiscontinuity(
-            f"pivot sequence changed from {frame.pivots} to {moved.pivots} "
-            f"at {np.asarray(point).tolist()}"
+            f"pivot sequence changed from {tuple(reference[changed].tolist())} to "
+            f"{tuple(moved.pivots[changed].tolist())} at {moved.point[changed].tolist()}"
         )
     E = moved.E
     if frame.rotation is not None:
@@ -283,16 +364,27 @@ def evaluate_frame_field(patch: ManifoldPatch, frame: AdaptedFrame, point: np.nd
     return E
 
 
-def central_difference(f: FieldMap, u: np.ndarray, h: float) -> np.ndarray:
-    """D[c] = (f(u + h e_c) - f(u - h e_c)) / (2h): the package's one difference stencil."""
-    D = []
-    for c in range(u.shape[0]):
-        up = u.copy()
-        dn = u.copy()
-        up[c] += h
-        dn[c] -= h
-        D.append((np.asarray(f(up), dtype=float) - np.asarray(f(dn), dtype=float)) / (2.0 * h))
-    return np.array(D)
+def central_difference(f: FieldMap, u: np.ndarray, h: float, centre: bool = False):
+    """D[..., c, :] = (f(u + h e_c) - f(u - h e_c)) / (2h): the package's one difference stencil.
+
+    ``f`` is called once, on the (..., 2 dim, dim) stack of displaced points.
+    With ``centre`` the stack also holds u itself, in front, and the result
+    is the pair (f(u), D).
+    """
+    u = np.asarray(u, dtype=float)
+    dim = u.shape[-1]
+    shift = h * np.eye(dim)
+    stack = [u[..., None, :] + shift, u[..., None, :] - shift]
+    if centre:
+        stack.insert(0, u[..., None, :])
+    values = np.asarray(f(np.concatenate(stack, axis=-2)), dtype=float)
+    lead = (slice(None),) * (u.ndim - 1)
+    first = 1 if centre else 0
+    up = values[lead + (slice(first, first + dim),)]
+    down = values[lead + (slice(first + dim, first + 2 * dim),)]
+    D = up - down
+    D /= 2.0 * h
+    return (values[lead + (0,)], D) if centre else D
 
 
 def field_derivative(
@@ -300,52 +392,56 @@ def field_derivative(
     point: np.ndarray,
     which: str = "metric",
     step: float = DEFAULT_FD_STEP,
-    richardson: bool = False,
 ) -> np.ndarray:
-    """First derivatives D[c, a, b] = d_c (field)_{ab} of the metric or J field.
+    """First derivatives D[..., c, a, b] = d_c (field)_{ab} of the metric or J field.
 
     Uses the analytic jet when the patch provides one; otherwise symmetric
-    differences with the given step (O(step^2) accurate).  ``richardson``
-    combines steps h and h/2 into an O(step^4) estimate.
+    differences with the given step (O(step^2) accurate), from one field call
+    on the whole stencil.
     """
     if step <= 0.0:
         raise ValueError("step must be positive")
     if which == "metric":
-        fn, jet = patch.metric_field, patch.metric_jet
+        jet, name = patch.metric_jet, "metric_jet"
     elif which == "j":
-        fn, jet = patch.j_field, patch.j_jet
+        jet, name = patch.j_jet, "j_jet"
     else:
         raise ValueError("which must be 'metric' or 'j'")
     u = require_interior(patch, point, margin=step)
     if jet is not None:
-        return np.asarray(jet(u), dtype=float)
-    if richardson:
-        return (4.0 * central_difference(fn, u, step / 2.0) - central_difference(fn, u, step)) / 3.0
-    return central_difference(fn, u, step)
+        return _call_field(jet, u, name, 3)
+    return central_difference(lambda v: field_value(patch, v, which), u, step)
 
 
 def christoffel(
-    patch: ManifoldPatch, point: np.ndarray, step: float = DEFAULT_FD_STEP
+    patch: ManifoldPatch, point: np.ndarray, g: np.ndarray, step: float = DEFAULT_FD_STEP
 ) -> np.ndarray:
-    """Levi-Civita Christoffel symbols Gamma[c, a, b] = Gamma^c_{ab} at a point."""
+    """Levi-Civita Christoffel symbols Gamma[..., c, a, b] = Gamma^c_{ab} at the points.
+
+    ``g`` is the metric the caller already holds at ``point``; its condition
+    number is checked here, and only the metric derivatives are evaluated.
+    """
     u = require_interior(patch, point, margin=step)
-    g = np.asarray(patch.metric_field(u), dtype=float)
-    if np.linalg.cond(g) > METRIC_COND_LIMIT:
-        raise SingularMetric(f"metric condition number exceeds {METRIC_COND_LIMIT:g} at {u.tolist()}")
+    g = np.asarray(g, dtype=float)
+    cond = np.linalg.cond(g)
+    bad = first_index(cond > METRIC_COND_LIMIT)
+    if bad is not None:
+        raise SingularMetric(f"metric condition number exceeds {METRIC_COND_LIMIT:g} at {u[bad].tolist()}")
     gi = np.linalg.inv(g)
     dg = field_derivative(patch, u, which="metric", step=step)
-    return 0.5 * (
-        np.einsum("cd,adb->cab", gi, dg)
-        + np.einsum("cd,bda->cab", gi, dg)
-        - np.einsum("cd,dab->cab", gi, dg)
-    )
+    dim = g.shape[-1]
+    # T[d, a, b] = d_a g_{db} + d_b g_{da} - d_d g_{ab}, then Gamma^c_{ab} = 1/2 g^{cd} T[d, a, b]
+    X = np.swapaxes(dg, -3, -2)
+    T = X + np.swapaxes(X, -1, -2) - dg
+    Gamma = gi @ T.reshape(T.shape[:-3] + (dim, dim * dim))
+    return 0.5 * Gamma.reshape(Gamma.shape[:-1] + (dim, dim))
 
 
 @dataclass(frozen=True)
 class PointJet:
-    """What the certificate at one point reads: an adapted frame, with the g
-    and J it was built from, the J jet dJ[c, a, b] = d_c J^a_b and the
-    Christoffel symbols Gamma[c, a, b] = Gamma^c_{ab}.
+    """What the certificate at a batch of points reads: adapted frames, with
+    the g and J they were built from, the J jet dJ[..., c, a, b] = d_c J^a_b
+    and the Christoffel symbols Gamma[..., c, a, b] = Gamma^c_{ab}.
     """
 
     frame: AdaptedFrame
@@ -362,16 +458,18 @@ class PointJet:
 
 
 def point_jet(patch: ManifoldPatch, point: np.ndarray, step: float = DEFAULT_FD_STEP) -> PointJet:
-    """Evaluate the fields and their first derivatives at ``point``, once.
+    """Evaluate the fields and their first derivatives at the points, once.
 
-    The frame validates g and J, ``step`` is the stencil of the J jet and of
-    the metric derivatives, and the point must lie 2 step inside the patch.
+    ``point`` is one point (2n,) or a batch (..., 2n).  The frame validates g
+    and J, ``step`` is the stencil of the J jet and of the metric
+    derivatives, and every point must lie 2 step inside the patch.
     """
     u = require_interior(patch, point, margin=2.0 * step)
+    frame = adapt_frame(patch, u)
     return PointJet(
-        frame=adapt_frame(patch, u),
+        frame=frame,
         dJ=field_derivative(patch, u, which="j", step=step),
-        Gamma=christoffel(patch, u, step=step),
+        Gamma=christoffel(patch, u, frame.g, step=step),
     )
 
 

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import CrossPathMismatch
-from .geometry import ManifoldPatch, PointJet, j0_matrix
+from .geometry import ManifoldPatch, PointJet, field_value, first_index, j0_matrix
 
 if TYPE_CHECKING:
     from .twistorform import StructureCoefficients
@@ -34,7 +34,7 @@ ROUTE_REL_TOL = 1e-6
 
 @dataclass(frozen=True)
 class NijenhuisTensor:
-    """Coordinate components N^c_{ab} and frame components Nf^C_{AB} at a point."""
+    """Coordinate components N^c_{ab} and frame components Nf^C_{AB}, per point."""
 
     coord: np.ndarray
     frame: np.ndarray
@@ -48,28 +48,40 @@ class NijenhuisTensor:
 
 
 def nijenhuis_coordinates(J: np.ndarray, dJ: np.ndarray) -> np.ndarray:
-    """Coordinate components N[c, a, b] = N(d_a, d_b)^c from J and its jet.
+    """Coordinate components N[..., c, a, b] = N(d_a, d_b)^c from J and its jet.
 
-    ``J`` is the field value and ``dJ[c, a, b] = d_c J^a_b`` its first
-    derivatives at one point.  Coordinate fields have vanishing mutual
-    brackets, so the four brackets in the definition collapse to contractions
-    of J with dJ.  The metric never enters, which keeps this route
-    independent of the connection machinery.
+    ``J[..., a, b]`` is the field value and ``dJ[..., c, a, b] = d_c J^a_b``
+    its first derivatives at each point.  Coordinate fields have vanishing
+    mutual brackets, so the four brackets in the definition collapse to
+    contractions of J with dJ.  The metric never enters, which keeps this
+    route independent of the connection machinery.
     """
-    return (
-        np.einsum("da,dcb->cab", J, dJ)
-        - np.einsum("db,dca->cab", J, dJ)
-        + np.einsum("ce,bea->cab", J, dJ)
-        - np.einsum("ce,aeb->cab", J, dJ)
-    )
+    J = np.asarray(J, dtype=float)
+    dJ = np.asarray(dJ, dtype=float)
+    dim = J.shape[-1]
+    flat = dJ.shape[:-3] + (dim, dim * dim)
+    # X[c, a, b] = sum_d J^d_a d_d J^c_b
+    X = np.swapaxes((np.swapaxes(J, -1, -2) @ dJ.reshape(flat)).reshape(dJ.shape), -3, -2)
+    # Z[c, a, b] = sum_e J^c_e d_a J^e_b
+    Z = (J @ np.swapaxes(dJ, -3, -2).reshape(flat)).reshape(dJ.shape)
+    N = X - np.swapaxes(X, -1, -2)
+    N += np.swapaxes(Z, -1, -2)
+    N -= Z
+    return N
 
 
 def frame_components_from_coordinates(
     coord: np.ndarray, E: np.ndarray, g: np.ndarray
 ) -> np.ndarray:
-    """Convert N^c_{ab} to frame components using E^{-1} = E^T g."""
-    Einv = E.T @ g
-    return np.einsum("Cc,cab,aA,bB->CAB", Einv, coord, E, E)
+    """Convert N^c_{ab} to frame components using E^{-1} = E^T g.
+
+    Nf[C, A, B] = (E^-1)_{Cc} (E^T N^c E)_{AB}, as two fixed pairwise
+    contractions of cost O(dim^4) per point.
+    """
+    dim = E.shape[-1]
+    Einv = np.swapaxes(E, -1, -2) @ g
+    upper = (Einv @ coord.reshape(coord.shape[:-3] + (dim, dim * dim))).reshape(coord.shape)
+    return np.swapaxes(E, -1, -2)[..., None, :, :] @ upper @ E[..., None, :, :]
 
 
 def nijenhuis_frame(coeffs: "StructureCoefficients") -> np.ndarray:
@@ -81,26 +93,27 @@ def nijenhuis_frame(coeffs: "StructureCoefficients") -> np.ndarray:
     """
     d = np.asarray(coeffs.d, dtype=float)
     dp = np.asarray(coeffs.dp, dtype=float)
-    n = d.shape[0]
+    n = d.shape[-1]
     J0 = j0_matrix(n)
     # V[C, i, j] = components of N(e_i, e_j)
-    V = np.concatenate([d.transpose(2, 0, 1), -dp.transpose(2, 0, 1)], axis=0)
-    mJ0V = np.einsum("CD,Dij->Cij", -J0, V)
-    Nf = np.empty((2 * n, 2 * n, 2 * n))
-    Nf[:, :n, :n] = V
-    Nf[:, n:, :n] = mJ0V  # N(J e_i, e_j) = -J N(e_i, e_j)
-    Nf[:, :n, n:] = mJ0V  # N(e_i, J e_j) = -J N(e_i, e_j)
-    Nf[:, n:, n:] = -V  # N(J e_i, J e_j) = -N(e_i, e_j)
+    V = np.concatenate([np.moveaxis(d, -1, -3), -np.moveaxis(dp, -1, -3)], axis=-3)
+    mJ0V = (-J0 @ V.reshape(V.shape[:-3] + (2 * n, n * n))).reshape(V.shape)
+    Nf = np.empty(V.shape[:-3] + (2 * n, 2 * n, 2 * n))
+    Nf[..., :, :n, :n] = V
+    Nf[..., :, n:, :n] = mJ0V  # N(J e_i, e_j) = -J N(e_i, e_j)
+    Nf[..., :, :n, n:] = mJ0V  # N(e_i, J e_j) = -J N(e_i, e_j)
+    Nf[..., :, n:, n:] = -V  # N(J e_i, J e_j) = -N(e_i, e_j)
     return Nf
 
 
 def nijenhuis_tensor(jet: PointJet, coeffs: "StructureCoefficients | None" = None) -> NijenhuisTensor:
-    """Nijenhuis tensor at the jet's point, with frame components cross-checked.
+    """Nijenhuis tensor at the jet's points, with frame components cross-checked.
 
     The coordinate components come from the jet's J and dJ and change to the
     jet's frame.  When ``coeffs`` is given, the frame components come from
-    the connection route and must agree with that frame change to relative
-    ``ROUTE_REL_TOL``; disagreement raises CrossPathMismatch.
+    the connection route and must agree with that frame change, at every
+    point, to relative ``ROUTE_REL_TOL``; disagreement raises
+    CrossPathMismatch naming the first such point.
     """
     frame = jet.frame
     coord = nijenhuis_coordinates(frame.J, jet.dJ)
@@ -109,21 +122,24 @@ def nijenhuis_tensor(jet: PointJet, coeffs: "StructureCoefficients | None" = Non
         framec = converted
     else:
         framec = nijenhuis_frame(coeffs)
-        scale = max(1.0, float(np.abs(converted).max()))
-        resid = float(np.abs(framec - converted).max())
-        if resid > ROUTE_REL_TOL * scale:
+        scale = np.maximum(1.0, np.abs(converted).max(axis=(-3, -2, -1)))
+        resid = np.abs(framec - converted).max(axis=(-3, -2, -1))
+        bad = first_index(resid > ROUTE_REL_TOL * scale)
+        if bad is not None:
             raise CrossPathMismatch(
                 f"frame components from connection coefficients differ from the "
-                f"coordinate route by {resid:.3e} (scale {scale:.3e})"
+                f"coordinate route by {resid[bad]:.3e} (scale {scale[bad]:.3e}) "
+                f"at {frame.point[bad].tolist()}"
             )
     return NijenhuisTensor(coord=coord, frame=framec, point=frame.point)
 
 
 def norm_from_coefficients(coeffs: "StructureCoefficients") -> float:
-    """Squared Nijenhuis norm 4 sum_{i,j,k} (d_ijk^2 + d'_ijk^2)."""
+    """Squared Nijenhuis norm 4 sum_{i,j,k} (d_ijk^2 + d'_ijk^2), per point."""
     d = np.asarray(coeffs.d, dtype=float)
     dp = np.asarray(coeffs.dp, dtype=float)
-    return 4.0 * float((d**2).sum() + (dp**2).sum())
+    axes = (-3, -2, -1)
+    return 4.0 * ((d**2).sum(axis=axes) + (dp**2).sum(axis=axes))
 
 
 def nijenhuis_norm(
@@ -131,27 +147,32 @@ def nijenhuis_norm(
     coeffs: "StructureCoefficients | None" = None,
     rel_tol: float = ROUTE_REL_TOL,
 ) -> float:
-    """Squared norm |N|^2 = sum_{A,B} |N(e_A, e_B)|^2 in frame components.
+    """Squared norm |N|^2 = sum_{A,B} |N(e_A, e_B)|^2 in frame components, per point.
 
     With ``coeffs`` supplied the value is additionally checked against
-    4 sum (d^2 + d'^2) and against 4 sum_{i,j<=n} |N(e_i, e_j)|^2; a mismatch
-    raises CrossPathMismatch, the signature of a convention bug.
+    4 sum (d^2 + d'^2) and against 4 sum_{i,j<=n} |N(e_i, e_j)|^2 at every
+    point; a mismatch raises CrossPathMismatch, the signature of a
+    convention bug.
     """
     Nf = tensor.frame
-    n = Nf.shape[0] // 2
-    total = float((Nf**2).sum())
-    quarter = 4.0 * float((Nf[:, :n, :n] ** 2).sum())
-    if abs(total - quarter) > rel_tol * max(1.0, total):
+    n = Nf.shape[-1] // 2
+    axes = (-3, -2, -1)
+    total = (Nf**2).sum(axis=axes)
+    quarter = 4.0 * (Nf[..., :, :n, :n] ** 2).sum(axis=axes)
+    bound = rel_tol * np.maximum(1.0, total)
+    bad = first_index(np.abs(total - quarter) > bound)
+    if bad is not None:
         raise CrossPathMismatch(
-            f"|N|^2 = {total:.12e} but 4 sum_(i,j<=n) gives {quarter:.12e}; "
-            "the J-symmetry bookkeeping is broken"
+            f"|N|^2 = {total[bad]:.12e} but 4 sum_(i,j<=n) gives {quarter[bad]:.12e} "
+            f"at {tensor.point[bad].tolist()}; the J-symmetry bookkeeping is broken"
         )
     if coeffs is not None:
         via_d = norm_from_coefficients(coeffs)
-        if abs(total - via_d) > rel_tol * max(1.0, total):
+        bad = first_index(np.abs(total - via_d) > bound)
+        if bad is not None:
             raise CrossPathMismatch(
-                f"|N|^2 = {total:.12e} from frame components but {via_d:.12e} "
-                "from 4 sum (d^2 + d'^2)"
+                f"|N|^2 = {total[bad]:.12e} from frame components but {via_d[bad]:.12e} "
+                f"from 4 sum (d^2 + d'^2) at {tensor.point[bad].tolist()}"
             )
     return total
 
@@ -178,9 +199,12 @@ def symmetry_residuals(
     which makes this the designated negative control.
     """
     N = tensor.coord
-    J = np.asarray(patch.j_field(np.asarray(point, dtype=float)), dtype=float)
-    anti = float(np.abs(N + N.transpose(0, 2, 1)).max())
-    jn = np.einsum("ce,eab->cab", J, N)
-    first = float(np.abs(np.einsum("da,cdb->cab", J, N) + jn).max())
-    second = float(np.abs(np.einsum("db,cad->cab", J, N) + jn).max())
+    J = field_value(patch, point, "j")
+    dim = J.shape[-1]
+    anti = float(np.abs(N + np.swapaxes(N, -1, -2)).max())
+    # jn[c, a, b] = J^c_e N^e_{ab}
+    jn = (J @ N.reshape(N.shape[:-3] + (dim, dim * dim))).reshape(N.shape)
+    # first slot: J^d_a N^c_{db}; second slot: N^c_{ad} J^d_b
+    first = float(np.abs(np.swapaxes(J, -1, -2)[..., None, :, :] @ N + jn).max())
+    second = float(np.abs(N @ J[..., None, :, :] + jn).max())
     return SymmetryResiduals(antisymmetry=anti, j_first_slot=first, j_second_slot=second)

@@ -35,6 +35,7 @@ from .geometry import (
     ManifoldPatch,
     PointJet,
     adapt_frame,
+    first_index,
     j0_matrix,
     require_interior,
 )
@@ -68,7 +69,7 @@ def critical_constant(n: int) -> float:
 
 @dataclass(frozen=True)
 class AlphaBetaTable:
-    """alpha[i, j, A] = alpha_ij(e_A) and beta[i, j, A] = beta_ij(e_A)."""
+    """alpha[..., i, j, A] = alpha_ij(e_A) and beta[..., i, j, A] = beta_ij(e_A)."""
 
     alpha: np.ndarray
     beta: np.ndarray
@@ -81,11 +82,11 @@ class AlphaBetaTable:
 
     @property
     def n(self) -> int:
-        return self.alpha.shape[0]
+        return self.alpha.shape[-3]
 
     def antisymmetry_residual(self) -> float:
-        ra = np.abs(self.alpha + self.alpha.transpose(1, 0, 2)).max()
-        rb = np.abs(self.beta + self.beta.transpose(1, 0, 2)).max()
+        ra = np.abs(self.alpha + np.swapaxes(self.alpha, -3, -2)).max()
+        rb = np.abs(self.beta + np.swapaxes(self.beta, -3, -2)).max()
         return float(max(ra, rb))
 
 
@@ -107,12 +108,12 @@ class StructureCoefficients:
 
     @property
     def n(self) -> int:
-        return self.C.shape[0]
+        return self.C.shape[-3]
 
 
 @dataclass(frozen=True)
 class TwistorFormMatrix:
-    """Frame matrix F[A, B] = phi(e_A, e_B) of the pulled-back 2-form."""
+    """Frame matrices F[..., A, B] = phi(e_A, e_B) of the pulled-back 2-form."""
 
     F: np.ndarray
     point: np.ndarray | None = None
@@ -128,29 +129,32 @@ class TwistorFormMatrix:
 
     @property
     def n(self) -> int:
-        return self.F.shape[0] // 2
+        return self.F.shape[-1] // 2
 
     def skewness_residual(self) -> float:
-        return float(np.abs(self.F + self.F.T).max())
+        return float(np.abs(self.F + np.swapaxes(self.F, -1, -2)).max())
 
 
 def alpha_beta(table: ConnectionTable) -> AlphaBetaTable:
     """Read the alpha/beta tables off a connection table by index bookkeeping."""
     om = table.omega
     n = table.n
-    alpha = om[:n, n:, :] + om[n:, :n, :]
-    beta = om[n:, n:, :] - om[:n, :n, :]
+    alpha = om[..., :n, n:, :] + om[..., n:, :n, :]
+    beta = om[..., n:, n:, :] - om[..., :n, :n, :]
     return AlphaBetaTable(alpha=alpha, beta=beta)
 
 
 def structure_coefficients(ab: AlphaBetaTable) -> StructureCoefficients:
     """Assemble C, C', d, d' and the row norms A_ij from an alpha/beta table."""
     n = ab.n
-    C = np.einsum("jki->ijk", ab.alpha[:, :, n:]) + np.einsum("jki->ijk", ab.beta[:, :, :n])
-    Cp = np.einsum("jki->ijk", ab.alpha[:, :, :n]) - np.einsum("jki->ijk", ab.beta[:, :, n:])
-    d = C - C.transpose(1, 0, 2)
-    dp = Cp - Cp.transpose(1, 0, 2)
-    Arow = np.sqrt(np.einsum("kij->ij", C**2) + np.einsum("kij->ij", Cp**2))
+    # [j, k, i] -> [i, j, k]
+    alpha = np.moveaxis(ab.alpha, -1, -3)
+    beta = np.moveaxis(ab.beta, -1, -3)
+    C = alpha[..., n:, :, :] + beta[..., :n, :, :]
+    Cp = alpha[..., :n, :, :] - beta[..., n:, :, :]
+    d = C - np.swapaxes(C, -3, -2)
+    dp = Cp - np.swapaxes(Cp, -3, -2)
+    Arow = np.sqrt((C**2).sum(axis=-3) + (Cp**2).sum(axis=-3))
     return StructureCoefficients(C=C, Cp=Cp, d=d, dp=dp, Arow=Arow)
 
 
@@ -163,8 +167,9 @@ def phi_matrix(ab: AlphaBetaTable, point: np.ndarray | None = None) -> TwistorFo
     reproduces phi(e_i, e_{i+n}) = 1 on a flat patch.
     """
     n = ab.n
-    S = np.einsum("ijA,ijB->AB", ab.alpha, ab.beta)
-    F = 0.5 * (S - S.T) - j0_matrix(n)
+    pairs = ab.alpha.shape[:-3] + (n * n, 2 * n)
+    S = np.swapaxes(ab.alpha.reshape(pairs), -1, -2) @ ab.beta.reshape(pairs)
+    F = 0.5 * (S - np.swapaxes(S, -1, -2)) - j0_matrix(n)
     return TwistorFormMatrix(F=F, point=point)
 
 
@@ -182,11 +187,15 @@ def phi_via_bundle_formula(
     Mathematically identical to ``phi_matrix``; computed through disjoint
     index paths so the pair acts as a bookkeeping oracle.
     """
-    om = table.omega
     J0 = j0_matrix(table.n)
-    P = np.einsum("xz,zyA->xyA", J0, om) - np.einsum("xzA,zy->xyA", om, J0)
-    Q = om + np.einsum("xz,zwA,wy->xyA", J0, om, J0)
-    F = -0.25 * np.einsum("xyA,yxB->AB", P, Q) - J0
+    dim = 2 * table.n
+    w = np.moveaxis(table.omega, -1, -3)  # w[..., A] is the matrix omega(e_A)
+    P = J0 @ w - w @ J0
+    Q = w + J0 @ w @ J0
+    # tr(P_A Q_B) = sum_xy P_A[x, y] Q_B[y, x]
+    rows = w.shape[:-2] + (dim * dim,)
+    trace = P.reshape(rows) @ np.swapaxes(np.swapaxes(Q, -1, -2).reshape(rows), -1, -2)
+    F = -0.25 * trace - J0
     return TwistorFormMatrix(F=F, point=point)
 
 
@@ -202,10 +211,10 @@ def margin(F) -> float:
     part of F J0.
     """
     Fm = _form_matrix(F)
-    n = Fm.shape[0] // 2
+    n = Fm.shape[-1] // 2
     M = Fm @ j0_matrix(n)
-    M = 0.5 * (M + M.T)
-    return float(np.linalg.eigvalsh(M).min())
+    M = 0.5 * (M + np.swapaxes(M, -1, -2))
+    return np.linalg.eigvalsh(M).min(axis=-1)
 
 
 def _pfaffian(A: np.ndarray) -> float:
@@ -237,7 +246,7 @@ def nondegenerate(
     threshold: float = NONDEGENERACY_THRESHOLD,
     zero_floor: float = ZERO_FORM_FLOOR,
 ) -> tuple:
-    """(non-degenerate?, sign of the Pfaffian) for a skew frame matrix.
+    """(non-degenerate?, sign of the Pfaffian) for skew frame matrices (..., 2n, 2n).
 
     The determinant is compared against threshold * scale^{2n} with
     scale = max |F_{AB}|, separating finite-difference noise from a genuine
@@ -246,25 +255,26 @@ def nondegenerate(
     matrix survives a frame rotation) and classifies as degenerate.  The sign
     is computed in the interleaved basis (e_1, J e_1, e_2, J e_2, ...), the
     orientation in which the flat form -J0 is the reference block form with
-    sign +1.
+    sign +1; the Pfaffian runs only at the points that pass the determinant
+    test.
     """
     Fm = _form_matrix(F)
-    dim = Fm.shape[0]
+    dim = Fm.shape[-1]
     n = dim // 2
-    scale = float(np.abs(Fm).max())
-    if scale <= zero_floor:
-        return False, 0
-    det = float(np.linalg.det(Fm))
-    if abs(det) <= threshold * scale**dim:
-        return False, 0
+    scale = np.abs(Fm).max(axis=(-2, -1))
+    det = np.linalg.det(Fm)
+    nondeg = (scale > zero_floor) & (np.abs(det) > threshold * scale**dim)
     interleave = np.arange(dim).reshape(2, n).T.ravel()
-    pf = _pfaffian(Fm[np.ix_(interleave, interleave)])
-    return True, (1 if pf > 0 else -1 if pf < 0 else 0)
+    sign = np.zeros(nondeg.shape, dtype=int)
+    for idx in np.ndindex(nondeg.shape):
+        if nondeg[idx]:
+            sign[idx] = np.sign(_pfaffian(Fm[idx][np.ix_(interleave, interleave)]))
+    return nondeg, sign[()]
 
 
 @dataclass(frozen=True)
 class ChainChecks:
-    """Outcome of the four inequalities certified at a point.
+    """Outcome of the four inequalities certified at each point (one boolean per point).
 
     a: margin >= 1 - 1/4 sum A^2
     b: sum C^2 <= 5/4 sum d^2 and primed (n >= 3), or the n = 2 equalities
@@ -280,21 +290,27 @@ class ChainChecks:
 
     @property
     def all_ok(self) -> bool:
-        return self.a and self.b and self.c and self.d
+        return self.a & self.b & self.c & self.d
 
     def to_dict(self) -> dict:
-        return {"a": self.a, "b": self.b, "c": self.c, "d": self.d}
+        """The four booleans of a single point."""
+        return {name: bool(getattr(self, name)) for name in "abcd"}
 
-    def first_failure(self) -> str | None:
+    def first_failure(self, index: tuple = ()) -> str | None:
+        """Name of the first failed inequality at the point ``index`` of the batch."""
         for name in "abcd":
-            if not getattr(self, name):
+            if not np.asarray(getattr(self, name))[index]:
                 return name
         return None
 
 
 @dataclass(frozen=True)
 class TheoremReport:
-    """Every quantity of the non-degeneracy certificate at one point."""
+    """Every quantity of the non-degeneracy certificate, one value per point.
+
+    For a single point the fields are scalars; for a batch of points of
+    shape S they are arrays of shape S (``sigma`` of shape S + (2n,) * 3).
+    """
 
     point: np.ndarray
     n: int
@@ -317,65 +333,71 @@ class TheoremReport:
         object.__setattr__(self, "point", p)
 
 
+def _total(a: np.ndarray) -> np.ndarray:
+    """Sum of the squares of a per-point tensor [..., i, j, k]."""
+    return (a**2).sum(axis=(-3, -2, -1))
+
+
 def theorem_report(jet: PointJet, tol: float = CHAIN_TOL, strict: bool = False) -> TheoremReport:
-    """Run the full pipeline at the jet's point and certify the bound chain.
+    """Run the full pipeline at the jet's points and certify the bound chain.
 
     The jet's dJ feeds both the sigma table (``nabla_j_connection``, kept as
     ``sigma`` in the report) and the coordinate Nijenhuis route; nothing here
-    evaluates a field.
+    evaluates a field.  Every quantity is computed for the whole batch at
+    once, and each point's values are those of the point computed alone.
 
-    With ``strict`` the first failed inequality raises ChainViolation; the
-    default returns the report with per-inequality booleans so sweeps can
-    count violations.  A violation on valid input is a bug detector, never an
-    expected outcome.
+    With ``strict`` the first failed inequality (at the first failing point)
+    raises ChainViolation; the default returns the report with
+    per-inequality booleans so sweeps can count violations.  A violation on
+    valid input is a bug detector, never an expected outcome.
     """
     u = jet.frame.point
     n = jet.frame.n
     table = nabla_j_connection(jet)
     ab = alpha_beta(table)
     coeffs = structure_coefficients(ab)
-    tensor = nijenhuis_tensor(jet, coeffs)
-    normN2 = nijenhuis_norm(tensor, coeffs)
-    n_route_mismatch = abs(normN2 - norm_from_coefficients(coeffs)) / max(1.0, normN2)
+    normN2 = nijenhuis_norm(nijenhuis_tensor(jet, coeffs), coeffs)
+    n_route_mismatch = np.abs(normN2 - norm_from_coefficients(coeffs)) / np.maximum(1.0, normN2)
 
     F1 = phi_matrix(ab, point=u)
     F2 = phi_via_bundle_formula(table, point=u)
-    phi_mismatch = float(np.abs(F1.F - F2.F).max())
+    phi_mismatch = np.abs(F1.F - F2.F).max(axis=(-2, -1))
     mrg = margin(F1)
     nondeg, pf_sign = nondegenerate(F1)
-    det_F = float(np.linalg.det(F1.F))
+    det_F = np.linalg.det(F1.F)
 
-    sumA2 = float((coeffs.Arow**2).sum())
+    sumA2 = (coeffs.Arow**2).sum(axis=(-2, -1))
     bound_quarterA = 1.0 - 0.25 * sumA2
     c0 = critical_constant(n)
     factor = 5.0 / 64.0 if n >= 3 else 1.0 / 16.0
     bound_paper = 1.0 - factor * normN2
 
-    sum_c2 = float((coeffs.C**2).sum())
-    sum_cp2 = float((coeffs.Cp**2).sum())
-    sum_d2 = float((coeffs.d**2).sum())
-    sum_dp2 = float((coeffs.dp**2).sum())
+    sum_c2 = _total(coeffs.C)
+    sum_cp2 = _total(coeffs.Cp)
+    sum_d2 = _total(coeffs.d)
+    sum_dp2 = _total(coeffs.dp)
     ok_a = mrg >= bound_quarterA - tol
     if n >= 3:
-        ok_b = (sum_c2 <= 1.25 * sum_d2 + tol) and (sum_cp2 <= 1.25 * sum_dp2 + tol)
+        ok_b = (sum_c2 <= 1.25 * sum_d2 + tol) & (sum_cp2 <= 1.25 * sum_dp2 + tol)
     else:
-        two_diag = 2.0 * float(coeffs.d[0, 1, 0] ** 2 + coeffs.d[1, 0, 1] ** 2)
-        two_diag_p = 2.0 * float(coeffs.dp[0, 1, 0] ** 2 + coeffs.dp[1, 0, 1] ** 2)
+        two_diag = 2.0 * (coeffs.d[..., 0, 1, 0] ** 2 + coeffs.d[..., 1, 0, 1] ** 2)
+        two_diag_p = 2.0 * (coeffs.dp[..., 0, 1, 0] ** 2 + coeffs.dp[..., 1, 0, 1] ** 2)
         ok_b = (
-            abs(sum_c2 - sum_d2) <= tol
-            and abs(sum_c2 - two_diag) <= tol
-            and abs(sum_cp2 - sum_dp2) <= tol
-            and abs(sum_cp2 - two_diag_p) <= tol
+            (np.abs(sum_c2 - sum_d2) <= tol)
+            & (np.abs(sum_c2 - two_diag) <= tol)
+            & (np.abs(sum_cp2 - sum_dp2) <= tol)
+            & (np.abs(sum_cp2 - two_diag_p) <= tol)
         )
     ok_c = bound_quarterA >= bound_paper - tol
-    ok_d = (normN2 >= c0) or nondeg
+    ok_d = (normN2 >= c0) | nondeg
     chain = ChainChecks(a=ok_a, b=ok_b, c=ok_c, d=ok_d)
 
-    if strict and not chain.all_ok:
+    bad = first_index(~chain.all_ok) if strict else None
+    if bad is not None:
         raise ChainViolation(
-            f"inequality ({chain.first_failure()}) failed at {u.tolist()}: "
-            f"margin={mrg:.12g} quarterA={bound_quarterA:.12g} "
-            f"paper={bound_paper:.12g} normN2={normN2:.12g} nondeg={nondeg}"
+            f"inequality ({chain.first_failure(bad)}) failed at {u[bad].tolist()}: "
+            f"margin={mrg[bad]:.12g} quarterA={bound_quarterA[bad]:.12g} "
+            f"paper={bound_paper[bad]:.12g} normN2={normN2[bad]:.12g} nondeg={bool(nondeg[bad])}"
         )
     return TheoremReport(
         point=u,
@@ -424,13 +446,12 @@ def chern_identity_residual(
         w0 = coordinate_connection(patch, frame, step=inner_step)
         block = connection_derivative(patch, frame, w0, step, inner_step)
     w0, dw = block
-    dim = patch.dim
     # sum_i d omega_{i,i+n}(d_a, d_b)
-    dsum = np.zeros((dim, dim))
-    for i in range(n):
-        dsum += dw[:, i, n + i, :] - dw[:, i, n + i, :].T
-    table = ConnectionTable(omega=np.einsum("ABa,aC->ABC", w0, frame.E))
+    diagonal = np.arange(n)
+    dsum = dw[..., diagonal, n + diagonal, :].sum(axis=-2)
+    dsum = dsum - np.swapaxes(dsum, -1, -2)
+    table = ConnectionTable(omega=w0 @ frame.E[..., None, :, :])
     F = phi_matrix(alpha_beta(table)).F
     T = frame.g @ frame.E  # theta_A(d_a) = T[a, A]
-    phi_coord = T @ F @ T.T
-    return float(np.abs(dsum + phi_coord).max())
+    phi_coord = T @ F @ np.swapaxes(T, -1, -2)
+    return np.abs(dsum + phi_coord).max(axis=(-2, -1))

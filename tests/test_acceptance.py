@@ -211,7 +211,7 @@ def test_criterion_7_perturbation_scaling():
 def test_criterion_8_negative_controls():
     with Criterion(8, "negative controls must fail their checks", 30.0) as c:
         # corrupted J: the J-slot symmetries of N must degrade visibly
-        from twistorcheck import ManifoldPatch
+        from twistorcheck import ManifoldPatch, pointwise
         from twistorcheck.nijenhuis import NijenhuisTensor, nijenhuis_coordinates
 
         bad_j = j0_matrix(3)
@@ -220,8 +220,8 @@ def test_criterion_8_negative_controls():
         patch = ManifoldPatch(
             n=3,
             domain=np.array([(-1.0, 1.0)] * 6),
-            metric_field=lambda u: np.eye(6),
-            j_field=lambda u: bad_j * (1.0 + 0.1 * u[0]),
+            metric_field=pointwise(lambda u: np.eye(6)),
+            j_field=pointwise(lambda u: bad_j * (1.0 + 0.1 * u[0])),
             label="corrupted",
         )
         u = np.array([0.3, 0.1, -0.2, 0.0, 0.1, -0.1])

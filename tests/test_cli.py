@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from twistorcheck import algebra, catalog, cli
+from twistorcheck import algebra, catalog, cli, point_jet, theorem_report
 from twistorcheck.cli import geometry_checks, main
 from twistorcheck.connection import (
     curvature_forms,
@@ -374,24 +374,26 @@ def test_geometry_checks_block_at_another_fd_step():
 
 def test_geometry_point_evaluates_j_within_budget():
     # Rebuilding the frame and the d omega block for every check of one nk-s6
-    # point with 4 rotations evaluated J 939 times; sharing them needed 571,
-    # and reading sigma off nabla J 258.  With one point jet that the five
-    # reports share, and the connection slices reused as the base of the
-    # d omega block, it takes 193: 1 frame, a 12-point J stencil, 12 + 12
-    # stencil frames (connection, coframe) and 12 x 13 in the d omega block.
-    # The budget is that count plus 1 %.
+    # point with 4 rotations evaluated J at 939 points; sharing them needed
+    # 571, reading sigma off nabla J 258, and one point jet per point 193:
+    # 1 frame, a 12-point J stencil, 12 + 12 stencil frames (connection,
+    # coframe) and 12 x 13 in the d omega block.  Each of those five groups
+    # is now one batched call of J.  The budgets are the measured counts
+    # plus at most 1 %.
     entry = catalog.resolve("nk-s6")
     j_field = entry.patch.j_field
-    calls = 0
+    calls = points = 0
 
     def counting(u):
-        nonlocal calls
+        nonlocal calls, points
         calls += 1
+        points += u[..., 0].size
         return j_field(u)
 
     counted = dataclasses.replace(entry, patch=dataclasses.replace(entry.patch, j_field=counting))
     assert geometry_checks(counted, points=1, seed=0, rotations=4, fd_step=1e-5)["all_pass"]
-    assert calls <= 194
+    assert calls <= 5
+    assert points <= 194
 
 
 @pytest.mark.parametrize("manifold", [entry.id for entry in catalog.default_entries()])
@@ -412,3 +414,55 @@ def test_verify_geometry_connection_route_negative_control(monkeypatch, tmp_path
     assert run_cli(argv + ["--out", str(out)]) == 1
     slot = json.loads(out.read_text())["checks"]["connection_route_equivalence"]
     assert slot["pass"] is False and slot["max_residual"] > 1e-3
+
+
+def test_scan_rows_equal_single_point_reports():
+    """Every nk-s6 grid-2 row is bitwise the report of its point computed alone."""
+    entry = catalog.resolve("nk-s6")
+    rows = cli.scan_rows(entry, 2, 1e-5, 1e-6)
+    points = catalog.grid_points(entry.patch, 2)
+    assert len(rows) == len(points) == 64
+    for row, u in zip(rows, points):
+        rep = theorem_report(point_jet(entry.patch, u))
+        assert row["point"] == u.tolist()
+        assert row["normN2"] == rep.normN2
+        assert row["margin"] == rep.margin
+        assert row["bound_paper"] == rep.bound_paper
+        assert row["chain_ok"] == bool(rep.chain_ok.all_ok)
+        assert row["nondegenerate"] == bool(rep.nondegenerate)
+
+
+def test_scan_rows_do_not_depend_on_the_chunk():
+    """Rows on both sides of each chunk boundary equal the point computed alone."""
+    entry = catalog.resolve("nk-s6")
+    rows = cli.scan_rows(entry, 3, 1e-5, 1e-6)
+    points = catalog.grid_points(entry.patch, 3)
+    assert len(rows) == 729 > 2 * cli.SCAN_CHUNK
+    edges = [k * cli.SCAN_CHUNK for k in range(1, 3)]
+    for i in [0, len(points) - 1] + [e + d for e in edges for d in (-1, 0)]:
+        rep = theorem_report(point_jet(entry.patch, points[i]))
+        assert (rows[i]["normN2"], rows[i]["margin"], rows[i]["bound_paper"]) == (
+            rep.normN2, rep.margin, rep.bound_paper
+        ), f"row {i}"
+        assert rows[i]["chain_ok"] == bool(rep.chain_ok.all_ok)
+        assert rows[i]["nondegenerate"] == bool(rep.nondegenerate)
+
+
+def test_scan_names_the_one_point_that_breaks_j(monkeypatch, capsys):
+    """J^2 = -Id fails at one grid point only: scan exits 2 naming that point."""
+    entry = catalog.resolve("nk-s6")
+    bad = catalog.grid_points(entry.patch, 2)[37]
+    j_field = entry.patch.j_field
+
+    def broken(u):
+        J = np.array(j_field(u))
+        J[np.all(u == bad, axis=-1)] *= 1.001
+        return J
+
+    doctored = dataclasses.replace(entry, patch=dataclasses.replace(entry.patch, j_field=broken))
+    monkeypatch.setattr(catalog, "resolve", lambda manifold_id: doctored)
+    assert run_cli(["scan", "--manifold", "nk-s6", "--grid", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: IncompatibleStructure: j_square residual")
+    assert f"at {bad.tolist()}" in captured.err

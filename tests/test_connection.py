@@ -118,7 +118,7 @@ def nabla_j_table(patch, frame):
     """sigma from nabla J in ``frame``, with dJ and Gamma evaluated at its point."""
     u = frame.point
     jet = PointJet(
-        frame=frame, dJ=field_derivative(patch, u, which="j"), Gamma=christoffel(patch, u)
+        frame=frame, dJ=field_derivative(patch, u, which="j"), Gamma=christoffel(patch, u, frame.g)
     )
     return nabla_j_connection(jet)
 

@@ -19,6 +19,7 @@ from twistorcheck import (
     norm_from_coefficients,
     perturbed_torus,
     point_jet,
+    pointwise,
     structure_coefficients,
     symmetry_residuals,
 )
@@ -166,8 +167,8 @@ class TestSymmetryResiduals:
         patch = ManifoldPatch(
             n=n,
             domain=np.array([(-1.0, 1.0)] * 6),
-            metric_field=lambda u: np.eye(6),
-            j_field=lambda u: bad_j * (1.0 + 0.1 * u[0]),
+            metric_field=pointwise(lambda u: np.eye(6)),
+            j_field=pointwise(lambda u: bad_j * (1.0 + 0.1 * u[0])),
             label="corrupted",
         )
         u = np.array([0.3, 0.1, -0.2, 0.0, 0.1, -0.1])

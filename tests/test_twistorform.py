@@ -287,8 +287,8 @@ class TestTheoremReport:
     def test_one_frame_and_one_j_stencil_per_point(self, monkeypatch):
         # Differentiating the Gram-Schmidt frame field built 13 frames and
         # evaluated J 39 times; the point jet needs one frame, which
-        # evaluates g and J once, one 2 dim stencil of J, and g once more for
-        # the Christoffel symbols (nk-s6 has a metric jet).
+        # evaluates g and J once, and one call of J on its 2 dim stencil.
+        # The Christoffel symbols reuse the frame's g (nk-s6 has a metric jet).
         from twistorcheck import connection, geometry, nijenhuis, twistorform
 
         patch = nearly_kahler_s6().patch
@@ -316,8 +316,8 @@ class TestTheoremReport:
         rep = theorem_report(point_jet(counting, point))
         assert rep.chain_ok.all_ok
         assert calls["frame"] == 1
-        assert calls["J"] <= 2 * patch.dim + 1
-        assert calls["g"] <= 2
+        assert calls["J"] <= 2
+        assert calls["g"] <= 1
 
 
 class TestChernIdentity:
