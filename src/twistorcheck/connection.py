@@ -25,9 +25,10 @@ from .geometry import (
     central_difference,
     christoffel,
     evaluate_frame_field,
-    field_value,
     j0_matrix,
     require_interior,
+    stencil_difference,
+    stencil_points,
 )
 
 # Nested differences amplify rounding as eps/h^2, so the outer step for
@@ -76,11 +77,32 @@ def _slices(table: np.ndarray) -> np.ndarray:
     return np.moveaxis(table, -1, -3)
 
 
+def frame_stencil(
+    patch: ManifoldPatch,
+    frame: AdaptedFrame,
+    step: float = DEFAULT_FD_STEP,
+    point: np.ndarray | None = None,
+) -> AdaptedFrame:
+    """The adapted frame field through ``frame`` on the difference stencil of ``point``.
+
+    ``point`` defaults to the frame's own base point and then the stencil is
+    ``stencil_points(point, step)``; an explicit ``point``, which may carry
+    extra batch axes after the frame's, gets its centre in front
+    (``centre=True``), because the field's value there is not ``frame.E``.
+    The frames come from one batched call and carry the g and J they were
+    built from, so the connection and the coframe of the structure equation
+    both read them.
+    """
+    u = require_interior(patch, frame.point if point is None else point, margin=step)
+    return evaluate_frame_field(patch, frame, stencil_points(u, step, centre=point is not None))
+
+
 def coordinate_connection(
     patch: ManifoldPatch,
     frame: AdaptedFrame,
     point: np.ndarray | None = None,
     step: float = DEFAULT_FD_STEP,
+    stencil: AdaptedFrame | None = None,
 ) -> np.ndarray:
     """Coordinate slices w[..., A, B, a] = omega_{AB}(d/du^a) of the connection forms.
 
@@ -88,20 +110,21 @@ def coordinate_connection(
     same pivot sequence, same trailing rotation) at ``point``, defaulting to
     the frame's own base point, where the frame field's value is ``frame.E``.
     ``point`` may carry extra batch axes after the frame's; the frames at the
-    points and at their stencils are then built in one batched call.
+    points and at their stencils are then built in one batched call, and the
+    metric at the points is the one those frames were built from.
+    ``stencil`` is ``frame_stencil(patch, frame, step, point)``, built here
+    unless the caller already holds it.
     """
-
-    def field(v: np.ndarray) -> np.ndarray:
-        return evaluate_frame_field(patch, frame, v)
-
+    if stencil is None:
+        stencil = frame_stencil(patch, frame, step, point)
     if point is None:
-        u = require_interior(patch, frame.point, margin=step)
+        u = frame.point
         g, E0 = frame.g, frame.E
-        dE = central_difference(field, u, step)
+        dE = stencil_difference(stencil.E, step, u.ndim - 1)
     else:
-        u = require_interior(patch, point, margin=step)
-        g = field_value(patch, u, "metric")
-        E0, dE = central_difference(field, u, step, centre=True)
+        u = np.asarray(point, dtype=float)
+        E0, dE = stencil_difference(stencil.E, step, u.ndim - 1, centre=True)
+        g = stencil.g[(slice(None),) * (u.ndim - 1) + (0,)]
     Gamma = christoffel(patch, u, g, step=step)
     dim = patch.dim
     # (nabla_{d_a} e_B)^c = d_a E^c_B + Gamma^c_{ab} E^b_B, indexed [a, c, B]
@@ -177,30 +200,33 @@ def structure_equation_residual(
     frame: AdaptedFrame | None = None,
     omega_sign: float = 1.0,
     w: np.ndarray | None = None,
+    stencil: AdaptedFrame | None = None,
 ) -> float:
     """Max residual of d theta_A = sum_B theta_B ^ omega_{BA} on coordinate pairs, per point.
 
-    ``frame`` is the adapted frame at ``point`` (built here when omitted) and
-    ``w`` is ``coordinate_connection(patch, frame, step=step)``, computed here
-    unless the caller already holds it.  ``omega_sign`` exists as a
-    deliberate tripwire: passing -1 must drive the residual far from zero on
-    any patch with a nonzero connection, which is how tests pin the sign
-    convention.
+    ``frame`` is the adapted frame at ``point`` (built here when omitted),
+    ``stencil`` is ``frame_stencil(patch, frame, step)`` and ``w`` is
+    ``coordinate_connection(patch, frame, step=step, stencil=stencil)``; each
+    is computed here unless the caller already holds it.  The connection
+    differentiates the stencil's E and the coframe side differentiates its
+    g E, so the two sides share frames but no difference.  ``omega_sign``
+    exists as a deliberate tripwire: passing -1 must drive the residual far
+    from zero on any patch with a nonzero connection, which is how tests pin
+    the sign convention.
     """
     u = require_interior(patch, point, margin=2.0 * step)
     if frame is None:
         frame = adapt_frame(patch, u)
+    if stencil is None:
+        stencil = frame_stencil(patch, frame, step)
     if w is None:
-        w = coordinate_connection(patch, frame, step=step)
+        w = coordinate_connection(patch, frame, step=step, stencil=stencil)
     w = omega_sign * w
     dim = patch.dim
 
-    def coframe(v: np.ndarray) -> np.ndarray:
-        # theta_A(d_a) = g(d_a, e_A) = (g E)_{aA}
-        return field_value(patch, v, "metric") @ evaluate_frame_field(patch, frame, v)
-
+    # theta_A(d_a) = g(d_a, e_A) = (g E)_{aA}
     T0 = frame.g @ frame.E
-    dT = central_difference(coframe, u, step)
+    dT = stencil_difference(stencil.g @ stencil.E, step, frame.point.ndim - 1)
     # dtheta[A, a, b] = d_a theta_A(d_b) - d_b theta_A(d_a)
     dtheta = np.moveaxis(dT, -1, -3)
     dtheta = dtheta - np.swapaxes(dtheta, -1, -2)

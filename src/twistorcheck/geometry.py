@@ -235,7 +235,8 @@ class AdaptedFrame:
     seed column survived Gram-Schmidt step k; displaced re-evaluations
     compare it point by point to detect a discontinuous frame field.
     ``rotation`` is an optional constant U(n) element applied on the right
-    after orthogonalization.
+    after orthogonalization, one for all points or a stack that broadcasts
+    against the batch.
     """
 
     point: np.ndarray
@@ -329,62 +330,114 @@ def rotate_frame(frame: AdaptedFrame, U: np.ndarray) -> AdaptedFrame:
     """Replace the frame by E U for a constant U(n) element U.
 
     U must be orthogonal and commute with J0; the result is again adapted.
+    ``U`` may be a stack (..., 2n, 2n), one rotation per point, that
+    broadcasts against the frame's batch; the rotated frame then has the
+    broadcast batch, and its point, g, J and pivots are the frame's,
+    repeated along the new axes.
     """
     n = frame.n
     U = np.asarray(U, dtype=float)
     J0 = j0_matrix(n)
-    if np.abs(U.T @ U - np.eye(2 * n)).max() > 1e-10 or np.abs(U @ J0 - J0 @ U).max() > 1e-10:
-        raise ValueError("rotation must be orthogonal and commute with J0")
+    orthogonal = np.abs(np.swapaxes(U, -1, -2) @ U - np.eye(2 * n)).max(axis=(-2, -1))
+    commutes = np.abs(U @ J0 - J0 @ U).max(axis=(-2, -1))
+    bad = first_index((orthogonal > 1e-10) | (commutes > 1e-10))
+    if bad is not None:
+        which = f" {tuple(int(i) for i in bad)}" if U.ndim > 2 else ""
+        raise ValueError(f"rotation{which} must be orthogonal and commute with J0")
     combined = U if frame.rotation is None else frame.rotation @ U
-    return replace(frame, E=frame.E @ U, rotation=combined)
+    E = frame.E @ U
+    batch = E.shape[:-2]
+    if batch == frame.E.shape[:-2]:
+        return replace(frame, E=E, rotation=combined)
+    return replace(
+        frame,
+        point=_widen(frame.point, batch, 1),
+        E=E,
+        g=_widen(frame.g, batch, 2),
+        J=_widen(frame.J, batch, 2),
+        pivots=_widen(frame.pivots, batch, 1),
+        rotation=combined,
+    )
 
 
-def evaluate_frame_field(patch: ManifoldPatch, frame: AdaptedFrame, point: np.ndarray) -> np.ndarray:
+def _widen(a: np.ndarray, batch: tuple, rank: int) -> np.ndarray:
+    """A per-point array of trailing rank ``rank``, repeated to the batch ``batch``."""
+    return np.broadcast_to(a, batch + a.shape[a.ndim - rank :])
+
+
+def evaluate_frame_field(patch: ManifoldPatch, frame: AdaptedFrame, point: np.ndarray) -> AdaptedFrame:
     """Evaluate the adapted frame field through ``frame`` at nearby points.
 
     ``point`` has the frame's batch axes, then any number of extra axes, then
-    2n.  Re-runs the Gram-Schmidt sweep with the same seed (and trailing
-    rotation) and demands, point by point, the pivot sequence of the frame it
-    came from, so finite differences of the frame field are differences of
-    one smooth matrix-valued function.
+    2n.  Re-runs the Gram-Schmidt sweep with the same seed and demands, point
+    by point, the pivot sequence of the frame it came from, so finite
+    differences of the frame field are differences of one smooth
+    matrix-valued function.  Returns the frames at ``point``, with the g and
+    J they were built from; the frame's trailing rotation, one per point or
+    one for all, is applied to E across the extra axes.
     """
     moved = adapt_frame(patch, point, seed=frame.seed)
     extra = moved.pivots.ndim - frame.pivots.ndim
-    reference = frame.pivots.reshape(frame.pivots.shape[:-1] + (1,) * extra + (frame.n,))
-    reference = np.broadcast_to(reference, moved.pivots.shape)
+    if extra < 0:
+        raise ValueError(
+            f"points of shape {moved.point.shape} lack the frame's batch axes {frame.E.shape[:-2]}"
+        )
+
+    def across_extra(a: np.ndarray, rank: int) -> np.ndarray:
+        a = _widen(a, frame.E.shape[:-2], rank)
+        return a.reshape(a.shape[:-rank] + (1,) * extra + a.shape[-rank:])
+
+    reference = np.broadcast_to(across_extra(frame.pivots, 1), moved.pivots.shape)
     changed = first_index(np.any(moved.pivots != reference, axis=-1))
     if changed is not None:
         raise FrameDiscontinuity(
             f"pivot sequence changed from {tuple(reference[changed].tolist())} to "
             f"{tuple(moved.pivots[changed].tolist())} at {moved.point[changed].tolist()}"
         )
-    E = moved.E
-    if frame.rotation is not None:
-        E = E @ frame.rotation
-    return E
+    if frame.rotation is None:
+        return moved
+    rotation = across_extra(frame.rotation, 2)
+    return replace(moved, E=moved.E @ rotation, rotation=rotation)
 
 
-def central_difference(f: FieldMap, u: np.ndarray, h: float, centre: bool = False):
-    """D[..., c, :] = (f(u + h e_c) - f(u - h e_c)) / (2h): the package's one difference stencil.
-
-    ``f`` is called once, on the (..., 2 dim, dim) stack of displaced points.
-    With ``centre`` the stack also holds u itself, in front, and the result
-    is the pair (f(u), D).
+def stencil_points(u: np.ndarray, h: float, centre: bool = False) -> np.ndarray:
+    """The package's one difference stencil: the (..., 2 dim, dim) stack of
+    points u + h e_c, then u - h e_c.  With ``centre`` u itself comes first.
     """
     u = np.asarray(u, dtype=float)
-    dim = u.shape[-1]
-    shift = h * np.eye(dim)
+    shift = h * np.eye(u.shape[-1])
     stack = [u[..., None, :] + shift, u[..., None, :] - shift]
     if centre:
         stack.insert(0, u[..., None, :])
-    values = np.asarray(f(np.concatenate(stack, axis=-2)), dtype=float)
-    lead = (slice(None),) * (u.ndim - 1)
+    return np.concatenate(stack, axis=-2)
+
+
+def stencil_difference(values: np.ndarray, h: float, axis: int, centre: bool = False):
+    """D[..., c, :] = (f(u + h e_c) - f(u - h e_c)) / (2h) from ``values`` = f(stencil_points(u, h)).
+
+    ``axis`` is the stencil axis of ``values`` (u.ndim - 1 for points u).
+    With ``centre`` the stencil holds u in front and the result is the pair
+    (f(u), D).
+    """
     first = 1 if centre else 0
+    dim = (values.shape[axis] - first) // 2
+    lead = (slice(None),) * axis
     up = values[lead + (slice(first, first + dim),)]
     down = values[lead + (slice(first + dim, first + 2 * dim),)]
     D = up - down
     D /= 2.0 * h
     return (values[lead + (0,)], D) if centre else D
+
+
+def central_difference(f: FieldMap, u: np.ndarray, h: float, centre: bool = False):
+    """D[..., c, :] = (f(u + h e_c) - f(u - h e_c)) / (2h), from one call of ``f``.
+
+    ``f`` is called once, on ``stencil_points(u, h, centre)``; with
+    ``centre`` the result is the pair (f(u), D).
+    """
+    u = np.asarray(u, dtype=float)
+    values = np.asarray(f(stencil_points(u, h, centre)), dtype=float)
+    return stencil_difference(values, h, u.ndim - 1, centre)
 
 
 def field_derivative(
@@ -453,8 +506,17 @@ class PointJet:
             object.__setattr__(self, name, _readonly(getattr(self, name)))
 
     def rotated(self, U: np.ndarray) -> PointJet:
-        """The same jet in the frame E U; only the frame changes."""
-        return replace(self, frame=rotate_frame(self.frame, U))
+        """The same jet in the frame E U; only the frame changes.
+
+        ``U`` may be a stack of rotations (..., 2n, 2n) that broadcasts
+        against the jet's batch; dJ and Gamma are then repeated to the
+        broadcast batch.
+        """
+        frame = rotate_frame(self.frame, U)
+        batch = frame.E.shape[:-2]
+        if batch == self.dJ.shape[:-3]:
+            return replace(self, frame=frame)
+        return PointJet(frame=frame, dJ=_widen(self.dJ, batch, 3), Gamma=_widen(self.Gamma, batch, 3))
 
 
 def point_jet(patch: ManifoldPatch, point: np.ndarray, step: float = DEFAULT_FD_STEP) -> PointJet:

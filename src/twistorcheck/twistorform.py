@@ -245,6 +245,7 @@ def nondegenerate(
     F,
     threshold: float = NONDEGENERACY_THRESHOLD,
     zero_floor: float = ZERO_FORM_FLOOR,
+    det: np.ndarray | None = None,
 ) -> tuple:
     """(non-degenerate?, sign of the Pfaffian) for skew frame matrices (..., 2n, 2n).
 
@@ -256,13 +257,15 @@ def nondegenerate(
     is computed in the interleaved basis (e_1, J e_1, e_2, J e_2, ...), the
     orientation in which the flat form -J0 is the reference block form with
     sign +1; the Pfaffian runs only at the points that pass the determinant
-    test.
+    test.  ``det`` is ``np.linalg.det`` of the matrices, computed here unless
+    the caller already holds it.
     """
     Fm = _form_matrix(F)
     dim = Fm.shape[-1]
     n = dim // 2
     scale = np.abs(Fm).max(axis=(-2, -1))
-    det = np.linalg.det(Fm)
+    if det is None:
+        det = np.linalg.det(Fm)
     nondeg = (scale > zero_floor) & (np.abs(det) > threshold * scale**dim)
     interleave = np.arange(dim).reshape(2, n).T.ravel()
     sign = np.zeros(nondeg.shape, dtype=int)
@@ -363,8 +366,8 @@ def theorem_report(jet: PointJet, tol: float = CHAIN_TOL, strict: bool = False) 
     F2 = phi_via_bundle_formula(table, point=u)
     phi_mismatch = np.abs(F1.F - F2.F).max(axis=(-2, -1))
     mrg = margin(F1)
-    nondeg, pf_sign = nondegenerate(F1)
     det_F = np.linalg.det(F1.F)
+    nondeg, pf_sign = nondegenerate(F1, det=det_F)
 
     sumA2 = (coeffs.Arow**2).sum(axis=(-2, -1))
     bound_quarterA = 1.0 - 0.25 * sumA2

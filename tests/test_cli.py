@@ -375,11 +375,11 @@ def test_geometry_checks_block_at_another_fd_step():
 def test_geometry_point_evaluates_j_within_budget():
     # Rebuilding the frame and the d omega block for every check of one nk-s6
     # point with 4 rotations evaluated J at 939 points; sharing them needed
-    # 571, reading sigma off nabla J 258, and one point jet per point 193:
-    # 1 frame, a 12-point J stencil, 12 + 12 stencil frames (connection,
-    # coframe) and 12 x 13 in the d omega block.  Each of those five groups
-    # is now one batched call of J.  The budgets are the measured counts
-    # plus at most 1 %.
+    # 571, reading sigma off nabla J 258, one point jet per point 193, and
+    # sharing the stencil frames of the connection and the coframe 181:
+    # 1 frame, a 12-point J stencil, 12 stencil frames and 12 x 13 in the
+    # d omega block, each group one batched call of J.  The budgets are the
+    # measured counts.
     entry = catalog.resolve("nk-s6")
     j_field = entry.patch.j_field
     calls = points = 0
@@ -392,8 +392,131 @@ def test_geometry_point_evaluates_j_within_budget():
 
     counted = dataclasses.replace(entry, patch=dataclasses.replace(entry.patch, j_field=counting))
     assert geometry_checks(counted, points=1, seed=0, rotations=4, fd_step=1e-5)["all_pass"]
-    assert calls <= 5
-    assert points <= 194
+    assert calls <= 4
+    assert points <= 181
+
+
+def test_geometry_calls_per_chunk_do_not_depend_on_points(monkeypatch):
+    """A chunk of points costs a fixed number of field and frame calls, however many points it holds."""
+    from twistorcheck import connection, geometry, twistorform
+
+    entry = catalog.resolve("nk-s6")
+    patch = entry.patch
+    calls = {"frame": 0, "g": 0, "J": 0}
+    original = geometry.adapt_frame
+
+    def counting_frame(*args, **kwargs):
+        calls["frame"] += 1
+        return original(*args, **kwargs)
+
+    for module in (geometry, connection, twistorform):
+        monkeypatch.setattr(module, "adapt_frame", counting_frame)
+
+    def counted(key, field):
+        def call(u):
+            calls[key] += 1
+            return field(u)
+        return call
+
+    counting = dataclasses.replace(entry, patch=dataclasses.replace(
+        patch, metric_field=counted("g", patch.metric_field), j_field=counted("J", patch.j_field)
+    ))
+
+    def calls_for(points):
+        calls.update(frame=0, g=0, J=0)
+        assert geometry_checks(counting, points=points, seed=0, rotations=4, fd_step=1e-5)["all_pass"]
+        return dict(calls)
+
+    # per chunk: the jet's frame, the connection stencil and the d omega block
+    # build frames (each evaluating g and J once), and the J stencil of the jet
+    one = calls_for(1)
+    assert one == {"frame": 3, "g": 3, "J": 4}
+    assert calls_for(4) == calls_for(cli.GEOMETRY_CHUNK) == one
+    assert calls_for(cli.GEOMETRY_CHUNK + 1) == {key: 2 * value for key, value in one.items()}
+
+
+def _geometry_reference(entry, points, seed, rotations, fd_step):
+    """The max residual of each verify-geometry check, one point and one rotation at a time."""
+    from twistorcheck.connection import (
+        ConnectionTable,
+        connection_derivative,
+        coordinate_connection,
+        sigma_part,
+    )
+    from twistorcheck.geometry import DEFAULT_FD_STEP, random_unitary_rotation
+
+    patch = entry.patch
+    rng = np.random.default_rng(seed)
+    worst = {}
+
+    def bump(name, value):
+        worst[name] = max(worst.get(name, 0.0), float(value))
+
+    def route_gap(w, E, sigma):
+        table = ConnectionTable(omega=w @ E[None, :, :])
+        return np.abs(sigma_part(table).omega - sigma.omega).max()
+
+    for u in catalog.sample_points(patch, points, rng):
+        jet = point_jet(patch, u, fd_step)
+        frame = jet.frame
+        w = coordinate_connection(patch, frame, step=fd_step)
+        base = theorem_report(jet)
+        bump("structure_equation", structure_equation_residual(patch, u, fd_step, frame, w=w))
+        bump("phi_formula_equivalence", base.phi_formula_mismatch)
+        bump("nijenhuis_route_equivalence", base.n_route_mismatch)
+        bump("connection_route_equivalence", route_gap(w, frame.E, base.sigma))
+        bump("frame_invariance", 0.0)
+        for _ in range(rotations):
+            U = random_unitary_rotation(patch.n, rng)
+            rotated = jet.rotated(U)
+            rep = theorem_report(rotated)
+            w_rotated = np.moveaxis(U.T @ np.moveaxis(w, -1, -3) @ U, -3, -1)
+            bump("connection_route_equivalence", route_gap(w_rotated, rotated.frame.E, rep.sigma))
+            bump("frame_invariance", max(
+                abs(rep.normN2 - base.normN2) / max(1.0, abs(base.normN2)),
+                abs(rep.margin - base.margin) / max(1.0, abs(base.margin)),
+                abs(rep.det_F - base.det_F) / max(1.0, abs(base.det_F)),
+                0.0 if rep.pfaffian_sign == base.pfaffian_sign else 1.0,
+            ))
+        if "unit_round_sphere" in patch.attributes:
+            w0 = w if fd_step == DEFAULT_FD_STEP else coordinate_connection(patch, frame)
+            block = connection_derivative(patch, frame, w0)
+            bump("curvature_identity", round_sphere_curvature_residual(
+                curvature_forms(patch, u, frame=frame, block=block)))
+            bump("chern_identity", chern_identity_residual(patch, u, frame=frame, block=block))
+    return worst
+
+
+@pytest.mark.parametrize(
+    "manifold, points, seed, rotations, fd_step, chunk",
+    [
+        ("nk-s6", 5, 7, 3, 1e-5, 2),
+        ("nk-s6", 3, 5, 2, 1e-4, 16),
+        ("torus:eps=0.05,freq=1", 4, 1, 2, 1e-5, 3),
+    ],
+)
+def test_chunked_geometry_checks_equal_a_per_point_loop(
+    monkeypatch, manifold, points, seed, rotations, fd_step, chunk
+):
+    monkeypatch.setattr(cli, "GEOMETRY_CHUNK", chunk)
+    entry = catalog.resolve(manifold)
+    checks = geometry_checks(entry, points=points, seed=seed, rotations=rotations, fd_step=fd_step)["checks"]
+    expected = _geometry_reference(entry, points, seed, rotations, fd_step)
+    assert {name: slot["max_residual"] for name, slot in checks.items()} == expected
+    if manifold == "nk-s6":
+        assert len(expected) == 7
+
+
+@pytest.mark.parametrize("rotations", ["2", "0"])
+def test_verify_geometry_report_does_not_depend_on_the_chunk(monkeypatch, tmp_path, rotations):
+    outputs = []
+    for chunk in (1, 3, 16):
+        monkeypatch.setattr(cli, "GEOMETRY_CHUNK", chunk)
+        out = tmp_path / f"geometry-{chunk}.json"
+        argv = ["verify-geometry", "--manifold", "nk-s6", "--points", "17", "--rotations", rotations]
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 @pytest.mark.parametrize("manifold", [entry.id for entry in catalog.default_entries()])

@@ -187,3 +187,63 @@ def test_frame_discontinuity_guard():
     doctored = dataclasses.replace(frame, pivots=(1, 0))
     with pytest.raises(FrameDiscontinuity):
         evaluate_frame_field(patch, doctored, frame.point)
+
+
+def test_structure_equation_shares_the_stencil_frames(monkeypatch):
+    # The connection differentiates the stencil frames' E and the coframe
+    # their g E: one batched frame call on the 2 dim stencil, whose g and J
+    # are the only field values the residual evaluates.
+    from twistorcheck import connection, geometry
+    from twistorcheck.connection import frame_stencil
+
+    patch = nearly_kahler_s6().patch
+    u = np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])
+    frame = adapt_frame(patch, u)
+    expected = structure_equation_residual(patch, u, frame=frame)
+    stencil = frame_stencil(patch, frame)
+    assert stencil.E.shape == (12, 6, 6)
+    w = coordinate_connection(patch, frame, stencil=stencil)
+    assert np.array_equal(w, coordinate_connection(patch, frame))
+    assert structure_equation_residual(patch, u, frame=frame, w=w, stencil=stencil) == expected
+
+    calls = {"frame": 0, "g": 0, "J": 0}
+    original = geometry.adapt_frame
+
+    def counting_frame(*args, **kwargs):
+        calls["frame"] += 1
+        return original(*args, **kwargs)
+
+    for module in (geometry, connection):
+        monkeypatch.setattr(module, "adapt_frame", counting_frame)
+
+    def counted(key, field):
+        def call(v):
+            calls[key] += 1
+            return field(v)
+        return call
+
+    counting = dataclasses.replace(
+        patch, metric_field=counted("g", patch.metric_field), j_field=counted("J", patch.j_field)
+    )
+    assert structure_equation_residual(counting, u, frame=frame) == expected
+    assert calls == {"frame": 1, "g": 1, "J": 1}
+
+
+def test_connection_at_displaced_points_reads_the_frames_metric(monkeypatch):
+    """coordinate_connection at explicit points evaluates g only inside its one frame call."""
+    patch = nearly_kahler_s6().patch
+    u = np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])
+    points = u + 1e-4 * np.eye(6)[None, :2, :]  # (1, 2, 6) around the frame's one point
+    frame = adapt_frame(patch, u[None])
+    g_calls = 0
+
+    def counting(v):
+        nonlocal g_calls
+        g_calls += 1
+        return patch.metric_field(v)
+
+    w = coordinate_connection(dataclasses.replace(patch, metric_field=counting), frame, points)
+    assert g_calls == 1
+    for k in range(2):
+        alone = coordinate_connection(patch, adapt_frame(patch, points[0, k]))
+        assert np.array_equal(w[0, k], alone)

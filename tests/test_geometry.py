@@ -353,7 +353,9 @@ class TestPatchValidation:
         patch = nearly_kahler_s6().patch
         u = np.array([0.1, 0.0, -0.1, 0.05, 0.2, 0.0])
         frame = adapt_frame(patch, u)
-        assert np.array_equal(evaluate_frame_field(patch, frame, u), frame.E)
+        moved = evaluate_frame_field(patch, frame, u)
+        for name in ("E", "g", "J", "pivots"):
+            assert np.array_equal(getattr(moved, name), getattr(frame, name))
 
 
 class TestPointJet:
@@ -464,3 +466,91 @@ class TestBatchedFields:
         assert frame.pivots.tolist() == [0, 1]
         with pytest.raises(FrameDiscontinuity, match=r"from \(0, 1\) to \(0, 2\) at \[0\.0, 0\.0, 1e-05, 0\.0\]"):
             coordinate_connection(patch, frame, step=h)
+
+
+class TestRotationStacks:
+    """One rotation per point, given as a (..., 2n, 2n) stack."""
+
+    POINTS = np.array(
+        [
+            [0.1, -0.2, 0.15, 0.02, -0.1, 0.05],
+            [-0.05, 0.1, 0.0, 0.2, 0.12, -0.08],
+            [0.0, 0.03, -0.2, -0.1, 0.05, 0.1],
+        ]
+    )
+
+    def _frames_and_stack(self, count=6):
+        from twistorcheck import nearly_kahler_s6
+
+        patch = nearly_kahler_s6().patch
+        points = np.concatenate([self.POINTS, self.POINTS[::-1]])[:count]
+        rng = np.random.default_rng(11)
+        U = np.stack([random_unitary_rotation(3, rng) for _ in range(count)])
+        return patch, adapt_frame(patch, points), U
+
+    def test_valid_stack_is_accepted(self):
+        # six points and six rotations: a (6, 6, 6) stack whose plain transpose
+        # would mix the stack axis with the matrix axes
+        patch, frame, U = self._frames_and_stack(6)
+        assert U.shape == (6, 6, 6)
+        rotated = rotate_frame(frame, U)
+        assert rotated.E.shape == (6, 6, 6)
+        eye = np.eye(6)
+        for k in range(6):
+            E = rotated.E[k]
+            assert np.abs(E.T @ frame.g[k] @ E - eye).max() < 1e-9
+            assert np.abs(frame.J[k] @ E[:, :3] - E[:, 3:]).max() < 1e-9
+
+    def test_doctored_entry_is_named(self):
+        patch, frame, U = self._frames_and_stack(6)
+        U = U.copy()
+        U[4] = 1.001 * U[4]
+        with pytest.raises(ValueError, match=r"^rotation \(4,\) must be orthogonal and commute with J0$"):
+            rotate_frame(frame, U)
+        U = np.stack([U[:3], U[3:]])  # (2, 3, 6, 6): the bad entry sits at (1, 1)
+        with pytest.raises(ValueError, match=r"rotation \(1, 1\) must"):
+            rotate_frame(adapt_frame(patch, self.POINTS), U)
+        with pytest.raises(ValueError, match=r"^rotation must be orthogonal"):
+            rotate_frame(frame, 2.0 * np.eye(6))
+
+    def test_stack_equals_a_loop_of_single_rotations(self):
+        patch, frame, U = self._frames_and_stack(6)
+        stacked = rotate_frame(frame, U)
+        for k in range(6):
+            single = rotate_frame(adapt_frame(patch, frame.point[k]), U[k])
+            assert np.array_equal(stacked.E[k], single.E)
+            assert np.array_equal(stacked.rotation[k], single.rotation)
+
+    def test_stack_broadcasts_against_the_batch(self):
+        # rotations (R, P) against a jet of P points: every rotation of every
+        # point is one batch, and each slice is the single-point jet rotated
+        from twistorcheck import nearly_kahler_s6, theorem_report
+
+        patch = nearly_kahler_s6().patch
+        jet = point_jet(patch, self.POINTS)
+        rng = np.random.default_rng(2)
+        U = np.stack([[random_unitary_rotation(3, rng) for _ in self.POINTS] for _ in range(2)])
+        rotated = jet.rotated(U)
+        assert rotated.frame.E.shape == (2, 3, 6, 6) and rotated.dJ.shape == (2, 3, 6, 6, 6)
+        assert rotated.frame.point.shape == (2, 3, 6) and rotated.frame.pivots.shape == (2, 3, 3)
+        stacked = theorem_report(rotated)
+        for r in range(2):
+            for p in range(3):
+                alone = theorem_report(point_jet(patch, self.POINTS[p]).rotated(U[r, p]))
+                assert stacked.normN2[r, p] == alone.normN2
+                assert stacked.margin[r, p] == alone.margin
+                assert stacked.det_F[r, p] == alone.det_F
+                assert np.array_equal(stacked.sigma.omega[r, p], alone.sigma.omega)
+
+    def test_frame_field_applies_a_rotation_per_point(self):
+        # the frame field through a frame rotated point by point is
+        # differentiated with each point's own rotation across the stencil
+        from twistorcheck.connection import coordinate_connection
+
+        patch, frame, U = self._frames_and_stack(3)
+        stacked = coordinate_connection(patch, rotate_frame(frame, U))
+        for k in range(3):
+            alone = coordinate_connection(patch, rotate_frame(adapt_frame(patch, frame.point[k]), U[k]))
+            assert np.array_equal(stacked[k], alone)
+        with pytest.raises(ValueError, match="lack the frame's batch axes"):
+            evaluate_frame_field(patch, frame, frame.point[0])

@@ -348,3 +348,27 @@ def test_frame_invariance_of_scalars():
             assert abs(rep.margin - base.margin) <= 1e-8 * max(1.0, abs(base.margin))
             assert abs(rep.det_F - base.det_F) <= 1e-8 * max(1.0, abs(base.det_F))
             assert rep.pfaffian_sign == base.pfaffian_sign
+
+
+def test_one_determinant_per_report(monkeypatch):
+    """det_F is the determinant the non-degeneracy test used: one LU per report."""
+    from twistorcheck.catalog import grid_points
+
+    patch = perturbed_torus(eps=0.1).patch
+    jet = point_jet(patch, grid_points(patch, 2)[::7])
+    F = phi_matrix(alpha_beta(theorem_report(jet).sigma)).F
+    original = np.linalg.det
+    expected = original(F)
+    calls = 0
+
+    def counting(a):
+        nonlocal calls
+        calls += 1
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "det", counting)
+    rep = theorem_report(jet)
+    assert calls == 1
+    assert np.array_equal(rep.det_F, expected)
+    nondeg, sign = nondegenerate(F, det=expected)
+    assert np.array_equal(nondeg, rep.nondegenerate) and np.array_equal(sign, rep.pfaffian_sign)
