@@ -38,8 +38,11 @@ from .geometry import (
 from .connection import (
     ConnectionTable,
     CurvatureTable,
+    FrameFieldJet,
     connection_coefficients,
+    connection_derivative,
     curvature_forms,
+    frame_field_jet,
     structure_equation_residual,
 )
 from .nijenhuis import (

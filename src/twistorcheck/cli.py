@@ -21,9 +21,8 @@ from . import catalog
 from .connection import (
     ConnectionTable,
     connection_derivative,
-    coordinate_connection,
     curvature_forms,
-    frame_stencil,
+    frame_field_jet,
     round_sphere_curvature_residual,
     sigma_part,
     structure_equation_residual,
@@ -77,7 +76,8 @@ def _to_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt_float(obj)
+        # JSON has no NaN or infinity; a residual that is not finite reads null
+        return _fmt_float(obj) if math.isfinite(obj) else "null"
     return json.dumps(obj)
 
 
@@ -101,7 +101,7 @@ def _parse_point(text: str, dim: int) -> np.ndarray:
 def report_payload(entry: catalog.CatalogEntry, point: np.ndarray, fd_step: float, tol: float) -> dict:
     jet = point_jet(entry.patch, point, fd_step)
     rep = theorem_report(jet, tol=tol)
-    structure = structure_equation_residual(entry.patch, point, step=fd_step, frame=jet.frame)
+    structure = structure_equation_residual(frame_field_jet(entry.patch, jet.frame, fd_step))
     return {
         "manifold": entry.id,
         "point": [float(x) for x in rep.point],
@@ -258,7 +258,9 @@ def geometry_checks(entry: catalog.CatalogEntry, points: int, seed: int, rotatio
         checks["chern_identity"] = {"max_residual": 0.0, "tolerance": CHERN_ID_TOL}
 
     def bump(name: str, values):
-        checks[name]["max_residual"] = max(checks[name]["max_residual"], float(np.max(values)))
+        # np.maximum keeps a NaN, which then fails the check; Python max would drop it
+        slot = checks[name]
+        slot["max_residual"] = float(np.maximum(slot["max_residual"], np.max(values)))
 
     for start in range(0, points, GEOMETRY_CHUNK):
         u = samples[start : start + GEOMETRY_CHUNK]
@@ -266,11 +268,10 @@ def geometry_checks(entry: catalog.CatalogEntry, points: int, seed: int, rotatio
         frame = jet.frame
         # The frame-differentiated connection: the full omega the structure
         # equation needs, and the independent route to the reports' sigma.
-        # Both read the same stencil frames.
-        stencil = frame_stencil(patch, frame, fd_step)
-        w = coordinate_connection(patch, frame, step=fd_step, stencil=stencil)
+        frames = frame_field_jet(patch, frame, fd_step)
+        w = frames.w
         base = theorem_report(jet)
-        bump("structure_equation", structure_equation_residual(patch, u, fd_step, frame, w=w, stencil=stencil))
+        bump("structure_equation", structure_equation_residual(frames))
         bump("phi_formula_equivalence", base.phi_formula_mismatch)
         bump("nijenhuis_route_equivalence", base.n_route_mismatch)
         bump("connection_route_equivalence", _sigma_route_gap(w, frame.E, base.sigma))
@@ -292,13 +293,13 @@ def geometry_checks(entry: catalog.CatalogEntry, points: int, seed: int, rotatio
                 np.where(rep.pfaffian_sign == base.pfaffian_sign, 0.0, 1.0),
             ]))
         if is_round:
-            # The d omega block differentiates the slices at the default step, which w holds
-            # when fd_step is the default.
-            w0 = w if fd_step == DEFAULT_FD_STEP else coordinate_connection(patch, frame)
-            block = connection_derivative(patch, frame, w0)
-            curvature = curvature_forms(patch, u, frame=frame, block=block)
-            bump("curvature_identity", round_sphere_curvature_residual(curvature))
-            bump("chern_identity", chern_identity_residual(patch, u, frame=frame, block=block))
+            # The d omega block differentiates the slices at the default step,
+            # which ``frames`` holds when fd_step is the default.
+            if fd_step != DEFAULT_FD_STEP:
+                frames = frame_field_jet(patch, frame)
+            dw = connection_derivative(patch, frames)
+            bump("curvature_identity", round_sphere_curvature_residual(curvature_forms(frames, dw)))
+            bump("chern_identity", chern_identity_residual(patch, frames, dw))
     for slot in checks.values():
         slot["pass"] = slot["max_residual"] <= slot["tolerance"]
     return {

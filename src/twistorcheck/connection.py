@@ -21,7 +21,6 @@ from .geometry import (
     AdaptedFrame,
     ManifoldPatch,
     PointJet,
-    adapt_frame,
     central_difference,
     christoffel,
     evaluate_frame_field,
@@ -77,70 +76,61 @@ def _slices(table: np.ndarray) -> np.ndarray:
     return np.moveaxis(table, -1, -3)
 
 
-def frame_stencil(
-    patch: ManifoldPatch,
-    frame: AdaptedFrame,
-    step: float = DEFAULT_FD_STEP,
-    point: np.ndarray | None = None,
-) -> AdaptedFrame:
-    """The adapted frame field through ``frame`` on the difference stencil of ``point``.
-
-    ``point`` defaults to the frame's own base point and then the stencil is
-    ``stencil_points(point, step)``; an explicit ``point``, which may carry
-    extra batch axes after the frame's, gets its centre in front
-    (``centre=True``), because the field's value there is not ``frame.E``.
-    The frames come from one batched call and carry the g and J they were
-    built from, so the connection and the coframe of the structure equation
-    both read them.
-    """
-    u = require_interior(patch, frame.point if point is None else point, margin=step)
-    return evaluate_frame_field(patch, frame, stencil_points(u, step, centre=point is not None))
-
-
 def coordinate_connection(
-    patch: ManifoldPatch,
-    frame: AdaptedFrame,
-    point: np.ndarray | None = None,
-    step: float = DEFAULT_FD_STEP,
-    stencil: AdaptedFrame | None = None,
+    patch: ManifoldPatch, point: np.ndarray, g: np.ndarray, E: np.ndarray, dE: np.ndarray, step: float
 ) -> np.ndarray:
     """Coordinate slices w[..., A, B, a] = omega_{AB}(d/du^a) of the connection forms.
 
-    Differentiates the adapted frame field determined by ``frame`` (same seed,
-    same pivot sequence, same trailing rotation) at ``point``, defaulting to
-    the frame's own base point, where the frame field's value is ``frame.E``.
-    ``point`` may carry extra batch axes after the frame's; the frames at the
-    points and at their stencils are then built in one batched call, and the
-    metric at the points is the one those frames were built from.
-    ``stencil`` is ``frame_stencil(patch, frame, step, point)``, built here
-    unless the caller already holds it.
+    ``E`` holds frames at ``point`` with the metric ``g`` they were built
+    from, and ``dE[..., c, :, :]`` the derivatives d_c E of their frame field;
+    only the metric derivatives (at ``step``) are evaluated here.
     """
-    if stencil is None:
-        stencil = frame_stencil(patch, frame, step, point)
-    if point is None:
-        u = frame.point
-        g, E0 = frame.g, frame.E
-        dE = stencil_difference(stencil.E, step, u.ndim - 1)
-    else:
-        u = np.asarray(point, dtype=float)
-        E0, dE = stencil_difference(stencil.E, step, u.ndim - 1, centre=True)
-        g = stencil.g[(slice(None),) * (u.ndim - 1) + (0,)]
-    Gamma = christoffel(patch, u, g, step=step)
+    Gamma = christoffel(patch, point, g, step=step)
     dim = patch.dim
     # (nabla_{d_a} e_B)^c = d_a E^c_B + Gamma^c_{ab} E^b_B, indexed [a, c, B]
-    GE = (Gamma.reshape(Gamma.shape[:-3] + (dim * dim, dim)) @ E0).reshape(Gamma.shape)
+    GE = (Gamma.reshape(Gamma.shape[:-3] + (dim * dim, dim)) @ E).reshape(Gamma.shape)
     cov = dE + np.swapaxes(GE, -3, -2)
     # w[B, A, a] = g(nabla_{d_a} e_B, e_A)
-    lowered = np.swapaxes(cov, -1, -2) @ (g @ E0)[..., None, :, :]
+    lowered = np.swapaxes(cov, -1, -2) @ (g @ E)[..., None, :, :]
     return np.moveaxis(lowered, -3, -1)
 
 
-def connection_coefficients(
+@dataclass(frozen=True)
+class FrameFieldJet:
+    """The adapted frame field through ``frame``, differentiated once at its points.
+
+    ``stencil`` holds the frames of that field at ``stencil_points(point,
+    step)``, one batched call, with the g and J they were built from; ``w``
+    is ``coordinate_connection`` from them.  The structure equation, the
+    d omega block, curvature and the Chern identity all read this one
+    object; build it with ``frame_field_jet``.
+    """
+
+    frame: AdaptedFrame
+    stencil: AdaptedFrame
+    w: np.ndarray
+    step: float
+
+    def __post_init__(self):
+        w = np.asarray(self.w, dtype=float)
+        w.flags.writeable = False
+        object.__setattr__(self, "w", w)
+
+
+def frame_field_jet(
     patch: ManifoldPatch, frame: AdaptedFrame, step: float = DEFAULT_FD_STEP
-) -> ConnectionTable:
-    """Connection table omega_{AB}(e_C) for the given adapted frames."""
-    w = coordinate_connection(patch, frame, step=step)
-    return ConnectionTable(omega=w @ frame.E[..., None, :, :])
+) -> FrameFieldJet:
+    """Differentiate the frame field through ``frame`` (same seed, pivots and rotation) at its points."""
+    u = require_interior(patch, frame.point, margin=step)
+    stencil = evaluate_frame_field(patch, frame, stencil_points(u, step))
+    dE = stencil_difference(stencil.E, step, u.ndim - 1)
+    w = coordinate_connection(patch, u, frame.g, frame.E, dE, step)
+    return FrameFieldJet(frame=frame, stencil=stencil, w=w, step=step)
+
+
+def connection_coefficients(jet: FrameFieldJet) -> ConnectionTable:
+    """Connection table omega_{AB}(e_C) of the jet's frames."""
+    return ConnectionTable(omega=jet.w @ jet.frame.E[..., None, :, :])
 
 
 def nabla_j_connection(jet: PointJet) -> ConnectionTable:
@@ -161,7 +151,7 @@ def nabla_j_connection(jet: PointJet) -> ConnectionTable:
     commutes with J0 in P = [J0, omega], and cancels against J0 omega J0 =
     -omega in Q = omega + J0 omega J0.  The structure equation, curvature and
     the Chern identity need the full omega and take it from
-    ``coordinate_connection`` instead.
+    ``frame_field_jet`` instead.
     """
     frame = jet.frame
     E, Et = frame.E, np.swapaxes(frame.E, -1, -2)
@@ -193,40 +183,23 @@ def sigma_part(table: ConnectionTable) -> ConnectionTable:
     return ConnectionTable(omega=np.moveaxis(0.5 * (slices + J0 @ slices @ J0), -3, -1))
 
 
-def structure_equation_residual(
-    patch: ManifoldPatch,
-    point: np.ndarray,
-    step: float = DEFAULT_FD_STEP,
-    frame: AdaptedFrame | None = None,
-    omega_sign: float = 1.0,
-    w: np.ndarray | None = None,
-    stencil: AdaptedFrame | None = None,
-) -> float:
+def structure_equation_residual(jet: FrameFieldJet, omega_sign: float = 1.0) -> np.ndarray:
     """Max residual of d theta_A = sum_B theta_B ^ omega_{BA} on coordinate pairs, per point.
 
-    ``frame`` is the adapted frame at ``point`` (built here when omitted),
-    ``stencil`` is ``frame_stencil(patch, frame, step)`` and ``w`` is
-    ``coordinate_connection(patch, frame, step=step, stencil=stencil)``; each
-    is computed here unless the caller already holds it.  The connection
-    differentiates the stencil's E and the coframe side differentiates its
-    g E, so the two sides share frames but no difference.  ``omega_sign``
-    exists as a deliberate tripwire: passing -1 must drive the residual far
-    from zero on any patch with a nonzero connection, which is how tests pin
-    the sign convention.
+    The connection side is the jet's ``w``, which differentiates the stencil
+    frames' E; the coframe side differentiates their g E itself, so the two
+    sides share frames but no difference.  ``omega_sign`` exists as a
+    deliberate tripwire: passing -1 must drive the residual far from zero on
+    any patch with a nonzero connection, which is how tests pin the sign
+    convention.
     """
-    u = require_interior(patch, point, margin=2.0 * step)
-    if frame is None:
-        frame = adapt_frame(patch, u)
-    if stencil is None:
-        stencil = frame_stencil(patch, frame, step)
-    if w is None:
-        w = coordinate_connection(patch, frame, step=step, stencil=stencil)
-    w = omega_sign * w
-    dim = patch.dim
+    frame, stencil = jet.frame, jet.stencil
+    w = omega_sign * jet.w
+    dim = frame.E.shape[-1]
 
     # theta_A(d_a) = g(d_a, e_A) = (g E)_{aA}
     T0 = frame.g @ frame.E
-    dT = stencil_difference(stencil.g @ stencil.E, step, frame.point.ndim - 1)
+    dT = stencil_difference(stencil.g @ stencil.E, jet.step, frame.point.ndim - 1)
     # dtheta[A, a, b] = d_a theta_A(d_b) - d_b theta_A(d_a)
     dtheta = np.moveaxis(dT, -1, -3)
     dtheta = dtheta - np.swapaxes(dtheta, -1, -2)
@@ -237,57 +210,40 @@ def structure_equation_residual(
     return np.abs(dtheta - rhs).max(axis=(-3, -2, -1))
 
 
-def connection_derivative(
-    patch: ManifoldPatch,
-    frame: AdaptedFrame,
-    w0: np.ndarray,
-    step: float = DEFAULT_SECOND_ORDER_STEP,
-    inner_step: float = DEFAULT_FD_STEP,
-) -> tuple:
-    """The d omega block (w0, dw) of an adapted frame at its base point.
+def connection_derivative(patch: ManifoldPatch, jet: FrameFieldJet) -> np.ndarray:
+    """The d omega block dw[..., c, A, B, a] = d_c w[..., A, B, a] at the jet's points.
 
-    w0[..., A, B, a] = omega_{AB}(d_a) is ``coordinate_connection(patch,
-    frame, step=inner_step)``, which the caller already holds;
-    dw[..., c, A, B, a] = d_c w0 is the central difference of the connection
-    field at the outer ``step``, whose 2 dim points and their inner stencils
-    are one batch.  Curvature and the Chern identity both read d omega from
-    this one block.
+    The central difference of the connection field at the outer step
+    ``DEFAULT_SECOND_ORDER_STEP``; at each of its 2 dim points the slices
+    are differentiated at the jet's step, with those points and their
+    stencils one batch of frames.  Curvature and the Chern identity both
+    read d omega from this one block and w from the jet.
     """
-    dw = central_difference(
-        lambda v: coordinate_connection(patch, frame, v, step=inner_step), frame.point, step
-    )
-    return w0, dw
+    step, inner = DEFAULT_SECOND_ORDER_STEP, jet.step
+    require_interior(patch, jet.frame.point, margin=step + 2.0 * inner)
+
+    def slices(v):
+        frames = evaluate_frame_field(patch, jet.frame, stencil_points(v, inner, centre=True))
+        E0, dE = stencil_difference(frames.E, inner, v.ndim - 1, centre=True)
+        return coordinate_connection(patch, v, frames.g[..., 0, :, :], E0, dE, inner)
+
+    return central_difference(slices, jet.frame.point, step)
 
 
-def curvature_forms(
-    patch: ManifoldPatch,
-    point: np.ndarray,
-    step: float = DEFAULT_SECOND_ORDER_STEP,
-    inner_step: float = DEFAULT_FD_STEP,
-    frame: AdaptedFrame | None = None,
-    block: tuple | None = None,
-) -> CurvatureTable:
+def curvature_forms(jet: FrameFieldJet, dw: np.ndarray) -> CurvatureTable:
     """Curvature table R_{AB}(e_C, e_D) from R = omega ^ omega - d omega.
 
-    ``block`` is ``connection_derivative(patch, frame, w0, step, inner_step)``,
-    computed here unless the caller already holds it.
+    ``dw`` is ``connection_derivative(patch, jet)``.
     """
-    u = require_interior(patch, point, margin=step + 2.0 * inner_step)
-    if frame is None:
-        frame = adapt_frame(patch, u)
-    if block is None:
-        w0 = coordinate_connection(patch, frame, step=inner_step)
-        block = connection_derivative(patch, frame, w0, step, inner_step)
-    w0, dw = block
     # Both terms indexed [a, b, A, B]; slices[a] is the matrix omega(d_a).
-    slices = _slices(w0)
+    slices = _slices(jet.w)
     products = slices[..., :, None, :, :] @ slices[..., None, :, :, :]
     wedge = products - np.swapaxes(products, -4, -3)
     # domega[a, b, A, B] = d_a omega_{AB}(d_b) - d_b omega_{AB}(d_a)
     dslices = _slices(dw)
     domega = dslices - np.swapaxes(dslices, -4, -3)
     pairs = np.moveaxis(wedge - domega, (-2, -1), (-4, -3))
-    E = frame.E[..., None, None, :, :]
+    E = jet.frame.E[..., None, None, :, :]
     return CurvatureTable(R=np.swapaxes(E, -1, -2) @ pairs @ E)
 
 

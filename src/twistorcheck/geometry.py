@@ -429,15 +429,14 @@ def stencil_difference(values: np.ndarray, h: float, axis: int, centre: bool = F
     return (values[lead + (0,)], D) if centre else D
 
 
-def central_difference(f: FieldMap, u: np.ndarray, h: float, centre: bool = False):
+def central_difference(f: FieldMap, u: np.ndarray, h: float) -> np.ndarray:
     """D[..., c, :] = (f(u + h e_c) - f(u - h e_c)) / (2h), from one call of ``f``.
 
-    ``f`` is called once, on ``stencil_points(u, h, centre)``; with
-    ``centre`` the result is the pair (f(u), D).
+    ``f`` is called once, on ``stencil_points(u, h)``.
     """
     u = np.asarray(u, dtype=float)
-    values = np.asarray(f(stencil_points(u, h, centre)), dtype=float)
-    return stencil_difference(values, h, u.ndim - 1, centre)
+    values = np.asarray(f(stencil_points(u, h)), dtype=float)
+    return stencil_difference(values, h, u.ndim - 1)
 
 
 def field_derivative(

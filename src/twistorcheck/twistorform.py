@@ -29,24 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChainViolation, WrongPatch
-from .geometry import (
-    DEFAULT_FD_STEP,
-    AdaptedFrame,
-    ManifoldPatch,
-    PointJet,
-    adapt_frame,
-    first_index,
-    j0_matrix,
-    require_interior,
-)
-from .connection import (
-    DEFAULT_SECOND_ORDER_STEP,
-    ConnectionTable,
-    connection_derivative,
-    coordinate_connection,
-    nabla_j_connection,
-)
-from .nijenhuis import nijenhuis_norm, nijenhuis_tensor, norm_from_coefficients
+from .geometry import ManifoldPatch, PointJet, first_index, j0_matrix
+from .connection import ConnectionTable, FrameFieldJet, connection_coefficients, nabla_j_connection
+from .nijenhuis import nijenhuis_norm, nijenhuis_tensor
 
 # Critical squared-norm thresholds of the non-degeneracy statement.
 C0_HIGH = 64.0 / 5.0  # n >= 3
@@ -116,16 +101,11 @@ class TwistorFormMatrix:
     """Frame matrices F[..., A, B] = phi(e_A, e_B) of the pulled-back 2-form."""
 
     F: np.ndarray
-    point: np.ndarray | None = None
 
     def __post_init__(self):
         F = np.asarray(self.F, dtype=float)
         F.flags.writeable = False
         object.__setattr__(self, "F", F)
-        if self.point is not None:
-            p = np.asarray(self.point, dtype=float)
-            p.flags.writeable = False
-            object.__setattr__(self, "point", p)
 
     @property
     def n(self) -> int:
@@ -158,7 +138,7 @@ def structure_coefficients(ab: AlphaBetaTable) -> StructureCoefficients:
     return StructureCoefficients(C=C, Cp=Cp, d=d, dp=dp, Arow=Arow)
 
 
-def phi_matrix(ab: AlphaBetaTable, point: np.ndarray | None = None) -> TwistorFormMatrix:
+def phi_matrix(ab: AlphaBetaTable) -> TwistorFormMatrix:
     """Twistor form from the coefficient expansion.
 
     F_{AB} = 1/2 sum_ij (alpha_ij^A beta_ij^B - alpha_ij^B beta_ij^A) - (J0)_{AB},
@@ -170,12 +150,10 @@ def phi_matrix(ab: AlphaBetaTable, point: np.ndarray | None = None) -> TwistorFo
     pairs = ab.alpha.shape[:-3] + (n * n, 2 * n)
     S = np.swapaxes(ab.alpha.reshape(pairs), -1, -2) @ ab.beta.reshape(pairs)
     F = 0.5 * (S - np.swapaxes(S, -1, -2)) - j0_matrix(n)
-    return TwistorFormMatrix(F=F, point=point)
+    return TwistorFormMatrix(F=F)
 
 
-def phi_via_bundle_formula(
-    table: ConnectionTable, point: np.ndarray | None = None
-) -> TwistorFormMatrix:
+def phi_via_bundle_formula(table: ConnectionTable) -> TwistorFormMatrix:
     """Twistor form from the trace pairing on so(2n) plus the canonical-form term.
 
     Evaluates, for X = e_A and Y = e_B with w_C = omega(e_C) the skew matrix
@@ -196,7 +174,7 @@ def phi_via_bundle_formula(
     rows = w.shape[:-2] + (dim * dim,)
     trace = P.reshape(rows) @ np.swapaxes(np.swapaxes(Q, -1, -2).reshape(rows), -1, -2)
     F = -0.25 * trace - J0
-    return TwistorFormMatrix(F=F, point=point)
+    return TwistorFormMatrix(F=F)
 
 
 def _form_matrix(F) -> np.ndarray:
@@ -241,18 +219,13 @@ def _pfaffian(A: np.ndarray) -> float:
     return pf
 
 
-def nondegenerate(
-    F,
-    threshold: float = NONDEGENERACY_THRESHOLD,
-    zero_floor: float = ZERO_FORM_FLOOR,
-    det: np.ndarray | None = None,
-) -> tuple:
+def nondegenerate(F, det: np.ndarray | None = None) -> tuple:
     """(non-degenerate?, sign of the Pfaffian) for skew frame matrices (..., 2n, 2n).
 
-    The determinant is compared against threshold * scale^{2n} with
-    scale = max |F_{AB}|, separating finite-difference noise from a genuine
-    kernel; a matrix whose scale itself sits below ``zero_floor`` is a
-    vanishing form seen through finite-difference noise (no sign of such a
+    The determinant is compared against NONDEGENERACY_THRESHOLD * scale^{2n}
+    with scale = max |F_{AB}|, separating finite-difference noise from a
+    genuine kernel; a matrix whose scale itself sits below ZERO_FORM_FLOOR is
+    a vanishing form seen through finite-difference noise (no sign of such a
     matrix survives a frame rotation) and classifies as degenerate.  The sign
     is computed in the interleaved basis (e_1, J e_1, e_2, J e_2, ...), the
     orientation in which the flat form -J0 is the reference block form with
@@ -266,7 +239,7 @@ def nondegenerate(
     scale = np.abs(Fm).max(axis=(-2, -1))
     if det is None:
         det = np.linalg.det(Fm)
-    nondeg = (scale > zero_floor) & (np.abs(det) > threshold * scale**dim)
+    nondeg = (scale > ZERO_FORM_FLOOR) & (np.abs(det) > NONDEGENERACY_THRESHOLD * scale**dim)
     interleave = np.arange(dim).reshape(2, n).T.ravel()
     sign = np.zeros(nondeg.shape, dtype=int)
     for idx in np.ndindex(nondeg.shape):
@@ -313,6 +286,8 @@ class TheoremReport:
 
     For a single point the fields are scalars; for a batch of points of
     shape S they are arrays of shape S (``sigma`` of shape S + (2n,) * 3).
+    ``n_route_mismatch`` is the relative gap between the frame components of
+    N from the coordinate route and from the connection route.
     """
 
     point: np.ndarray
@@ -359,11 +334,11 @@ def theorem_report(jet: PointJet, tol: float = CHAIN_TOL, strict: bool = False) 
     table = nabla_j_connection(jet)
     ab = alpha_beta(table)
     coeffs = structure_coefficients(ab)
-    normN2 = nijenhuis_norm(nijenhuis_tensor(jet, coeffs), coeffs)
-    n_route_mismatch = np.abs(normN2 - norm_from_coefficients(coeffs)) / np.maximum(1.0, normN2)
+    tensor = nijenhuis_tensor(jet, coeffs)
+    normN2 = nijenhuis_norm(tensor)
 
-    F1 = phi_matrix(ab, point=u)
-    F2 = phi_via_bundle_formula(table, point=u)
+    F1 = phi_matrix(ab)
+    F2 = phi_via_bundle_formula(table)
     phi_mismatch = np.abs(F1.F - F2.F).max(axis=(-2, -1))
     mrg = margin(F1)
     det_F = np.linalg.det(F1.F)
@@ -415,46 +390,31 @@ def theorem_report(jet: PointJet, tol: float = CHAIN_TOL, strict: bool = False) 
         pfaffian_sign=pf_sign,
         det_F=det_F,
         phi_formula_mismatch=phi_mismatch,
-        n_route_mismatch=n_route_mismatch,
+        n_route_mismatch=tensor.route_gap,
         sigma=table,
     )
 
 
-def chern_identity_residual(
-    patch: ManifoldPatch,
-    point: np.ndarray,
-    step: float = DEFAULT_SECOND_ORDER_STEP,
-    inner_step: float = DEFAULT_FD_STEP,
-    frame: AdaptedFrame | None = None,
-    block: tuple | None = None,
-) -> float:
-    """Residual of sum_i d omega_{i,i+n} = -phi on the unit round sphere patch.
+def chern_identity_residual(patch: ManifoldPatch, jet: FrameFieldJet, dw: np.ndarray) -> np.ndarray:
+    """Residual of sum_i d omega_{i,i+n} = -phi at the jet's points, on the unit round sphere patch.
 
     Only meaningful where the curvature terms R_{i,i+n} equal
     theta_i ^ theta_{i+n}, i.e. on a patch flagged ``unit_round_sphere``;
-    any other patch raises WrongPatch.  ``block`` is
-    ``connection_derivative(patch, frame, w0, step, inner_step)``, computed
-    here unless the caller already holds it.
+    any other patch raises WrongPatch.  ``dw`` is
+    ``connection_derivative(patch, jet)``.
     """
     if "unit_round_sphere" not in patch.attributes:
         raise WrongPatch(
             f"patch {patch.label!r} lacks the unit_round_sphere attribute; "
             "the identity only holds at constant curvature one"
         )
-    u = require_interior(patch, point, margin=step + 2.0 * inner_step)
-    n = patch.n
-    if frame is None:
-        frame = adapt_frame(patch, u)
-    if block is None:
-        w0 = coordinate_connection(patch, frame, step=inner_step)
-        block = connection_derivative(patch, frame, w0, step, inner_step)
-    w0, dw = block
+    frame = jet.frame
+    n = frame.n
     # sum_i d omega_{i,i+n}(d_a, d_b)
     diagonal = np.arange(n)
     dsum = dw[..., diagonal, n + diagonal, :].sum(axis=-2)
     dsum = dsum - np.swapaxes(dsum, -1, -2)
-    table = ConnectionTable(omega=w0 @ frame.E[..., None, :, :])
-    F = phi_matrix(alpha_beta(table)).F
+    F = phi_matrix(alpha_beta(connection_coefficients(jet))).F
     T = frame.g @ frame.E  # theta_A(d_a) = T[a, A]
     phi_coord = T @ F @ np.swapaxes(T, -1, -2)
     return np.abs(dsum + phi_coord).max(axis=(-2, -1))

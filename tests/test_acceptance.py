@@ -14,11 +14,13 @@ from twistorcheck import (
     adapt_frame,
     alpha_beta,
     connection_coefficients,
+    connection_derivative,
     conformal_hermitian,
     critical_constant,
     default_entries,
     field_derivative,
     flat_kahler,
+    frame_field_jet,
     grid_points,
     j0_matrix,
     nearly_kahler_s6,
@@ -77,7 +79,7 @@ def test_criterion_1_flat_kahler():
             c.check(abs(rep.normN2) <= 1e-10, f"n={n}: |N|^2 = {rep.normN2:.3e}")
             c.check(abs(rep.margin - 1.0) <= 1e-9, f"n={n}: margin = {rep.margin!r}")
             F = phi_matrix(
-                alpha_beta(connection_coefficients(patch, adapt_frame(patch, origin)))
+                alpha_beta(connection_coefficients(frame_field_jet(patch, adapt_frame(patch, origin))))
             ).F
             dev = np.abs(F + j0_matrix(n)).max()
             c.check(dev <= 1e-10, f"n={n}: max |F + J0| = {dev:.3e}")
@@ -109,7 +111,7 @@ def test_criterion_3_route_equivalence():
                 worst_n = max(worst_n, rep.n_route_mismatch)
                 worst_phi = max(worst_phi, rep.phi_formula_mismatch)
                 # sigma from nabla J against the frame-differentiated connection
-                full = sigma_part(connection_coefficients(entry.patch, jet.frame))
+                full = sigma_part(connection_coefficients(frame_field_jet(entry.patch, jet.frame)))
                 worst_sigma = max(worst_sigma, float(np.abs(full.omega - rep.sigma.omega).max()))
             c.check(worst_n < 1e-6, f"{entry.id}: |N|^2 route mismatch {worst_n:.3e}")
             c.check(worst_phi < 1e-10, f"{entry.id}: phi formula mismatch {worst_phi:.3e}")
@@ -142,15 +144,18 @@ def test_criterion_5_round_sphere_corollary_machinery():
         norms = []
         worst_structure = 0.0
         worst_chern = 0.0
+        curvatures = []
         for point in points:
-            worst_structure = max(worst_structure, structure_equation_residual(patch, point))
-            worst_chern = max(worst_chern, chern_identity_residual(patch, point))
+            jet = frame_field_jet(patch, adapt_frame(patch, point))
+            dw = connection_derivative(patch, jet)
+            worst_structure = max(worst_structure, structure_equation_residual(jet))
+            worst_chern = max(worst_chern, chern_identity_residual(patch, jet, dw))
             norms.append(nijenhuis_norm(nijenhuis_tensor(point_jet(patch, point))))
+            if len(curvatures) < 3:
+                curvatures.append(round_sphere_curvature_residual(curvature_forms(jet, dw)))
         c.check(worst_structure < 1e-6, f"structure residual {worst_structure:.3e}")
         c.check(worst_chern < 1e-4, f"Chern identity residual {worst_chern:.3e}")
-        worst_curv = max(
-            round_sphere_curvature_residual(curvature_forms(patch, p)) for p in points[:3]
-        )
+        worst_curv = max(curvatures)
         c.check(worst_curv < 1e-4, f"curvature identity residual {worst_curv:.3e}")
         norms = np.array(norms)
         c.check(
@@ -234,8 +239,10 @@ def test_criterion_8_negative_controls():
         )
 
         # flipped connection sign: the first structure equation must reject it
+        conformal = conformal_hermitian().patch
         flipped = structure_equation_residual(
-            conformal_hermitian().patch, np.array([1.3, 0.9, 1.1, 1.7]), omega_sign=-1.0
+            frame_field_jet(conformal, adapt_frame(conformal, np.array([1.3, 0.9, 1.1, 1.7]))),
+            omega_sign=-1.0,
         )
         c.check(flipped > 1e-3, f"sign-flipped structure residual only {flipped:.3e}")
 
@@ -244,7 +251,7 @@ def test_criterion_8_negative_controls():
         u = np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])
         jet = point_jet(s6, u)
         sigma = theorem_report(jet).sigma.omega
-        full = sigma_part(connection_coefficients(s6, jet.frame)).omega
+        full = sigma_part(connection_coefficients(frame_field_jet(s6, jet.frame))).omega
         gap = float(np.abs(full + sigma).max())
         c.check(gap > 1e-3, f"sign-flipped sigma route mismatch only {gap:.3e}")
 

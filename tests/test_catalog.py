@@ -11,6 +11,7 @@ from twistorcheck import (
     cross7,
     default_entries,
     flat_kahler,
+    frame_field_jet,
     grid_points,
     nearly_kahler_s6,
     nijenhuis_norm,
@@ -65,7 +66,7 @@ class TestConformal:
     def test_connection_genuinely_nonzero(self):
         entry = conformal_hermitian()
         point = np.array([1.3, 0.9, 1.1, 1.7])
-        table = connection_coefficients(entry.patch, adapt_frame(entry.patch, point))
+        table = connection_coefficients(frame_field_jet(entry.patch, adapt_frame(entry.patch, point)))
         assert np.abs(table.omega).max() > 0.1
 
 

@@ -8,10 +8,12 @@ import sys
 import numpy as np
 import pytest
 
-from twistorcheck import algebra, catalog, cli, point_jet, theorem_report
+from twistorcheck import adapt_frame, algebra, catalog, cli, point_jet, theorem_report
 from twistorcheck.cli import geometry_checks, main
 from twistorcheck.connection import (
+    connection_derivative,
     curvature_forms,
+    frame_field_jet,
     round_sphere_curvature_residual,
     structure_equation_residual,
 )
@@ -20,6 +22,18 @@ from twistorcheck.twistorform import chern_identity_residual
 
 def run_cli(args):
     return main(list(args))
+
+
+def structure_at(patch, u, step):
+    """The structure residual at one point, from that point's own frame-field jet."""
+    return structure_equation_residual(frame_field_jet(patch, adapt_frame(patch, u), step))
+
+
+def round_sphere_at(patch, u):
+    """(curvature, Chern) residuals at one point, from its own jet and d omega block."""
+    jet = frame_field_jet(patch, adapt_frame(patch, u))
+    dw = connection_derivative(patch, jet)
+    return round_sphere_curvature_residual(curvature_forms(jet, dw)), chern_identity_residual(patch, jet, dw)
 
 
 def test_report_flat(tmp_path, capsys):
@@ -349,13 +363,13 @@ def test_geometry_checks_share_without_changing_values():
     checks = geometry_checks(entry, points=2, seed=3, rotations=1, fd_step=1e-5)["checks"]
     samples = catalog.sample_points(patch, 2, np.random.default_rng(3))
     assert checks["structure_equation"]["max_residual"] == max(
-        structure_equation_residual(patch, u, 1e-5) for u in samples
+        structure_at(patch, u, 1e-5) for u in samples
     )
     assert checks["curvature_identity"]["max_residual"] == max(
-        round_sphere_curvature_residual(curvature_forms(patch, u)) for u in samples
+        round_sphere_at(patch, u)[0] for u in samples
     )
     assert checks["chern_identity"]["max_residual"] == max(
-        chern_identity_residual(patch, u) for u in samples
+        round_sphere_at(patch, u)[1] for u in samples
     )
 
 
@@ -365,11 +379,9 @@ def test_geometry_checks_block_at_another_fd_step():
     patch = entry.patch
     checks = geometry_checks(entry, points=1, seed=3, rotations=1, fd_step=1e-4)["checks"]
     (u,) = catalog.sample_points(patch, 1, np.random.default_rng(3))
-    assert checks["structure_equation"]["max_residual"] == structure_equation_residual(patch, u, 1e-4)
-    assert checks["curvature_identity"]["max_residual"] == round_sphere_curvature_residual(
-        curvature_forms(patch, u)
-    )
-    assert checks["chern_identity"]["max_residual"] == chern_identity_residual(patch, u)
+    assert checks["structure_equation"]["max_residual"] == structure_at(patch, u, 1e-4)
+    assert checks["curvature_identity"]["max_residual"] == round_sphere_at(patch, u)[0]
+    assert checks["chern_identity"]["max_residual"] == round_sphere_at(patch, u)[1]
 
 
 def test_geometry_point_evaluates_j_within_budget():
@@ -398,7 +410,7 @@ def test_geometry_point_evaluates_j_within_budget():
 
 def test_geometry_calls_per_chunk_do_not_depend_on_points(monkeypatch):
     """A chunk of points costs a fixed number of field and frame calls, however many points it holds."""
-    from twistorcheck import connection, geometry, twistorform
+    from twistorcheck import geometry
 
     entry = catalog.resolve("nk-s6")
     patch = entry.patch
@@ -409,8 +421,7 @@ def test_geometry_calls_per_chunk_do_not_depend_on_points(monkeypatch):
         calls["frame"] += 1
         return original(*args, **kwargs)
 
-    for module in (geometry, connection, twistorform):
-        monkeypatch.setattr(module, "adapt_frame", counting_frame)
+    monkeypatch.setattr(geometry, "adapt_frame", counting_frame)
 
     def counted(key, field):
         def call(u):
@@ -437,12 +448,7 @@ def test_geometry_calls_per_chunk_do_not_depend_on_points(monkeypatch):
 
 def _geometry_reference(entry, points, seed, rotations, fd_step):
     """The max residual of each verify-geometry check, one point and one rotation at a time."""
-    from twistorcheck.connection import (
-        ConnectionTable,
-        connection_derivative,
-        coordinate_connection,
-        sigma_part,
-    )
+    from twistorcheck.connection import ConnectionTable, sigma_part
     from twistorcheck.geometry import DEFAULT_FD_STEP, random_unitary_rotation
 
     patch = entry.patch
@@ -459,9 +465,10 @@ def _geometry_reference(entry, points, seed, rotations, fd_step):
     for u in catalog.sample_points(patch, points, rng):
         jet = point_jet(patch, u, fd_step)
         frame = jet.frame
-        w = coordinate_connection(patch, frame, step=fd_step)
+        frames = frame_field_jet(patch, frame, fd_step)
+        w = frames.w
         base = theorem_report(jet)
-        bump("structure_equation", structure_equation_residual(patch, u, fd_step, frame, w=w))
+        bump("structure_equation", structure_equation_residual(frames))
         bump("phi_formula_equivalence", base.phi_formula_mismatch)
         bump("nijenhuis_route_equivalence", base.n_route_mismatch)
         bump("connection_route_equivalence", route_gap(w, frame.E, base.sigma))
@@ -479,11 +486,11 @@ def _geometry_reference(entry, points, seed, rotations, fd_step):
                 0.0 if rep.pfaffian_sign == base.pfaffian_sign else 1.0,
             ))
         if "unit_round_sphere" in patch.attributes:
-            w0 = w if fd_step == DEFAULT_FD_STEP else coordinate_connection(patch, frame)
-            block = connection_derivative(patch, frame, w0)
-            bump("curvature_identity", round_sphere_curvature_residual(
-                curvature_forms(patch, u, frame=frame, block=block)))
-            bump("chern_identity", chern_identity_residual(patch, u, frame=frame, block=block))
+            if fd_step != DEFAULT_FD_STEP:
+                frames = frame_field_jet(patch, frame)
+            dw = connection_derivative(patch, frames)
+            bump("curvature_identity", round_sphere_curvature_residual(curvature_forms(frames, dw)))
+            bump("chern_identity", chern_identity_residual(patch, frames, dw))
     return worst
 
 
@@ -530,13 +537,26 @@ def test_verify_geometry_compares_connection_routes(manifold):
 
 def test_verify_geometry_connection_route_negative_control(monkeypatch, tmp_path):
     """A sign slip in the frame-differentiated connection fails the route check with exit 1."""
-    original = cli.coordinate_connection
-    monkeypatch.setattr(cli, "coordinate_connection", lambda *a, **k: -original(*a, **k))
+    from twistorcheck import connection
+
+    original = connection.coordinate_connection
+    monkeypatch.setattr(connection, "coordinate_connection", lambda *a, **k: -original(*a, **k))
     out = tmp_path / "geo.json"
     argv = ["verify-geometry", "--manifold", "conformal4", "--points", "1", "--rotations", "1"]
     assert run_cli(argv + ["--out", str(out)]) == 1
     slot = json.loads(out.read_text())["checks"]["connection_route_equivalence"]
     assert slot["pass"] is False and slot["max_residual"] > 1e-3
+
+
+def test_verify_geometry_fails_a_nan_residual(monkeypatch, tmp_path):
+    """A NaN residual fails its check with exit 1, and the report stays JSON."""
+    monkeypatch.setattr(cli, "structure_equation_residual", lambda *a, **k: np.full(2, np.nan))
+    out = tmp_path / "geo.json"
+    argv = ["verify-geometry", "--manifold", "flat:3", "--points", "2", "--rotations", "1"]
+    assert run_cli(argv + ["--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["checks"]["structure_equation"] == {"max_residual": None, "tolerance": 1e-6, "pass": False}
+    assert report["all_pass"] is False
 
 
 def test_scan_rows_equal_single_point_reports():

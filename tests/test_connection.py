@@ -12,10 +12,12 @@ from twistorcheck import (
     christoffel,
     conformal_hermitian,
     connection_coefficients,
+    connection_derivative,
     curvature_forms,
     default_entries,
     field_derivative,
     flat_kahler,
+    frame_field_jet,
     j0_matrix,
     nearly_kahler_s6,
     random_unitary_rotation,
@@ -24,7 +26,6 @@ from twistorcheck import (
 )
 from twistorcheck.catalog import sample_points
 from twistorcheck.connection import (
-    coordinate_connection,
     first_bianchi_residual,
     nabla_j_connection,
     round_sphere_curvature_residual,
@@ -35,27 +36,43 @@ from twistorcheck.geometry import evaluate_frame_field
 CONFORMAL_POINT = np.array([1.3, 0.9, 1.1, 1.7])
 
 
+def field_jet(patch, point):
+    """The frame-field jet of the adapted frame at ``point``."""
+    return frame_field_jet(patch, adapt_frame(patch, point))
+
+
+def table_at(patch, frame):
+    return connection_coefficients(frame_field_jet(patch, frame))
+
+
+def structure_residual(patch, point, **kwargs):
+    return structure_equation_residual(field_jet(patch, point), **kwargs)
+
+
+def curvature_at(patch, point):
+    jet = field_jet(patch, point)
+    return curvature_forms(jet, connection_derivative(patch, jet))
+
+
 def test_flat_connection_vanishes():
     patch = flat_kahler(3).patch
     frame = adapt_frame(patch, np.zeros(6))
-    table = connection_coefficients(patch, frame)
+    table = table_at(patch, frame)
     assert np.abs(table.omega).max() == 0.0
 
 
 def test_conformal_antisymmetry_and_magnitude():
     patch = conformal_hermitian().patch
-    table = connection_coefficients(patch, adapt_frame(patch, CONFORMAL_POINT))
+    table = table_at(patch, adapt_frame(patch, CONFORMAL_POINT))
     assert table.antisymmetry_residual() < 1e-9
     assert np.abs(table.omega).max() > 0.1  # guards against a degenerate test
 
 
 def test_structure_equation_on_catalog():
-    assert structure_equation_residual(flat_kahler(2).patch, np.zeros(4)) < 1e-12
-    assert structure_equation_residual(conformal_hermitian().patch, CONFORMAL_POINT) < 1e-6
+    assert structure_residual(flat_kahler(2).patch, np.zeros(4)) < 1e-12
+    assert structure_residual(conformal_hermitian().patch, CONFORMAL_POINT) < 1e-6
     assert (
-        structure_equation_residual(
-            nearly_kahler_s6().patch, np.array([0.1, 0.05, -0.12, 0.03, 0.2, -0.07])
-        )
+        structure_residual(nearly_kahler_s6().patch, np.array([0.1, 0.05, -0.12, 0.03, 0.2, -0.07]))
         < 1e-6
     )
 
@@ -63,13 +80,13 @@ def test_structure_equation_on_catalog():
 def test_sign_flip_tripwire():
     # The first structure equation pins the sign convention of omega: flipping
     # it must push the residual far from the noise floor.
-    res = structure_equation_residual(conformal_hermitian().patch, CONFORMAL_POINT, omega_sign=-1.0)
+    res = structure_residual(conformal_hermitian().patch, CONFORMAL_POINT, omega_sign=-1.0)
     assert res > 1e-3
 
 
 def test_round_sphere_curvature_identity_at_origin():
     patch = nearly_kahler_s6().patch
-    table = curvature_forms(patch, np.zeros(6))
+    table = curvature_at(patch, np.zeros(6))
     assert round_sphere_curvature_residual(table) < 1e-4
     r1, r2 = table.antisymmetry_residuals()
     assert r1 < 1e-6 and r2 < 1e-6
@@ -79,11 +96,11 @@ def test_round_sphere_curvature_identity_elsewhere():
     # Constant curvature: the frame components repeat at a second point.
     patch = nearly_kahler_s6().patch
     u = np.full(6, 0.5 / np.sqrt(6.0))  # |u| = 0.5
-    assert round_sphere_curvature_residual(curvature_forms(patch, u)) < 1e-4
+    assert round_sphere_curvature_residual(curvature_at(patch, u)) < 1e-4
 
 
 def test_flat_curvature_vanishes():
-    table = curvature_forms(flat_kahler(2).patch, np.zeros(4))
+    table = curvature_at(flat_kahler(2).patch, np.zeros(4))
     assert np.abs(table.R).max() < 1e-12
 
 
@@ -92,14 +109,14 @@ def test_first_bianchi_on_catalog():
         (conformal_hermitian().patch, CONFORMAL_POINT),
         (nearly_kahler_s6().patch, np.array([0.1, -0.05, 0.0, 0.12, 0.08, -0.1])),
     ):
-        assert first_bianchi_residual(curvature_forms(patch, point)) < 1e-4
+        assert first_bianchi_residual(curvature_at(patch, point)) < 1e-4
 
 
 def test_structure_equation_across_catalog():
     rng = np.random.default_rng(19)
     for entry in default_entries():
         worst = max(
-            structure_equation_residual(entry.patch, point)
+            structure_residual(entry.patch, point)
             for point in sample_points(entry.patch, 5, rng)
         )
         assert worst < 1e-6, f"{entry.id}: structure residual {worst:.3e}"
@@ -110,7 +127,7 @@ def test_metric_compatibility_via_antisymmetry():
     # the coordinate slices of omega.
     patch = nearly_kahler_s6().patch
     u = np.array([0.15, -0.1, 0.05, 0.0, 0.2, 0.1])
-    w = coordinate_connection(patch, adapt_frame(patch, u), u)
+    w = field_jet(patch, u).w
     assert np.abs(w + w.transpose(1, 0, 2)).max() < 1e-9
 
 
@@ -139,7 +156,7 @@ def test_connection_encodes_nabla_j():
         def bracket(om):
             return np.einsum("xz,zyC->Cxy", J0, om) - np.einsum("xzC,zy->Cxy", om, J0)
 
-        om = connection_coefficients(patch, frame).omega
+        om = table_at(patch, frame).omega
         sigma = nabla_j_table(patch, frame).omega
         assert np.abs(bracket(om) - bracket(sigma)).max() < 1e-8
 
@@ -151,7 +168,7 @@ def test_nabla_j_route_matches_sigma_part_on_catalog():
         for point in sample_points(patch, 2, rng):
             frame = adapt_frame(patch, point)
             for fr in (frame, rotate_frame(frame, random_unitary_rotation(patch.n, rng))):
-                full = connection_coefficients(patch, fr)
+                full = table_at(patch, fr)
                 sigma = nabla_j_table(patch, fr)
                 gap = np.abs(sigma_part(full).omega - sigma.omega).max()
                 assert gap < 1e-8, f"{entry.id}: sigma routes differ by {gap:.3e}"
@@ -163,7 +180,7 @@ def test_nabla_j_route_rejects_flipped_sigma():
     patch = conformal_hermitian().patch
     frame = adapt_frame(patch, CONFORMAL_POINT)
     sigma = nabla_j_table(patch, frame).omega
-    reference = sigma_part(connection_coefficients(patch, frame)).omega
+    reference = sigma_part(table_at(patch, frame)).omega
     assert np.abs(reference + sigma).max() > 1e-3
 
 
@@ -177,7 +194,7 @@ def test_nearly_kahler_connection_carries_the_torsion():
     # K_C = -2 sigma_C J0 with J0 orthogonal, so |nabla J|^2 = 4 |sigma|^2.
     sigma = nabla_j_table(patch, frame).omega
     assert abs(4.0 * float((sigma**2).sum()) - 24.0) < 1e-6
-    om = connection_coefficients(patch, frame).omega
+    om = table_at(patch, frame).omega
     assert np.abs(om).max() > 0.5
 
 
@@ -193,18 +210,15 @@ def test_structure_equation_shares_the_stencil_frames(monkeypatch):
     # The connection differentiates the stencil frames' E and the coframe
     # their g E: one batched frame call on the 2 dim stencil, whose g and J
     # are the only field values the residual evaluates.
-    from twistorcheck import connection, geometry
-    from twistorcheck.connection import frame_stencil
+    from twistorcheck import geometry
 
     patch = nearly_kahler_s6().patch
     u = np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])
     frame = adapt_frame(patch, u)
-    expected = structure_equation_residual(patch, u, frame=frame)
-    stencil = frame_stencil(patch, frame)
-    assert stencil.E.shape == (12, 6, 6)
-    w = coordinate_connection(patch, frame, stencil=stencil)
-    assert np.array_equal(w, coordinate_connection(patch, frame))
-    assert structure_equation_residual(patch, u, frame=frame, w=w, stencil=stencil) == expected
+    jet = frame_field_jet(patch, frame)
+    assert jet.stencil.E.shape == (12, 6, 6)
+    assert np.array_equal(jet.w, frame_field_jet(patch, frame).w)
+    expected = structure_equation_residual(jet)
 
     calls = {"frame": 0, "g": 0, "J": 0}
     original = geometry.adapt_frame
@@ -213,8 +227,7 @@ def test_structure_equation_shares_the_stencil_frames(monkeypatch):
         calls["frame"] += 1
         return original(*args, **kwargs)
 
-    for module in (geometry, connection):
-        monkeypatch.setattr(module, "adapt_frame", counting_frame)
+    monkeypatch.setattr(geometry, "adapt_frame", counting_frame)
 
     def counted(key, field):
         def call(v):
@@ -225,16 +238,18 @@ def test_structure_equation_shares_the_stencil_frames(monkeypatch):
     counting = dataclasses.replace(
         patch, metric_field=counted("g", patch.metric_field), j_field=counted("J", patch.j_field)
     )
-    assert structure_equation_residual(counting, u, frame=frame) == expected
+    assert structure_equation_residual(frame_field_jet(counting, frame)) == expected
     assert calls == {"frame": 1, "g": 1, "J": 1}
 
 
-def test_connection_at_displaced_points_reads_the_frames_metric(monkeypatch):
-    """coordinate_connection at explicit points evaluates g only inside its one frame call."""
+def test_connection_at_displaced_points_reads_the_frames_metric():
+    """The d omega block at displaced points evaluates g only inside its one frame call."""
+    from twistorcheck.connection import DEFAULT_SECOND_ORDER_STEP
+    from twistorcheck.geometry import stencil_difference, stencil_points
+
     patch = nearly_kahler_s6().patch
     u = np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])
-    points = u + 1e-4 * np.eye(6)[None, :2, :]  # (1, 2, 6) around the frame's one point
-    frame = adapt_frame(patch, u[None])
+    jet = frame_field_jet(patch, adapt_frame(patch, u[None]))
     g_calls = 0
 
     def counting(v):
@@ -242,8 +257,8 @@ def test_connection_at_displaced_points_reads_the_frames_metric(monkeypatch):
         g_calls += 1
         return patch.metric_field(v)
 
-    w = coordinate_connection(dataclasses.replace(patch, metric_field=counting), frame, points)
+    dw = connection_derivative(dataclasses.replace(patch, metric_field=counting), jet)
     assert g_calls == 1
-    for k in range(2):
-        alone = coordinate_connection(patch, adapt_frame(patch, points[0, k]))
-        assert np.array_equal(w[0, k], alone)
+    outer = stencil_points(u, DEFAULT_SECOND_ORDER_STEP)
+    alone = np.stack([field_jet(patch, v).w for v in outer])
+    assert np.array_equal(dw[0], stencil_difference(alone, DEFAULT_SECOND_ORDER_STEP, 0))

@@ -334,7 +334,7 @@ class TestPatchValidation:
         # J^2 = -Id breaks away from the base point only: the frame there is
         # fine, and the stencil frames of the frame-differentiation route
         # must still reject the field.
-        from twistorcheck.connection import coordinate_connection
+        from twistorcheck.connection import frame_field_jet
 
         n = 2
         patch = ManifoldPatch(
@@ -345,7 +345,7 @@ class TestPatchValidation:
         )
         frame = adapt_frame(patch, np.zeros(4))
         with pytest.raises(IncompatibleStructure):
-            coordinate_connection(patch, frame)
+            frame_field_jet(patch, frame)
 
     def test_frame_field_reevaluation_matches(self):
         from twistorcheck import nearly_kahler_s6
@@ -443,7 +443,7 @@ class TestBatchedFields:
         # At u = h e_3 alone J turns e_1 into e_2, so the second Gram-Schmidt
         # step there skips seed column 2: the frame field jumps at one
         # displaced point, and differentiating it must say so.
-        from twistorcheck.connection import coordinate_connection
+        from twistorcheck.connection import frame_field_jet
 
         n = 2
         h = 1e-5
@@ -465,7 +465,7 @@ class TestBatchedFields:
         frame = adapt_frame(patch, np.zeros(4))
         assert frame.pivots.tolist() == [0, 1]
         with pytest.raises(FrameDiscontinuity, match=r"from \(0, 1\) to \(0, 2\) at \[0\.0, 0\.0, 1e-05, 0\.0\]"):
-            coordinate_connection(patch, frame, step=h)
+            frame_field_jet(patch, frame, step=h)
 
 
 class TestRotationStacks:
@@ -545,12 +545,12 @@ class TestRotationStacks:
     def test_frame_field_applies_a_rotation_per_point(self):
         # the frame field through a frame rotated point by point is
         # differentiated with each point's own rotation across the stencil
-        from twistorcheck.connection import coordinate_connection
+        from twistorcheck.connection import frame_field_jet
 
         patch, frame, U = self._frames_and_stack(3)
-        stacked = coordinate_connection(patch, rotate_frame(frame, U))
+        stacked = frame_field_jet(patch, rotate_frame(frame, U)).w
         for k in range(3):
-            alone = coordinate_connection(patch, rotate_frame(adapt_frame(patch, frame.point[k]), U[k]))
+            alone = frame_field_jet(patch, rotate_frame(adapt_frame(patch, frame.point[k]), U[k])).w
             assert np.array_equal(stacked[k], alone)
         with pytest.raises(ValueError, match="lack the frame's batch axes"):
             evaluate_frame_field(patch, frame, frame.point[0])

@@ -10,6 +10,7 @@ from twistorcheck import (
     alpha_beta,
     connection_coefficients,
     field_derivative,
+    frame_field_jet,
     j0_matrix,
     nearly_kahler_s6,
     nijenhuis_coordinates,
@@ -25,6 +26,11 @@ from twistorcheck import (
 )
 
 NK_POINT = np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])
+
+
+def frame_coefficients(patch, frame):
+    """Structure coefficients of the frame-differentiated connection table."""
+    return structure_coefficients(alpha_beta(connection_coefficients(frame_field_jet(patch, frame))))
 
 
 def coeffs_from_d(n, d, dp=None):
@@ -62,16 +68,31 @@ def test_nearly_kahler_nonzero_and_antisymmetric():
 def test_cross_route_agreement_on_nearly_kahler():
     patch = nearly_kahler_s6().patch
     jet = point_jet(patch, NK_POINT)
-    coeffs = structure_coefficients(alpha_beta(connection_coefficients(patch, jet.frame)))
-    tensor = nijenhuis_tensor(jet, coeffs)
-    norm = nijenhuis_norm(tensor, coeffs)  # raises CrossPathMismatch on disagreement
+    coeffs = frame_coefficients(patch, jet.frame)
+    tensor = nijenhuis_tensor(jet, coeffs)  # raises CrossPathMismatch on disagreement
+    assert tensor.route_gap < 1e-6
+    norm = nijenhuis_norm(tensor)
     assert abs(norm - norm_from_coefficients(coeffs)) < 1e-6 * max(1.0, norm)
+
+
+def test_route_gap_reads_a_scaled_coordinate_route(monkeypatch):
+    # The connection route's |N|^2 agrees with 4 sum (d^2 + d'^2) by
+    # construction; only the gap to the coordinate route can see a slip.
+    from twistorcheck import nijenhuis, theorem_report
+
+    jet = point_jet(nearly_kahler_s6().patch, NK_POINT)
+    exact = theorem_report(jet).n_route_mismatch
+    assert exact < 1e-10
+    original = nijenhuis.nijenhuis_coordinates
+    monkeypatch.setattr(nijenhuis, "nijenhuis_coordinates", lambda *a: (1.0 + 1e-9) * original(*a))
+    scaled = theorem_report(jet).n_route_mismatch
+    assert abs(scaled - 1e-9) < 1e-10
 
 
 def test_cross_path_mismatch_detected():
     patch = nearly_kahler_s6().patch
     jet = point_jet(patch, NK_POINT)
-    coeffs = structure_coefficients(alpha_beta(connection_coefficients(patch, jet.frame)))
+    coeffs = frame_coefficients(patch, jet.frame)
     wrong = StructureCoefficients(
         C=coeffs.C, Cp=coeffs.Cp, d=1.5 * coeffs.d, dp=coeffs.dp, Arow=coeffs.Arow
     )
@@ -123,9 +144,9 @@ def test_integrable_catalog_norms_vanish():
     ):
         patch = entry.patch
         jet = point_jet(patch, point)
-        coeffs = structure_coefficients(alpha_beta(connection_coefficients(patch, jet.frame)))
+        coeffs = frame_coefficients(patch, jet.frame)
         tensor = nijenhuis_tensor(jet, coeffs)
-        assert nijenhuis_norm(tensor, coeffs) < 1e-10
+        assert nijenhuis_norm(tensor) < 1e-10
 
 
 def test_nearly_kahler_norm_constant_and_above_threshold():
@@ -200,9 +221,9 @@ def test_metric_rescaling_exponent():
     for c in scales:
         patch = scaled_patch(c)
         jet = point_jet(patch, u)
-        coeffs = structure_coefficients(alpha_beta(connection_coefficients(patch, jet.frame)))
+        coeffs = frame_coefficients(patch, jet.frame)
         tensor = nijenhuis_tensor(jet, coeffs)
-        norms.append(nijenhuis_norm(tensor, coeffs))
+        norms.append(nijenhuis_norm(tensor))
     slopes = np.diff(np.log(norms)) / np.diff(np.log(scales))
     assert np.allclose(slopes, -2.0, atol=1e-6), f"observed scaling exponent {slopes}"
     assert abs(norms[0] / norms[1] - 4.0) < 1e-6

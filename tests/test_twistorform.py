@@ -15,8 +15,10 @@ from twistorcheck import (
     chern_identity_residual,
     conformal_hermitian,
     connection_coefficients,
+    connection_derivative,
     critical_constant,
     flat_kahler,
+    frame_field_jet,
     j0_matrix,
     margin,
     nearly_kahler_s6,
@@ -68,7 +70,7 @@ class TestAlphaBeta:
     def test_antisymmetry_inherited(self):
         patch = conformal_hermitian().patch
         point = np.array([1.3, 0.9, 1.1, 1.7])
-        ab = alpha_beta(connection_coefficients(patch, adapt_frame(patch, point)))
+        ab = alpha_beta(connection_coefficients(frame_field_jet(patch, adapt_frame(patch, point))))
         assert ab.antisymmetry_residual() < 1e-9
 
 
@@ -118,7 +120,7 @@ class TestStructureCoefficients:
         patch = nearly_kahler_s6().patch
         point = np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])
         coeffs = structure_coefficients(
-            alpha_beta(connection_coefficients(patch, adapt_frame(patch, point)))
+            alpha_beta(connection_coefficients(frame_field_jet(patch, adapt_frame(patch, point))))
         )
         assert np.abs(coeffs.C + coeffs.C.transpose(0, 2, 1)).max() < 1e-9
         assert np.abs(coeffs.Cp + coeffs.Cp.transpose(0, 2, 1)).max() < 1e-9
@@ -163,7 +165,7 @@ class TestPhi:
             (nearly_kahler_s6().patch, np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])),
         )
         for patch, point in cases:
-            table = connection_coefficients(patch, adapt_frame(patch, point))
+            table = connection_coefficients(frame_field_jet(patch, adapt_frame(patch, point)))
             F1 = phi_matrix(alpha_beta(table))
             F2 = phi_via_bundle_formula(table)
             assert np.abs(F1.F - F2.F).max() < 1e-10
@@ -321,14 +323,19 @@ class TestTheoremReport:
 
 
 class TestChernIdentity:
+    @staticmethod
+    def residual(patch, point):
+        jet = frame_field_jet(patch, adapt_frame(patch, point))
+        return chern_identity_residual(patch, jet, connection_derivative(patch, jet))
+
     def test_round_sphere_points(self):
         patch = nearly_kahler_s6().patch
-        assert chern_identity_residual(patch, np.zeros(6)) < 1e-4
-        assert chern_identity_residual(patch, np.full(6, 0.5 / np.sqrt(6.0))) < 1e-4
+        assert self.residual(patch, np.zeros(6)) < 1e-4
+        assert self.residual(patch, np.full(6, 0.5 / np.sqrt(6.0))) < 1e-4
 
     def test_wrong_patch(self):
         with pytest.raises(WrongPatch):
-            chern_identity_residual(flat_kahler(3).patch, np.zeros(6))
+            self.residual(flat_kahler(3).patch, np.zeros(6))
 
 
 def test_frame_invariance_of_scalars():
