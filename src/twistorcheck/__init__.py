@@ -36,8 +36,6 @@ from .geometry import (
     rotate_frame,
 )
 from .connection import (
-    ConnectionTable,
-    CurvatureTable,
     FrameFieldJet,
     connection_coefficients,
     connection_derivative,
@@ -55,11 +53,9 @@ from .nijenhuis import (
     symmetry_residuals,
 )
 from .twistorform import (
-    AlphaBetaTable,
     ChainChecks,
     StructureCoefficients,
     TheoremReport,
-    TwistorFormMatrix,
     alpha_beta,
     chern_identity_residual,
     critical_constant,

@@ -84,15 +84,11 @@ def stereographic_jacobian(u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A benchmark patch plus its attribute flags and known quantities."""
+    """A benchmark patch, which carries the attribute flags, plus its known quantities."""
 
     id: str
     patch: ManifoldPatch
-    attributes: frozenset = frozenset()
     expected: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "attributes", frozenset(self.attributes))
 
 
 def _box(bound_per_axis, dim: int) -> np.ndarray:
@@ -117,7 +113,6 @@ def flat_kahler(n: int) -> CatalogEntry:
         raise ValueError("n must be at least 2")
     dim = 2 * n
     zero_jet = _constant(np.zeros((dim, dim, dim)))
-    attrs = frozenset({"integrable", "flat"})
     patch = ManifoldPatch(
         n=n,
         domain=_box((-1.0, 1.0), dim),
@@ -126,12 +121,11 @@ def flat_kahler(n: int) -> CatalogEntry:
         metric_jet=zero_jet,
         j_jet=zero_jet,
         label=f"flat:{n}",
-        attributes=attrs,
+        attributes=frozenset({"integrable", "flat"}),
     )
     return CatalogEntry(
         id=f"flat:{n}",
         patch=patch,
-        attributes=attrs,
         expected={"normN2": 0.0, "margin": 1.0},
     )
 
@@ -155,7 +149,6 @@ def conformal_hermitian() -> CatalogEntry:
         r2 = _norm2(u)[..., None]
         return _radial_jet(-2.0 * u / r2**2, dim)
 
-    attrs = frozenset({"integrable"})
     patch = ManifoldPatch(
         n=n,
         domain=_box((0.5, 2.5), dim),
@@ -164,11 +157,9 @@ def conformal_hermitian() -> CatalogEntry:
         metric_jet=metric_jet,
         j_jet=_constant(np.zeros((dim, dim, dim))),
         label="conformal4",
-        attributes=attrs,
+        attributes=frozenset({"integrable"}),
     )
-    return CatalogEntry(
-        id="conformal4", patch=patch, attributes=attrs, expected={"normN2": 0.0}
-    )
+    return CatalogEntry(id="conformal4", patch=patch, expected={"normN2": 0.0})
 
 
 def _s6_metric(u: np.ndarray) -> np.ndarray:
@@ -206,7 +197,6 @@ def nearly_kahler_s6() -> CatalogEntry:
     The chart is the stereographic one; tangent vectors are pushed to the
     sphere in R^7, rotated by X -> p x X at the base point p, and pulled back.
     """
-    attrs = frozenset({"unit_round_sphere", "nearly_kahler"})
     patch = ManifoldPatch(
         n=3,
         domain=_box((-S6_BOX_BOUND, S6_BOX_BOUND), 6),
@@ -215,12 +205,11 @@ def nearly_kahler_s6() -> CatalogEntry:
         metric_jet=_s6_metric_jet,
         j_jet=None,
         label="nk-s6",
-        attributes=attrs,
+        attributes=frozenset({"unit_round_sphere", "nearly_kahler"}),
     )
     return CatalogEntry(
         id="nk-s6",
         patch=patch,
-        attributes=attrs,
         expected={"normN2_at_least": 64.0 / 5.0, "normN2_constant_rel": 1e-4},
     )
 
@@ -254,7 +243,6 @@ def perturbed_torus(eps: float = 0.05, freq: int = 1) -> CatalogEntry:
         R = rotation(eps * np.sin(freq * np.asarray(u, dtype=float)[..., 0]))
         return R @ J0 @ np.swapaxes(R, -1, -2)
 
-    attrs = frozenset()
     patch = ManifoldPatch(
         n=n,
         domain=_box((-np.pi, np.pi), dim),
@@ -263,12 +251,10 @@ def perturbed_torus(eps: float = 0.05, freq: int = 1) -> CatalogEntry:
         metric_jet=_constant(np.zeros((dim, dim, dim))),
         j_jet=None,
         label=f"torus:eps={eps:g},freq={freq}",
-        attributes=attrs,
     )
     return CatalogEntry(
         id=f"torus:eps={eps:g},freq={freq}",
         patch=patch,
-        attributes=attrs,
         expected={"generator": "e1 e3^T - e3 e1^T", "eps": eps, "freq": freq},
     )
 

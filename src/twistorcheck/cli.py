@@ -19,7 +19,6 @@ import numpy as np
 
 from . import catalog
 from .connection import (
-    ConnectionTable,
     connection_derivative,
     curvature_forms,
     frame_field_jet,
@@ -92,7 +91,10 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _parse_point(text: str, dim: int) -> np.ndarray:
-    values = [float(tok) for tok in text.split(",")]
+    try:
+        values = [float(tok) for tok in text.split(",")]
+    except ValueError:
+        raise ValueError(f"point needs {dim} comma-separated reals, got {text!r}") from None
     if len(values) != dim:
         raise ValueError(f"point needs {dim} comma-separated reals, got {len(values)}")
     return np.array(values)
@@ -121,9 +123,10 @@ def report_payload(entry: catalog.CatalogEntry, point: np.ndarray, fd_step: floa
 
 def cmd_report(args) -> int:
     entry = catalog.resolve(args.manifold)
-    point = _parse_point(args.point, entry.patch.dim) if args.point else None
-    if point is None:
+    if args.point is None:
         point = catalog.grid_points(entry.patch, 1)[0]
+    else:
+        point = _parse_point(args.point, entry.patch.dim)
     payload = report_payload(entry, point, args.fd_step, args.tol)
     _emit(_to_json(payload) + "\n", args.out)
     return 0 if all(payload["chain_ok"].values()) else 1
@@ -225,10 +228,9 @@ def cmd_verify_algebra(args) -> int:
     return 0 if report["all_pass"] else 1
 
 
-def _sigma_route_gap(w: np.ndarray, E: np.ndarray, sigma: ConnectionTable) -> np.ndarray:
+def _sigma_route_gap(w: np.ndarray, E: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Max |sigma part of the frame-differentiated table - sigma from nabla J|, per point."""
-    table = ConnectionTable(omega=w @ E[..., None, :, :])
-    return np.abs(sigma_part(table).omega - sigma.omega).max(axis=(-3, -2, -1))
+    return np.abs(sigma_part(w @ E[..., None, :, :]) - sigma).max(axis=(-3, -2, -1))
 
 
 def _relative_change(new: np.ndarray, old: np.ndarray) -> np.ndarray:
@@ -276,9 +278,8 @@ def geometry_checks(entry: catalog.CatalogEntry, points: int, seed: int, rotatio
         bump("nijenhuis_route_equivalence", base.n_route_mismatch)
         bump("connection_route_equivalence", _sigma_route_gap(w, frame.E, base.sigma))
         if rotations:
-            drawn = [random_unitary_rotation(patch.n, rng) for _ in range(len(u) * rotations)]
             # (rotations, points, 2n, 2n): broadcasts against the chunk's batch of points
-            U = np.swapaxes(np.reshape(drawn, (len(u), rotations, patch.dim, patch.dim)), 0, 1)
+            U = np.swapaxes(random_unitary_rotation(patch.n, rng, (len(u), rotations)), 0, 1)
             rotated = jet.rotated(U)
             rep = theorem_report(rotated)
             # The rotated frame field is E U with U constant, so its slices are U^T w U.

@@ -35,42 +35,6 @@ from .geometry import (
 DEFAULT_SECOND_ORDER_STEP = 1e-4
 
 
-@dataclass(frozen=True)
-class ConnectionTable:
-    """Frame components omega[..., A, B, C] = omega_{AB}(e_C), skew in (A, B)."""
-
-    omega: np.ndarray
-
-    def __post_init__(self):
-        om = np.asarray(self.omega, dtype=float)
-        om.flags.writeable = False
-        object.__setattr__(self, "omega", om)
-
-    @property
-    def n(self) -> int:
-        return self.omega.shape[-1] // 2
-
-    def antisymmetry_residual(self) -> float:
-        return float(np.abs(self.omega + np.swapaxes(self.omega, -3, -2)).max())
-
-
-@dataclass(frozen=True)
-class CurvatureTable:
-    """Frame components R[..., A, B, C, D] = R_{AB}(e_C, e_D)."""
-
-    R: np.ndarray
-
-    def __post_init__(self):
-        R = np.asarray(self.R, dtype=float)
-        R.flags.writeable = False
-        object.__setattr__(self, "R", R)
-
-    def antisymmetry_residuals(self) -> tuple:
-        r1 = float(np.abs(self.R + np.swapaxes(self.R, -4, -3)).max())
-        r2 = float(np.abs(self.R + np.swapaxes(self.R, -2, -1)).max())
-        return r1, r2
-
-
 def _slices(table: np.ndarray) -> np.ndarray:
     """The matrices omega(X_C) of a table [..., A, B, C], indexed [..., C, A, B]."""
     return np.moveaxis(table, -1, -3)
@@ -128,12 +92,12 @@ def frame_field_jet(
     return FrameFieldJet(frame=frame, stencil=stencil, w=w, step=step)
 
 
-def connection_coefficients(jet: FrameFieldJet) -> ConnectionTable:
-    """Connection table omega_{AB}(e_C) of the jet's frames."""
-    return ConnectionTable(omega=jet.w @ jet.frame.E[..., None, :, :])
+def connection_coefficients(jet: FrameFieldJet) -> np.ndarray:
+    """Connection table omega[..., A, B, C] = omega_{AB}(e_C) of the jet's frames, skew in (A, B)."""
+    return jet.w @ jet.frame.E[..., None, :, :]
 
 
-def nabla_j_connection(jet: PointJet) -> ConnectionTable:
+def nabla_j_connection(jet: PointJet) -> np.ndarray:
     """The sigma part of the connection table, read off nabla J at the jet's points.
 
     Reads the jet's frame with its g and J, the J jet and the Christoffel
@@ -164,7 +128,7 @@ def nabla_j_connection(jet: PointJet) -> ConnectionTable:
     sigma = K @ J0
     sigma -= J0 @ K
     sigma *= 0.25
-    return ConnectionTable(omega=np.moveaxis(sigma, -3, -1))
+    return np.moveaxis(sigma, -3, -1)
 
 
 def _nabla_j(J: np.ndarray, dJ: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
@@ -176,25 +140,23 @@ def _nabla_j(J: np.ndarray, dJ: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
     return dJ + np.swapaxes(bracket, -3, -2)
 
 
-def sigma_part(table: ConnectionTable) -> ConnectionTable:
-    """The J0-anticommuting part sigma(e_C) = 1/2 (w_C + J0 w_C J0) of each slice."""
-    J0 = j0_matrix(table.n)
-    slices = _slices(table.omega)
-    return ConnectionTable(omega=np.moveaxis(0.5 * (slices + J0 @ slices @ J0), -3, -1))
+def sigma_part(omega: np.ndarray) -> np.ndarray:
+    """The J0-anticommuting part sigma(e_C) = 1/2 (w_C + J0 w_C J0) of each slice of a table."""
+    J0 = j0_matrix(omega.shape[-1] // 2)
+    slices = _slices(omega)
+    return np.moveaxis(0.5 * (slices + J0 @ slices @ J0), -3, -1)
 
 
-def structure_equation_residual(jet: FrameFieldJet, omega_sign: float = 1.0) -> np.ndarray:
+def structure_equation_residual(jet: FrameFieldJet) -> np.ndarray:
     """Max residual of d theta_A = sum_B theta_B ^ omega_{BA} on coordinate pairs, per point.
 
     The connection side is the jet's ``w``, which differentiates the stencil
     frames' E; the coframe side differentiates their g E itself, so the two
-    sides share frames but no difference.  ``omega_sign`` exists as a
-    deliberate tripwire: passing -1 must drive the residual far from zero on
-    any patch with a nonzero connection, which is how tests pin the sign
-    convention.
+    sides share frames but no difference.  A jet whose ``w`` has the wrong
+    sign must drive the residual far from zero on any patch with a nonzero
+    connection, which is how tests pin the sign convention.
     """
-    frame, stencil = jet.frame, jet.stencil
-    w = omega_sign * jet.w
+    frame, stencil, w = jet.frame, jet.stencil, jet.w
     dim = frame.E.shape[-1]
 
     # theta_A(d_a) = g(d_a, e_A) = (g E)_{aA}
@@ -230,8 +192,8 @@ def connection_derivative(patch: ManifoldPatch, jet: FrameFieldJet) -> np.ndarra
     return central_difference(slices, jet.frame.point, step)
 
 
-def curvature_forms(jet: FrameFieldJet, dw: np.ndarray) -> CurvatureTable:
-    """Curvature table R_{AB}(e_C, e_D) from R = omega ^ omega - d omega.
+def curvature_forms(jet: FrameFieldJet, dw: np.ndarray) -> np.ndarray:
+    """Curvature table R[..., A, B, C, D] = R_{AB}(e_C, e_D) from R = omega ^ omega - d omega.
 
     ``dw`` is ``connection_derivative(patch, jet)``.
     """
@@ -244,18 +206,17 @@ def curvature_forms(jet: FrameFieldJet, dw: np.ndarray) -> CurvatureTable:
     domega = dslices - np.swapaxes(dslices, -4, -3)
     pairs = np.moveaxis(wedge - domega, (-2, -1), (-4, -3))
     E = jet.frame.E[..., None, None, :, :]
-    return CurvatureTable(R=np.swapaxes(E, -1, -2) @ pairs @ E)
+    return np.swapaxes(E, -1, -2) @ pairs @ E
 
 
-def round_sphere_curvature_residual(table: CurvatureTable) -> float:
+def round_sphere_curvature_residual(R: np.ndarray) -> float:
     """Distance of a curvature table from R_{AB}(e_C, e_D) = theta_A ^ theta_B."""
-    eye = np.eye(table.R.shape[-1])
+    eye = np.eye(R.shape[-1])
     expected = np.einsum("AC,BD->ABCD", eye, eye) - np.einsum("AD,BC->ABCD", eye, eye)
-    return float(np.abs(table.R - expected).max())
+    return float(np.abs(R - expected).max())
 
 
-def first_bianchi_residual(table: CurvatureTable) -> float:
+def first_bianchi_residual(R: np.ndarray) -> float:
     """Max over indices of the cyclic sum R_{AB}(e_C,e_D) + R_{AC}(e_D,e_B) + R_{AD}(e_B,e_C)."""
-    R = table.R
     cyc = R + np.moveaxis(R, -3, -1) + np.moveaxis(R, -1, -3)
     return float(np.abs(cyc).max())

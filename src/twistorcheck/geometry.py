@@ -534,22 +534,23 @@ def point_jet(patch: ManifoldPatch, point: np.ndarray, step: float = DEFAULT_FD_
     )
 
 
-def random_unitary_rotation(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Random U(n) element as a 2n x 2n orthogonal matrix commuting with J0.
+def random_unitary_rotation(n: int, rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
+    """Random U(n) elements as 2n x 2n orthogonal matrices commuting with J0, shape + (2n, 2n).
 
     Exponentiates a random u(n) generator: the real embedding of a complex
-    skew-Hermitian matrix X + iY with X skew and Y symmetric.
+    skew-Hermitian matrix X + iY with X skew and Y symmetric.  Each element
+    draws its X, then its Y, in C order over ``shape`` from one call of the
+    stream, so a stack holds the matrices that as many single draws give.
     """
-    X = rng.standard_normal((n, n))
-    X = X - X.T
-    Y = rng.standard_normal((n, n))
-    Y = 0.5 * (Y + Y.T)
+    X, Y = np.moveaxis(rng.standard_normal(shape + (2, n, n)), -3, 0)
+    X = X - np.swapaxes(X, -1, -2)
+    Y = 0.5 * (Y + np.swapaxes(Y, -1, -2))
     H = X + 1j * Y
     w, V = np.linalg.eigh(1j * H)
-    Uc = (V * np.exp(-1j * w)) @ V.conj().T
-    U = np.zeros((2 * n, 2 * n))
-    U[:n, :n] = Uc.real
-    U[:n, n:] = -Uc.imag
-    U[n:, :n] = Uc.imag
-    U[n:, n:] = Uc.real
+    Uc = (V * np.exp(-1j * w)[..., None, :]) @ np.swapaxes(V.conj(), -1, -2)
+    U = np.zeros(shape + (2 * n, 2 * n))
+    U[..., :n, :n] = Uc.real
+    U[..., :n, n:] = -Uc.imag
+    U[..., n:, :n] = Uc.imag
+    U[..., n:, n:] = Uc.real
     return U

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ChainViolation, WrongPatch
 from .geometry import ManifoldPatch, PointJet, first_index, j0_matrix
-from .connection import ConnectionTable, FrameFieldJet, connection_coefficients, nabla_j_connection
+from .connection import FrameFieldJet, connection_coefficients, nabla_j_connection
 from .nijenhuis import nijenhuis_norm, nijenhuis_tensor
 
 # Critical squared-norm thresholds of the non-degeneracy statement.
@@ -53,29 +53,6 @@ def critical_constant(n: int) -> float:
 
 
 @dataclass(frozen=True)
-class AlphaBetaTable:
-    """alpha[..., i, j, A] = alpha_ij(e_A) and beta[..., i, j, A] = beta_ij(e_A)."""
-
-    alpha: np.ndarray
-    beta: np.ndarray
-
-    def __post_init__(self):
-        for name in ("alpha", "beta"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
-
-    @property
-    def n(self) -> int:
-        return self.alpha.shape[-3]
-
-    def antisymmetry_residual(self) -> float:
-        ra = np.abs(self.alpha + np.swapaxes(self.alpha, -3, -2)).max()
-        rb = np.abs(self.beta + np.swapaxes(self.beta, -3, -2)).max()
-        return float(max(ra, rb))
-
-
-@dataclass(frozen=True)
 class StructureCoefficients:
     """The C, C', d, d' tensors and the row norms A_ij."""
 
@@ -91,45 +68,21 @@ class StructureCoefficients:
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 
-    @property
-    def n(self) -> int:
-        return self.C.shape[-3]
+
+def alpha_beta(omega: np.ndarray) -> tuple:
+    """(alpha, beta) with alpha[..., i, j, A] = alpha_ij(e_A), read off a connection table."""
+    n = omega.shape[-1] // 2
+    alpha = omega[..., :n, n:, :] + omega[..., n:, :n, :]
+    beta = omega[..., n:, n:, :] - omega[..., :n, :n, :]
+    return alpha, beta
 
 
-@dataclass(frozen=True)
-class TwistorFormMatrix:
-    """Frame matrices F[..., A, B] = phi(e_A, e_B) of the pulled-back 2-form."""
-
-    F: np.ndarray
-
-    def __post_init__(self):
-        F = np.asarray(self.F, dtype=float)
-        F.flags.writeable = False
-        object.__setattr__(self, "F", F)
-
-    @property
-    def n(self) -> int:
-        return self.F.shape[-1] // 2
-
-    def skewness_residual(self) -> float:
-        return float(np.abs(self.F + np.swapaxes(self.F, -1, -2)).max())
-
-
-def alpha_beta(table: ConnectionTable) -> AlphaBetaTable:
-    """Read the alpha/beta tables off a connection table by index bookkeeping."""
-    om = table.omega
-    n = table.n
-    alpha = om[..., :n, n:, :] + om[..., n:, :n, :]
-    beta = om[..., n:, n:, :] - om[..., :n, :n, :]
-    return AlphaBetaTable(alpha=alpha, beta=beta)
-
-
-def structure_coefficients(ab: AlphaBetaTable) -> StructureCoefficients:
-    """Assemble C, C', d, d' and the row norms A_ij from an alpha/beta table."""
-    n = ab.n
+def structure_coefficients(alpha: np.ndarray, beta: np.ndarray) -> StructureCoefficients:
+    """Assemble C, C', d, d' and the row norms A_ij from the alpha/beta tables."""
+    n = alpha.shape[-3]
     # [j, k, i] -> [i, j, k]
-    alpha = np.moveaxis(ab.alpha, -1, -3)
-    beta = np.moveaxis(ab.beta, -1, -3)
+    alpha = np.moveaxis(alpha, -1, -3)
+    beta = np.moveaxis(beta, -1, -3)
     C = alpha[..., n:, :, :] + beta[..., :n, :, :]
     Cp = alpha[..., :n, :, :] - beta[..., n:, :, :]
     d = C - np.swapaxes(C, -3, -2)
@@ -138,23 +91,22 @@ def structure_coefficients(ab: AlphaBetaTable) -> StructureCoefficients:
     return StructureCoefficients(C=C, Cp=Cp, d=d, dp=dp, Arow=Arow)
 
 
-def phi_matrix(ab: AlphaBetaTable) -> TwistorFormMatrix:
-    """Twistor form from the coefficient expansion.
+def phi_matrix(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Twistor form F[..., A, B] = phi(e_A, e_B) from the coefficient expansion.
 
     F_{AB} = 1/2 sum_ij (alpha_ij^A beta_ij^B - alpha_ij^B beta_ij^A) - (J0)_{AB},
     the last term being theta_i ^ theta_{i+n} written as a matrix.  The double
     sum runs over all ordered pairs (i, j), which together with the 1/2 factor
     reproduces phi(e_i, e_{i+n}) = 1 on a flat patch.
     """
-    n = ab.n
-    pairs = ab.alpha.shape[:-3] + (n * n, 2 * n)
-    S = np.swapaxes(ab.alpha.reshape(pairs), -1, -2) @ ab.beta.reshape(pairs)
-    F = 0.5 * (S - np.swapaxes(S, -1, -2)) - j0_matrix(n)
-    return TwistorFormMatrix(F=F)
+    n = alpha.shape[-3]
+    pairs = alpha.shape[:-3] + (n * n, 2 * n)
+    S = np.swapaxes(alpha.reshape(pairs), -1, -2) @ beta.reshape(pairs)
+    return 0.5 * (S - np.swapaxes(S, -1, -2)) - j0_matrix(n)
 
 
-def phi_via_bundle_formula(table: ConnectionTable) -> TwistorFormMatrix:
-    """Twistor form from the trace pairing on so(2n) plus the canonical-form term.
+def phi_via_bundle_formula(omega: np.ndarray) -> np.ndarray:
+    """Twistor form F[..., A, B] from the trace pairing on so(2n) plus the canonical-form term.
 
     Evaluates, for X = e_A and Y = e_B with w_C = omega(e_C) the skew matrix
     slice and theta(e_A) the A-th standard basis vector,
@@ -165,32 +117,25 @@ def phi_via_bundle_formula(table: ConnectionTable) -> TwistorFormMatrix:
     Mathematically identical to ``phi_matrix``; computed through disjoint
     index paths so the pair acts as a bookkeeping oracle.
     """
-    J0 = j0_matrix(table.n)
-    dim = 2 * table.n
-    w = np.moveaxis(table.omega, -1, -3)  # w[..., A] is the matrix omega(e_A)
+    dim = omega.shape[-1]
+    J0 = j0_matrix(dim // 2)
+    w = np.moveaxis(omega, -1, -3)  # w[..., A] is the matrix omega(e_A)
     P = J0 @ w - w @ J0
     Q = w + J0 @ w @ J0
     # tr(P_A Q_B) = sum_xy P_A[x, y] Q_B[y, x]
     rows = w.shape[:-2] + (dim * dim,)
     trace = P.reshape(rows) @ np.swapaxes(np.swapaxes(Q, -1, -2).reshape(rows), -1, -2)
-    F = -0.25 * trace - J0
-    return TwistorFormMatrix(F=F)
+    return -0.25 * trace - J0
 
 
-def _form_matrix(F) -> np.ndarray:
-    return np.asarray(getattr(F, "F", F), dtype=float)
-
-
-def margin(F) -> float:
+def margin(F: np.ndarray) -> np.ndarray:
     """Minimum of phi(X, JX) over frame-unit X.
 
     In frame components J acts as J0 and phi(X, JX) = x^T F J0 x, so the
     minimum over the unit sphere is the smallest eigenvalue of the symmetric
     part of F J0.
     """
-    Fm = _form_matrix(F)
-    n = Fm.shape[-1] // 2
-    M = Fm @ j0_matrix(n)
+    M = F @ j0_matrix(F.shape[-1] // 2)
     M = 0.5 * (M + np.swapaxes(M, -1, -2))
     return np.linalg.eigvalsh(M).min(axis=-1)
 
@@ -219,7 +164,7 @@ def _pfaffian(A: np.ndarray) -> float:
     return pf
 
 
-def nondegenerate(F, det: np.ndarray | None = None) -> tuple:
+def nondegenerate(F: np.ndarray, det: np.ndarray | None = None) -> tuple:
     """(non-degenerate?, sign of the Pfaffian) for skew frame matrices (..., 2n, 2n).
 
     The determinant is compared against NONDEGENERACY_THRESHOLD * scale^{2n}
@@ -233,18 +178,17 @@ def nondegenerate(F, det: np.ndarray | None = None) -> tuple:
     test.  ``det`` is ``np.linalg.det`` of the matrices, computed here unless
     the caller already holds it.
     """
-    Fm = _form_matrix(F)
-    dim = Fm.shape[-1]
+    dim = F.shape[-1]
     n = dim // 2
-    scale = np.abs(Fm).max(axis=(-2, -1))
+    scale = np.abs(F).max(axis=(-2, -1))
     if det is None:
-        det = np.linalg.det(Fm)
+        det = np.linalg.det(F)
     nondeg = (scale > ZERO_FORM_FLOOR) & (np.abs(det) > NONDEGENERACY_THRESHOLD * scale**dim)
     interleave = np.arange(dim).reshape(2, n).T.ravel()
     sign = np.zeros(nondeg.shape, dtype=int)
     for idx in np.ndindex(nondeg.shape):
         if nondeg[idx]:
-            sign[idx] = np.sign(_pfaffian(Fm[idx][np.ix_(interleave, interleave)]))
+            sign[idx] = np.sign(_pfaffian(F[idx][np.ix_(interleave, interleave)]))
     return nondeg, sign[()]
 
 
@@ -303,7 +247,7 @@ class TheoremReport:
     det_F: float
     phi_formula_mismatch: float
     n_route_mismatch: float
-    sigma: ConnectionTable
+    sigma: np.ndarray
 
     def __post_init__(self):
         p = np.asarray(self.point, dtype=float)
@@ -331,18 +275,17 @@ def theorem_report(jet: PointJet, tol: float = CHAIN_TOL, strict: bool = False) 
     """
     u = jet.frame.point
     n = jet.frame.n
-    table = nabla_j_connection(jet)
-    ab = alpha_beta(table)
-    coeffs = structure_coefficients(ab)
+    sigma = nabla_j_connection(jet)
+    alpha, beta = alpha_beta(sigma)
+    coeffs = structure_coefficients(alpha, beta)
     tensor = nijenhuis_tensor(jet, coeffs)
     normN2 = nijenhuis_norm(tensor)
 
-    F1 = phi_matrix(ab)
-    F2 = phi_via_bundle_formula(table)
-    phi_mismatch = np.abs(F1.F - F2.F).max(axis=(-2, -1))
-    mrg = margin(F1)
-    det_F = np.linalg.det(F1.F)
-    nondeg, pf_sign = nondegenerate(F1, det=det_F)
+    F = phi_matrix(alpha, beta)
+    phi_mismatch = np.abs(F - phi_via_bundle_formula(sigma)).max(axis=(-2, -1))
+    mrg = margin(F)
+    det_F = np.linalg.det(F)
+    nondeg, pf_sign = nondegenerate(F, det=det_F)
 
     sumA2 = (coeffs.Arow**2).sum(axis=(-2, -1))
     bound_quarterA = 1.0 - 0.25 * sumA2
@@ -391,7 +334,7 @@ def theorem_report(jet: PointJet, tol: float = CHAIN_TOL, strict: bool = False) 
         det_F=det_F,
         phi_formula_mismatch=phi_mismatch,
         n_route_mismatch=tensor.route_gap,
-        sigma=table,
+        sigma=sigma,
     )
 
 
@@ -414,7 +357,7 @@ def chern_identity_residual(patch: ManifoldPatch, jet: FrameFieldJet, dw: np.nda
     diagonal = np.arange(n)
     dsum = dw[..., diagonal, n + diagonal, :].sum(axis=-2)
     dsum = dsum - np.swapaxes(dsum, -1, -2)
-    F = phi_matrix(alpha_beta(connection_coefficients(jet))).F
+    F = phi_matrix(*alpha_beta(connection_coefficients(jet)))
     T = frame.g @ frame.E  # theta_A(d_a) = T[a, A]
     phi_coord = T @ F @ np.swapaxes(T, -1, -2)
     return np.abs(dsum + phi_coord).max(axis=(-2, -1))

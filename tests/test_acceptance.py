@@ -5,6 +5,7 @@ lines and timings.  Every tolerance is pinned here; a red criterion is a bug
 detector, not a calibration knob.
 """
 
+import dataclasses
 import time
 from fractions import Fraction
 
@@ -79,8 +80,8 @@ def test_criterion_1_flat_kahler():
             c.check(abs(rep.normN2) <= 1e-10, f"n={n}: |N|^2 = {rep.normN2:.3e}")
             c.check(abs(rep.margin - 1.0) <= 1e-9, f"n={n}: margin = {rep.margin!r}")
             F = phi_matrix(
-                alpha_beta(connection_coefficients(frame_field_jet(patch, adapt_frame(patch, origin))))
-            ).F
+                *alpha_beta(connection_coefficients(frame_field_jet(patch, adapt_frame(patch, origin))))
+            )
             dev = np.abs(F + j0_matrix(n)).max()
             c.check(dev <= 1e-10, f"n={n}: max |F + J0| = {dev:.3e}")
 
@@ -112,7 +113,7 @@ def test_criterion_3_route_equivalence():
                 worst_phi = max(worst_phi, rep.phi_formula_mismatch)
                 # sigma from nabla J against the frame-differentiated connection
                 full = sigma_part(connection_coefficients(frame_field_jet(entry.patch, jet.frame)))
-                worst_sigma = max(worst_sigma, float(np.abs(full.omega - rep.sigma.omega).max()))
+                worst_sigma = max(worst_sigma, float(np.abs(full - rep.sigma).max()))
             c.check(worst_n < 1e-6, f"{entry.id}: |N|^2 route mismatch {worst_n:.3e}")
             c.check(worst_phi < 1e-10, f"{entry.id}: phi formula mismatch {worst_phi:.3e}")
             c.check(worst_sigma < 1e-8, f"{entry.id}: sigma route mismatch {worst_sigma:.3e}")
@@ -240,18 +241,16 @@ def test_criterion_8_negative_controls():
 
         # flipped connection sign: the first structure equation must reject it
         conformal = conformal_hermitian().patch
-        flipped = structure_equation_residual(
-            frame_field_jet(conformal, adapt_frame(conformal, np.array([1.3, 0.9, 1.1, 1.7]))),
-            omega_sign=-1.0,
-        )
+        frames = frame_field_jet(conformal, adapt_frame(conformal, np.array([1.3, 0.9, 1.1, 1.7])))
+        flipped = structure_equation_residual(dataclasses.replace(frames, w=-frames.w))
         c.check(flipped > 1e-3, f"sign-flipped structure residual only {flipped:.3e}")
 
         # flipped sigma: the frame-differentiated connection must reject it
         s6 = nearly_kahler_s6().patch
         u = np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])
         jet = point_jet(s6, u)
-        sigma = theorem_report(jet).sigma.omega
-        full = sigma_part(connection_coefficients(frame_field_jet(s6, jet.frame))).omega
+        sigma = theorem_report(jet).sigma
+        full = sigma_part(connection_coefficients(frame_field_jet(s6, jet.frame)))
         gap = float(np.abs(full + sigma).max())
         c.check(gap > 1e-3, f"sign-flipped sigma route mismatch only {gap:.3e}")
 

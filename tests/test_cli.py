@@ -72,6 +72,18 @@ def test_report_malformed_point(capsys):
     assert run_cli(["report", "--manifold", "flat:2", "--point", "0,0"]) == 2
 
 
+def test_report_empty_point_is_an_input_error(tmp_path, capsys):
+    # An empty --point is a malformed point, not a request for the domain centre.
+    assert run_cli(["report", "--manifold", "nk-s6", "--point", ""]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: point needs 6 ") and err.count("\n") == 1
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"point": ""}))
+    assert run_cli(["report", "--manifold", "nk-s6", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: point needs 6 ") and err.count("\n") == 1
+
+
 def test_scan_torus_csv(tmp_path, capsys):
     out = tmp_path / "scan.csv"
     code = run_cli(
@@ -448,7 +460,7 @@ def test_geometry_calls_per_chunk_do_not_depend_on_points(monkeypatch):
 
 def _geometry_reference(entry, points, seed, rotations, fd_step):
     """The max residual of each verify-geometry check, one point and one rotation at a time."""
-    from twistorcheck.connection import ConnectionTable, sigma_part
+    from twistorcheck.connection import sigma_part
     from twistorcheck.geometry import DEFAULT_FD_STEP, random_unitary_rotation
 
     patch = entry.patch
@@ -459,8 +471,7 @@ def _geometry_reference(entry, points, seed, rotations, fd_step):
         worst[name] = max(worst.get(name, 0.0), float(value))
 
     def route_gap(w, E, sigma):
-        table = ConnectionTable(omega=w @ E[None, :, :])
-        return np.abs(sigma_part(table).omega - sigma.omega).max()
+        return np.abs(sigma_part(w @ E[None, :, :]) - sigma).max()
 
     for u in catalog.sample_points(patch, points, rng):
         jet = point_jet(patch, u, fd_step)

@@ -45,8 +45,8 @@ def table_at(patch, frame):
     return connection_coefficients(frame_field_jet(patch, frame))
 
 
-def structure_residual(patch, point, **kwargs):
-    return structure_equation_residual(field_jet(patch, point), **kwargs)
+def structure_residual(patch, point):
+    return structure_equation_residual(field_jet(patch, point))
 
 
 def curvature_at(patch, point):
@@ -57,15 +57,14 @@ def curvature_at(patch, point):
 def test_flat_connection_vanishes():
     patch = flat_kahler(3).patch
     frame = adapt_frame(patch, np.zeros(6))
-    table = table_at(patch, frame)
-    assert np.abs(table.omega).max() == 0.0
+    assert np.abs(table_at(patch, frame)).max() == 0.0
 
 
 def test_conformal_antisymmetry_and_magnitude():
     patch = conformal_hermitian().patch
-    table = table_at(patch, adapt_frame(patch, CONFORMAL_POINT))
-    assert table.antisymmetry_residual() < 1e-9
-    assert np.abs(table.omega).max() > 0.1  # guards against a degenerate test
+    omega = table_at(patch, adapt_frame(patch, CONFORMAL_POINT))
+    assert np.abs(omega + omega.transpose(1, 0, 2)).max() < 1e-9
+    assert np.abs(omega).max() > 0.1  # guards against a degenerate test
 
 
 def test_structure_equation_on_catalog():
@@ -80,16 +79,17 @@ def test_structure_equation_on_catalog():
 def test_sign_flip_tripwire():
     # The first structure equation pins the sign convention of omega: flipping
     # it must push the residual far from the noise floor.
-    res = structure_residual(conformal_hermitian().patch, CONFORMAL_POINT, omega_sign=-1.0)
+    jet = field_jet(conformal_hermitian().patch, CONFORMAL_POINT)
+    res = structure_equation_residual(dataclasses.replace(jet, w=-jet.w))
     assert res > 1e-3
 
 
 def test_round_sphere_curvature_identity_at_origin():
     patch = nearly_kahler_s6().patch
-    table = curvature_at(patch, np.zeros(6))
-    assert round_sphere_curvature_residual(table) < 1e-4
-    r1, r2 = table.antisymmetry_residuals()
-    assert r1 < 1e-6 and r2 < 1e-6
+    R = curvature_at(patch, np.zeros(6))
+    assert round_sphere_curvature_residual(R) < 1e-4
+    assert np.abs(R + R.transpose(1, 0, 2, 3)).max() < 1e-6
+    assert np.abs(R + R.transpose(0, 1, 3, 2)).max() < 1e-6
 
 
 def test_round_sphere_curvature_identity_elsewhere():
@@ -100,8 +100,7 @@ def test_round_sphere_curvature_identity_elsewhere():
 
 
 def test_flat_curvature_vanishes():
-    table = curvature_at(flat_kahler(2).patch, np.zeros(4))
-    assert np.abs(table.R).max() < 1e-12
+    assert np.abs(curvature_at(flat_kahler(2).patch, np.zeros(4))).max() < 1e-12
 
 
 def test_first_bianchi_on_catalog():
@@ -156,8 +155,8 @@ def test_connection_encodes_nabla_j():
         def bracket(om):
             return np.einsum("xz,zyC->Cxy", J0, om) - np.einsum("xzC,zy->Cxy", om, J0)
 
-        om = table_at(patch, frame).omega
-        sigma = nabla_j_table(patch, frame).omega
+        om = table_at(patch, frame)
+        sigma = nabla_j_table(patch, frame)
         assert np.abs(bracket(om) - bracket(sigma)).max() < 1e-8
 
 
@@ -170,17 +169,17 @@ def test_nabla_j_route_matches_sigma_part_on_catalog():
             for fr in (frame, rotate_frame(frame, random_unitary_rotation(patch.n, rng))):
                 full = table_at(patch, fr)
                 sigma = nabla_j_table(patch, fr)
-                gap = np.abs(sigma_part(full).omega - sigma.omega).max()
+                gap = np.abs(sigma_part(full) - sigma).max()
                 assert gap < 1e-8, f"{entry.id}: sigma routes differ by {gap:.3e}"
                 # sigma anticommutes with J0 slice by slice: its u(n) part is zero
-                assert np.array_equal(sigma_part(sigma).omega, sigma.omega)
+                assert np.array_equal(sigma_part(sigma), sigma)
 
 
 def test_nabla_j_route_rejects_flipped_sigma():
     patch = conformal_hermitian().patch
     frame = adapt_frame(patch, CONFORMAL_POINT)
-    sigma = nabla_j_table(patch, frame).omega
-    reference = sigma_part(table_at(patch, frame)).omega
+    sigma = nabla_j_table(patch, frame)
+    reference = sigma_part(table_at(patch, frame))
     assert np.abs(reference + sigma).max() > 1e-3
 
 
@@ -192,10 +191,9 @@ def test_nearly_kahler_connection_carries_the_torsion():
     patch = nearly_kahler_s6().patch
     frame = adapt_frame(patch, np.zeros(6))
     # K_C = -2 sigma_C J0 with J0 orthogonal, so |nabla J|^2 = 4 |sigma|^2.
-    sigma = nabla_j_table(patch, frame).omega
+    sigma = nabla_j_table(patch, frame)
     assert abs(4.0 * float((sigma**2).sum()) - 24.0) < 1e-6
-    om = table_at(patch, frame).omega
-    assert np.abs(om).max() > 0.5
+    assert np.abs(table_at(patch, frame)).max() > 0.5
 
 
 def test_frame_discontinuity_guard():

@@ -488,6 +488,16 @@ class TestRotationStacks:
         U = np.stack([random_unitary_rotation(3, rng) for _ in range(count)])
         return patch, adapt_frame(patch, points), U
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_drawn_stack_equals_single_draws(self, n):
+        # one batched draw of shape (3, 4) takes the stream in C order: element
+        # [i, j] is the (4 i + j)-th single draw, bit for bit
+        stack = random_unitary_rotation(n, np.random.default_rng(5), (3, 4))
+        rng = np.random.default_rng(5)
+        singles = [random_unitary_rotation(n, rng) for _ in range(12)]
+        assert stack.shape == (3, 4, 2 * n, 2 * n)
+        assert np.array_equal(stack, np.reshape(singles, stack.shape))
+
     def test_valid_stack_is_accepted(self):
         # six points and six rotations: a (6, 6, 6) stack whose plain transpose
         # would mix the stack axis with the matrix axes
@@ -540,7 +550,7 @@ class TestRotationStacks:
                 assert stacked.normN2[r, p] == alone.normN2
                 assert stacked.margin[r, p] == alone.margin
                 assert stacked.det_F[r, p] == alone.det_F
-                assert np.array_equal(stacked.sigma.omega[r, p], alone.sigma.omega)
+                assert np.array_equal(stacked.sigma[r, p], alone.sigma)
 
     def test_frame_field_applies_a_rotation_per_point(self):
         # the frame field through a frame rotated point by point is

@@ -30,7 +30,7 @@ NK_POINT = np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])
 
 def frame_coefficients(patch, frame):
     """Structure coefficients of the frame-differentiated connection table."""
-    return structure_coefficients(alpha_beta(connection_coefficients(frame_field_jet(patch, frame))))
+    return structure_coefficients(*alpha_beta(connection_coefficients(frame_field_jet(patch, frame))))
 
 
 def coeffs_from_d(n, d, dp=None):
