@@ -1,7 +1,7 @@
 """Benchmark patches: flat, conformal Hermitian, round six-sphere, perturbed torus.
 
-Each entry packages a ``ManifoldPatch`` with attribute flags and the handful
-of quantities known in closed form (used by tests as frozen expectations).
+Each entry packages a ``ManifoldPatch``, with its attribute flags, under the
+identifier the command line resolves.
 The six-sphere entry carries the canonical almost complex structure built
 from the seven-dimensional cross product; the patch invariants J^2 = -Id and
 metric compatibility double as a certificate that the multiplication table
@@ -11,7 +11,7 @@ is a genuine octonion table.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,11 +84,10 @@ def stereographic_jacobian(u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A benchmark patch, which carries the attribute flags, plus its known quantities."""
+    """A benchmark patch, which carries the attribute flags, under its catalog id."""
 
     id: str
     patch: ManifoldPatch
-    expected: dict = field(default_factory=dict)
 
 
 def _box(bound_per_axis, dim: int) -> np.ndarray:
@@ -123,11 +122,7 @@ def flat_kahler(n: int) -> CatalogEntry:
         label=f"flat:{n}",
         attributes=frozenset({"integrable", "flat"}),
     )
-    return CatalogEntry(
-        id=f"flat:{n}",
-        patch=patch,
-        expected={"normN2": 0.0, "margin": 1.0},
-    )
+    return CatalogEntry(id=f"flat:{n}", patch=patch)
 
 
 def conformal_hermitian() -> CatalogEntry:
@@ -159,7 +154,7 @@ def conformal_hermitian() -> CatalogEntry:
         label="conformal4",
         attributes=frozenset({"integrable"}),
     )
-    return CatalogEntry(id="conformal4", patch=patch, expected={"normN2": 0.0})
+    return CatalogEntry(id="conformal4", patch=patch)
 
 
 def _s6_metric(u: np.ndarray) -> np.ndarray:
@@ -207,11 +202,7 @@ def nearly_kahler_s6() -> CatalogEntry:
         label="nk-s6",
         attributes=frozenset({"unit_round_sphere", "nearly_kahler"}),
     )
-    return CatalogEntry(
-        id="nk-s6",
-        patch=patch,
-        expected={"normN2_at_least": 64.0 / 5.0, "normN2_constant_rel": 1e-4},
-    )
+    return CatalogEntry(id="nk-s6", patch=patch)
 
 
 def perturbed_torus(eps: float = 0.05, freq: int = 1) -> CatalogEntry:
@@ -252,11 +243,7 @@ def perturbed_torus(eps: float = 0.05, freq: int = 1) -> CatalogEntry:
         j_jet=None,
         label=f"torus:eps={eps:g},freq={freq}",
     )
-    return CatalogEntry(
-        id=f"torus:eps={eps:g},freq={freq}",
-        patch=patch,
-        expected={"generator": "e1 e3^T - e3 e1^T", "eps": eps, "freq": freq},
-    )
+    return CatalogEntry(id=f"torus:eps={eps:g},freq={freq}", patch=patch)
 
 
 def default_entries() -> list:

@@ -36,7 +36,7 @@ GRID_LIMIT = 10**7
 SCAN_CHUNK = 256
 # Sample points checked per batch by ``verify-geometry``, with all their
 # rotations: a module constant, not a flag.  Traced peak memory grows by about
-# 0.38 MB per point of a chunk (6.2 MB at 16, 25 MB at 64), while 64 points
+# 0.39 MB per point of a chunk (6.3 MB at 16, 25 MB at 64), while 64 points
 # would save only about a sixth of the time per point on nk-s6.
 GEOMETRY_CHUNK = 16
 
@@ -242,7 +242,7 @@ def geometry_checks(entry: catalog.CatalogEntry, points: int, seed: int, rotatio
 
     The sample points are drawn first, then the rotations in point-major
     order, one chunk of ``GEOMETRY_CHUNK`` points at a time; every chunk is
-    one batch through the jet, the reports and the frame differentiation.
+    one batch through the jet, one report and the frame differentiation.
     """
     patch = entry.patch
     rng = np.random.default_rng(seed)
@@ -267,37 +267,34 @@ def geometry_checks(entry: catalog.CatalogEntry, points: int, seed: int, rotatio
     for start in range(0, points, GEOMETRY_CHUNK):
         u = samples[start : start + GEOMETRY_CHUNK]
         jet = point_jet(patch, u, fd_step)
-        frame = jet.frame
         # The frame-differentiated connection: the full omega the structure
-        # equation needs, and the independent route to the reports' sigma.
-        frames = frame_field_jet(patch, frame, fd_step)
-        w = frames.w
-        base = theorem_report(jet)
+        # equation needs, and the independent route to the report's sigma.
+        frames = frame_field_jet(patch, jet.frame, fd_step)
+        # (1 + rotations, points, 2n, 2n): the identity, then each point's
+        # rotations, so row 0 of every report quantity is the jet's own frame.
+        drawn = np.swapaxes(random_unitary_rotation(patch.n, rng, (len(u), rotations)), 0, 1)
+        U = np.concatenate([np.broadcast_to(np.eye(patch.dim), (1,) + drawn.shape[1:]), drawn])
+        rotated = jet.rotated(U)
+        rep = theorem_report(rotated)
+        # The rotated frame field is E U with U constant, so its slices are U^T w U.
+        slices = np.moveaxis(frames.w, -1, -3)
+        w_rotated = np.swapaxes(U, -1, -2)[..., None, :, :] @ slices @ U[..., None, :, :]
+        w_rotated = np.moveaxis(w_rotated, -3, -1)
         bump("structure_equation", structure_equation_residual(frames))
-        bump("phi_formula_equivalence", base.phi_formula_mismatch)
-        bump("nijenhuis_route_equivalence", base.n_route_mismatch)
-        bump("connection_route_equivalence", _sigma_route_gap(w, frame.E, base.sigma))
-        if rotations:
-            # (rotations, points, 2n, 2n): broadcasts against the chunk's batch of points
-            U = np.swapaxes(random_unitary_rotation(patch.n, rng, (len(u), rotations)), 0, 1)
-            rotated = jet.rotated(U)
-            rep = theorem_report(rotated)
-            # The rotated frame field is E U with U constant, so its slices are U^T w U.
-            slices = np.moveaxis(w, -1, -3)
-            w_rotated = np.swapaxes(U, -1, -2)[..., None, :, :] @ slices @ U[..., None, :, :]
-            w_rotated = np.moveaxis(w_rotated, -3, -1)
-            bump("connection_route_equivalence", _sigma_route_gap(w_rotated, rotated.frame.E, rep.sigma))
-            bump("frame_invariance", np.maximum.reduce([
-                _relative_change(rep.normN2, base.normN2),
-                _relative_change(rep.margin, base.margin),
-                _relative_change(rep.det_F, base.det_F),
-                np.where(rep.pfaffian_sign == base.pfaffian_sign, 0.0, 1.0),
-            ]))
+        bump("phi_formula_equivalence", rep.phi_formula_mismatch[0])
+        bump("nijenhuis_route_equivalence", rep.n_route_mismatch[0])
+        bump("connection_route_equivalence", _sigma_route_gap(w_rotated, rotated.frame.E, rep.sigma))
+        bump("frame_invariance", np.maximum.reduce([
+            _relative_change(rep.normN2, rep.normN2[0]),
+            _relative_change(rep.margin, rep.margin[0]),
+            _relative_change(rep.det_F, rep.det_F[0]),
+            np.where(rep.pfaffian_sign == rep.pfaffian_sign[0], 0.0, 1.0),
+        ]))
         if is_round:
             # The d omega block differentiates the slices at the default step,
             # which ``frames`` holds when fd_step is the default.
             if fd_step != DEFAULT_FD_STEP:
-                frames = frame_field_jet(patch, frame)
+                frames = frame_field_jet(patch, jet.frame)
             dw = connection_derivative(patch, frames)
             bump("curvature_identity", round_sphere_curvature_residual(curvature_forms(frames, dw)))
             bump("chern_identity", chern_identity_residual(patch, frames, dw))
@@ -476,6 +473,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:  # the only file a command opens is its output
         print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # e.g. a catalog id whose dimension cannot be allocated
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -84,7 +84,7 @@ class FrameFieldJet:
 def frame_field_jet(
     patch: ManifoldPatch, frame: AdaptedFrame, step: float = DEFAULT_FD_STEP
 ) -> FrameFieldJet:
-    """Differentiate the frame field through ``frame`` (same seed, pivots and rotation) at its points."""
+    """Differentiate the frame field through ``frame`` (same pivots and rotation) at its points."""
     u = require_interior(patch, frame.point, margin=step)
     stencil = evaluate_frame_field(patch, frame, stencil_points(u, step))
     dE = stencil_difference(stencil.E, step, u.ndim - 1)

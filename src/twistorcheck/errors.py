@@ -17,7 +17,7 @@ class IncompatibleStructure(TwistorcheckError):
 
 
 class DegeneratePivot(TwistorcheckError):
-    """Every remaining seed column collapsed during frame orthogonalization."""
+    """Every remaining coordinate vector collapsed during frame orthogonalization."""
 
 
 class BoundaryProximity(TwistorcheckError):

@@ -7,8 +7,8 @@ chunk or a whole difference stencil is one call.  A callable written for one
 point at a time is wrapped by ``pointwise``.  Everything downstream
 (connection forms, Nijenhuis tensor, twistor 2-form) is computed from frames
 adapted to J, i.e. orthonormal frames with e_{n+k} = J e_k, built here by a
-deterministic metric Gram-Schmidt sweep that runs on every point of a batch
-at once.
+deterministic metric Gram-Schmidt sweep of the coordinate vectors that runs on
+every point of a batch at once.
 
 Every function of the point pipeline takes leading batch axes; a single point
 is a batch of shape ().  Each point is computed with the same sequence of
@@ -133,14 +133,6 @@ class ManifoldPatch:
     def dim(self) -> int:
         return 2 * self.n
 
-    def contains(self, point: np.ndarray, margin: float = 0.0) -> bool:
-        u = np.asarray(point, dtype=float)
-        return bool(
-            u.shape == (self.dim,)
-            and np.all(u > self.domain[:, 0] + margin)
-            and np.all(u < self.domain[:, 1] - margin)
-        )
-
 
 def require_interior(patch: ManifoldPatch, point: np.ndarray, margin: float = 0.0) -> np.ndarray:
     """Return the points as a float array (..., 2n), or raise BoundaryProximity."""
@@ -232,7 +224,7 @@ class AdaptedFrame:
     Column A of ``E[...]`` holds the coordinate components of the frame
     vector e_A, so E^T g E = Id; ``g`` and ``J`` are the validated field
     values at ``point`` it was built from.  ``pivots[..., k]`` records which
-    seed column survived Gram-Schmidt step k; displaced re-evaluations
+    coordinate vector survived Gram-Schmidt step k; displaced re-evaluations
     compare it point by point to detect a discontinuous frame field.
     ``rotation`` is an optional constant U(n) element applied on the right
     after orthogonalization, one for all points or a stack that broadcasts
@@ -244,11 +236,10 @@ class AdaptedFrame:
     g: np.ndarray
     J: np.ndarray
     pivots: np.ndarray = ()
-    seed: np.ndarray | None = None
     rotation: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("point", "E", "g", "J", "seed", "rotation"):
+        for name in ("point", "E", "g", "J", "rotation"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _readonly(getattr(self, name)))
         pivots = np.array(self.pivots, dtype=np.intp)
@@ -260,11 +251,11 @@ class AdaptedFrame:
         return self.E.shape[-1] // 2
 
 
-def _gram_schmidt_adapted(g: np.ndarray, J: np.ndarray, seed: np.ndarray, u: np.ndarray):
+def _gram_schmidt_adapted(g: np.ndarray, J: np.ndarray, u: np.ndarray):
     """Deterministic J-adapted Gram-Schmidt at every point. Returns (E, pivots).
 
-    Step k projects every seed column against the accepted vectors and takes,
-    at each point, the first still available column whose g-norm reaches
+    Step k projects every coordinate vector against the accepted vectors and
+    takes, at each point, the first still available one whose g-norm reaches
     PIVOT_TOL.
     """
     dim = g.shape[-1]
@@ -273,9 +264,10 @@ def _gram_schmidt_adapted(g: np.ndarray, J: np.ndarray, seed: np.ndarray, u: np.
     available = np.ones(batch + (dim,), dtype=bool)
     E = np.empty(batch + (dim, dim))
     pivots = np.empty(batch + (n,), dtype=np.intp)
+    coordinates = np.broadcast_to(np.eye(dim), batch + (dim, dim))
     accepted: list[np.ndarray] = []
     for k in range(n):
-        V = np.broadcast_to(seed, batch + (dim, dim))
+        V = coordinates
         # Two projection passes keep the g-orthogonality near machine
         # precision without changing the deterministic pivot order.
         for _pass in range(2):
@@ -287,7 +279,7 @@ def _gram_schmidt_adapted(g: np.ndarray, J: np.ndarray, seed: np.ndarray, u: np.
         stuck = first_index(~usable.any(axis=-1))
         if stuck is not None:
             raise DegeneratePivot(
-                f"all {dim - k} remaining seed columns project below {PIVOT_TOL:g} "
+                f"all {dim - k} remaining coordinate vectors project below {PIVOT_TOL:g} "
                 f"at {u[stuck].tolist()}"
             )
         idx = np.argmax(usable, axis=-1)[..., None]
@@ -301,29 +293,24 @@ def _gram_schmidt_adapted(g: np.ndarray, J: np.ndarray, seed: np.ndarray, u: np.
     return E, pivots
 
 
-def adapt_frame(
-    patch: ManifoldPatch, point: np.ndarray, seed: np.ndarray | None = None
-) -> AdaptedFrame:
+def adapt_frame(patch: ManifoldPatch, point: np.ndarray) -> AdaptedFrame:
     """Build the J-adapted orthonormal frame at every point of ``point`` (..., 2n).
 
     The construction is deterministic: identical inputs give a bitwise
-    identical frame.  The default seed is the identity, so on a flat Kahler
-    patch the frame is the coordinate basis itself.
+    identical frame.  Gram-Schmidt sweeps the coordinate vectors in order, so
+    on a flat Kahler patch the frame is the coordinate basis itself.
     """
     u = require_interior(patch, point)
     g, J = validate_patch(patch, u)
-    seed_arr = np.eye(patch.dim) if seed is None else np.array(seed, dtype=float)
-    if seed_arr.shape != (patch.dim, patch.dim):
-        raise ValueError(f"seed must have shape ({patch.dim}, {patch.dim})")
-    E, pivots = _gram_schmidt_adapted(g, J, seed_arr, u)
+    E, pivots = _gram_schmidt_adapted(g, J, u)
     resid = np.abs(np.swapaxes(E, -1, -2) @ g @ E - np.eye(patch.dim)).max(axis=(-2, -1))
     bad = first_index(resid > FRAME_ORTHO_TOL)
     if bad is not None:
         raise DegeneratePivot(
             f"orthonormality residual {resid[bad]:.3e} after Gram-Schmidt at {u[bad].tolist()}; "
-            "seed is too ill-conditioned for a reliable frame"
+            "the metric is too ill-conditioned for a reliable frame"
         )
-    return AdaptedFrame(point=u, E=E, g=g, J=J, pivots=pivots, seed=None if seed is None else seed_arr)
+    return AdaptedFrame(point=u, E=E, g=g, J=J, pivots=pivots)
 
 
 def rotate_frame(frame: AdaptedFrame, U: np.ndarray) -> AdaptedFrame:
@@ -369,14 +356,14 @@ def evaluate_frame_field(patch: ManifoldPatch, frame: AdaptedFrame, point: np.nd
     """Evaluate the adapted frame field through ``frame`` at nearby points.
 
     ``point`` has the frame's batch axes, then any number of extra axes, then
-    2n.  Re-runs the Gram-Schmidt sweep with the same seed and demands, point
+    2n.  Re-runs the Gram-Schmidt sweep and demands, point
     by point, the pivot sequence of the frame it came from, so finite
     differences of the frame field are differences of one smooth
     matrix-valued function.  Returns the frames at ``point``, with the g and
     J they were built from; the frame's trailing rotation, one per point or
     one for all, is applied to E across the extra axes.
     """
-    moved = adapt_frame(patch, point, seed=frame.seed)
+    moved = adapt_frame(patch, point)
     extra = moved.pivots.ndim - frame.pivots.ndim
     if extra < 0:
         raise ValueError(

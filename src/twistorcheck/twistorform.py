@@ -140,28 +140,22 @@ def margin(F: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(M).min(axis=-1)
 
 
-def _pfaffian(A: np.ndarray) -> float:
-    """Pfaffian of a real skew matrix by the Parlett-Reid tridiagonalization."""
-    A = np.array(A, dtype=float)
-    m = A.shape[0]
-    if m % 2 == 1:
-        return 0.0
-    pf = 1.0
-    for k in range(0, m - 1, 2):
-        kp = k + 1 + int(np.abs(A[k + 1 :, k]).argmax())
-        if kp != k + 1:
-            A[[k + 1, kp], k:] = A[[kp, k + 1], k:]
-            A[k:, [k + 1, kp]] = A[k:, [kp, k + 1]]
-            pf = -pf
-        if A[k + 1, k] == 0.0:
-            return 0.0
-        pf *= A[k, k + 1]
-        if k + 2 < m:
-            tau = A[k, k + 2 :] / A[k, k + 1]
-            A[k + 2 :, k + 2 :] += np.outer(tau, A[k + 2 :, k + 1]) - np.outer(
-                A[k + 2 :, k + 1], tau
-            )
-    return pf
+def _pfaffian_sign(F: np.ndarray) -> np.ndarray:
+    """Sign of the Pfaffian of non-degenerate real skew matrices (..., 2m, 2m).
+
+    An eigenvector a + ib of the Hermitian iF for a positive eigenvalue l
+    gives F a = l b and F b = -l a.  The m positive eigenvectors make the
+    columns (b_1, a_1, b_2, a_2, ...) of Q mutually orthogonal, each of norm
+    1/sqrt 2, and Q^T F Q is block diagonal with blocks l/2 [[0, 1], [-1, 0]],
+    whose Pfaffian is positive; Pf(Q^T F Q) = det Q Pf F then makes the sign
+    that of det Q.
+    """
+    m = F.shape[-1] // 2
+    V = np.linalg.eigh(1j * F)[1][..., m:]
+    Q = np.empty(F.shape)
+    Q[..., 0::2] = V.imag
+    Q[..., 1::2] = V.real
+    return np.linalg.slogdet(Q)[0]
 
 
 def nondegenerate(F: np.ndarray, det: np.ndarray | None = None) -> tuple:
@@ -174,9 +168,9 @@ def nondegenerate(F: np.ndarray, det: np.ndarray | None = None) -> tuple:
     matrix survives a frame rotation) and classifies as degenerate.  The sign
     is computed in the interleaved basis (e_1, J e_1, e_2, J e_2, ...), the
     orientation in which the flat form -J0 is the reference block form with
-    sign +1; the Pfaffian runs only at the points that pass the determinant
-    test.  ``det`` is ``np.linalg.det`` of the matrices, computed here unless
-    the caller already holds it.
+    sign +1, by one batched ``_pfaffian_sign`` on the points that pass the
+    determinant test.  ``det`` is ``np.linalg.det`` of the matrices, computed
+    here unless the caller already holds it.
     """
     dim = F.shape[-1]
     n = dim // 2
@@ -186,9 +180,7 @@ def nondegenerate(F: np.ndarray, det: np.ndarray | None = None) -> tuple:
     nondeg = (scale > ZERO_FORM_FLOOR) & (np.abs(det) > NONDEGENERACY_THRESHOLD * scale**dim)
     interleave = np.arange(dim).reshape(2, n).T.ravel()
     sign = np.zeros(nondeg.shape, dtype=int)
-    for idx in np.ndindex(nondeg.shape):
-        if nondeg[idx]:
-            sign[idx] = np.sign(_pfaffian(F[idx][np.ix_(interleave, interleave)]))
+    sign[nondeg] = _pfaffian_sign(F[nondeg][..., interleave, :][..., interleave])
     return nondeg, sign[()]
 
 

@@ -368,6 +368,14 @@ def test_usage_errors_print_one_line(capsys, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_unallocatable_manifold_is_an_input_error(capsys):
+    # flat:100000 asks numpy for a 56.8 PiB array, which fails at once
+    assert run_cli(["report", "--manifold", "flat:100000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_geometry_checks_share_without_changing_values():
     """One frame and one d omega block per point give the standalone residuals exactly."""
     entry = catalog.resolve("nk-s6")
@@ -456,6 +464,23 @@ def test_geometry_calls_per_chunk_do_not_depend_on_points(monkeypatch):
     assert one == {"frame": 3, "g": 3, "J": 4}
     assert calls_for(4) == calls_for(cli.GEOMETRY_CHUNK) == one
     assert calls_for(cli.GEOMETRY_CHUNK + 1) == {key: 2 * value for key, value in one.items()}
+
+
+@pytest.mark.parametrize("rotations", [0, 4])
+def test_one_report_per_geometry_chunk(monkeypatch, rotations):
+    """The jet's own frames and all their rotations go through one theorem_report per chunk."""
+    calls = 0
+
+    def counting(jet, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return theorem_report(jet, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "theorem_report", counting)
+    monkeypatch.setattr(cli, "GEOMETRY_CHUNK", 2)
+    entry = catalog.resolve("flat:2")
+    assert geometry_checks(entry, points=3, seed=0, rotations=rotations, fd_step=1e-5)["all_pass"]
+    assert calls == 2
 
 
 def _geometry_reference(entry, points, seed, rotations, fd_step):

@@ -79,19 +79,15 @@ class TestAdaptFrame:
 
     def test_j_pairing_and_orientation_consistency(self, catalog_like_patches):
         # Positivity is defined by the J-adapted frame itself, so the testable
-        # invariant is that every adapted frame at a point has the same
-        # determinant sign in chart coordinates, not that the sign is +1.
-        rng = np.random.default_rng(3)
+        # invariant is that the frame has a definite determinant sign in chart
+        # coordinates (test_unitary_covariance keeps it under rotations), not
+        # that the sign is +1.
         for patch, point in catalog_like_patches:
             frame = adapt_frame(patch, point)
             J = patch.j_field(point)
             n = patch.n
             assert np.abs(J @ frame.E[:, :n] - frame.E[:, n:]).max() < 1e-12
-            reference_sign = np.sign(np.linalg.det(frame.E))
-            assert reference_sign != 0
-            seed = np.linalg.qr(rng.standard_normal((2 * n, 2 * n)))[0]
-            other = adapt_frame(patch, point, seed=seed)
-            assert np.sign(np.linalg.det(other.E)) == reference_sign
+            assert np.sign(np.linalg.det(frame.E)) != 0
 
     def test_unitary_covariance(self, catalog_like_patches):
         rng = np.random.default_rng(7)
@@ -109,23 +105,25 @@ class TestAdaptFrame:
                 assert np.abs(J @ E[:, :n] - E[:, n:]).max() < 1e-9
                 assert np.sign(np.linalg.det(E)) == sign
 
-    def test_gram_schmidt_idempotent(self):
-        patch = conformal_inverse_sq_patch()
-        u = np.array([1.1, 0.9, 1.3, 0.8])
-        first = adapt_frame(patch, u)
-        again = adapt_frame(patch, u, seed=first.E)
-        assert np.abs(again.E - first.E).max() < 1e-12
-
     def test_degenerate_seed_raises(self):
+        # Every coordinate vector has g-norm 1e-9, below PIVOT_TOL.
         with pytest.raises(DegeneratePivot):
-            adapt_frame(flat_patch(), np.zeros(4), seed=np.zeros((4, 4)))
+            adapt_frame(flat_patch(scale=1e-18), np.zeros(4))
 
     def test_degenerate_pivot_advances_to_next_column(self):
-        # First seed column is zero: the sweep must skip it deterministically.
-        seed = np.eye(4)
-        seed[:, 0] = 0.0
-        frame = adapt_frame(flat_patch(), np.zeros(4), seed=seed)
-        assert frame.pivots.tolist() == [1, 2]
+        # J e_1 = e_2, so after e_1 and J e_1 the second coordinate vector
+        # projects to zero: the sweep must skip it deterministically.
+        J = np.zeros((4, 4))
+        J[1, 0] = J[3, 2] = 1.0
+        J[0, 1] = J[2, 3] = -1.0
+        patch = ManifoldPatch(
+            n=2,
+            domain=box((-1.0, 1.0), 4),
+            metric_field=pointwise(lambda u: np.eye(4)),
+            j_field=pointwise(lambda u: J),
+        )
+        frame = adapt_frame(patch, np.zeros(4))
+        assert frame.pivots.tolist() == [0, 2]
 
     def test_incompatible_structure_rejected(self):
         n = 2
@@ -441,7 +439,7 @@ class TestBatchedFields:
 
     def test_pivot_change_at_one_stencil_point(self):
         # At u = h e_3 alone J turns e_1 into e_2, so the second Gram-Schmidt
-        # step there skips seed column 2: the frame field jumps at one
+        # step there skips coordinate vector 2: the frame field jumps at one
         # displaced point, and differentiating it must say so.
         from twistorcheck.connection import frame_field_jet
 

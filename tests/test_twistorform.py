@@ -28,7 +28,17 @@ from twistorcheck import (
     structure_coefficients,
     theorem_report,
 )
-from twistorcheck.twistorform import _pfaffian
+
+
+def expanded_pfaffian(A):
+    """Pfaffian by expansion along the first row: sum_j (-1)^(j+1) A[0, j] Pf(A without rows/columns 0, j)."""
+    if len(A) == 0:
+        return 1.0
+    total = 0.0
+    for j in range(1, len(A)):
+        keep = [k for k in range(1, len(A)) if k != j]
+        total += (-1) ** (j + 1) * A[0][j] * expanded_pfaffian([[A[r][c] for c in keep] for r in keep])
+    return total
 
 
 def table_with(n, entries):
@@ -217,12 +227,42 @@ class TestNondegenerate:
         assert nondegenerate(F) == (True, -1)
 
     def test_pfaffian_squares_to_determinant(self):
+        # the reference the sign tests below compare against
         rng = np.random.default_rng(9)
         for dim in (4, 6, 8):
             A = rng.standard_normal((dim, dim))
             A = A - A.T
-            pf = _pfaffian(A)
+            pf = expanded_pfaffian(A.tolist())
             assert pf**2 == pytest.approx(np.linalg.det(A), rel=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_sign_matches_a_first_row_expansion(self, n):
+        rng = np.random.default_rng(40 + n)
+        A = rng.standard_normal((200, 2 * n, 2 * n))
+        A = A - np.swapaxes(A, -1, -2)
+        # the sign is taken in the interleaved basis (e_1, e_{n+1}, e_2, e_{n+2}, ...)
+        order = [k for i in range(n) for k in (i, n + i)]
+        reference = [np.sign(expanded_pfaffian(a[np.ix_(order, order)].tolist())) for a in A]
+        nondeg, sign = nondegenerate(A)
+        assert nondeg.all()
+        assert sign.tolist() == reference
+        assert 0 < sign.tolist().count(1) < len(A)
+
+    def test_mixed_batch_gives_each_form_alone(self):
+        rng = np.random.default_rng(5)
+        flipped = -j0_matrix(3)
+        flipped[:, [0]] *= -1.0
+        flipped[[0], :] *= -1.0
+        zeroed = -j0_matrix(3)
+        zeroed[0, 3] = zeroed[3, 0] = 0.0
+        A = rng.standard_normal((6, 6))
+        A = A - A.T
+        forms = [np.zeros((6, 6)), -j0_matrix(3), flipped, zeroed, A, 1e-10 * A]
+        nondeg, sign = nondegenerate(np.stack(forms).reshape(2, 3, 6, 6))
+        alone = [nondegenerate(F) for F in forms]
+        assert list(zip(nondeg.ravel().tolist(), sign.ravel().tolist())) == alone
+        assert alone[:4] == [(False, 0), (True, 1), (True, -1), (False, 0)]
+        assert alone[5] == (False, 0)
 
     def test_noise_scale_form_is_degenerate(self):
         rng = np.random.default_rng(1)
@@ -357,7 +397,7 @@ def test_frame_invariance_of_scalars():
 
 
 def test_one_determinant_per_report(monkeypatch):
-    """det_F is the determinant the non-degeneracy test used: one LU per report."""
+    """det_F is the determinant the non-degeneracy test used: one determinant of F per report."""
     from twistorcheck.catalog import grid_points
 
     patch = perturbed_torus(eps=0.1).patch
