@@ -11,7 +11,6 @@ exact rational arithmetic.
 
 from .errors import (
     BoundaryProximity,
-    ChainViolation,
     ChartOverflow,
     CrossPathMismatch,
     DegeneratePivot,
@@ -44,17 +43,16 @@ from .connection import (
     structure_equation_residual,
 )
 from .nijenhuis import (
-    NijenhuisTensor,
     nijenhuis_coordinates,
     nijenhuis_frame,
     nijenhuis_norm,
     nijenhuis_tensor,
     norm_from_coefficients,
+    route_gap,
     symmetry_residuals,
 )
 from .twistorform import (
     ChainChecks,
-    StructureCoefficients,
     TheoremReport,
     alpha_beta,
     chern_identity_residual,
@@ -63,6 +61,7 @@ from .twistorform import (
     nondegenerate,
     phi_matrix,
     phi_via_bundle_formula,
+    sigma_report,
     structure_coefficients,
     theorem_report,
 )

@@ -106,7 +106,7 @@ def report_payload(entry: catalog.CatalogEntry, point: np.ndarray, fd_step: floa
     structure = structure_equation_residual(frame_field_jet(entry.patch, jet.frame, fd_step))
     return {
         "manifold": entry.id,
-        "point": [float(x) for x in rep.point],
+        "point": [float(x) for x in point],
         "normN2": rep.normN2,
         "margin": rep.margin,
         "sumA2": rep.sumA2,

@@ -36,10 +36,6 @@ class CrossPathMismatch(TwistorcheckError):
     """Two independent computation routes disagree beyond tolerance."""
 
 
-class ChainViolation(TwistorcheckError):
-    """An inequality of the non-degeneracy bound chain failed."""
-
-
 class WrongPatch(TwistorcheckError):
     """Operation requires a patch attribute the given patch does not carry."""
 

@@ -10,47 +10,21 @@ N(e_i, e_j) = sum_k (d_{ijk} e_k - d'_{ijk} e_{k+n}) from the structure
 coefficients of the connection forms and fills the remaining slots with the
 symmetries N(Y, X) = -N(X, Y) and N(JX, Y) = -J N(X, Y) = N(X, JY).
 
-The two routes share no code path, so their agreement (enforced whenever both
-are available) is a genuine cross-check of every sign convention in between.
+The two routes share no code path, so their agreement (``route_gap``, which
+``theorem_report`` enforces at every point) is a genuine cross-check of every
+sign convention in between.
 They may share input: both read J and dJ from the same ``PointJet``, since a
 second stencil at the same point would return the same numbers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from .errors import CrossPathMismatch
-from .geometry import ManifoldPatch, PointJet, field_value, first_index, j0_matrix
-
-if TYPE_CHECKING:
-    from .twistorform import StructureCoefficients
+from .geometry import PointJet, first_index, j0_matrix
 
 ROUTE_REL_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class NijenhuisTensor:
-    """Coordinate components N^c_{ab} and frame components Nf^C_{AB}, per point.
-
-    ``route_gap`` is max |Nf - converted coordinate components| relative to
-    max(1, max |converted|), per point, when Nf came from the connection
-    route; None when the frame components are the converted ones.
-    """
-
-    coord: np.ndarray
-    frame: np.ndarray
-    point: np.ndarray
-    route_gap: np.ndarray | None = None
-
-    def __post_init__(self):
-        for name in ("coord", "frame", "point"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
 
 
 def nijenhuis_coordinates(J: np.ndarray, dJ: np.ndarray) -> np.ndarray:
@@ -90,15 +64,13 @@ def frame_components_from_coordinates(
     return np.swapaxes(E, -1, -2)[..., None, :, :] @ upper @ E[..., None, :, :]
 
 
-def nijenhuis_frame(coeffs: "StructureCoefficients") -> np.ndarray:
-    """Frame components Nf[C, A, B] assembled from connection structure coefficients.
+def nijenhuis_frame(d: np.ndarray, dp: np.ndarray) -> np.ndarray:
+    """Frame components Nf[..., C, A, B] assembled from the structure coefficients d and d'.
 
     Slots with both arguments in the first half come straight from the d and
     d' tensors; the rest follow from the J-symmetries, matching the factor-4
     bookkeeping of the squared-norm formula.
     """
-    d = np.asarray(coeffs.d, dtype=float)
-    dp = np.asarray(coeffs.dp, dtype=float)
     n = d.shape[-1]
     J0 = j0_matrix(n)
     # V[C, i, j] = components of N(e_i, e_j)
@@ -112,93 +84,81 @@ def nijenhuis_frame(coeffs: "StructureCoefficients") -> np.ndarray:
     return Nf
 
 
-def nijenhuis_tensor(jet: PointJet, coeffs: "StructureCoefficients | None" = None) -> NijenhuisTensor:
-    """Nijenhuis tensor at the jet's points, with frame components cross-checked.
+def nijenhuis_tensor(jet: PointJet) -> np.ndarray:
+    """Frame components Nf[..., C, A, B] by the coordinate route at the jet's points.
 
     The coordinate components come from the jet's J and dJ and change to the
-    jet's frame.  When ``coeffs`` is given, the frame components come from
-    the connection route and must agree with that frame change, at every
-    point, to relative ``ROUTE_REL_TOL``; disagreement raises
-    CrossPathMismatch naming the first such point, and the relative gap is
-    kept as ``route_gap``.
+    jet's frame; neither the metric's derivatives nor the connection enter.
     """
     frame = jet.frame
     coord = nijenhuis_coordinates(frame.J, jet.dJ)
-    converted = frame_components_from_coordinates(coord, frame.E, frame.g)
-    if coeffs is None:
-        framec, gap = converted, None
-    else:
-        framec = nijenhuis_frame(coeffs)
-        scale = np.maximum(1.0, np.abs(converted).max(axis=(-3, -2, -1)))
-        resid = np.abs(framec - converted).max(axis=(-3, -2, -1))
-        bad = first_index(resid > ROUTE_REL_TOL * scale)
-        if bad is not None:
-            raise CrossPathMismatch(
-                f"frame components from connection coefficients differ from the "
-                f"coordinate route by {resid[bad]:.3e} (scale {scale[bad]:.3e}) "
-                f"at {frame.point[bad].tolist()}"
-            )
-        gap = resid / scale
-    return NijenhuisTensor(coord=coord, frame=framec, point=frame.point, route_gap=gap)
+    return frame_components_from_coordinates(coord, frame.E, frame.g)
 
 
-def norm_from_coefficients(coeffs: "StructureCoefficients") -> float:
+def route_gap(N: np.ndarray, reference: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """Relative gap between the connection route's frame components and the coordinate route's, per point.
+
+    ``N`` and ``reference`` are frame components (..., 2n, 2n, 2n) at the
+    points ``point`` (..., 2n); the gap is max |N - reference| relative to
+    max(1, max |reference|).  They must agree at every point to relative
+    ``ROUTE_REL_TOL``; disagreement raises CrossPathMismatch naming the first
+    such point.
+    """
+    scale = np.maximum(1.0, np.abs(reference).max(axis=(-3, -2, -1)))
+    resid = np.abs(N - reference).max(axis=(-3, -2, -1))
+    bad = first_index(resid > ROUTE_REL_TOL * scale)
+    if bad is not None:
+        raise CrossPathMismatch(
+            f"frame components from connection coefficients differ from the "
+            f"coordinate route by {resid[bad]:.3e} (scale {scale[bad]:.3e}) "
+            f"at {point[bad].tolist()}"
+        )
+    return resid / scale
+
+
+def norm_from_coefficients(d: np.ndarray, dp: np.ndarray) -> np.ndarray:
     """Squared Nijenhuis norm 4 sum_{i,j,k} (d_ijk^2 + d'_ijk^2), per point."""
-    d = np.asarray(coeffs.d, dtype=float)
-    dp = np.asarray(coeffs.dp, dtype=float)
     axes = (-3, -2, -1)
     return 4.0 * ((d**2).sum(axis=axes) + (dp**2).sum(axis=axes))
 
 
-def nijenhuis_norm(tensor: NijenhuisTensor) -> float:
-    """Squared norm |N|^2 = sum_{A,B} |N(e_A, e_B)|^2 in frame components, per point.
+def nijenhuis_norm(N: np.ndarray) -> np.ndarray:
+    """Squared norm |N|^2 = sum_{A,B} |N(e_A, e_B)|^2 of frame components N[..., C, A, B], per point.
 
     The value is checked against 4 sum_{i,j<=n} |N(e_i, e_j)|^2 at every
     point, to relative ``ROUTE_REL_TOL``; a mismatch means the frame
-    components break the J-symmetries and raises CrossPathMismatch.
+    components break the J-symmetries and raises CrossPathMismatch naming
+    the first such batch index.
     """
-    Nf = tensor.frame
-    n = Nf.shape[-1] // 2
+    n = N.shape[-1] // 2
     axes = (-3, -2, -1)
-    total = (Nf**2).sum(axis=axes)
-    quarter = 4.0 * (Nf[..., :, :n, :n] ** 2).sum(axis=axes)
+    total = (N**2).sum(axis=axes)
+    quarter = 4.0 * (N[..., :, :n, :n] ** 2).sum(axis=axes)
     bad = first_index(np.abs(total - quarter) > ROUTE_REL_TOL * np.maximum(1.0, total))
     if bad is not None:
         raise CrossPathMismatch(
             f"|N|^2 = {total[bad]:.12e} but 4 sum_(i,j<=n) gives {quarter[bad]:.12e} "
-            f"at {tensor.point[bad].tolist()}; the J-symmetry bookkeeping is broken"
+            f"at batch index {tuple(int(i) for i in bad)}; the J-symmetry bookkeeping is broken"
         )
     return total
 
 
-@dataclass(frozen=True)
-class SymmetryResiduals:
-    """Max-norm residuals of the three Nijenhuis symmetries at a point."""
+def symmetry_residuals(N: np.ndarray, J: np.ndarray) -> dict:
+    """Max-norm residuals of N(Y,X) = -N(X,Y) and N(JX,Y) = -J N(X,Y) = N(X,JY), per point.
 
-    antisymmetry: float
-    j_first_slot: float
-    j_second_slot: float
-
-    def max(self) -> float:
-        return max(self.antisymmetry, self.j_first_slot, self.j_second_slot)
-
-
-def symmetry_residuals(
-    tensor: NijenhuisTensor, patch: ManifoldPatch, point: np.ndarray
-) -> SymmetryResiduals:
-    """Evaluate N(Y,X) = -N(X,Y) and N(JX,Y) = -J N(X,Y) = N(X,JY) on coordinate slots.
-
-    For a genuine almost complex structure all three residuals sit at the
-    finite-difference noise floor; a corrupted J (J^2 != -Id) drives them up,
-    which makes this the designated negative control.
+    ``N[..., c, a, b]`` are coordinate components and ``J[..., a, b]`` the
+    field at the same points.  For a genuine almost complex structure all
+    three residuals sit at the finite-difference noise floor; a corrupted J
+    (J^2 != -Id) drives them up, which makes this the designated negative
+    control.
     """
-    N = tensor.coord
-    J = field_value(patch, point, "j")
     dim = J.shape[-1]
-    anti = float(np.abs(N + np.swapaxes(N, -1, -2)).max())
+    axes = (-3, -2, -1)
     # jn[c, a, b] = J^c_e N^e_{ab}
     jn = (J @ N.reshape(N.shape[:-3] + (dim, dim * dim))).reshape(N.shape)
     # first slot: J^d_a N^c_{db}; second slot: N^c_{ad} J^d_b
-    first = float(np.abs(np.swapaxes(J, -1, -2)[..., None, :, :] @ N + jn).max())
-    second = float(np.abs(N @ J[..., None, :, :] + jn).max())
-    return SymmetryResiduals(antisymmetry=anti, j_first_slot=first, j_second_slot=second)
+    return {
+        "antisymmetry": np.abs(N + np.swapaxes(N, -1, -2)).max(axis=axes),
+        "j_first_slot": np.abs(np.swapaxes(J, -1, -2)[..., None, :, :] @ N + jn).max(axis=axes),
+        "j_second_slot": np.abs(N @ J[..., None, :, :] + jn).max(axis=axes),
+    }

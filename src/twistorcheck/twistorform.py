@@ -14,24 +14,25 @@ and the 2-form
 
 by two formulas: the coefficient expansion above and the trace pairing
 phi(X, Y) = -1/4 tr((J0 w(X) - w(X) J0)(w(Y) + J0 w(Y) J0)) - theta(X) J0 . theta(Y),
-which must agree to machine precision.  ``theorem_report`` runs the whole
-pipeline at a point and certifies the inequality chain
+which must agree to machine precision.  ``sigma_report`` reads only the sigma
+part of the table and certifies the inequality chain
 
     margin >= 1 - 1/4 sum A^2 >= 1 - c |N|^2 ,   c = 5/64 (n >= 3), 1/16 (n = 2),
 
 together with: |N|^2 below the critical constant implies phi non-degenerate.
+``theorem_report`` is that certificate at the points of a jet.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ChainViolation, WrongPatch
-from .geometry import ManifoldPatch, PointJet, first_index, j0_matrix
+from .errors import WrongPatch
+from .geometry import ManifoldPatch, PointJet, j0_matrix
 from .connection import FrameFieldJet, connection_coefficients, nabla_j_connection
-from .nijenhuis import nijenhuis_norm, nijenhuis_tensor
+from .nijenhuis import nijenhuis_frame, nijenhuis_norm, nijenhuis_tensor, route_gap
 
 # Critical squared-norm thresholds of the non-degeneracy statement.
 C0_HIGH = 64.0 / 5.0  # n >= 3
@@ -52,23 +53,6 @@ def critical_constant(n: int) -> float:
     return C0_N2 if n == 2 else C0_HIGH
 
 
-@dataclass(frozen=True)
-class StructureCoefficients:
-    """The C, C', d, d' tensors and the row norms A_ij."""
-
-    C: np.ndarray
-    Cp: np.ndarray
-    d: np.ndarray
-    dp: np.ndarray
-    Arow: np.ndarray
-
-    def __post_init__(self):
-        for name in ("C", "Cp", "d", "dp", "Arow"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
-
-
 def alpha_beta(omega: np.ndarray) -> tuple:
     """(alpha, beta) with alpha[..., i, j, A] = alpha_ij(e_A), read off a connection table."""
     n = omega.shape[-1] // 2
@@ -77,8 +61,8 @@ def alpha_beta(omega: np.ndarray) -> tuple:
     return alpha, beta
 
 
-def structure_coefficients(alpha: np.ndarray, beta: np.ndarray) -> StructureCoefficients:
-    """Assemble C, C', d, d' and the row norms A_ij from the alpha/beta tables."""
+def structure_coefficients(alpha: np.ndarray, beta: np.ndarray) -> tuple:
+    """(C, C', d, d', A): the structure coefficients and the row norms A_ij of alpha/beta tables."""
     n = alpha.shape[-3]
     # [j, k, i] -> [i, j, k]
     alpha = np.moveaxis(alpha, -1, -3)
@@ -87,8 +71,8 @@ def structure_coefficients(alpha: np.ndarray, beta: np.ndarray) -> StructureCoef
     Cp = alpha[..., :n, :, :] - beta[..., n:, :, :]
     d = C - np.swapaxes(C, -3, -2)
     dp = Cp - np.swapaxes(Cp, -3, -2)
-    Arow = np.sqrt((C**2).sum(axis=-3) + (Cp**2).sum(axis=-3))
-    return StructureCoefficients(C=C, Cp=Cp, d=d, dp=dp, Arow=Arow)
+    A = np.sqrt((C**2).sum(axis=-3) + (Cp**2).sum(axis=-3))
+    return C, Cp, d, dp, A
 
 
 def phi_matrix(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -208,26 +192,19 @@ class ChainChecks:
         """The four booleans of a single point."""
         return {name: bool(getattr(self, name)) for name in "abcd"}
 
-    def first_failure(self, index: tuple = ()) -> str | None:
-        """Name of the first failed inequality at the point ``index`` of the batch."""
-        for name in "abcd":
-            if not np.asarray(getattr(self, name))[index]:
-                return name
-        return None
-
 
 @dataclass(frozen=True)
 class TheoremReport:
     """Every quantity of the non-degeneracy certificate, one value per point.
 
     For a single point the fields are scalars; for a batch of points of
-    shape S they are arrays of shape S (``sigma`` of shape S + (2n,) * 3).
-    ``n_route_mismatch`` is the relative gap between the frame components of
-    N from the coordinate route and from the connection route.
+    shape S they are arrays of shape S (``sigma`` and ``N`` of shape
+    S + (2n,) * 3).  ``N`` holds the frame components N[..., C, A, B] of the
+    Nijenhuis tensor by the connection route.  ``n_route_mismatch`` is the
+    relative gap between those and the coordinate route's, None when the
+    report was computed from sigma alone.
     """
 
-    point: np.ndarray
-    n: int
     normN2: float
     margin: float
     sumA2: float
@@ -238,13 +215,9 @@ class TheoremReport:
     pfaffian_sign: int
     det_F: float
     phi_formula_mismatch: float
-    n_route_mismatch: float
     sigma: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.point, dtype=float)
-        p.flags.writeable = False
-        object.__setattr__(self, "point", p)
+    N: np.ndarray
+    n_route_mismatch: float | None = None
 
 
 def _total(a: np.ndarray) -> np.ndarray:
@@ -252,26 +225,22 @@ def _total(a: np.ndarray) -> np.ndarray:
     return (a**2).sum(axis=(-3, -2, -1))
 
 
-def theorem_report(jet: PointJet, tol: float = CHAIN_TOL, strict: bool = False) -> TheoremReport:
-    """Run the full pipeline at the jet's points and certify the bound chain.
+def sigma_report(sigma: np.ndarray, tol: float = CHAIN_TOL) -> TheoremReport:
+    """Certify the bound chain for sigma tables sigma[..., A, B, C] = sigma_AB(e_C).
 
-    The jet's dJ feeds both the sigma table (``nabla_j_connection``, kept as
-    ``sigma`` in the report) and the coordinate Nijenhuis route; nothing here
-    evaluates a field.  Every quantity is computed for the whole batch at
-    once, and each point's values are those of the point computed alone.
-
-    With ``strict`` the first failed inequality (at the first failing point)
-    raises ChainViolation; the default returns the report with
-    per-inequality booleans so sweeps can count violations.  A violation on
+    Every quantity of the certificate is a function of sigma alone: alpha
+    and beta, the structure coefficients, N by the connection route, both phi
+    formulas, the margin, the determinant and the non-degeneracy verdict.
+    Every quantity is computed for the whole batch at once, and each table's
+    values are those of the table computed alone.  The report carries
+    per-inequality booleans so sweeps can count violations; a violation on
     valid input is a bug detector, never an expected outcome.
     """
-    u = jet.frame.point
-    n = jet.frame.n
-    sigma = nabla_j_connection(jet)
+    n = sigma.shape[-1] // 2
     alpha, beta = alpha_beta(sigma)
-    coeffs = structure_coefficients(alpha, beta)
-    tensor = nijenhuis_tensor(jet, coeffs)
-    normN2 = nijenhuis_norm(tensor)
+    C, Cp, d, dp, A = structure_coefficients(alpha, beta)
+    N = nijenhuis_frame(d, dp)
+    normN2 = nijenhuis_norm(N)
 
     F = phi_matrix(alpha, beta)
     phi_mismatch = np.abs(F - phi_via_bundle_formula(sigma)).max(axis=(-2, -1))
@@ -279,22 +248,22 @@ def theorem_report(jet: PointJet, tol: float = CHAIN_TOL, strict: bool = False) 
     det_F = np.linalg.det(F)
     nondeg, pf_sign = nondegenerate(F, det=det_F)
 
-    sumA2 = (coeffs.Arow**2).sum(axis=(-2, -1))
+    sumA2 = (A**2).sum(axis=(-2, -1))
     bound_quarterA = 1.0 - 0.25 * sumA2
     c0 = critical_constant(n)
     factor = 5.0 / 64.0 if n >= 3 else 1.0 / 16.0
     bound_paper = 1.0 - factor * normN2
 
-    sum_c2 = _total(coeffs.C)
-    sum_cp2 = _total(coeffs.Cp)
-    sum_d2 = _total(coeffs.d)
-    sum_dp2 = _total(coeffs.dp)
+    sum_c2 = _total(C)
+    sum_cp2 = _total(Cp)
+    sum_d2 = _total(d)
+    sum_dp2 = _total(dp)
     ok_a = mrg >= bound_quarterA - tol
     if n >= 3:
         ok_b = (sum_c2 <= 1.25 * sum_d2 + tol) & (sum_cp2 <= 1.25 * sum_dp2 + tol)
     else:
-        two_diag = 2.0 * (coeffs.d[..., 0, 1, 0] ** 2 + coeffs.d[..., 1, 0, 1] ** 2)
-        two_diag_p = 2.0 * (coeffs.dp[..., 0, 1, 0] ** 2 + coeffs.dp[..., 1, 0, 1] ** 2)
+        two_diag = 2.0 * (d[..., 0, 1, 0] ** 2 + d[..., 1, 0, 1] ** 2)
+        two_diag_p = 2.0 * (dp[..., 0, 1, 0] ** 2 + dp[..., 1, 0, 1] ** 2)
         ok_b = (
             (np.abs(sum_c2 - sum_d2) <= tol)
             & (np.abs(sum_c2 - two_diag) <= tol)
@@ -303,31 +272,33 @@ def theorem_report(jet: PointJet, tol: float = CHAIN_TOL, strict: bool = False) 
         )
     ok_c = bound_quarterA >= bound_paper - tol
     ok_d = (normN2 >= c0) | nondeg
-    chain = ChainChecks(a=ok_a, b=ok_b, c=ok_c, d=ok_d)
-
-    bad = first_index(~chain.all_ok) if strict else None
-    if bad is not None:
-        raise ChainViolation(
-            f"inequality ({chain.first_failure(bad)}) failed at {u[bad].tolist()}: "
-            f"margin={mrg[bad]:.12g} quarterA={bound_quarterA[bad]:.12g} "
-            f"paper={bound_paper[bad]:.12g} normN2={normN2[bad]:.12g} nondeg={bool(nondeg[bad])}"
-        )
     return TheoremReport(
-        point=u,
-        n=n,
         normN2=normN2,
         margin=mrg,
         sumA2=sumA2,
         bound_quarterA=bound_quarterA,
         bound_paper=bound_paper,
-        chain_ok=chain,
+        chain_ok=ChainChecks(a=ok_a, b=ok_b, c=ok_c, d=ok_d),
         nondegenerate=nondeg,
         pfaffian_sign=pf_sign,
         det_F=det_F,
         phi_formula_mismatch=phi_mismatch,
-        n_route_mismatch=tensor.route_gap,
         sigma=sigma,
+        N=N,
     )
+
+
+def theorem_report(jet: PointJet, tol: float = CHAIN_TOL) -> TheoremReport:
+    """``sigma_report`` of the jet's sigma table, with the Nijenhuis route gap.
+
+    The jet's dJ feeds both the sigma table (``nabla_j_connection``, kept as
+    ``sigma`` in the report) and the coordinate Nijenhuis route, whose frame
+    components must agree with the report's ``N`` at every point
+    (``route_gap``); nothing here evaluates a field.
+    """
+    rep = sigma_report(nabla_j_connection(jet), tol)
+    gap = route_gap(rep.N, nijenhuis_tensor(jet), jet.frame.point)
+    return replace(rep, n_route_mismatch=gap)
 
 
 def chern_identity_residual(patch: ManifoldPatch, jet: FrameFieldJet, dw: np.ndarray) -> np.ndarray:

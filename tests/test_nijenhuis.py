@@ -6,7 +6,6 @@ import pytest
 from twistorcheck import (
     CrossPathMismatch,
     ManifoldPatch,
-    StructureCoefficients,
     alpha_beta,
     connection_coefficients,
     field_derivative,
@@ -21,6 +20,7 @@ from twistorcheck import (
     perturbed_torus,
     point_jet,
     pointwise,
+    route_gap,
     structure_coefficients,
     symmetry_residuals,
 )
@@ -28,16 +28,12 @@ from twistorcheck import (
 NK_POINT = np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])
 
 
-def frame_coefficients(patch, frame):
-    """Structure coefficients of the frame-differentiated connection table."""
-    return structure_coefficients(*alpha_beta(connection_coefficients(frame_field_jet(patch, frame))))
-
-
-def coeffs_from_d(n, d, dp=None):
-    zero = np.zeros((n, n, n))
-    d = np.asarray(d, dtype=float)
-    dp = zero if dp is None else np.asarray(dp, dtype=float)
-    return StructureCoefficients(C=zero, Cp=zero, d=d, dp=dp, Arow=np.zeros((n, n)))
+def frame_d(patch, frame):
+    """The d and d' tensors of the frame-differentiated connection table."""
+    _, _, d, dp, _ = structure_coefficients(
+        *alpha_beta(connection_coefficients(frame_field_jet(patch, frame)))
+    )
+    return d, dp
 
 
 def coordinate_route(patch, u):
@@ -68,11 +64,12 @@ def test_nearly_kahler_nonzero_and_antisymmetric():
 def test_cross_route_agreement_on_nearly_kahler():
     patch = nearly_kahler_s6().patch
     jet = point_jet(patch, NK_POINT)
-    coeffs = frame_coefficients(patch, jet.frame)
-    tensor = nijenhuis_tensor(jet, coeffs)  # raises CrossPathMismatch on disagreement
-    assert tensor.route_gap < 1e-6
-    norm = nijenhuis_norm(tensor)
-    assert abs(norm - norm_from_coefficients(coeffs)) < 1e-6 * max(1.0, norm)
+    d, dp = frame_d(patch, jet.frame)
+    N = nijenhuis_frame(d, dp)
+    # raises CrossPathMismatch on disagreement
+    assert route_gap(N, nijenhuis_tensor(jet), jet.frame.point) < 1e-6
+    norm = nijenhuis_norm(N)
+    assert abs(norm - norm_from_coefficients(d, dp)) < 1e-6 * max(1.0, norm)
 
 
 def test_route_gap_reads_a_scaled_coordinate_route(monkeypatch):
@@ -92,17 +89,14 @@ def test_route_gap_reads_a_scaled_coordinate_route(monkeypatch):
 def test_cross_path_mismatch_detected():
     patch = nearly_kahler_s6().patch
     jet = point_jet(patch, NK_POINT)
-    coeffs = frame_coefficients(patch, jet.frame)
-    wrong = StructureCoefficients(
-        C=coeffs.C, Cp=coeffs.Cp, d=1.5 * coeffs.d, dp=coeffs.dp, Arow=coeffs.Arow
-    )
+    d, dp = frame_d(patch, jet.frame)
     with pytest.raises(CrossPathMismatch):
-        nijenhuis_tensor(jet, wrong)
+        route_gap(nijenhuis_frame(1.5 * d, dp), nijenhuis_tensor(jet), jet.frame.point)
 
 
 class TestFrameAssembly:
     def test_zero_coefficients(self):
-        Nf = nijenhuis_frame(coeffs_from_d(2, np.zeros((2, 2, 2))))
+        Nf = nijenhuis_frame(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
         assert np.abs(Nf).max() == 0.0
 
     def test_single_d_slot_with_symmetries(self):
@@ -110,7 +104,7 @@ class TestFrameAssembly:
         d = np.zeros((2, 2, 2))
         d[0, 1, 0] = 2.0
         d[1, 0, 0] = -2.0
-        Nf = nijenhuis_frame(coeffs_from_d(2, d))
+        Nf = nijenhuis_frame(d, np.zeros((2, 2, 2)))
         assert np.allclose(Nf[:, 0, 1], [2.0, 0.0, 0.0, 0.0])  # N(e1, e2) = 2 e1
         assert np.allclose(Nf[:, 1, 0], [-2.0, 0.0, 0.0, 0.0])
         # N(J e1, e2) = -J N(e1, e2) = -2 J e1 = -2 e3
@@ -122,16 +116,26 @@ class TestFrameAssembly:
         # Substituting a lone d_121 = 2 into 4 sum (d^2 + d'^2) gives 16.
         d = np.zeros((2, 2, 2))
         d[0, 1, 0] = 2.0
-        assert norm_from_coefficients(coeffs_from_d(2, d)) == 16.0
+        assert norm_from_coefficients(d, np.zeros((2, 2, 2))) == 16.0
 
     def test_norm_with_antisymmetric_pair(self):
         d = np.zeros((2, 2, 2))
         d[0, 1, 0] = 2.0
         d[1, 0, 0] = -2.0
-        coeffs = coeffs_from_d(2, d)
-        Nf = nijenhuis_frame(coeffs)
+        dp = np.zeros((2, 2, 2))
+        Nf = nijenhuis_frame(d, dp)
         tensor_norm = float((Nf**2).sum())
-        assert tensor_norm == norm_from_coefficients(coeffs) == 32.0
+        assert tensor_norm == norm_from_coefficients(d, dp) == 32.0
+
+    def test_norm_names_the_batch_index_that_breaks_the_j_symmetries(self):
+        d = np.zeros((2, 2, 2))
+        d[0, 1, 0] = 2.0
+        d[1, 0, 0] = -2.0
+        N = np.stack([np.zeros((4, 4, 4)), nijenhuis_frame(d, np.zeros((2, 2, 2)))])
+        assert nijenhuis_norm(N).tolist() == [0.0, 32.0]
+        N[1, :, 2, 3] = 0.0  # drop N(J e1, J e2) = -N(e1, e2)
+        with pytest.raises(CrossPathMismatch, match=r"batch index \(1,\)"):
+            nijenhuis_norm(N)
 
 
 def test_integrable_catalog_norms_vanish():
@@ -144,9 +148,9 @@ def test_integrable_catalog_norms_vanish():
     ):
         patch = entry.patch
         jet = point_jet(patch, point)
-        coeffs = frame_coefficients(patch, jet.frame)
-        tensor = nijenhuis_tensor(jet, coeffs)
-        assert nijenhuis_norm(tensor) < 1e-10
+        N = nijenhuis_frame(*frame_d(patch, jet.frame))
+        route_gap(N, nijenhuis_tensor(jet), jet.frame.point)
+        assert nijenhuis_norm(N) < 1e-10
 
 
 def test_nearly_kahler_norm_constant_and_above_threshold():
@@ -155,8 +159,7 @@ def test_nearly_kahler_norm_constant_and_above_threshold():
     values = []
     for _ in range(10):
         u = rng.uniform(-0.3, 0.3, 6)
-        tensor = nijenhuis_tensor(point_jet(patch, u))
-        values.append(nijenhuis_norm(tensor))
+        values.append(nijenhuis_norm(nijenhuis_tensor(point_jet(patch, u))))
     values = np.array(values)
     assert values.min() >= 64.0 / 5.0
     assert np.ptp(values) < 1e-6 * values.mean()
@@ -168,15 +171,13 @@ class TestSymmetryResiduals:
     def test_constant_j_all_zero(self):
         patch = perturbed_torus(eps=0.0).patch
         u = np.array([0.2, 0.0, 0.1, -0.3, 0.0, 0.25])
-        tensor = nijenhuis_tensor(point_jet(patch, u))
-        res = symmetry_residuals(tensor, patch, u)
-        assert res.max() == 0.0
+        res = symmetry_residuals(coordinate_route(patch, u), patch.j_field(u))
+        assert max(res.values()) == 0.0
 
     def test_nearly_kahler_small(self):
         patch = nearly_kahler_s6().patch
-        tensor = nijenhuis_tensor(point_jet(patch, NK_POINT))
-        res = symmetry_residuals(tensor, patch, NK_POINT)
-        assert res.max() < 1e-7
+        res = symmetry_residuals(coordinate_route(patch, NK_POINT), patch.j_field(NK_POINT))
+        assert max(res.values()) < 1e-7
 
     def test_corrupted_j_negative_control(self):
         # An asymmetric 1e-3 bump breaks J^2 = -Id, and the J-slot symmetries
@@ -193,12 +194,8 @@ class TestSymmetryResiduals:
             label="corrupted",
         )
         u = np.array([0.3, 0.1, -0.2, 0.0, 0.1, -0.1])
-        coord = nijenhuis_coordinates(patch.j_field(u), field_derivative(patch, u, "j"))
-        from twistorcheck.nijenhuis import NijenhuisTensor
-
-        tensor = NijenhuisTensor(coord=coord, frame=np.zeros((6, 6, 6)), point=u)
-        res = symmetry_residuals(tensor, patch, u)
-        assert max(res.j_first_slot, res.j_second_slot) > 1e-4
+        res = symmetry_residuals(coordinate_route(patch, u), patch.j_field(u))
+        assert max(res["j_first_slot"], res["j_second_slot"]) > 1e-4
 
 
 def test_metric_rescaling_exponent():
@@ -221,9 +218,9 @@ def test_metric_rescaling_exponent():
     for c in scales:
         patch = scaled_patch(c)
         jet = point_jet(patch, u)
-        coeffs = frame_coefficients(patch, jet.frame)
-        tensor = nijenhuis_tensor(jet, coeffs)
-        norms.append(nijenhuis_norm(tensor))
+        N = nijenhuis_frame(*frame_d(patch, jet.frame))
+        route_gap(N, nijenhuis_tensor(jet), jet.frame.point)
+        norms.append(nijenhuis_norm(N))
     slopes = np.diff(np.log(norms)) / np.diff(np.log(scales))
     assert np.allclose(slopes, -2.0, atol=1e-6), f"observed scaling exponent {slopes}"
     assert abs(norms[0] / norms[1] - 4.0) < 1e-6

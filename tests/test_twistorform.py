@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from twistorcheck import (
-    ChainViolation,
     WrongPatch,
     adapt_frame,
     alpha_beta,
@@ -15,8 +14,10 @@ from twistorcheck import (
     connection_coefficients,
     connection_derivative,
     critical_constant,
+    default_entries,
     flat_kahler,
     frame_field_jet,
+    grid_points,
     j0_matrix,
     margin,
     nearly_kahler_s6,
@@ -25,9 +26,11 @@ from twistorcheck import (
     phi_matrix,
     phi_via_bundle_formula,
     point_jet,
+    sigma_report,
     structure_coefficients,
     theorem_report,
 )
+from twistorcheck.connection import sigma_part
 
 
 def expanded_pfaffian(A):
@@ -99,45 +102,44 @@ def ab_with(n, alpha_entries, beta_entries):
 
 class TestStructureCoefficients:
     def test_zero(self):
-        coeffs = structure_coefficients(*ab_with(2, {}, {}))
-        for t in (coeffs.C, coeffs.Cp, coeffs.d, coeffs.dp, coeffs.Arow):
+        for t in structure_coefficients(*ab_with(2, {}, {})):
             assert np.abs(t).max() == 0.0
 
     def test_alpha_slot_example(self):
         # alpha_23^{1+n} = 1, n = 3: C_123 = 1 with the full d fan-out.
         n = 3
-        coeffs = structure_coefficients(*ab_with(n, {(1, 2, n + 0): 1.0}, {}))
-        C = np.zeros((n, n, n))
-        C[0, 1, 2] = 1.0
-        C[0, 2, 1] = -1.0
-        assert np.array_equal(coeffs.C, C)
-        d = np.zeros((n, n, n))
-        d[0, 1, 2] = 1.0
-        d[1, 0, 2] = -1.0
-        d[0, 2, 1] = -1.0
-        d[2, 0, 1] = 1.0
-        assert np.array_equal(coeffs.d, d)
+        C, _, d, _, _ = structure_coefficients(*ab_with(n, {(1, 2, n + 0): 1.0}, {}))
+        expected_C = np.zeros((n, n, n))
+        expected_C[0, 1, 2] = 1.0
+        expected_C[0, 2, 1] = -1.0
+        assert np.array_equal(C, expected_C)
+        expected_d = np.zeros((n, n, n))
+        expected_d[0, 1, 2] = 1.0
+        expected_d[1, 0, 2] = -1.0
+        expected_d[0, 2, 1] = -1.0
+        expected_d[2, 0, 1] = 1.0
+        assert np.array_equal(d, expected_d)
         # cyclic identity spot check: 2 C_123 = d_123 - d_231 + d_312
-        assert 2.0 * coeffs.C[0, 1, 2] == coeffs.d[0, 1, 2] - coeffs.d[1, 2, 0] + coeffs.d[2, 0, 1]
+        assert 2.0 * C[0, 1, 2] == d[0, 1, 2] - d[1, 2, 0] + d[2, 0, 1]
 
     def test_beta_slot_example(self):
-        # beta_12^1 = 1, n = 2: C_112 = 1, C_121 = -1, Arow_12 = 1.
-        coeffs = structure_coefficients(*ab_with(2, {}, {(0, 1, 0): 1.0}))
-        assert coeffs.C[0, 0, 1] == 1.0
-        assert coeffs.C[0, 1, 0] == -1.0
-        assert coeffs.Arow[0, 1] == 1.0
+        # beta_12^1 = 1, n = 2: C_112 = 1, C_121 = -1, A_12 = 1.
+        C, _, _, _, A = structure_coefficients(*ab_with(2, {}, {(0, 1, 0): 1.0}))
+        assert C[0, 0, 1] == 1.0
+        assert C[0, 1, 0] == -1.0
+        assert A[0, 1] == 1.0
 
     def test_antisymmetries(self):
         patch = nearly_kahler_s6().patch
         point = np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])
-        coeffs = structure_coefficients(
+        C, Cp, d, dp, A = structure_coefficients(
             *alpha_beta(connection_coefficients(frame_field_jet(patch, adapt_frame(patch, point))))
         )
-        assert np.abs(coeffs.C + coeffs.C.transpose(0, 2, 1)).max() < 1e-9
-        assert np.abs(coeffs.Cp + coeffs.Cp.transpose(0, 2, 1)).max() < 1e-9
-        assert np.abs(coeffs.d + coeffs.d.transpose(1, 0, 2)).max() < 1e-9
-        assert np.abs(coeffs.dp + coeffs.dp.transpose(1, 0, 2)).max() < 1e-9
-        assert np.all(coeffs.Arow >= 0.0)
+        assert np.abs(C + C.transpose(0, 2, 1)).max() < 1e-9
+        assert np.abs(Cp + Cp.transpose(0, 2, 1)).max() < 1e-9
+        assert np.abs(d + d.transpose(1, 0, 2)).max() < 1e-9
+        assert np.abs(dp + dp.transpose(1, 0, 2)).max() < 1e-9
+        assert np.all(A >= 0.0)
 
 
 class TestPhi:
@@ -309,11 +311,11 @@ class TestTheoremReport:
         assert rep.margin >= 1.0 - (5.0 / 64.0) * rep.normN2 - 1e-6
         assert rep.chain_ok.all_ok and rep.nondegenerate
 
-    def test_strict_mode_raises_on_doctored_tolerance(self):
+    def test_doctored_tolerance_fails_link_a(self):
         # Negative tolerance turns the flat equality margin == quarterA into a
         # strict-inequality failure: the (a) check must fire.
-        with pytest.raises(ChainViolation, match=r"\(a\)"):
-            theorem_report(point_jet(flat_kahler(2).patch, np.zeros(4)), tol=-1e-3, strict=True)
+        rep = theorem_report(point_jet(flat_kahler(2).patch, np.zeros(4)), tol=-1e-3)
+        assert not rep.chain_ok.a
 
     def test_margin_positive_implies_nondegenerate(self):
         for patch, point in (
@@ -361,6 +363,74 @@ class TestTheoremReport:
         assert calls["g"] <= 1
 
 
+def witness_sigma(n, s):
+    """Sigma table of the integer witness alpha_12(e_1) = s, beta_12(e_{n+1}) = -s, scaled by s.
+
+    Its slices are [[X, Y], [Y, -X]] with X = -beta/2 and Y = alpha/2.
+    """
+    alpha, beta = ab_with(n, {(0, 1, 0): s}, {(0, 1, n): -s})
+    X, Y = -0.5 * beta, 0.5 * alpha
+    sigma = np.zeros((2 * n, 2 * n, 2 * n))
+    sigma[:n, :n], sigma[:n, n:] = X, Y
+    sigma[n:, :n], sigma[n:, n:] = Y, -X
+    return sigma, alpha, beta
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSigmaReport:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("s, verdict", [(0.9, (True, 1)), (1.0, (False, 0)), (1.1, (True, -1))])
+    def test_integer_witness(self, n, s, verdict):
+        sigma, alpha, beta = witness_sigma(n, s)
+        got_alpha, got_beta = alpha_beta(sigma)
+        assert np.array_equal(got_alpha, alpha) and np.array_equal(got_beta, beta)
+        rep = sigma_report(sigma)
+        if s == 1.0:
+            # every value is exact at s = 1
+            assert (rep.normN2, rep.sumA2, rep.margin) == (32.0, 8.0, 0.0)
+        assert rep.normN2 == pytest.approx(32.0 * s**2, rel=1e-14)
+        assert rep.sumA2 == pytest.approx(8.0 * s**2, rel=1e-14)
+        # equality in the sharp form margin >= 1 - 1/8 sum A^2 of link (a)
+        assert rep.margin == pytest.approx(1.0 - s**2, abs=1e-14)
+        assert (rep.nondegenerate, rep.pfaffian_sign) == verdict
+        assert rep.chain_ok.to_dict() == dict.fromkeys("abcd", True)
+        assert rep.n_route_mismatch is None
+
+    @pytest.mark.parametrize("entry", default_entries(), ids=lambda e: e.id)
+    def test_theorem_report_is_sigma_report_of_its_sigma(self, entry):
+        rep = theorem_report(point_jet(entry.patch, grid_points(entry.patch, 2)))
+        alone = sigma_report(rep.sigma)
+        for field in dataclasses.fields(rep):
+            name = field.name
+            if name == "chain_ok":
+                for flag in "abcd":
+                    assert same_bits(getattr(rep.chain_ok, flag), getattr(alone.chain_ok, flag))
+            elif name == "n_route_mismatch":
+                assert alone.n_route_mismatch is None
+                assert rep.n_route_mismatch.shape == rep.normN2.shape
+            else:
+                assert same_bits(getattr(rep, name), getattr(alone, name)), name
+
+    def test_batch_gives_each_table_alone(self):
+        rng = np.random.default_rng(12)
+        w = rng.standard_normal((2, 5, 6, 6, 6))
+        sigma = sigma_part(w - np.swapaxes(w, -3, -2))
+        batch = sigma_report(sigma)
+        for index in np.ndindex(2, 5):
+            alone = sigma_report(sigma[index])
+            for field in dataclasses.fields(batch):
+                name = field.name
+                if name == "chain_ok":
+                    for flag in "abcd":
+                        assert getattr(batch.chain_ok, flag)[index] == getattr(alone.chain_ok, flag)
+                elif name != "n_route_mismatch":
+                    assert same_bits(getattr(batch, name)[index], getattr(alone, name)), name
+
+
 class TestChernIdentity:
     @staticmethod
     def residual(patch, point):
@@ -398,8 +468,6 @@ def test_frame_invariance_of_scalars():
 
 def test_one_determinant_per_report(monkeypatch):
     """det_F is the determinant the non-degeneracy test used: one determinant of F per report."""
-    from twistorcheck.catalog import grid_points
-
     patch = perturbed_torus(eps=0.1).patch
     jet = point_jet(patch, grid_points(patch, 2)[::7])
     F = phi_matrix(*alpha_beta(theorem_report(jet).sigma))
