@@ -35,6 +35,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import NotInSigma
+
 MAX_N = 6  # exhaustive index loops stay cheap up to here
 
 NUMERATOR_RANGE = 10**6
@@ -316,8 +318,6 @@ def canonical_j1(psi: RationalSkewMatrix, V: tuple) -> tuple:
     output slot anticommutes again and applying the map twice negates both
     slots exactly.
     """
-    from .errors import NotInSigma
-
     if not anticommutes_with_j0(psi):
         raise NotInSigma("psi does not anticommute with J0")
     n = psi.n

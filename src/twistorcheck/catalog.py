@@ -283,18 +283,24 @@ def resolve(manifold_id: str) -> CatalogEntry:
     raise KeyError(f"unknown manifold id {manifold_id!r}")
 
 
-def grid_points(patch: ManifoldPatch, per_axis: int, inset: float = 0.05) -> np.ndarray:
+# Fractions of each axis length kept clear of the boundary by grid_points and
+# sample_points, so finite-difference stencils stay inside the domain.
+GRID_INSET = 0.05
+SAMPLE_INSET = 0.1
+
+
+def grid_points(patch: ManifoldPatch, per_axis: int) -> np.ndarray:
     """Deterministic grid of interior points, row-major over axes.
 
     Each axis is sampled at ``per_axis`` equally spaced values inset from the
-    boundary by ``inset`` times the axis length (a single point sits at the
-    center), keeping finite-difference stencils inside the domain.
+    boundary by ``GRID_INSET`` times the axis length (a single point sits at
+    the center).
     """
     if per_axis < 1:
         raise ValueError("per_axis must be >= 1")
     axes = []
     for lo, hi in patch.domain:
-        pad = inset * (hi - lo)
+        pad = GRID_INSET * (hi - lo)
         if per_axis == 1:
             axes.append(np.array([0.5 * (lo + hi)]))
         else:
@@ -303,11 +309,9 @@ def grid_points(patch: ManifoldPatch, per_axis: int, inset: float = 0.05) -> np.
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def sample_points(
-    patch: ManifoldPatch, count: int, rng: np.random.Generator, inset: float = 0.1
-) -> np.ndarray:
-    """Seeded uniform interior points, inset from the boundary like grid_points."""
+def sample_points(patch: ManifoldPatch, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Seeded uniform interior points, inset from the boundary by ``SAMPLE_INSET``."""
     lo = patch.domain[:, 0]
     hi = patch.domain[:, 1]
-    pad = inset * (hi - lo)
+    pad = SAMPLE_INSET * (hi - lo)
     return rng.uniform(lo + pad, hi - pad, size=(count, patch.dim))

@@ -40,15 +40,21 @@ SCAN_CHUNK = 256
 # would save only about a sixth of the time per point on nk-s6.
 GEOMETRY_CHUNK = 16
 
-# Per-check residual gates for verify-geometry; each matches the tolerance at
-# which the corresponding identity is certified in the test suite.
-STRUCTURE_EQ_TOL = 1e-6
-CURVATURE_ID_TOL = 1e-4
-CHERN_ID_TOL = 1e-4
-PHI_FORMULA_TOL = 1e-10
-N_ROUTE_TOL = 1e-6
-FRAME_INVARIANCE_TOL = 1e-8
-CONNECTION_ROUTE_TOL = 1e-8
+# The report columns of ``scan``, after the grid coordinates u1 ... u{2n}.
+SCAN_COLUMNS = ("normN2", "margin", "bound_paper", "chain_ok", "nondegenerate")
+
+# Per-check residual gates for verify-geometry, in report order; each matches
+# the tolerance at which the identity is certified in the test suite.  The
+# last two checks run only on the unit round sphere.
+GEOMETRY_TOLERANCES = {
+    "structure_equation": 1e-6,
+    "phi_formula_equivalence": 1e-10,
+    "nijenhuis_route_equivalence": 1e-6,
+    "frame_invariance": 1e-8,
+    "connection_route_equivalence": 1e-8,
+    "curvature_identity": 1e-4,
+    "chern_identity": 1e-4,
+}
 
 
 def _fmt_float(x: float) -> str:
@@ -132,81 +138,61 @@ def cmd_report(args) -> int:
     return 0 if all(payload["chain_ok"].values()) else 1
 
 
-def scan_rows(entry: catalog.CatalogEntry, grid: int, fd_step: float, tol: float):
+def scan_rows(entry: catalog.CatalogEntry, grid: int, fd_step: float, tol: float) -> dict:
+    """The scan table: one array per column, u1 ... u{2n} then ``SCAN_COLUMNS``.
+
+    Each array holds one value per grid point, row-major over the axes.
+    """
     total = grid ** entry.patch.dim
     if total > GRID_LIMIT:
         raise ValueError(f"grid^dim = {total} exceeds the {GRID_LIMIT} guard")
     points = catalog.grid_points(entry.patch, grid)
-    rows = []
+    chunks = {name: [] for name in SCAN_COLUMNS}
     for start in range(0, len(points), SCAN_CHUNK):
-        chunk = points[start : start + SCAN_CHUNK]
-        rep = theorem_report(point_jet(entry.patch, chunk, fd_step), tol=tol)
-        chain_ok = rep.chain_ok.all_ok
-        for i, u in enumerate(chunk):
-            rows.append(
-                {
-                    "point": [float(x) for x in u],
-                    "normN2": float(rep.normN2[i]),
-                    "margin": float(rep.margin[i]),
-                    "bound_paper": float(rep.bound_paper[i]),
-                    "chain_ok": bool(chain_ok[i]),
-                    "nondegenerate": bool(rep.nondegenerate[i]),
-                }
-            )
-    return rows
+        rep = theorem_report(point_jet(entry.patch, points[start : start + SCAN_CHUNK], fd_step), tol=tol)
+        for name, parts in chunks.items():
+            parts.append(rep.chain_ok.all_ok if name == "chain_ok" else getattr(rep, name))
+    table = {f"u{i + 1}": points[:, i] for i in range(entry.patch.dim)}
+    table.update((name, np.concatenate(parts)) for name, parts in chunks.items())
+    return table
 
 
-def _scan_summary(rows) -> dict:
+def _scan_summary(table: dict) -> dict:
     return {
-        "points": len(rows),
-        "min_margin": min(r["margin"] for r in rows),
-        "max_normN2": max(r["normN2"] for r in rows),
-        "chain_violations": sum(0 if r["chain_ok"] else 1 for r in rows),
+        "points": len(table["margin"]),
+        "min_margin": float(table["margin"].min()),
+        "max_normN2": float(table["normN2"].max()),
+        "chain_violations": int(np.count_nonzero(~table["chain_ok"])),
     }
 
 
-def _scan_csv(entry: catalog.CatalogEntry, rows, summary) -> str:
-    dim = entry.patch.dim
-    header = [f"u{i + 1}" for i in range(dim)] + [
-        "normN2",
-        "margin",
-        "bound_paper",
-        "chain_ok",
-        "nondegenerate",
-    ]
-    lines = [",".join(header)]
-    for r in rows:
-        cells = [_fmt_float(x) for x in r["point"]]
-        cells += [_fmt_float(r["normN2"]), _fmt_float(r["margin"]), _fmt_float(r["bound_paper"])]
-        cells += [str(r["chain_ok"]).lower(), str(r["nondegenerate"]).lower()]
-        lines.append(",".join(cells))
-    lines.append(
-        "# summary min_margin=%s max_normN2=%s chain_violations=%d points=%d"
-        % (
-            _fmt_float(summary["min_margin"]),
-            _fmt_float(summary["max_normN2"]),
-            summary["chain_violations"],
-            summary["points"],
-        )
-    )
-    return "\n".join(lines) + "\n"
+def _csv_cell(value) -> str:
+    return ("true" if value else "false") if isinstance(value, bool) else _fmt_float(value)
 
 
 def cmd_scan(args) -> int:
     entry = catalog.resolve(args.manifold)
     started = time.perf_counter()
-    rows = scan_rows(entry, args.grid, args.fd_step, args.tol)
-    summary = _scan_summary(rows)
+    table = scan_rows(entry, args.grid, args.fd_step, args.tol)
+    summary = _scan_summary(table)
     elapsed = time.perf_counter() - started
+    rows = zip(*(column.tolist() for column in table.values()))
     if args.format == "csv":
-        text = _scan_csv(entry, rows, summary)
+        lines = [",".join(table)]
+        lines += [",".join(_csv_cell(value) for value in row) for row in rows]
+        lines.append(
+            "# summary min_margin=%s max_normN2=%s chain_violations=%d points=%d"
+            % (
+                _fmt_float(summary["min_margin"]),
+                _fmt_float(summary["max_normN2"]),
+                summary["chain_violations"],
+                summary["points"],
+            )
+        )
+        text = "\n".join(lines) + "\n"
     else:
-        flat_rows = []
-        for r in rows:
-            row = {f"u{i + 1}": x for i, x in enumerate(r["point"])}
-            row.update({k: r[k] for k in ("normN2", "margin", "bound_paper", "chain_ok", "nondegenerate")})
-            flat_rows.append(row)
-        text = _to_json({"manifold": entry.id, "rows": flat_rows, "summary": summary}) + "\n"
+        json_rows = [dict(zip(table, row)) for row in rows]
+        text = _to_json({"manifold": entry.id, "rows": json_rows, "summary": summary}) + "\n"
     _emit(text, args.out)
     # Wall time goes to stderr, never into the file: identical config and seed
     # must produce byte-identical output.
@@ -248,22 +234,7 @@ def geometry_checks(entry: catalog.CatalogEntry, points: int, seed: int, rotatio
     rng = np.random.default_rng(seed)
     samples = catalog.sample_points(patch, points, rng)
     is_round = "unit_round_sphere" in patch.attributes
-    checks = {
-        "structure_equation": {"max_residual": 0.0, "tolerance": STRUCTURE_EQ_TOL},
-        "phi_formula_equivalence": {"max_residual": 0.0, "tolerance": PHI_FORMULA_TOL},
-        "nijenhuis_route_equivalence": {"max_residual": 0.0, "tolerance": N_ROUTE_TOL},
-        "frame_invariance": {"max_residual": 0.0, "tolerance": FRAME_INVARIANCE_TOL},
-        "connection_route_equivalence": {"max_residual": 0.0, "tolerance": CONNECTION_ROUTE_TOL},
-    }
-    if is_round:
-        checks["curvature_identity"] = {"max_residual": 0.0, "tolerance": CURVATURE_ID_TOL}
-        checks["chern_identity"] = {"max_residual": 0.0, "tolerance": CHERN_ID_TOL}
-
-    def bump(name: str, values):
-        # np.maximum keeps a NaN, which then fails the check; Python max would drop it
-        slot = checks[name]
-        slot["max_residual"] = float(np.maximum(slot["max_residual"], np.max(values)))
-
+    residuals = {name: [] for name in GEOMETRY_TOLERANCES}
     for start in range(0, points, GEOMETRY_CHUNK):
         u = samples[start : start + GEOMETRY_CHUNK]
         jet = point_jet(patch, u, fd_step)
@@ -280,26 +251,34 @@ def geometry_checks(entry: catalog.CatalogEntry, points: int, seed: int, rotatio
         slices = np.moveaxis(frames.w, -1, -3)
         w_rotated = np.swapaxes(U, -1, -2)[..., None, :, :] @ slices @ U[..., None, :, :]
         w_rotated = np.moveaxis(w_rotated, -3, -1)
-        bump("structure_equation", structure_equation_residual(frames))
-        bump("phi_formula_equivalence", rep.phi_formula_mismatch[0])
-        bump("nijenhuis_route_equivalence", rep.n_route_mismatch[0])
-        bump("connection_route_equivalence", _sigma_route_gap(w_rotated, rotated.frame.E, rep.sigma))
-        bump("frame_invariance", np.maximum.reduce([
-            _relative_change(rep.normN2, rep.normN2[0]),
-            _relative_change(rep.margin, rep.margin[0]),
-            _relative_change(rep.det_F, rep.det_F[0]),
-            np.where(rep.pfaffian_sign == rep.pfaffian_sign[0], 0.0, 1.0),
-        ]))
+        found = {
+            "structure_equation": structure_equation_residual(frames),
+            "phi_formula_equivalence": rep.phi_formula_mismatch[0],
+            "nijenhuis_route_equivalence": rep.n_route_mismatch[0],
+            "frame_invariance": np.maximum.reduce([
+                _relative_change(rep.normN2, rep.normN2[0]),
+                _relative_change(rep.margin, rep.margin[0]),
+                _relative_change(rep.det_F, rep.det_F[0]),
+                np.where(rep.pfaffian_sign == rep.pfaffian_sign[0], 0.0, 1.0),
+            ]),
+            "connection_route_equivalence": _sigma_route_gap(w_rotated, rotated.frame.E, rep.sigma),
+        }
         if is_round:
             # The d omega block differentiates the slices at the default step,
             # which ``frames`` holds when fd_step is the default.
             if fd_step != DEFAULT_FD_STEP:
                 frames = frame_field_jet(patch, jet.frame)
             dw = connection_derivative(patch, frames)
-            bump("curvature_identity", round_sphere_curvature_residual(curvature_forms(frames, dw)))
-            bump("chern_identity", chern_identity_residual(patch, frames, dw))
-    for slot in checks.values():
-        slot["pass"] = slot["max_residual"] <= slot["tolerance"]
+            found["curvature_identity"] = round_sphere_curvature_residual(curvature_forms(frames, dw))
+            found["chern_identity"] = chern_identity_residual(patch, frames, dw)
+        for name, values in found.items():
+            residuals[name].append(np.ravel(values))
+    checks = {}
+    for name, tolerance in GEOMETRY_TOLERANCES.items():
+        if residuals[name]:
+            # np.max keeps a NaN, which then fails the check; Python max would drop it
+            worst = float(np.max(np.concatenate(residuals[name])))
+            checks[name] = {"max_residual": worst, "tolerance": tolerance, "pass": worst <= tolerance}
     return {
         "manifold": entry.id,
         "points": points,
@@ -334,14 +313,12 @@ def _config_value(action: argparse.Action, key: str, value):
     return converted
 
 
-def _apply_config_file(args: argparse.Namespace) -> None:
-    """Fill flag defaults from a JSON config file; explicit flags win.
+def _config_defaults(args: argparse.Namespace) -> dict:
+    """Flag defaults of the subcommand from the JSON config file ``args.config``.
 
     Keys are flag names of the subcommand (``n-list`` or ``n_list``); each value
     goes through the flag's type and choices, as on the command line.
     """
-    if not args.config:
-        return
     try:
         with open(args.config, encoding="utf-8") as fh:
             values = json.load(fh)
@@ -353,23 +330,13 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         a.dest: a for a in args._parser._actions
         if a.option_strings and a.dest not in ("help", "config")
     }
+    defaults = {}
     for key, value in values.items():
         attr = key.replace("-", "_")
         if attr not in actions:
             raise ValueError(f"unknown config key {key!r}")
-        converted = _config_value(actions[attr], key, value)
-        if attr not in args._explicit:
-            setattr(args, attr, converted)
-
-
-class _TrackExplicit(argparse.Action):
-    """Record which flags were given explicitly so config files cannot override them."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if getattr(namespace, "_explicit", None) is None:
-            namespace._explicit = set()
-        namespace._explicit.add(self.dest)
-        setattr(namespace, self.dest, values)
+        defaults[attr] = _config_value(actions[attr], key, value)
+    return defaults
 
 
 def _checked(kind, ok, requirement: str):
@@ -410,10 +377,9 @@ def _add_common(sub: argparse.ArgumentParser, *flags: str) -> None:
     """Add the named ``SHARED_FLAGS`` and the --out and --config flags to a subcommand."""
     sub.set_defaults(_parser=sub)  # lets config keys be checked against this subcommand's flags
     for flag in flags:
-        sub.add_argument(flag, action=_TrackExplicit, **SHARED_FLAGS[flag])
-    sub.add_argument("--out", default=None, action=_TrackExplicit,
-                     help="output path (default: stdout)")
-    sub.add_argument("--config", default=None, action=_TrackExplicit,
+        sub.add_argument(flag, **SHARED_FLAGS[flag])
+    sub.add_argument("--out", default=None, help="output path (default: stdout)")
+    sub.add_argument("--config", default=None,
                      help="JSON file with flag values; explicit flags win")
 
 
@@ -427,32 +393,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="full certificate at a single point (JSON)")
     _add_common(p, "--manifold", "--fd-step", "--tol")
-    p.add_argument("--point", default=None, action=_TrackExplicit,
+    p.add_argument("--point", default=None,
                    help="comma-separated coordinates (default: domain center)")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("scan", help="grid scan with per-point rows and a summary")
     _add_common(p, "--manifold", "--fd-step", "--tol")
-    p.add_argument("--seed", type=int, default=0, action=_TrackExplicit,
+    p.add_argument("--seed", type=int, default=0,
                    help="accepted and ignored: the grid scan draws no random numbers")
-    p.add_argument("--grid", type=AT_LEAST_ONE, default=3, action=_TrackExplicit,
-                   help="points per axis, >= 1 (default 3)")
-    p.add_argument("--format", choices=("json", "csv"), default="csv", action=_TrackExplicit)
+    p.add_argument("--grid", type=AT_LEAST_ONE, default=3, help="points per axis, >= 1 (default 3)")
+    p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("verify-algebra", help="exact rational identity sweep")
     _add_common(p, "--seed")
-    p.add_argument("--n-list", default="2,3", action=_TrackExplicit,
-                   help="comma-separated half-dimensions (default 2,3)")
-    p.add_argument("--samples", type=AT_LEAST_ONE, default=10000, action=_TrackExplicit,
+    p.add_argument("--n-list", default="2,3", help="comma-separated half-dimensions (default 2,3)")
+    p.add_argument("--samples", type=AT_LEAST_ONE, default=10000,
                    help="random samples per n, >= 1 (default 10000)")
     p.set_defaults(func=cmd_verify_algebra)
 
     p = sub.add_parser("verify-geometry", help="residual checks on a catalog manifold")
     _add_common(p, "--manifold", "--fd-step", "--seed")
-    p.add_argument("--points", type=AT_LEAST_ONE, default=10, action=_TrackExplicit,
+    p.add_argument("--points", type=AT_LEAST_ONE, default=10,
                    help="number of sampled interior points, >= 1 (default 10)")
-    p.add_argument("--rotations", type=NON_NEGATIVE, default=4, action=_TrackExplicit,
+    p.add_argument("--rotations", type=NON_NEGATIVE, default=4,
                    help="random frame rotations per point, >= 0 (default 4)")
     p.set_defaults(func=cmd_verify_geometry)
     return parser
@@ -460,10 +424,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        if getattr(args, "_explicit", None) is None:
-            args._explicit = set()
-        _apply_config_file(args)
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if args.config:
+            # Config values become the subcommand's defaults, so explicit flags win.
+            args._parser.set_defaults(**_config_defaults(args))
+            args = parser.parse_args(argv)
         return args.func(args)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ class TwistorcheckError(Exception):
 
 
 class IncompatibleStructure(TwistorcheckError):
-    """Patch data violates J^2 = -Id, metric compatibility, or positivity."""
+    """Patch data is not finite, or violates J^2 = -Id, metric compatibility, or positivity."""
 
 
 class DegeneratePivot(TwistorcheckError):

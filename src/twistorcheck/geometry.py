@@ -48,11 +48,6 @@ METRIC_COND_LIMIT = 1e12
 
 FieldMap = Callable[[np.ndarray], np.ndarray]
 
-# A point is a plain float vector of length 2n and a batch of points an array
-# of shape (..., 2n); operations validate interiority against the patch
-# domain instead of wrapping coordinates in a class.
-PointCoords = np.ndarray
-
 
 def j0_matrix(n: int) -> np.ndarray:
     """Reference complex structure [[0, -I_n], [I_n, 0]] on R^{2n}."""
@@ -152,7 +147,7 @@ def require_interior(patch: ManifoldPatch, point: np.ndarray, margin: float = 0.
 
 
 def _call_field(fn: FieldMap, u: np.ndarray, name: str, rank: int) -> np.ndarray:
-    """Evaluate a field or jet callable on the points ``u`` and check its shape."""
+    """Evaluate a field or jet callable on the points ``u`` and check its shape and finiteness."""
     value = np.asarray(fn(u), dtype=float)
     expected = u.shape[:-1] + (u.shape[-1],) * rank
     if value.shape != expected:
@@ -160,6 +155,9 @@ def _call_field(fn: FieldMap, u: np.ndarray, name: str, rank: int) -> np.ndarray
             f"{name} returned shape {value.shape} for points of shape {u.shape}, "
             f"expected {expected}; wrap a per-point callable in geometry.pointwise"
         )
+    bad = first_index(~np.isfinite(value).all(axis=tuple(range(-rank, 0))))
+    if bad is not None:
+        raise IncompatibleStructure(f"{name} is not finite at {u[bad].tolist()}")
     return value
 
 
@@ -327,7 +325,8 @@ def rotate_frame(frame: AdaptedFrame, U: np.ndarray) -> AdaptedFrame:
     J0 = j0_matrix(n)
     orthogonal = np.abs(np.swapaxes(U, -1, -2) @ U - np.eye(2 * n)).max(axis=(-2, -1))
     commutes = np.abs(U @ J0 - J0 @ U).max(axis=(-2, -1))
-    bad = first_index((orthogonal > 1e-10) | (commutes > 1e-10))
+    # written so that a NaN rotation fails the gate
+    bad = first_index(~((orthogonal <= 1e-10) & (commutes <= 1e-10)))
     if bad is not None:
         which = f" {tuple(int(i) for i in bad)}" if U.ndim > 2 else ""
         raise ValueError(f"rotation{which} must be orthogonal and commute with J0")

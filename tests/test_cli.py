@@ -237,6 +237,16 @@ def test_config_file_flags_win(tmp_path):
     assert doc["summary"]["points"] == 16
 
 
+def test_config_file_loses_to_an_explicit_default(tmp_path):
+    """--grid 3 equals the flag's default, yet it still beats the config's grid 2."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"grid": 2, "format": "json"}))
+    out = tmp_path / "scan.json"
+    argv = ["scan", "--manifold", "flat:2", "--grid", "3", "--config", str(cfg), "--out", str(out)]
+    assert run_cli(argv) == 0
+    assert json.loads(out.read_text())["summary"]["points"] == 81
+
+
 def test_config_file_supplies_missing_flags(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"grid": 2, "format": "json"}))
@@ -571,6 +581,14 @@ def test_verify_geometry_compares_connection_routes(manifold):
     assert report["all_pass"]
 
 
+@pytest.mark.parametrize("manifold, count", [("nk-s6", 7), ("flat:3", 5)])
+def test_verify_geometry_reports_checks_in_tolerance_table_order(manifold, count):
+    """The report lists the checks in GEOMETRY_TOLERANCES order; the round-sphere pair only on nk-s6."""
+    report = geometry_checks(catalog.resolve(manifold), points=1, seed=0, rotations=1, fd_step=1e-5)
+    table = list(cli.GEOMETRY_TOLERANCES.items())[:count]
+    assert [(name, slot["tolerance"]) for name, slot in report["checks"].items()] == table
+
+
 def test_verify_geometry_connection_route_negative_control(monkeypatch, tmp_path):
     """A sign slip in the frame-differentiated connection fails the route check with exit 1."""
     from twistorcheck import connection
@@ -596,35 +614,49 @@ def test_verify_geometry_fails_a_nan_residual(monkeypatch, tmp_path):
 
 
 def test_scan_rows_equal_single_point_reports():
-    """Every nk-s6 grid-2 row is bitwise the report of its point computed alone."""
+    """Every nk-s6 grid-2 row of the scan table is bitwise the report of its point computed alone."""
     entry = catalog.resolve("nk-s6")
-    rows = cli.scan_rows(entry, 2, 1e-5, 1e-6)
+    table = cli.scan_rows(entry, 2, 1e-5, 1e-6)
     points = catalog.grid_points(entry.patch, 2)
-    assert len(rows) == len(points) == 64
-    for row, u in zip(rows, points):
+    assert {len(column) for column in table.values()} == {len(points)} == {64}
+    for i, u in enumerate(points):
         rep = theorem_report(point_jet(entry.patch, u))
-        assert row["point"] == u.tolist()
-        assert row["normN2"] == rep.normN2
-        assert row["margin"] == rep.margin
-        assert row["bound_paper"] == rep.bound_paper
-        assert row["chain_ok"] == bool(rep.chain_ok.all_ok)
-        assert row["nondegenerate"] == bool(rep.nondegenerate)
+        assert [table[f"u{k + 1}"][i] for k in range(6)] == u.tolist()
+        assert table["normN2"][i] == rep.normN2
+        assert table["margin"][i] == rep.margin
+        assert table["bound_paper"][i] == rep.bound_paper
+        assert table["chain_ok"][i] == bool(rep.chain_ok.all_ok)
+        assert table["nondegenerate"][i] == bool(rep.nondegenerate)
 
 
 def test_scan_rows_do_not_depend_on_the_chunk():
     """Rows on both sides of each chunk boundary equal the point computed alone."""
     entry = catalog.resolve("nk-s6")
-    rows = cli.scan_rows(entry, 3, 1e-5, 1e-6)
+    table = cli.scan_rows(entry, 3, 1e-5, 1e-6)
     points = catalog.grid_points(entry.patch, 3)
-    assert len(rows) == 729 > 2 * cli.SCAN_CHUNK
+    assert len(table["margin"]) == 729 > 2 * cli.SCAN_CHUNK
     edges = [k * cli.SCAN_CHUNK for k in range(1, 3)]
     for i in [0, len(points) - 1] + [e + d for e in edges for d in (-1, 0)]:
         rep = theorem_report(point_jet(entry.patch, points[i]))
-        assert (rows[i]["normN2"], rows[i]["margin"], rows[i]["bound_paper"]) == (
+        assert (table["normN2"][i], table["margin"][i], table["bound_paper"][i]) == (
             rep.normN2, rep.margin, rep.bound_paper
         ), f"row {i}"
-        assert rows[i]["chain_ok"] == bool(rep.chain_ok.all_ok)
-        assert rows[i]["nondegenerate"] == bool(rep.nondegenerate)
+        assert table["chain_ok"][i] == bool(rep.chain_ok.all_ok)
+        assert table["nondegenerate"][i] == bool(rep.nondegenerate)
+
+
+def test_scan_columns_are_the_coordinates_then_scan_columns(tmp_path):
+    """The CSV header, the JSON row keys and the scan table's keys are one list."""
+    columns = ["u1", "u2", "u3", "u4", *cli.SCAN_COLUMNS]
+    entry = catalog.resolve("flat:2")
+    assert list(cli.scan_rows(entry, 2, 1e-5, 1e-6)) == columns
+    csv_out, json_out = tmp_path / "scan.csv", tmp_path / "scan.json"
+    assert run_cli(["scan", "--manifold", "flat:2", "--grid", "2", "--out", str(csv_out)]) == 0
+    assert csv_out.read_text().splitlines()[0] == ",".join(columns)
+    argv = ["scan", "--manifold", "flat:2", "--grid", "2", "--format", "json", "--out", str(json_out)]
+    assert run_cli(argv) == 0
+    rows = json.loads(json_out.read_text())["rows"]
+    assert len(rows) == 16 and all(list(row) == columns for row in rows)
 
 
 def test_scan_names_the_one_point_that_breaks_j(monkeypatch, capsys):

@@ -356,6 +356,42 @@ class TestPatchValidation:
             assert np.array_equal(getattr(moved, name), getattr(frame, name))
 
 
+class TestNonFiniteFields:
+    """A NaN field, jet or rotation fails its gate; a ``residual >= tol`` test alone lets NaN through."""
+
+    POINTS = np.array([[0.1, 0.0, 0.0, 0.0], [0.6, 0.2, 0.0, 0.0], [0.7, 0.0, 0.0, 0.0]])
+
+    def test_nan_j_at_one_point_is_named(self):
+        def j_field(u):
+            return np.full((4, 4), np.nan) if u[0] > 0.5 else j0_matrix(2)
+
+        patch = dataclasses.replace(flat_patch(), j_field=pointwise(j_field))
+        with pytest.raises(IncompatibleStructure, match=r"^j_field is not finite at \[0\.6, 0\.2,"):
+            validate_patch(patch, self.POINTS)
+        with pytest.raises(IncompatibleStructure, match="j_field is not finite"):
+            adapt_frame(patch, self.POINTS)
+
+    def test_nan_metric_is_an_incompatible_structure(self):
+        def metric_field(u):
+            return np.eye(4) * (np.nan if u[0] > 0.5 else 1.0)
+
+        patch = dataclasses.replace(flat_patch(), metric_field=pointwise(metric_field))
+        with pytest.raises(IncompatibleStructure, match=r"^metric_field is not finite at \[0\.6, 0\.2,"):
+            validate_patch(patch, self.POINTS)
+
+    def test_nan_metric_jet_is_an_incompatible_structure(self):
+        patch = dataclasses.replace(flat_patch(), metric_jet=pointwise(lambda u: np.full((4, 4, 4), np.nan)))
+        with pytest.raises(IncompatibleStructure, match=r"^metric_jet is not finite at \[0\.1, 0\.0,"):
+            field_derivative(patch, self.POINTS, which="metric")
+        with pytest.raises(IncompatibleStructure, match="metric_jet is not finite"):
+            point_jet(patch, self.POINTS)
+
+    def test_nan_rotation_is_rejected(self):
+        frame = adapt_frame(flat_patch(), np.zeros(4))
+        with pytest.raises(ValueError, match=r"^rotation must be orthogonal and commute with J0$"):
+            rotate_frame(frame, np.full((4, 4), np.nan))
+
+
 class TestPointJet:
     POINT = np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])
 
