@@ -26,6 +26,11 @@ Verified facts, each for every index combination:
   * the quadratic wedge identity
     sum_ij (w_ij ^ w_{j,i+n} + w_{i,j+n} ^ w_{j+n,i+n}) = -1/2 sum_ij alpha_ij ^ beta_ij
     read as a bilinear form in a pair of skew matrices.
+
+A 2n x 2n matrix is read in n x n blocks, M = [[A, B], [C, D]], with
+J0 = [[0, -I], [I, 0]].  Then J0 M = [[-C, -D], [A, B]], M J0 = [[B, -A],
+[D, -C]] and J0 M J0 = [[-D, C], [B, -A]], so the J0 tests and the splitting
+compare and halve blocks without forming any product.
 """
 
 from __future__ import annotations
@@ -34,6 +39,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
+from itertools import chain, product
+from operator import add, eq, itemgetter, mul, neg, sub
 
 from .errors import NotInSigma
 
@@ -41,6 +49,13 @@ MAX_N = 6  # exhaustive index loops stay cheap up to here
 
 NUMERATOR_RANGE = 10**6
 DENOMINATOR_RANGE = 10**3
+
+# random.Random.randint(a, b) draws getrandbits(k) until the value is below the
+# width b - a + 1, with k = width.bit_length(); random_fraction runs that loop
+# itself, so it makes the same rng calls as randint and returns the same values.
+_NUMERATOR_WIDTH = 2 * NUMERATOR_RANGE + 1
+_NUMERATOR_BITS = _NUMERATOR_WIDTH.bit_length()
+_DENOMINATOR_BITS = DENOMINATOR_RANGE.bit_length()
 
 
 @dataclass(frozen=True)
@@ -57,9 +72,18 @@ class CheckResult:
 def random_fraction(rng: random.Random) -> tuple:
     """One random rational as its (numerator, denominator) pair.
 
-    The numerator lies in [-10^6, 10^6] and the denominator in [1, 10^3].
+    The numerator lies in [-10^6, 10^6] and the denominator in [1, 10^3].  The
+    pair and the rng state afterwards are those of
+    ``(rng.randint(-10**6, 10**6), rng.randint(1, 10**3))``.
     """
-    return rng.randint(-NUMERATOR_RANGE, NUMERATOR_RANGE), rng.randint(1, DENOMINATOR_RANGE)
+    bits = rng.getrandbits
+    p = bits(_NUMERATOR_BITS)
+    while p >= _NUMERATOR_WIDTH:
+        p = bits(_NUMERATOR_BITS)
+    q = bits(_DENOMINATOR_BITS)
+    while q >= DENOMINATOR_RANGE:
+        q = bits(_DENOMINATOR_BITS)
+    return p - NUMERATOR_RANGE, q + 1
 
 
 def _scaled_draws(rng: random.Random, count: int, factor: int = 1) -> list:
@@ -77,12 +101,66 @@ def _half(x):
     return Fraction(x) / 2
 
 
-def _zero_cube(n: int) -> list:
-    return [[[0] * n for _ in range(n)] for _ in range(n)]
+@cache
+def _skew_row_getters(dim: int, planes: int) -> tuple:
+    """Row getters that lay out ``planes`` skew dim x dim matrices from
+    ``(0, *values, *(-v for v in values))``: each matrix takes its strict upper
+    triangle, row by row, from the next dim (dim - 1) / 2 values."""
+    count = planes * dim * (dim - 1) // 2
+    slots = iter(range(1, count + 1))
+    layouts = []
+    for _ in range(planes):
+        rows = [[0] * dim for _ in range(dim)]
+        for a in range(dim):
+            for b in range(a + 1, dim):
+                rows[a][b] = next(slots)
+                rows[b][a] = rows[a][b] + count
+        layouts.append(tuple(itemgetter(*row) for row in rows))
+    return tuple(layouts)
 
 
-def _freeze_cube(c: list) -> tuple:
-    return tuple(tuple(tuple(row) for row in plane) for plane in c)
+def _skew_planes(values: list, dim: int, planes: int) -> tuple:
+    """``planes`` skew dim x dim matrices whose strict upper triangles, row by row,
+    are ``values`` in order."""
+    ext = (0, *values, *map(neg, values))
+    return tuple(
+        tuple(row(ext) for row in layout) for layout in _skew_row_getters(dim, planes)
+    )
+
+
+def _flat_index(n: int, i: int, j: int, k: int) -> int:
+    return (i * n + j) * n + k
+
+
+@cache
+def _cube_permutation(n: int, order: str) -> itemgetter:
+    """Getter that permutes a flat n x n x n cube read in (i, j, k) order: at
+    position (i, j, k) its result holds the entry ``order`` names, so "jki"
+    gives the entry (j, k, i)."""
+    slots = ["ijk".index(name) for name in order]
+    return itemgetter(*(
+        _flat_index(n, *(triple[s] for s in slots)) for triple in product(range(n), repeat=3)
+    ))
+
+
+@cache
+def _orbit_representatives(n: int) -> tuple:
+    """The lexicographically smallest triple of each cyclic-rotation orbit, in
+    (i, j, k) order, with the flat indices of (i, j, k), (j, k, i), (k, i, j)."""
+    return tuple(
+        ((i, j, k), _flat_index(n, i, j, k), _flat_index(n, j, k, i), _flat_index(n, k, i, j))
+        for i, j, k in product(range(n), repeat=3)
+        if (i, j, k) <= (j, k, i) and (i, j, k) <= (k, i, j)
+    )
+
+
+def _flatten_cube(c: tuple) -> tuple:
+    return tuple(chain.from_iterable(chain.from_iterable(c)))
+
+
+def _nest_cube(flat: tuple, n: int) -> tuple:
+    rows = [flat[start:start + n] for start in range(0, n**3, n)]
+    return tuple(tuple(rows[start:start + n]) for start in range(0, n * n, n))
 
 
 @dataclass(frozen=True)
@@ -117,44 +195,43 @@ class RationalCTensor:
 
     @classmethod
     def random(cls, n: int, rng: random.Random) -> "RationalCTensor":
+        count = n * n * (n - 1) // 2
+        C, Cp = (_skew_planes(_scaled_draws(rng, count), n, n) for _ in range(2))
+        return cls(n=n, C=C, Cp=Cp)
+
+    @cached_property
+    def _cubes(self) -> tuple:
+        """("C", C, d) and ("C'", C', d') with flat cubes in (i, j, k) order and
+        d_ijk = C_ijk - C_jik.
+
+        Built on first use and kept, so every check of one tensor reads the
+        same d and d'.
+        """
+        jik = _cube_permutation(self.n, "jik")
         cubes = []
-        for _ in range(2):
-            values = iter(_scaled_draws(rng, n * n * (n - 1) // 2))
-            cube = _zero_cube(n)
-            for i in range(n):
-                for j in range(n):
-                    for k in range(j + 1, n):
-                        v = next(values)
-                        cube[i][j][k] = v
-                        cube[i][k][j] = -v
-            cubes.append(_freeze_cube(cube))
-        return cls(n=n, C=cubes[0], Cp=cubes[1])
+        for name, cube in (("C", self.C), ("C'", self.Cp)):
+            c = _flatten_cube(cube)
+            cubes.append((name, c, tuple(map(sub, c, jik(c)))))
+        return tuple(cubes)
 
 
 def d_from_c(t: RationalCTensor) -> tuple:
     """Exact d_ijk = C_ijk - C_jik and its primed companion."""
-    n = t.n
-    d = _freeze_cube(
-        [[[t.C[i][j][k] - t.C[j][i][k] for k in range(n)] for j in range(n)] for i in range(n)]
-    )
-    dp = _freeze_cube(
-        [[[t.Cp[i][j][k] - t.Cp[j][i][k] for k in range(n)] for j in range(n)] for i in range(n)]
-    )
-    return d, dp
+    return tuple(_nest_cube(d, t.n) for _, _, d in t._cubes)
 
 
 def check_identity_c1(t: RationalCTensor) -> CheckResult:
     """2 C_ijk = d_ijk - d_jki + d_kij, exactly, for all triples, C and C'."""
-    d, dp = d_from_c(t)
     n = t.n
-    for name, c, dd in (("C", t.C, d), ("C'", t.Cp, dp)):
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if 2 * c[i][j][k] != dd[i][j][k] - dd[j][k][i] + dd[k][i][j]:
-                        return CheckResult(
-                            False, f"{name} triple (i,j,k)=({i + 1},{j + 1},{k + 1})"
-                        )
+    jki, kij = _cube_permutation(n, "jki"), _cube_permutation(n, "kij")
+    for name, c, dd in t._cubes:
+        lhs = list(map(add, c, c))
+        rhs = list(map(add, map(sub, dd, jki(dd)), kij(dd)))
+        if lhs != rhs:
+            first = next(m for m, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+            i, jk = divmod(first, n * n)
+            j, k = divmod(jk, n)
+            return CheckResult(False, f"{name} triple (i,j,k)=({i + 1},{j + 1},{k + 1})")
     return CheckResult(True)
 
 
@@ -170,33 +247,26 @@ def check_case1_inequality(t: RationalCTensor) -> tuple:
     lexicographically smallest representative; that still certifies the
     statement for every triple.
     """
-    d, dp = d_from_c(t)
-    n = t.n
     # worst ratio kept as a (numerator, denominator) pair, compared by cross-multiplying
     worst_num, worst_den = 0, 1
 
     def result(failure: str | None = None) -> tuple:
         return CheckResult(failure is None, failure), Fraction(worst_num, worst_den)
 
-    for name, c, dd in (("C", t.C, d), ("C'", t.Cp, dp)):
-        total_c2 = sum(x * x for plane in c for row in plane for x in row)
-        total_d2 = sum(x * x for plane in dd for row in plane for x in row)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if (j, k, i) < (i, j, k) or (k, i, j) < (i, j, k):
-                        continue
-                    x, y, z = dd[i][j][k], dd[j][k][i], dd[k][i][j]
-                    s3 = x * x + y * y + z * z
-                    lhs = 4 * (c[i][j][k] ** 2 + c[j][k][i] ** 2 + c[k][i][j] ** 2)
-                    expansion = 3 * s3 - 2 * (x * y + x * z + y * z)
-                    if lhs != expansion:
-                        return result(f"{name} expansion equality at ({i + 1},{j + 1},{k + 1})")
-                    if lhs > 5 * s3:
-                        return result(f"{name} 5-bound at ({i + 1},{j + 1},{k + 1})")
-                    if s3 > 0 and lhs * worst_den > worst_num * s3:
-                        worst_num, worst_den = lhs, s3
-        if 4 * total_c2 > 5 * total_d2:
+    for name, c, dd in t._cubes:
+        c2, d2 = list(map(mul, c, c)), list(map(mul, dd, dd))
+        for (i, j, k), p, q, r in _orbit_representatives(t.n):
+            x, y, z = dd[p], dd[q], dd[r]
+            s3 = d2[p] + d2[q] + d2[r]
+            lhs = 4 * (c2[p] + c2[q] + c2[r])
+            expansion = 3 * s3 - 2 * (x * y + x * z + y * z)
+            if lhs != expansion:
+                return result(f"{name} expansion equality at ({i + 1},{j + 1},{k + 1})")
+            if lhs > 5 * s3:
+                return result(f"{name} 5-bound at ({i + 1},{j + 1},{k + 1})")
+            if s3 > 0 and lhs * worst_den > worst_num * s3:
+                worst_num, worst_den = lhs, s3
+        if 4 * sum(c2) > 5 * sum(d2):
             return result(f"aggregate 5/4 bound for {name}")
     return result()
 
@@ -205,11 +275,10 @@ def check_case2_identities(t: RationalCTensor) -> CheckResult:
     """The n = 2 equalities sum C^2 = 2 (d_121^2 + d_212^2) = sum d^2, both tensors."""
     if t.n != 2:
         raise ValueError("case-2 identities are specific to n = 2")
-    d, dp = d_from_c(t)
-    for name, c, dd in (("C", t.C, d), ("C'", t.Cp, dp)):
-        sum_c2 = sum(c[i][j][k] ** 2 for i in range(2) for j in range(2) for k in range(2))
-        sum_d2 = sum(dd[i][j][k] ** 2 for i in range(2) for j in range(2) for k in range(2))
-        middle = 2 * (dd[0][1][0] ** 2 + dd[1][0][1] ** 2)
+    for name, c, dd in t._cubes:
+        sum_c2 = sum(map(mul, c, c))
+        sum_d2 = sum(map(mul, dd, dd))
+        middle = 2 * (dd[_flat_index(2, 0, 1, 0)] ** 2 + dd[_flat_index(2, 1, 0, 1)] ** 2)
         if not (sum_c2 == middle == sum_d2):
             return CheckResult(
                 False, f"{name}: sum C^2={sum_c2}, 2(d121^2+d212^2)={middle}, sum d^2={sum_d2}"
@@ -221,7 +290,7 @@ def check_case2_identities(t: RationalCTensor) -> CheckResult:
 
 @dataclass(frozen=True)
 class RationalSkewMatrix:
-    """Skew 2n x 2n matrix over exact rationals.
+    """Skew 2n x 2n matrix over exact rationals, a tuple of row tuples.
 
     ``random`` draws int entries scaled by twice the lcm of the denominators,
     so the halves that ``skew_decompose`` takes stay ints.
@@ -242,41 +311,20 @@ class RationalSkewMatrix:
     @classmethod
     def random(cls, n: int, rng: random.Random) -> "RationalSkewMatrix":
         dim = 2 * n
-        values = iter(_scaled_draws(rng, dim * (dim - 1) // 2, factor=2))
-        m = [[0] * dim for _ in range(dim)]
-        for a in range(dim):
-            for b in range(a + 1, dim):
-                v = next(values)
-                m[a][b] = v
-                m[b][a] = -v
-        return cls(n=n, entries=tuple(tuple(r) for r in m))
+        values = _scaled_draws(rng, dim * (dim - 1) // 2, factor=2)
+        return cls(n=n, entries=_skew_planes(values, dim, 1)[0])
 
     @classmethod
     def from_rows(cls, n: int, rows) -> "RationalSkewMatrix":
         return cls(n=n, entries=tuple(tuple(Fraction(x) for x in row) for row in rows))
 
 
-def _j0_left(m: tuple, n: int) -> tuple:
-    """J0 M computed by block moves: (J0 M) = [[-M_lower], [M_upper]]."""
-    lower = tuple(tuple(-x for x in m[n + i]) for i in range(n))
-    upper = tuple(m[i] for i in range(n))
-    return lower + upper
-
-
-def _j0_right(m: tuple, n: int) -> tuple:
-    """M J0 by column moves: each row becomes (right half, -(left half))."""
-    return tuple(row[n:] + tuple(-x for x in row[:n]) for row in m)
+def _negated(m: tuple) -> tuple:
+    return tuple(tuple(map(neg, row)) for row in m)
 
 
 def _mat_add(x: tuple, y: tuple) -> tuple:
-    return tuple(tuple(xa + ya for xa, ya in zip(xr, yr)) for xr, yr in zip(x, y))
-
-
-def _mat_half_sum(x: tuple, y: tuple, sign: int) -> tuple:
-    """(x + sign * y) / 2, entry by entry, exactly."""
-    return tuple(
-        tuple(_half(xa + sign * ya) for xa, ya in zip(xr, yr)) for xr, yr in zip(x, y)
-    )
+    return tuple(tuple(map(add, xr, yr)) for xr, yr in zip(x, y))
 
 
 def skew_decompose(omega: RationalSkewMatrix) -> tuple:
@@ -284,25 +332,40 @@ def skew_decompose(omega: RationalSkewMatrix) -> tuple:
 
     Returns (u_part, sigma_part) with
     u_part = (omega - J0 omega J0)/2 and sigma_part = (omega + J0 omega J0)/2.
+    With J0 omega J0 = [[-D, C], [B, -A]] the upper rows are
+    [(A + D)/2, (B - C)/2] and [(A - D)/2, (B + C)/2]; the lower rows follow
+    from the upper ones, [-(B - C)/2, (A + D)/2] and [(B + C)/2, -(A - D)/2].
     """
     n = omega.n
-    conj = _j0_right(_j0_left(omega.entries, n), n)  # J0 omega J0
-    u_part = _mat_half_sum(omega.entries, conj, -1)
-    sigma_part = _mat_half_sum(omega.entries, conj, 1)
+    u_rows, s_rows = [], []
+    for upper, lower in zip(omega.entries[:n], omega.entries[n:]):
+        moved = lower[n:] + tuple(map(neg, lower[:n]))  # [D, -C]
+        u_rows.append(tuple(map(_half, map(add, upper, moved))))
+        s_rows.append(tuple(map(_half, map(sub, upper, moved))))
+    u_rows += [tuple(map(neg, row[n:])) + row[:n] for row in u_rows]
+    s_rows += [row[n:] + tuple(map(neg, row[:n])) for row in s_rows]
     return (
-        RationalSkewMatrix(n=n, entries=u_part),
-        RationalSkewMatrix(n=n, entries=sigma_part),
+        RationalSkewMatrix(n=n, entries=tuple(u_rows)),
+        RationalSkewMatrix(n=n, entries=tuple(s_rows)),
     )
 
 
 def commutes_with_j0(m: RationalSkewMatrix) -> bool:
-    return _j0_left(m.entries, m.n) == _j0_right(m.entries, m.n)
+    """J0 M = M J0, that is C = -B and D = A."""
+    n = m.n
+    return all(
+        lower[n:] == upper[:n] and all(map(eq, lower[:n], map(neg, upper[n:])))
+        for upper, lower in zip(m.entries[:n], m.entries[n:])
+    )
 
 
 def anticommutes_with_j0(m: RationalSkewMatrix) -> bool:
-    left = _j0_left(m.entries, m.n)
-    right = _j0_right(m.entries, m.n)
-    return all(x == -y for lrow, rrow in zip(left, right) for x, y in zip(lrow, rrow))
+    """J0 M = -M J0, that is C = B and D = -A."""
+    n = m.n
+    return all(
+        lower[:n] == upper[n:] and all(map(eq, lower[n:], map(neg, upper[:n])))
+        for upper, lower in zip(m.entries[:n], m.entries[n:])
+    )
 
 
 def trace_pairing(p: RationalSkewMatrix, q: RationalSkewMatrix):
@@ -324,9 +387,10 @@ def canonical_j1(psi: RationalSkewMatrix, V: tuple) -> tuple:
     V = tuple(V)
     if len(V) != 2 * n:
         raise ValueError(f"V must have length {2 * n}")
-    new_psi = RationalSkewMatrix(n=n, entries=_j0_left(psi.entries, n))
+    # J0 psi = [[-C, -D], [A, B]]: the lower rows negated, then the upper rows
+    new_psi = RationalSkewMatrix(n=n, entries=_negated(psi.entries[n:]) + psi.entries[:n])
     # -V J0 : (V J0)_b = V_{b+n} for b < n, -(V_{b-n}) otherwise
-    new_v = tuple(-V[n + b] for b in range(n)) + tuple(V[b] for b in range(n))
+    new_v = tuple(map(neg, V[n:])) + V[:n]
     return new_psi, new_v
 
 
@@ -429,18 +493,18 @@ def run_algebra_sweep(n_list, samples: int, seed: int) -> dict:
 
             V = tuple(_scaled_draws(rng, 2 * n))
             psi = sigma_part
-            psi1, v1 = canonical_j1(psi, V)
-            psi2, v2 = canonical_j1(psi1, v1)
-            ok = (
-                anticommutes_with_j0(psi1)
-                and all(
-                    psi2.entries[a][b] == -psi.entries[a][b]
-                    for a in range(2 * n)
-                    for b in range(2 * n)
+            try:
+                psi1, v1 = canonical_j1(psi, V)
+                psi2, v2 = canonical_j1(psi1, v1)
+            except NotInSigma as exc:  # a broken split hands J1 a psi outside sigma
+                record("canonical_j1_square", False, str(exc), n, k)
+            else:
+                ok = (
+                    anticommutes_with_j0(psi1)
+                    and psi2.entries == _negated(psi.entries)
+                    and v2 == tuple(map(neg, V))
                 )
-                and v2 == tuple(-x for x in V)
-            )
-            record("canonical_j1_square", ok, None if ok else "J1^2 != -Id", n, k)
+                record("canonical_j1_square", ok, None if ok else "J1^2 != -Id", n, k)
 
             Q = RationalSkewMatrix.random(n, rng)
             res = check_wedge_identity(skew, Q)

@@ -208,7 +208,10 @@ def cmd_scan(args) -> int:
 def cmd_verify_algebra(args) -> int:
     from .algebra import run_algebra_sweep
 
-    n_list = [int(tok) for tok in args.n_list.split(",")]
+    try:
+        n_list = [int(tok) for tok in args.n_list.split(",")]
+    except ValueError:
+        raise ValueError(f"n-list needs comma-separated integers, got {args.n_list!r}") from None
     report = run_algebra_sweep(n_list, args.samples, args.seed)
     _emit(_to_json(report) + "\n", args.out)
     return 0 if report["all_pass"] else 1
@@ -431,7 +434,10 @@ def main(argv=None) -> int:
             args._parser.set_defaults(**_config_defaults(args))
             args = parser.parse_args(argv)
         return args.func(args)
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:  # str() of a KeyError is the repr of its message
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TwistorcheckError as exc:

@@ -1,6 +1,7 @@
 """Exact rational checks: identities, inequalities, decomposition, wedge identity."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -201,6 +202,68 @@ class TestSkewDecompose:
                 for b in range(2 * n):
                     assert u_part.entries[a][b] + sigma_part.entries[a][b] == om.entries[a][b]
             assert trace_pairing(u_part, sigma_part) == 0
+
+
+def j0_matrix(n):
+    """J0 = [[0, -I], [I, 0]] as rows."""
+    dim = 2 * n
+    return [[-1 if b == a + n else 1 if a == b + n else 0 for b in range(dim)] for a in range(dim)]
+
+
+def matmul(x, y):
+    """Row-by-column product."""
+    columns = list(zip(*y))
+    return [[sum(map(operator.mul, row, col)) for col in columns] for row in x]
+
+
+def doubled_reference_parts(om):
+    """omega - J0 omega J0 and omega + J0 omega J0, twice the two parts."""
+    j0 = j0_matrix(om.n)
+    conj = matmul(matmul(j0, om.entries), j0)
+    return [
+        [[x + sign * c for x, c in zip(row, crow)] for row, crow in zip(om.entries, conj)]
+        for sign in (-1, 1)
+    ]
+
+
+def reference_commutation(m):
+    """(J0 M == M J0, J0 M == -M J0) from matrix products."""
+    j0 = j0_matrix(m.n)
+    left, right = matmul(j0, m.entries), matmul(m.entries, j0)
+    return left == right, left == [[-x for x in row] for row in right]
+
+
+def perturbed(m, a, b, delta):
+    """m with entry (a, b) moved by delta and (b, a) by -delta, so it stays skew."""
+    rows = [list(row) for row in m.entries]
+    rows[a][b] += delta
+    rows[b][a] -= delta
+    return RationalSkewMatrix(n=m.n, entries=tuple(tuple(row) for row in rows))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_block_j0_tests_and_split_equal_matrix_products(n):
+    """The block forms of the J0 tests and the split agree with J0 products.
+
+    Each random skew matrix, its two parts and a one-entry perturbation of each
+    go through both; the perturbations make every verdict occur.
+    """
+    rng = random.Random(1300 + n)
+    dim = 2 * n
+    verdicts = set()
+    for _ in range(500):
+        om = RationalSkewMatrix.random(n, rng)
+        u_part, sigma_part = skew_decompose(om)
+        doubled = [[[2 * x for x in row] for row in part.entries] for part in (u_part, sigma_part)]
+        assert doubled == doubled_reference_parts(om)
+        a = rng.randrange(dim - 1)
+        b = rng.randrange(a + 1, dim)
+        parts = (om, u_part, sigma_part)
+        for m in parts + tuple(perturbed(m, a, b, 1) for m in parts):
+            verdict = (commutes_with_j0(m), anticommutes_with_j0(m))
+            assert verdict == reference_commutation(m)
+            verdicts.add(verdict)
+    assert verdicts == {(True, False), (False, True), (False, False)}
 
 
 class TestCanonicalJ1:

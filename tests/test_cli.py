@@ -1,6 +1,7 @@
 """Command-line contract: outputs, exit codes, determinism, config handling."""
 
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -66,6 +67,21 @@ def test_report_point_outside_domain(capsys):
 
 def test_report_unknown_manifold(capsys):
     assert run_cli(["report", "--manifold", "klein-bottle"]) == 2
+
+
+@pytest.mark.parametrize(
+    "manifold, line",
+    [
+        ("nope", "error: unknown manifold id 'nope'\n"),
+        ("flat:x", "error: bad flat manifold id 'flat:x'\n"),
+    ],
+)
+def test_unknown_manifold_prints_its_message_unquoted(capsys, manifold, line):
+    """The catalog's KeyError reaches stderr as its message, not as its repr."""
+    assert run_cli(["scan", "--manifold", manifold]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line
 
 
 def test_report_malformed_point(capsys):
@@ -163,6 +179,14 @@ def test_verify_algebra_rejects_duplicate_n(capsys):
     assert "distinct" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["2,,3", "2,x", ""])
+def test_verify_algebra_n_list_must_be_integers(capsys, text):
+    assert run_cli(["verify-algebra", "--n-list", text, "--samples", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: n-list needs comma-separated integers, got {text!r}\n"
+
+
 def test_verify_algebra_unwritable_out(tmp_path, capsys):
     out = tmp_path / "missing" / "x.json"
     assert run_cli(["verify-algebra", "--samples", "3", "--out", str(out)]) == 2
@@ -183,6 +207,35 @@ def test_verify_algebra_negative_control(tmp_path, monkeypatch):
     assert doc["all_pass"] is False
     assert doc["checks"]["wedge_identity"]["fail"] == 6
     assert {f["check"] for f in doc["failures"]} == {"wedge_identity"}
+
+
+def test_verify_algebra_negative_control_swapped_split(tmp_path, monkeypatch):
+    """A split that returns its parts swapped must fail skew_decompose on every sample."""
+    split = algebra.skew_decompose
+    monkeypatch.setattr(algebra, "skew_decompose", lambda omega: split(omega)[::-1])
+    out = tmp_path / "algebra.json"
+    code = run_cli(["verify-algebra", "--n-list", "2,3", "--samples", "3", "--out", str(out)])
+    assert code == 1
+    doc = json.loads(out.read_text())
+    assert doc["all_pass"] is False
+    assert doc["checks"]["skew_decompose"] == {"pass": 0, "fail": 6}
+    # the swapped "sigma" part does not anticommute with J0, so J1 rejects it
+    assert doc["checks"]["canonical_j1_square"] == {"pass": 0, "fail": 6}
+    assert {f["check"] for f in doc["failures"]} == {"skew_decompose", "canonical_j1_square"}
+
+
+# sha256 of the report bytes of this command.  The draws fix which samples run
+# and every check feeds the counts, so a drift in either changes the hash.
+GOLDEN_ALGEBRA_SHA256 = "3303ceb72018c466b10f83c9fff2a5665ed8deb13b0161dcf0ede3ace7fcfed9"
+
+
+def test_verify_algebra_report_bytes_are_pinned(tmp_path):
+    """n = 2 (case 2) and every n up to MAX_N, byte for byte."""
+    out = tmp_path / "algebra.json"
+    argv = ["verify-algebra", "--n-list", "2,3,4,5,6", "--samples", "20", "--seed", "11"]
+    assert algebra.MAX_N == 6
+    assert run_cli(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_ALGEBRA_SHA256
 
 
 def test_verify_geometry_conformal(tmp_path):
