@@ -166,8 +166,11 @@ def _scan_summary(table: dict) -> dict:
     }
 
 
-def _csv_cell(value) -> str:
-    return ("true" if value else "false") if isinstance(value, bool) else _fmt_float(value)
+def _csv_column(column: np.ndarray) -> list:
+    """The cells of one scan column: a bool column reads true/false, any other _fmt_float."""
+    if column.dtype == bool:
+        return ["true" if value else "false" for value in column.tolist()]
+    return [_fmt_float(value) for value in column.tolist()]
 
 
 def cmd_scan(args) -> int:
@@ -176,10 +179,9 @@ def cmd_scan(args) -> int:
     table = scan_rows(entry, args.grid, args.fd_step, args.tol)
     summary = _scan_summary(table)
     elapsed = time.perf_counter() - started
-    rows = zip(*(column.tolist() for column in table.values()))
     if args.format == "csv":
         lines = [",".join(table)]
-        lines += [",".join(_csv_cell(value) for value in row) for row in rows]
+        lines += map(",".join, zip(*map(_csv_column, table.values())))
         lines.append(
             "# summary min_margin=%s max_normN2=%s chain_violations=%d points=%d"
             % (
@@ -191,6 +193,7 @@ def cmd_scan(args) -> int:
         )
         text = "\n".join(lines) + "\n"
     else:
+        rows = zip(*(column.tolist() for column in table.values()))
         json_rows = [dict(zip(table, row)) for row in rows]
         text = _to_json({"manifold": entry.id, "rows": json_rows, "summary": summary}) + "\n"
     _emit(text, args.out)

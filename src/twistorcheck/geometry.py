@@ -252,43 +252,47 @@ class AdaptedFrame:
 def _gram_schmidt_adapted(g: np.ndarray, J: np.ndarray, u: np.ndarray):
     """Deterministic J-adapted Gram-Schmidt at every point. Returns (E, pivots).
 
-    Step k projects every coordinate vector against the accepted vectors and
-    takes, at each point, the first still available one whose g-norm reaches
-    PIVOT_TOL.
+    The accepted vectors e_0, J e_0, e_1, J e_1, ... are the columns of
+    ``accepted``, in that order; E holds the same columns as
+    (e_0 ... e_{n-1}, J e_0 ... J e_{n-1}).  Step k projects all coordinate
+    vectors at once against the first 2k of them, W, by block classical
+    Gram-Schmidt run twice: V = I - W W^T g, then V - W W^T g V, the second
+    pass bringing the g-orthogonality to machine precision ("twice is
+    enough").  At each point it takes the first still available coordinate
+    vector whose g-norm reaches PIVOT_TOL.
     """
     dim = g.shape[-1]
     n = dim // 2
     batch = g.shape[:-2]
-    available = np.ones(batch + (dim,), dtype=bool)
-    E = np.empty(batch + (dim, dim))
-    pivots = np.empty(batch + (n,), dtype=np.intp)
-    coordinates = np.broadcast_to(np.eye(dim), batch + (dim, dim))
-    accepted: list[np.ndarray] = []
+    g = g.reshape((-1, dim, dim))
+    J = J.reshape((-1, dim, dim))
+    rows = np.arange(len(g))
+    available = np.ones((len(g), dim), dtype=bool)
+    accepted = np.empty((len(g), dim, dim))
+    pivots = np.empty((len(g), n), dtype=np.intp)
+    eye = np.eye(dim)
     for k in range(n):
-        V = coordinates
-        # Two projection passes keep the g-orthogonality near machine
-        # precision without changing the deterministic pivot order.
-        for _pass in range(2):
-            for w in accepted:
-                coef = np.swapaxes(V, -1, -2) @ (g @ w[..., None])
-                V = V - w[..., :, None] * np.swapaxes(coef, -1, -2)
-        nrm = np.sqrt(np.maximum((V * (g @ V)).sum(axis=-2), 0.0))
+        W = accepted[:, :, : 2 * k]
+        Wt = np.swapaxes(W, -1, -2)
+        V = W @ (Wt @ g)
+        np.subtract(eye, V, out=V)
+        V -= W @ (Wt @ (g @ V))
+        nrm = np.sqrt(np.maximum(np.einsum("bij,bij->bj", V, g @ V), 0.0))
         usable = available & (nrm >= PIVOT_TOL)
-        stuck = first_index(~usable.any(axis=-1))
+        stuck = first_index(~usable.any(axis=-1).reshape(batch))
         if stuck is not None:
             raise DegeneratePivot(
                 f"all {dim - k} remaining coordinate vectors project below {PIVOT_TOL:g} "
                 f"at {u[stuck].tolist()}"
             )
-        idx = np.argmax(usable, axis=-1)[..., None]
-        e = np.take_along_axis(V, idx[..., None], axis=-1)[..., 0] / np.take_along_axis(nrm, idx, axis=-1)
-        je = (J @ e[..., None])[..., 0]
-        np.put_along_axis(available, idx, False, axis=-1)
-        pivots[..., k] = idx[..., 0]
-        E[..., :, k] = e
-        E[..., :, n + k] = je
-        accepted.extend([e, je])
-    return E, pivots
+        idx = np.argmax(usable, axis=-1)
+        e = V[rows, :, idx] / nrm[rows, idx][:, None]
+        available[rows, idx] = False
+        pivots[:, k] = idx
+        accepted[:, :, 2 * k] = e
+        accepted[:, :, 2 * k + 1] = (J @ e[:, :, None])[:, :, 0]
+    E = accepted[:, :, np.r_[0:dim:2, 1:dim:2]]
+    return E.reshape(batch + (dim, dim)), pivots.reshape(batch + (n,))
 
 
 def adapt_frame(patch: ManifoldPatch, point: np.ndarray) -> AdaptedFrame:

@@ -20,7 +20,13 @@ from twistorcheck import (
     random_unitary_rotation,
     rotate_frame,
 )
-from twistorcheck.geometry import evaluate_frame_field, require_interior, validate_patch
+from twistorcheck.geometry import (
+    PIVOT_TOL,
+    _gram_schmidt_adapted,
+    evaluate_frame_field,
+    require_interior,
+    validate_patch,
+)
 
 
 def box(bounds, dim):
@@ -155,6 +161,143 @@ class TestAdaptFrame:
     def test_point_outside_domain(self):
         with pytest.raises(BoundaryProximity):
             adapt_frame(flat_patch(), np.array([2.0, 0.0, 0.0, 0.0]))
+
+
+def one_vector_sweep(g, J):
+    """Reference J-adapted Gram-Schmidt: each coordinate vector is projected
+    against one accepted vector at a time, in two modified passes."""
+    dim = g.shape[-1]
+    n = dim // 2
+    batch = g.shape[:-2]
+    available = np.ones(batch + (dim,), dtype=bool)
+    E = np.empty(batch + (dim, dim))
+    pivots = np.empty(batch + (n,), dtype=np.intp)
+    accepted = []
+    for k in range(n):
+        V = np.broadcast_to(np.eye(dim), batch + (dim, dim))
+        for _pass in range(2):
+            for w in accepted:
+                coef = np.swapaxes(V, -1, -2) @ (g @ w[..., None])
+                V = V - w[..., :, None] * np.swapaxes(coef, -1, -2)
+        nrm = np.sqrt(np.maximum((V * (g @ V)).sum(axis=-2), 0.0))
+        idx = np.argmax(available & (nrm >= PIVOT_TOL), axis=-1)[..., None]
+        e = np.take_along_axis(V, idx[..., None], axis=-1)[..., 0] / np.take_along_axis(nrm, idx, axis=-1)
+        je = (J @ e[..., None])[..., 0]
+        np.put_along_axis(available, idx, False, axis=-1)
+        pivots[..., k] = idx[..., 0]
+        E[..., :, k] = e
+        E[..., :, n + k] = je
+        accepted.extend([e, je])
+    return E, pivots
+
+
+class TestBlockSweep:
+    """The two-pass block sweep against the one-vector-at-a-time sweep."""
+
+    BATCH = (3, 5, 7)
+
+    @staticmethod
+    def conjugated_fields(P):
+        # g = P^-T P^-1 and J = P J0 P^-1: g is SPD and J is g-orthogonal, and
+        # the columns of P are a g-orthonormal adapted basis
+        Pinv = np.linalg.inv(P)
+        g = np.swapaxes(Pinv, -1, -2) @ Pinv
+        return 0.5 * (g + np.swapaxes(g, -1, -2)), P @ j0_matrix(P.shape[-1] // 2) @ Pinv
+
+    def well_conditioned_fields(self, n, seed):
+        # P = Q1 S Q2 with random orthogonal Q1, Q2 and singular values S in
+        # [0.5, 2], so cond(g) <= 16 and both sweeps are orthonormal to
+        # rounding level (at cond(g) ~ 1e6 the reference sweep itself misses
+        # E^T g E = I by 3e-11)
+        rng = np.random.default_rng(seed)
+        Q1, Q2 = np.linalg.qr(rng.standard_normal((2,) + self.BATCH + (2 * n, 2 * n)))[0]
+        return self.conjugated_fields(Q1 * rng.uniform(0.5, 2.0, self.BATCH + (1, 2 * n)) @ Q2)
+
+    def check_against_reference(self, g, J):
+        n = g.shape[-1] // 2
+        E, pivots = _gram_schmidt_adapted(g, J, np.zeros(g.shape[:-1]))
+        E_ref, pivots_ref = one_vector_sweep(g, J)
+        assert np.array_equal(pivots, pivots_ref)
+        assert np.abs(E - E_ref).max() <= 1e-12
+        gram = np.swapaxes(E, -1, -2) @ g @ E
+        assert np.abs(gram - np.eye(2 * n)).max() <= 1e-12
+        assert np.abs(J @ E[..., :n] - E[..., n:]).max() <= 1e-12
+        return pivots
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_one_vector_sweep(self, n):
+        self.check_against_reference(*self.well_conditioned_fields(n, 40 + n))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_as_orthogonal_as_one_vector_sweep_when_ill_conditioned(self, n):
+        # P = I + 0.3 N reaches cond(g) ~ 1e6 at some points; there the second
+        # block pass keeps E^T g E = I as close as the reference sweep does
+        # (one pass alone misses it by up to 90 times more at n = 4)
+        rng = np.random.default_rng(40 + n)
+        g, J = self.conjugated_fields(np.eye(2 * n) + 0.3 * rng.standard_normal(self.BATCH + (2 * n, 2 * n)))
+        E, pivots = _gram_schmidt_adapted(g, J, np.zeros(g.shape[:-1]))
+        E_ref, pivots_ref = one_vector_sweep(g, J)
+        assert np.array_equal(pivots, pivots_ref)
+
+        def residual(E):
+            return np.abs(np.swapaxes(E, -1, -2) @ g @ E - np.eye(2 * n)).max(axis=(-2, -1))
+
+        assert np.all(residual(E) <= 4.0 * residual(E_ref) + 1e-14)
+
+    def test_skipped_pivot_only_where_j_pairs_the_first_two_vectors(self):
+        # where J e_1 = e_2 the second step finds e_2 in the span of e_1 and
+        # J e_1 and takes e_3; everywhere else the sweep takes e_2
+        g, J = self.well_conditioned_fields(2, 4)
+        pairing = np.zeros((4, 4))
+        pairing[1, 0] = pairing[3, 2] = 1.0
+        pairing[0, 1] = pairing[2, 3] = -1.0
+        paired = np.zeros(self.BATCH, dtype=bool)
+        paired[0, 1, 2] = paired[2, 4, 6] = paired[1, 0, 0] = True
+        g[paired], J[paired] = np.eye(4), pairing
+        pivots = self.check_against_reference(g, J)
+        assert np.all(pivots[paired] == [0, 2])
+        assert np.all(pivots[~paired] == [0, 1])
+
+    def test_stencil_batch_is_bitwise_each_point_alone(self):
+        # the nk-s6 second-order stencil, (points, 2 dim, 1 + 2 dim) frames
+        # from one call, as connection_derivative builds it
+        from twistorcheck import nearly_kahler_s6
+        from twistorcheck.catalog import grid_points
+        from twistorcheck.connection import DEFAULT_SECOND_ORDER_STEP
+        from twistorcheck.geometry import DEFAULT_FD_STEP, stencil_points
+
+        patch = nearly_kahler_s6().patch
+        outer = stencil_points(0.5 * grid_points(patch, 2)[[0, 21, 42, 63]], DEFAULT_SECOND_ORDER_STEP)
+        u = stencil_points(outer, DEFAULT_FD_STEP, centre=True)
+        batched = adapt_frame(patch, u)
+        assert batched.E.shape == (4, 12, 13, 6, 6)
+        for index in np.ndindex(u.shape[:-1]):
+            alone = adapt_frame(patch, u[index])
+            assert np.array_equal(batched.E[index], alone.E)
+            assert np.array_equal(batched.pivots[index], alone.pivots)
+
+    def test_degenerate_later_step_names_the_failing_point(self):
+        # g = diag(1, s, 1, s) commutes with J0: the first step takes e_1, and
+        # with s = 1e-18 every vector left at the second step has g-norm 1e-9
+        def metric(u):
+            s = 1e-18 if u[0] > 0.5 else 1.0
+            return np.diag([1.0, s, 1.0, s])
+
+        patch = ManifoldPatch(
+            n=2,
+            domain=box((-1.0, 1.0), 4),
+            metric_field=pointwise(metric),
+            j_field=pointwise(lambda u: j0_matrix(2)),
+        )
+        points = np.zeros((2, 3, 4))
+        points[1, 1, 0] = 0.75
+        with pytest.raises(
+            DegeneratePivot,
+            match=r"^all 3 remaining coordinate vectors project below 1e-08 at \[0\.75, 0\.0, 0\.0, 0\.0\]$",
+        ):
+            adapt_frame(patch, points)
+        points[1, 1, 0] = 0.25
+        assert adapt_frame(patch, points).pivots.tolist() == [[[0, 1]] * 3] * 2
 
 
 @pytest.fixture
