@@ -279,7 +279,11 @@ def resolve(manifold_id: str) -> CatalogEntry:
         return flat_kahler(n)
     m = _TORUS_RE.match(manifold_id)
     if m:
-        return perturbed_torus(eps=float(m.group(1)), freq=int(m.group(2)))
+        try:
+            eps = float(m.group(1))
+        except ValueError:
+            raise KeyError(f"bad torus manifold id {manifold_id!r}") from None
+        return perturbed_torus(eps=eps, freq=int(m.group(2)))
     raise KeyError(f"unknown manifold id {manifold_id!r}")
 
 

@@ -28,6 +28,7 @@ from .connection import (
 )
 from .errors import TwistorcheckError
 from .geometry import DEFAULT_FD_STEP, point_jet, random_unitary_rotation
+from .nijenhuis import ROUTE_REL_TOL
 from .twistorform import chern_identity_residual, theorem_report
 
 GRID_LIMIT = 10**7
@@ -49,7 +50,7 @@ SCAN_COLUMNS = ("normN2", "margin", "bound_paper", "chain_ok", "nondegenerate")
 GEOMETRY_TOLERANCES = {
     "structure_equation": 1e-6,
     "phi_formula_equivalence": 1e-10,
-    "nijenhuis_route_equivalence": 1e-6,
+    "nijenhuis_route_equivalence": ROUTE_REL_TOL,
     "frame_invariance": 1e-8,
     "connection_route_equivalence": 1e-8,
     "curvature_identity": 1e-4,

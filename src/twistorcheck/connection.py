@@ -21,7 +21,7 @@ from .geometry import (
     AdaptedFrame,
     ManifoldPatch,
     PointJet,
-    central_difference,
+    _readonly,
     christoffel,
     evaluate_frame_field,
     j0_matrix,
@@ -76,9 +76,7 @@ class FrameFieldJet:
     step: float
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
-        w.flags.writeable = False
-        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "w", _readonly(self.w))
 
 
 def frame_field_jet(
@@ -176,20 +174,20 @@ def connection_derivative(patch: ManifoldPatch, jet: FrameFieldJet) -> np.ndarra
     """The d omega block dw[..., c, A, B, a] = d_c w[..., A, B, a] at the jet's points.
 
     The central difference of the connection field at the outer step
-    ``DEFAULT_SECOND_ORDER_STEP``; at each of its 2 dim points the slices
-    are differentiated at the jet's step, with those points and their
-    stencils one batch of frames.  Curvature and the Chern identity both
-    read d omega from this one block and w from the jet.
+    ``DEFAULT_SECOND_ORDER_STEP``.  Each of its 2 dim outer points comes
+    first in its own block, followed by its stencil at the jet's step, and
+    all the blocks are one batch of frames: index 0 gives the slices' E
+    and g, and the rest their derivative.  Curvature and the Chern
+    identity both read d omega from this one block and w from the jet.
     """
     step, inner = DEFAULT_SECOND_ORDER_STEP, jet.step
-    require_interior(patch, jet.frame.point, margin=step + 2.0 * inner)
-
-    def slices(v):
-        frames = evaluate_frame_field(patch, jet.frame, stencil_points(v, inner, centre=True))
-        E0, dE = stencil_difference(frames.E, inner, v.ndim - 1, centre=True)
-        return coordinate_connection(patch, v, frames.g[..., 0, :, :], E0, dE, inner)
-
-    return central_difference(slices, jet.frame.point, step)
+    u = require_interior(patch, jet.frame.point, margin=step + 2.0 * inner)
+    outer = stencil_points(u, step)
+    block = np.concatenate([outer[..., None, :], stencil_points(outer, inner)], axis=-2)
+    frames = evaluate_frame_field(patch, jet.frame, block)
+    dE = stencil_difference(frames.E[..., 1:, :, :], inner, outer.ndim - 1)
+    w = coordinate_connection(patch, outer, frames.g[..., 0, :, :], frames.E[..., 0, :, :], dE, inner)
+    return stencil_difference(w, step, u.ndim - 1)
 
 
 def curvature_forms(jet: FrameFieldJet, dw: np.ndarray) -> np.ndarray:

@@ -233,7 +233,7 @@ class AdaptedFrame:
     E: np.ndarray
     g: np.ndarray
     J: np.ndarray
-    pivots: np.ndarray = ()
+    pivots: np.ndarray
     rotation: np.ndarray | None = None
 
     def __post_init__(self):
@@ -390,43 +390,25 @@ def evaluate_frame_field(patch: ManifoldPatch, frame: AdaptedFrame, point: np.nd
     return replace(moved, E=moved.E @ rotation, rotation=rotation)
 
 
-def stencil_points(u: np.ndarray, h: float, centre: bool = False) -> np.ndarray:
+def stencil_points(u: np.ndarray, h: float) -> np.ndarray:
     """The package's one difference stencil: the (..., 2 dim, dim) stack of
-    points u + h e_c, then u - h e_c.  With ``centre`` u itself comes first.
+    points u + h e_c, then u - h e_c.
     """
     u = np.asarray(u, dtype=float)
     shift = h * np.eye(u.shape[-1])
-    stack = [u[..., None, :] + shift, u[..., None, :] - shift]
-    if centre:
-        stack.insert(0, u[..., None, :])
-    return np.concatenate(stack, axis=-2)
+    return np.concatenate([u[..., None, :] + shift, u[..., None, :] - shift], axis=-2)
 
 
-def stencil_difference(values: np.ndarray, h: float, axis: int, centre: bool = False):
+def stencil_difference(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     """D[..., c, :] = (f(u + h e_c) - f(u - h e_c)) / (2h) from ``values`` = f(stencil_points(u, h)).
 
     ``axis`` is the stencil axis of ``values`` (u.ndim - 1 for points u).
-    With ``centre`` the stencil holds u in front and the result is the pair
-    (f(u), D).
     """
-    first = 1 if centre else 0
-    dim = (values.shape[axis] - first) // 2
+    dim = values.shape[axis] // 2
     lead = (slice(None),) * axis
-    up = values[lead + (slice(first, first + dim),)]
-    down = values[lead + (slice(first + dim, first + 2 * dim),)]
-    D = up - down
+    D = values[lead + (slice(0, dim),)] - values[lead + (slice(dim, 2 * dim),)]
     D /= 2.0 * h
-    return (values[lead + (0,)], D) if centre else D
-
-
-def central_difference(f: FieldMap, u: np.ndarray, h: float) -> np.ndarray:
-    """D[..., c, :] = (f(u + h e_c) - f(u - h e_c)) / (2h), from one call of ``f``.
-
-    ``f`` is called once, on ``stencil_points(u, h)``.
-    """
-    u = np.asarray(u, dtype=float)
-    values = np.asarray(f(stencil_points(u, h)), dtype=float)
-    return stencil_difference(values, h, u.ndim - 1)
+    return D
 
 
 def field_derivative(
@@ -452,7 +434,7 @@ def field_derivative(
     u = require_interior(patch, point, margin=step)
     if jet is not None:
         return _call_field(jet, u, name, 3)
-    return central_difference(lambda v: field_value(patch, v, which), u, step)
+    return stencil_difference(field_value(patch, stencil_points(u, step), which), step, u.ndim - 1)
 
 
 def christoffel(

@@ -251,8 +251,7 @@ def sigma_report(sigma: np.ndarray, tol: float = CHAIN_TOL) -> TheoremReport:
     sumA2 = (A**2).sum(axis=(-2, -1))
     bound_quarterA = 1.0 - 0.25 * sumA2
     c0 = critical_constant(n)
-    factor = 5.0 / 64.0 if n >= 3 else 1.0 / 16.0
-    bound_paper = 1.0 - factor * normN2
+    bound_paper = 1.0 - (1.0 / c0) * normN2
 
     sum_c2 = _total(C)
     sum_cp2 = _total(Cp)

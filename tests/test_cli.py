@@ -74,6 +74,10 @@ def test_report_unknown_manifold(capsys):
     [
         ("nope", "error: unknown manifold id 'nope'\n"),
         ("flat:x", "error: bad flat manifold id 'flat:x'\n"),
+        ("torus:eps=.,freq=1", "error: bad torus manifold id 'torus:eps=.,freq=1'\n"),
+        ("torus:eps=1e,freq=1", "error: bad torus manifold id 'torus:eps=1e,freq=1'\n"),
+        # a well-formed id out of range keeps the family's own message
+        ("torus:eps=0.9,freq=1", "error: eps must lie in [0, 0.5]\n"),
     ],
 )
 def test_unknown_manifold_prints_its_message_unquoted(capsys, manifold, line):

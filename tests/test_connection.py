@@ -240,6 +240,15 @@ def test_structure_equation_shares_the_stencil_frames(monkeypatch):
     assert calls == {"frame": 1, "g": 1, "J": 1}
 
 
+def test_frame_field_jet_owns_read_only_slices():
+    """Like AdaptedFrame and PointJet, the jet's w is a read-only array of its own."""
+    patch = nearly_kahler_s6().patch
+    jet = field_jet(patch, np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05]))
+    assert jet.w.flags.owndata and not jet.w.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        jet.w[...] = 0.0
+
+
 def test_connection_at_displaced_points_reads_the_frames_metric():
     """The d omega block at displaced points evaluates g only inside its one frame call."""
     from twistorcheck.connection import DEFAULT_SECOND_ORDER_STEP

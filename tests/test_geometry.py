@@ -268,7 +268,7 @@ class TestBlockSweep:
 
         patch = nearly_kahler_s6().patch
         outer = stencil_points(0.5 * grid_points(patch, 2)[[0, 21, 42, 63]], DEFAULT_SECOND_ORDER_STEP)
-        u = stencil_points(outer, DEFAULT_FD_STEP, centre=True)
+        u = np.concatenate([outer[..., None, :], stencil_points(outer, DEFAULT_FD_STEP)], axis=-2)
         batched = adapt_frame(patch, u)
         assert batched.E.shape == (4, 12, 13, 6, 6)
         for index in np.ndindex(u.shape[:-1]):
