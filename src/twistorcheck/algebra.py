@@ -394,12 +394,6 @@ def canonical_j1(psi: RationalSkewMatrix, V: tuple) -> tuple:
     return new_psi, new_v
 
 
-def random_sigma_matrix(n: int, rng: random.Random) -> RationalSkewMatrix:
-    """Random skew matrix anticommuting with J0 (the sigma part of a random skew)."""
-    _, sigma = skew_decompose(RationalSkewMatrix.random(n, rng))
-    return sigma
-
-
 def _alpha_of(m: tuple, n: int):
     return [[m[i][n + j] + m[n + i][j] for j in range(n)] for i in range(n)]
 

@@ -110,7 +110,7 @@ def _parse_point(text: str, dim: int) -> np.ndarray:
 def report_payload(entry: catalog.CatalogEntry, point: np.ndarray, fd_step: float, tol: float) -> dict:
     jet = point_jet(entry.patch, point, fd_step)
     rep = theorem_report(jet, tol=tol)
-    structure = structure_equation_residual(frame_field_jet(entry.patch, jet.frame, fd_step))
+    structure = structure_equation_residual(frame_field_jet(entry.patch, jet))
     return {
         "manifold": entry.id,
         "point": [float(x) for x in point],
@@ -245,9 +245,10 @@ def geometry_checks(entry: catalog.CatalogEntry, points: int, seed: int, rotatio
     for start in range(0, points, GEOMETRY_CHUNK):
         u = samples[start : start + GEOMETRY_CHUNK]
         jet = point_jet(patch, u, fd_step)
-        # The frame-differentiated connection: the full omega the structure
-        # equation needs, and the independent route to the report's sigma.
-        frames = frame_field_jet(patch, jet.frame, fd_step)
+        # The frame-differentiated connection at the jet's step: the full
+        # omega that the structure equation, curvature and Chern read, and
+        # the independent route to the report's sigma.
+        frames = frame_field_jet(patch, jet)
         # (1 + rotations, points, 2n, 2n): the identity, then each point's
         # rotations, so row 0 of every report quantity is the jet's own frame.
         drawn = np.swapaxes(random_unitary_rotation(patch.n, rng, (len(u), rotations)), 0, 1)
@@ -271,11 +272,7 @@ def geometry_checks(entry: catalog.CatalogEntry, points: int, seed: int, rotatio
             "connection_route_equivalence": _sigma_route_gap(w_rotated, rotated.frame.E, rep.sigma),
         }
         if is_round:
-            # The d omega block differentiates the slices at the default step,
-            # which ``frames`` holds when fd_step is the default.
-            if fd_step != DEFAULT_FD_STEP:
-                frames = frame_field_jet(patch, jet.frame)
-            dw = connection_derivative(patch, frames)
+            dw = connection_derivative(patch, jet.frame)
             found["curvature_identity"] = round_sphere_curvature_residual(curvature_forms(frames, dw))
             found["chern_identity"] = chern_identity_residual(patch, frames, dw)
         for name, values in found.items():
@@ -369,7 +366,8 @@ SHARED_FLAGS = {
                       help="finite difference step in (1e-8, 1e-2) (default 1e-5)"),
     "--tol": dict(type=TOLERANCE, default=1e-6,
                   help="tolerance for the inequality chain, finite and > 0 (default 1e-6)"),
-    "--seed": dict(type=int, default=0, help="seed for randomized sampling (default 0)"),
+    "--seed": dict(type=NON_NEGATIVE, default=0,
+                   help="seed for randomized sampling, >= 0 (default 0)"),
 }
 
 
@@ -406,8 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="grid scan with per-point rows and a summary")
     _add_common(p, "--manifold", "--fd-step", "--tol")
-    p.add_argument("--seed", type=int, default=0,
-                   help="accepted and ignored: the grid scan draws no random numbers")
+    p.add_argument("--seed", type=NON_NEGATIVE, default=0,
+                   help="accepted if >= 0 and ignored: the grid scan draws no random numbers")
     p.add_argument("--grid", type=AT_LEAST_ONE, default=3, help="points per axis, >= 1 (default 3)")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.set_defaults(func=cmd_scan)

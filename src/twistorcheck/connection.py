@@ -40,17 +40,14 @@ def _slices(table: np.ndarray) -> np.ndarray:
     return np.moveaxis(table, -1, -3)
 
 
-def coordinate_connection(
-    patch: ManifoldPatch, point: np.ndarray, g: np.ndarray, E: np.ndarray, dE: np.ndarray, step: float
-) -> np.ndarray:
+def coordinate_connection(g: np.ndarray, E: np.ndarray, dE: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
     """Coordinate slices w[..., A, B, a] = omega_{AB}(d/du^a) of the connection forms.
 
-    ``E`` holds frames at ``point`` with the metric ``g`` they were built
-    from, and ``dE[..., c, :, :]`` the derivatives d_c E of their frame field;
-    only the metric derivatives (at ``step``) are evaluated here.
+    ``E`` holds frames built from the metric ``g``, ``dE[..., c, :, :]`` the
+    derivatives d_c E of their frame field and ``Gamma`` the Christoffel
+    symbols, all at the same points; nothing is evaluated here.
     """
-    Gamma = christoffel(patch, point, g, step=step)
-    dim = patch.dim
+    dim = E.shape[-1]
     # (nabla_{d_a} e_B)^c = d_a E^c_B + Gamma^c_{ab} E^b_B, indexed [a, c, B]
     GE = (Gamma.reshape(Gamma.shape[:-3] + (dim * dim, dim)) @ E).reshape(Gamma.shape)
     cov = dE + np.swapaxes(GE, -3, -2)
@@ -61,13 +58,14 @@ def coordinate_connection(
 
 @dataclass(frozen=True)
 class FrameFieldJet:
-    """The adapted frame field through ``frame``, differentiated once at its points.
+    """The adapted frame field through a point jet's frame, differentiated once at its points.
 
     ``stencil`` holds the frames of that field at ``stencil_points(point,
     step)``, one batched call, with the g and J they were built from; ``w``
-    is ``coordinate_connection`` from them.  The structure equation, the
-    d omega block, curvature and the Chern identity all read this one
-    object; build it with ``frame_field_jet``.
+    is ``coordinate_connection`` from them and the jet's Christoffel symbols,
+    and ``step`` is the jet's.  The structure equation, curvature and the
+    Chern identity all read this one object; build it with
+    ``frame_field_jet``.
     """
 
     frame: AdaptedFrame
@@ -79,14 +77,13 @@ class FrameFieldJet:
         object.__setattr__(self, "w", _readonly(self.w))
 
 
-def frame_field_jet(
-    patch: ManifoldPatch, frame: AdaptedFrame, step: float = DEFAULT_FD_STEP
-) -> FrameFieldJet:
-    """Differentiate the frame field through ``frame`` (same pivots and rotation) at its points."""
+def frame_field_jet(patch: ManifoldPatch, jet: PointJet) -> FrameFieldJet:
+    """Differentiate the frame field through ``jet.frame`` (same pivots and rotation) at ``jet.step``."""
+    frame, step = jet.frame, jet.step
     u = require_interior(patch, frame.point, margin=step)
     stencil = evaluate_frame_field(patch, frame, stencil_points(u, step))
     dE = stencil_difference(stencil.E, step, u.ndim - 1)
-    w = coordinate_connection(patch, u, frame.g, frame.E, dE, step)
+    w = coordinate_connection(frame.g, frame.E, dE, jet.Gamma)
     return FrameFieldJet(frame=frame, stencil=stencil, w=w, step=step)
 
 
@@ -170,30 +167,32 @@ def structure_equation_residual(jet: FrameFieldJet) -> np.ndarray:
     return np.abs(dtheta - rhs).max(axis=(-3, -2, -1))
 
 
-def connection_derivative(patch: ManifoldPatch, jet: FrameFieldJet) -> np.ndarray:
-    """The d omega block dw[..., c, A, B, a] = d_c w[..., A, B, a] at the jet's points.
+def connection_derivative(patch: ManifoldPatch, frame: AdaptedFrame) -> np.ndarray:
+    """The d omega block dw[..., c, A, B, a] = d_c w[..., A, B, a] at the frame's points.
 
-    The central difference of the connection field at the outer step
-    ``DEFAULT_SECOND_ORDER_STEP``.  Each of its 2 dim outer points comes
-    first in its own block, followed by its stencil at the jet's step, and
-    all the blocks are one batch of frames: index 0 gives the slices' E
-    and g, and the rest their derivative.  Curvature and the Chern
-    identity both read d omega from this one block and w from the jet.
+    The central difference of the connection field through ``frame`` at the
+    outer step ``DEFAULT_SECOND_ORDER_STEP``.  Each of its 2 dim outer
+    points comes first in its own block, followed by its stencil at the
+    inner step ``DEFAULT_FD_STEP``, and all the blocks are one batch of
+    frames: index 0 gives the slices' E and g, and the rest their
+    derivative; the Christoffel symbols are evaluated at the outer points.
+    Curvature and the Chern identity both read d omega from this one block.
     """
-    step, inner = DEFAULT_SECOND_ORDER_STEP, jet.step
-    u = require_interior(patch, jet.frame.point, margin=step + 2.0 * inner)
+    step, inner = DEFAULT_SECOND_ORDER_STEP, DEFAULT_FD_STEP
+    u = require_interior(patch, frame.point, margin=step + 2.0 * inner)
     outer = stencil_points(u, step)
     block = np.concatenate([outer[..., None, :], stencil_points(outer, inner)], axis=-2)
-    frames = evaluate_frame_field(patch, jet.frame, block)
+    frames = evaluate_frame_field(patch, frame, block)
+    g = frames.g[..., 0, :, :]
     dE = stencil_difference(frames.E[..., 1:, :, :], inner, outer.ndim - 1)
-    w = coordinate_connection(patch, outer, frames.g[..., 0, :, :], frames.E[..., 0, :, :], dE, inner)
+    w = coordinate_connection(g, frames.E[..., 0, :, :], dE, christoffel(patch, outer, g, step=inner))
     return stencil_difference(w, step, u.ndim - 1)
 
 
 def curvature_forms(jet: FrameFieldJet, dw: np.ndarray) -> np.ndarray:
     """Curvature table R[..., A, B, C, D] = R_{AB}(e_C, e_D) from R = omega ^ omega - d omega.
 
-    ``dw`` is ``connection_derivative(patch, jet)``.
+    ``dw`` is ``connection_derivative(patch, jet.frame)``.
     """
     # Both terms indexed [a, b, A, B]; slices[a] is the matrix omega(d_a).
     slices = _slices(jet.w)
@@ -212,9 +211,3 @@ def round_sphere_curvature_residual(R: np.ndarray) -> float:
     eye = np.eye(R.shape[-1])
     expected = np.einsum("AC,BD->ABCD", eye, eye) - np.einsum("AD,BC->ABCD", eye, eye)
     return float(np.abs(R - expected).max())
-
-
-def first_bianchi_residual(R: np.ndarray) -> float:
-    """Max over indices of the cyclic sum R_{AB}(e_C,e_D) + R_{AC}(e_D,e_B) + R_{AD}(e_B,e_C)."""
-    cyc = R + np.moveaxis(R, -3, -1) + np.moveaxis(R, -1, -3)
-    return float(np.abs(cyc).max())

@@ -465,12 +465,15 @@ def christoffel(
 class PointJet:
     """What the certificate at a batch of points reads: adapted frames, with
     the g and J they were built from, the J jet dJ[..., c, a, b] = d_c J^a_b
-    and the Christoffel symbols Gamma[..., c, a, b] = Gamma^c_{ab}.
+    and the Christoffel symbols Gamma[..., c, a, b] = Gamma^c_{ab}; ``step`` is
+    their difference step where the patch has no analytic jet, and the step
+    at which ``frame_field_jet`` differentiates the frame field.
     """
 
     frame: AdaptedFrame
     dJ: np.ndarray
     Gamma: np.ndarray
+    step: float
 
     def __post_init__(self):
         for name in ("dJ", "Gamma"):
@@ -487,15 +490,16 @@ class PointJet:
         batch = frame.E.shape[:-2]
         if batch == self.dJ.shape[:-3]:
             return replace(self, frame=frame)
-        return PointJet(frame=frame, dJ=_widen(self.dJ, batch, 3), Gamma=_widen(self.Gamma, batch, 3))
+        return replace(self, frame=frame, dJ=_widen(self.dJ, batch, 3), Gamma=_widen(self.Gamma, batch, 3))
 
 
 def point_jet(patch: ManifoldPatch, point: np.ndarray, step: float = DEFAULT_FD_STEP) -> PointJet:
     """Evaluate the fields and their first derivatives at the points, once.
 
     ``point`` is one point (2n,) or a batch (..., 2n).  The frame validates g
-    and J, ``step`` is the stencil of the J jet and of the metric
-    derivatives, and every point must lie 2 step inside the patch.
+    and J, ``step`` (kept on the jet) is the stencil of the J jet, of the
+    metric derivatives and of ``frame_field_jet``, and every point must lie
+    2 step inside the patch.
     """
     u = require_interior(patch, point, margin=2.0 * step)
     frame = adapt_frame(patch, u)
@@ -503,6 +507,7 @@ def point_jet(patch: ManifoldPatch, point: np.ndarray, step: float = DEFAULT_FD_
         frame=frame,
         dJ=field_derivative(patch, u, which="j", step=step),
         Gamma=christoffel(patch, u, frame.g, step=step),
+        step=step,
     )
 
 

@@ -306,7 +306,7 @@ def chern_identity_residual(patch: ManifoldPatch, jet: FrameFieldJet, dw: np.nda
     Only meaningful where the curvature terms R_{i,i+n} equal
     theta_i ^ theta_{i+n}, i.e. on a patch flagged ``unit_round_sphere``;
     any other patch raises WrongPatch.  ``dw`` is
-    ``connection_derivative(patch, jet)``.
+    ``connection_derivative(patch, jet.frame)``.
     """
     if "unit_round_sphere" not in patch.attributes:
         raise WrongPatch(

@@ -12,7 +12,6 @@ from fractions import Fraction
 import numpy as np
 
 from twistorcheck import (
-    adapt_frame,
     alpha_beta,
     connection_coefficients,
     connection_derivative,
@@ -80,7 +79,7 @@ def test_criterion_1_flat_kahler():
             c.check(abs(rep.normN2) <= 1e-10, f"n={n}: |N|^2 = {rep.normN2:.3e}")
             c.check(abs(rep.margin - 1.0) <= 1e-9, f"n={n}: margin = {rep.margin!r}")
             F = phi_matrix(
-                *alpha_beta(connection_coefficients(frame_field_jet(patch, adapt_frame(patch, origin))))
+                *alpha_beta(connection_coefficients(frame_field_jet(patch, point_jet(patch, origin))))
             )
             dev = np.abs(F + j0_matrix(n)).max()
             c.check(dev <= 1e-10, f"n={n}: max |F + J0| = {dev:.3e}")
@@ -112,7 +111,7 @@ def test_criterion_3_route_equivalence():
                 worst_n = max(worst_n, rep.n_route_mismatch)
                 worst_phi = max(worst_phi, rep.phi_formula_mismatch)
                 # sigma from nabla J against the frame-differentiated connection
-                full = sigma_part(connection_coefficients(frame_field_jet(entry.patch, jet.frame)))
+                full = sigma_part(connection_coefficients(frame_field_jet(entry.patch, jet)))
                 worst_sigma = max(worst_sigma, float(np.abs(full - rep.sigma).max()))
             c.check(worst_n < 1e-6, f"{entry.id}: |N|^2 route mismatch {worst_n:.3e}")
             c.check(worst_phi < 1e-10, f"{entry.id}: phi formula mismatch {worst_phi:.3e}")
@@ -147,13 +146,14 @@ def test_criterion_5_round_sphere_corollary_machinery():
         worst_chern = 0.0
         curvatures = []
         for point in points:
-            jet = frame_field_jet(patch, adapt_frame(patch, point))
-            dw = connection_derivative(patch, jet)
-            worst_structure = max(worst_structure, structure_equation_residual(jet))
-            worst_chern = max(worst_chern, chern_identity_residual(patch, jet, dw))
-            norms.append(nijenhuis_norm(nijenhuis_tensor(point_jet(patch, point))))
+            jet = point_jet(patch, point)
+            frames = frame_field_jet(patch, jet)
+            dw = connection_derivative(patch, jet.frame)
+            worst_structure = max(worst_structure, structure_equation_residual(frames))
+            worst_chern = max(worst_chern, chern_identity_residual(patch, frames, dw))
+            norms.append(nijenhuis_norm(nijenhuis_tensor(jet)))
             if len(curvatures) < 3:
-                curvatures.append(round_sphere_curvature_residual(curvature_forms(jet, dw)))
+                curvatures.append(round_sphere_curvature_residual(curvature_forms(frames, dw)))
         c.check(worst_structure < 1e-6, f"structure residual {worst_structure:.3e}")
         c.check(worst_chern < 1e-4, f"Chern identity residual {worst_chern:.3e}")
         worst_curv = max(curvatures)
@@ -240,7 +240,7 @@ def test_criterion_8_negative_controls():
 
         # flipped connection sign: the first structure equation must reject it
         conformal = conformal_hermitian().patch
-        frames = frame_field_jet(conformal, adapt_frame(conformal, np.array([1.3, 0.9, 1.1, 1.7])))
+        frames = frame_field_jet(conformal, point_jet(conformal, np.array([1.3, 0.9, 1.1, 1.7])))
         flipped = structure_equation_residual(dataclasses.replace(frames, w=-frames.w))
         c.check(flipped > 1e-3, f"sign-flipped structure residual only {flipped:.3e}")
 
@@ -249,7 +249,7 @@ def test_criterion_8_negative_controls():
         u = np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])
         jet = point_jet(s6, u)
         sigma = theorem_report(jet).sigma
-        full = sigma_part(connection_coefficients(frame_field_jet(s6, jet.frame)))
+        full = sigma_part(connection_coefficients(frame_field_jet(s6, jet)))
         gap = float(np.abs(full + sigma).max())
         c.check(gap > 1e-3, f"sign-flipped sigma route mismatch only {gap:.3e}")
 

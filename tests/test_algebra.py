@@ -26,11 +26,16 @@ from twistorcheck.algebra import (
     _scaled_draws,
     anticommutes_with_j0,
     commutes_with_j0,
-    random_sigma_matrix,
     trace_pairing,
 )
 
 F = Fraction
+
+
+def random_sigma_matrix(n, rng):
+    """Random skew matrix anticommuting with J0 (the sigma part of a random skew)."""
+    _, sigma = skew_decompose(RationalSkewMatrix.random(n, rng))
+    return sigma
 
 
 def tensor_from_entries(n, c_entries, cp_entries=()):

@@ -5,7 +5,6 @@ import pytest
 
 from twistorcheck import (
     ChartOverflow,
-    adapt_frame,
     conformal_hermitian,
     connection_coefficients,
     cross7,
@@ -66,7 +65,7 @@ class TestConformal:
     def test_connection_genuinely_nonzero(self):
         entry = conformal_hermitian()
         point = np.array([1.3, 0.9, 1.1, 1.7])
-        table = connection_coefficients(frame_field_jet(entry.patch, adapt_frame(entry.patch, point)))
+        table = connection_coefficients(frame_field_jet(entry.patch, point_jet(entry.patch, point)))
         assert np.abs(table).max() > 0.1
 
 

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from twistorcheck import adapt_frame, algebra, catalog, cli, point_jet, theorem_report
+from twistorcheck import algebra, catalog, cli, point_jet, theorem_report
 from twistorcheck.cli import geometry_checks, main
 from twistorcheck.connection import (
     connection_derivative,
@@ -27,14 +27,18 @@ def run_cli(args):
 
 def structure_at(patch, u, step):
     """The structure residual at one point, from that point's own frame-field jet."""
-    return structure_equation_residual(frame_field_jet(patch, adapt_frame(patch, u), step))
+    return structure_equation_residual(frame_field_jet(patch, point_jet(patch, u, step)))
 
 
-def round_sphere_at(patch, u):
-    """(curvature, Chern) residuals at one point, from its own jet and d omega block."""
-    jet = frame_field_jet(patch, adapt_frame(patch, u))
-    dw = connection_derivative(patch, jet)
-    return round_sphere_curvature_residual(curvature_forms(jet, dw)), chern_identity_residual(patch, jet, dw)
+def round_sphere_at(patch, u, step):
+    """(curvature, Chern) residuals at one point, from its own jets and d omega block."""
+    jet = point_jet(patch, u, step)
+    frames = frame_field_jet(patch, jet)
+    dw = connection_derivative(patch, jet.frame)
+    return (
+        round_sphere_curvature_residual(curvature_forms(frames, dw)),
+        chern_identity_residual(patch, frames, dw),
+    )
 
 
 def test_report_flat(tmp_path, capsys):
@@ -375,6 +379,9 @@ def test_config_choices_enforced(tmp_path, capsys):
         (["report", "--manifold", "nk-s6", "--fd-step", "1e-12"], "--fd-step"),
         (["verify-geometry", "--manifold", "flat:2", "--points", "1", "--rotations", "-1"],
          "--rotations"),
+        (["verify-geometry", "--manifold", "flat:2", "--points", "1", "--seed", "-1"], "--seed"),
+        (["verify-algebra", "--samples", "2", "--seed", "-1"], "--seed"),
+        (["scan", "--manifold", "flat:2", "--grid", "1", "--seed", "-1"], "--seed"),
     ],
 )
 def test_out_of_range_numbers_are_input_errors(capsys, argv, flag):
@@ -393,6 +400,9 @@ def test_out_of_range_numbers_are_input_errors(capsys, argv, flag):
         (["verify-geometry", "--manifold", "flat:2", "--points", "1"], {"rotations": -1},
          "must be >= 0"),
         (["verify-algebra", "--samples", "3"], {"tol": 1e-3}, "unknown config key 'tol'"),
+        (["verify-algebra", "--samples", "3"], {"seed": -1}, "config key 'seed': must be >= 0, got -1"),
+        (["verify-geometry", "--manifold", "flat:2", "--points", "1"], {"seed": -1},
+         "config key 'seed': must be >= 0, got -1"),
     ],
 )
 def test_config_values_get_the_flag_checks(tmp_path, capsys, argv, values, message):
@@ -453,22 +463,50 @@ def test_geometry_checks_share_without_changing_values():
         structure_at(patch, u, 1e-5) for u in samples
     )
     assert checks["curvature_identity"]["max_residual"] == max(
-        round_sphere_at(patch, u)[0] for u in samples
+        round_sphere_at(patch, u, 1e-5)[0] for u in samples
     )
     assert checks["chern_identity"]["max_residual"] == max(
-        round_sphere_at(patch, u)[1] for u in samples
+        round_sphere_at(patch, u, 1e-5)[1] for u in samples
     )
 
 
 def test_geometry_checks_block_at_another_fd_step():
-    """Away from the default step the d omega block still takes its slices at the default step."""
+    """Away from the default step, curvature and Chern read w at the jet's step
+    and d omega from the block at its own steps, exactly as one point alone does."""
     entry = catalog.resolve("nk-s6")
     patch = entry.patch
     checks = geometry_checks(entry, points=1, seed=3, rotations=1, fd_step=1e-4)["checks"]
     (u,) = catalog.sample_points(patch, 1, np.random.default_rng(3))
+    curvature, chern = round_sphere_at(patch, u, 1e-4)
     assert checks["structure_equation"]["max_residual"] == structure_at(patch, u, 1e-4)
-    assert checks["curvature_identity"]["max_residual"] == round_sphere_at(patch, u)[0]
-    assert checks["chern_identity"]["max_residual"] == round_sphere_at(patch, u)[1]
+    assert checks["curvature_identity"]["max_residual"] == curvature
+    assert checks["chern_identity"]["max_residual"] == chern
+
+
+@pytest.mark.parametrize("fd_step", ["1e-5", "1e-4"])
+def test_metric_jet_once_per_point_jet_and_once_per_block(monkeypatch, tmp_path, fd_step):
+    """The frame-differentiated route reads the point jet's Christoffel symbols:
+    one metric jet per report, and per verify-geometry chunk one for the jet
+    and one for the d omega block, at any --fd-step."""
+    entry = catalog.resolve("nk-s6")
+    metric_jet = entry.patch.metric_jet
+    calls = 0
+
+    def counting(u):
+        nonlocal calls
+        calls += 1
+        return metric_jet(u)
+
+    counted = dataclasses.replace(entry, patch=dataclasses.replace(entry.patch, metric_jet=counting))
+    monkeypatch.setattr(catalog, "resolve", lambda manifold: counted)
+    monkeypatch.setattr(cli, "GEOMETRY_CHUNK", 2)
+    out = str(tmp_path / "out.json")
+    assert run_cli(["report", "--manifold", "nk-s6", "--fd-step", fd_step, "--out", out]) == 0
+    assert calls == 1
+    calls = 0
+    argv = ["verify-geometry", "--manifold", "nk-s6", "--points", "3", "--rotations", "1"]
+    assert run_cli(argv + ["--fd-step", fd_step, "--out", out]) == 0
+    assert calls == 2 * 2
 
 
 def test_geometry_point_evaluates_j_within_budget():
@@ -553,7 +591,7 @@ def test_one_report_per_geometry_chunk(monkeypatch, rotations):
 def _geometry_reference(entry, points, seed, rotations, fd_step):
     """The max residual of each verify-geometry check, one point and one rotation at a time."""
     from twistorcheck.connection import sigma_part
-    from twistorcheck.geometry import DEFAULT_FD_STEP, random_unitary_rotation
+    from twistorcheck.geometry import random_unitary_rotation
 
     patch = entry.patch
     rng = np.random.default_rng(seed)
@@ -568,7 +606,7 @@ def _geometry_reference(entry, points, seed, rotations, fd_step):
     for u in catalog.sample_points(patch, points, rng):
         jet = point_jet(patch, u, fd_step)
         frame = jet.frame
-        frames = frame_field_jet(patch, frame, fd_step)
+        frames = frame_field_jet(patch, jet)
         w = frames.w
         base = theorem_report(jet)
         bump("structure_equation", structure_equation_residual(frames))
@@ -589,9 +627,7 @@ def _geometry_reference(entry, points, seed, rotations, fd_step):
                 0.0 if rep.pfaffian_sign == base.pfaffian_sign else 1.0,
             ))
         if "unit_round_sphere" in patch.attributes:
-            if fd_step != DEFAULT_FD_STEP:
-                frames = frame_field_jet(patch, frame)
-            dw = connection_derivative(patch, frames)
+            dw = connection_derivative(patch, frame)
             bump("curvature_identity", round_sphere_curvature_residual(curvature_forms(frames, dw)))
             bump("chern_identity", chern_identity_residual(patch, frames, dw))
     return worst

@@ -7,26 +7,22 @@ import pytest
 
 from twistorcheck import (
     FrameDiscontinuity,
-    PointJet,
     adapt_frame,
-    christoffel,
     conformal_hermitian,
     connection_coefficients,
     connection_derivative,
     curvature_forms,
     default_entries,
-    field_derivative,
     flat_kahler,
     frame_field_jet,
     j0_matrix,
     nearly_kahler_s6,
+    point_jet,
     random_unitary_rotation,
-    rotate_frame,
     structure_equation_residual,
 )
 from twistorcheck.catalog import sample_points
 from twistorcheck.connection import (
-    first_bianchi_residual,
     nabla_j_connection,
     round_sphere_curvature_residual,
     sigma_part,
@@ -37,32 +33,37 @@ CONFORMAL_POINT = np.array([1.3, 0.9, 1.1, 1.7])
 
 
 def field_jet(patch, point):
-    """The frame-field jet of the adapted frame at ``point``."""
-    return frame_field_jet(patch, adapt_frame(patch, point))
+    """The frame-field jet of the point jet at ``point``."""
+    return frame_field_jet(patch, point_jet(patch, point))
 
 
-def table_at(patch, frame):
-    return connection_coefficients(frame_field_jet(patch, frame))
+def table_at(patch, jet):
+    return connection_coefficients(frame_field_jet(patch, jet))
 
 
 def structure_residual(patch, point):
     return structure_equation_residual(field_jet(patch, point))
 
 
+def first_bianchi_residual(R):
+    """Max over indices of the cyclic sum R_{AB}(e_C,e_D) + R_{AC}(e_D,e_B) + R_{AD}(e_B,e_C)."""
+    cyc = R + np.moveaxis(R, -3, -1) + np.moveaxis(R, -1, -3)
+    return float(np.abs(cyc).max())
+
+
 def curvature_at(patch, point):
     jet = field_jet(patch, point)
-    return curvature_forms(jet, connection_derivative(patch, jet))
+    return curvature_forms(jet, connection_derivative(patch, jet.frame))
 
 
 def test_flat_connection_vanishes():
     patch = flat_kahler(3).patch
-    frame = adapt_frame(patch, np.zeros(6))
-    assert np.abs(table_at(patch, frame)).max() == 0.0
+    assert np.abs(table_at(patch, point_jet(patch, np.zeros(6)))).max() == 0.0
 
 
 def test_conformal_antisymmetry_and_magnitude():
     patch = conformal_hermitian().patch
-    omega = table_at(patch, adapt_frame(patch, CONFORMAL_POINT))
+    omega = table_at(patch, point_jet(patch, CONFORMAL_POINT))
     assert np.abs(omega + omega.transpose(1, 0, 2)).max() < 1e-9
     assert np.abs(omega).max() > 0.1  # guards against a degenerate test
 
@@ -130,15 +131,6 @@ def test_metric_compatibility_via_antisymmetry():
     assert np.abs(w + w.transpose(1, 0, 2)).max() < 1e-9
 
 
-def nabla_j_table(patch, frame):
-    """sigma from nabla J in ``frame``, with dJ and Gamma evaluated at its point."""
-    u = frame.point
-    jet = PointJet(
-        frame=frame, dJ=field_derivative(patch, u, which="j"), Gamma=christoffel(patch, u, frame.g)
-    )
-    return nabla_j_connection(jet)
-
-
 def test_connection_encodes_nabla_j():
     # In an adapted frame, nabla_{e_C} J has frame matrix [J0, omega(e_C)].
     # The table read off nabla J never differentiates the frame field, so
@@ -149,14 +141,14 @@ def test_connection_encodes_nabla_j():
         (conformal_hermitian().patch, CONFORMAL_POINT),
     )
     for patch, point in cases:
-        frame = adapt_frame(patch, point)
+        jet = point_jet(patch, point)
         J0 = j0_matrix(patch.n)
 
         def bracket(om):
             return np.einsum("xz,zyC->Cxy", J0, om) - np.einsum("xzC,zy->Cxy", om, J0)
 
-        om = table_at(patch, frame)
-        sigma = nabla_j_table(patch, frame)
+        om = table_at(patch, jet)
+        sigma = nabla_j_connection(jet)
         assert np.abs(bracket(om) - bracket(sigma)).max() < 1e-8
 
 
@@ -165,10 +157,10 @@ def test_nabla_j_route_matches_sigma_part_on_catalog():
     for entry in default_entries():
         patch = entry.patch
         for point in sample_points(patch, 2, rng):
-            frame = adapt_frame(patch, point)
-            for fr in (frame, rotate_frame(frame, random_unitary_rotation(patch.n, rng))):
-                full = table_at(patch, fr)
-                sigma = nabla_j_table(patch, fr)
+            jet = point_jet(patch, point)
+            for rotated in (jet, jet.rotated(random_unitary_rotation(patch.n, rng))):
+                full = table_at(patch, rotated)
+                sigma = nabla_j_connection(rotated)
                 gap = np.abs(sigma_part(full) - sigma).max()
                 assert gap < 1e-8, f"{entry.id}: sigma routes differ by {gap:.3e}"
                 # sigma anticommutes with J0 slice by slice: its u(n) part is zero
@@ -177,9 +169,9 @@ def test_nabla_j_route_matches_sigma_part_on_catalog():
 
 def test_nabla_j_route_rejects_flipped_sigma():
     patch = conformal_hermitian().patch
-    frame = adapt_frame(patch, CONFORMAL_POINT)
-    sigma = nabla_j_table(patch, frame)
-    reference = sigma_part(table_at(patch, frame))
+    jet = point_jet(patch, CONFORMAL_POINT)
+    sigma = nabla_j_connection(jet)
+    reference = sigma_part(table_at(patch, jet))
     assert np.abs(reference + sigma).max() > 1e-3
 
 
@@ -189,11 +181,11 @@ def test_nearly_kahler_connection_carries_the_torsion():
     # everywhere.  The metric (Christoffel) part alone does vanish at the
     # chart origin, which is what the symmetry of the conformal factor gives.
     patch = nearly_kahler_s6().patch
-    frame = adapt_frame(patch, np.zeros(6))
+    jet = point_jet(patch, np.zeros(6))
     # K_C = -2 sigma_C J0 with J0 orthogonal, so |nabla J|^2 = 4 |sigma|^2.
-    sigma = nabla_j_table(patch, frame)
+    sigma = nabla_j_connection(jet)
     assert abs(4.0 * float((sigma**2).sum()) - 24.0) < 1e-6
-    assert np.abs(table_at(patch, frame)).max() > 0.5
+    assert np.abs(table_at(patch, jet)).max() > 0.5
 
 
 def test_frame_discontinuity_guard():
@@ -212,13 +204,13 @@ def test_structure_equation_shares_the_stencil_frames(monkeypatch):
 
     patch = nearly_kahler_s6().patch
     u = np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])
-    frame = adapt_frame(patch, u)
-    jet = frame_field_jet(patch, frame)
+    base = point_jet(patch, u)
+    jet = frame_field_jet(patch, base)
     assert jet.stencil.E.shape == (12, 6, 6)
-    assert np.array_equal(jet.w, frame_field_jet(patch, frame).w)
+    assert np.array_equal(jet.w, frame_field_jet(patch, base).w)
     expected = structure_equation_residual(jet)
 
-    calls = {"frame": 0, "g": 0, "J": 0}
+    calls = {"frame": 0, "g": 0, "J": 0, "dg": 0}
     original = geometry.adapt_frame
 
     def counting_frame(*args, **kwargs):
@@ -234,10 +226,14 @@ def test_structure_equation_shares_the_stencil_frames(monkeypatch):
         return call
 
     counting = dataclasses.replace(
-        patch, metric_field=counted("g", patch.metric_field), j_field=counted("J", patch.j_field)
+        patch,
+        metric_field=counted("g", patch.metric_field),
+        j_field=counted("J", patch.j_field),
+        metric_jet=counted("dg", patch.metric_jet),
     )
-    assert structure_equation_residual(frame_field_jet(counting, frame)) == expected
-    assert calls == {"frame": 1, "g": 1, "J": 1}
+    assert structure_equation_residual(frame_field_jet(counting, base)) == expected
+    # the Christoffel symbols are the point jet's: no metric jet is evaluated
+    assert calls == {"frame": 1, "g": 1, "J": 1, "dg": 0}
 
 
 def test_frame_field_jet_owns_read_only_slices():
@@ -256,7 +252,7 @@ def test_connection_at_displaced_points_reads_the_frames_metric():
 
     patch = nearly_kahler_s6().patch
     u = np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])
-    jet = frame_field_jet(patch, adapt_frame(patch, u[None]))
+    jet = point_jet(patch, u[None])
     g_calls = 0
 
     def counting(v):
@@ -264,7 +260,7 @@ def test_connection_at_displaced_points_reads_the_frames_metric():
         g_calls += 1
         return patch.metric_field(v)
 
-    dw = connection_derivative(dataclasses.replace(patch, metric_field=counting), jet)
+    dw = connection_derivative(dataclasses.replace(patch, metric_field=counting), jet.frame)
     assert g_calls == 1
     outer = stencil_points(u, DEFAULT_SECOND_ORDER_STEP)
     alone = np.stack([field_jet(patch, v).w for v in outer])

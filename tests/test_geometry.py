@@ -484,9 +484,9 @@ class TestPatchValidation:
             metric_field=pointwise(lambda u: np.eye(2 * n)),
             j_field=pointwise(lambda u: (1.0 + u[0]) * j0_matrix(n)),
         )
-        frame = adapt_frame(patch, np.zeros(4))
+        jet = point_jet(patch, np.zeros(4))
         with pytest.raises(IncompatibleStructure):
-            frame_field_jet(patch, frame)
+            frame_field_jet(patch, jet)
 
     def test_frame_field_reevaluation_matches(self):
         from twistorcheck import nearly_kahler_s6
@@ -639,10 +639,10 @@ class TestBatchedFields:
             metric_field=pointwise(lambda u: np.eye(4)),
             j_field=pointwise(j_at),
         )
-        frame = adapt_frame(patch, np.zeros(4))
-        assert frame.pivots.tolist() == [0, 1]
+        jet = point_jet(patch, np.zeros(4), step=h)
+        assert jet.frame.pivots.tolist() == [0, 1]
         with pytest.raises(FrameDiscontinuity, match=r"from \(0, 1\) to \(0, 2\) at \[0\.0, 0\.0, 1e-05, 0\.0\]"):
-            frame_field_jet(patch, frame, step=h)
+            frame_field_jet(patch, jet)
 
 
 class TestRotationStacks:
@@ -735,9 +735,9 @@ class TestRotationStacks:
         from twistorcheck.connection import frame_field_jet
 
         patch, frame, U = self._frames_and_stack(3)
-        stacked = frame_field_jet(patch, rotate_frame(frame, U)).w
+        stacked = frame_field_jet(patch, point_jet(patch, frame.point).rotated(U)).w
         for k in range(3):
-            alone = frame_field_jet(patch, rotate_frame(adapt_frame(patch, frame.point[k]), U[k])).w
+            alone = frame_field_jet(patch, point_jet(patch, frame.point[k]).rotated(U[k])).w
             assert np.array_equal(stacked[k], alone)
         with pytest.raises(ValueError, match="lack the frame's batch axes"):
             evaluate_frame_field(patch, frame, frame.point[0])

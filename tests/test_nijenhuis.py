@@ -28,10 +28,10 @@ from twistorcheck import (
 NK_POINT = np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])
 
 
-def frame_d(patch, frame):
+def frame_d(patch, jet):
     """The d and d' tensors of the frame-differentiated connection table."""
     _, _, d, dp, _ = structure_coefficients(
-        *alpha_beta(connection_coefficients(frame_field_jet(patch, frame)))
+        *alpha_beta(connection_coefficients(frame_field_jet(patch, jet)))
     )
     return d, dp
 
@@ -64,7 +64,7 @@ def test_nearly_kahler_nonzero_and_antisymmetric():
 def test_cross_route_agreement_on_nearly_kahler():
     patch = nearly_kahler_s6().patch
     jet = point_jet(patch, NK_POINT)
-    d, dp = frame_d(patch, jet.frame)
+    d, dp = frame_d(patch, jet)
     N = nijenhuis_frame(d, dp)
     # raises CrossPathMismatch on disagreement
     assert route_gap(N, nijenhuis_tensor(jet), jet.frame.point) < 1e-6
@@ -89,7 +89,7 @@ def test_route_gap_reads_a_scaled_coordinate_route(monkeypatch):
 def test_cross_path_mismatch_detected():
     patch = nearly_kahler_s6().patch
     jet = point_jet(patch, NK_POINT)
-    d, dp = frame_d(patch, jet.frame)
+    d, dp = frame_d(patch, jet)
     with pytest.raises(CrossPathMismatch):
         route_gap(nijenhuis_frame(1.5 * d, dp), nijenhuis_tensor(jet), jet.frame.point)
 
@@ -148,7 +148,7 @@ def test_integrable_catalog_norms_vanish():
     ):
         patch = entry.patch
         jet = point_jet(patch, point)
-        N = nijenhuis_frame(*frame_d(patch, jet.frame))
+        N = nijenhuis_frame(*frame_d(patch, jet))
         route_gap(N, nijenhuis_tensor(jet), jet.frame.point)
         assert nijenhuis_norm(N) < 1e-10
 
@@ -218,7 +218,7 @@ def test_metric_rescaling_exponent():
     for c in scales:
         patch = scaled_patch(c)
         jet = point_jet(patch, u)
-        N = nijenhuis_frame(*frame_d(patch, jet.frame))
+        N = nijenhuis_frame(*frame_d(patch, jet))
         route_gap(N, nijenhuis_tensor(jet), jet.frame.point)
         norms.append(nijenhuis_norm(N))
     slopes = np.diff(np.log(norms)) / np.diff(np.log(scales))

@@ -7,7 +7,6 @@ import pytest
 
 from twistorcheck import (
     WrongPatch,
-    adapt_frame,
     alpha_beta,
     chern_identity_residual,
     conformal_hermitian,
@@ -82,7 +81,7 @@ class TestAlphaBeta:
         patch = conformal_hermitian().patch
         point = np.array([1.3, 0.9, 1.1, 1.7])
         alpha, beta = alpha_beta(
-            connection_coefficients(frame_field_jet(patch, adapt_frame(patch, point)))
+            connection_coefficients(frame_field_jet(patch, point_jet(patch, point)))
         )
         assert np.abs(alpha + alpha.transpose(1, 0, 2)).max() < 1e-9
         assert np.abs(beta + beta.transpose(1, 0, 2)).max() < 1e-9
@@ -133,7 +132,7 @@ class TestStructureCoefficients:
         patch = nearly_kahler_s6().patch
         point = np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])
         C, Cp, d, dp, A = structure_coefficients(
-            *alpha_beta(connection_coefficients(frame_field_jet(patch, adapt_frame(patch, point))))
+            *alpha_beta(connection_coefficients(frame_field_jet(patch, point_jet(patch, point))))
         )
         assert np.abs(C + C.transpose(0, 2, 1)).max() < 1e-9
         assert np.abs(Cp + Cp.transpose(0, 2, 1)).max() < 1e-9
@@ -176,7 +175,7 @@ class TestPhi:
             (nearly_kahler_s6().patch, np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])),
         )
         for patch, point in cases:
-            table = connection_coefficients(frame_field_jet(patch, adapt_frame(patch, point)))
+            table = connection_coefficients(frame_field_jet(patch, point_jet(patch, point)))
             F1 = phi_matrix(*alpha_beta(table))
             F2 = phi_via_bundle_formula(table)
             assert np.abs(F1 - F2).max() < 1e-10
@@ -434,8 +433,9 @@ class TestSigmaReport:
 class TestChernIdentity:
     @staticmethod
     def residual(patch, point):
-        jet = frame_field_jet(patch, adapt_frame(patch, point))
-        return chern_identity_residual(patch, jet, connection_derivative(patch, jet))
+        jet = point_jet(patch, point)
+        frames = frame_field_jet(patch, jet)
+        return chern_identity_residual(patch, frames, connection_derivative(patch, jet.frame))
 
     def test_round_sphere_points(self):
         patch = nearly_kahler_s6().patch
