@@ -11,7 +11,7 @@ object (the C cube, the C' cube, a skew matrix, V) is multiplied by the lcm of
 its denominators.  Every checked statement is homogeneous of degree 1 or 2 in
 the entries of one object, and the wedge identity is bilinear in its two
 matrices, so scaling an object by a positive factor preserves every equality
-and inequality exactly, and the worst per-triple ratio is scale-free.
+and inequality exactly, and the case-1 ratio 4 sum C^2 / sum d^2 is scale-free.
 
 Verified facts, each for every index combination:
 
@@ -238,20 +238,20 @@ def check_identity_c1(t: RationalCTensor) -> CheckResult:
 def check_case1_inequality(t: RationalCTensor) -> tuple:
     """Per-triple expansion equality, the <= 5 bound, and the aggregate 5/4 bound.
 
-    Returns (CheckResult, worst_ratio) with worst_ratio the maximum over
-    triples of 4 (C_ijk^2 + C_jki^2 + C_kij^2) / (d_ijk^2 + d_jki^2 + d_kij^2),
-    zero if no triple has a nonzero denominator.
+    Returns (CheckResult, ratio) with ratio the larger over C and C' of the
+    aggregate 4 sum C^2 / sum d^2, read off the sums the 5/4 bound forms; it
+    lies in [1, 4] and is zero if both d vanish.
 
     Both sides of the per-triple statement are invariant under cyclic rotation
     of (i, j, k), so each rotation orbit is checked once through its
     lexicographically smallest representative; that still certifies the
     statement for every triple.
     """
-    # worst ratio kept as a (numerator, denominator) pair, compared by cross-multiplying
-    worst_num, worst_den = 0, 1
+    # the ratio kept as a (numerator, denominator) pair, compared by cross-multiplying
+    num, den = 0, 1
 
     def result(failure: str | None = None) -> tuple:
-        return CheckResult(failure is None, failure), Fraction(worst_num, worst_den)
+        return CheckResult(failure is None, failure), Fraction(num, den)
 
     for name, c, dd in t._cubes:
         c2, d2 = list(map(mul, c, c)), list(map(mul, dd, dd))
@@ -264,10 +264,11 @@ def check_case1_inequality(t: RationalCTensor) -> tuple:
                 return result(f"{name} expansion equality at ({i + 1},{j + 1},{k + 1})")
             if lhs > 5 * s3:
                 return result(f"{name} 5-bound at ({i + 1},{j + 1},{k + 1})")
-            if s3 > 0 and lhs * worst_den > worst_num * s3:
-                worst_num, worst_den = lhs, s3
-        if 4 * sum(c2) > 5 * sum(d2):
+        total, total_d2 = 4 * sum(c2), sum(d2)
+        if total > 5 * total_d2:
             return result(f"aggregate 5/4 bound for {name}")
+        if total_d2 > 0 and total * den > num * total_d2:
+            num, den = total, total_d2
     return result()
 
 
@@ -437,8 +438,9 @@ def check_wedge_identity(P: RationalSkewMatrix, Q: RationalSkewMatrix) -> CheckR
 def run_algebra_sweep(n_list, samples: int, seed: int) -> dict:
     """Seeded randomized sweep of every exact check; returns per-check pass counts.
 
-    The report carries the first counterexample encountered (if any) and the
-    largest per-triple ratio observed in the quadratic expansion bound.
+    The report carries the first counterexample encountered (if any) and,
+    for each n >= 3, the sample with the largest case-1 ratio
+    4 sum C^2 / sum d^2: its index and the ratio as an exact fraction.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -460,16 +462,18 @@ def run_algebra_sweep(n_list, samples: int, seed: int) -> dict:
                 {"check": name, "n": n, "sample": k, "detail": detail or ""}
             )
 
-    worst_ratio = Fraction(0)
+    worst_case1 = []
     for n in n_list:
         rng = random.Random(seed * 100003 + n)
+        worst = None
         for k in range(samples):
             tensor = RationalCTensor.random(n, rng)
             if n >= 3:
                 res = check_identity_c1(tensor)
                 record("identity_c1", res.ok, res.counterexample, n, k)
                 res, ratio = check_case1_inequality(tensor)
-                worst_ratio = max(worst_ratio, ratio)
+                if worst is None or ratio > worst[0]:
+                    worst = ratio, k
                 record("case1_inequality", res.ok, res.counterexample, n, k)
             else:
                 res = check_case2_identities(tensor)
@@ -503,7 +507,9 @@ def run_algebra_sweep(n_list, samples: int, seed: int) -> dict:
             Q = RationalSkewMatrix.random(n, rng)
             res = check_wedge_identity(skew, Q)
             record("wedge_identity", res.ok, res.counterexample, n, k)
+        if worst is not None:
+            worst_case1.append({"n": n, "sample": worst[1], "ratio": str(worst[0])})
     report["checks"] = counts
-    report["max_case1_ratio"] = str(worst_ratio)
+    report["worst_case1"] = worst_case1
     report["all_pass"] = not report["failures"]
     return report

@@ -26,7 +26,7 @@ from .connection import (
     sigma_part,
     structure_equation_residual,
 )
-from .errors import TwistorcheckError
+from .errors import CrossPathMismatch, TwistorcheckError
 from .geometry import DEFAULT_FD_STEP, point_jet, random_unitary_rotation
 from .nijenhuis import ROUTE_REL_TOL
 from .twistorform import chern_identity_residual, theorem_report
@@ -444,7 +444,8 @@ def main(argv=None) -> int:
         return 2
     except TwistorcheckError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        # two routes that disagree are a failed check, not bad input
+        return 1 if isinstance(exc, CrossPathMismatch) else 2
     except OSError as exc:  # the only file a command opens is its output
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    DEFAULT_FD_STEP,
     AdaptedFrame,
     ManifoldPatch,
     PointJet,
@@ -30,8 +29,9 @@ from .geometry import (
     stencil_points,
 )
 
-# Nested differences amplify rounding as eps/h^2, so the outer step for
-# derivatives of the connection field is larger than the first-order step.
+# The one step of both levels of the nested d omega difference.  Rounding
+# grows as eps/h^2 there, so it is larger than the first-order step; at 1e-4
+# the residuals of the round sphere still fall 4x per halving (O(h^2)).
 DEFAULT_SECOND_ORDER_STEP = 1e-4
 
 
@@ -170,22 +170,22 @@ def structure_equation_residual(jet: FrameFieldJet) -> np.ndarray:
 def connection_derivative(patch: ManifoldPatch, frame: AdaptedFrame) -> np.ndarray:
     """The d omega block dw[..., c, A, B, a] = d_c w[..., A, B, a] at the frame's points.
 
-    The central difference of the connection field through ``frame`` at the
-    outer step ``DEFAULT_SECOND_ORDER_STEP``.  Each of its 2 dim outer
-    points comes first in its own block, followed by its stencil at the
-    inner step ``DEFAULT_FD_STEP``, and all the blocks are one batch of
-    frames: index 0 gives the slices' E and g, and the rest their
-    derivative; the Christoffel symbols are evaluated at the outer points.
-    Curvature and the Chern identity both read d omega from this one block.
+    The central difference of the connection field through ``frame``, with
+    one step ``DEFAULT_SECOND_ORDER_STEP`` at both levels.  Each of its
+    2 dim outer points comes first in its own block, followed by its own
+    stencil, and all the blocks are one batch of frames: index 0 gives the
+    slices' E and g, and the rest their derivative; the Christoffel symbols
+    are evaluated at the outer points.  The block reaches 2 step along an
+    axis.  Curvature and the Chern identity both read d omega from it.
     """
-    step, inner = DEFAULT_SECOND_ORDER_STEP, DEFAULT_FD_STEP
-    u = require_interior(patch, frame.point, margin=step + 2.0 * inner)
+    step = DEFAULT_SECOND_ORDER_STEP
+    u = require_interior(patch, frame.point, margin=2.0 * step)
     outer = stencil_points(u, step)
-    block = np.concatenate([outer[..., None, :], stencil_points(outer, inner)], axis=-2)
+    block = np.concatenate([outer[..., None, :], stencil_points(outer, step)], axis=-2)
     frames = evaluate_frame_field(patch, frame, block)
     g = frames.g[..., 0, :, :]
-    dE = stencil_difference(frames.E[..., 1:, :, :], inner, outer.ndim - 1)
-    w = coordinate_connection(g, frames.E[..., 0, :, :], dE, christoffel(patch, outer, g, step=inner))
+    dE = stencil_difference(frames.E[..., 1:, :, :], step, outer.ndim - 1)
+    w = coordinate_connection(g, frames.E[..., 0, :, :], dE, christoffel(patch, outer, g, step=step))
     return stencil_difference(w, step, u.ndim - 1)
 
 

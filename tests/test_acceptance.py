@@ -92,10 +92,12 @@ def test_criterion_2_exact_algebra_sweep():
         for name, counts in report["checks"].items():
             c.check(counts["fail"] == 0, f"{name}: {counts['fail']} failures")
             c.check(counts["pass"] >= 10_000, f"{name}: only {counts['pass']} samples")
-        c.check(
-            Fraction(report["max_case1_ratio"]) <= 4,
-            f"per-triple ratio {report['max_case1_ratio']} above 4",
-        )
+        c.check([slot["n"] for slot in report["worst_case1"]] == [3], "no worst case-1 sample at n = 3")
+        for slot in report["worst_case1"]:
+            c.check(
+                1 <= Fraction(slot["ratio"]) <= 4,
+                f"n={slot['n']}: case-1 ratio {slot['ratio']} of sample {slot['sample']} outside [1, 4]",
+            )
 
 
 def test_criterion_3_route_equivalence():

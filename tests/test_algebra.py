@@ -116,7 +116,8 @@ class TestCase1:
     def test_hand_example_ratio(self):
         ok, worst = check_case1_inequality(tensor_from_entries(3, {(0, 1, 2): 1}))
         assert ok
-        assert worst == F(2)  # 4 * 1 over d_123^2 + d_312^2 = 2
+        # 4 (C_123^2 + C_132^2) = 8 over d_123^2 + d_132^2 + d_213^2 + d_312^2 = 4
+        assert worst == F(2)
 
     def test_zero_tensor(self):
         ok, worst = check_case1_inequality(tensor_from_entries(3, {}))
@@ -129,8 +130,9 @@ class TestCase1:
         for _ in range(200):
             ok, worst = check_case1_inequality(RationalCTensor.random(n, rng))
             assert ok
+            assert 1 <= worst <= 4
             worst_seen = max(worst_seen, worst)
-        # per-triple, 4 sum C^2 = 4 sum d^2 - (d+d+d)^2, so the ratio never tops 4
+        # per orbit, 4 sum C^2 = 4 sum d^2 - (d+d+d)^2, so the aggregate never tops 4
         assert worst_seen <= 4
 
 
@@ -410,7 +412,33 @@ def test_sweep_smoke_deterministic():
     assert a["checks"]["identity_c1"]["pass"] == 20
     assert a["checks"]["case2_identities"]["pass"] == 20
     assert a["checks"]["wedge_identity"]["pass"] == 40
-    assert Fraction(a["max_case1_ratio"]) <= 4
+    (slot,) = a["worst_case1"]
+    assert slot["n"] == 3 and 0 <= slot["sample"] < 20
+    assert 1 <= Fraction(slot["ratio"]) <= 4
+
+
+def test_sweep_names_its_worst_case1_sample(monkeypatch):
+    """Per n >= 3, the first sample with the largest ratio the case-1 check returned."""
+    from twistorcheck import algebra
+
+    seen = {}
+    check = algebra.check_case1_inequality
+
+    def recording(t):
+        res, ratio = check(t)
+        seen.setdefault(t.n, []).append(ratio)
+        return res, ratio
+
+    monkeypatch.setattr(algebra, "check_case1_inequality", recording)
+    report = run_algebra_sweep([2, 3, 4], samples=15, seed=5)
+    assert [slot["n"] for slot in report["worst_case1"]] == [3, 4]
+    for slot in report["worst_case1"]:
+        ratios = seen[slot["n"]]
+        assert Fraction(slot["ratio"]) == max(ratios)
+        assert slot["sample"] == ratios.index(max(ratios))
+    # the value depends on the draws: another seed names another ratio
+    other = run_algebra_sweep([3], samples=15, seed=6)["worst_case1"][0]
+    assert other["ratio"] != report["worst_case1"][0]["ratio"]
 
 
 def test_sweep_rejects_bad_input():

@@ -233,8 +233,10 @@ def test_verify_algebra_negative_control_swapped_split(tmp_path, monkeypatch):
 
 
 # sha256 of the report bytes of this command.  The draws fix which samples run
-# and every check feeds the counts, so a drift in either changes the hash.
-GOLDEN_ALGEBRA_SHA256 = "3303ceb72018c466b10f83c9fff2a5665ed8deb13b0161dcf0ede3ace7fcfed9"
+# and every check feeds the counts, so a drift in either changes the hash; the
+# worst case-1 sample of each n carries its exact ratio, so a drift in the
+# drawn values changes it too.
+GOLDEN_ALGEBRA_SHA256 = "467b12668fabbb7c36c061eed6053916f663d2a13af430e82fa70d905e4d4543"
 
 
 def test_verify_algebra_report_bytes_are_pinned(tmp_path):
@@ -244,6 +246,32 @@ def test_verify_algebra_report_bytes_are_pinned(tmp_path):
     assert algebra.MAX_N == 6
     assert run_cli(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_ALGEBRA_SHA256
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-geometry", "--manifold", "nk-s6"],
+        ["scan", "--manifold", "nk-s6", "--grid", "2"],
+        ["report", "--manifold", "nk-s6", "--point", "0.3,0.1,0,0,0,0"],
+    ],
+)
+def test_route_disagreement_is_a_failed_check(capsys, argv):
+    """At a step the flag accepts, the two Nijenhuis routes drift apart: exit 1, one line."""
+    assert run_cli(argv + ["--fd-step", "5e-3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: CrossPathMismatch: frame components from connection")
+
+
+@pytest.mark.parametrize("freq", ["1", "100", "100000", "99999999999999999999"])
+def test_torus_report_at_the_origin_has_the_closed_form_norm(tmp_path, freq):
+    """|N|^2 = 8 (eps freq)^2 at the origin, with no stencil to alias at any freq."""
+    out = tmp_path / "report.json"
+    argv = ["report", "--manifold", f"torus:eps=0.05,freq={freq}", "--point", "0,0,0,0,0,0"]
+    assert run_cli(argv + ["--out", str(out)]) == 0
+    expected = 8.0 * (0.05 * int(freq)) ** 2
+    assert json.loads(out.read_text())["normN2"] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_verify_geometry_conformal(tmp_path):

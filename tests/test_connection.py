@@ -1,6 +1,7 @@
 """Connection tables, structure equations, curvature, and the sign tripwire."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -263,5 +264,46 @@ def test_connection_at_displaced_points_reads_the_frames_metric():
     dw = connection_derivative(dataclasses.replace(patch, metric_field=counting), jet.frame)
     assert g_calls == 1
     outer = stencil_points(u, DEFAULT_SECOND_ORDER_STEP)
-    alone = np.stack([field_jet(patch, v).w for v in outer])
+    alone = np.stack(
+        [frame_field_jet(patch, point_jet(patch, v, DEFAULT_SECOND_ORDER_STEP)).w for v in outer]
+    )
     assert np.array_equal(dw[0], stencil_difference(alone, DEFAULT_SECOND_ORDER_STEP, 0))
+
+
+def test_round_sphere_residuals_fall_fourfold_per_halving(monkeypatch):
+    """One step at both levels of the d omega block: halving it quarters the
+    curvature and Chern residuals at every point, so they measure the O(h^2)
+    truncation error and not rounding."""
+    from twistorcheck import connection
+    from twistorcheck.twistorform import chern_identity_residual
+
+    patch = nearly_kahler_s6().patch
+    u = sample_points(patch, 10, np.random.default_rng(0))
+    frames = field_jet(patch, u)
+    eye = np.eye(patch.dim)
+    expected = np.einsum("AC,BD->ABCD", eye, eye) - np.einsum("AD,BC->ABCD", eye, eye)
+    residuals = []
+    for step in (2e-4, 1e-4):
+        monkeypatch.setattr(connection, "DEFAULT_SECOND_ORDER_STEP", step)
+        dw = connection_derivative(patch, frames.frame)
+        curvature = np.abs(curvature_forms(frames, dw) - expected).max(axis=(-4, -3, -2, -1))
+        residuals.append((curvature, chern_identity_residual(patch, frames, dw)))
+    (curvature_2h, chern_2h), (curvature_h, chern_h) = residuals
+    for ratio in (curvature_2h / curvature_h, chern_2h / chern_h):
+        assert ratio.shape == (10,)
+        assert np.all((3.5 <= ratio) & (ratio <= 4.5)), ratio
+
+
+def test_connection_derivative_margin_is_the_block_reach():
+    """The block reaches 2 step along an axis: a point that close to the edge
+    is refused by name, and one just farther in is differentiated."""
+    from twistorcheck import BoundaryProximity
+    from twistorcheck.connection import DEFAULT_SECOND_ORDER_STEP
+
+    patch = flat_kahler(2).patch
+    reach = 2.0 * DEFAULT_SECOND_ORDER_STEP
+    near = np.array([1.0 - 0.75 * reach, 0.0, 0.0, 0.0])
+    with pytest.raises(BoundaryProximity, match=re.escape(f"point {near.tolist()} ") + r".* margin 0\.0002$"):
+        connection_derivative(patch, point_jet(patch, near).frame)
+    far = np.array([1.0 - 1.25 * reach, 0.0, 0.0, 0.0])
+    assert np.all(connection_derivative(patch, point_jet(patch, far).frame) == 0.0)

@@ -263,12 +263,12 @@ class TestBlockSweep:
         # from one call, as connection_derivative builds it
         from twistorcheck import nearly_kahler_s6
         from twistorcheck.catalog import grid_points
-        from twistorcheck.connection import DEFAULT_SECOND_ORDER_STEP
-        from twistorcheck.geometry import DEFAULT_FD_STEP, stencil_points
+        from twistorcheck.connection import DEFAULT_SECOND_ORDER_STEP as step
+        from twistorcheck.geometry import stencil_points
 
         patch = nearly_kahler_s6().patch
-        outer = stencil_points(0.5 * grid_points(patch, 2)[[0, 21, 42, 63]], DEFAULT_SECOND_ORDER_STEP)
-        u = np.concatenate([outer[..., None, :], stencil_points(outer, DEFAULT_FD_STEP)], axis=-2)
+        outer = stencil_points(0.5 * grid_points(patch, 2)[[0, 21, 42, 63]], step)
+        u = np.concatenate([outer[..., None, :], stencil_points(outer, step)], axis=-2)
         batched = adapt_frame(patch, u)
         assert batched.E.shape == (4, 12, 13, 6, 6)
         for index in np.ndindex(u.shape[:-1]):
