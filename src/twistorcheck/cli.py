@@ -36,8 +36,9 @@ GRID_LIMIT = 10**7
 # A row is bitwise the report of its point computed alone, whatever its chunk.
 SCAN_CHUNK = 256
 # Sample points checked per batch by ``verify-geometry``, with all their
-# rotations: a module constant, not a flag.  Traced peak memory grows by about
-# 0.39 MB per point of a chunk (6.3 MB at 16, 25 MB at 64), while 64 points
+# rotations: a module constant, not a flag.  Traced peak memory (tracemalloc,
+# second call after a warm-up, nk-s6, 4 rotations) grows by about 0.31 MiB
+# per point of a chunk (4.9 MiB at 16, 19.7 MiB at 64), while 64 points
 # would save only about a sixth of the time per point on nk-s6.
 GEOMETRY_CHUNK = 16
 

@@ -24,11 +24,20 @@ from twistorcheck import (
 )
 from twistorcheck.catalog import sample_points
 from twistorcheck.connection import (
+    DEFAULT_SECOND_ORDER_STEP,
+    _block_twins,
+    coordinate_connection,
     nabla_j_connection,
     round_sphere_curvature_residual,
     sigma_part,
 )
-from twistorcheck.geometry import evaluate_frame_field
+from twistorcheck.geometry import (
+    christoffel,
+    evaluate_frame_field,
+    require_interior,
+    stencil_difference,
+    stencil_points,
+)
 
 CONFORMAL_POINT = np.array([1.3, 0.9, 1.1, 1.7])
 
@@ -248,9 +257,6 @@ def test_frame_field_jet_owns_read_only_slices():
 
 def test_connection_at_displaced_points_reads_the_frames_metric():
     """The d omega block at displaced points evaluates g only inside its one frame call."""
-    from twistorcheck.connection import DEFAULT_SECOND_ORDER_STEP
-    from twistorcheck.geometry import stencil_difference, stencil_points
-
     patch = nearly_kahler_s6().patch
     u = np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])
     jet = point_jet(patch, u[None])
@@ -298,7 +304,6 @@ def test_connection_derivative_margin_is_the_block_reach():
     """The block reaches 2 step along an axis: a point that close to the edge
     is refused by name, and one just farther in is differentiated."""
     from twistorcheck import BoundaryProximity
-    from twistorcheck.connection import DEFAULT_SECOND_ORDER_STEP
 
     patch = flat_kahler(2).patch
     reach = 2.0 * DEFAULT_SECOND_ORDER_STEP
@@ -307,3 +312,99 @@ def test_connection_derivative_margin_is_the_block_reach():
         connection_derivative(patch, point_jet(patch, near).frame)
     far = np.array([1.0 - 1.25 * reach, 0.0, 0.0, 0.0])
     assert np.all(connection_derivative(patch, point_jet(patch, far).frame) == 0.0)
+
+
+def reference_connection_derivative(patch, frame):
+    """The d omega block with all 2 dim (1 + 2 dim) frames built, twins included:
+    each outer point, then its own stencil, as one (..., 2 dim, 1 + 2 dim) batch."""
+    step = DEFAULT_SECOND_ORDER_STEP
+    u = require_interior(patch, frame.point, margin=2.0 * step)
+    outer = stencil_points(u, step)
+    block = np.concatenate([outer[..., None, :], stencil_points(outer, step)], axis=-2)
+    frames = evaluate_frame_field(patch, frame, block)
+    g = frames.g[..., 0, :, :]
+    dE = stencil_difference(frames.E[..., 1:, :, :], step, outer.ndim - 1)
+    w = coordinate_connection(g, frames.E[..., 0, :, :], dE, christoffel(patch, outer, g, step=step))
+    return stencil_difference(w, step, u.ndim - 1)
+
+
+@pytest.mark.parametrize("manifold", ["nk-s6", "conformal4"])
+def test_connection_derivative_is_bitwise_the_full_block(monkeypatch, manifold):
+    """Building each distinct block point's frame once changes no bit of d omega,
+    for a batch, a single point and a rotated frame, from one frame call of
+    2 dim (dim + 2) points per sample point."""
+    from twistorcheck import catalog, geometry
+
+    patch = catalog.resolve(manifold).patch
+    dim = patch.dim
+    rng = np.random.default_rng(5)
+    u = sample_points(patch, 4, rng)
+    jet = point_jet(patch, u)
+    frames = (
+        jet.frame,
+        point_jet(patch, u[1]).frame,
+        jet.rotated(random_unitary_rotation(patch.n, rng)).frame,
+    )
+    shapes = []
+    original = geometry.adapt_frame
+
+    def recording(patch, point):
+        shapes.append(np.shape(point))
+        return original(patch, point)
+
+    monkeypatch.setattr(geometry, "adapt_frame", recording)
+    for frame in frames:
+        expected = reference_connection_derivative(patch, frame)
+        shapes.clear()
+        dw = connection_derivative(patch, frame)
+        assert shapes == [frame.point.shape[:-1] + (2 * dim * (dim + 2), dim)]
+        assert dw.shape == expected.shape
+        assert np.array_equal(dw.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("dim", [4, 6, 8])
+def test_block_twins_gather_the_full_block_bitwise(dim):
+    """The distinct points, gathered back, are the full block bit for bit, even
+    at signed zeros and at coordinates a shift takes exactly to zero."""
+    step = DEFAULT_SECOND_ORDER_STEP
+    u = np.random.default_rng(dim).uniform(-0.5, 0.5, (5, dim))
+    u[0] = -0.0
+    u[1, : dim // 2] = step
+    u[1, dim // 2 :] = -step
+    u[2, ::2] = -0.0
+    u[2, 1::2] = -step
+    outer = stencil_points(u, step)
+    block = np.concatenate([outer[..., None, :], stencil_points(outer, step)], axis=-2)
+    kept, index = _block_twins(dim)
+    assert kept.shape == (2 * dim * (dim + 2),)
+    assert index.shape == (2 * dim, 1 + 2 * dim)
+    gathered = block.reshape(5, -1, dim)[:, kept][:, index]
+    assert np.array_equal(gathered.view(np.uint64), block.view(np.uint64))
+
+
+def test_block_error_names_the_same_point_as_the_full_block():
+    """A dropped twin comes after the point it copies, so a failure inside the
+    block names the same first point as the full block does."""
+    from twistorcheck import ManifoldPatch, pointwise
+
+    step = DEFAULT_SECOND_ORDER_STEP
+    pairing = np.zeros((4, 4))
+    pairing[1, 0] = pairing[3, 2] = 1.0
+    pairing[0, 1] = pairing[2, 3] = -1.0
+    # past u_4 = 0.5 + step / 2, J e_1 = e_2 and the sweep's second pivot flips
+    patch = ManifoldPatch(
+        n=2,
+        domain=np.array([(-1.0, 1.0)] * 4),
+        metric_field=pointwise(lambda v: np.eye(4)),
+        j_field=pointwise(lambda v: pairing if v[3] > 0.5 + 0.5 * step else j0_matrix(2)),
+    )
+    frame = adapt_frame(patch, np.array([[0.1, 0.2, -0.3, 0.0], [0.1, 0.2, -0.3, 0.5]]))
+
+    def message(derivative):
+        with pytest.raises(FrameDiscontinuity) as raised:
+            derivative(patch, frame)
+        return str(raised.value)
+
+    expected = message(reference_connection_derivative)
+    assert message(connection_derivative) == expected
+    assert expected.endswith(f"at {[0.1 + step, 0.2, -0.3, 0.5 + step]}")

@@ -259,8 +259,10 @@ class TestBlockSweep:
         assert np.all(pivots[~paired] == [0, 1])
 
     def test_stencil_batch_is_bitwise_each_point_alone(self):
-        # the nk-s6 second-order stencil, (points, 2 dim, 1 + 2 dim) frames
-        # from one call, as connection_derivative builds it
+        # the full nk-s6 d omega block, (points, 2 dim, 1 + 2 dim) frames from
+        # one call; connection_derivative sends only its distinct points and
+        # gathers the rest from their twins, which is bitwise only because a
+        # frame does not depend on the batch it is built in
         from twistorcheck import nearly_kahler_s6
         from twistorcheck.catalog import grid_points
         from twistorcheck.connection import DEFAULT_SECOND_ORDER_STEP as step
