@@ -37,9 +37,9 @@ GRID_LIMIT = 10**7
 SCAN_CHUNK = 256
 # Sample points checked per batch by ``verify-geometry``, with all their
 # rotations: a module constant, not a flag.  Traced peak memory (tracemalloc,
-# second call after a warm-up, nk-s6, 4 rotations) grows by about 0.31 MiB
-# per point of a chunk (4.9 MiB at 16, 19.7 MiB at 64), while 64 points
-# would save only about a sixth of the time per point on nk-s6.
+# second call after a warm-up, nk-s6, 4 rotations) grows by about 0.15 MiB
+# per point of a chunk (2.45 MiB at 16, 9.76 MiB at 64), while 64 points
+# would save only about a quarter of the time per point on nk-s6.
 GEOMETRY_CHUNK = 16
 
 # The report columns of ``scan``, after the grid coordinates u1 ... u{2n}.
@@ -273,7 +273,7 @@ def geometry_checks(entry: catalog.CatalogEntry, points: int, seed: int, rotatio
             "connection_route_equivalence": _sigma_route_gap(w_rotated, rotated.frame.E, rep.sigma),
         }
         if is_round:
-            dw = connection_derivative(patch, jet.frame)
+            dw = connection_derivative(patch, frames)
             found["curvature_identity"] = round_sphere_curvature_residual(curvature_forms(frames, dw))
             found["chern_identity"] = chern_identity_residual(patch, frames, dw)
         for name, values in found.items():

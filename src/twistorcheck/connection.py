@@ -29,15 +29,17 @@ from .geometry import (
     stencil_points,
 )
 
-# The one step of both levels of the nested d omega difference.  Rounding
-# grows as eps/h^2 there, so it is larger than the first-order step; at 1e-4
-# the residuals of the round sphere still fall 4x per halving (O(h^2)).
-DEFAULT_SECOND_ORDER_STEP = 1e-4
-
 
 def _slices(table: np.ndarray) -> np.ndarray:
     """The matrices omega(X_C) of a table [..., A, B, C], indexed [..., C, A, B]."""
     return np.moveaxis(table, -1, -3)
+
+
+def _gamma_times(Gamma: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """(Gamma_a X)[..., a, c, B] = sum_b Gamma^c_{ab} X^b_B for Gamma[..., c, a, b] and square X."""
+    dim = X.shape[-1]
+    GX = Gamma.reshape(Gamma.shape[:-3] + (dim * dim, dim)) @ X
+    return np.swapaxes(GX.reshape(GX.shape[:-2] + (dim, dim, dim)), -3, -2)
 
 
 def coordinate_connection(g: np.ndarray, E: np.ndarray, dE: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
@@ -47,10 +49,8 @@ def coordinate_connection(g: np.ndarray, E: np.ndarray, dE: np.ndarray, Gamma: n
     derivatives d_c E of their frame field and ``Gamma`` the Christoffel
     symbols, all at the same points; nothing is evaluated here.
     """
-    dim = E.shape[-1]
     # (nabla_{d_a} e_B)^c = d_a E^c_B + Gamma^c_{ab} E^b_B, indexed [a, c, B]
-    GE = (Gamma.reshape(Gamma.shape[:-3] + (dim * dim, dim)) @ E).reshape(Gamma.shape)
-    cov = dE + np.swapaxes(GE, -3, -2)
+    cov = dE + _gamma_times(Gamma, E)
     # w[B, A, a] = g(nabla_{d_a} e_B, e_A)
     lowered = np.swapaxes(cov, -1, -2) @ (g @ E)[..., None, :, :]
     return np.moveaxis(lowered, -3, -1)
@@ -62,19 +62,21 @@ class FrameFieldJet:
 
     ``stencil`` holds the frames of that field at ``stencil_points(point,
     step)``, one batched call, with the g and J they were built from; ``w``
-    is ``coordinate_connection`` from them and the jet's Christoffel symbols,
-    and ``step`` is the jet's.  The structure equation, curvature and the
-    Chern identity all read this one object; build it with
+    is ``coordinate_connection`` from them and the jet's Christoffel symbols
+    ``Gamma``, and ``step`` is the jet's.  The structure equation, curvature
+    and the Chern identity all read this one object; build it with
     ``frame_field_jet``.
     """
 
     frame: AdaptedFrame
     stencil: AdaptedFrame
     w: np.ndarray
+    Gamma: np.ndarray
     step: float
 
     def __post_init__(self):
-        object.__setattr__(self, "w", _readonly(self.w))
+        for name in ("w", "Gamma"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
 
 
 def frame_field_jet(patch: ManifoldPatch, jet: PointJet) -> FrameFieldJet:
@@ -84,7 +86,7 @@ def frame_field_jet(patch: ManifoldPatch, jet: PointJet) -> FrameFieldJet:
     stencil = evaluate_frame_field(patch, frame, stencil_points(u, step))
     dE = stencil_difference(stencil.E, step, u.ndim - 1)
     w = coordinate_connection(frame.g, frame.E, dE, jet.Gamma)
-    return FrameFieldJet(frame=frame, stencil=stencil, w=w, step=step)
+    return FrameFieldJet(frame=frame, stencil=stencil, w=w, Gamma=jet.Gamma, step=step)
 
 
 def connection_coefficients(jet: FrameFieldJet) -> np.ndarray:
@@ -167,72 +169,46 @@ def structure_equation_residual(jet: FrameFieldJet) -> np.ndarray:
     return np.abs(dtheta - rhs).max(axis=(-3, -2, -1))
 
 
-def _block_twins(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct slots of the (2 dim, 1 + 2 dim) d omega block, and where each slot reads.
+def connection_derivative(patch: ManifoldPatch, jet: FrameFieldJet) -> np.ndarray:
+    """d omega[..., c, a, A, B] = d_c w[..., A, B, a] - d_a w[..., A, B, c] at the jet's points.
 
-    Slot (o, 1 + i) is outer shift o, then inner shift i.  When the two
-    shifts move different axes it holds the same floats as its twin
-    (i, 1 + o), which comes first in C order, so only the earlier one is
-    kept.  Returns the flat indices of the kept slots, in C order, and for
-    every slot the position of its point among them.
+    With w_a = P_a^T g E and P_a = d_a E + Gamma_a E, as in
+    ``coordinate_connection``, the second derivatives d_c d_a E cancel:
+    d omega(d_c, d_a) = ((d_c Gamma_a - d_a Gamma_c) E + Gamma_a d_c E - Gamma_c d_a E)^T g E
+    + P_a^T d_c(g E) - P_c^T d_a(g E).  Every factor is a first difference
+    at the jet's step, of its stencil frames or of the Christoffel symbols
+    at the stencil points (one metric-jet call); no frame is built.
     """
-    o, i = np.indices((2 * dim, 2 * dim))
-    slot = np.arange(2 * dim * (1 + 2 * dim)).reshape(2 * dim, 1 + 2 * dim)
-    source = slot.copy()
-    source[:, 1:] = np.where((i < o) & (i % dim != o % dim), slot[:, 1:].T, slot[:, 1:])
-    kept = np.flatnonzero(source == slot)
-    return kept, np.searchsorted(kept, source)
-
-
-def connection_derivative(patch: ManifoldPatch, frame: AdaptedFrame) -> np.ndarray:
-    """The d omega block dw[..., c, A, B, a] = d_c w[..., A, B, a] at the frame's points.
-
-    The central difference of the connection field through ``frame``, with
-    one step ``DEFAULT_SECOND_ORDER_STEP`` at both levels and for the
-    Christoffel symbols at the outer points.  Each of its 2 dim outer
-    points comes first in its own block, followed by its own stencil:
-    index 0 gives the slices' E and g, and the rest their derivative.  Of
-    the 2 dim (1 + 2 dim) block points only 2 dim (dim + 2) are distinct
-    (96 of 156 at dim 6): u + s_o + s_i and u + s_i + s_o are the same
-    floats when the shifts move different axes, since ``stencil_points``
-    adds exact zeros off its axis.  Those points get one batched frame
-    call, whose frames do not depend on the batch, and are gathered back
-    into the block.  The block reaches 2 step along an axis.  Curvature and
-    the Chern identity both read d omega from it.
-    """
-    step = DEFAULT_SECOND_ORDER_STEP
-    u = require_interior(patch, frame.point, margin=2.0 * step)
-    dim = u.shape[-1]
-    outer = stencil_points(u, step)
-    block = np.concatenate([outer[..., None, :], stencil_points(outer, step)], axis=-2)
-    kept, index = _block_twins(dim)
-    frames = evaluate_frame_field(patch, frame, block.reshape(u.shape[:-1] + (-1, dim))[..., kept, :])
-    E = frames.E[..., index, :, :]
-    g = frames.g[..., index[:, 0], :, :]
-    dE = stencil_difference(E[..., 1:, :, :], step, outer.ndim - 1)
-    w = coordinate_connection(g, E[..., 0, :, :], dE, christoffel(patch, outer, g, step=step))
-    return stencil_difference(w, step, u.ndim - 1)
+    frame, stencil, step = jet.frame, jet.stencil, jet.step
+    axis = frame.point.ndim - 1
+    dE = stencil_difference(stencil.E, step, axis)
+    dT = stencil_difference(stencil.g @ stencil.E, step, axis)
+    dGamma = stencil_difference(christoffel(patch, stencil.point, stencil.g, step=step), step, axis)
+    P = dE + _gamma_times(jet.Gamma, frame.E)
+    # d_c P_a less d_c d_a E, [c, a, :, B]: (d_c Gamma_a) E + Gamma_a d_c E
+    Q = _gamma_times(dGamma, frame.E[..., None, :, :]) + _gamma_times(jet.Gamma[..., None, :, :, :], dE)
+    # X[c, a, B, A] = d_c w_a less (d_c d_a E)^T g E, which is symmetric in (c, a)
+    X = np.swapaxes(Q, -1, -2) @ (frame.g @ frame.E)[..., None, None, :, :]
+    X += np.swapaxes(P, -1, -2)[..., None, :, :, :] @ dT[..., :, None, :, :]
+    return X - np.swapaxes(X, -4, -3)
 
 
 def curvature_forms(jet: FrameFieldJet, dw: np.ndarray) -> np.ndarray:
     """Curvature table R[..., A, B, C, D] = R_{AB}(e_C, e_D) from R = omega ^ omega - d omega.
 
-    ``dw`` is ``connection_derivative(patch, jet.frame)``.
+    ``dw`` is ``connection_derivative(patch, jet)``.
     """
     # Both terms indexed [a, b, A, B]; slices[a] is the matrix omega(d_a).
     slices = _slices(jet.w)
     products = slices[..., :, None, :, :] @ slices[..., None, :, :, :]
     wedge = products - np.swapaxes(products, -4, -3)
-    # domega[a, b, A, B] = d_a omega_{AB}(d_b) - d_b omega_{AB}(d_a)
-    dslices = _slices(dw)
-    domega = dslices - np.swapaxes(dslices, -4, -3)
-    pairs = np.moveaxis(wedge - domega, (-2, -1), (-4, -3))
+    pairs = np.moveaxis(wedge - dw, (-2, -1), (-4, -3))
     E = jet.frame.E[..., None, None, :, :]
     return np.swapaxes(E, -1, -2) @ pairs @ E
 
 
-def round_sphere_curvature_residual(R: np.ndarray) -> float:
-    """Distance of a curvature table from R_{AB}(e_C, e_D) = theta_A ^ theta_B."""
+def round_sphere_curvature_residual(R: np.ndarray) -> np.ndarray:
+    """Distance of a curvature table from R_{AB}(e_C, e_D) = theta_A ^ theta_B, per point."""
     eye = np.eye(R.shape[-1])
     expected = np.einsum("AC,BD->ABCD", eye, eye) - np.einsum("AD,BC->ABCD", eye, eye)
-    return float(np.abs(R - expected).max())
+    return np.abs(R - expected).max(axis=(-4, -3, -2, -1))

@@ -306,7 +306,7 @@ def chern_identity_residual(patch: ManifoldPatch, jet: FrameFieldJet, dw: np.nda
     Only meaningful where the curvature terms R_{i,i+n} equal
     theta_i ^ theta_{i+n}, i.e. on a patch flagged ``unit_round_sphere``;
     any other patch raises WrongPatch.  ``dw`` is
-    ``connection_derivative(patch, jet.frame)``.
+    ``connection_derivative(patch, jet)``.
     """
     if "unit_round_sphere" not in patch.attributes:
         raise WrongPatch(
@@ -317,8 +317,7 @@ def chern_identity_residual(patch: ManifoldPatch, jet: FrameFieldJet, dw: np.nda
     n = frame.n
     # sum_i d omega_{i,i+n}(d_a, d_b)
     diagonal = np.arange(n)
-    dsum = dw[..., diagonal, n + diagonal, :].sum(axis=-2)
-    dsum = dsum - np.swapaxes(dsum, -1, -2)
+    dsum = dw[..., diagonal, n + diagonal].sum(axis=-1)
     F = phi_matrix(*alpha_beta(connection_coefficients(jet)))
     T = frame.g @ frame.E  # theta_A(d_a) = T[a, A]
     phi_coord = T @ F @ np.swapaxes(T, -1, -2)

@@ -150,7 +150,7 @@ def test_criterion_5_round_sphere_corollary_machinery():
         for point in points:
             jet = point_jet(patch, point)
             frames = frame_field_jet(patch, jet)
-            dw = connection_derivative(patch, jet.frame)
+            dw = connection_derivative(patch, frames)
             worst_structure = max(worst_structure, structure_equation_residual(frames))
             worst_chern = max(worst_chern, chern_identity_residual(patch, frames, dw))
             norms.append(nijenhuis_norm(nijenhuis_tensor(jet)))

@@ -31,10 +31,10 @@ def structure_at(patch, u, step):
 
 
 def round_sphere_at(patch, u, step):
-    """(curvature, Chern) residuals at one point, from its own jets and d omega block."""
+    """(curvature, Chern) residuals at one point, from its own jets and d omega."""
     jet = point_jet(patch, u, step)
     frames = frame_field_jet(patch, jet)
-    dw = connection_derivative(patch, jet.frame)
+    dw = connection_derivative(patch, frames)
     return (
         round_sphere_curvature_residual(curvature_forms(frames, dw)),
         chern_identity_residual(patch, frames, dw),
@@ -274,6 +274,23 @@ def test_torus_report_at_the_origin_has_the_closed_form_norm(tmp_path, freq):
     assert json.loads(out.read_text())["normN2"] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+def test_torus_route_gap_is_the_frame_routes_truncation(tmp_path):
+    """At freq 100 the frame-differentiated route carries an O((freq h)^2)
+    truncation against the exact nabla J route: connection_route_equivalence
+    alone fails its fixed 1e-8 gate at --fd-step 1e-5 (4.1e-7), and passes at
+    1e-6 (4.4e-9), about 100 times smaller, as h^2 predicts."""
+    argv = ["verify-geometry", "--manifold", "torus:eps=0.05,freq=100", "--points", "5", "--rotations", "1"]
+    gaps = []
+    for fd_step, code in (("1e-5", 1), ("1e-6", 0)):
+        out = tmp_path / f"geometry-{fd_step}.json"
+        assert run_cli(argv + ["--fd-step", fd_step, "--out", str(out)]) == code
+        checks = json.loads(out.read_text())["checks"]
+        failed = [name for name, slot in checks.items() if not slot["pass"]]
+        assert failed == (["connection_route_equivalence"] if code else [])
+        gaps.append(checks["connection_route_equivalence"]["max_residual"])
+    assert 50.0 <= gaps[0] / gaps[1] <= 200.0, gaps
+
+
 def test_verify_geometry_conformal(tmp_path):
     out = tmp_path / "geo.json"
     code = run_cli(
@@ -482,7 +499,7 @@ def test_unallocatable_manifold_is_an_input_error(capsys):
 
 
 def test_geometry_checks_share_without_changing_values():
-    """One frame and one d omega block per point give the standalone residuals exactly."""
+    """One frame and one d omega per point give the standalone residuals exactly."""
     entry = catalog.resolve("nk-s6")
     patch = entry.patch
     checks = geometry_checks(entry, points=2, seed=3, rotations=1, fd_step=1e-5)["checks"]
@@ -499,8 +516,8 @@ def test_geometry_checks_share_without_changing_values():
 
 
 def test_geometry_checks_block_at_another_fd_step():
-    """Away from the default step, curvature and Chern read w at the jet's step
-    and d omega from the block at its own steps, exactly as one point alone does."""
+    """Away from the default step, curvature and Chern read w and d omega at the
+    jet's step, exactly as one point alone does."""
     entry = catalog.resolve("nk-s6")
     patch = entry.patch
     checks = geometry_checks(entry, points=1, seed=3, rotations=1, fd_step=1e-4)["checks"]
@@ -515,7 +532,7 @@ def test_geometry_checks_block_at_another_fd_step():
 def test_metric_jet_once_per_point_jet_and_once_per_block(monkeypatch, tmp_path, fd_step):
     """The frame-differentiated route reads the point jet's Christoffel symbols:
     one metric jet per report, and per verify-geometry chunk one for the jet
-    and one for the d omega block, at any --fd-step."""
+    and one for d omega at the stencil points, at any --fd-step."""
     entry = catalog.resolve("nk-s6")
     metric_jet = entry.patch.metric_jet
     calls = 0
@@ -541,11 +558,11 @@ def test_geometry_point_evaluates_j_within_budget():
     # Rebuilding the frame and the d omega block for every check of one nk-s6
     # point with 4 rotations evaluated J at 939 points; sharing them needed
     # 571, reading sigma off nabla J 258, one point jet per point 193,
-    # sharing the stencil frames of the connection and the coframe 181, and
-    # building each distinct point of the 12 x 13 d omega block once 121:
-    # 1 frame, a 12-point J stencil, 12 stencil frames and the block's 96
-    # distinct points, each group one batched call of J.  The budgets are the
-    # measured counts.
+    # sharing the stencil frames of the connection and the coframe 181,
+    # building each distinct point of the 12 x 13 d omega block once 121,
+    # and d omega from first differences of the stencil frames 25: 1 frame,
+    # a 12-point J stencil and 12 stencil frames, each group one batched
+    # call of J.  The budgets are the measured counts.
     entry = catalog.resolve("nk-s6")
     j_field = entry.patch.j_field
     calls = points = 0
@@ -558,8 +575,8 @@ def test_geometry_point_evaluates_j_within_budget():
 
     counted = dataclasses.replace(entry, patch=dataclasses.replace(entry.patch, j_field=counting))
     assert geometry_checks(counted, points=1, seed=0, rotations=4, fd_step=1e-5)["all_pass"]
-    assert calls <= 4
-    assert points <= 121
+    assert calls <= 3
+    assert points <= 25
 
 
 def test_geometry_calls_per_chunk_do_not_depend_on_points(monkeypatch):
@@ -592,10 +609,10 @@ def test_geometry_calls_per_chunk_do_not_depend_on_points(monkeypatch):
         assert geometry_checks(counting, points=points, seed=0, rotations=4, fd_step=1e-5)["all_pass"]
         return dict(calls)
 
-    # per chunk: the jet's frame, the connection stencil and the d omega block
-    # build frames (each evaluating g and J once), and the J stencil of the jet
+    # per chunk: the jet's frame and the connection stencil build frames
+    # (each evaluating g and J once), and the J stencil of the jet
     one = calls_for(1)
-    assert one == {"frame": 3, "g": 3, "J": 4}
+    assert one == {"frame": 2, "g": 2, "J": 3}
     assert calls_for(4) == calls_for(cli.GEOMETRY_CHUNK) == one
     assert calls_for(cli.GEOMETRY_CHUNK + 1) == {key: 2 * value for key, value in one.items()}
 
@@ -656,7 +673,7 @@ def _geometry_reference(entry, points, seed, rotations, fd_step):
                 0.0 if rep.pfaffian_sign == base.pfaffian_sign else 1.0,
             ))
         if "unit_round_sphere" in patch.attributes:
-            dw = connection_derivative(patch, frame)
+            dw = connection_derivative(patch, frames)
             bump("curvature_identity", round_sphere_curvature_residual(curvature_forms(frames, dw)))
             bump("chern_identity", chern_identity_residual(patch, frames, dw))
     return worst

@@ -1,7 +1,6 @@
 """Connection tables, structure equations, curvature, and the sign tripwire."""
 
 import dataclasses
-import re
 
 import numpy as np
 import pytest
@@ -24,8 +23,6 @@ from twistorcheck import (
 )
 from twistorcheck.catalog import sample_points
 from twistorcheck.connection import (
-    DEFAULT_SECOND_ORDER_STEP,
-    _block_twins,
     coordinate_connection,
     nabla_j_connection,
     round_sphere_curvature_residual,
@@ -63,7 +60,7 @@ def first_bianchi_residual(R):
 
 def curvature_at(patch, point):
     jet = field_jet(patch, point)
-    return curvature_forms(jet, connection_derivative(patch, jet.frame))
+    return curvature_forms(jet, connection_derivative(patch, jet))
 
 
 def test_flat_connection_vanishes():
@@ -255,69 +252,77 @@ def test_frame_field_jet_owns_read_only_slices():
         jet.w[...] = 0.0
 
 
-def test_connection_at_displaced_points_reads_the_frames_metric():
-    """The d omega block at displaced points evaluates g only inside its one frame call."""
+def test_connection_at_displaced_points_reads_the_frames_metric(monkeypatch):
+    """d omega at the stencil points reads the stencil frames' g: it builds no
+    frame, evaluates no g and makes one metric-jet call."""
+    from twistorcheck import geometry
+
     patch = nearly_kahler_s6().patch
     u = np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])
-    jet = point_jet(patch, u[None])
-    g_calls = 0
+    jet = field_jet(patch, u[None])
+    expected = connection_derivative(patch, jet)
+    calls = {"frame": 0, "g": 0, "dg": 0}
+    original = geometry.adapt_frame
 
-    def counting(v):
-        nonlocal g_calls
-        g_calls += 1
-        return patch.metric_field(v)
+    def counting_frame(*args, **kwargs):
+        calls["frame"] += 1
+        return original(*args, **kwargs)
 
-    dw = connection_derivative(dataclasses.replace(patch, metric_field=counting), jet.frame)
-    assert g_calls == 1
-    outer = stencil_points(u, DEFAULT_SECOND_ORDER_STEP)
-    alone = np.stack(
-        [frame_field_jet(patch, point_jet(patch, v, DEFAULT_SECOND_ORDER_STEP)).w for v in outer]
+    monkeypatch.setattr(geometry, "adapt_frame", counting_frame)
+
+    def counted(key, field):
+        def call(v):
+            calls[key] += 1
+            return field(v)
+        return call
+
+    counting = dataclasses.replace(
+        patch, metric_field=counted("g", patch.metric_field), metric_jet=counted("dg", patch.metric_jet)
     )
-    assert np.array_equal(dw[0], stencil_difference(alone, DEFAULT_SECOND_ORDER_STEP, 0))
+    dw = connection_derivative(counting, jet)
+    assert calls == {"frame": 0, "g": 0, "dg": 1}
+    assert np.array_equal(dw, expected)
+    assert dw.shape == (1, 6, 6, 6, 6)
+    assert np.array_equal(dw[0], connection_derivative(patch, field_jet(patch, u)))
 
 
-def test_round_sphere_residuals_fall_fourfold_per_halving(monkeypatch):
-    """One step at both levels of the d omega block: halving it quarters the
-    curvature and Chern residuals at every point, so they measure the O(h^2)
-    truncation error and not rounding."""
-    from twistorcheck import connection
+def round_sphere_residuals(patch, u, step):
+    """(curvature, Chern) residuals per point of u, from the jets at ``step``."""
     from twistorcheck.twistorform import chern_identity_residual
 
+    frames = frame_field_jet(patch, point_jet(patch, u, step))
+    dw = connection_derivative(patch, frames)
+    return round_sphere_curvature_residual(curvature_forms(frames, dw)), chern_identity_residual(patch, frames, dw)
+
+
+def test_round_sphere_residuals_fall_fourfold_per_halving():
+    """d omega is a first difference at the jet's step: halving that step
+    quarters the curvature and Chern residuals at every point, so they
+    measure the O(h^2) truncation error and not rounding."""
     patch = nearly_kahler_s6().patch
     u = sample_points(patch, 10, np.random.default_rng(0))
-    frames = field_jet(patch, u)
-    eye = np.eye(patch.dim)
-    expected = np.einsum("AC,BD->ABCD", eye, eye) - np.einsum("AD,BC->ABCD", eye, eye)
-    residuals = []
-    for step in (2e-4, 1e-4):
-        monkeypatch.setattr(connection, "DEFAULT_SECOND_ORDER_STEP", step)
-        dw = connection_derivative(patch, frames.frame)
-        curvature = np.abs(curvature_forms(frames, dw) - expected).max(axis=(-4, -3, -2, -1))
-        residuals.append((curvature, chern_identity_residual(patch, frames, dw)))
-    (curvature_2h, chern_2h), (curvature_h, chern_h) = residuals
-    for ratio in (curvature_2h / curvature_h, chern_2h / chern_h):
+    coarse, fine = (round_sphere_residuals(patch, u, step) for step in (2e-4, 1e-4))
+    for ratio in (coarse[0] / fine[0], coarse[1] / fine[1]):
         assert ratio.shape == (10,)
         assert np.all((3.5 <= ratio) & (ratio <= 4.5)), ratio
 
 
-def test_connection_derivative_margin_is_the_block_reach():
-    """The block reaches 2 step along an axis: a point that close to the edge
-    is refused by name, and one just farther in is differentiated."""
-    from twistorcheck import BoundaryProximity
-
-    patch = flat_kahler(2).patch
-    reach = 2.0 * DEFAULT_SECOND_ORDER_STEP
-    near = np.array([1.0 - 0.75 * reach, 0.0, 0.0, 0.0])
-    with pytest.raises(BoundaryProximity, match=re.escape(f"point {near.tolist()} ") + r".* margin 0\.0002$"):
-        connection_derivative(patch, point_jet(patch, near).frame)
-    far = np.array([1.0 - 1.25 * reach, 0.0, 0.0, 0.0])
-    assert np.all(connection_derivative(patch, point_jet(patch, far).frame) == 0.0)
+def test_round_sphere_residuals_fall_with_the_step_down_to_the_default():
+    """From jet step 1e-4 to the default 1e-5 the residuals still fall as h^2,
+    by at least 50 times at every point: no rounding floor above 1e-5."""
+    patch = nearly_kahler_s6().patch
+    u = sample_points(patch, 10, np.random.default_rng(0))
+    coarse, fine = (round_sphere_residuals(patch, u, step) for step in (1e-4, 1e-5))
+    for ratio in (coarse[0] / fine[0], coarse[1] / fine[1]):
+        assert ratio.shape == (10,)
+        assert np.all(ratio >= 50.0), ratio
 
 
-def reference_connection_derivative(patch, frame):
-    """The d omega block with all 2 dim (1 + 2 dim) frames built, twins included:
-    each outer point, then its own stencil, as one (..., 2 dim, 1 + 2 dim) batch."""
-    step = DEFAULT_SECOND_ORDER_STEP
+def reference_connection_derivative(patch, frame, step):
+    """The nested d omega block, d_c w[..., A, B, a] as [..., c, A, B, a]: the
+    connection slices at each outer stencil point, from that point's own
+    stencil frames and Christoffel symbols, differenced again, one step at
+    both levels and all 2 dim (1 + 2 dim) frames built."""
     u = require_interior(patch, frame.point, margin=2.0 * step)
     outer = stencil_points(u, step)
     block = np.concatenate([outer[..., None, :], stencil_points(outer, step)], axis=-2)
@@ -328,83 +333,24 @@ def reference_connection_derivative(patch, frame):
     return stencil_difference(w, step, u.ndim - 1)
 
 
+@pytest.mark.parametrize("case", ["batch", "single", "rotated"])
 @pytest.mark.parametrize("manifold", ["nk-s6", "conformal4"])
-def test_connection_derivative_is_bitwise_the_full_block(monkeypatch, manifold):
-    """Building each distinct block point's frame once changes no bit of d omega,
-    for a batch, a single point and a rotated frame, from one frame call of
-    2 dim (dim + 2) points per sample point."""
-    from twistorcheck import catalog, geometry
+def test_connection_derivative_matches_the_nested_block(manifold, case):
+    """The product-rule d omega agrees with the antisymmetrised nested block
+    to O(h^2), for a batch, a single point and a rotated jet."""
+    from twistorcheck import catalog
 
+    step = 1e-4
     patch = catalog.resolve(manifold).patch
-    dim = patch.dim
     rng = np.random.default_rng(5)
     u = sample_points(patch, 4, rng)
-    jet = point_jet(patch, u)
-    frames = (
-        jet.frame,
-        point_jet(patch, u[1]).frame,
-        jet.rotated(random_unitary_rotation(patch.n, rng)).frame,
-    )
-    shapes = []
-    original = geometry.adapt_frame
-
-    def recording(patch, point):
-        shapes.append(np.shape(point))
-        return original(patch, point)
-
-    monkeypatch.setattr(geometry, "adapt_frame", recording)
-    for frame in frames:
-        expected = reference_connection_derivative(patch, frame)
-        shapes.clear()
-        dw = connection_derivative(patch, frame)
-        assert shapes == [frame.point.shape[:-1] + (2 * dim * (dim + 2), dim)]
-        assert dw.shape == expected.shape
-        assert np.array_equal(dw.view(np.uint64), expected.view(np.uint64))
-
-
-@pytest.mark.parametrize("dim", [4, 6, 8])
-def test_block_twins_gather_the_full_block_bitwise(dim):
-    """The distinct points, gathered back, are the full block bit for bit, even
-    at signed zeros and at coordinates a shift takes exactly to zero."""
-    step = DEFAULT_SECOND_ORDER_STEP
-    u = np.random.default_rng(dim).uniform(-0.5, 0.5, (5, dim))
-    u[0] = -0.0
-    u[1, : dim // 2] = step
-    u[1, dim // 2 :] = -step
-    u[2, ::2] = -0.0
-    u[2, 1::2] = -step
-    outer = stencil_points(u, step)
-    block = np.concatenate([outer[..., None, :], stencil_points(outer, step)], axis=-2)
-    kept, index = _block_twins(dim)
-    assert kept.shape == (2 * dim * (dim + 2),)
-    assert index.shape == (2 * dim, 1 + 2 * dim)
-    gathered = block.reshape(5, -1, dim)[:, kept][:, index]
-    assert np.array_equal(gathered.view(np.uint64), block.view(np.uint64))
-
-
-def test_block_error_names_the_same_point_as_the_full_block():
-    """A dropped twin comes after the point it copies, so a failure inside the
-    block names the same first point as the full block does."""
-    from twistorcheck import ManifoldPatch, pointwise
-
-    step = DEFAULT_SECOND_ORDER_STEP
-    pairing = np.zeros((4, 4))
-    pairing[1, 0] = pairing[3, 2] = 1.0
-    pairing[0, 1] = pairing[2, 3] = -1.0
-    # past u_4 = 0.5 + step / 2, J e_1 = e_2 and the sweep's second pivot flips
-    patch = ManifoldPatch(
-        n=2,
-        domain=np.array([(-1.0, 1.0)] * 4),
-        metric_field=pointwise(lambda v: np.eye(4)),
-        j_field=pointwise(lambda v: pairing if v[3] > 0.5 + 0.5 * step else j0_matrix(2)),
-    )
-    frame = adapt_frame(patch, np.array([[0.1, 0.2, -0.3, 0.0], [0.1, 0.2, -0.3, 0.5]]))
-
-    def message(derivative):
-        with pytest.raises(FrameDiscontinuity) as raised:
-            derivative(patch, frame)
-        return str(raised.value)
-
-    expected = message(reference_connection_derivative)
-    assert message(connection_derivative) == expected
-    assert expected.endswith(f"at {[0.1 + step, 0.2, -0.3, 0.5 + step]}")
+    jet = {
+        "batch": lambda: point_jet(patch, u, step),
+        "single": lambda: point_jet(patch, u[1], step),
+        "rotated": lambda: point_jet(patch, u, step).rotated(random_unitary_rotation(patch.n, rng, (4,))),
+    }[case]()
+    nested = np.moveaxis(reference_connection_derivative(patch, jet.frame, step), -1, -3)
+    expected = nested - np.swapaxes(nested, -4, -3)
+    dw = connection_derivative(patch, frame_field_jet(patch, jet))
+    assert dw.shape == expected.shape == jet.frame.point.shape[:-1] + (patch.dim,) * 4
+    assert np.abs(dw - expected).max() <= 1e-6

@@ -259,14 +259,14 @@ class TestBlockSweep:
         assert np.all(pivots[~paired] == [0, 1])
 
     def test_stencil_batch_is_bitwise_each_point_alone(self):
-        # the full nk-s6 d omega block, (points, 2 dim, 1 + 2 dim) frames from
-        # one call; connection_derivative sends only its distinct points and
-        # gathers the rest from their twins, which is bitwise only because a
-        # frame does not depend on the batch it is built in
+        # a nested nk-s6 stencil, (points, 2 dim, 1 + 2 dim) frames from one
+        # call: a frame does not depend on the batch it is built in, which is
+        # what lets verify-geometry's chunks equal a per-point loop bit for bit
         from twistorcheck import nearly_kahler_s6
         from twistorcheck.catalog import grid_points
-        from twistorcheck.connection import DEFAULT_SECOND_ORDER_STEP as step
         from twistorcheck.geometry import stencil_points
+
+        step = 1e-4
 
         patch = nearly_kahler_s6().patch
         outer = stencil_points(0.5 * grid_points(patch, 2)[[0, 21, 42, 63]], step)

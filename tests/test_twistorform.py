@@ -435,7 +435,7 @@ class TestChernIdentity:
     def residual(patch, point):
         jet = point_jet(patch, point)
         frames = frame_field_jet(patch, jet)
-        return chern_identity_residual(patch, frames, connection_derivative(patch, jet.frame))
+        return chern_identity_residual(patch, frames, connection_derivative(patch, frames))
 
     def test_round_sphere_points(self):
         patch = nearly_kahler_s6().patch
