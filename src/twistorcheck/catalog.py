@@ -169,8 +169,8 @@ def _s6_metric_jet(u: np.ndarray) -> np.ndarray:
     return _radial_jet(-16.0 * u / s**3, 6)
 
 
-def _s6_j(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
+def _s6_chart(u: np.ndarray) -> np.ndarray:
+    """|u|^2 at every point, or ChartOverflow naming the first point outside the chart."""
     r2 = _norm2(u)
     bad = first_index(r2 >= S6_CHART_RADIUS**2)
     if bad is not None:
@@ -178,6 +178,12 @@ def _s6_j(u: np.ndarray) -> np.ndarray:
             f"|u| = {np.sqrt(r2[bad]):.4f} >= {S6_CHART_RADIUS} at {u[bad].tolist()}; "
             "point left the chart"
         )
+    return r2
+
+
+def _s6_j(u: np.ndarray) -> np.ndarray:
+    u = np.asarray(u, dtype=float)
+    r2 = _s6_chart(u)
     s = 1.0 + r2
     D = stereographic_jacobian(u)
     J = np.swapaxes(D, -1, -2) @ (_cross_operator(stereographic_point(u)) @ D)
@@ -186,11 +192,53 @@ def _s6_j(u: np.ndarray) -> np.ndarray:
     return J
 
 
+def _s6_j_jet(u: np.ndarray) -> np.ndarray:
+    """Closed-form jet dJ[..., c, a, b] = d_c J^a_b of ``_s6_j``.
+
+    With v = (u, -1) and s = 1 + |u|^2 the reflection H = I_7 - 2 v v^T / s
+    has columns P_y = e_y - alpha_y v, alpha_y = 2 v_y / s.  The stereographic
+    Jacobian is (2/s) H[:, :6] and the base point P_7, so J_ab = T[7, a, b]
+    for T[x, a, b] = f(P_x, P_b, P_a) and the alternating cross-product form
+    f(x, y, z) = sum_ijk f_ijk x_i y_j z_k.  Since H d_c H = (2/s)(v e_c^T -
+    e_c v^T),
+    d_c J_ab = (2/s) [T_cab - u_a J_cb - u_b J_ac - delta_ca w_b + delta_cb w_a]
+    with w = J u.  Only the terms of T with at most one v survive: with
+    G_pq = f(v, e_p, e_q) and g_a = G_a7, T_cab = alpha_c G_ab - f_cab -
+    alpha_b G_ac - alpha_a G_cb and J_ab = K_ab - (2/s) G_ab, where
+    K_ab = alpha_a g_b - g_a alpha_b - f_7ab is skew.  Collecting the u_a and
+    u_b terms,
+    d_c J_ab = (2/s) [alpha_c G_ab - f_cab - Q_cab + Q_cba],
+    Q_cab = u_a K_cb + delta_ca w_b.
+    """
+    u = np.asarray(u, dtype=float)
+    batch = u.shape[:-1]
+    scale = 2.0 / (1.0 + _s6_chart(u))[..., None]
+    alpha = scale * u
+    v = np.concatenate([u, np.full(batch + (1,), -1.0)], axis=-1)
+    G = (v[..., None, :] @ _CROSS_F.reshape(7, 49)).reshape(batch + (7, 7))
+    K = alpha[..., :, None] * G[..., None, :6, 6]
+    K -= np.swapaxes(K, -1, -2)
+    K -= _CROSS_F[6, :6, :6]
+    w = ((K - scale[..., None] * G[..., :6, :6]) @ u[..., :, None])[..., 0]
+    # (2/s)(alpha_c G_ab - f_cab) = sum_i Z_ci f_iab
+    Z = alpha[..., :, None] * v[..., None, :]
+    Z[..., :6] -= np.eye(6)
+    Z *= scale[..., None]
+    dJ = (Z @ _CROSS_F[:, :6, :6].reshape(7, 36)).reshape(batch + (6, 6, 6))
+    Q = alpha[..., None, :, None] * K[..., :, None, :]  # (2/s) Q
+    diagonal = np.arange(6)
+    Q[..., diagonal, diagonal, :] += (scale * w)[..., None, :]
+    dJ -= Q
+    dJ += np.swapaxes(Q, -1, -2)
+    return dJ
+
+
 def nearly_kahler_s6() -> CatalogEntry:
     """Unit round six-sphere with the cross-product almost complex structure.
 
     The chart is the stereographic one; tangent vectors are pushed to the
     sphere in R^7, rotated by X -> p x X at the base point p, and pulled back.
+    Both fields and their jets are closed-form.
     """
     patch = ManifoldPatch(
         n=3,
@@ -198,7 +246,7 @@ def nearly_kahler_s6() -> CatalogEntry:
         metric_field=_s6_metric,
         j_field=_s6_j,
         metric_jet=_s6_metric_jet,
-        j_jet=None,
+        j_jet=_s6_j_jet,
         label="nk-s6",
         attributes=frozenset({"unit_round_sphere", "nearly_kahler"}),
     )

@@ -61,21 +61,24 @@ class FrameFieldJet:
     """The adapted frame field through a point jet's frame, differentiated once at its points.
 
     ``stencil`` holds the frames of that field at ``stencil_points(point,
-    step)``, one batched call, with the g and J they were built from; ``w``
-    is ``coordinate_connection`` from them and the jet's Christoffel symbols
-    ``Gamma``, and ``step`` is the jet's.  The structure equation, curvature
-    and the Chern identity all read this one object; build it with
-    ``frame_field_jet``.
+    step)``, one batched call, with the g and J they were built from; ``dE``
+    and ``dT`` are the first differences of their E and of the coframe
+    components g E, formed once; ``w`` is ``coordinate_connection`` from
+    them and the jet's Christoffel symbols ``Gamma``, and ``step`` is the
+    jet's.  The structure equation, curvature and the Chern identity all
+    read this one object; build it with ``frame_field_jet``.
     """
 
     frame: AdaptedFrame
     stencil: AdaptedFrame
+    dE: np.ndarray
+    dT: np.ndarray
     w: np.ndarray
     Gamma: np.ndarray
     step: float
 
     def __post_init__(self):
-        for name in ("w", "Gamma"):
+        for name in ("dE", "dT", "w", "Gamma"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
 
 
@@ -85,8 +88,9 @@ def frame_field_jet(patch: ManifoldPatch, jet: PointJet) -> FrameFieldJet:
     u = require_interior(patch, frame.point, margin=step)
     stencil = evaluate_frame_field(patch, frame, stencil_points(u, step))
     dE = stencil_difference(stencil.E, step, u.ndim - 1)
+    dT = stencil_difference(stencil.g @ stencil.E, step, u.ndim - 1)
     w = coordinate_connection(frame.g, frame.E, dE, jet.Gamma)
-    return FrameFieldJet(frame=frame, stencil=stencil, w=w, Gamma=jet.Gamma, step=step)
+    return FrameFieldJet(frame=frame, stencil=stencil, dE=dE, dT=dT, w=w, Gamma=jet.Gamma, step=step)
 
 
 def connection_coefficients(jet: FrameFieldJet) -> np.ndarray:
@@ -148,19 +152,18 @@ def structure_equation_residual(jet: FrameFieldJet) -> np.ndarray:
     """Max residual of d theta_A = sum_B theta_B ^ omega_{BA} on coordinate pairs, per point.
 
     The connection side is the jet's ``w``, which differentiates the stencil
-    frames' E; the coframe side differentiates their g E itself, so the two
-    sides share frames but no difference.  A jet whose ``w`` has the wrong
-    sign must drive the residual far from zero on any patch with a nonzero
-    connection, which is how tests pin the sign convention.
+    frames' E; the coframe side is the jet's ``dT``, the difference of their
+    g E, so the two sides share frames but no difference.  A jet whose ``w``
+    has the wrong sign must drive the residual far from zero on any patch
+    with a nonzero connection, which is how tests pin the sign convention.
     """
-    frame, stencil, w = jet.frame, jet.stencil, jet.w
+    frame, w = jet.frame, jet.w
     dim = frame.E.shape[-1]
 
     # theta_A(d_a) = g(d_a, e_A) = (g E)_{aA}
     T0 = frame.g @ frame.E
-    dT = stencil_difference(stencil.g @ stencil.E, jet.step, frame.point.ndim - 1)
     # dtheta[A, a, b] = d_a theta_A(d_b) - d_b theta_A(d_a)
-    dtheta = np.moveaxis(dT, -1, -3)
+    dtheta = np.moveaxis(jet.dT, -1, -3)
     dtheta = dtheta - np.swapaxes(dtheta, -1, -2)
     # X[A, a, b] = sum_B theta_B(d_a) omega_{BA}(d_b)
     X = (T0 @ w.reshape(w.shape[:-3] + (dim, dim * dim))).reshape(w.shape)
@@ -176,20 +179,20 @@ def connection_derivative(patch: ManifoldPatch, jet: FrameFieldJet) -> np.ndarra
     ``coordinate_connection``, the second derivatives d_c d_a E cancel:
     d omega(d_c, d_a) = ((d_c Gamma_a - d_a Gamma_c) E + Gamma_a d_c E - Gamma_c d_a E)^T g E
     + P_a^T d_c(g E) - P_c^T d_a(g E).  Every factor is a first difference
-    at the jet's step, of its stencil frames or of the Christoffel symbols
-    at the stencil points (one metric-jet call); no frame is built.
+    at the jet's step: the jet's ``dE`` and ``dT``, and the difference of the
+    Christoffel symbols at the stencil points (one metric-jet call); no
+    frame is built.
     """
-    frame, stencil, step = jet.frame, jet.stencil, jet.step
-    axis = frame.point.ndim - 1
-    dE = stencil_difference(stencil.E, step, axis)
-    dT = stencil_difference(stencil.g @ stencil.E, step, axis)
-    dGamma = stencil_difference(christoffel(patch, stencil.point, stencil.g, step=step), step, axis)
+    frame, stencil, step, dE = jet.frame, jet.stencil, jet.step, jet.dE
+    dGamma = stencil_difference(
+        christoffel(patch, stencil.point, stencil.g, step=step), step, frame.point.ndim - 1
+    )
     P = dE + _gamma_times(jet.Gamma, frame.E)
     # d_c P_a less d_c d_a E, [c, a, :, B]: (d_c Gamma_a) E + Gamma_a d_c E
     Q = _gamma_times(dGamma, frame.E[..., None, :, :]) + _gamma_times(jet.Gamma[..., None, :, :, :], dE)
     # X[c, a, B, A] = d_c w_a less (d_c d_a E)^T g E, which is symmetric in (c, a)
     X = np.swapaxes(Q, -1, -2) @ (frame.g @ frame.E)[..., None, None, :, :]
-    X += np.swapaxes(P, -1, -2)[..., None, :, :, :] @ dT[..., :, None, :, :]
+    X += np.swapaxes(P, -1, -2)[..., None, :, :, :] @ jet.dT[..., :, None, :, :]
     return X - np.swapaxes(X, -4, -3)
 
 

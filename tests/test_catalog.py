@@ -20,8 +20,14 @@ from twistorcheck import (
     resolve,
     theorem_report,
 )
-from twistorcheck.catalog import sample_points, stereographic_point
-from twistorcheck.geometry import patch_residuals, require_interior, validate_patch
+from twistorcheck.catalog import _s6_j, _s6_j_jet, sample_points, stereographic_point
+from twistorcheck.geometry import (
+    patch_residuals,
+    require_interior,
+    stencil_difference,
+    stencil_points,
+    validate_patch,
+)
 
 
 def test_every_entry_satisfies_patch_invariants():
@@ -107,6 +113,36 @@ class TestNearlyKahlerSphere:
         patch = nearly_kahler_s6().patch
         with pytest.raises(ChartOverflow):
             patch.j_field(np.array([0.9, 0.0, 0.0, 0.0, 0.0, 0.0]))
+
+    def test_j_jet_matches_extrapolated_differences_of_j(self):
+        # (4 D(h/2) - D(h)) / 3 of J cancels the h^2 term of the central
+        # difference D(h); at h = 1e-3 what is left is below 1e-10.
+        patch = nearly_kahler_s6().patch
+        u = sample_points(patch, 24, np.random.default_rng(6))
+        assert patch.j_jet is _s6_j_jet
+
+        def difference(h):
+            return stencil_difference(_s6_j(stencil_points(u, h)), h, u.ndim - 1)
+
+        h = 1e-3
+        richardson = (4.0 * difference(h / 2) - difference(h)) / 3.0
+        assert np.abs(_s6_j_jet(u) - richardson).max() <= 1e-10
+
+    def test_j_jet_of_a_batch_is_each_points_jet(self):
+        u = sample_points(nearly_kahler_s6().patch, 12, np.random.default_rng(7)).reshape(3, 4, 6)
+        batch = _s6_j_jet(u)
+        assert batch.shape == (3, 4, 6, 6, 6)
+        for index in np.ndindex(3, 4):
+            assert np.array_equal(batch[index], _s6_j_jet(u[index]))
+
+    def test_j_jet_leaves_the_chart_as_j_does(self):
+        u = np.array([[0.1, 0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.6, 0.0, 0.7, 0.0]])
+        with pytest.raises(ChartOverflow) as field_error:
+            _s6_j(u)
+        with pytest.raises(ChartOverflow) as jet_error:
+            _s6_j_jet(u)
+        assert str(jet_error.value) == str(field_error.value)
+        assert "[0.0, 0.0, 0.6, 0.0, 0.7, 0.0]; point left the chart" in str(jet_error.value)
 
 
 class TestPerturbedTorus:

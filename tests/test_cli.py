@@ -248,20 +248,49 @@ def test_verify_algebra_report_bytes_are_pinned(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_ALGEBRA_SHA256
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["verify-geometry", "--manifold", "nk-s6"],
-        ["scan", "--manifold", "nk-s6", "--grid", "2"],
-        ["report", "--manifold", "nk-s6", "--point", "0.3,0.1,0,0,0,0"],
-    ],
-)
-def test_route_disagreement_is_a_failed_check(capsys, argv):
-    """At a step the flag accepts, the two Nijenhuis routes drift apart: exit 1, one line."""
+ROUTE_ARGV = [
+    ["verify-geometry", "--manifold", "nk-s6"],
+    ["scan", "--manifold", "nk-s6", "--grid", "2"],
+    ["report", "--manifold", "nk-s6", "--point", "0.3,0.1,0,0,0,0"],
+]
+
+
+@pytest.mark.parametrize("argv", ROUTE_ARGV)
+def test_route_disagreement_is_a_failed_check(monkeypatch, capsys, argv):
+    """With J differenced, at a step the flag accepts, the two Nijenhuis
+    routes drift apart: exit 1, one line.  nk-s6 without its J jet differences
+    J as every patch without a jet does."""
+    entry = catalog.resolve("nk-s6")
+    differenced = dataclasses.replace(entry, patch=dataclasses.replace(entry.patch, j_jet=None))
+    monkeypatch.setattr(catalog, "resolve", lambda manifold_id: differenced)
     assert run_cli(argv + ["--fd-step", "5e-3"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
     assert captured.err.startswith("error: CrossPathMismatch: frame components from connection")
+
+
+def test_exact_j_jet_keeps_the_nijenhuis_routes_together(tmp_path):
+    """With nk-s6's closed-form J jet the routes agree at --fd-step 5e-3:
+    scan and report exit 0, and verify-geometry fails only the two checks
+    that difference the frame field (3.05e-4 and 7.7e-6, truncation)."""
+    geometry_argv, scan_argv, report_argv = ROUTE_ARGV
+    out = tmp_path / "out"
+    for argv in (scan_argv, report_argv):
+        assert run_cli(argv + ["--fd-step", "5e-3", "--out", str(out)]) == 0
+    assert run_cli(geometry_argv + ["--fd-step", "5e-3", "--out", str(out)]) == 1
+    checks = json.loads(out.read_text())["checks"]
+    failed = [name for name, slot in checks.items() if not slot["pass"]]
+    assert failed == ["structure_equation", "connection_route_equivalence"]
+    assert checks["nijenhuis_route_equivalence"]["max_residual"] <= 1e-14
+
+
+def test_nk_s6_report_at_the_origin_has_the_constant_norm(tmp_path):
+    """|N|^2 = 384 and margin 0 on the unit round sphere, from the closed-form J jet."""
+    out = tmp_path / "report.json"
+    assert run_cli(["report", "--manifold", "nk-s6", "--point", "0,0,0,0,0,0", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["normN2"] == pytest.approx(384.0, rel=1e-13, abs=0.0)
+    assert abs(doc["margin"]) <= 1e-13
 
 
 @pytest.mark.parametrize("freq", ["1", "100", "100000", "99999999999999999999"])
@@ -562,7 +591,8 @@ def test_geometry_point_evaluates_j_within_budget():
     # building each distinct point of the 12 x 13 d omega block once 121,
     # and d omega from first differences of the stencil frames 25: 1 frame,
     # a 12-point J stencil and 12 stencil frames, each group one batched
-    # call of J.  The budgets are the measured counts.
+    # call of J.  The budgets are those counts; nk-s6's closed-form J jet
+    # then dropped the J stencil, leaving 13 points in 2 calls.
     entry = catalog.resolve("nk-s6")
     j_field = entry.patch.j_field
     calls = points = 0
@@ -609,10 +639,10 @@ def test_geometry_calls_per_chunk_do_not_depend_on_points(monkeypatch):
         assert geometry_checks(counting, points=points, seed=0, rotations=4, fd_step=1e-5)["all_pass"]
         return dict(calls)
 
-    # per chunk: the jet's frame and the connection stencil build frames
-    # (each evaluating g and J once), and the J stencil of the jet
+    # per chunk: the jet's frame and the connection stencil build frames,
+    # each evaluating g and J once; the J jet is closed-form
     one = calls_for(1)
-    assert one == {"frame": 2, "g": 2, "J": 3}
+    assert one == {"frame": 2, "g": 2, "J": 2}
     assert calls_for(4) == calls_for(cli.GEOMETRY_CHUNK) == one
     assert calls_for(cli.GEOMETRY_CHUNK + 1) == {key: 2 * value for key, value in one.items()}
 

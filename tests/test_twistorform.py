@@ -25,11 +25,13 @@ from twistorcheck import (
     phi_matrix,
     phi_via_bundle_formula,
     point_jet,
+    random_unitary_rotation,
+    sample_points,
     sigma_report,
     structure_coefficients,
     theorem_report,
 )
-from twistorcheck.connection import sigma_part
+from twistorcheck.connection import nabla_j_connection, sigma_part
 
 
 def expanded_pfaffian(A):
@@ -303,6 +305,18 @@ class TestTheoremReport:
         assert abs(rep.margin) < 1e-8
         assert not rep.nondegenerate and rep.pfaffian_sign == 0
 
+    def test_nearly_kahler_form_vanishes_to_rounding(self):
+        # With the closed-form J jet the largest |F| on nk-s6 is 8.1e-15 over
+        # 200 seeded points with 4 rotations each (1.9e-10 with J
+        # differenced).  ZERO_FORM_FLOOR stays 1e-8: a patch without a J jet
+        # still differences J.
+        patch = nearly_kahler_s6().patch
+        rng = np.random.default_rng(0)
+        jet = point_jet(patch, sample_points(patch, 200, rng))
+        jet = jet.rotated(random_unitary_rotation(3, rng, (4, 200)))
+        F = phi_matrix(*alpha_beta(nabla_j_connection(jet)))
+        assert np.abs(F).max() <= 1e-13
+
     def test_torus_inside_threshold(self):
         point = np.array([0.4, 0.1, -0.3, 0.2, 0.05, -0.1])
         rep = theorem_report(point_jet(perturbed_torus(eps=0.05).patch, point))
@@ -329,8 +343,9 @@ class TestTheoremReport:
     def test_one_frame_and_one_j_stencil_per_point(self, monkeypatch):
         # Differentiating the Gram-Schmidt frame field built 13 frames and
         # evaluated J 39 times; the point jet needs one frame, which
-        # evaluates g and J once, and one call of J on its 2 dim stencil.
-        # The Christoffel symbols reuse the frame's g (nk-s6 has a metric jet).
+        # evaluates g and J once, and one call of J on its 2 dim stencil
+        # (none since nk-s6 has a closed-form J jet).  The Christoffel
+        # symbols reuse the frame's g (nk-s6 has a metric jet).
         from twistorcheck import connection, geometry, nijenhuis, twistorform
 
         patch = nearly_kahler_s6().patch
