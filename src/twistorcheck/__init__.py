@@ -49,7 +49,6 @@ from .nijenhuis import (
     nijenhuis_tensor,
     norm_from_coefficients,
     route_gap,
-    symmetry_residuals,
 )
 from .twistorform import (
     ChainChecks,
@@ -74,14 +73,12 @@ from .algebra import (
     check_case2_identities,
     check_identity_c1,
     check_wedge_identity,
-    d_from_c,
     run_algebra_sweep,
     skew_decompose,
 )
 from .catalog import (
     CatalogEntry,
     conformal_hermitian,
-    cross7,
     default_entries,
     flat_kahler,
     grid_points,

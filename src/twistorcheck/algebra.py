@@ -158,11 +158,6 @@ def _flatten_cube(c: tuple) -> tuple:
     return tuple(chain.from_iterable(chain.from_iterable(c)))
 
 
-def _nest_cube(flat: tuple, n: int) -> tuple:
-    rows = [flat[start:start + n] for start in range(0, n**3, n)]
-    return tuple(tuple(rows[start:start + n]) for start in range(0, n * n, n))
-
-
 @dataclass(frozen=True)
 class RationalCTensor:
     """Free algebraic model of the C / C' coefficient tensors.
@@ -213,11 +208,6 @@ class RationalCTensor:
             c = _flatten_cube(cube)
             cubes.append((name, c, tuple(map(sub, c, jik(c)))))
         return tuple(cubes)
-
-
-def d_from_c(t: RationalCTensor) -> tuple:
-    """Exact d_ijk = C_ijk - C_jik and its primed companion."""
-    return tuple(_nest_cube(d, t.n) for _, _, d in t._cubes)
 
 
 def check_identity_c1(t: RationalCTensor) -> CheckResult:

@@ -48,11 +48,6 @@ def _cross_structure_constants() -> np.ndarray:
 _CROSS_F = _cross_structure_constants()
 
 
-def cross7(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Seven-dimensional cross product of imaginary octonions (batched over leading axes)."""
-    return (_cross_operator(x) @ np.asarray(y, dtype=float)[..., None])[..., 0]
-
-
 def _cross_operator(p: np.ndarray) -> np.ndarray:
     """Matrices of X -> p x X, L[..., k, j] = sum_i f_ijk p_i."""
     p = np.asarray(p, dtype=float)

@@ -38,8 +38,8 @@ SCAN_CHUNK = 256
 # Sample points checked per batch by ``verify-geometry``, with all their
 # rotations: a module constant, not a flag.  Traced peak memory (tracemalloc,
 # second call after a warm-up, nk-s6, 4 rotations) grows by about 0.15 MiB
-# per point of a chunk (2.45 MiB at 16, 9.76 MiB at 64), while 64 points
-# would save only about a quarter of the time per point on nk-s6.
+# per point of a chunk (2.46 MiB at 16, 9.80 MiB at 64), while 64 points
+# would save only about a tenth of the time per point on nk-s6.
 GEOMETRY_CHUNK = 16
 
 # The report columns of ``scan``, after the grid coordinates u1 ... u{2n}.
@@ -109,9 +109,9 @@ def _parse_point(text: str, dim: int) -> np.ndarray:
 
 
 def report_payload(entry: catalog.CatalogEntry, point: np.ndarray, fd_step: float, tol: float) -> dict:
-    jet = point_jet(entry.patch, point, fd_step)
-    rep = theorem_report(jet, tol=tol)
-    structure = structure_equation_residual(frame_field_jet(entry.patch, jet))
+    frames = frame_field_jet(entry.patch, point, fd_step)
+    rep = theorem_report(frames.jet, tol=tol)
+    structure = structure_equation_residual(frames)
     return {
         "manifold": entry.id,
         "point": [float(x) for x in point],
@@ -245,16 +245,15 @@ def geometry_checks(entry: catalog.CatalogEntry, points: int, seed: int, rotatio
     residuals = {name: [] for name in GEOMETRY_TOLERANCES}
     for start in range(0, points, GEOMETRY_CHUNK):
         u = samples[start : start + GEOMETRY_CHUNK]
-        jet = point_jet(patch, u, fd_step)
-        # The frame-differentiated connection at the jet's step: the full
-        # omega that the structure equation, curvature and Chern read, and
-        # the independent route to the report's sigma.
-        frames = frame_field_jet(patch, jet)
+        # One batch of frames: the point jet, and the frame-differentiated
+        # omega at its step that the structure equation, curvature and Chern
+        # read, the independent route to the report's sigma.
+        frames = frame_field_jet(patch, u, fd_step)
         # (1 + rotations, points, 2n, 2n): the identity, then each point's
         # rotations, so row 0 of every report quantity is the jet's own frame.
         drawn = np.swapaxes(random_unitary_rotation(patch.n, rng, (len(u), rotations)), 0, 1)
         U = np.concatenate([np.broadcast_to(np.eye(patch.dim), (1,) + drawn.shape[1:]), drawn])
-        rotated = jet.rotated(U)
+        rotated = frames.jet.rotated(U)
         rep = theorem_report(rotated)
         # The rotated frame field is E U with U constant, so its slices are U^T w U.
         slices = np.moveaxis(frames.w, -1, -3)
@@ -364,7 +363,9 @@ SHARED_FLAGS = {
     "--manifold": dict(required=True,
                        help="catalog id: flat:<n>, conformal4, nk-s6, torus:eps=<r>,freq=<k>"),
     "--fd-step": dict(type=FD_STEP, default=DEFAULT_FD_STEP,
-                      help="finite difference step in (1e-8, 1e-2) (default 1e-5)"),
+                      help="step of the frame route's central differences, and of the nabla J "
+                      "and metric stencils only on a patch without jets; in (1e-8, 1e-2) "
+                      "(default 1e-5)"),
     "--tol": dict(type=TOLERANCE, default=1e-6,
                   help="tolerance for the inequality chain, finite and > 0 (default 1e-6)"),
     "--seed": dict(type=NON_NEGATIVE, default=0,
@@ -379,11 +380,12 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _add_common(sub: argparse.ArgumentParser, *flags: str) -> None:
-    """Add the named ``SHARED_FLAGS`` and the --out and --config flags to a subcommand."""
+def _add_common(sub: argparse.ArgumentParser, *flags: str, **help_of: str) -> None:
+    """Add the named ``SHARED_FLAGS``, with ``help_of[dest]`` as a flag's own help, and --out and --config."""
     sub.set_defaults(_parser=sub)  # lets config keys be checked against this subcommand's flags
     for flag in flags:
-        sub.add_argument(flag, **SHARED_FLAGS[flag])
+        spec = SHARED_FLAGS[flag]
+        sub.add_argument(flag, **dict(spec, help=help_of.get(flag[2:].replace("-", "_"), spec["help"])))
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
     sub.add_argument("--config", default=None,
                      help="JSON file with flag values; explicit flags win")
@@ -404,7 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("scan", help="grid scan with per-point rows and a summary")
-    _add_common(p, "--manifold", "--fd-step", "--tol")
+    _add_common(p, "--manifold", "--fd-step", "--tol",
+                fd_step="step of the nabla J and metric stencils on a patch without jets, in "
+                "(1e-8, 1e-2) (default 1e-5); every catalog entry has both jets, so there it "
+                "moves no output")
     p.add_argument("--seed", type=NON_NEGATIVE, default=0,
                    help="accepted if >= 0 and ignored: the grid scan draws no random numbers")
     p.add_argument("--grid", type=AT_LEAST_ONE, default=3, help="points per axis, >= 1 (default 3)")

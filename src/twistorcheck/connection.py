@@ -12,19 +12,22 @@ R_{AB} = theta_A ^ theta_B.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .geometry import (
+    DEFAULT_FD_STEP,
     AdaptedFrame,
     ManifoldPatch,
     PointJet,
+    _jet_of_frame,
     _readonly,
+    adapt_frame,
     christoffel,
-    evaluate_frame_field,
     j0_matrix,
     require_interior,
+    require_pivots,
     stencil_difference,
     stencil_points,
 )
@@ -58,39 +61,65 @@ def coordinate_connection(g: np.ndarray, E: np.ndarray, dE: np.ndarray, Gamma: n
 
 @dataclass(frozen=True)
 class FrameFieldJet:
-    """The adapted frame field through a point jet's frame, differentiated once at its points.
+    """The adapted frame field at a batch of points, differentiated once.
 
-    ``stencil`` holds the frames of that field at ``stencil_points(point,
-    step)``, one batched call, with the g and J they were built from; ``dE``
-    and ``dT`` are the first differences of their E and of the coframe
-    components g E, formed once; ``w`` is ``coordinate_connection`` from
-    them and the jet's Christoffel symbols ``Gamma``, and ``step`` is the
-    jet's.  The structure equation, curvature and the Chern identity all
-    read this one object; build it with ``frame_field_jet``.
+    ``jet`` is the point jet there (``frame``, ``Gamma`` and ``step`` read
+    it); ``stencil`` holds the frames of the same field at
+    ``stencil_points(point, step)``, with the g and J they were built from;
+    ``dE`` and ``dT`` are the first differences of their E and of the
+    coframe components g E, formed once; ``w`` is ``coordinate_connection``
+    from them and the jet's Christoffel symbols.  The structure equation,
+    curvature and the Chern identity all read this one object; build it
+    with ``frame_field_jet``.
     """
 
-    frame: AdaptedFrame
+    jet: PointJet
     stencil: AdaptedFrame
     dE: np.ndarray
     dT: np.ndarray
     w: np.ndarray
-    Gamma: np.ndarray
-    step: float
 
     def __post_init__(self):
-        for name in ("dE", "dT", "w", "Gamma"):
+        for name in ("dE", "dT", "w"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
 
+    @property
+    def frame(self) -> AdaptedFrame:
+        return self.jet.frame
 
-def frame_field_jet(patch: ManifoldPatch, jet: PointJet) -> FrameFieldJet:
-    """Differentiate the frame field through ``jet.frame`` (same pivots and rotation) at ``jet.step``."""
-    frame, step = jet.frame, jet.step
-    u = require_interior(patch, frame.point, margin=step)
-    stencil = evaluate_frame_field(patch, frame, stencil_points(u, step))
+    @property
+    def Gamma(self) -> np.ndarray:
+        return self.jet.Gamma
+
+    @property
+    def step(self) -> float:
+        return self.jet.step
+
+
+def _frames_at(frames: AdaptedFrame, at: tuple) -> AdaptedFrame:
+    """The frames at the batch index ``at``."""
+    return replace(frames, **{name: getattr(frames, name)[at] for name in ("point", "E", "g", "J", "pivots")})
+
+
+def frame_field_jet(patch: ManifoldPatch, point: np.ndarray, step: float = DEFAULT_FD_STEP) -> FrameFieldJet:
+    """Build the point jet at ``point`` (..., 2n) and differentiate its frame field at ``step``.
+
+    Each point and its ``stencil_points`` form one (..., 1 + 2 dim, dim)
+    stack, and one ``adapt_frame`` call builds every frame; the stencil
+    frames must keep their point's pivot sequence.  A point's values do not
+    depend on its batch, so ``.jet`` is bitwise ``point_jet(patch, point,
+    step)``.
+    """
+    u = require_interior(patch, point, margin=2.0 * step)
+    frames = adapt_frame(patch, np.concatenate([u[..., None, :], stencil_points(u, step)], axis=-2))
+    lead = (slice(None),) * (u.ndim - 1)
+    frame, stencil = _frames_at(frames, lead + (0,)), _frames_at(frames, lead + (slice(1, None),))
+    jet = _jet_of_frame(patch, frame, step)
+    require_pivots(stencil, frame.pivots[..., None, :])
     dE = stencil_difference(stencil.E, step, u.ndim - 1)
     dT = stencil_difference(stencil.g @ stencil.E, step, u.ndim - 1)
     w = coordinate_connection(frame.g, frame.E, dE, jet.Gamma)
-    return FrameFieldJet(frame=frame, stencil=stencil, dE=dE, dT=dT, w=w, Gamma=jet.Gamma, step=step)
+    return FrameFieldJet(jet=jet, stencil=stencil, dE=dE, dT=dT, w=w)
 
 
 def connection_coefficients(jet: FrameFieldJet) -> np.ndarray:

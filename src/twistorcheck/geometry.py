@@ -183,11 +183,6 @@ def _field_residuals(g: np.ndarray, J: np.ndarray) -> dict:
     }
 
 
-def patch_residuals(patch: ManifoldPatch, point: np.ndarray) -> dict:
-    """Max-norm residuals of the pointwise patch invariants at each point."""
-    return _field_residuals(field_value(patch, point, "metric"), field_value(patch, point, "j"))
-
-
 def validate_patch(patch: ManifoldPatch, point: np.ndarray) -> tuple:
     """Raise IncompatibleStructure unless, at every point, g is symmetric
     positive definite, J^2 = -Id and J^T g J = g.
@@ -377,17 +372,24 @@ def evaluate_frame_field(patch: ManifoldPatch, frame: AdaptedFrame, point: np.nd
         a = _widen(a, frame.E.shape[:-2], rank)
         return a.reshape(a.shape[:-rank] + (1,) * extra + a.shape[-rank:])
 
-    reference = np.broadcast_to(across_extra(frame.pivots, 1), moved.pivots.shape)
+    require_pivots(moved, across_extra(frame.pivots, 1))
+    if frame.rotation is None:
+        return moved
+    rotation = across_extra(frame.rotation, 2)
+    return replace(moved, E=moved.E @ rotation, rotation=rotation)
+
+
+def require_pivots(moved: AdaptedFrame, reference: np.ndarray) -> None:
+    """Raise FrameDiscontinuity at the first of the ``moved`` frames whose
+    pivot sequence differs from ``reference``, which broadcasts against them.
+    """
+    reference = np.broadcast_to(reference, moved.pivots.shape)
     changed = first_index(np.any(moved.pivots != reference, axis=-1))
     if changed is not None:
         raise FrameDiscontinuity(
             f"pivot sequence changed from {tuple(reference[changed].tolist())} to "
             f"{tuple(moved.pivots[changed].tolist())} at {moved.point[changed].tolist()}"
         )
-    if frame.rotation is None:
-        return moved
-    rotation = across_extra(frame.rotation, 2)
-    return replace(moved, E=moved.E @ rotation, rotation=rotation)
 
 
 def stencil_points(u: np.ndarray, h: float) -> np.ndarray:
@@ -447,8 +449,11 @@ def christoffel(
     """
     u = require_interior(patch, point, margin=step)
     g = np.asarray(g, dtype=float)
-    cond = np.linalg.cond(g)
-    bad = first_index(cond > METRIC_COND_LIMIT)
+    # cond_2 of a symmetric g is max |lambda| / min |lambda|: compared without a
+    # division, and written so that a singular or NaN metric fails the gate
+    lam = np.abs(np.linalg.eigvalsh(g))
+    low, high = lam.min(axis=-1), lam.max(axis=-1)
+    bad = first_index(~((low > 0.0) & (high <= METRIC_COND_LIMIT * low)))
     if bad is not None:
         raise SingularMetric(f"metric condition number exceeds {METRIC_COND_LIMIT:g} at {u[bad].tolist()}")
     gi = np.linalg.inv(g)
@@ -465,9 +470,9 @@ def christoffel(
 class PointJet:
     """What the certificate at a batch of points reads: adapted frames, with
     the g and J they were built from, the J jet dJ[..., c, a, b] = d_c J^a_b
-    and the Christoffel symbols Gamma[..., c, a, b] = Gamma^c_{ab}; ``step`` is
-    their difference step where the patch has no analytic jet, and the step
-    at which ``frame_field_jet`` differentiates the frame field.
+    and the Christoffel symbols Gamma[..., c, a, b] = Gamma^c_{ab}; ``step``
+    is the step of the frame route (``frame_field_jet``), and of the J and
+    metric stencils only where the patch lacks that jet.
     """
 
     frame: AdaptedFrame
@@ -493,22 +498,21 @@ class PointJet:
         return replace(self, frame=frame, dJ=_widen(self.dJ, batch, 3), Gamma=_widen(self.Gamma, batch, 3))
 
 
+def _jet_of_frame(patch: ManifoldPatch, frame: AdaptedFrame, step: float) -> PointJet:
+    """The point jet of ``frame``: the J jet and the Christoffel symbols (from the frame's g) at its points."""
+    dJ = field_derivative(patch, frame.point, which="j", step=step)
+    return PointJet(frame=frame, dJ=dJ, Gamma=christoffel(patch, frame.point, frame.g, step=step), step=step)
+
+
 def point_jet(patch: ManifoldPatch, point: np.ndarray, step: float = DEFAULT_FD_STEP) -> PointJet:
     """Evaluate the fields and their first derivatives at the points, once.
 
     ``point`` is one point (2n,) or a batch (..., 2n).  The frame validates g
-    and J, ``step`` (kept on the jet) is the stencil of the J jet, of the
-    metric derivatives and of ``frame_field_jet``, and every point must lie
-    2 step inside the patch.
+    and J, ``step`` is kept on the jet (see ``PointJet``), and every point
+    must lie 2 step inside the patch.
     """
     u = require_interior(patch, point, margin=2.0 * step)
-    frame = adapt_frame(patch, u)
-    return PointJet(
-        frame=frame,
-        dJ=field_derivative(patch, u, which="j", step=step),
-        Gamma=christoffel(patch, u, frame.g, step=step),
-        step=step,
-    )
+    return _jet_of_frame(patch, adapt_frame(patch, u), step)
 
 
 def random_unitary_rotation(n: int, rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:

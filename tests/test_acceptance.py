@@ -33,12 +33,25 @@ from twistorcheck import (
     random_unitary_rotation,
     run_algebra_sweep,
     structure_equation_residual,
-    symmetry_residuals,
     theorem_report,
 )
 from twistorcheck.catalog import sample_points
 from twistorcheck.connection import curvature_forms, round_sphere_curvature_residual, sigma_part
 from twistorcheck.twistorform import chern_identity_residual
+
+
+def symmetry_residuals(N, J):
+    """Max-norm residuals of N(Y,X) = -N(X,Y) and N(JX,Y) = -J N(X,Y) = N(X,JY)
+    for coordinate components N[..., c, a, b] and the field J at the same points."""
+    dim = J.shape[-1]
+    axes = (-3, -2, -1)
+    # jn[c, a, b] = J^c_e N^e_{ab}
+    jn = (J @ N.reshape(N.shape[:-3] + (dim, dim * dim))).reshape(N.shape)
+    return {
+        "antisymmetry": np.abs(N + np.swapaxes(N, -1, -2)).max(axis=axes),
+        "j_first_slot": np.abs(np.swapaxes(J, -1, -2)[..., None, :, :] @ N + jn).max(axis=axes),
+        "j_second_slot": np.abs(N @ J[..., None, :, :] + jn).max(axis=axes),
+    }
 
 
 class Criterion:
@@ -79,7 +92,7 @@ def test_criterion_1_flat_kahler():
             c.check(abs(rep.normN2) <= 1e-10, f"n={n}: |N|^2 = {rep.normN2:.3e}")
             c.check(abs(rep.margin - 1.0) <= 1e-9, f"n={n}: margin = {rep.margin!r}")
             F = phi_matrix(
-                *alpha_beta(connection_coefficients(frame_field_jet(patch, point_jet(patch, origin))))
+                *alpha_beta(connection_coefficients(frame_field_jet(patch, origin)))
             )
             dev = np.abs(F + j0_matrix(n)).max()
             c.check(dev <= 1e-10, f"n={n}: max |F + J0| = {dev:.3e}")
@@ -113,7 +126,7 @@ def test_criterion_3_route_equivalence():
                 worst_n = max(worst_n, rep.n_route_mismatch)
                 worst_phi = max(worst_phi, rep.phi_formula_mismatch)
                 # sigma from nabla J against the frame-differentiated connection
-                full = sigma_part(connection_coefficients(frame_field_jet(entry.patch, jet)))
+                full = sigma_part(connection_coefficients(frame_field_jet(entry.patch, point)))
                 worst_sigma = max(worst_sigma, float(np.abs(full - rep.sigma).max()))
             c.check(worst_n < 1e-6, f"{entry.id}: |N|^2 route mismatch {worst_n:.3e}")
             c.check(worst_phi < 1e-10, f"{entry.id}: phi formula mismatch {worst_phi:.3e}")
@@ -148,8 +161,8 @@ def test_criterion_5_round_sphere_corollary_machinery():
         worst_chern = 0.0
         curvatures = []
         for point in points:
-            jet = point_jet(patch, point)
-            frames = frame_field_jet(patch, jet)
+            frames = frame_field_jet(patch, point)
+            jet = frames.jet
             dw = connection_derivative(patch, frames)
             worst_structure = max(worst_structure, structure_equation_residual(frames))
             worst_chern = max(worst_chern, chern_identity_residual(patch, frames, dw))
@@ -242,7 +255,7 @@ def test_criterion_8_negative_controls():
 
         # flipped connection sign: the first structure equation must reject it
         conformal = conformal_hermitian().patch
-        frames = frame_field_jet(conformal, point_jet(conformal, np.array([1.3, 0.9, 1.1, 1.7])))
+        frames = frame_field_jet(conformal, np.array([1.3, 0.9, 1.1, 1.7]))
         flipped = structure_equation_residual(dataclasses.replace(frames, w=-frames.w))
         c.check(flipped > 1e-3, f"sign-flipped structure residual only {flipped:.3e}")
 
@@ -251,7 +264,7 @@ def test_criterion_8_negative_controls():
         u = np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])
         jet = point_jet(s6, u)
         sigma = theorem_report(jet).sigma
-        full = sigma_part(connection_coefficients(frame_field_jet(s6, jet)))
+        full = sigma_part(connection_coefficients(frame_field_jet(s6, u)))
         gap = float(np.abs(full + sigma).max())
         c.check(gap > 1e-3, f"sign-flipped sigma route mismatch only {gap:.3e}")
 

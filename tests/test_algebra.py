@@ -16,7 +16,6 @@ from twistorcheck import (
     check_case2_identities,
     check_identity_c1,
     check_wedge_identity,
-    d_from_c,
     run_algebra_sweep,
     skew_decompose,
 )
@@ -36,6 +35,15 @@ def random_sigma_matrix(n, rng):
     """Random skew matrix anticommuting with J0 (the sigma part of a random skew)."""
     _, sigma = skew_decompose(RationalSkewMatrix.random(n, rng))
     return sigma
+
+
+def d_from_c(t):
+    """Exact d_ijk = C_ijk - C_jik and its primed companion, as nested tuples."""
+    n = t.n
+    return tuple(
+        tuple(tuple(tuple(c[i][j][k] - c[j][i][k] for k in range(n)) for j in range(n)) for i in range(n))
+        for c in (t.C, t.Cp)
+    )
 
 
 def tensor_from_entries(n, c_entries, cp_entries=()):

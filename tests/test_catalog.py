@@ -7,7 +7,6 @@ from twistorcheck import (
     ChartOverflow,
     conformal_hermitian,
     connection_coefficients,
-    cross7,
     default_entries,
     flat_kahler,
     frame_field_jet,
@@ -20,14 +19,25 @@ from twistorcheck import (
     resolve,
     theorem_report,
 )
-from twistorcheck.catalog import _s6_j, _s6_j_jet, sample_points, stereographic_point
+from twistorcheck.catalog import _CROSS_F, _s6_j, _s6_j_jet, sample_points, stereographic_point
 from twistorcheck.geometry import (
-    patch_residuals,
+    _field_residuals,
+    field_value,
     require_interior,
     stencil_difference,
     stencil_points,
     validate_patch,
 )
+
+
+def patch_residuals(patch, point):
+    """Max-norm residuals of the pointwise patch invariants at each point."""
+    return _field_residuals(field_value(patch, point, "metric"), field_value(patch, point, "j"))
+
+
+def cross7(x, y):
+    """Seven-dimensional cross product of imaginary octonions, from the catalog's structure constants."""
+    return np.einsum("ijk,i,j->k", _CROSS_F, x, y)
 
 
 def test_every_entry_satisfies_patch_invariants():
@@ -71,7 +81,7 @@ class TestConformal:
     def test_connection_genuinely_nonzero(self):
         entry = conformal_hermitian()
         point = np.array([1.3, 0.9, 1.1, 1.7])
-        table = connection_coefficients(frame_field_jet(entry.patch, point_jet(entry.patch, point)))
+        table = connection_coefficients(frame_field_jet(entry.patch, point))
         assert np.abs(table).max() > 0.1
 
 

@@ -27,13 +27,12 @@ def run_cli(args):
 
 def structure_at(patch, u, step):
     """The structure residual at one point, from that point's own frame-field jet."""
-    return structure_equation_residual(frame_field_jet(patch, point_jet(patch, u, step)))
+    return structure_equation_residual(frame_field_jet(patch, u, step))
 
 
 def round_sphere_at(patch, u, step):
     """(curvature, Chern) residuals at one point, from its own jets and d omega."""
-    jet = point_jet(patch, u, step)
-    frames = frame_field_jet(patch, jet)
+    frames = frame_field_jet(patch, u, step)
     dw = connection_derivative(patch, frames)
     return (
         round_sphere_curvature_residual(curvature_forms(frames, dw)),
@@ -591,8 +590,10 @@ def test_geometry_point_evaluates_j_within_budget():
     # building each distinct point of the 12 x 13 d omega block once 121,
     # and d omega from first differences of the stencil frames 25: 1 frame,
     # a 12-point J stencil and 12 stencil frames, each group one batched
-    # call of J.  The budgets are those counts; nk-s6's closed-form J jet
-    # then dropped the J stencil, leaving 13 points in 2 calls.
+    # call of J.  nk-s6's closed-form J jet then dropped the J stencil,
+    # leaving 13 points in 2 calls, and building the point's frame and its
+    # 12 stencil frames in one batch leaves 13 points in 1 call.  The
+    # budgets are those counts.
     entry = catalog.resolve("nk-s6")
     j_field = entry.patch.j_field
     calls = points = 0
@@ -605,15 +606,14 @@ def test_geometry_point_evaluates_j_within_budget():
 
     counted = dataclasses.replace(entry, patch=dataclasses.replace(entry.patch, j_field=counting))
     assert geometry_checks(counted, points=1, seed=0, rotations=4, fd_step=1e-5)["all_pass"]
-    assert calls <= 3
-    assert points <= 25
+    assert calls <= 1
+    assert points <= 13
 
 
-def test_geometry_calls_per_chunk_do_not_depend_on_points(monkeypatch):
-    """A chunk of points costs a fixed number of field and frame calls, however many points it holds."""
-    from twistorcheck import geometry
+def counting_calls(monkeypatch, entry):
+    """A copy of ``entry`` whose g and J calls, and every adapt_frame call, count into the returned dict."""
+    from twistorcheck import connection, geometry
 
-    entry = catalog.resolve("nk-s6")
     patch = entry.patch
     calls = {"frame": 0, "g": 0, "J": 0}
     original = geometry.adapt_frame
@@ -622,7 +622,8 @@ def test_geometry_calls_per_chunk_do_not_depend_on_points(monkeypatch):
         calls["frame"] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(geometry, "adapt_frame", counting_frame)
+    for module in (geometry, connection):
+        monkeypatch.setattr(module, "adapt_frame", counting_frame)
 
     def counted(key, field):
         def call(u):
@@ -633,18 +634,34 @@ def test_geometry_calls_per_chunk_do_not_depend_on_points(monkeypatch):
     counting = dataclasses.replace(entry, patch=dataclasses.replace(
         patch, metric_field=counted("g", patch.metric_field), j_field=counted("J", patch.j_field)
     ))
+    return counting, calls
+
+
+def test_geometry_calls_per_chunk_do_not_depend_on_points(monkeypatch):
+    """A chunk of points costs a fixed number of field and frame calls, however many points it holds."""
+    counting, calls = counting_calls(monkeypatch, catalog.resolve("nk-s6"))
 
     def calls_for(points):
         calls.update(frame=0, g=0, J=0)
         assert geometry_checks(counting, points=points, seed=0, rotations=4, fd_step=1e-5)["all_pass"]
         return dict(calls)
 
-    # per chunk: the jet's frame and the connection stencil build frames,
-    # each evaluating g and J once; the J jet is closed-form
+    # per chunk: one batch of frames for the points and their stencils,
+    # evaluating g and J once; the J jet is closed-form
     one = calls_for(1)
-    assert one == {"frame": 2, "g": 2, "J": 2}
+    assert one == {"frame": 1, "g": 1, "J": 1}
     assert calls_for(4) == calls_for(cli.GEOMETRY_CHUNK) == one
     assert calls_for(cli.GEOMETRY_CHUNK + 1) == {key: 2 * value for key, value in one.items()}
+
+
+@pytest.mark.parametrize("manifold", ["nk-s6", "conformal4"])
+def test_report_builds_one_batch_of_frames(monkeypatch, tmp_path, manifold):
+    """A report builds the point's frame and its stencil frames in one
+    adapt_frame call, which evaluates g and J once."""
+    counting, calls = counting_calls(monkeypatch, catalog.resolve(manifold))
+    monkeypatch.setattr(catalog, "resolve", lambda manifold_id: counting)
+    assert run_cli(["report", "--manifold", manifold, "--out", str(tmp_path / "report.json")]) == 0
+    assert calls == {"frame": 1, "g": 1, "J": 1}
 
 
 @pytest.mark.parametrize("rotations", [0, 4])
@@ -682,7 +699,7 @@ def _geometry_reference(entry, points, seed, rotations, fd_step):
     for u in catalog.sample_points(patch, points, rng):
         jet = point_jet(patch, u, fd_step)
         frame = jet.frame
-        frames = frame_field_jet(patch, jet)
+        frames = frame_field_jet(patch, u, fd_step)
         w = frames.w
         base = theorem_report(jet)
         bump("structure_equation", structure_equation_residual(frames))

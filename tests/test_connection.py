@@ -19,6 +19,7 @@ from twistorcheck import (
     nearly_kahler_s6,
     point_jet,
     random_unitary_rotation,
+    rotate_frame,
     structure_equation_residual,
 )
 from twistorcheck.catalog import sample_points
@@ -40,12 +41,32 @@ CONFORMAL_POINT = np.array([1.3, 0.9, 1.1, 1.7])
 
 
 def field_jet(patch, point):
-    """The frame-field jet of the point jet at ``point``."""
-    return frame_field_jet(patch, point_jet(patch, point))
+    """The frame-field jet at ``point``."""
+    return frame_field_jet(patch, point)
 
 
-def table_at(patch, jet):
-    return connection_coefficients(frame_field_jet(patch, jet))
+def table_at(patch, point):
+    return connection_coefficients(frame_field_jet(patch, point))
+
+
+def rotated_table(table, U):
+    """The connection table of the frame E U for a constant U(n) element U: a
+    tensor in all three slots."""
+    return np.einsum("abc,aA,bB,cC->ABC", table, U, U, U)
+
+
+def counting_frames(monkeypatch, calls):
+    """Count adapt_frame calls in ``calls["frame"]``, from every module that imports it."""
+    from twistorcheck import connection, geometry
+
+    original = geometry.adapt_frame
+
+    def counting_frame(*args, **kwargs):
+        calls["frame"] += 1
+        return original(*args, **kwargs)
+
+    for module in (geometry, connection):
+        monkeypatch.setattr(module, "adapt_frame", counting_frame)
 
 
 def structure_residual(patch, point):
@@ -65,12 +86,12 @@ def curvature_at(patch, point):
 
 def test_flat_connection_vanishes():
     patch = flat_kahler(3).patch
-    assert np.abs(table_at(patch, point_jet(patch, np.zeros(6)))).max() == 0.0
+    assert np.abs(table_at(patch, np.zeros(6))).max() == 0.0
 
 
 def test_conformal_antisymmetry_and_magnitude():
     patch = conformal_hermitian().patch
-    omega = table_at(patch, point_jet(patch, CONFORMAL_POINT))
+    omega = table_at(patch, CONFORMAL_POINT)
     assert np.abs(omega + omega.transpose(1, 0, 2)).max() < 1e-9
     assert np.abs(omega).max() > 0.1  # guards against a degenerate test
 
@@ -154,7 +175,7 @@ def test_connection_encodes_nabla_j():
         def bracket(om):
             return np.einsum("xz,zyC->Cxy", J0, om) - np.einsum("xzC,zy->Cxy", om, J0)
 
-        om = table_at(patch, jet)
+        om = table_at(patch, point)
         sigma = nabla_j_connection(jet)
         assert np.abs(bracket(om) - bracket(sigma)).max() < 1e-8
 
@@ -164,9 +185,9 @@ def test_nabla_j_route_matches_sigma_part_on_catalog():
     for entry in default_entries():
         patch = entry.patch
         for point in sample_points(patch, 2, rng):
-            jet = point_jet(patch, point)
-            for rotated in (jet, jet.rotated(random_unitary_rotation(patch.n, rng))):
-                full = table_at(patch, rotated)
+            jet, table = point_jet(patch, point), table_at(patch, point)
+            U = random_unitary_rotation(patch.n, rng)
+            for rotated, full in ((jet, table), (jet.rotated(U), rotated_table(table, U))):
                 sigma = nabla_j_connection(rotated)
                 gap = np.abs(sigma_part(full) - sigma).max()
                 assert gap < 1e-8, f"{entry.id}: sigma routes differ by {gap:.3e}"
@@ -178,7 +199,7 @@ def test_nabla_j_route_rejects_flipped_sigma():
     patch = conformal_hermitian().patch
     jet = point_jet(patch, CONFORMAL_POINT)
     sigma = nabla_j_connection(jet)
-    reference = sigma_part(table_at(patch, jet))
+    reference = sigma_part(table_at(patch, CONFORMAL_POINT))
     assert np.abs(reference + sigma).max() > 1e-3
 
 
@@ -192,7 +213,7 @@ def test_nearly_kahler_connection_carries_the_torsion():
     # K_C = -2 sigma_C J0 with J0 orthogonal, so |nabla J|^2 = 4 |sigma|^2.
     sigma = nabla_j_connection(jet)
     assert abs(4.0 * float((sigma**2).sum()) - 24.0) < 1e-6
-    assert np.abs(table_at(patch, jet)).max() > 0.5
+    assert np.abs(table_at(patch, np.zeros(6))).max() > 0.5
 
 
 def test_frame_discontinuity_guard():
@@ -205,26 +226,18 @@ def test_frame_discontinuity_guard():
 
 def test_structure_equation_shares_the_stencil_frames(monkeypatch):
     # The connection differentiates the stencil frames' E and the coframe
-    # their g E: one batched frame call on the 2 dim stencil, whose g and J
-    # are the only field values the residual evaluates.
-    from twistorcheck import geometry
-
+    # their g E: one batched frame call on the point and its 2 dim stencil,
+    # whose g and J are the only field values the residual evaluates, and
+    # one metric jet for the point jet's Christoffel symbols.
     patch = nearly_kahler_s6().patch
     u = np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])
-    base = point_jet(patch, u)
-    jet = frame_field_jet(patch, base)
+    jet = frame_field_jet(patch, u)
     assert jet.stencil.E.shape == (12, 6, 6)
-    assert np.array_equal(jet.w, frame_field_jet(patch, base).w)
+    assert np.array_equal(jet.w, frame_field_jet(patch, u).w)
     expected = structure_equation_residual(jet)
 
     calls = {"frame": 0, "g": 0, "J": 0, "dg": 0}
-    original = geometry.adapt_frame
-
-    def counting_frame(*args, **kwargs):
-        calls["frame"] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(geometry, "adapt_frame", counting_frame)
+    counting_frames(monkeypatch, calls)
 
     def counted(key, field):
         def call(v):
@@ -238,9 +251,47 @@ def test_structure_equation_shares_the_stencil_frames(monkeypatch):
         j_field=counted("J", patch.j_field),
         metric_jet=counted("dg", patch.metric_jet),
     )
-    assert structure_equation_residual(frame_field_jet(counting, base)) == expected
-    # the Christoffel symbols are the point jet's: no metric jet is evaluated
-    assert calls == {"frame": 1, "g": 1, "J": 1, "dg": 0}
+    assert structure_equation_residual(frame_field_jet(counting, u)) == expected
+    assert calls == {"frame": 1, "g": 1, "J": 1, "dg": 1}
+
+
+def two_call_build(patch, point, step):
+    """The frame-field jet as two frame calls: the point jet's frames, then
+    the frame field through them at the stencil points."""
+    jet = point_jet(patch, point, step)
+    stencil = evaluate_frame_field(patch, jet.frame, stencil_points(jet.frame.point, step))
+    axis = jet.frame.point.ndim - 1
+    dE = stencil_difference(stencil.E, step, axis)
+    dT = stencil_difference(stencil.g @ stencil.E, step, axis)
+    return jet, stencil, dE, dT, coordinate_connection(jet.frame.g, jet.frame.E, dE, jet.Gamma)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(), (3, 2)])
+@pytest.mark.parametrize("entry", default_entries(), ids=lambda entry: entry.id)
+def test_one_frame_batch_is_bitwise_the_two_call_build(entry, shape):
+    """frame_field_jet builds the point's frame and its stencil frames in one
+    call; its point jet is bitwise point_jet, and its stencil frames and
+    differences are bitwise those of the two-call build."""
+    patch, step = entry.patch, 1e-5
+    count = int(np.prod(shape))
+    u = sample_points(patch, count, np.random.default_rng(29)).reshape(shape + (patch.dim,))
+    field = frame_field_jet(patch, u, step)
+    jet, stencil, dE, dT, w = two_call_build(patch, u, step)
+    assert field.step == jet.step == step
+    for name in ("point", "E", "g", "J", "pivots"):
+        assert same_bits(getattr(field.frame, name), getattr(jet.frame, name)), name
+        assert same_bits(getattr(field.stencil, name), getattr(stencil, name)), name
+    assert field.frame.rotation is None and field.stencil.rotation is None
+    for name in ("dJ", "Gamma"):
+        assert same_bits(getattr(field.jet, name), getattr(jet, name)), name
+    assert same_bits(field.Gamma, jet.Gamma)
+    for name, expected in (("dE", dE), ("dT", dT), ("w", w)):
+        assert same_bits(getattr(field, name), expected), name
 
 
 def test_frame_field_jet_owns_read_only_slices():
@@ -255,20 +306,12 @@ def test_frame_field_jet_owns_read_only_slices():
 def test_connection_at_displaced_points_reads_the_frames_metric(monkeypatch):
     """d omega at the stencil points reads the stencil frames' g: it builds no
     frame, evaluates no g and makes one metric-jet call."""
-    from twistorcheck import geometry
-
     patch = nearly_kahler_s6().patch
     u = np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])
     jet = field_jet(patch, u[None])
     expected = connection_derivative(patch, jet)
     calls = {"frame": 0, "g": 0, "dg": 0}
-    original = geometry.adapt_frame
-
-    def counting_frame(*args, **kwargs):
-        calls["frame"] += 1
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(geometry, "adapt_frame", counting_frame)
+    counting_frames(monkeypatch, calls)
 
     def counted(key, field):
         def call(v):
@@ -290,7 +333,7 @@ def round_sphere_residuals(patch, u, step):
     """(curvature, Chern) residuals per point of u, from the jets at ``step``."""
     from twistorcheck.twistorform import chern_identity_residual
 
-    frames = frame_field_jet(patch, point_jet(patch, u, step))
+    frames = frame_field_jet(patch, u, step)
     dw = connection_derivative(patch, frames)
     return round_sphere_curvature_residual(curvature_forms(frames, dw)), chern_identity_residual(patch, frames, dw)
 
@@ -337,20 +380,23 @@ def reference_connection_derivative(patch, frame, step):
 @pytest.mark.parametrize("manifold", ["nk-s6", "conformal4"])
 def test_connection_derivative_matches_the_nested_block(manifold, case):
     """The product-rule d omega agrees with the antisymmetrised nested block
-    to O(h^2), for a batch, a single point and a rotated jet."""
+    to O(h^2), for a batch, a single point and rotated frames.  The frame
+    field through E U is E U for a constant U, so d omega rotates as
+    U^T d omega U; the block differentiates the rotated field itself."""
     from twistorcheck import catalog
 
     step = 1e-4
     patch = catalog.resolve(manifold).patch
     rng = np.random.default_rng(5)
     u = sample_points(patch, 4, rng)
-    jet = {
-        "batch": lambda: point_jet(patch, u, step),
-        "single": lambda: point_jet(patch, u[1], step),
-        "rotated": lambda: point_jet(patch, u, step).rotated(random_unitary_rotation(patch.n, rng, (4,))),
-    }[case]()
-    nested = np.moveaxis(reference_connection_derivative(patch, jet.frame, step), -1, -3)
+    jet = frame_field_jet(patch, u[1] if case == "single" else u, step)
+    dw = connection_derivative(patch, jet)
+    frame = jet.frame
+    if case == "rotated":
+        U = random_unitary_rotation(patch.n, rng, (4,))
+        frame = rotate_frame(frame, U)
+        dw = np.swapaxes(U, -1, -2)[:, None, None] @ dw @ U[:, None, None]
+    nested = np.moveaxis(reference_connection_derivative(patch, frame, step), -1, -3)
     expected = nested - np.swapaxes(nested, -4, -3)
-    dw = connection_derivative(patch, frame_field_jet(patch, jet))
-    assert dw.shape == expected.shape == jet.frame.point.shape[:-1] + (patch.dim,) * 4
+    assert dw.shape == expected.shape == frame.point.shape[:-1] + (patch.dim,) * 4
     assert np.abs(dw - expected).max() <= 1e-6

@@ -22,11 +22,18 @@ from twistorcheck import (
 )
 from twistorcheck.geometry import (
     PIVOT_TOL,
+    _field_residuals,
     _gram_schmidt_adapted,
     evaluate_frame_field,
+    field_value,
     require_interior,
     validate_patch,
 )
+
+
+def patch_residuals(patch, point):
+    """Max-norm residuals of the pointwise patch invariants at each point."""
+    return _field_residuals(field_value(patch, point, "metric"), field_value(patch, point, "j"))
 
 
 def box(bounds, dim):
@@ -434,11 +441,46 @@ class TestChristoffel:
         with pytest.raises(SingularMetric):
             christoffel(patch, np.zeros(2), patch.metric_field(np.zeros(2)))
 
+    @staticmethod
+    def constant_metric_patch(g):
+        return ManifoldPatch(
+            n=1,
+            domain=box((-1.0, 1.0), 2),
+            metric_field=pointwise(lambda u: g),
+            j_field=pointwise(lambda u: j0_matrix(1)),
+        )
+
+    @pytest.mark.parametrize("small, singular", [(1e-11, False), (1e-13, True)])
+    def test_condition_gate_gives_the_verdict_of_cond(self, small, singular):
+        # the gate compares eigenvalues instead of taking an SVD; on diagonal
+        # metrics of condition 1e11 and 1e13 it agrees with np.linalg.cond
+        from twistorcheck import SingularMetric
+        from twistorcheck.geometry import METRIC_COND_LIMIT
+
+        g = np.diag([1.0, small])
+        assert (np.linalg.cond(g) > METRIC_COND_LIMIT) == singular
+        patch = self.constant_metric_patch(g)
+        if singular:
+            with pytest.raises(SingularMetric, match=r"^metric condition number exceeds 1e\+12 at \[0\.0, 0\.0\]$"):
+                christoffel(patch, np.zeros(2), g)
+        else:
+            assert np.array_equal(christoffel(patch, np.zeros(2), g), np.zeros((2, 2, 2)))
+
+    @pytest.mark.parametrize("g", [np.diag([1.0, 0.0]), np.zeros((2, 2)), np.full((2, 2), np.nan)])
+    def test_singular_or_nan_metric_fails_the_gate_without_a_warning(self, g):
+        import warnings
+
+        from twistorcheck import SingularMetric
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMetric):
+                christoffel(self.constant_metric_patch(np.eye(2)), np.zeros(2), g)
+
 
 class TestPatchValidation:
     def test_residuals_clean_on_catalog(self):
         from twistorcheck import nearly_kahler_s6
-        from twistorcheck.geometry import patch_residuals
 
         res = patch_residuals(nearly_kahler_s6().patch, np.array([0.2, 0.1, -0.15, 0.05, 0.0, 0.1]))
         assert res["j_square"] < 1e-12
@@ -486,9 +528,9 @@ class TestPatchValidation:
             metric_field=pointwise(lambda u: np.eye(2 * n)),
             j_field=pointwise(lambda u: (1.0 + u[0]) * j0_matrix(n)),
         )
-        jet = point_jet(patch, np.zeros(4))
+        point_jet(patch, np.zeros(4))
         with pytest.raises(IncompatibleStructure):
-            frame_field_jet(patch, jet)
+            frame_field_jet(patch, np.zeros(4))
 
     def test_frame_field_reevaluation_matches(self):
         from twistorcheck import nearly_kahler_s6
@@ -643,8 +685,12 @@ class TestBatchedFields:
         )
         jet = point_jet(patch, np.zeros(4), step=h)
         assert jet.frame.pivots.tolist() == [0, 1]
-        with pytest.raises(FrameDiscontinuity, match=r"from \(0, 1\) to \(0, 2\) at \[0\.0, 0\.0, 1e-05, 0\.0\]"):
-            frame_field_jet(patch, jet)
+        message = r"^pivot sequence changed from \(0, 1\) to \(0, 2\) at \[0\.0, 0\.0, 1e-05, 0\.0\]$"
+        with pytest.raises(FrameDiscontinuity, match=message):
+            frame_field_jet(patch, np.zeros(4), step=h)
+        # the same point in a batch: its stencil frame is still the one named
+        with pytest.raises(FrameDiscontinuity, match=message):
+            frame_field_jet(patch, np.array([[0.5, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]), step=h)
 
 
 class TestRotationStacks:
@@ -731,15 +777,36 @@ class TestRotationStacks:
                 assert stacked.det_F[r, p] == alone.det_F
                 assert np.array_equal(stacked.sigma[r, p], alone.sigma)
 
-    def test_frame_field_applies_a_rotation_per_point(self):
-        # the frame field through a frame rotated point by point is
-        # differentiated with each point's own rotation across the stencil
+    def test_frame_field_of_a_stack_is_each_point_alone(self):
+        # one batch of frames for three points and their stencils: every
+        # slice of the frame-field jet is bitwise that point's own
         from twistorcheck.connection import frame_field_jet
 
-        patch, frame, U = self._frames_and_stack(3)
-        stacked = frame_field_jet(patch, point_jet(patch, frame.point).rotated(U)).w
+        patch, frame, _ = self._frames_and_stack(3)
+        stacked = frame_field_jet(patch, frame.point)
         for k in range(3):
-            alone = frame_field_jet(patch, point_jet(patch, frame.point[k]).rotated(U[k])).w
-            assert np.array_equal(stacked[k], alone)
+            alone = frame_field_jet(patch, frame.point[k])
+            for name in ("dE", "dT", "w"):
+                assert np.array_equal(getattr(stacked, name)[k], getattr(alone, name)), name
+            assert np.array_equal(stacked.stencil.E[k], alone.stencil.E)
+            assert np.array_equal(stacked.frame.E[k], alone.frame.E)
         with pytest.raises(ValueError, match="lack the frame's batch axes"):
             evaluate_frame_field(patch, frame, frame.point[0])
+
+    def test_rotated_slices_are_the_rotated_frame_field(self):
+        # verify-geometry reads the connection of the frames E U as the
+        # slices U^T w U; differentiating the frame field through the rotated
+        # frames, one rotation per point across its stencil, agrees
+        from twistorcheck.connection import coordinate_connection, frame_field_jet
+        from twistorcheck.geometry import stencil_difference, stencil_points
+
+        patch, frame, U = self._frames_and_stack(3)
+        jet = frame_field_jet(patch, frame.point)
+        law = np.swapaxes(U, -1, -2)[:, None] @ np.moveaxis(jet.w, -1, -3) @ U[:, None]
+        rotated = rotate_frame(jet.frame, U)
+        stencil = evaluate_frame_field(patch, rotated, stencil_points(frame.point, jet.step))
+        assert np.array_equal(stencil.E, jet.stencil.E @ U[:, None])
+        dE = stencil_difference(stencil.E, jet.step, 1)
+        direct = coordinate_connection(rotated.g, rotated.E, dE, jet.Gamma)
+        assert np.abs(direct).max() > 0.1
+        assert np.abs(np.moveaxis(law, -3, -1) - direct).max() <= 1e-9

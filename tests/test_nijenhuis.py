@@ -22,16 +22,36 @@ from twistorcheck import (
     pointwise,
     route_gap,
     structure_coefficients,
-    symmetry_residuals,
 )
 
 NK_POINT = np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])
 
 
+def symmetry_residuals(N, J):
+    """Max-norm residuals of N(Y,X) = -N(X,Y) and N(JX,Y) = -J N(X,Y) = N(X,JY), per point.
+
+    ``N[..., c, a, b]`` are coordinate components and ``J[..., a, b]`` the
+    field at the same points.  For a genuine almost complex structure all
+    three residuals sit at the finite-difference noise floor; a corrupted J
+    (J^2 != -Id) drives them up, which makes this the designated negative
+    control.
+    """
+    dim = J.shape[-1]
+    axes = (-3, -2, -1)
+    # jn[c, a, b] = J^c_e N^e_{ab}
+    jn = (J @ N.reshape(N.shape[:-3] + (dim, dim * dim))).reshape(N.shape)
+    # first slot: J^d_a N^c_{db}; second slot: N^c_{ad} J^d_b
+    return {
+        "antisymmetry": np.abs(N + np.swapaxes(N, -1, -2)).max(axis=axes),
+        "j_first_slot": np.abs(np.swapaxes(J, -1, -2)[..., None, :, :] @ N + jn).max(axis=axes),
+        "j_second_slot": np.abs(N @ J[..., None, :, :] + jn).max(axis=axes),
+    }
+
+
 def frame_d(patch, jet):
-    """The d and d' tensors of the frame-differentiated connection table."""
+    """The d and d' tensors of the frame-differentiated connection table at the jet's points."""
     _, _, d, dp, _ = structure_coefficients(
-        *alpha_beta(connection_coefficients(frame_field_jet(patch, jet)))
+        *alpha_beta(connection_coefficients(frame_field_jet(patch, jet.frame.point, jet.step)))
     )
     return d, dp
 

@@ -83,7 +83,7 @@ class TestAlphaBeta:
         patch = conformal_hermitian().patch
         point = np.array([1.3, 0.9, 1.1, 1.7])
         alpha, beta = alpha_beta(
-            connection_coefficients(frame_field_jet(patch, point_jet(patch, point)))
+            connection_coefficients(frame_field_jet(patch, point))
         )
         assert np.abs(alpha + alpha.transpose(1, 0, 2)).max() < 1e-9
         assert np.abs(beta + beta.transpose(1, 0, 2)).max() < 1e-9
@@ -134,7 +134,7 @@ class TestStructureCoefficients:
         patch = nearly_kahler_s6().patch
         point = np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])
         C, Cp, d, dp, A = structure_coefficients(
-            *alpha_beta(connection_coefficients(frame_field_jet(patch, point_jet(patch, point))))
+            *alpha_beta(connection_coefficients(frame_field_jet(patch, point)))
         )
         assert np.abs(C + C.transpose(0, 2, 1)).max() < 1e-9
         assert np.abs(Cp + Cp.transpose(0, 2, 1)).max() < 1e-9
@@ -177,7 +177,7 @@ class TestPhi:
             (nearly_kahler_s6().patch, np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])),
         )
         for patch, point in cases:
-            table = connection_coefficients(frame_field_jet(patch, point_jet(patch, point)))
+            table = connection_coefficients(frame_field_jet(patch, point))
             F1 = phi_matrix(*alpha_beta(table))
             F2 = phi_via_bundle_formula(table)
             assert np.abs(F1 - F2).max() < 1e-10
@@ -448,8 +448,7 @@ class TestSigmaReport:
 class TestChernIdentity:
     @staticmethod
     def residual(patch, point):
-        jet = point_jet(patch, point)
-        frames = frame_field_jet(patch, jet)
+        frames = frame_field_jet(patch, point)
         return chern_identity_residual(patch, frames, connection_derivative(patch, frames))
 
     def test_round_sphere_points(self):
