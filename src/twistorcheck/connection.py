@@ -209,13 +209,11 @@ def connection_derivative(patch: ManifoldPatch, jet: FrameFieldJet) -> np.ndarra
     d omega(d_c, d_a) = ((d_c Gamma_a - d_a Gamma_c) E + Gamma_a d_c E - Gamma_c d_a E)^T g E
     + P_a^T d_c(g E) - P_c^T d_a(g E).  Every factor is a first difference
     at the jet's step: the jet's ``dE`` and ``dT``, and the difference of the
-    Christoffel symbols at the stencil points (one metric-jet call); no
+    Christoffel symbols of the stencil frames (one metric-jet call); no
     frame is built.
     """
     frame, stencil, step, dE = jet.frame, jet.stencil, jet.step, jet.dE
-    dGamma = stencil_difference(
-        christoffel(patch, stencil.point, stencil.g, step=step), step, frame.point.ndim - 1
-    )
+    dGamma = stencil_difference(christoffel(patch, stencil, step=step), step, frame.point.ndim - 1)
     P = dE + _gamma_times(jet.Gamma, frame.E)
     # d_c P_a less d_c d_a E, [c, a, :, B]: (d_c Gamma_a) E + Gamma_a d_c E
     Q = _gamma_times(dGamma, frame.E[..., None, :, :]) + _gamma_times(jet.Gamma[..., None, :, :, :], dE)

@@ -172,12 +172,13 @@ def field_value(patch: ManifoldPatch, point: np.ndarray, which: str = "metric") 
 
 
 def _field_residuals(g: np.ndarray, J: np.ndarray) -> dict:
-    """Max-norm residuals of the pointwise invariants, one value per point."""
+    """Max-norm residuals of the pointwise invariants, one value per point, and
+    the ascending eigenvalues of the symmetric part of g at each point."""
     eye = np.eye(g.shape[-1])
     gT = np.swapaxes(g, -1, -2)
     return {
         "metric_symmetry": np.abs(g - gT).max(axis=(-2, -1)),
-        "metric_min_eigenvalue": np.linalg.eigvalsh(0.5 * (g + gT)).min(axis=-1),
+        "metric_spectrum": np.linalg.eigvalsh(0.5 * (g + gT)),
         "j_square": np.abs(J @ J + eye).max(axis=(-2, -1)),
         "compatibility": np.abs(np.swapaxes(J, -1, -2) @ g @ J - g).max(axis=(-2, -1)),
     }
@@ -187,22 +188,24 @@ def validate_patch(patch: ManifoldPatch, point: np.ndarray) -> tuple:
     """Raise IncompatibleStructure unless, at every point, g is symmetric
     positive definite, J^2 = -Id and J^T g J = g.
 
-    Returns the checked field values ``(g, J)`` at ``point``, so a caller that
-    needs them evaluates each field once.
+    Returns the checked field values ``(g, J)`` at ``point`` and the
+    ascending eigenvalues of g there (all positive), so a caller that needs
+    them evaluates each field once and decomposes g once.
     """
     u = np.asarray(point, dtype=float)
     g = field_value(patch, u, "metric")
     J = field_value(patch, u, "j")
     res = _field_residuals(g, J)
+    spectrum = res["metric_spectrum"]
     keys = ("metric_symmetry", "j_square", "compatibility")
-    not_pd = res["metric_min_eigenvalue"] <= 0.0
+    not_pd = spectrum[..., 0] <= 0.0
     bad = first_index(np.any([not_pd] + [res[key] >= STRUCTURE_TOL for key in keys], axis=0))
     if bad is None:
-        return g, J
+        return g, J, spectrum
     if not_pd[bad]:
         raise IncompatibleStructure(
             f"metric not positive definite at {u[bad].tolist()} "
-            f"(min eigenvalue {res['metric_min_eigenvalue'][bad]:.3e})"
+            f"(min eigenvalue {spectrum[bad][0]:.3e})"
         )
     key = next(key for key in keys if res[key][bad] >= STRUCTURE_TOL)
     raise IncompatibleStructure(
@@ -295,10 +298,13 @@ def adapt_frame(patch: ManifoldPatch, point: np.ndarray) -> AdaptedFrame:
 
     The construction is deterministic: identical inputs give a bitwise
     identical frame.  Gram-Schmidt sweeps the coordinate vectors in order, so
-    on a flat Kahler patch the frame is the coordinate basis itself.
+    on a flat Kahler patch the frame is the coordinate basis itself.  After
+    the sweep, g's condition number must pass a gate read off the spectrum
+    that ``validate_patch`` computed, or ``SingularMetric`` names the point:
+    the frame factors g^-1 = E E^T for ``christoffel``.
     """
     u = require_interior(patch, point)
-    g, J = validate_patch(patch, u)
+    g, J, spectrum = validate_patch(patch, u)
     E, pivots = _gram_schmidt_adapted(g, J, u)
     resid = np.abs(np.swapaxes(E, -1, -2) @ g @ E - np.eye(patch.dim)).max(axis=(-2, -1))
     bad = first_index(resid > FRAME_ORTHO_TOL)
@@ -307,6 +313,11 @@ def adapt_frame(patch: ManifoldPatch, point: np.ndarray) -> AdaptedFrame:
             f"orthonormality residual {resid[bad]:.3e} after Gram-Schmidt at {u[bad].tolist()}; "
             "the metric is too ill-conditioned for a reliable frame"
         )
+    # cond_2 of the positive definite g is max lambda / min lambda, compared
+    # without a division
+    bad = first_index(~(spectrum[..., -1] <= METRIC_COND_LIMIT * spectrum[..., 0]))
+    if bad is not None:
+        raise SingularMetric(f"metric condition number exceeds {METRIC_COND_LIMIT:g} at {u[bad].tolist()}")
     return AdaptedFrame(point=u, E=E, g=g, J=J, pivots=pivots)
 
 
@@ -439,26 +450,18 @@ def field_derivative(
     return stencil_difference(field_value(patch, stencil_points(u, step), which), step, u.ndim - 1)
 
 
-def christoffel(
-    patch: ManifoldPatch, point: np.ndarray, g: np.ndarray, step: float = DEFAULT_FD_STEP
-) -> np.ndarray:
-    """Levi-Civita Christoffel symbols Gamma[..., c, a, b] = Gamma^c_{ab} at the points.
+def christoffel(patch: ManifoldPatch, frame: AdaptedFrame, step: float = DEFAULT_FD_STEP) -> np.ndarray:
+    """Levi-Civita Christoffel symbols Gamma[..., c, a, b] = Gamma^c_{ab} at the frame's points.
 
-    ``g`` is the metric the caller already holds at ``point``; its condition
-    number is checked here, and only the metric derivatives are evaluated.
+    The frame factors the metric, E^T g E = Id, so g^-1 = E E^T (also for a
+    rotated frame E U); only the metric derivatives are evaluated, and no
+    matrix is decomposed or inverted.  ``adapt_frame`` has gated g's
+    condition number.
     """
-    u = require_interior(patch, point, margin=step)
-    g = np.asarray(g, dtype=float)
-    # cond_2 of a symmetric g is max |lambda| / min |lambda|: compared without a
-    # division, and written so that a singular or NaN metric fails the gate
-    lam = np.abs(np.linalg.eigvalsh(g))
-    low, high = lam.min(axis=-1), lam.max(axis=-1)
-    bad = first_index(~((low > 0.0) & (high <= METRIC_COND_LIMIT * low)))
-    if bad is not None:
-        raise SingularMetric(f"metric condition number exceeds {METRIC_COND_LIMIT:g} at {u[bad].tolist()}")
-    gi = np.linalg.inv(g)
-    dg = field_derivative(patch, u, which="metric", step=step)
-    dim = g.shape[-1]
+    E = frame.E
+    gi = E @ np.swapaxes(E, -1, -2)
+    dg = field_derivative(patch, frame.point, which="metric", step=step)
+    dim = E.shape[-1]
     # T[d, a, b] = d_a g_{db} + d_b g_{da} - d_d g_{ab}, then Gamma^c_{ab} = 1/2 g^{cd} T[d, a, b]
     X = np.swapaxes(dg, -3, -2)
     T = X + np.swapaxes(X, -1, -2) - dg
@@ -499,9 +502,9 @@ class PointJet:
 
 
 def _jet_of_frame(patch: ManifoldPatch, frame: AdaptedFrame, step: float) -> PointJet:
-    """The point jet of ``frame``: the J jet and the Christoffel symbols (from the frame's g) at its points."""
+    """The point jet of ``frame``: the J jet and the Christoffel symbols (from the frame) at its points."""
     dJ = field_derivative(patch, frame.point, which="j", step=step)
-    return PointJet(frame=frame, dJ=dJ, Gamma=christoffel(patch, frame.point, frame.g, step=step), step=step)
+    return PointJet(frame=frame, dJ=dJ, Gamma=christoffel(patch, frame, step=step), step=step)
 
 
 def point_jet(patch: ManifoldPatch, point: np.ndarray, step: float = DEFAULT_FD_STEP) -> PointJet:

@@ -153,8 +153,9 @@ def nondegenerate(F: np.ndarray, det: np.ndarray | None = None) -> tuple:
     is computed in the interleaved basis (e_1, J e_1, e_2, J e_2, ...), the
     orientation in which the flat form -J0 is the reference block form with
     sign +1, by one batched ``_pfaffian_sign`` on the points that pass the
-    determinant test.  ``det`` is ``np.linalg.det`` of the matrices, computed
-    here unless the caller already holds it.
+    determinant test, and by none when no point passes.  ``det`` is
+    ``np.linalg.det`` of the matrices, computed here unless the caller
+    already holds it.
     """
     dim = F.shape[-1]
     n = dim // 2
@@ -164,7 +165,8 @@ def nondegenerate(F: np.ndarray, det: np.ndarray | None = None) -> tuple:
     nondeg = (scale > ZERO_FORM_FLOOR) & (np.abs(det) > NONDEGENERACY_THRESHOLD * scale**dim)
     interleave = np.arange(dim).reshape(2, n).T.ravel()
     sign = np.zeros(nondeg.shape, dtype=int)
-    sign[nondeg] = _pfaffian_sign(F[nondeg][..., interleave, :][..., interleave])
+    if nondeg.any():
+        sign[nondeg] = _pfaffian_sign(F[nondeg][..., interleave, :][..., interleave])
     return nondeg, sign[()]
 
 

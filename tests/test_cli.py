@@ -3,13 +3,14 @@
 import dataclasses
 import hashlib
 import json
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from twistorcheck import algebra, catalog, cli, point_jet, theorem_report
+from twistorcheck import algebra, catalog, cli, geometry, point_jet, theorem_report
 from twistorcheck.cli import geometry_checks, main
 from twistorcheck.connection import (
     connection_derivative,
@@ -664,6 +665,48 @@ def test_report_builds_one_batch_of_frames(monkeypatch, tmp_path, manifold):
     assert calls == {"frame": 1, "g": 1, "J": 1}
 
 
+def test_lapack_calls_per_chunk(monkeypatch, tmp_path):
+    """g is decomposed once per batch of frames, by validate_patch's eigvalsh,
+    whose spectrum adapt_frame's condition gate reads; christoffel reads
+    g^-1 = E E^T off the frame and calls no LAPACK routine, and a chunk with
+    no non-degenerate form makes no Pfaffian call.  On nk-s6 a scan chunk then
+    makes 3 numpy.linalg calls (validation, margin, det F) and a
+    verify-geometry chunk 4 (the same and the rotations' eigh)."""
+    from collections import Counter
+
+    from twistorcheck import connection
+
+    calls = Counter()
+    for name in ("eigvalsh", "eigh", "inv", "det", "slogdet"):
+        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    inside = []
+    original = geometry.christoffel
+
+    def watched(*args, **kwargs):
+        before = sum(calls.values())
+        result = original(*args, **kwargs)
+        inside.append(sum(calls.values()) - before)
+        return result
+
+    for module in (geometry, connection):
+        monkeypatch.setattr(module, "christoffel", watched)
+    out = str(tmp_path / "out")
+    assert run_cli(["scan", "--manifold", "nk-s6", "--grid", "2", "--out", out]) == 0
+    assert calls == {"eigvalsh": 2, "det": 1}
+    assert inside == [0]
+    calls.clear()
+    inside.clear()
+    argv = ["verify-geometry", "--manifold", "nk-s6", "--points", "4", "--rotations", "4", "--out", out]
+    assert run_cli(argv) == 0
+    assert calls == {"eigvalsh": 2, "eigh": 1, "det": 1}
+    # the point jet's symbols and those of the stencil frames for d omega
+    assert inside == [0, 0]
+
+
 @pytest.mark.parametrize("rotations", [0, 4])
 def test_one_report_per_geometry_chunk(monkeypatch, rotations):
     """The jet's own frames and all their rotations go through one theorem_report per chunk."""
@@ -863,3 +906,18 @@ def test_scan_names_the_one_point_that_breaks_j(monkeypatch, capsys):
     assert captured.out == "" and captured.err.count("\n") == 1
     assert captured.err.startswith("error: IncompatibleStructure: j_square residual")
     assert f"at {bad.tolist()}" in captured.err
+
+
+@pytest.mark.parametrize("command", [["report"], ["scan", "--grid", "1"], ["verify-geometry", "--points", "1"]])
+def test_ill_conditioned_metric_exits_2_naming_the_point(monkeypatch, capsys, command):
+    """A positive definite metric of condition 1e13 passes validation and
+    Gram-Schmidt, and adapt_frame's condition gate rejects it: exit 2 with one
+    SingularMetric line."""
+    entry = catalog.resolve("flat:2")
+    metric = geometry.pointwise(lambda u: np.diag([1.0, 1e-13, 1.0, 1e-13]))
+    doctored = dataclasses.replace(entry, patch=dataclasses.replace(entry.patch, metric_field=metric))
+    monkeypatch.setattr(catalog, "resolve", lambda manifold_id: doctored)
+    assert run_cli(command[:1] + ["--manifold", "flat:2"] + command[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: SingularMetric: metric condition number exceeds 1e\+12 at \[[^]\n]*\]\n", captured.err)

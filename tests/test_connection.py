@@ -372,7 +372,7 @@ def reference_connection_derivative(patch, frame, step):
     frames = evaluate_frame_field(patch, frame, block)
     g = frames.g[..., 0, :, :]
     dE = stencil_difference(frames.E[..., 1:, :, :], step, outer.ndim - 1)
-    w = coordinate_connection(g, frames.E[..., 0, :, :], dE, christoffel(patch, outer, g, step=step))
+    w = coordinate_connection(g, frames.E[..., 0, :, :], dE, christoffel(patch, adapt_frame(patch, outer), step=step))
     return stencil_difference(w, step, u.ndim - 1)
 
 

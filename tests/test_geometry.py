@@ -20,6 +20,7 @@ from twistorcheck import (
     random_unitary_rotation,
     rotate_frame,
 )
+from twistorcheck.catalog import default_entries, resolve, sample_points
 from twistorcheck.geometry import (
     PIVOT_TOL,
     _field_residuals,
@@ -392,10 +393,19 @@ class TestFieldDerivative:
             field_derivative(flat_patch(), np.zeros(4), which="volume")
 
 
+def christoffel_by_inverse(patch, u, step=1e-5):
+    """The Christoffel symbols with g^-1 = np.linalg.inv(g), built from no
+    frame: the reference for ``christoffel``'s g^-1 = E E^T."""
+    g = field_value(patch, u, "metric")
+    dg = field_derivative(patch, u, which="metric", step=step)
+    T = dg.swapaxes(-3, -2) + dg.swapaxes(-3, -2).swapaxes(-1, -2) - dg
+    return 0.5 * np.einsum("...cd,...dab->...cab", np.linalg.inv(g), T)
+
+
 class TestChristoffel:
     def test_flat_zero(self):
         patch, u = flat_patch(), np.zeros(4)
-        gamma = christoffel(patch, u, patch.metric_field(u))
+        gamma = christoffel(patch, adapt_frame(patch, u))
         assert np.abs(gamma).max() == 0.0
 
     def test_exponential_metric_two_dimensional(self):
@@ -407,7 +417,7 @@ class TestChristoffel:
             j_field=pointwise(lambda u: j0_matrix(1)),
         )
         u = np.array([0.3, -0.4])
-        gamma = christoffel(patch, u, patch.metric_field(u))
+        gamma = christoffel(patch, adapt_frame(patch, u))
         expected = np.zeros((2, 2, 2))
         expected[0, 0, 0] = 1.0
         expected[0, 1, 1] = -1.0
@@ -418,28 +428,32 @@ class TestChristoffel:
         from twistorcheck import nearly_kahler_s6
 
         patch, u = nearly_kahler_s6().patch, np.zeros(6)
-        gamma = christoffel(patch, u, patch.metric_field(u))
+        gamma = christoffel(patch, adapt_frame(patch, u))
         assert np.abs(gamma).max() < 1e-12
 
     def test_symmetry_in_lower_indices(self):
         from twistorcheck import conformal_hermitian
 
         patch, u = conformal_hermitian().patch, np.array([1.2, 0.8, 1.6, 0.9])
-        gamma = christoffel(patch, u, patch.metric_field(u))
+        gamma = christoffel(patch, adapt_frame(patch, u))
         assert np.abs(gamma - gamma.transpose(0, 2, 1)).max() < 1e-12
+
+    @staticmethod
+    def diagonal_patch(small, factor=lambda u: 1.0):
+        # diag(1, s, 1, s) commutes with J0, so it is compatible at n = 2 and
+        # Gram-Schmidt keeps the coordinate basis, scaled
+        return ManifoldPatch(
+            n=2,
+            domain=box((-1.0, 1.0), 4),
+            metric_field=pointwise(lambda u: factor(u) * np.diag([1.0, small, 1.0, small])),
+            j_field=pointwise(lambda u: j0_matrix(2)),
+        )
 
     def test_singular_metric(self):
         from twistorcheck import SingularMetric
 
-        n = 1
-        patch = ManifoldPatch(
-            n=n,
-            domain=box((-1.0, 1.0), 2),
-            metric_field=pointwise(lambda u: np.diag([1.0, 1e-15])),
-            j_field=pointwise(lambda u: j0_matrix(n)),
-        )
         with pytest.raises(SingularMetric):
-            christoffel(patch, np.zeros(2), patch.metric_field(np.zeros(2)))
+            adapt_frame(self.diagonal_patch(1e-15), np.zeros(4))
 
     @staticmethod
     def constant_metric_patch(g):
@@ -452,30 +466,78 @@ class TestChristoffel:
 
     @pytest.mark.parametrize("small, singular", [(1e-11, False), (1e-13, True)])
     def test_condition_gate_gives_the_verdict_of_cond(self, small, singular):
-        # the gate compares eigenvalues instead of taking an SVD; on diagonal
-        # metrics of condition 1e11 and 1e13 it agrees with np.linalg.cond
+        # adapt_frame gates the spectrum validate_patch computed instead of
+        # taking an SVD; on diagonal metrics of condition 1e11 and 1e13 it
+        # agrees with np.linalg.cond
         from twistorcheck import SingularMetric
         from twistorcheck.geometry import METRIC_COND_LIMIT
 
-        g = np.diag([1.0, small])
-        assert (np.linalg.cond(g) > METRIC_COND_LIMIT) == singular
-        patch = self.constant_metric_patch(g)
+        patch, u = self.diagonal_patch(small), np.zeros(4)
+        assert (np.linalg.cond(patch.metric_field(u)) > METRIC_COND_LIMIT) == singular
         if singular:
-            with pytest.raises(SingularMetric, match=r"^metric condition number exceeds 1e\+12 at \[0\.0, 0\.0\]$"):
-                christoffel(patch, np.zeros(2), g)
+            with pytest.raises(
+                SingularMetric, match=r"^metric condition number exceeds 1e\+12 at \[0\.0, 0\.0, 0\.0, 0\.0\]$"
+            ):
+                adapt_frame(patch, u)
         else:
-            assert np.array_equal(christoffel(patch, np.zeros(2), g), np.zeros((2, 2, 2)))
+            assert np.array_equal(christoffel(patch, adapt_frame(patch, u)), np.zeros((4, 4, 4)))
 
     @pytest.mark.parametrize("g", [np.diag([1.0, 0.0]), np.zeros((2, 2)), np.full((2, 2), np.nan)])
     def test_singular_or_nan_metric_fails_the_gate_without_a_warning(self, g):
+        # validate_patch rejects the metric before any frame, condition gate
+        # or Christoffel symbol is formed from it
         import warnings
 
-        from twistorcheck import SingularMetric
-
+        if np.isnan(g).any():
+            message = r"^metric_field is not finite at \[0\.0, 0\.0\]$"
+        else:
+            message = r"^metric not positive definite at \[0\.0, 0\.0\] \(min eigenvalue 0\.000e\+00\)$"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(SingularMetric):
-                christoffel(self.constant_metric_patch(np.eye(2)), np.zeros(2), g)
+            with pytest.raises(IncompatibleStructure, match=message):
+                adapt_frame(self.constant_metric_patch(g), np.zeros(2))
+
+    @staticmethod
+    def hermitian_patch():
+        # g = [[A, -B], [B, A]] with A symmetric and B skew commutes with J0:
+        # a compatible metric with off-diagonal entries, which no catalog
+        # metric has
+        def metric(u):
+            a = 0.2 * np.cos(u[1] + u[2])
+            b = 0.25 * np.sin(u[0] - u[3])
+            A = np.array([[1.0 + 0.3 * np.sin(u[0]), a], [a, 1.0 + 0.3 * u[3] ** 2]])
+            B = np.array([[0.0, b], [-b, 0.0]])
+            return np.block([[A, -B], [B, A]])
+
+        return ManifoldPatch(
+            n=2,
+            domain=box((-1.0, 1.0), 4),
+            metric_field=pointwise(metric),
+            j_field=pointwise(lambda u: j0_matrix(2)),
+        )
+
+    @pytest.mark.parametrize("manifold", [entry.id for entry in default_entries()] + ["hermitian"])
+    def test_frame_factorization_matches_the_inverse(self, manifold):
+        # g^-1 = E E^T agrees with np.linalg.inv(g) to rounding on every
+        # catalog family and on a metric with off-diagonal entries, at a
+        # batch of seeded points
+        patch = self.hermitian_patch() if manifold == "hermitian" else resolve(manifold).patch
+        u = sample_points(patch, 8, np.random.default_rng(11))
+        expected = christoffel_by_inverse(patch, u)
+        gap = np.abs(christoffel(patch, adapt_frame(patch, u)) - expected).max()
+        assert gap <= 1e-12 * np.abs(expected).max()
+
+    def test_frame_factorization_at_condition_1e11(self):
+        # diag(1, s, 1, s) at s = 1e-11 times a varying conformal factor: the
+        # symbols reach 2.5e10, and E E^T and np.linalg.inv(g) agreed to
+        # 1.5e-16 of the largest, one ulp (measured at these points; 3.1e-16
+        # at seeds 1-4); the bound is 10 times the measured gap
+        patch = self.diagonal_patch(1e-11, factor=lambda u: np.exp(u[0] - 0.5 * u[1] + 0.25 * u[3]))
+        u = sample_points(patch, 8, np.random.default_rng(0))
+        expected = christoffel_by_inverse(patch, u)
+        gap = np.abs(christoffel(patch, adapt_frame(patch, u)) - expected).max()
+        assert np.abs(expected).max() > 1e10
+        assert gap <= 1.5e-15 * np.abs(expected).max()
 
 
 class TestPatchValidation:
@@ -485,7 +547,7 @@ class TestPatchValidation:
         res = patch_residuals(nearly_kahler_s6().patch, np.array([0.2, 0.1, -0.15, 0.05, 0.0, 0.1]))
         assert res["j_square"] < 1e-12
         assert res["compatibility"] < 1e-12
-        assert res["metric_min_eigenvalue"] > 0
+        assert res["metric_spectrum"].min() > 0
 
     def test_require_interior_margin(self):
         patch = flat_patch()
@@ -494,8 +556,9 @@ class TestPatchValidation:
             require_interior(patch, np.array([0.99, 0.0, 0.0, 0.0]), margin=0.05)
 
     def test_validate_patch_accepts_flat(self):
-        g, J = validate_patch(flat_patch(), np.zeros(4))
+        g, J, spectrum = validate_patch(flat_patch(), np.zeros(4))
         assert np.array_equal(g, np.eye(4)) and np.array_equal(J, j0_matrix(2))
+        assert np.array_equal(spectrum, np.ones(4))
 
     def test_adapt_frame_evaluates_each_field_once(self):
         from twistorcheck import nearly_kahler_s6
