@@ -37,8 +37,8 @@ GRID_LIMIT = 10**7
 SCAN_CHUNK = 256
 # Sample points checked per batch by ``verify-geometry``, with all their
 # rotations: a module constant, not a flag.  Traced peak memory (tracemalloc,
-# second call after a warm-up, nk-s6, 4 rotations) grows by about 0.15 MiB
-# per point of a chunk (2.46 MiB at 16, 9.80 MiB at 64), while 64 points
+# second call after a warm-up, nk-s6, 4 rotations) grows by about 0.13 MiB
+# per point of a chunk (2.11 MiB at 16, 8.42 MiB at 64), while 64 points
 # would save only about a tenth of the time per point on nk-s6.
 GEOMETRY_CHUNK = 16
 
@@ -251,8 +251,10 @@ def geometry_checks(entry: catalog.CatalogEntry, points: int, seed: int, rotatio
         frames = frame_field_jet(patch, u, fd_step)
         # (1 + rotations, points, 2n, 2n): the identity, then each point's
         # rotations, so row 0 of every report quantity is the jet's own frame.
-        drawn = np.swapaxes(random_unitary_rotation(patch.n, rng, (len(u), rotations)), 0, 1)
-        U = np.concatenate([np.broadcast_to(np.eye(patch.dim), (1,) + drawn.shape[1:]), drawn])
+        U = np.broadcast_to(np.eye(patch.dim), (1, len(u), patch.dim, patch.dim))
+        if rotations:
+            drawn = random_unitary_rotation(patch.n, rng, (len(u), rotations))
+            U = np.concatenate([U, np.swapaxes(drawn, 0, 1)])
         rotated = frames.jet.rotated(U)
         rep = theorem_report(rotated)
         # The rotated frame field is E U with U constant, so its slices are U^T w U.

@@ -150,9 +150,11 @@ def nabla_j_connection(jet: PointJet) -> np.ndarray:
     frame = jet.frame
     E, Et = frame.E, np.swapaxes(frame.E, -1, -2)
     nabla = _nabla_j(frame.J, jet.dJ, jet.Gamma)
-    # K[C] = E^-1 (nabla_{e_C} J) E with E^-1 = E^T g
+    # K[C] = E^-1 (nabla_{e_C} J) E with E^-1 = E^T g; a rotated E may
+    # carry a wider batch than nabla, so the product sets the batch
     along = Et @ nabla.reshape(nabla.shape[:-3] + (E.shape[-1], -1))
-    K = (Et @ frame.g)[..., None, :, :] @ along.reshape(nabla.shape) @ E[..., None, :, :]
+    along = along.reshape(along.shape[:-1] + nabla.shape[-2:])
+    K = (Et @ frame.g)[..., None, :, :] @ along @ E[..., None, :, :]
     J0 = j0_matrix(frame.n)
     # sigma = 1/4 (K J0 - J0 K), formed in place: a batch holds few temporaries
     sigma = K @ J0

@@ -221,10 +221,9 @@ class AdaptedFrame:
     vector e_A, so E^T g E = Id; ``g`` and ``J`` are the validated field
     values at ``point`` it was built from.  ``pivots[..., k]`` records which
     coordinate vector survived Gram-Schmidt step k; displaced re-evaluations
-    compare it point by point to detect a discontinuous frame field.
-    ``rotation`` is an optional constant U(n) element applied on the right
-    after orthogonalization, one for all points or a stack that broadcasts
-    against the batch.
+    compare it point by point to detect a discontinuous frame field.  A
+    rotated frame (``rotate_frame``) changes E alone, whose batch may then
+    be wider than the points'.
     """
 
     point: np.ndarray
@@ -232,12 +231,10 @@ class AdaptedFrame:
     g: np.ndarray
     J: np.ndarray
     pivots: np.ndarray
-    rotation: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("point", "E", "g", "J", "rotation"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, _readonly(getattr(self, name)))
+        for name in ("point", "E", "g", "J"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
         pivots = np.array(self.pivots, dtype=np.intp)
         pivots.flags.writeable = False
         object.__setattr__(self, "pivots", pivots)
@@ -326,9 +323,8 @@ def rotate_frame(frame: AdaptedFrame, U: np.ndarray) -> AdaptedFrame:
 
     U must be orthogonal and commute with J0; the result is again adapted.
     ``U`` may be a stack (..., 2n, 2n), one rotation per point, that
-    broadcasts against the frame's batch; the rotated frame then has the
-    broadcast batch, and its point, g, J and pivots are the frame's,
-    repeated along the new axes.
+    broadcasts against the frame's batch; E then has the broadcast batch,
+    while point, g, J and pivots stay the frame's own, one per point.
     """
     n = frame.n
     U = np.asarray(U, dtype=float)
@@ -340,25 +336,7 @@ def rotate_frame(frame: AdaptedFrame, U: np.ndarray) -> AdaptedFrame:
     if bad is not None:
         which = f" {tuple(int(i) for i in bad)}" if U.ndim > 2 else ""
         raise ValueError(f"rotation{which} must be orthogonal and commute with J0")
-    combined = U if frame.rotation is None else frame.rotation @ U
-    E = frame.E @ U
-    batch = E.shape[:-2]
-    if batch == frame.E.shape[:-2]:
-        return replace(frame, E=E, rotation=combined)
-    return replace(
-        frame,
-        point=_widen(frame.point, batch, 1),
-        E=E,
-        g=_widen(frame.g, batch, 2),
-        J=_widen(frame.J, batch, 2),
-        pivots=_widen(frame.pivots, batch, 1),
-        rotation=combined,
-    )
-
-
-def _widen(a: np.ndarray, batch: tuple, rank: int) -> np.ndarray:
-    """A per-point array of trailing rank ``rank``, repeated to the batch ``batch``."""
-    return np.broadcast_to(a, batch + a.shape[a.ndim - rank :])
+    return replace(frame, E=frame.E @ U)
 
 
 def evaluate_frame_field(patch: ManifoldPatch, frame: AdaptedFrame, point: np.ndarray) -> AdaptedFrame:
@@ -368,26 +346,19 @@ def evaluate_frame_field(patch: ManifoldPatch, frame: AdaptedFrame, point: np.nd
     2n.  Re-runs the Gram-Schmidt sweep and demands, point
     by point, the pivot sequence of the frame it came from, so finite
     differences of the frame field are differences of one smooth
-    matrix-valued function.  Returns the frames at ``point``, with the g and
-    J they were built from; the frame's trailing rotation, one per point or
-    one for all, is applied to E across the extra axes.
+    matrix-valued function.  Returns the unrotated frames at ``point``, with
+    the g and J they were built from; the field through a rotated frame E U
+    is theirs times U.
     """
     moved = adapt_frame(patch, point)
-    extra = moved.pivots.ndim - frame.pivots.ndim
+    pivots = frame.pivots
+    extra = moved.pivots.ndim - pivots.ndim
     if extra < 0:
         raise ValueError(
-            f"points of shape {moved.point.shape} lack the frame's batch axes {frame.E.shape[:-2]}"
+            f"points of shape {moved.point.shape} lack the frame's batch axes {pivots.shape[:-1]}"
         )
-
-    def across_extra(a: np.ndarray, rank: int) -> np.ndarray:
-        a = _widen(a, frame.E.shape[:-2], rank)
-        return a.reshape(a.shape[:-rank] + (1,) * extra + a.shape[-rank:])
-
-    require_pivots(moved, across_extra(frame.pivots, 1))
-    if frame.rotation is None:
-        return moved
-    rotation = across_extra(frame.rotation, 2)
-    return replace(moved, E=moved.E @ rotation, rotation=rotation)
+    require_pivots(moved, pivots.reshape(pivots.shape[:-1] + (1,) * extra + pivots.shape[-1:]))
+    return moved
 
 
 def require_pivots(moved: AdaptedFrame, reference: np.ndarray) -> None:
@@ -488,17 +459,12 @@ class PointJet:
             object.__setattr__(self, name, _readonly(getattr(self, name)))
 
     def rotated(self, U: np.ndarray) -> PointJet:
-        """The same jet in the frame E U; only the frame changes.
+        """The same jet in the frame E U; only the frame's E changes.
 
         ``U`` may be a stack of rotations (..., 2n, 2n) that broadcasts
-        against the jet's batch; dJ and Gamma are then repeated to the
-        broadcast batch.
+        against the jet's batch; dJ and Gamma stay one per point.
         """
-        frame = rotate_frame(self.frame, U)
-        batch = frame.E.shape[:-2]
-        if batch == self.dJ.shape[:-3]:
-            return replace(self, frame=frame)
-        return replace(self, frame=frame, dJ=_widen(self.dJ, batch, 3), Gamma=_widen(self.Gamma, batch, 3))
+        return replace(self, frame=rotate_frame(self.frame, U))
 
 
 def _jet_of_frame(patch: ManifoldPatch, frame: AdaptedFrame, step: float) -> PointJet:

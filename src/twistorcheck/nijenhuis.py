@@ -56,11 +56,13 @@ def frame_components_from_coordinates(
     """Convert N^c_{ab} to frame components using E^{-1} = E^T g.
 
     Nf[C, A, B] = (E^-1)_{Cc} (E^T N^c E)_{AB}, as two fixed pairwise
-    contractions of cost O(dim^4) per point.
+    contractions of cost O(dim^4) per point.  ``E`` may carry a wider batch
+    than ``coord`` and ``g`` (rotated frames of the same points).
     """
     dim = E.shape[-1]
     Einv = np.swapaxes(E, -1, -2) @ g
-    upper = (Einv @ coord.reshape(coord.shape[:-3] + (dim, dim * dim))).reshape(coord.shape)
+    upper = Einv @ coord.reshape(coord.shape[:-3] + (dim, dim * dim))
+    upper = upper.reshape(upper.shape[:-1] + (dim, dim))
     return np.swapaxes(E, -1, -2)[..., None, :, :] @ upper @ E[..., None, :, :]
 
 
@@ -99,19 +101,21 @@ def route_gap(N: np.ndarray, reference: np.ndarray, point: np.ndarray) -> np.nda
     """Relative gap between the connection route's frame components and the coordinate route's, per point.
 
     ``N`` and ``reference`` are frame components (..., 2n, 2n, 2n) at the
-    points ``point`` (..., 2n); the gap is max |N - reference| relative to
-    max(1, max |reference|).  They must agree at every point to relative
-    ``ROUTE_REL_TOL``; disagreement raises CrossPathMismatch naming the first
-    such point.
+    points ``point`` (..., 2n), whose batch may be narrower than theirs
+    (rotated frames of the same points); the gap is max |N - reference|
+    relative to max(1, max |reference|).  They must agree at every point to
+    relative ``ROUTE_REL_TOL``; disagreement raises CrossPathMismatch naming
+    the first such point.
     """
     scale = np.maximum(1.0, np.abs(reference).max(axis=(-3, -2, -1)))
     resid = np.abs(N - reference).max(axis=(-3, -2, -1))
     bad = first_index(resid > ROUTE_REL_TOL * scale)
     if bad is not None:
+        named = np.broadcast_to(point, resid.shape + point.shape[-1:])[bad]
         raise CrossPathMismatch(
             f"frame components from connection coefficients differ from the "
             f"coordinate route by {resid[bad]:.3e} (scale {scale[bad]:.3e}) "
-            f"at {point[bad].tolist()}"
+            f"at {named.tolist()}"
         )
     return resid / scale
 

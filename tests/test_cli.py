@@ -671,7 +671,8 @@ def test_lapack_calls_per_chunk(monkeypatch, tmp_path):
     g^-1 = E E^T off the frame and calls no LAPACK routine, and a chunk with
     no non-degenerate form makes no Pfaffian call.  On nk-s6 a scan chunk then
     makes 3 numpy.linalg calls (validation, margin, det F) and a
-    verify-geometry chunk 4 (the same and the rotations' eigh)."""
+    verify-geometry chunk 4 (the same and the rotations' eigh), or 3 with
+    no rotations."""
     from collections import Counter
 
     from twistorcheck import connection
@@ -705,6 +706,11 @@ def test_lapack_calls_per_chunk(monkeypatch, tmp_path):
     assert calls == {"eigvalsh": 2, "eigh": 1, "det": 1}
     # the point jet's symbols and those of the stencil frames for d omega
     assert inside == [0, 0]
+    calls.clear()
+    argv[argv.index("--rotations") + 1] = "0"
+    assert run_cli(argv) == 0
+    # no rotation drawn, so no eigh on an empty stack
+    assert calls == {"eigvalsh": 2, "det": 1}
 
 
 @pytest.mark.parametrize("rotations", [0, 4])

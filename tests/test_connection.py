@@ -286,7 +286,6 @@ def test_one_frame_batch_is_bitwise_the_two_call_build(entry, shape):
     for name in ("point", "E", "g", "J", "pivots"):
         assert same_bits(getattr(field.frame, name), getattr(jet.frame, name)), name
         assert same_bits(getattr(field.stencil, name), getattr(stencil, name)), name
-    assert field.frame.rotation is None and field.stencil.rotation is None
     for name in ("dJ", "Gamma"):
         assert same_bits(getattr(field.jet, name), getattr(jet, name)), name
     assert same_bits(field.Gamma, jet.Gamma)
@@ -361,18 +360,20 @@ def test_round_sphere_residuals_fall_with_the_step_down_to_the_default():
         assert np.all(ratio >= 50.0), ratio
 
 
-def reference_connection_derivative(patch, frame, step):
+def reference_connection_derivative(patch, frame, step, U=None):
     """The nested d omega block, d_c w[..., A, B, a] as [..., c, A, B, a]: the
     connection slices at each outer stencil point, from that point's own
     stencil frames and Christoffel symbols, differenced again, one step at
-    both levels and all 2 dim (1 + 2 dim) frames built."""
+    both levels and all 2 dim (1 + 2 dim) frames built.  ``U``, one constant
+    rotation per point, turns the block's frames into those of the field E U."""
     u = require_interior(patch, frame.point, margin=2.0 * step)
     outer = stencil_points(u, step)
     block = np.concatenate([outer[..., None, :], stencil_points(outer, step)], axis=-2)
     frames = evaluate_frame_field(patch, frame, block)
+    E = frames.E if U is None else frames.E @ U[..., None, None, :, :]
     g = frames.g[..., 0, :, :]
-    dE = stencil_difference(frames.E[..., 1:, :, :], step, outer.ndim - 1)
-    w = coordinate_connection(g, frames.E[..., 0, :, :], dE, christoffel(patch, adapt_frame(patch, outer), step=step))
+    dE = stencil_difference(E[..., 1:, :, :], step, outer.ndim - 1)
+    w = coordinate_connection(g, E[..., 0, :, :], dE, christoffel(patch, adapt_frame(patch, outer), step=step))
     return stencil_difference(w, step, u.ndim - 1)
 
 
@@ -391,12 +392,12 @@ def test_connection_derivative_matches_the_nested_block(manifold, case):
     u = sample_points(patch, 4, rng)
     jet = frame_field_jet(patch, u[1] if case == "single" else u, step)
     dw = connection_derivative(patch, jet)
-    frame = jet.frame
+    frame, U = jet.frame, None
     if case == "rotated":
         U = random_unitary_rotation(patch.n, rng, (4,))
         frame = rotate_frame(frame, U)
         dw = np.swapaxes(U, -1, -2)[:, None, None] @ dw @ U[:, None, None]
-    nested = np.moveaxis(reference_connection_derivative(patch, frame, step), -1, -3)
+    nested = np.moveaxis(reference_connection_derivative(patch, frame, step, U), -1, -3)
     expected = nested - np.swapaxes(nested, -4, -3)
     assert dw.shape == expected.shape == frame.point.shape[:-1] + (patch.dim,) * 4
     assert np.abs(dw - expected).max() <= 1e-6

@@ -1,5 +1,7 @@
 """Nijenhuis tensor: both routes, symmetries, norms, scaling, negative control."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,20 @@ def test_cross_path_mismatch_detected():
     d, dp = frame_d(patch, jet)
     with pytest.raises(CrossPathMismatch):
         route_gap(nijenhuis_frame(1.5 * d, dp), nijenhuis_tensor(jet), jet.frame.point)
+
+
+def test_route_gap_names_the_point_of_a_wider_batch():
+    # Rotated frames of P points give components of batch (R, P) against
+    # points of shape (P, dim): the mismatch at [1, 2] names point 2 itself.
+    rng = np.random.default_rng(4)
+    points = rng.uniform(-0.2, 0.2, (3, 6))
+    reference = rng.standard_normal((2, 3, 6, 6, 6))
+    N = reference.copy()
+    assert route_gap(N, reference, points).shape == (2, 3)
+    N[1, 2, 4, 0, 3] += 0.5
+    message = rf"at {re.escape(str(points[2].tolist()))}$"
+    with pytest.raises(CrossPathMismatch, match=message):
+        route_gap(N, reference, points)
 
 
 class TestFrameAssembly:
