@@ -5,13 +5,18 @@ check is a transcription bug in the inequality chain, not numerical noise.  The
 objects are free algebraic models -- coefficient tensors with the right
 antisymmetries and skew matrices -- so no manifold is involved.
 
-The checks accept any exact rationals (``int`` or ``fractions.Fraction``).  The
-sweep draws rational samples but hands the checks Python ints: each sampled
-object (the C cube, the C' cube, a skew matrix, V) is multiplied by the lcm of
-its denominators.  Every checked statement is homogeneous of degree 1 or 2 in
-the entries of one object, and the wedge identity is bilinear in its two
-matrices, so scaling an object by a positive factor preserves every equality
-and inequality exactly, and the case-1 ratio 4 sum C^2 / sum d^2 is scale-free.
+Every object is a batch: a numpy ``dtype=object`` array holds its exact
+rational entries (``int`` or ``fractions.Fraction``) with leading axes over
+samples, and a single object is a batch of shape ().  numpy runs the loops and
+Python's exact arithmetic each entry operation, so no float is ever formed.  The
+sweep draws ALGEBRA_CHUNK samples at a time, with the rng calls of one sample
+after another, sends each chunk once through each check, and hands the checks
+Python ints: each sampled object (the C cube, the C' cube, a skew matrix, V) is
+multiplied by the lcm of its denominators.  Every checked statement is
+homogeneous of degree 1 or 2 in the entries of one object, and the wedge
+identity is bilinear in its two matrices, so scaling an object by a positive
+factor preserves every equality and inequality exactly, and the case-1 ratio
+4 sum C^2 / sum d^2 is scale-free.
 
 Verified facts, each for every index combination:
 
@@ -35,17 +40,18 @@ compare and halve blocks without forming any product.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import chain, product
-from operator import add, eq, itemgetter, mul, neg, sub
+from itertools import product
+
+import numpy as np
 
 from .errors import NotInSigma
 
 MAX_N = 6  # exhaustive index loops stay cheap up to here
+ALGEBRA_CHUNK = 32  # samples the sweep draws and checks as one batch
 
 NUMERATOR_RANGE = 10**6
 DENOMINATOR_RANGE = 10**3
@@ -57,16 +63,31 @@ _NUMERATOR_WIDTH = 2 * NUMERATOR_RANGE + 1
 _NUMERATOR_BITS = _NUMERATOR_WIDTH.bit_length()
 _DENOMINATOR_BITS = DENOMINATOR_RANGE.bit_length()
 
+_CUBE_NAMES = ("C", "C'")
+_OUTSIDE_SIGMA = "psi does not anticommute with J0"
+_fractions = np.frompyfunc(Fraction, 2, 1)
+
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Boolean verdict plus a serialized counterexample when it fails."""
+    """Verdict plus a serialized counterexample when it fails.  For a batch both
+    are arrays over the samples, and the result is truthy when every sample passes."""
 
     ok: bool
     counterexample: str | None = None
 
     def __bool__(self) -> bool:
-        return self.ok
+        return bool(np.all(self.ok))
+
+
+def _result(bad, describe) -> CheckResult:
+    """CheckResult of samples failing where ``bad`` is set, with ``describe(index)`` text."""
+    if np.ndim(bad) == 0:
+        return CheckResult(not bad, describe(()) if bad else None)
+    texts = np.full(bad.shape, None, dtype=object)
+    for index in zip(*np.nonzero(bad)):
+        texts[index] = describe(index)
+    return CheckResult(~bad, texts)
 
 
 def random_fraction(rng: random.Random) -> tuple:
@@ -86,236 +107,243 @@ def random_fraction(rng: random.Random) -> tuple:
     return p - NUMERATOR_RANGE, q + 1
 
 
-def _scaled_draws(rng: random.Random, count: int, factor: int = 1) -> list:
-    """``count`` random rationals, all multiplied by ``factor`` times the lcm of
-    their denominators, so every entry is an int."""
-    pairs = [random_fraction(rng) for _ in range(count)]
-    scale = factor * math.lcm(*(q for _, q in pairs))
-    return [p * (scale // q) for p, q in pairs]
+def _draw_pairs(rng: random.Random, count: int) -> np.ndarray:
+    """``count`` successive random_fraction pairs as a (count, 2) object array."""
+    return np.array([random_fraction(rng) for _ in range(count)], dtype=object).reshape(count, 2)
 
 
-def _half(x):
-    """x / 2 exactly: an even int halves to an int, anything else to a Fraction."""
-    if isinstance(x, int) and not x & 1:
-        return x >> 1
-    return Fraction(x) / 2
+def _scaled(pairs: np.ndarray, factor: int = 1) -> np.ndarray:
+    """The rationals p/q of ``pairs`` times ``factor`` times the lcm of each object's q."""
+    p, q = pairs[..., 0], pairs[..., 1]
+    return p * (factor * np.lcm.reduce(q, axis=-1, keepdims=True, initial=1) // q)
+
+
+def _scaled_draws(rng: random.Random, count: int, factor: int = 1) -> np.ndarray:
+    """``count`` random rationals times ``factor`` times the lcm of their denominators."""
+    return _scaled(_draw_pairs(rng, count), factor)
+
+
+def _halves(x: np.ndarray) -> np.ndarray:
+    """x / 2 exactly, entrywise: to an int where the half is integral, else to a Fraction."""
+    h = x // 2
+    odd = h + h != x
+    h[odd] = [Fraction(v) / 2 for v in x[odd]]
+    return h
+
+
+def _total(x: np.ndarray, axis) -> np.ndarray:
+    """Exact sum over ``axis``, as an object array (0-d for one sample)."""
+    return np.asarray(x.sum(axis), dtype=object)
+
+
+def _pair(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    return np.concatenate((left, right), axis=-1)
+
+
+def _skew_entries(x, shape: tuple, message: str) -> tuple:
+    """A nested sequence of exact rationals as a read-only object array ending in
+    axes ``shape``, and the first index (b >= a) where its last two axes are not skew."""
+    a = np.array(x, dtype=object)
+    a.flags.writeable = False
+    if a.shape[a.ndim - len(shape):] != shape:
+        raise ValueError(message)
+    broken = np.argwhere((a != -a.swapaxes(-1, -2)) & np.triu(np.ones(shape[-2:], dtype=bool)))
+    return a, (broken[0].tolist() if len(broken) else None)
 
 
 @cache
-def _skew_row_getters(dim: int, planes: int) -> tuple:
-    """Row getters that lay out ``planes`` skew dim x dim matrices from
-    ``(0, *values, *(-v for v in values))``: each matrix takes its strict upper
-    triangle, row by row, from the next dim (dim - 1) / 2 values."""
+def _skew_layout(dim: int, planes: int) -> np.ndarray:
+    """Index array that lays out ``planes`` skew dim x dim matrices from ``(0,
+    *values, *-values)``, each strict upper triangle row by row from the next values."""
     count = planes * dim * (dim - 1) // 2
-    slots = iter(range(1, count + 1))
-    layouts = []
-    for _ in range(planes):
-        rows = [[0] * dim for _ in range(dim)]
-        for a in range(dim):
-            for b in range(a + 1, dim):
-                rows[a][b] = next(slots)
-                rows[b][a] = rows[a][b] + count
-        layouts.append(tuple(itemgetter(*row) for row in rows))
-    return tuple(layouts)
+    a, b = np.triu_indices(dim, 1)
+    slots = np.arange(1, count + 1).reshape(planes, -1)
+    layout = np.zeros((planes, dim, dim), dtype=np.intp)
+    layout[:, a, b], layout[:, b, a] = slots, slots + count
+    layout.flags.writeable = False  # cached: every caller shares it
+    return layout
 
 
-def _skew_planes(values: list, dim: int, planes: int) -> tuple:
-    """``planes`` skew dim x dim matrices whose strict upper triangles, row by row,
-    are ``values`` in order."""
-    ext = (0, *values, *map(neg, values))
-    return tuple(
-        tuple(row(ext) for row in layout) for layout in _skew_row_getters(dim, planes)
-    )
+def _skew_planes(values: np.ndarray, dim: int, planes: int) -> np.ndarray:
+    """``planes`` skew dim x dim matrices per sample, upper triangles from ``values``."""
+    zero = np.zeros(values.shape[:-1] + (1,), dtype=object)
+    return np.concatenate((zero, values, -values), axis=-1)[..., _skew_layout(dim, planes)]
 
 
-def _flat_index(n: int, i: int, j: int, k: int) -> int:
-    return (i * n + j) * n + k
+def _triple(i: int, j: int, k: int) -> str:
+    return f"({i + 1},{j + 1},{k + 1})"
 
 
 @cache
-def _cube_permutation(n: int, order: str) -> itemgetter:
-    """Getter that permutes a flat n x n x n cube read in (i, j, k) order: at
-    position (i, j, k) its result holds the entry ``order`` names, so "jki"
-    gives the entry (j, k, i)."""
-    slots = ["ijk".index(name) for name in order]
-    return itemgetter(*(
-        _flat_index(n, *(triple[s] for s in slots)) for triple in product(range(n), repeat=3)
-    ))
-
-
-@cache
-def _orbit_representatives(n: int) -> tuple:
+def _orbits(n: int) -> tuple:
     """The lexicographically smallest triple of each cyclic-rotation orbit, in
-    (i, j, k) order, with the flat indices of (i, j, k), (j, k, i), (k, i, j)."""
-    return tuple(
-        ((i, j, k), _flat_index(n, i, j, k), _flat_index(n, j, k, i), _flat_index(n, k, i, j))
-        for i, j, k in product(range(n), repeat=3)
-        if (i, j, k) <= (j, k, i) and (i, j, k) <= (k, i, j)
+    (i, j, k) order, and a (3, orbits) array with the flat indices of their
+    (i, j, k), (j, k, i) and (k, i, j)."""
+    triples = [t for t in product(range(n), repeat=3) if t <= t[1:] + t[:1] and t <= t[2:] + t[:2]]
+    flat = np.array(
+        [[np.ravel_multi_index(t[s:] + t[:s], (n,) * 3) for t in triples] for s in range(3)]
     )
+    flat.flags.writeable = False  # cached: every caller shares it
+    return tuple(triples), flat
 
 
-def _flatten_cube(c: tuple) -> tuple:
-    return tuple(chain.from_iterable(chain.from_iterable(c)))
-
-
-@dataclass(frozen=True)
 class RationalCTensor:
     """Free algebraic model of the C / C' coefficient tensors.
 
-    Entries are exact rationals, antisymmetric in the last two indices; the
-    constructor rejects anything else.  ``random`` draws each cube with int
-    entries, scaled by the lcm of that cube's denominators.
+    ``C`` and ``Cp`` are object arrays of shape batch + (n, n, n) of exact
+    rationals, antisymmetric in the last two indices; the constructor takes any
+    nested sequences and rejects anything else.  ``random`` draws each cube
+    with int entries, scaled by the lcm of that cube's denominators.
     """
 
-    n: int
-    C: tuple
-    Cp: tuple
-
-    def __post_init__(self):
-        if not 2 <= self.n <= MAX_N:
+    def __init__(self, n: int, C, Cp):
+        if not 2 <= n <= MAX_N:
             raise ValueError(f"n must lie in [2, {MAX_N}]")
-        for name in ("C", "Cp"):
-            t = getattr(self, name)
-            if len(t) != self.n or any(
-                len(p) != self.n or any(len(r) != self.n for r in p) for p in t
-            ):
-                raise ValueError(f"{name} must be an n x n x n nested tuple")
-            for i in range(self.n):
-                for j in range(self.n):
-                    for k in range(j, self.n):
-                        if t[i][j][k] != -t[i][k][j]:
-                            raise ValueError(
-                                f"{name}[{i}][{j}][{k}] breaks antisymmetry in the last two indices"
-                            )
+        cubes = []
+        for name, cube in (("C", C), ("Cp", Cp)):
+            t, broken = _skew_entries(cube, (n, n, n), f"{name} must be an n x n x n nested tuple")
+            if broken:
+                index = "".join(f"[{x}]" for x in broken)
+                raise ValueError(f"{name}{index} breaks antisymmetry in the last two indices")
+            cubes.append(t)
+        self.n, self.cubes = n, np.stack(cubes, axis=-4)  # C, C' on the axis before their three
+        self.cubes.flags.writeable = False
+        self.C, self.Cp = self.cubes[..., 0, :, :, :], self.cubes[..., 1, :, :, :]
 
     @classmethod
     def random(cls, n: int, rng: random.Random) -> "RationalCTensor":
-        count = n * n * (n - 1) // 2
-        C, Cp = (_skew_planes(_scaled_draws(rng, count), n, n) for _ in range(2))
-        return cls(n=n, C=C, Cp=Cp)
+        return cls._of_draws(n, _draw_pairs(rng, n * n * (n - 1)))
+
+    @classmethod
+    def _of_draws(cls, n: int, pairs: np.ndarray) -> "RationalCTensor":
+        """Tensors of drawn pairs: C from the first half, C' from the second."""
+        half = pairs.shape[-2] // 2
+        values = _pair(_scaled(pairs[..., :half, :]), _scaled(pairs[..., half:, :]))
+        planes = _skew_planes(values, n, 2 * n)
+        return cls(n, planes[..., :n, :, :], planes[..., n:, :, :])
 
     @cached_property
-    def _cubes(self) -> tuple:
-        """("C", C, d) and ("C'", C', d') with flat cubes in (i, j, k) order and
-        d_ijk = C_ijk - C_jik.
+    def d(self) -> np.ndarray:
+        """d_ijk = C_ijk - C_jik of both cubes, laid out like ``cubes``; built on
+        first use and kept, so every check of one tensor reads the same d and d'."""
+        return self.cubes - self.cubes.swapaxes(-3, -2)
 
-        Built on first use and kept, so every check of one tensor reads the
-        same d and d'.
-        """
-        jik = _cube_permutation(self.n, "jik")
-        cubes = []
-        for name, cube in (("C", self.C), ("C'", self.Cp)):
-            c = _flatten_cube(cube)
-            cubes.append((name, c, tuple(map(sub, c, jik(c)))))
-        return tuple(cubes)
+
+def _flat(t: RationalCTensor) -> tuple:
+    """``cubes`` and ``d`` of a tensor with each cube flattened in (i, j, k) order."""
+    return tuple(x.reshape(x.shape[:-3] + (-1,)) for x in (t.cubes, t.d))
 
 
 def check_identity_c1(t: RationalCTensor) -> CheckResult:
     """2 C_ijk = d_ijk - d_jki + d_kij, exactly, for all triples, C and C'."""
-    n = t.n
-    jki, kij = _cube_permutation(n, "jki"), _cube_permutation(n, "kij")
-    for name, c, dd in t._cubes:
-        lhs = list(map(add, c, c))
-        rhs = list(map(add, map(sub, dd, jki(dd)), kij(dd)))
-        if lhs != rhs:
-            first = next(m for m, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
-            i, jk = divmod(first, n * n)
-            j, k = divmod(jk, n)
-            return CheckResult(False, f"{name} triple (i,j,k)=({i + 1},{j + 1},{k + 1})")
-    return CheckResult(True)
+    c, d = t.cubes, t.d
+    rhs = d - np.moveaxis(d, -1, -3) + np.moveaxis(d, -3, -1)
+    wrong = (c + c != rhs).reshape(c.shape[:-4] + (-1,))  # C's triples, then C''s
+
+    def describe(s):
+        cube, flat = divmod(int(np.argmax(wrong[s])), t.n**3)
+        return f"{_CUBE_NAMES[cube]} triple (i,j,k)={_triple(*np.unravel_index(flat, (t.n,) * 3))}"
+
+    return _result(wrong.any(-1), describe)
 
 
 def check_case1_inequality(t: RationalCTensor) -> tuple:
     """Per-triple expansion equality, the <= 5 bound, and the aggregate 5/4 bound.
 
-    Returns (CheckResult, ratio) with ratio the larger over C and C' of the
-    aggregate 4 sum C^2 / sum d^2, read off the sums the 5/4 bound forms; it
-    lies in [1, 4] and is zero if both d vanish.
+    Returns (CheckResult, ratio) with ratio, a Fraction per sample, the larger
+    over C and C' of the aggregate 4 sum C^2 / sum d^2; it lies in [1, 4] and is
+    zero if both d vanish.  C is checked before C', each through its triples and
+    then its aggregate, and a failing sample's ratio reads only the cubes before.
 
     Both sides of the per-triple statement are invariant under cyclic rotation
     of (i, j, k), so each rotation orbit is checked once through its
     lexicographically smallest representative; that still certifies the
     statement for every triple.
     """
-    # the ratio kept as a (numerator, denominator) pair, compared by cross-multiplying
-    num, den = 0, 1
+    triples, orbit = _orbits(t.n)
+    c, d = _flat(t)
+    c2, d2 = c * c, d * d
+    x, y, z = (d[..., o] for o in orbit)
+    s3 = _total(d2[..., orbit], -2)
+    lhs = 4 * _total(c2[..., orbit], -2)
+    off = lhs != 3 * s3 - 2 * (x * y + x * z + y * z)
+    over = lhs > 5 * s3
+    total, total_d2 = 4 * _total(c2, -1), _total(d2, -1)
+    bad = (off | over).any(-1) | (total > 5 * total_d2)  # per sample and cube
+    passed = np.logical_and.accumulate(~bad, axis=-1)
+    counted = passed & (total_d2 > 0)
+    ratio = _fractions(np.where(counted, total, 0), np.where(counted, total_d2, 1)).max(-1)
 
-    def result(failure: str | None = None) -> tuple:
-        return CheckResult(failure is None, failure), Fraction(num, den)
+    def describe(s):
+        m = int(np.argmax(bad[s]))
+        wrong = off[s][m] | over[s][m]
+        if not wrong.any():
+            return f"aggregate 5/4 bound for {_CUBE_NAMES[m]}"
+        o = int(np.argmax(wrong))
+        kind = "expansion equality" if off[s][m][o] else "5-bound"
+        return f"{_CUBE_NAMES[m]} {kind} at {_triple(*triples[o])}"
 
-    for name, c, dd in t._cubes:
-        c2, d2 = list(map(mul, c, c)), list(map(mul, dd, dd))
-        for (i, j, k), p, q, r in _orbit_representatives(t.n):
-            x, y, z = dd[p], dd[q], dd[r]
-            s3 = d2[p] + d2[q] + d2[r]
-            lhs = 4 * (c2[p] + c2[q] + c2[r])
-            expansion = 3 * s3 - 2 * (x * y + x * z + y * z)
-            if lhs != expansion:
-                return result(f"{name} expansion equality at ({i + 1},{j + 1},{k + 1})")
-            if lhs > 5 * s3:
-                return result(f"{name} 5-bound at ({i + 1},{j + 1},{k + 1})")
-        total, total_d2 = 4 * sum(c2), sum(d2)
-        if total > 5 * total_d2:
-            return result(f"aggregate 5/4 bound for {name}")
-        if total_d2 > 0 and total * den > num * total_d2:
-            num, den = total, total_d2
-    return result()
+    return _result(~passed[..., -1], describe), ratio
 
 
 def check_case2_identities(t: RationalCTensor) -> CheckResult:
     """The n = 2 equalities sum C^2 = 2 (d_121^2 + d_212^2) = sum d^2, both tensors."""
     if t.n != 2:
         raise ValueError("case-2 identities are specific to n = 2")
-    for name, c, dd in t._cubes:
-        sum_c2 = sum(map(mul, c, c))
-        sum_d2 = sum(map(mul, dd, dd))
-        middle = 2 * (dd[_flat_index(2, 0, 1, 0)] ** 2 + dd[_flat_index(2, 1, 0, 1)] ** 2)
-        if not (sum_c2 == middle == sum_d2):
-            return CheckResult(
-                False, f"{name}: sum C^2={sum_c2}, 2(d121^2+d212^2)={middle}, sum d^2={sum_d2}"
-            )
-    return CheckResult(True)
+    c, d = _flat(t)
+    sum_c2, sum_d2 = _total(c * c, -1), _total(d * d, -1)
+    middle = 2 * (d[..., 2] ** 2 + d[..., 5] ** 2)  # flat (i, j, k) = (0, 1, 0) and (1, 0, 1)
+    bad = (sum_c2 != middle) | (middle != sum_d2)
+
+    def describe(s):
+        m = int(np.argmax(bad[s]))
+        sums = f"sum C^2={sum_c2[s][m]}, 2(d121^2+d212^2)={middle[s][m]}, sum d^2={sum_d2[s][m]}"
+        return f"{_CUBE_NAMES[m]}: {sums}"
+
+    return _result(bad.any(-1), describe)
 
 
 # --- exact skew-matrix algebra -------------------------------------------------
 
-@dataclass(frozen=True)
 class RationalSkewMatrix:
-    """Skew 2n x 2n matrix over exact rationals, a tuple of row tuples.
+    """Skew 2n x 2n matrices over exact rationals, from any nested sequence.
 
-    ``random`` draws int entries scaled by twice the lcm of the denominators,
-    so the halves that ``skew_decompose`` takes stay ints.
+    ``array`` has shape batch + (2n, 2n); ``entries`` reads it as tuples of
+    rows.  ``random`` draws int entries scaled by twice the lcm of the
+    denominators, so the halves that ``skew_decompose`` takes stay ints.
     """
 
-    n: int
-    entries: tuple
+    def __init__(self, n: int, entries):
+        dim = 2 * n
+        m, broken = _skew_entries(entries, (dim, dim), f"entries must be {dim} x {dim}")
+        if broken:
+            raise ValueError(f"entry {tuple(broken)} breaks skew symmetry")
+        self.n, self.array = n, m
 
-    def __post_init__(self):
-        dim = 2 * self.n
-        if len(self.entries) != dim or any(len(r) != dim for r in self.entries):
-            raise ValueError(f"entries must be {dim} x {dim}")
-        for a in range(dim):
-            for b in range(a, dim):
-                if self.entries[a][b] != -self.entries[b][a]:
-                    raise ValueError(f"entry ({a}, {b}) breaks skew symmetry")
+    @cached_property
+    def entries(self) -> tuple:
+        def rows(x):
+            return tuple(map(rows, x)) if isinstance(x, list) else x
+
+        return rows(self.array.tolist())
 
     @classmethod
     def random(cls, n: int, rng: random.Random) -> "RationalSkewMatrix":
-        dim = 2 * n
-        values = _scaled_draws(rng, dim * (dim - 1) // 2, factor=2)
-        return cls(n=n, entries=_skew_planes(values, dim, 1)[0])
+        return cls._of_draws(n, _draw_pairs(rng, n * (2 * n - 1)))
+
+    @classmethod
+    def _of_draws(cls, n: int, pairs: np.ndarray) -> "RationalSkewMatrix":
+        return cls(n, _skew_planes(_scaled(pairs, factor=2), 2 * n, 1)[..., 0, :, :])
 
     @classmethod
     def from_rows(cls, n: int, rows) -> "RationalSkewMatrix":
-        return cls(n=n, entries=tuple(tuple(Fraction(x) for x in row) for row in rows))
+        return cls(n=n, entries=[[Fraction(x) for x in row] for row in rows])
 
 
-def _negated(m: tuple) -> tuple:
-    return tuple(tuple(map(neg, row)) for row in m)
-
-
-def _mat_add(x: tuple, y: tuple) -> tuple:
-    return tuple(tuple(map(add, xr, yr)) for xr, yr in zip(x, y))
+def _blocks(m: RationalSkewMatrix) -> tuple:
+    """The n x n blocks A, B, C, D of M = [[A, B], [C, D]]."""
+    n, a = m.n, m.array
+    return a[..., :n, :n], a[..., :n, n:], a[..., n:, :n], a[..., n:, n:]
 
 
 def skew_decompose(omega: RationalSkewMatrix) -> tuple:
@@ -328,69 +356,57 @@ def skew_decompose(omega: RationalSkewMatrix) -> tuple:
     from the upper ones, [-(B - C)/2, (A + D)/2] and [(B + C)/2, -(A - D)/2].
     """
     n = omega.n
-    u_rows, s_rows = [], []
-    for upper, lower in zip(omega.entries[:n], omega.entries[n:]):
-        moved = lower[n:] + tuple(map(neg, lower[:n]))  # [D, -C]
-        u_rows.append(tuple(map(_half, map(add, upper, moved))))
-        s_rows.append(tuple(map(_half, map(sub, upper, moved))))
-    u_rows += [tuple(map(neg, row[n:])) + row[:n] for row in u_rows]
-    s_rows += [row[n:] + tuple(map(neg, row[:n])) for row in s_rows]
-    return (
-        RationalSkewMatrix(n=n, entries=tuple(u_rows)),
-        RationalSkewMatrix(n=n, entries=tuple(s_rows)),
-    )
+    A, B, C, D = _blocks(omega)
+    upper, moved = _pair(A, B), _pair(D, -C)
+    u, s = _halves(upper + moved), _halves(upper - moved)
+    u_rows = np.concatenate((u, _pair(-u[..., n:], u[..., :n])), axis=-2)
+    s_rows = np.concatenate((s, _pair(s[..., n:], -s[..., :n])), axis=-2)
+    return RationalSkewMatrix(n, u_rows), RationalSkewMatrix(n, s_rows)
 
 
-def commutes_with_j0(m: RationalSkewMatrix) -> bool:
-    """J0 M = M J0, that is C = -B and D = A."""
-    n = m.n
-    return all(
-        lower[n:] == upper[:n] and all(map(eq, lower[:n], map(neg, upper[n:])))
-        for upper, lower in zip(m.entries[:n], m.entries[n:])
-    )
+def commutes_with_j0(m: RationalSkewMatrix):
+    """J0 M = M J0, that is C = -B and D = A; one verdict per sample."""
+    A, B, C, D = _blocks(m)
+    return ((C == -B) & (D == A)).all((-2, -1))
 
 
-def anticommutes_with_j0(m: RationalSkewMatrix) -> bool:
-    """J0 M = -M J0, that is C = B and D = -A."""
-    n = m.n
-    return all(
-        lower[:n] == upper[n:] and all(map(eq, lower[n:], map(neg, upper[:n])))
-        for upper, lower in zip(m.entries[:n], m.entries[n:])
-    )
+def anticommutes_with_j0(m: RationalSkewMatrix):
+    """J0 M = -M J0, that is C = B and D = -A; one verdict per sample."""
+    A, B, C, D = _blocks(m)
+    return ((C == B) & (D == -A)).all((-2, -1))
 
 
 def trace_pairing(p: RationalSkewMatrix, q: RationalSkewMatrix):
     """The invariant pairing -tr(PQ) used on so(2n)."""
-    dim = 2 * p.n
-    return -sum(p.entries[a][b] * q.entries[b][a] for a in range(dim) for b in range(dim))
+    return -_total(p.array * q.array.swapaxes(-1, -2), (-2, -1))[()]
 
 
-def canonical_j1(psi: RationalSkewMatrix, V: tuple) -> tuple:
+def canonical_j1(psi: RationalSkewMatrix, V) -> tuple:
     """One application of the canonical complex structure (psi, V) -> (J0 psi, -V J0).
 
-    ``psi`` must anticommute with J0 (raise NotInSigma otherwise); the first
-    output slot anticommutes again and applying the map twice negates both
-    slots exactly.
+    ``psi`` must anticommute with J0 in every sample (raise NotInSigma
+    otherwise); the first output slot anticommutes again and applying the map
+    twice negates both slots exactly.  One V comes back as a tuple.
     """
-    if not anticommutes_with_j0(psi):
-        raise NotInSigma("psi does not anticommute with J0")
-    n = psi.n
-    V = tuple(V)
-    if len(V) != 2 * n:
+    if not np.all(anticommutes_with_j0(psi)):
+        raise NotInSigma(_OUTSIDE_SIGMA)
+    n, a = psi.n, psi.array
+    V = np.asarray(V, dtype=object)
+    if V.shape[-1:] != (2 * n,):
         raise ValueError(f"V must have length {2 * n}")
     # J0 psi = [[-C, -D], [A, B]]: the lower rows negated, then the upper rows
-    new_psi = RationalSkewMatrix(n=n, entries=_negated(psi.entries[n:]) + psi.entries[:n])
+    new_psi = RationalSkewMatrix(n, np.concatenate((-a[..., n:, :], a[..., :n, :]), axis=-2))
     # -V J0 : (V J0)_b = V_{b+n} for b < n, -(V_{b-n}) otherwise
-    new_v = tuple(map(neg, V[n:])) + V[:n]
-    return new_psi, new_v
+    new_v = _pair(-V[..., n:], V[..., :n])
+    return new_psi, (tuple(new_v) if new_v.ndim == 1 else new_v)
 
 
-def _alpha_of(m: tuple, n: int):
-    return [[m[i][n + j] + m[n + i][j] for j in range(n)] for i in range(n)]
+def _alpha_of(m: np.ndarray, n: int) -> np.ndarray:
+    return m[..., :n, n:] + m[..., n:, :n]
 
 
-def _beta_of(m: tuple, n: int):
-    return [[m[n + i][n + j] - m[i][j] for j in range(n)] for i in range(n)]
+def _beta_of(m: np.ndarray, n: int) -> np.ndarray:
+    return m[..., n:, n:] - m[..., :n, :n]
 
 
 def check_wedge_identity(P: RationalSkewMatrix, Q: RationalSkewMatrix) -> CheckResult:
@@ -399,37 +415,23 @@ def check_wedge_identity(P: RationalSkewMatrix, Q: RationalSkewMatrix) -> CheckR
     With P = w(X) and Q = w(Y) for a skew matrix of 1-forms w, the left side
     is sum_ij (w_ij ^ w_{j,i+n} + w_{i,j+n} ^ w_{j+n,i+n})(X, Y) and the right
     side is -1/2 sum_ij (alpha_ij ^ beta_ij)(X, Y); they are compared as
-    2 lhs = -sum_ij (alpha_ij ^ beta_ij)(X, Y), without a division.
+    2 lhs = -sum_ij (alpha_ij ^ beta_ij)(X, Y), without a division.  On the
+    left, sum_{i<n} sum_c P_ic Q_{c,i+n} joins the two terms with P first.
     """
     if P.n != Q.n:
         raise ValueError("matrices must share the same n")
-    n = P.n
-    p, q = P.entries, Q.entries
-    lhs = 0
-    for i in range(n):
-        for j in range(n):
-            lhs += (
-                p[i][j] * q[j][i + n]
-                - q[i][j] * p[j][i + n]
-                + p[i][j + n] * q[j + n][i + n]
-                - q[i][j + n] * p[j + n][i + n]
-            )
-    ap, bp = _alpha_of(p, n), _beta_of(p, n)
-    aq, bq = _alpha_of(q, n), _beta_of(q, n)
-    wedge_sum = 0
-    for i in range(n):
-        for j in range(n):
-            wedge_sum += ap[i][j] * bq[i][j] - aq[i][j] * bp[i][j]
-    if 2 * lhs != -wedge_sum:
-        return CheckResult(False, f"lhs={lhs} rhs={_half(-wedge_sum)}")
-    return CheckResult(True)
+    n, p, q = P.n, P.array, Q.array
+    pq, qp = (x[..., :n, :] * y[..., n:].swapaxes(-1, -2) for x, y in ((p, q), (q, p)))
+    (ap, bp), (aq, bq) = ((_alpha_of(m, n), _beta_of(m, n)) for m in (p, q))
+    lhs, wedge = _total(pq - qp, (-2, -1)), _total(ap * bq - aq * bp, (-2, -1))
+    return _result(2 * lhs != -wedge, lambda s: f"lhs={lhs[s]} rhs={Fraction(-wedge[s], 2)}")
 
 
 def run_algebra_sweep(n_list, samples: int, seed: int) -> dict:
     """Seeded randomized sweep of every exact check; returns per-check pass counts.
 
-    The report carries the first counterexample encountered (if any) and,
-    for each n >= 3, the sample with the largest case-1 ratio
+    The report carries every counterexample, by sample and then by check,
+    and, for each n >= 3, the sample with the largest case-1 ratio
     4 sum C^2 / sum d^2: its index and the ratio as an exact fraction.
     """
     if samples < 1:
@@ -443,60 +445,56 @@ def run_algebra_sweep(n_list, samples: int, seed: int) -> dict:
         raise ValueError(f"half-dimensions must be distinct, got {n_list}")
     report = {"seed": seed, "samples": samples, "n_list": n_list, "checks": {}, "failures": []}
     counts: dict = {}
-
-    def record(name: str, ok: bool, detail: str | None, n: int, k: int):
-        slot = counts.setdefault(name, {"pass": 0, "fail": 0})
-        slot["pass" if ok else "fail"] += 1
-        if not ok:
-            report["failures"].append(
-                {"check": name, "n": n, "sample": k, "detail": detail or ""}
-            )
-
     worst_case1 = []
     for n in n_list:
         rng = random.Random(seed * 100003 + n)
         worst = None
-        for k in range(samples):
-            tensor = RationalCTensor.random(n, rng)
+        # per sample, the draws of C and C', the skew matrix, V, then Q
+        ends = np.cumsum((n * n * (n - 1), n * (2 * n - 1), 2 * n, n * (2 * n - 1)))
+        for start in range(0, samples, ALGEBRA_CHUNK):
+            size = min(ALGEBRA_CHUNK, samples - start)
+            pairs = _draw_pairs(rng, size * ends[-1]).reshape(size, ends[-1], 2)
+            cubes, skew, V, Q = np.split(pairs, ends[:-1], axis=1)
+            tensor, V = RationalCTensor._of_draws(n, cubes), _scaled(V)
+            skew, Q = (RationalSkewMatrix._of_draws(n, x) for x in (skew, Q))
+            results = []
             if n >= 3:
-                res = check_identity_c1(tensor)
-                record("identity_c1", res.ok, res.counterexample, n, k)
+                results.append(("identity_c1", check_identity_c1(tensor)))
                 res, ratio = check_case1_inequality(tensor)
-                if worst is None or ratio > worst[0]:
-                    worst = ratio, k
-                record("case1_inequality", res.ok, res.counterexample, n, k)
+                k = int(np.argmax(ratio))
+                if worst is None or ratio[k] > worst[0]:
+                    worst = ratio[k], start + k
+                results.append(("case1_inequality", res))
             else:
-                res = check_case2_identities(tensor)
-                record("case2_identities", res.ok, res.counterexample, n, k)
-
-            skew = RationalSkewMatrix.random(n, rng)
+                results.append(("case2_identities", check_case2_identities(tensor)))
             u_part, sigma_part = skew_decompose(skew)
-            ok = (
-                commutes_with_j0(u_part)
-                and anticommutes_with_j0(sigma_part)
-                and _mat_add(u_part.entries, sigma_part.entries) == skew.entries
-                and trace_pairing(u_part, sigma_part) == 0
-            )
-            record("skew_decompose", ok, None if ok else "decomposition failed", n, k)
-
-            V = tuple(_scaled_draws(rng, 2 * n))
-            psi = sigma_part
-            try:
-                psi1, v1 = canonical_j1(psi, V)
-                psi2, v2 = canonical_j1(psi1, v1)
-            except NotInSigma as exc:  # a broken split hands J1 a psi outside sigma
-                record("canonical_j1_square", False, str(exc), n, k)
-            else:
-                ok = (
-                    anticommutes_with_j0(psi1)
-                    and psi2.entries == _negated(psi.entries)
-                    and v2 == tuple(map(neg, V))
-                )
-                record("canonical_j1_square", ok, None if ok else "J1^2 != -Id", n, k)
-
-            Q = RationalSkewMatrix.random(n, rng)
-            res = check_wedge_identity(skew, Q)
-            record("wedge_identity", res.ok, res.counterexample, n, k)
+            ok = commutes_with_j0(u_part) & anticommutes_with_j0(sigma_part)
+            ok &= (u_part.array + sigma_part.array == skew.array).all((-2, -1))
+            ok &= trace_pairing(u_part, sigma_part) == 0
+            results.append(("skew_decompose", _result(~ok, lambda s: "decomposition failed")))
+            # J1 rejects a batch with any psi outside sigma: such samples run on psi = 0
+            psi, inside = sigma_part, anticommutes_with_j0(sigma_part)
+            if not inside.all():
+                psi = RationalSkewMatrix(n, np.where(inside[:, None, None], psi.array, 0))
+            psi1, v1 = canonical_j1(psi, V)
+            psi2, v2 = canonical_j1(psi1, v1)
+            ok = inside & anticommutes_with_j0(psi1) & (v2 == -V).all(-1)
+            ok &= (psi2.array == -psi.array).all((-2, -1))
+            j1_text = ("J1^2 != -Id", _OUTSIDE_SIGMA)
+            results.append(("canonical_j1_square", _result(~ok, lambda s: j1_text[not inside[s]])))
+            results.append(("wedge_identity", check_wedge_identity(skew, Q)))
+            for name, res in results:
+                passes = int(np.count_nonzero(res.ok))
+                slot = counts.setdefault(name, {"pass": 0, "fail": 0})
+                slot["pass"], slot["fail"] = slot["pass"] + passes, slot["fail"] + size - passes
+            if not all(res for _, res in results):
+                report["failures"] += [
+                    {"check": name, "n": n, "sample": start + k,
+                     "detail": res.counterexample[k] or ""}
+                    for k in range(size)
+                    for name, res in results
+                    if not res.ok[k]
+                ]
         if worst is not None:
             worst_case1.append({"n": n, "sample": worst[1], "ratio": str(worst[0])})
     report["checks"] = counts

@@ -6,6 +6,7 @@ detector, not a calibration knob.
 """
 
 import dataclasses
+import hashlib
 import time
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ import numpy as np
 
 from twistorcheck import (
     alpha_beta,
+    cli,
     connection_coefficients,
     connection_derivative,
     conformal_hermitian,
@@ -98,9 +100,17 @@ def test_criterion_1_flat_kahler():
             c.check(dev <= 1e-10, f"n={n}: max |F + J0| = {dev:.3e}")
 
 
+# sha256 of cli._to_json of the criterion-2 report: 10^4 samples per n cross
+# many sweep chunks and end in a partial one, and the worst case-1 ratio
+# depends on every drawn value.
+CRITERION_2_SHA256 = "db0ec80a75798f09b2bc7d386fa6fadbbb3d74a9a488f3b52c1c2cc09b09a3aa"
+
+
 def test_criterion_2_exact_algebra_sweep():
     with Criterion(2, "exact rational sweep, 10^4 samples per check", 30.0) as c:
         report = run_algebra_sweep([2, 3], samples=10_000, seed=20240808)
+        digest = hashlib.sha256(cli._to_json(report).encode()).hexdigest()
+        c.check(digest == CRITERION_2_SHA256, f"report sha256 {digest}")
         c.check(report["all_pass"], f"failures: {report['failures'][:3]}")
         for name, counts in report["checks"].items():
             c.check(counts["fail"] == 0, f"{name}: {counts['fail']} failures")

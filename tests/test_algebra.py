@@ -5,12 +5,14 @@ import operator
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from twistorcheck import (
     NotInSigma,
     RationalCTensor,
     RationalSkewMatrix,
+    algebra,
     canonical_j1,
     check_case1_inequality,
     check_case2_identities,
@@ -433,8 +435,9 @@ def test_sweep_names_its_worst_case1_sample(monkeypatch):
     check = algebra.check_case1_inequality
 
     def recording(t):
+        # the sweep hands the check a chunk of samples and gets one ratio per sample
         res, ratio = check(t)
-        seen.setdefault(t.n, []).append(ratio)
+        seen.setdefault(t.n, []).extend(ratio)
         return res, ratio
 
     monkeypatch.setattr(algebra, "check_case1_inequality", recording)
@@ -460,3 +463,204 @@ def test_sweep_rejects_duplicate_n():
     # the rng seed depends only on (seed, n), so a repeat would replay the same samples
     with pytest.raises(ValueError, match="distinct"):
         run_algebra_sweep([2, 3, 2], samples=3, seed=1)
+
+
+# --- list-built objects and batches -------------------------------------------
+
+SIGMA_ROWS = [[0, 1, 0, 2], [-1, 0, -2, 0], [0, 2, 0, -1], [-2, 0, 1, 0]]
+
+
+def nested_lists(n, entries):
+    cube = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for (i, j, k), v in entries.items():
+        cube[i][j][k], cube[i][k][j] = v, -v
+    return cube
+
+
+def test_list_built_objects_go_through_every_check():
+    """Constructors normalise any nested sequence, so list rows reach every check."""
+    rows = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+    listed = RationalSkewMatrix(n=2, entries=rows)
+    tupled = RationalSkewMatrix(n=2, entries=tuple(map(tuple, rows)))
+    sigma = RationalSkewMatrix(n=2, entries=SIGMA_ROWS)
+    assert anticommutes_with_j0(sigma) and not commutes_with_j0(sigma)
+    (u, s), (u_ref, s_ref) = skew_decompose(listed), skew_decompose(tupled)
+    assert u.entries == u_ref.entries and s.entries == s_ref.entries
+    assert commutes_with_j0(listed) == commutes_with_j0(tupled)
+    assert anticommutes_with_j0(listed) == anticommutes_with_j0(tupled)
+    assert trace_pairing(listed, sigma) == trace_pairing(tupled, sigma) == 2
+    psi1, v1 = canonical_j1(sigma, [1, 2, 3, 4])
+    assert psi1.entries == tuple(tuple(-x for x in row) for row in SIGMA_ROWS[2:]) + tuple(
+        map(tuple, SIGMA_ROWS[:2])
+    )
+    assert v1 == (-3, -4, 1, 2)
+    assert check_wedge_identity(listed, sigma) and check_wedge_identity(sigma, listed)
+    cases = ((3, {(0, 1, 2): 1}, {(2, 0, 1): 3}), (2, {(0, 1, 0): 2}, {(1, 0, 1): 5}))
+    for n, c_entries, cp_entries in cases:
+        t = RationalCTensor(n, nested_lists(n, c_entries), nested_lists(n, cp_entries))
+        ref = tensor_from_entries(n, c_entries, cp_entries)
+        assert check_identity_c1(t) and check_identity_c1(ref)
+        if n == 2:
+            assert check_case2_identities(t) and check_case2_identities(ref)
+        else:
+            (ok, ratio), (ref_ok, ref_ratio) = check_case1_inequality(t), check_case1_inequality(ref)
+            assert ok and ref_ok and ratio == ref_ratio
+
+
+def test_constructor_errors_name_the_first_offending_index():
+    bad = nested_lists(3, {(1, 0, 2): 4})
+    bad[1][2][0] = 0  # C[1][0][2] = 4 has no mirror
+    bad[2][2][2] = 1  # a later diagonal entry is not zero either
+    with pytest.raises(ValueError, match=r"^C\[1\]\[0\]\[2\] breaks antisymmetry"):
+        RationalCTensor(3, bad, nested_lists(3, {}))
+    with pytest.raises(ValueError, match=r"^Cp\[1\]\[2\]\[2\] breaks antisymmetry"):
+        RationalCTensor(3, nested_lists(3, {}), [bad[0], bad[2], bad[2]])
+    rows = [list(row) for row in SIGMA_ROWS]
+    rows[3][3], rows[1][2] = 7, 5
+    with pytest.raises(ValueError, match=r"^entry \(1, 2\) breaks skew symmetry"):
+        RationalSkewMatrix(2, rows)
+    # in a batch the index starts with the sample's
+    with pytest.raises(ValueError, match=r"^entry \(1, 1, 2\) breaks skew symmetry"):
+        RationalSkewMatrix(2, [SIGMA_ROWS, rows])
+    with pytest.raises(ValueError, match="must be 4 x 4"):
+        RationalSkewMatrix(2, [row[:3] for row in SIGMA_ROWS])
+
+
+def alone(obj, k):
+    """Sample k of a batch as an object of batch shape ()."""
+    if isinstance(obj, RationalCTensor):
+        return RationalCTensor(obj.n, obj.C[k], obj.Cp[k])
+    return RationalSkewMatrix(obj.n, obj.array[k])
+
+
+def drawn_batch(cls, n, size, seed):
+    """``size`` drawn objects of one kind as one batch of shape (size,)."""
+    rng = random.Random(seed)
+    singles = [cls.random(n, rng) for _ in range(size)]
+    if cls is RationalCTensor:
+        return cls(n, [t.C for t in singles], [t.Cp for t in singles])
+    return cls(n, [m.array for m in singles])
+
+
+def with_d(t, d):
+    """``t`` reading ``d`` in place of its own d and d'."""
+    t.__dict__["d"] = d
+    return t
+
+
+def assert_same_verdicts(batch, singles):
+    """A batch CheckResult holds, per sample, the verdict and text of that sample alone."""
+    assert len(batch.ok) == len(singles)
+    for k, single in enumerate(singles):
+        assert type(single.ok) is bool
+        assert batch.ok[k] == single.ok
+        assert batch.counterexample[k] == single.counterexample
+
+
+SIZE, MIDDLE = 7, 3
+
+
+@pytest.mark.parametrize(
+    "n, cube, where",
+    [(3, 0, (0, 1, 2)), (3, 1, (2, 2, 0)), (4, 1, (1, 0, 3)), (2, 0, (0, 1, 0)), (2, 1, (1, 1, 0))],
+)
+def test_tensor_batch_is_its_samples_checked_alone(n, cube, where):
+    """One sample in the middle of a drawn batch reads a doctored d entry: every
+    tensor check gives each sample the verdict, text and ratio it gets alone."""
+    t = drawn_batch(RationalCTensor, n, SIZE, 40 + n)
+    d = t.d.copy()
+    d[(MIDDLE, cube) + where] += 1
+    t = with_d(t, d)
+    singles = [with_d(alone(t, k), d[k]) for k in range(SIZE)]
+    checks = [check_identity_c1, check_case2_identities] if n == 2 else [check_identity_c1]
+    for check in checks:
+        res = check(t)
+        assert_same_verdicts(res, [check(s) for s in singles])
+        assert not res.ok[MIDDLE] and res.ok.sum() == SIZE - 1
+    if n >= 3:
+        res, ratio = check_case1_inequality(t)
+        alone_results = [check_case1_inequality(s) for s in singles]
+        assert_same_verdicts(res, [r for r, _ in alone_results])
+        assert list(ratio) == [r for _, r in alone_results]
+        assert all(type(r) is Fraction for r in ratio)
+        assert not res.ok[MIDDLE]
+        # a failure in C keeps no ratio; one in C' keeps C's
+        assert (ratio[MIDDLE] == 0) == (cube == 0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_wedge_batch_is_its_samples_checked_alone(n, monkeypatch):
+    """A beta that slips only at an entry 7 fails the one sample that holds it."""
+    P = drawn_batch(RationalSkewMatrix, n, SIZE, 60 + n)
+    Q = drawn_batch(RationalSkewMatrix, n, SIZE, 70 + n)
+    rows = P.array.copy()
+    rows[MIDDLE, 0, 1], rows[MIDDLE, 1, 0] = 7, -7
+    P = RationalSkewMatrix(n, rows)
+    beta = algebra._beta_of
+    monkeypatch.setattr(algebra, "_beta_of", lambda m, n: beta(m, n) + (m[..., :n, :n] == 7))
+    res = check_wedge_identity(P, Q)
+    assert_same_verdicts(res, [check_wedge_identity(alone(P, k), alone(Q, k)) for k in range(SIZE)])
+    assert not res.ok[MIDDLE] and res.ok.sum() == SIZE - 1
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_skew_batch_is_its_samples_checked_alone(n):
+    """Split, J0 tests, pairing and J1 give each sample what it gets alone."""
+    om = drawn_batch(RationalSkewMatrix, n, SIZE, 80 + n)
+    u_part, sigma_part = skew_decompose(om)
+    for k in range(SIZE):
+        u_k, s_k = skew_decompose(alone(om, k))
+        assert alone(u_part, k).entries == u_k.entries
+        assert alone(sigma_part, k).entries == s_k.entries
+        assert trace_pairing(om, sigma_part)[k] == trace_pairing(alone(om, k), s_k)
+    # the middle sample is a u part, the others are not split at all
+    rows = om.array.copy()
+    rows[MIDDLE] = u_part.array[MIDDLE]
+    mixed = RationalSkewMatrix(n, rows)
+    for test in (commutes_with_j0, anticommutes_with_j0):
+        verdicts = test(mixed)
+        assert list(verdicts) == [test(alone(mixed, k)) for k in range(SIZE)]
+    assert list(commutes_with_j0(mixed)) == [k == MIDDLE for k in range(SIZE)]
+    V = np.array([[10 * k + b for b in range(2 * n)] for k in range(SIZE)], dtype=object)
+    psi1, v1 = canonical_j1(sigma_part, V)
+    for k in range(SIZE):
+        psi1_k, v1_k = canonical_j1(alone(sigma_part, k), tuple(V[k]))
+        assert alone(psi1, k).entries == psi1_k.entries and tuple(v1[k]) == v1_k
+    # one psi outside sigma makes J1 reject the batch, as it rejects that sample alone
+    rows = sigma_part.array.copy()
+    rows[MIDDLE] = om.array[MIDDLE]
+    with pytest.raises(NotInSigma):
+        canonical_j1(RationalSkewMatrix(n, rows), V)
+    with pytest.raises(NotInSigma):
+        canonical_j1(alone(om, MIDDLE), V[MIDDLE])
+
+
+def exact_kinds(arrays):
+    return {type(x) for a in arrays for x in np.asarray(a, dtype=object).flat}
+
+
+def test_every_entry_and_every_compared_sum_is_exact(monkeypatch):
+    """No float enters: every constructed object's entries and every sum a check
+    compares are ints or Fractions, through a sweep and on Fraction inputs."""
+    seen = {"_skew_entries": [], "_total": []}
+    for name, arrays in seen.items():
+        fn = getattr(algebra, name)
+
+        def recording(*args, fn=fn, arrays=arrays):
+            out = fn(*args)
+            arrays.append(out[0] if isinstance(out, tuple) else out)
+            return out
+
+        monkeypatch.setattr(algebra, name, recording)
+    report = run_algebra_sweep([2, 3], samples=40, seed=3)
+    assert report["all_pass"]
+    t = tensor_from_entries(3, {(0, 1, 2): F(1, 3), (1, 0, 2): F(-2, 5)}, {(2, 1, 0): F(7, 2)})
+    assert check_identity_c1(t) and check_case1_inequality(t)[0]
+    assert check_case2_identities(tensor_from_entries(2, {(0, 1, 0): F(1, 3)}, {(1, 0, 1): F(5, 7)}))
+    om = skew_from_entries(3, {(0, 1): F(1, 3), (0, 4): F(-5, 7), (2, 5): 3})
+    u_part, sigma_part = skew_decompose(om)
+    assert trace_pairing(u_part, sigma_part) == 0
+    assert check_wedge_identity(om, sigma_part)
+    for name, arrays in seen.items():
+        assert arrays, name
+        assert exact_kinds(arrays) == {int, Fraction}, name

@@ -202,11 +202,18 @@ def test_verify_algebra_unwritable_out(tmp_path, capsys):
     assert err.startswith("error: cannot write output") and err.count("\n") == 1
 
 
+# sha256 of the report bytes of the two negative controls below: the failure
+# texts carry the exact lhs and rhs of every failing wedge sample, and the
+# order of the failures list is by sample and then by check.
+NEGATIVE_CONTROL_BETA_SHA256 = "1bcda407391c9306c96168228180e8a40a0d43a7bf5130ae6234a84d53389fc3"
+NEGATIVE_CONTROL_SPLIT_SHA256 = "4b35f1950253418acb9998c326e601cb7b2924126285090a20f7a16d66374548"
+
+
 def test_verify_algebra_negative_control(tmp_path, monkeypatch):
     """A sign slip in beta must surface as failed wedge-identity samples and exit 1."""
     monkeypatch.setattr(
         algebra, "_beta_of",
-        lambda m, n: [[m[i][j] - m[n + i][n + j] for j in range(n)] for i in range(n)],
+        lambda m, n: m[..., :n, :n] - m[..., n:, n:],
     )
     out = tmp_path / "algebra.json"
     code = run_cli(["verify-algebra", "--n-list", "2,3", "--samples", "3", "--out", str(out)])
@@ -215,6 +222,7 @@ def test_verify_algebra_negative_control(tmp_path, monkeypatch):
     assert doc["all_pass"] is False
     assert doc["checks"]["wedge_identity"]["fail"] == 6
     assert {f["check"] for f in doc["failures"]} == {"wedge_identity"}
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == NEGATIVE_CONTROL_BETA_SHA256
 
 
 def test_verify_algebra_negative_control_swapped_split(tmp_path, monkeypatch):
@@ -230,6 +238,7 @@ def test_verify_algebra_negative_control_swapped_split(tmp_path, monkeypatch):
     # the swapped "sigma" part does not anticommute with J0, so J1 rejects it
     assert doc["checks"]["canonical_j1_square"] == {"pass": 0, "fail": 6}
     assert {f["check"] for f in doc["failures"]} == {"skew_decompose", "canonical_j1_square"}
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == NEGATIVE_CONTROL_SPLIT_SHA256
 
 
 # sha256 of the report bytes of this command.  The draws fix which samples run
