@@ -9,14 +9,16 @@ Every object is a batch: a numpy ``dtype=object`` array holds its exact
 rational entries (``int`` or ``fractions.Fraction``) with leading axes over
 samples, and a single object is a batch of shape ().  numpy runs the loops and
 Python's exact arithmetic each entry operation, so no float is ever formed.  The
-sweep draws ALGEBRA_CHUNK samples at a time, with the rng calls of one sample
-after another, sends each chunk once through each check, and hands the checks
-Python ints: each sampled object (the C cube, the C' cube, a skew matrix, V) is
-multiplied by the lcm of its denominators.  Every checked statement is
-homogeneous of degree 1 or 2 in the entries of one object, and the wedge
-identity is bilinear in its two matrices, so scaling an object by a positive
-factor preserves every equality and inequality exactly, and the case-1 ratio
-4 sum C^2 / sum d^2 is scale-free.
+sweep draws ALGEBRA_CHUNK samples at a time, one sample after another: it takes
+blocks of 32-bit words from getrandbits and numpy parses them as randint's
+rejection loops would, so the values and the rng state afterwards are those of
+one randint pair per rational.  It sends each chunk once through each check and
+hands the checks Python ints: each sampled object (the C cube, the C' cube, a
+skew matrix, V) is multiplied by the lcm of its denominators.  Every checked
+statement is homogeneous of degree 1 or 2 in the entries of one object, and the
+wedge identity is bilinear in its two matrices, so scaling an object by a
+positive factor preserves every equality and inequality exactly, and the case-1
+ratio 4 sum C^2 / sum d^2 is scale-free.
 
 Verified facts, each for every index combination:
 
@@ -57,11 +59,16 @@ NUMERATOR_RANGE = 10**6
 DENOMINATOR_RANGE = 10**3
 
 # random.Random.randint(a, b) draws getrandbits(k) until the value is below the
-# width b - a + 1, with k = width.bit_length(); random_fraction runs that loop
-# itself, so it makes the same rng calls as randint and returns the same values.
+# width b - a + 1, with k = width.bit_length(), and getrandbits(k) with k <= 32
+# is the next 32-bit word shifted right by 32 - k.  So a numerator accepts a
+# word below _NUMERATOR_CUT, a denominator one below _DENOMINATOR_CUT (the
+# larger cut), and getrandbits(32 * k) returns the next k words, least
+# significant first: _draw_pairs parses blocks of words the way randint would.
 _NUMERATOR_WIDTH = 2 * NUMERATOR_RANGE + 1
-_NUMERATOR_BITS = _NUMERATOR_WIDTH.bit_length()
-_DENOMINATOR_BITS = DENOMINATOR_RANGE.bit_length()
+_NUMERATOR_SHIFT = 32 - _NUMERATOR_WIDTH.bit_length()
+_DENOMINATOR_SHIFT = 32 - DENOMINATOR_RANGE.bit_length()
+_NUMERATOR_CUT = _NUMERATOR_WIDTH << _NUMERATOR_SHIFT
+_DENOMINATOR_CUT = DENOMINATOR_RANGE << _DENOMINATOR_SHIFT
 
 _CUBE_NAMES = ("C", "C'")
 _OUTSIDE_SIGMA = "psi does not anticommute with J0"
@@ -97,19 +104,37 @@ def random_fraction(rng: random.Random) -> tuple:
     pair and the rng state afterwards are those of
     ``(rng.randint(-10**6, 10**6), rng.randint(1, 10**3))``.
     """
-    bits = rng.getrandbits
-    p = bits(_NUMERATOR_BITS)
-    while p >= _NUMERATOR_WIDTH:
-        p = bits(_NUMERATOR_BITS)
-    q = bits(_DENOMINATOR_BITS)
-    while q >= DENOMINATOR_RANGE:
-        q = bits(_DENOMINATOR_BITS)
-    return p - NUMERATOR_RANGE, q + 1
+    return tuple(_draw_pairs(rng, 1)[0])
 
 
 def _draw_pairs(rng: random.Random, count: int) -> np.ndarray:
-    """``count`` successive random_fraction pairs as a (count, 2) object array."""
-    return np.array([random_fraction(rng) for _ in range(count)], dtype=object).reshape(count, 2)
+    """``count`` successive random_fraction pairs as a (count, 2) object array.
+
+    Each block of words is the fewest the missing pairs can take, two per pair
+    less one for a numerator already accepted, so no word is drawn past the
+    last denominator.  A word at or above _DENOMINATOR_CUT is rejected in
+    either slot; one in [_NUMERATOR_CUT, _DENOMINATOR_CUT) is rejected only in
+    a numerator slot, so only those words go through the loop that tracks the
+    slot, and every other word fills the next one.
+    """
+    blocks, taken = [], 0  # accepted words, numerator and denominator slots alternating
+    while taken < 2 * count:
+        missing = 2 * count - taken
+        words = np.frombuffer(rng.getrandbits(32 * missing).to_bytes(4 * missing, "little"), "<u4")
+        words = words[words < _DENOMINATOR_CUT]
+        middle = np.flatnonzero(words >= _NUMERATOR_CUT).tolist()
+        if middle:
+            keep, skipped = np.ones(len(words), dtype=bool), 0
+            for k in middle:
+                if (taken + k - skipped) % 2 == 0:  # a numerator slot
+                    keep[k] = False
+                    skipped += 1
+            words = words[keep]
+        blocks.append(words)
+        taken += len(words)
+    words = np.concatenate(blocks).astype(np.int64).reshape(count, 2)
+    pairs = (words >> (_NUMERATOR_SHIFT, _DENOMINATOR_SHIFT)) + (-NUMERATOR_RANGE, 1)
+    return pairs.astype(object)
 
 
 def _scaled(pairs: np.ndarray, factor: int = 1) -> np.ndarray:
@@ -142,13 +167,30 @@ def _pair(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 def _skew_entries(x, shape: tuple, message: str) -> tuple:
     """A nested sequence of exact rationals as a read-only object array ending in
-    axes ``shape``, and the first index (b >= a) where its last two axes are not skew."""
+    axes ``shape``, and the first index (b >= a) where its last two axes are not skew.
+
+    Skewness is a_ab + a_ba = 0 on the upper triangle with its diagonal, one
+    exact sum per entry pair; only a broken array is searched for the index.
+    """
     a = np.array(x, dtype=object)
     a.flags.writeable = False
     if a.shape[a.ndim - len(shape):] != shape:
         raise ValueError(message)
-    broken = np.argwhere((a != -a.swapaxes(-1, -2)) & np.triu(np.ones(shape[-2:], dtype=bool)))
-    return a, (broken[0].tolist() if len(broken) else None)
+    i, j = _upper_triangle(shape[-1])
+    sums = a[..., i, j] + a[..., j, i]
+    if not any(sums.ravel().tolist()):
+        return a, None
+    *batch, k = np.argwhere(sums.astype(bool))[0].tolist()  # the triangle runs row by row
+    return a, [*batch, int(i[k]), int(j[k])]
+
+
+@cache
+def _upper_triangle(dim: int) -> tuple:
+    """Row and column indices of the upper triangle of a dim x dim matrix, diagonal included."""
+    indices = np.triu_indices(dim)
+    for x in indices:
+        x.flags.writeable = False  # cached: every caller shares them
+    return indices
 
 
 @cache
@@ -272,7 +314,10 @@ def check_case1_inequality(t: RationalCTensor) -> tuple:
     bad = (off | over).any(-1) | (total > 5 * total_d2)  # per sample and cube
     passed = np.logical_and.accumulate(~bad, axis=-1)
     counted = passed & (total_d2 > 0)
-    ratio = _fractions(np.where(counted, total, 0), np.where(counted, total_d2, 1)).max(-1)
+    top, bottom = np.where(counted, total, 0), np.where(counted, total_d2, 1)
+    # the larger of C's and C''s ratio, by cross-multiplying over positive bottoms
+    primed = top[..., 1] * bottom[..., 0] > top[..., 0] * bottom[..., 1]
+    ratio = _fractions(*(np.where(primed, x[..., 1], x[..., 0]) for x in (top, bottom)))
 
     def describe(s):
         m = int(np.argmax(bad[s]))

@@ -4,6 +4,7 @@ import math
 import operator
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -380,6 +381,99 @@ def assert_skew_scaled(rng, ref_rng, n):
     assert all(type(x) is int for row in m.entries for x in row)
 
 
+class ScriptedRandom(random.Random):
+    """A Random whose 32-bit words come from a script, served as CPython serves
+    them: getrandbits(k) is the next word shifted right by 32 - k for k <= 32,
+    and the next k / 32 words, least significant first, for a multiple of 32."""
+
+    def __init__(self, words):
+        super().__init__(0)
+        self.words, self.used, self.requests = list(words), 0, []
+
+    def getrandbits(self, k):
+        self.requests.append(k)
+        count = max(1, k // 32)
+        assert k <= 32 or k % 32 == 0
+        words = self.words[self.used:self.used + count]
+        assert len(words) == count, "script exhausted"
+        self.used += count
+        if k <= 32:
+            return words[0] >> (32 - k)
+        return sum(w << (32 * i) for i, w in enumerate(words))
+
+
+def randint_pairs(rng, count):
+    return [
+        [rng.randint(-NUMERATOR_RANGE, NUMERATOR_RANGE), rng.randint(1, DENOMINATOR_RANGE)]
+        for _ in range(count)
+    ]
+
+
+# Words by how randint's two loops read them: LOW fills either slot, MID only a
+# denominator slot, HIGH neither.
+LOW = (0, algebra._NUMERATOR_CUT - 1, 1234567890, 3_000_000_000)
+MID = (algebra._NUMERATOR_CUT, algebra._DENOMINATOR_CUT - 1)
+HIGH = (algebra._DENOMINATOR_CUT, 2**32 - 1)
+A, B, C, D = LOW
+
+
+@pytest.mark.parametrize(
+    "count, words, requests",
+    [
+        # a numerator slot rejects a middle word, the next numerator is pending
+        (2, [A, B, MID[0], C, D], [128, 32]),
+        # a denominator slot accepts a middle word
+        (1, [A, MID[1]], [64]),
+        # no slot accepts a high word
+        (1, [HIGH[0], A, B], [64, 32]),
+        (1, [A, HIGH[1], B], [64, 32]),
+        # a block that ends on an accepted numerator
+        (2, [A, B, C, HIGH[0], D], [128, 32]),
+        # the slot parity after several rejections, over three blocks
+        (3, [MID[0], MID[1], A, MID[0], MID[1], B, HIGH[0], MID[0], C, D], [192, 96, 32]),
+    ],
+)
+def test_block_draw_parses_words_as_randint(count, words, requests):
+    """Each branch of the block parser gives randint's pairs and leaves the rng
+    where randint leaves it, drawing only the words the missing pairs can use."""
+    rng, ref = ScriptedRandom(words), ScriptedRandom(words)
+    assert algebra._draw_pairs(rng, count).tolist() == randint_pairs(ref, count)
+    assert rng.used == ref.used == len(words)
+    assert rng.requests == requests
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 1728])
+def test_block_draw_is_a_randint_loop(count):
+    rng, ref = random.Random(1300 + count), random.Random(1300 + count)
+    pairs = algebra._draw_pairs(rng, count)
+    assert pairs.shape == (count, 2) and pairs.dtype == object
+    assert pairs.tolist() == randint_pairs(ref, count)
+    assert all(type(x) is int for x in pairs.flat)
+    assert rng.getstate() == ref.getstate()
+    pair = algebra.random_fraction(rng)
+    assert type(pair) is tuple and list(pair) == randint_pairs(ref, 1)[0]
+    assert rng.getstate() == ref.getstate()
+
+
+def test_sweep_draws_a_chunk_in_a_few_blocks(monkeypatch):
+    """A sweep chunk reads its words through a few getrandbits calls, with no
+    call of random_fraction."""
+    calls = []
+
+    class Counting(random.Random):
+        def getrandbits(self, k):
+            calls.append(k)
+            return super().getrandbits(k)
+
+    samples = 200
+    expected = run_algebra_sweep([2, 3], samples=samples, seed=0)
+    monkeypatch.setattr(algebra, "random", SimpleNamespace(Random=Counting))
+    monkeypatch.setattr(algebra, "random_fraction", None)
+    assert run_algebra_sweep([2, 3], samples=samples, seed=0) == expected
+    chunks = 2 * -(-samples // algebra.ALGEBRA_CHUNK)
+    assert chunks <= len(calls) <= 4 * chunks
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_integer_draws_are_scaled_reference_draws(n):
     """Each sampled object equals its Fraction draw times a positive common scale."""
@@ -524,6 +618,68 @@ def test_constructor_errors_name_the_first_offending_index():
         RationalSkewMatrix(2, [SIGMA_ROWS, rows])
     with pytest.raises(ValueError, match="must be 4 x 4"):
         RationalSkewMatrix(2, [row[:3] for row in SIGMA_ROWS])
+
+
+def test_skew_gate_finds_a_break_on_the_diagonal_or_in_the_last_sample():
+    """The gate sums each upper entry with its mirror, diagonal included, over
+    every sample, and names the first broken index as before."""
+    rows = [list(row) for row in SIGMA_ROWS]
+    rows[2][2] = F(1, 2)
+    with pytest.raises(ValueError, match=r"^entry \(2, 2\) breaks skew symmetry$"):
+        RationalSkewMatrix(2, rows)
+    cube = nested_lists(3, {(0, 1, 2): 4})
+    cube[1][2][2] = -1
+    with pytest.raises(ValueError, match=r"^C\[1\]\[2\]\[2\] breaks antisymmetry"):
+        RationalCTensor(3, cube, nested_lists(3, {}))
+    rows = [list(row) for row in SIGMA_ROWS]
+    rows[3][0] = 3  # rows[0][3] is 2
+    with pytest.raises(ValueError, match=r"^entry \(2, 0, 3\) breaks skew symmetry$"):
+        RationalSkewMatrix(2, [SIGMA_ROWS, SIGMA_ROWS, rows])
+    with pytest.raises(ValueError, match=r"^Cp\[1\]\[1\]\[2\]\[2\] breaks antisymmetry"):
+        RationalCTensor(3, [nested_lists(3, {})] * 2, [nested_lists(3, {}), cube])
+
+
+def test_skew_gate_compares_values_not_kinds():
+    """A Fraction against its negated Fraction and an int 0 against Fraction(0)
+    are skew, in a matrix and in a cube."""
+    rows = [[0, F(1, 3), 0, 0], [F(-1, 3), F(0), 0, 0], [F(0), 0, 0, 0], [0, 0, 0, F(0)]]
+    assert RationalSkewMatrix(2, rows).entries[1][0] == F(-1, 3)
+    cube = nested_lists(3, {(0, 1, 2): F(1, 3)})
+    cube[0][1][0], cube[2][1][1] = F(0), F(0)
+    assert RationalCTensor(3, cube, nested_lists(3, {})).C[0, 2, 1] == F(-1, 3)
+
+
+def part_ratio(c, d):
+    """One cube's 4 sum C^2 / sum d^2, 0 where d vanishes."""
+    total = sum(x * x for x in np.ravel(d))
+    return Fraction(4 * sum(x * x for x in np.ravel(c)), total) if total else 0
+
+
+def test_case1_ratio_is_the_larger_of_the_two_cubes():
+    """Per sample the ratio is max over C and C' of 4 sum C^2 / sum d^2, with a
+    tie, one vanishing d and two, and a sample whose C' fails, whose ratio reads C."""
+    c = {(0, 1, 2): 1, (1, 0, 2): 3}
+    low, high = {(0, 1, 2): 1, (1, 2, 0): 1}, {(0, 1, 2): 1, (1, 0, 2): 1}  # ratios 4/3 and 4
+    cases = [
+        (c, {k: 5 * v for k, v in c.items()}),  # C' = 5 C: a tie in value
+        ({}, c),
+        ({}, {}),
+        (low, high),  # its C' fails below
+    ]
+    t = RationalCTensor(3, *([nested_lists(3, x) for x in cubes] for cubes in zip(*cases)))
+    d = t.d.copy()
+    d[3, 1, 0, 1, 2] += 1
+    res, ratio = check_case1_inequality(with_d(t, d))
+    assert list(res.ok) == [True, True, True, False]
+    assert res.counterexample[3].startswith("C' ")
+    assert all(type(r) is Fraction for r in ratio)
+    for k in range(3):
+        parts = [part_ratio(t.cubes[k, m], d[k, m]) for m in range(2)]
+        assert ratio[k] == max(parts)
+    assert part_ratio(t.C[0], d[0, 0]) == part_ratio(t.Cp[0], d[0, 1]) > 0
+    assert ratio[1] > 0 and ratio[2] == 0
+    failed_c = part_ratio(t.C[3], d[3, 0])
+    assert ratio[3] == failed_c < part_ratio(t.Cp[3], d[3, 1])
 
 
 def alone(obj, k):
