@@ -143,11 +143,6 @@ def _scaled(pairs: np.ndarray, factor: int = 1) -> np.ndarray:
     return p * (factor * np.lcm.reduce(q, axis=-1, keepdims=True, initial=1) // q)
 
 
-def _scaled_draws(rng: random.Random, count: int, factor: int = 1) -> np.ndarray:
-    """``count`` random rationals times ``factor`` times the lcm of their denominators."""
-    return _scaled(_draw_pairs(rng, count), factor)
-
-
 def _halves(x: np.ndarray) -> np.ndarray:
     """x / 2 exactly, entrywise: to an int where the half is integral, else to a Fraction."""
     h = x // 2
@@ -379,10 +374,6 @@ class RationalSkewMatrix:
     @classmethod
     def _of_draws(cls, n: int, pairs: np.ndarray) -> "RationalSkewMatrix":
         return cls(n, _skew_planes(_scaled(pairs, factor=2), 2 * n, 1)[..., 0, :, :])
-
-    @classmethod
-    def from_rows(cls, n: int, rows) -> "RationalSkewMatrix":
-        return cls(n=n, entries=[[Fraction(x) for x in row] for row in rows])
 
 
 def _blocks(m: RationalSkewMatrix) -> tuple:

@@ -63,7 +63,7 @@ def coordinate_connection(g: np.ndarray, E: np.ndarray, dE: np.ndarray, Gamma: n
 class FrameFieldJet:
     """The adapted frame field at a batch of points, differentiated once.
 
-    ``jet`` is the point jet there (``frame``, ``Gamma`` and ``step`` read
+    ``jet`` is the point jet there at ``step`` (``frame`` and ``Gamma`` read
     it); ``stencil`` holds the frames of the same field at
     ``stencil_points(point, step)``, with the g and J they were built from;
     ``dE`` and ``dT`` are the first differences of their E and of the
@@ -74,6 +74,7 @@ class FrameFieldJet:
     """
 
     jet: PointJet
+    step: float
     stencil: AdaptedFrame
     dE: np.ndarray
     dT: np.ndarray
@@ -90,10 +91,6 @@ class FrameFieldJet:
     @property
     def Gamma(self) -> np.ndarray:
         return self.jet.Gamma
-
-    @property
-    def step(self) -> float:
-        return self.jet.step
 
 
 def _frames_at(frames: AdaptedFrame, at: tuple) -> AdaptedFrame:
@@ -119,7 +116,7 @@ def frame_field_jet(patch: ManifoldPatch, point: np.ndarray, step: float = DEFAU
     dE = stencil_difference(stencil.E, step, u.ndim - 1)
     dT = stencil_difference(stencil.g @ stencil.E, step, u.ndim - 1)
     w = coordinate_connection(frame.g, frame.E, dE, jet.Gamma)
-    return FrameFieldJet(jet=jet, stencil=stencil, dE=dE, dT=dT, w=w)
+    return FrameFieldJet(jet=jet, step=step, stencil=stencil, dE=dE, dT=dT, w=w)
 
 
 def connection_coefficients(jet: FrameFieldJet) -> np.ndarray:
@@ -166,10 +163,9 @@ def nabla_j_connection(jet: PointJet) -> np.ndarray:
 def _nabla_j(J: np.ndarray, dJ: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
     """(nabla_c J)^a_b = d_c J^a_b + Gamma^a_{cd} J^d_b - Gamma^d_{cb} J^a_d, as [..., c, a, b]."""
     dim = J.shape[-1]
-    # [a, c, b]: sum_d Gamma^a_{cd} J^d_b - J^a_d Gamma^d_{cb}
-    bracket = (Gamma.reshape(Gamma.shape[:-3] + (dim * dim, dim)) @ J).reshape(Gamma.shape)
-    bracket -= (J @ Gamma.reshape(Gamma.shape[:-3] + (dim, dim * dim))).reshape(Gamma.shape)
-    return dJ + np.swapaxes(bracket, -3, -2)
+    # [a, c, b]: sum_d J^a_d Gamma^d_{cb}
+    JGamma = (J @ Gamma.reshape(Gamma.shape[:-3] + (dim, dim * dim))).reshape(Gamma.shape)
+    return dJ + (_gamma_times(Gamma, J) - np.swapaxes(JGamma, -3, -2))
 
 
 def sigma_part(omega: np.ndarray) -> np.ndarray:

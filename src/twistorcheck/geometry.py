@@ -444,15 +444,12 @@ def christoffel(patch: ManifoldPatch, frame: AdaptedFrame, step: float = DEFAULT
 class PointJet:
     """What the certificate at a batch of points reads: adapted frames, with
     the g and J they were built from, the J jet dJ[..., c, a, b] = d_c J^a_b
-    and the Christoffel symbols Gamma[..., c, a, b] = Gamma^c_{ab}; ``step``
-    is the step of the frame route (``frame_field_jet``), and of the J and
-    metric stencils only where the patch lacks that jet.
+    and the Christoffel symbols Gamma[..., c, a, b] = Gamma^c_{ab}.
     """
 
     frame: AdaptedFrame
     dJ: np.ndarray
     Gamma: np.ndarray
-    step: float
 
     def __post_init__(self):
         for name in ("dJ", "Gamma"):
@@ -470,15 +467,15 @@ class PointJet:
 def _jet_of_frame(patch: ManifoldPatch, frame: AdaptedFrame, step: float) -> PointJet:
     """The point jet of ``frame``: the J jet and the Christoffel symbols (from the frame) at its points."""
     dJ = field_derivative(patch, frame.point, which="j", step=step)
-    return PointJet(frame=frame, dJ=dJ, Gamma=christoffel(patch, frame, step=step), step=step)
+    return PointJet(frame=frame, dJ=dJ, Gamma=christoffel(patch, frame, step=step))
 
 
 def point_jet(patch: ManifoldPatch, point: np.ndarray, step: float = DEFAULT_FD_STEP) -> PointJet:
     """Evaluate the fields and their first derivatives at the points, once.
 
     ``point`` is one point (2n,) or a batch (..., 2n).  The frame validates g
-    and J, ``step`` is kept on the jet (see ``PointJet``), and every point
-    must lie 2 step inside the patch.
+    and J, ``step`` is the step of the J and metric stencils where the patch
+    lacks that jet, and every point must lie 2 step inside the patch.
     """
     u = require_interior(patch, point, margin=2.0 * step)
     return _jet_of_frame(patch, adapt_frame(patch, u), step)

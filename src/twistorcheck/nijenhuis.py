@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CrossPathMismatch
-from .geometry import PointJet, first_index, j0_matrix
+from .geometry import PointJet, first_index
 
 ROUTE_REL_TOL = 1e-6
 
@@ -74,11 +74,10 @@ def nijenhuis_frame(d: np.ndarray, dp: np.ndarray) -> np.ndarray:
     bookkeeping of the squared-norm formula.
     """
     n = d.shape[-1]
-    J0 = j0_matrix(n)
-    # V[C, i, j] = components of N(e_i, e_j)
+    # V[C, i, j] = components of N(e_i, e_j); -J0 V moves its halves
     V = np.concatenate([np.moveaxis(d, -1, -3), -np.moveaxis(dp, -1, -3)], axis=-3)
-    mJ0V = (-J0 @ V.reshape(V.shape[:-3] + (2 * n, n * n))).reshape(V.shape)
-    Nf = np.empty(V.shape[:-3] + (2 * n, 2 * n, 2 * n))
+    mJ0V = np.concatenate([V[..., n:, :, :], -V[..., :n, :, :]], axis=-3)
+    Nf = np.empty(V.shape[:-3] + (2 * n, 2 * n, 2 * n), dtype=V.dtype)
     Nf[..., :, :n, :n] = V
     Nf[..., :, n:, :n] = mJ0V  # N(J e_i, e_j) = -J N(e_i, e_j)
     Nf[..., :, :n, n:] = mJ0V  # N(e_i, J e_j) = -J N(e_i, e_j)

@@ -6,9 +6,8 @@ coefficient tensors
     alpha_ij = omega_{i,j+n} + omega_{i+n,j}      beta_ij = omega_{i+n,j+n} - omega_{ij}
     C_ijk = alpha_jk(e_{i+n}) + beta_jk(e_i)      C'_ijk = alpha_jk(e_i) - beta_jk(e_{i+n})
     d_ijk = C_ijk - C_jik                         d'_ijk = C'_ijk - C'_jik
-    A_ij  = sqrt(sum_k (C_kij^2 + C'_kij^2))
 
-and the 2-form
+with sum A^2 = sum_ijk (C_ijk^2 + C'_ijk^2), and the 2-form
 
     phi = 1/2 sum_ij alpha_ij ^ beta_ij + sum_i theta_i ^ theta_{i+n}
 
@@ -62,7 +61,7 @@ def alpha_beta(omega: np.ndarray) -> tuple:
 
 
 def structure_coefficients(alpha: np.ndarray, beta: np.ndarray) -> tuple:
-    """(C, C', d, d', A): the structure coefficients and the row norms A_ij of alpha/beta tables."""
+    """(C, C', d, d'): the structure coefficients of alpha/beta tables, indexed [..., i, j, k]."""
     n = alpha.shape[-3]
     # [j, k, i] -> [i, j, k]
     alpha = np.moveaxis(alpha, -1, -3)
@@ -71,8 +70,7 @@ def structure_coefficients(alpha: np.ndarray, beta: np.ndarray) -> tuple:
     Cp = alpha[..., :n, :, :] - beta[..., n:, :, :]
     d = C - np.swapaxes(C, -3, -2)
     dp = Cp - np.swapaxes(Cp, -3, -2)
-    A = np.sqrt((C**2).sum(axis=-3) + (Cp**2).sum(axis=-3))
-    return C, Cp, d, dp, A
+    return C, Cp, d, dp
 
 
 def phi_matrix(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -130,7 +128,7 @@ def _pfaffian_sign(F: np.ndarray) -> np.ndarray:
     An eigenvector a + ib of the Hermitian iF for a positive eigenvalue l
     gives F a = l b and F b = -l a.  The m positive eigenvectors make the
     columns (b_1, a_1, b_2, a_2, ...) of Q mutually orthogonal, each of norm
-    1/sqrt 2, and Q^T F Q is block diagonal with blocks l/2 [[0, 1], [-1, 0]],
+    2^(-1/2), and Q^T F Q is block diagonal with blocks l/2 [[0, 1], [-1, 0]],
     whose Pfaffian is positive; Pf(Q^T F Q) = det Q Pf F then makes the sign
     that of det Q.
     """
@@ -240,7 +238,7 @@ def sigma_report(sigma: np.ndarray, tol: float = CHAIN_TOL) -> TheoremReport:
     """
     n = sigma.shape[-1] // 2
     alpha, beta = alpha_beta(sigma)
-    C, Cp, d, dp, A = structure_coefficients(alpha, beta)
+    C, Cp, d, dp = structure_coefficients(alpha, beta)
     N = nijenhuis_frame(d, dp)
     normN2 = nijenhuis_norm(N)
 
@@ -250,13 +248,13 @@ def sigma_report(sigma: np.ndarray, tol: float = CHAIN_TOL) -> TheoremReport:
     det_F = np.linalg.det(F)
     nondeg, pf_sign = nondegenerate(F, det=det_F)
 
-    sumA2 = (A**2).sum(axis=(-2, -1))
+    sum_c2 = _total(C)
+    sum_cp2 = _total(Cp)
+    sumA2 = sum_c2 + sum_cp2
     bound_quarterA = 1.0 - 0.25 * sumA2
     c0 = critical_constant(n)
     bound_paper = 1.0 - (1.0 / c0) * normN2
 
-    sum_c2 = _total(C)
-    sum_cp2 = _total(Cp)
     sum_d2 = _total(d)
     sum_dp2 = _total(dp)
     ok_a = mrg >= bound_quarterA - tol

@@ -25,7 +25,6 @@ from twistorcheck import (
 from twistorcheck.algebra import (
     DENOMINATOR_RANGE,
     NUMERATOR_RANGE,
-    _scaled_draws,
     anticommutes_with_j0,
     commutes_with_j0,
     trace_pairing,
@@ -348,8 +347,18 @@ class TestSkewMatrixType:
             RationalSkewMatrix(n=1, entries=((F(1), F(0)), (F(0), F(0))))
 
     def test_from_rows(self):
-        m = RationalSkewMatrix.from_rows(1, [[0, 1], [-1, 0]])
+        m = skew_from_rows(1, [[0, 1], [-1, 0]])
         assert m.entries[0][1] == 1
+
+
+def skew_from_rows(n, rows):
+    """The skew matrix with the given rows, entries as Fractions."""
+    return RationalSkewMatrix(n=n, entries=[[F(x) for x in row] for row in rows])
+
+
+def scaled_draws(rng, count):
+    """``count`` random rationals times the lcm of their denominators, as the sweep draws V."""
+    return algebra._scaled(algebra._draw_pairs(rng, count))
 
 
 def reference_draw(rng, count):
@@ -489,7 +498,7 @@ def test_integer_draws_are_scaled_reference_draws(n):
                        for i in range(n) for j in range(n) for k in range(n))
         assert_skew_scaled(rng, ref_rng, n)  # the decomposed matrix
         ref, lcm = reference_draw(ref_rng, dim)
-        assert_scaled(_scaled_draws(rng, dim), ref, lcm)  # V
+        assert_scaled(scaled_draws(rng, dim), ref, lcm)  # V
         assert_skew_scaled(rng, ref_rng, n)  # the wedge partner
         assert rng.getstate() == ref_rng.getstate()
 

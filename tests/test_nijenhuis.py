@@ -51,9 +51,9 @@ def symmetry_residuals(N, J):
 
 
 def frame_d(patch, jet):
-    """The d and d' tensors of the frame-differentiated connection table at the jet's points."""
-    _, _, d, dp, _ = structure_coefficients(
-        *alpha_beta(connection_coefficients(frame_field_jet(patch, jet.frame.point, jet.step)))
+    """The d and d' tensors of the frame-differentiated connection table at the jet's points, at the default step."""
+    _, _, d, dp = structure_coefficients(
+        *alpha_beta(connection_coefficients(frame_field_jet(patch, jet.frame.point)))
     )
     return d, dp
 

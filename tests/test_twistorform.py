@@ -1,6 +1,8 @@
 """Coefficient tables, both phi formulas, margin, Pfaffian, and the bound chain."""
 
 import dataclasses
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from twistorcheck import (
     j0_matrix,
     margin,
     nearly_kahler_s6,
+    nijenhuis_frame,
+    nijenhuis_norm,
     nondegenerate,
     perturbed_torus,
     phi_matrix,
@@ -109,7 +113,7 @@ class TestStructureCoefficients:
     def test_alpha_slot_example(self):
         # alpha_23^{1+n} = 1, n = 3: C_123 = 1 with the full d fan-out.
         n = 3
-        C, _, d, _, _ = structure_coefficients(*ab_with(n, {(1, 2, n + 0): 1.0}, {}))
+        C, _, d, _ = structure_coefficients(*ab_with(n, {(1, 2, n + 0): 1.0}, {}))
         expected_C = np.zeros((n, n, n))
         expected_C[0, 1, 2] = 1.0
         expected_C[0, 2, 1] = -1.0
@@ -124,23 +128,22 @@ class TestStructureCoefficients:
         assert 2.0 * C[0, 1, 2] == d[0, 1, 2] - d[1, 2, 0] + d[2, 0, 1]
 
     def test_beta_slot_example(self):
-        # beta_12^1 = 1, n = 2: C_112 = 1, C_121 = -1, A_12 = 1.
-        C, _, _, _, A = structure_coefficients(*ab_with(2, {}, {(0, 1, 0): 1.0}))
+        # beta_12^1 = 1, n = 2: C_112 = 1, C_121 = -1, sum A^2 = sum C^2 + sum C'^2 = 2.
+        C, Cp, _, _ = structure_coefficients(*ab_with(2, {}, {(0, 1, 0): 1.0}))
         assert C[0, 0, 1] == 1.0
         assert C[0, 1, 0] == -1.0
-        assert A[0, 1] == 1.0
+        assert (C**2).sum() + (Cp**2).sum() == 2.0
 
     def test_antisymmetries(self):
         patch = nearly_kahler_s6().patch
         point = np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])
-        C, Cp, d, dp, A = structure_coefficients(
+        C, Cp, d, dp = structure_coefficients(
             *alpha_beta(connection_coefficients(frame_field_jet(patch, point)))
         )
         assert np.abs(C + C.transpose(0, 2, 1)).max() < 1e-9
         assert np.abs(Cp + Cp.transpose(0, 2, 1)).max() < 1e-9
         assert np.abs(d + d.transpose(1, 0, 2)).max() < 1e-9
         assert np.abs(dp + dp.transpose(1, 0, 2)).max() < 1e-9
-        assert np.all(A >= 0.0)
 
 
 class TestPhi:
@@ -443,6 +446,57 @@ class TestSigmaReport:
                         assert getattr(batch.chain_ok, flag)[index] == getattr(alone.chain_ok, flag)
                 elif name != "n_route_mismatch":
                     assert same_bits(getattr(batch, name)[index], getattr(alone, name)), name
+
+
+def as_fractions(x):
+    """An object array of the Fractions that the float array ``x`` holds exactly."""
+    return np.array([Fraction(v) for v in np.ravel(x)], dtype=object).reshape(np.shape(x))
+
+
+def rational_sigma(n, rng, batch=()):
+    """Seeded sigma tables 1/2 (w + J0 w J0), formed on object arrays from skew
+    slices w[..., C, A, B] with small Fraction entries."""
+    dim = 2 * n
+    shape = batch + (dim, dim, dim)
+    entries = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(int(np.prod(shape)))]
+    w = np.array(entries, dtype=object).reshape(shape)
+    w = w - np.swapaxes(w, -1, -2)
+    J0 = j0_matrix(n).astype(int).astype(object)
+    return np.moveaxis(Fraction(1, 2) * (w + J0 @ w @ J0), -3, -1)
+
+
+class TestExactStages:
+    """The stages from sigma to |N|^2 keep rational input exact, so the
+    identities between their sums hold with equality, not to a tolerance."""
+
+    AXES = (-3, -2, -1)
+
+    def stages(self, sigma):
+        """(N, |N|^2, sum A^2, d, d') of rational sigma tables; every entry a Fraction."""
+        alpha, beta = alpha_beta(sigma)
+        C, Cp, d, dp = structure_coefficients(alpha, beta)
+        N = nijenhuis_frame(d, dp)
+        normN2 = nijenhuis_norm(N)
+        for x in (alpha, beta, C, Cp, d, dp, N, normN2):
+            assert all(isinstance(v, Fraction) for v in np.ravel(np.asarray(x, dtype=object)))
+        sumA2 = (C**2).sum(axis=self.AXES) + (Cp**2).sum(axis=self.AXES)
+        return N, normN2, sumA2, d, dp
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_random_rational_sigma(self, n):
+        N, normN2, sumA2, d, dp = self.stages(rational_sigma(n, random.Random(70 + n), batch=(3,)))
+        axes = self.AXES
+        assert np.all(sumA2 > 0)
+        assert np.array_equal(normN2, 4 * ((d**2).sum(axis=axes) + (dp**2).sum(axis=axes)))
+        # Gray-Hervella: 16 sum A^2 = |Alt N|^2 + 4 |N - Alt N|^2, with N[C, A, B]
+        # skew in (A, B), so Alt N is a third of its cyclic sum
+        alt = (N + np.moveaxis(N, -3, -1) + np.moveaxis(N, -1, -3)) / 3
+        assert np.array_equal(16 * sumA2, (alt**2).sum(axis=axes) + 4 * ((N - alt) ** 2).sum(axis=axes))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_integer_witness(self, n):
+        _, normN2, sumA2, _, _ = self.stages(as_fractions(witness_sigma(n, 1.0)[0]))
+        assert normN2 == 32 and sumA2 == 8
 
 
 class TestChernIdentity:
