@@ -9,10 +9,14 @@ Every object is a batch: a numpy ``dtype=object`` array holds its exact
 rational entries (``int`` or ``fractions.Fraction``) with leading axes over
 samples, and a single object is a batch of shape ().  numpy runs the loops and
 Python's exact arithmetic each entry operation, so no float is ever formed.  The
-sweep draws ALGEBRA_CHUNK samples at a time, one sample after another: it takes
-blocks of 32-bit words from getrandbits and numpy parses them as randint's
-rejection loops would, so the values and the rng state afterwards are those of
-one randint pair per rational.  It sends each chunk once through each check and
+sweep draws its samples in chunks, one sample after another.  A sample at half
+dimension n draws n^3 + 3 n^2 rationals, and a chunk holds as many samples as
+CHUNK_RATIONALS of them allow: 172, 64, 30, 17 and 10 at n = 2, ..., 6.  A chunk
+takes blocks of 32-bit words from getrandbits and numpy parses them as
+randint's rejection loops would, so the values and the rng state afterwards
+are those of one randint pair per rational, and a report does not depend on
+the chunk size.  It sends each chunk once through each check, the coefficient
+tensor's checks first and the matrices' checks once the tensor is gone, and
 hands the checks Python ints: each sampled object (the C cube, the C' cube, a
 skew matrix, V) is multiplied by the lcm of its denominators.  Every checked
 statement is homogeneous of degree 1 or 2 in the entries of one object, and the
@@ -53,7 +57,7 @@ import numpy as np
 from .errors import NotInSigma
 
 MAX_N = 6  # exhaustive index loops stay cheap up to here
-ALGEBRA_CHUNK = 32  # samples the sweep draws and checks as one batch
+CHUNK_RATIONALS = 3456  # rationals the sweep draws and checks as one batch: 64 samples at n = 3
 
 NUMERATOR_RANGE = 10**6
 DENOMINATOR_RANGE = 10**3
@@ -487,13 +491,12 @@ def run_algebra_sweep(n_list, samples: int, seed: int) -> dict:
         worst = None
         # per sample, the draws of C and C', the skew matrix, V, then Q
         ends = np.cumsum((n * n * (n - 1), n * (2 * n - 1), 2 * n, n * (2 * n - 1)))
-        for start in range(0, samples, ALGEBRA_CHUNK):
-            size = min(ALGEBRA_CHUNK, samples - start)
+        chunk = max(1, CHUNK_RATIONALS // int(ends[-1]))
+        for start in range(0, samples, chunk):
+            size = min(chunk, samples - start)
             pairs = _draw_pairs(rng, size * ends[-1]).reshape(size, ends[-1], 2)
             cubes, skew, V, Q = np.split(pairs, ends[:-1], axis=1)
-            tensor, V = RationalCTensor._of_draws(n, cubes), _scaled(V)
-            skew, Q = (RationalSkewMatrix._of_draws(n, x) for x in (skew, Q))
-            results = []
+            tensor, results = RationalCTensor._of_draws(n, cubes), []
             if n >= 3:
                 results.append(("identity_c1", check_identity_c1(tensor)))
                 res, ratio = check_case1_inequality(tensor)
@@ -503,13 +506,17 @@ def run_algebra_sweep(n_list, samples: int, seed: int) -> dict:
                 results.append(("case1_inequality", res))
             else:
                 results.append(("case2_identities", check_case2_identities(tensor)))
+            del tensor  # with its cached d, before the matrices are built: one kind alive at a time
+            V = _scaled(V)
+            skew, Q = (RationalSkewMatrix._of_draws(n, x) for x in (skew, Q))
             u_part, sigma_part = skew_decompose(skew)
-            ok = commutes_with_j0(u_part) & anticommutes_with_j0(sigma_part)
+            inside = anticommutes_with_j0(sigma_part)
+            ok = commutes_with_j0(u_part) & inside
             ok &= (u_part.array + sigma_part.array == skew.array).all((-2, -1))
             ok &= trace_pairing(u_part, sigma_part) == 0
             results.append(("skew_decompose", _result(~ok, lambda s: "decomposition failed")))
             # J1 rejects a batch with any psi outside sigma: such samples run on psi = 0
-            psi, inside = sigma_part, anticommutes_with_j0(sigma_part)
+            psi = sigma_part
             if not inside.all():
                 psi = RationalSkewMatrix(n, np.where(inside[:, None, None], psi.array, 0))
             psi1, v1 = canonical_j1(psi, V)

@@ -479,8 +479,70 @@ def test_sweep_draws_a_chunk_in_a_few_blocks(monkeypatch):
     monkeypatch.setattr(algebra, "random", SimpleNamespace(Random=Counting))
     monkeypatch.setattr(algebra, "random_fraction", None)
     assert run_algebra_sweep([2, 3], samples=samples, seed=0) == expected
-    chunks = 2 * -(-samples // algebra.ALGEBRA_CHUNK)
+    chunks = sum(-(-samples // chunk_size(n)) for n in (2, 3))  # 2 + 4
     assert chunks <= len(calls) <= 4 * chunks
+
+
+def draws_per_sample(n):
+    """Rationals one sweep sample draws: n^2 (n - 1) / 2 each for the upper
+    triangles of C and C', n (2n - 1) each for the skew matrix and Q, 2n for V."""
+    return n * n * (n - 1) + 2 * n * (2 * n - 1) + 2 * n
+
+
+def chunk_size(n):
+    """Samples in a full sweep chunk: as many as CHUNK_RATIONALS draws allow, at least one."""
+    return max(1, algebra.CHUNK_RATIONALS // draws_per_sample(n))
+
+
+@pytest.mark.parametrize("n, size", [(2, 172), (3, 64), (4, 30), (5, 17), (6, 10)])
+def test_sweep_chunk_draws_stay_within_the_budget(n, size, monkeypatch):
+    """Each chunk draws its samples in one call, a full chunk as many as fit the budget."""
+    counts, draw = [], algebra._draw_pairs
+
+    def recording(rng, count):
+        counts.append(count)
+        return draw(rng, count)
+
+    monkeypatch.setattr(algebra, "_draw_pairs", recording)
+    assert chunk_size(n) == size
+    assert run_algebra_sweep([n], samples=size + 1, seed=8)["all_pass"]
+    assert counts == [size * draws_per_sample(n), draws_per_sample(n)]
+    assert max(counts) <= algebra.CHUNK_RATIONALS
+
+
+# One rational per chunk gives 1-sample chunks, 7 * 54 gives 7 samples at
+# n = 3 (18 at n = 2, 3 at n = 4), the default budget puts 35 samples in one
+# chunk at n = 2 and 3 and two at n = 4, and a large one one chunk per n.
+CHUNK_BUDGETS = (1, 7 * 54, algebra.CHUNK_RATIONALS, 10**6)
+
+
+def slipped_beta(m, n):
+    return m[..., :n, :n] - m[..., n:, n:]
+
+
+def swapped_split(omega, split=algebra.skew_decompose):
+    return split(omega)[::-1]
+
+
+@pytest.mark.parametrize(
+    "control",
+    [None, ("_beta_of", slipped_beta), ("skew_decompose", swapped_split)],
+    ids=["passing", "slipped-beta", "swapped-split"],
+)
+def test_sweep_report_does_not_depend_on_chunking(control, monkeypatch):
+    """Counts, worst case-1 samples and the failures, by sample and then by
+    check across chunk boundaries, are the same whatever the chunk size."""
+    if control:
+        monkeypatch.setattr(algebra, *control)
+    reports = []
+    for budget in CHUNK_BUDGETS:
+        monkeypatch.setattr(algebra, "CHUNK_RATIONALS", budget)
+        reports.append(run_algebra_sweep([2, 3, 4], samples=35, seed=12))
+    assert all(report == reports[0] for report in reports[1:])
+    assert reports[0]["all_pass"] == (control is None)
+    if control:
+        failures = [(f["n"], f["sample"]) for f in reports[0]["failures"]]
+        assert failures == sorted(failures) and len(set(failures)) == 3 * 35
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
