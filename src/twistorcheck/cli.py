@@ -18,6 +18,7 @@ import time
 import numpy as np
 
 from . import catalog
+from .algebra import run_algebra_sweep
 from .connection import (
     connection_derivative,
     curvature_forms,
@@ -29,7 +30,7 @@ from .connection import (
 from .errors import CrossPathMismatch, TwistorcheckError
 from .geometry import DEFAULT_FD_STEP, point_jet, random_unitary_rotation
 from .nijenhuis import ROUTE_REL_TOL
-from .twistorform import chern_identity_residual, theorem_report
+from .twistorform import chern_identity_residual, phi_formula_gap, theorem_report
 
 GRID_LIMIT = 10**7
 # Grid points certified per batch by ``scan``: a module constant, not a flag.
@@ -124,7 +125,7 @@ def report_payload(entry: catalog.CatalogEntry, point: np.ndarray, fd_step: floa
         "nondegenerate": rep.nondegenerate,
         "pfaffian_sign": rep.pfaffian_sign,
         "structure_residual": structure,
-        "phi_formula_mismatch": rep.phi_formula_mismatch,
+        "phi_formula_mismatch": phi_formula_gap(rep.sigma),
         "n_route_mismatch": rep.n_route_mismatch,
     }
 
@@ -211,8 +212,6 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify_algebra(args) -> int:
-    from .algebra import run_algebra_sweep
-
     try:
         n_list = [int(tok) for tok in args.n_list.split(",")]
     except ValueError:
@@ -263,7 +262,7 @@ def geometry_checks(entry: catalog.CatalogEntry, points: int, seed: int, rotatio
         w_rotated = np.moveaxis(w_rotated, -3, -1)
         found = {
             "structure_equation": structure_equation_residual(frames),
-            "phi_formula_equivalence": rep.phi_formula_mismatch[0],
+            "phi_formula_equivalence": phi_formula_gap(rep.sigma[0]),
             "nijenhuis_route_equivalence": rep.n_route_mismatch[0],
             "frame_invariance": np.maximum.reduce([
                 _relative_change(rep.normN2, rep.normN2[0]),

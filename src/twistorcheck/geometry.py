@@ -161,16 +161,6 @@ def _call_field(fn: FieldMap, u: np.ndarray, name: str, rank: int) -> np.ndarray
     return value
 
 
-def field_value(patch: ManifoldPatch, point: np.ndarray, which: str = "metric") -> np.ndarray:
-    """The metric ("metric") or J ("j") field at the points ``point``, shape (..., 2n, 2n)."""
-    u = np.asarray(point, dtype=float)
-    if which == "metric":
-        return _call_field(patch.metric_field, u, "metric_field", 2)
-    if which == "j":
-        return _call_field(patch.j_field, u, "j_field", 2)
-    raise ValueError("which must be 'metric' or 'j'")
-
-
 def _field_residuals(g: np.ndarray, J: np.ndarray) -> dict:
     """Max-norm residuals of the pointwise invariants, one value per point, and
     the ascending eigenvalues of the symmetric part of g at each point."""
@@ -193,8 +183,8 @@ def validate_patch(patch: ManifoldPatch, point: np.ndarray) -> tuple:
     them evaluates each field once and decomposes g once.
     """
     u = np.asarray(point, dtype=float)
-    g = field_value(patch, u, "metric")
-    J = field_value(patch, u, "j")
+    g = _call_field(patch.metric_field, u, "metric_field", 2)
+    J = _call_field(patch.j_field, u, "j_field", 2)
     res = _field_residuals(g, J)
     spectrum = res["metric_spectrum"]
     keys = ("metric_symmetry", "j_square", "compatibility")
@@ -410,15 +400,16 @@ def field_derivative(
     if step <= 0.0:
         raise ValueError("step must be positive")
     if which == "metric":
-        jet, name = patch.metric_jet, "metric_jet"
+        field, jet = patch.metric_field, patch.metric_jet
     elif which == "j":
-        jet, name = patch.j_jet, "j_jet"
+        field, jet = patch.j_field, patch.j_jet
     else:
         raise ValueError("which must be 'metric' or 'j'")
     u = require_interior(patch, point, margin=step)
     if jet is not None:
-        return _call_field(jet, u, name, 3)
-    return stencil_difference(field_value(patch, stencil_points(u, step), which), step, u.ndim - 1)
+        return _call_field(jet, u, f"{which}_jet", 3)
+    values = _call_field(field, stencil_points(u, step), f"{which}_field", 2)
+    return stencil_difference(values, step, u.ndim - 1)
 
 
 def christoffel(patch: ManifoldPatch, frame: AdaptedFrame, step: float = DEFAULT_FD_STEP) -> np.ndarray:

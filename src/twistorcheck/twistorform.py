@@ -13,8 +13,9 @@ with sum A^2 = sum_ijk (C_ijk^2 + C'_ijk^2), and the 2-form
 
 by two formulas: the coefficient expansion above and the trace pairing
 phi(X, Y) = -1/4 tr((J0 w(X) - w(X) J0)(w(Y) + J0 w(Y) J0)) - theta(X) J0 . theta(Y),
-which must agree to machine precision.  ``sigma_report`` reads only the sigma
-part of the table and certifies the inequality chain
+which must agree to machine precision; ``phi_formula_gap`` compares them.
+``sigma_report`` reads only the sigma part of the table and certifies the
+inequality chain
 
     margin >= 1 - 1/4 sum A^2 >= 1 - c |N|^2 ,   c = 5/64 (n >= 3), 1/16 (n = 2),
 
@@ -108,6 +109,12 @@ def phi_via_bundle_formula(omega: np.ndarray) -> np.ndarray:
     rows = w.shape[:-2] + (dim * dim,)
     trace = P.reshape(rows) @ np.swapaxes(np.swapaxes(Q, -1, -2).reshape(rows), -1, -2)
     return -0.25 * trace - J0
+
+
+def phi_formula_gap(sigma: np.ndarray) -> np.ndarray:
+    """The two phi formulas' oracle: max |phi_matrix - phi_via_bundle_formula|
+    of each table sigma[..., A, B, C], formed only where it is read."""
+    return np.abs(phi_matrix(*alpha_beta(sigma)) - phi_via_bundle_formula(sigma)).max(axis=(-2, -1))
 
 
 def margin(F: np.ndarray) -> np.ndarray:
@@ -214,7 +221,6 @@ class TheoremReport:
     nondegenerate: bool
     pfaffian_sign: int
     det_F: float
-    phi_formula_mismatch: float
     sigma: np.ndarray
     N: np.ndarray
     n_route_mismatch: float | None = None
@@ -229,8 +235,8 @@ def sigma_report(sigma: np.ndarray, tol: float = CHAIN_TOL) -> TheoremReport:
     """Certify the bound chain for sigma tables sigma[..., A, B, C] = sigma_AB(e_C).
 
     Every quantity of the certificate is a function of sigma alone: alpha
-    and beta, the structure coefficients, N by the connection route, both phi
-    formulas, the margin, the determinant and the non-degeneracy verdict.
+    and beta, the structure coefficients, N by the connection route, phi by
+    the coefficient expansion, the margin, the determinant and the non-degeneracy verdict.
     Every quantity is computed for the whole batch at once, and each table's
     values are those of the table computed alone.  The report carries
     per-inequality booleans so sweeps can count violations; a violation on
@@ -243,7 +249,6 @@ def sigma_report(sigma: np.ndarray, tol: float = CHAIN_TOL) -> TheoremReport:
     normN2 = nijenhuis_norm(N)
 
     F = phi_matrix(alpha, beta)
-    phi_mismatch = np.abs(F - phi_via_bundle_formula(sigma)).max(axis=(-2, -1))
     mrg = margin(F)
     det_F = np.linalg.det(F)
     nondeg, pf_sign = nondegenerate(F, det=det_F)
@@ -281,7 +286,6 @@ def sigma_report(sigma: np.ndarray, tol: float = CHAIN_TOL) -> TheoremReport:
         nondegenerate=nondeg,
         pfaffian_sign=pf_sign,
         det_F=det_F,
-        phi_formula_mismatch=phi_mismatch,
         sigma=sigma,
         N=N,
     )

@@ -22,7 +22,6 @@ from twistorcheck import (
 from twistorcheck.catalog import _CROSS_F, _s6_j, _s6_j_jet, sample_points, stereographic_point
 from twistorcheck.geometry import (
     _field_residuals,
-    field_value,
     require_interior,
     stencil_difference,
     stencil_points,
@@ -32,7 +31,7 @@ from twistorcheck.geometry import (
 
 def patch_residuals(patch, point):
     """Max-norm residuals of the pointwise patch invariants at each point."""
-    return _field_residuals(field_value(patch, point, "metric"), field_value(patch, point, "j"))
+    return _field_residuals(patch.metric_field(point), patch.j_field(point))
 
 
 def cross7(x, y):

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from twistorcheck import algebra, catalog, cli, geometry, point_jet, theorem_report
+from twistorcheck import algebra, catalog, cli, geometry, point_jet, theorem_report, twistorform
 from twistorcheck.cli import geometry_checks, main
 from twistorcheck.connection import (
     connection_derivative,
@@ -19,7 +19,7 @@ from twistorcheck.connection import (
     round_sphere_curvature_residual,
     structure_equation_residual,
 )
-from twistorcheck.twistorform import chern_identity_residual
+from twistorcheck.twistorform import chern_identity_residual, phi_formula_gap
 
 
 def run_cli(args):
@@ -739,6 +739,59 @@ def test_one_report_per_geometry_chunk(monkeypatch, rotations):
     assert calls == 2
 
 
+def test_scan_never_runs_the_phi_formula_oracle(monkeypatch):
+    """scan neither prints nor gates the phi formulas' gap, so it never forms it."""
+    def refuse(omega):
+        raise AssertionError("phi_via_bundle_formula called")
+
+    monkeypatch.setattr(twistorform, "phi_via_bundle_formula", refuse)
+    table = cli.scan_rows(catalog.resolve("nk-s6"), 2, 1e-5, 1e-6)
+    assert table["chain_ok"].all()
+
+
+def test_phi_formula_oracle_runs_on_the_identity_row_once_per_chunk(monkeypatch, tmp_path):
+    """verify-geometry forms the oracle once per chunk on the reports' row 0,
+    the jet's own frames, and report once on its one table."""
+    seen, reports = [], []
+    original = twistorform.phi_via_bundle_formula
+
+    def recording(omega):
+        seen.append(omega)
+        return original(omega)
+
+    def keeping(jet, *args, **kwargs):
+        reports.append(theorem_report(jet, *args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(twistorform, "phi_via_bundle_formula", recording)
+    monkeypatch.setattr(cli, "theorem_report", keeping)
+    argv = ["verify-geometry", "--manifold", "nk-s6", "--points", "17", "--rotations", "2"]
+    assert run_cli(argv + ["--out", str(tmp_path / "geo.json")]) == 0
+    assert [omega.shape[:-3] for omega in seen] == [(16,), (1,)]
+    for omega, rep in zip(seen, reports, strict=True):
+        assert np.array_equal(omega, rep.sigma[0])
+    seen.clear()
+    assert run_cli(["report", "--manifold", "nk-s6", "--out", str(tmp_path / "report.json")]) == 0
+    assert [omega.shape for omega in seen] == [(6, 6, 6)]
+
+
+def test_phi_formula_equivalence_negative_control(monkeypatch, tmp_path):
+    """A bundle formula off by 1 % fails phi_formula_equivalence alone; report
+    prints the gap and still exits 0.  flat:3 has phi = -J0, so the slip
+    shows as a gap of 0.01 (on nk-s6 phi vanishes and a scaling would not)."""
+    original = twistorform.phi_via_bundle_formula
+    monkeypatch.setattr(twistorform, "phi_via_bundle_formula", lambda omega: 1.01 * original(omega))
+    out = tmp_path / "geo.json"
+    argv = ["verify-geometry", "--manifold", "flat:3", "--points", "3", "--rotations", "1"]
+    assert run_cli(argv + ["--out", str(out)]) == 1
+    checks = json.loads(out.read_text())["checks"]
+    assert [name for name, slot in checks.items() if not slot["pass"]] == ["phi_formula_equivalence"]
+    assert f"{checks['phi_formula_equivalence']['max_residual']:.4f}" == "0.0100"
+    out = tmp_path / "report.json"
+    assert run_cli(["report", "--manifold", "flat:3", "--out", str(out)]) == 0
+    assert f"{json.loads(out.read_text())['phi_formula_mismatch']:.4f}" == "0.0100"
+
+
 def _geometry_reference(entry, points, seed, rotations, fd_step):
     """The max residual of each verify-geometry check, one point and one rotation at a time."""
     from twistorcheck.connection import sigma_part
@@ -761,7 +814,7 @@ def _geometry_reference(entry, points, seed, rotations, fd_step):
         w = frames.w
         base = theorem_report(jet)
         bump("structure_equation", structure_equation_residual(frames))
-        bump("phi_formula_equivalence", base.phi_formula_mismatch)
+        bump("phi_formula_equivalence", phi_formula_gap(base.sigma))
         bump("nijenhuis_route_equivalence", base.n_route_mismatch)
         bump("connection_route_equivalence", route_gap(w, frame.E, base.sigma))
         bump("frame_invariance", 0.0)

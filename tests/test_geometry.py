@@ -26,7 +26,6 @@ from twistorcheck.geometry import (
     _field_residuals,
     _gram_schmidt_adapted,
     evaluate_frame_field,
-    field_value,
     require_interior,
     validate_patch,
 )
@@ -34,7 +33,7 @@ from twistorcheck.geometry import (
 
 def patch_residuals(patch, point):
     """Max-norm residuals of the pointwise patch invariants at each point."""
-    return _field_residuals(field_value(patch, point, "metric"), field_value(patch, point, "j"))
+    return _field_residuals(patch.metric_field(point), patch.j_field(point))
 
 
 def box(bounds, dim):
@@ -396,7 +395,7 @@ class TestFieldDerivative:
 def christoffel_by_inverse(patch, u, step=1e-5):
     """The Christoffel symbols with g^-1 = np.linalg.inv(g), built from no
     frame: the reference for ``christoffel``'s g^-1 = E E^T."""
-    g = field_value(patch, u, "metric")
+    g = patch.metric_field(u)
     dg = field_derivative(patch, u, which="metric", step=step)
     T = dg.swapaxes(-3, -2) + dg.swapaxes(-3, -2).swapaxes(-1, -2) - dg
     return 0.5 * np.einsum("...cd,...dab->...cab", np.linalg.inv(g), T)

@@ -26,6 +26,7 @@ from twistorcheck import (
     nijenhuis_norm,
     nondegenerate,
     perturbed_torus,
+    phi_formula_gap,
     phi_matrix,
     phi_via_bundle_formula,
     point_jet,
@@ -34,6 +35,7 @@ from twistorcheck import (
     sigma_report,
     structure_coefficients,
     theorem_report,
+    twistorform,
 )
 from twistorcheck.connection import nabla_j_connection, sigma_part
 
@@ -184,6 +186,32 @@ class TestPhi:
             F1 = phi_matrix(*alpha_beta(table))
             F2 = phi_via_bundle_formula(table)
             assert np.abs(F1 - F2).max() < 1e-10
+
+
+class TestPhiFormulaGap:
+    def test_zero_on_a_flat_table(self):
+        assert phi_formula_gap(table_with(3, {})) == 0.0
+
+    def test_batch_gives_each_table_alone(self):
+        rng = np.random.default_rng(8)
+        w = rng.standard_normal((3, 4, 6, 6, 6))
+        sigma = sigma_part(w - np.swapaxes(w, -3, -2))
+        gap = phi_formula_gap(sigma)
+        assert gap.shape == (3, 4)
+        for index in np.ndindex(3, 4):
+            assert same_bits(gap[index], phi_formula_gap(sigma[index]))
+
+    def test_reports_never_run_the_bundle_formula(self, monkeypatch):
+        """The oracle is read by report and verify-geometry alone, never formed by the certificate."""
+        def refuse(omega):
+            raise AssertionError("phi_via_bundle_formula called")
+
+        monkeypatch.setattr(twistorform, "phi_via_bundle_formula", refuse)
+        patch = nearly_kahler_s6().patch
+        rep = theorem_report(point_jet(patch, grid_points(patch, 2)))
+        assert rep.chain_ok.all_ok.all()
+        assert sigma_report(rep.sigma).chain_ok.all_ok.all()
+        assert not hasattr(rep, "phi_formula_mismatch")
 
 
 class TestMargin:
