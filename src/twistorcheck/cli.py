@@ -10,6 +10,7 @@ identical configuration and seed; floating point values are serialized with
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -42,6 +43,13 @@ SCAN_CHUNK = 256
 # per point of a chunk (2.11 MiB at 16, 8.42 MiB at 64), while 64 points
 # would save only about a tenth of the time per point on nk-s6.
 GEOMETRY_CHUNK = 16
+# Rows (a point in one frame: the identity or a rotation) that one
+# ``verify-geometry`` chunk may hold, min(points, GEOMETRY_CHUNK) x
+# (1 + rotations); larger chunks are refused before anything is sampled, as
+# ``scan`` refuses grid^dim > GRID_LIMIT.  A chunk holds all its rows at once:
+# traced peak memory grows by about 11 KiB a row on nk-s6 and 26 KiB on flat:4
+# (dim 8), so a chunk at the limit peaks near 109 and 251 MiB.
+GEOMETRY_ROW_LIMIT = 10_000
 
 # The report columns of ``scan``, after the grid coordinates u1 ... u{2n}.
 SCAN_COLUMNS = ("normN2", "margin", "bound_paper", "chain_ok", "nondegenerate")
@@ -169,11 +177,26 @@ def _scan_summary(table: dict) -> dict:
     }
 
 
-def _csv_column(column: np.ndarray) -> list:
-    """The cells of one scan column: a bool column reads true/false, any other _fmt_float."""
-    if column.dtype == bool:
-        return ["true" if value else "false" for value in column.tolist()]
-    return [_fmt_float(value) for value in column.tolist()]
+def scan_csv(table: dict, summary: dict) -> str:
+    """The CSV text of a scan: the header, one row per grid point, then the summary line.
+
+    Each row is one ``%`` template: a float cell reads ``%.17g``, the same
+    text as ``format(x, ".17g")``, and a bool column is mapped to true/false
+    once, as a whole column.
+    """
+    columns = table.values()
+    row = ",".join("%s" if column.dtype == bool else "%.17g" for column in columns)
+    cells = [
+        np.where(column, "true", "false").tolist() if column.dtype == bool else column.tolist()
+        for column in columns
+    ]
+    lines = [",".join(table)]
+    lines += [row % values for values in zip(*cells)]
+    lines.append(
+        "# summary min_margin=%.17g max_normN2=%.17g chain_violations=%d points=%d"
+        % (summary["min_margin"], summary["max_normN2"], summary["chain_violations"], summary["points"])
+    )
+    return "\n".join(lines) + "\n"
 
 
 def cmd_scan(args) -> int:
@@ -183,18 +206,7 @@ def cmd_scan(args) -> int:
     summary = _scan_summary(table)
     elapsed = time.perf_counter() - started
     if args.format == "csv":
-        lines = [",".join(table)]
-        lines += map(",".join, zip(*map(_csv_column, table.values())))
-        lines.append(
-            "# summary min_margin=%s max_normN2=%s chain_violations=%d points=%d"
-            % (
-                _fmt_float(summary["min_margin"]),
-                _fmt_float(summary["max_normN2"]),
-                summary["chain_violations"],
-                summary["points"],
-            )
-        )
-        text = "\n".join(lines) + "\n"
+        text = scan_csv(table, summary)
     else:
         rows = zip(*(column.tolist() for column in table.values()))
         json_rows = [dict(zip(table, row)) for row in rows]
@@ -237,6 +249,12 @@ def geometry_checks(entry: catalog.CatalogEntry, points: int, seed: int, rotatio
     order, one chunk of ``GEOMETRY_CHUNK`` points at a time; every chunk is
     one batch through the jet, one report and the frame differentiation.
     """
+    chunk = min(points, GEOMETRY_CHUNK)
+    if chunk * (1 + rotations) > GEOMETRY_ROW_LIMIT:
+        raise ValueError(
+            f"a chunk of {chunk} points x {1 + rotations} frames = {chunk * (1 + rotations)} rows "
+            f"exceeds the {GEOMETRY_ROW_LIMIT} guard"
+        )
     patch = entry.patch
     rng = np.random.default_rng(seed)
     samples = catalog.sample_points(patch, points, rng)
@@ -383,7 +401,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(sub: argparse.ArgumentParser, *flags: str, **help_of: str) -> None:
     """Add the named ``SHARED_FLAGS``, with ``help_of[dest]`` as a flag's own help, and --out and --config."""
-    sub.set_defaults(_parser=sub)  # lets config keys be checked against this subcommand's flags
+    sub.set_defaults(_parser=sub)  # a --config call checks its keys against this parser and reparses with it
     for flag in flags:
         spec = SHARED_FLAGS[flag]
         sub.add_argument(flag, **dict(spec, help=help_of.get(flag[2:].replace("-", "_"), spec["help"])))
@@ -392,7 +410,14 @@ def _add_common(sub: argparse.ArgumentParser, *flags: str, **help_of: str) -> No
                      help="JSON file with flag values; explicit flags win")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use.
+
+    Parsing leaves it unchanged: it holds no command function (``main`` picks
+    the command by name at call time) and ``--config`` values never become its
+    defaults.
+    """
     parser = _Parser(
         prog="twistorcheck",
         description="Verify non-degeneracy bounds for the pulled-back twistor 2-form "
@@ -404,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "--manifold", "--fd-step", "--tol")
     p.add_argument("--point", default=None,
                    help="comma-separated coordinates (default: domain center)")
-    p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("scan", help="grid scan with per-point rows and a summary")
     _add_common(p, "--manifold", "--fd-step", "--tol",
@@ -415,14 +439,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accepted if >= 0 and ignored: the grid scan draws no random numbers")
     p.add_argument("--grid", type=AT_LEAST_ONE, default=3, help="points per axis, >= 1 (default 3)")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
-    p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("verify-algebra", help="exact rational identity sweep")
     _add_common(p, "--seed")
     p.add_argument("--n-list", default="2,3", help="comma-separated half-dimensions (default 2,3)")
     p.add_argument("--samples", type=AT_LEAST_ONE, default=10000,
                    help="random samples per n, >= 1 (default 10000)")
-    p.set_defaults(func=cmd_verify_algebra)
 
     p = sub.add_parser("verify-geometry", help="residual checks on a catalog manifold")
     _add_common(p, "--manifold", "--fd-step", "--seed")
@@ -430,19 +452,28 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of sampled interior points, >= 1 (default 10)")
     p.add_argument("--rotations", type=NON_NEGATIVE, default=4,
                    help="random frame rotations per point, >= 0 (default 4)")
-    p.set_defaults(func=cmd_verify_geometry)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if args.config:
-            # Config values become the subcommand's defaults, so explicit flags win.
-            args._parser.set_defaults(**_config_defaults(args))
-            args = parser.parse_args(argv)
-        return args.func(args)
+            # Config values fill a namespace that the subcommand's flags are
+            # then parsed into.  argparse sets a default only where the
+            # namespace has no value, so explicit flags win and the parser is
+            # left as it was.  The top-level parser has no option, so the
+            # first occurrence of the command's name is the command.
+            config = argparse.Namespace(command=args.command, **_config_defaults(args))
+            args = args._parser.parse_args(argv[argv.index(args.command) + 1 :], config)
+        command = {
+            "report": cmd_report,
+            "scan": cmd_scan,
+            "verify-algebra": cmd_verify_algebra,
+            "verify-geometry": cmd_verify_geometry,
+        }[args.command]
+        return command(args)
     except KeyError as exc:  # str() of a KeyError is the repr of its message
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2

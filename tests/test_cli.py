@@ -1,5 +1,6 @@
 """Command-line contract: outputs, exit codes, determinism, config handling."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -398,6 +399,69 @@ def test_config_file_supplies_missing_flags(tmp_path):
     code = run_cli(["scan", "--manifold", "flat:2", "--config", str(cfg), "--out", str(out)])
     assert code == 0
     assert json.loads(out.read_text())["summary"]["points"] == 16
+
+
+def test_a_second_call_builds_no_parser(monkeypatch):
+    """The parser is built on the first call of a process and reused by every later one."""
+    built = []
+    init, add_argument = argparse.ArgumentParser.__init__, argparse._ActionsContainer.add_argument
+
+    def counting_init(self, *args, **kwargs):
+        built.append("parser")
+        init(self, *args, **kwargs)
+
+    def counting_add_argument(self, *args, **kwargs):
+        built.append("argument")
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting_add_argument)
+    argv = ["verify-algebra", "--n-list", "2", "--samples", "1", "--seed", "-1"]  # a usage error
+    cli.build_parser.cache_clear()
+    assert run_cli(argv) == 2
+    assert "parser" in built and "argument" in built  # the counters see a build
+    built.clear()
+    assert run_cli(argv) == 2
+    assert run_cli(["scan", "--manifold", "flat:2", "--grid", "0"]) == 2
+    assert built == []
+
+
+def test_config_applies_to_its_own_call_only(tmp_path):
+    """A --config call leaves the parser as it found it, also when the call fails."""
+    plain = ["scan", "--manifold", "flat:2"]
+
+    def plain_scan():
+        out = tmp_path / "plain.csv"
+        assert run_cli(plain + ["--out", str(out)]) == 0
+        return out.read_bytes()
+
+    first = plain_scan()
+    assert first.startswith(b"u1,") and first.count(b"\n") == 1 + 81 + 1  # grid 3, csv
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps({"grid": 2, "format": "json"}))
+    bad.write_text(json.dumps({"grid": 2, "format": "xml"}))
+    out = tmp_path / "config.json"
+    assert run_cli(plain + ["--config", str(good), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["summary"]["points"] == 16
+    assert plain_scan() == first
+    assert run_cli(plain + ["--config", str(bad)]) == 2
+    assert plain_scan() == first
+    # every value valid, and the command itself fails
+    assert run_cli(["scan", "--manifold", "nope", "--config", str(good)]) == 2
+    assert plain_scan() == first
+
+
+def test_main_calls_the_command_bound_at_call_time(monkeypatch, tmp_path):
+    """A function put in place of cli.cmd_scan after the parser exists is the one called."""
+    cli.build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_scan", lambda args: seen.append(args) or 7)
+    assert run_cli(["scan", "--manifold", "flat:2", "--grid", "2"]) == 7
+    assert [(a.command, a.manifold, a.grid) for a in seen] == [("scan", "flat:2", 2)]
+    monkeypatch.undo()
+    out = tmp_path / "scan.csv"
+    assert run_cli(["scan", "--manifold", "flat:2", "--grid", "2", "--out", str(out)]) == 0
+    assert len(seen) == 1 and out.read_text().endswith("points=16\n")
 
 
 def test_float_serialization_round_trips(tmp_path):
@@ -910,6 +974,37 @@ def test_verify_geometry_fails_a_nan_residual(monkeypatch, tmp_path):
     assert report["all_pass"] is False
 
 
+def test_verify_geometry_refuses_a_chunk_over_the_row_limit(monkeypatch, tmp_path, capsys):
+    """min(points, GEOMETRY_CHUNK) x (1 + rotations) rows above the limit exit 2 before any sampling."""
+    monkeypatch.setattr(cli, "GEOMETRY_ROW_LIMIT", 10)
+    out = tmp_path / "geo.json"
+    argv = ["verify-geometry", "--manifold", "flat:2", "--out", str(out)]
+    assert run_cli(argv + ["--points", "2", "--rotations", "4"]) == 0  # 10 rows
+    out.unlink()
+
+    def refuse(*args):
+        raise AssertionError("sampled a chunk over the limit")
+
+    monkeypatch.setattr(catalog, "sample_points", refuse)
+    for points, rotations, rows in [(2, 5, 12), (100, 0, 16), (1, 100000000, 100000001)]:
+        assert run_cli(argv + ["--points", str(points), "--rotations", str(rotations)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err == (
+            f"error: a chunk of {min(points, 16)} points x {rotations + 1} frames = {rows} rows "
+            "exceeds the 10 guard\n"
+        )
+        assert not out.exists()
+
+
+def test_defaults_and_ci_cases_fit_the_row_limit():
+    """The defaults, every CI case, the benchmark's 4 x 4 and the README's --points 200 pass the guard."""
+    parsed = cli.build_parser().parse_args(["verify-geometry", "--manifold", "nk-s6"])
+    cases = [(parsed.points, parsed.rotations), (1, 1), (17, 2), (10, 0), (5, 3), (3, 1), (4, 4), (200, 4)]
+    for points, rotations in cases:
+        assert min(points, cli.GEOMETRY_CHUNK) * (1 + rotations) <= cli.GEOMETRY_ROW_LIMIT
+
+
 def test_scan_rows_equal_single_point_reports():
     """Every nk-s6 grid-2 row of the scan table is bitwise the report of its point computed alone."""
     entry = catalog.resolve("nk-s6")
@@ -954,6 +1049,51 @@ def test_scan_columns_are_the_coordinates_then_scan_columns(tmp_path):
     assert run_cli(argv) == 0
     rows = json.loads(json_out.read_text())["rows"]
     assert len(rows) == 16 and all(list(row) == columns for row in rows)
+
+
+def csv_by_cell(table, summary):
+    """The scan CSV formatted one cell at a time, with format(x, ".17g")."""
+
+    def cell(value):
+        return ("true" if value else "false") if isinstance(value, bool) else format(float(value), ".17g")
+
+    rows = zip(*(column.tolist() for column in table.values()))
+    lines = [",".join(table)] + [",".join(map(cell, row)) for row in rows]
+    lines.append(
+        "# summary min_margin=%s max_normN2=%s chain_violations=%d points=%d" % (
+            format(summary["min_margin"], ".17g"), format(summary["max_normN2"], ".17g"),
+            summary["chain_violations"], summary["points"],
+        )
+    )
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "manifold, grid", [("nk-s6", 2), ("torus:eps=0.05,freq=1", 3), ("flat:4", 2)]
+)
+def test_scan_csv_equals_per_cell_format(tmp_path, manifold, grid):
+    table = cli.scan_rows(catalog.resolve(manifold), grid, 1e-5, 1e-6)
+    summary = cli._scan_summary(table)
+    text = cli.scan_csv(table, summary)
+    assert text == csv_by_cell(table, summary)
+    out = tmp_path / "scan.csv"
+    assert run_cli(["scan", "--manifold", manifold, "--grid", str(grid), "--out", str(out)]) == 0
+    assert out.read_text() == text
+
+
+def test_scan_csv_writes_every_float_as_format_does():
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, 5e-324, 0.1, -1 / 3, 1e300]
+    table = {f"u{i + 1}": np.roll(special, i) for i in range(4)}
+    table.update(normN2=np.array(special[::-1]), margin=np.array(special), bound_paper=np.roll(special, 5))
+    table.update(chain_ok=np.arange(10) % 3 == 0, nondegenerate=np.arange(10) % 2 == 1)
+    summary = cli._scan_summary(table)
+    text = cli.scan_csv(table, summary)
+    assert text == csv_by_cell(table, summary)
+    assert [line.split(",")[5] for line in text.splitlines()[1:-1]] == [
+        "nan", "inf", "-inf", "-0", "0", "1e-300", "4.9406564584124654e-324",
+        "0.10000000000000001", "-0.33333333333333331", "1.0000000000000001e+300",
+    ]
+    assert text.endswith("# summary min_margin=nan max_normN2=nan chain_violations=6 points=10\n")
 
 
 def test_scan_names_the_one_point_that_breaks_j(monkeypatch, capsys):
