@@ -58,6 +58,7 @@ from .twistorform import (
     critical_constant,
     margin,
     nondegenerate,
+    pfaffian_sign,
     phi_formula_gap,
     phi_matrix,
     phi_via_bundle_formula,

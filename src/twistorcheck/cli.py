@@ -31,8 +31,9 @@ from .connection import (
 from .errors import CrossPathMismatch, TwistorcheckError
 from .geometry import DEFAULT_FD_STEP, point_jet, random_unitary_rotation
 from .nijenhuis import ROUTE_REL_TOL
-from .twistorform import chern_identity_residual, phi_formula_gap, theorem_report
+from .twistorform import chern_identity_residual, pfaffian_sign, phi_formula_gap, theorem_report
 
+# Points one call may hold: a ``scan``'s grid^dim, a ``verify-geometry``'s --points.
 GRID_LIMIT = 10**7
 # Grid points certified per batch by ``scan``: a module constant, not a flag.
 # A row is bitwise the report of its point computed alone, whatever its chunk.
@@ -45,10 +46,10 @@ SCAN_CHUNK = 256
 GEOMETRY_CHUNK = 16
 # Rows (a point in one frame: the identity or a rotation) that one
 # ``verify-geometry`` chunk may hold, min(points, GEOMETRY_CHUNK) x
-# (1 + rotations); larger chunks are refused before anything is sampled, as
-# ``scan`` refuses grid^dim > GRID_LIMIT.  A chunk holds all its rows at once:
-# traced peak memory grows by about 11 KiB a row on nk-s6 and 26 KiB on flat:4
-# (dim 8), so a chunk at the limit peaks near 109 and 251 MiB.
+# (1 + rotations), at dim <= 8; larger chunks are refused before anything is
+# sampled, as ``scan`` refuses grid^dim > GRID_LIMIT.  Traced peak memory grows
+# by about 0.05 dim^3 KiB a row (11 on nk-s6, 26 on flat:4: 109 and 251 MiB at
+# the limit), so above dim 8 the limit scales by (8 / dim)^3.
 GEOMETRY_ROW_LIMIT = 10_000
 
 # The report columns of ``scan``, after the grid coordinates u1 ... u{2n}.
@@ -100,8 +101,6 @@ def _to_json(obj, indent: int = 0) -> str:
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -131,7 +130,7 @@ def report_payload(entry: catalog.CatalogEntry, point: np.ndarray, fd_step: floa
         "bound_paper": rep.bound_paper,
         "chain_ok": rep.chain_ok.to_dict(),
         "nondegenerate": rep.nondegenerate,
-        "pfaffian_sign": rep.pfaffian_sign,
+        "pfaffian_sign": pfaffian_sign(rep.F, rep.nondegenerate),
         "structure_residual": structure,
         "phi_formula_mismatch": phi_formula_gap(rep.sigma),
         "n_route_mismatch": rep.n_route_mismatch,
@@ -249,13 +248,16 @@ def geometry_checks(entry: catalog.CatalogEntry, points: int, seed: int, rotatio
     order, one chunk of ``GEOMETRY_CHUNK`` points at a time; every chunk is
     one batch through the jet, one report and the frame differentiation.
     """
+    patch = entry.patch
+    if points > GRID_LIMIT:
+        raise ValueError(f"points = {points} exceeds the {GRID_LIMIT} guard")
     chunk = min(points, GEOMETRY_CHUNK)
-    if chunk * (1 + rotations) > GEOMETRY_ROW_LIMIT:
+    limit = GEOMETRY_ROW_LIMIT * 8**3 // max(patch.dim, 8) ** 3
+    if chunk * (1 + rotations) > limit:
         raise ValueError(
             f"a chunk of {chunk} points x {1 + rotations} frames = {chunk * (1 + rotations)} rows "
-            f"exceeds the {GEOMETRY_ROW_LIMIT} guard"
+            f"exceeds the {limit} guard"
         )
-    patch = entry.patch
     rng = np.random.default_rng(seed)
     samples = catalog.sample_points(patch, points, rng)
     is_round = "unit_round_sphere" in patch.attributes
@@ -274,6 +276,7 @@ def geometry_checks(entry: catalog.CatalogEntry, points: int, seed: int, rotatio
             U = np.concatenate([U, np.swapaxes(drawn, 0, 1)])
         rotated = frames.jet.rotated(U)
         rep = theorem_report(rotated)
+        sign = pfaffian_sign(rep.F, rep.nondegenerate)
         # The rotated frame field is E U with U constant, so its slices are U^T w U.
         slices = np.moveaxis(frames.w, -1, -3)
         w_rotated = np.swapaxes(U, -1, -2)[..., None, :, :] @ slices @ U[..., None, :, :]
@@ -286,7 +289,7 @@ def geometry_checks(entry: catalog.CatalogEntry, points: int, seed: int, rotatio
                 _relative_change(rep.normN2, rep.normN2[0]),
                 _relative_change(rep.margin, rep.margin[0]),
                 _relative_change(rep.det_F, rep.det_F[0]),
-                np.where(rep.pfaffian_sign == rep.pfaffian_sign[0], 0.0, 1.0),
+                np.where(sign == sign[0], 0.0, 1.0),
             ]),
             "connection_route_equivalence": _sigma_route_gap(w_rotated, rotated.frame.E, rep.sigma),
         }

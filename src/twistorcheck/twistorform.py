@@ -19,7 +19,8 @@ inequality chain
 
     margin >= 1 - 1/4 sum A^2 >= 1 - c |N|^2 ,   c = 5/64 (n >= 3), 1/16 (n = 2),
 
-together with: |N|^2 below the critical constant implies phi non-degenerate.
+together with: |N|^2 below the critical constant implies phi non-degenerate,
+a determinant verdict (``nondegenerate``) that no Pfaffian sign enters.
 ``theorem_report`` is that certificate at the points of a jet.
 """
 
@@ -129,50 +130,44 @@ def margin(F: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(M).min(axis=-1)
 
 
-def _pfaffian_sign(F: np.ndarray) -> np.ndarray:
-    """Sign of the Pfaffian of non-degenerate real skew matrices (..., 2m, 2m).
-
-    An eigenvector a + ib of the Hermitian iF for a positive eigenvalue l
-    gives F a = l b and F b = -l a.  The m positive eigenvectors make the
-    columns (b_1, a_1, b_2, a_2, ...) of Q mutually orthogonal, each of norm
-    2^(-1/2), and Q^T F Q is block diagonal with blocks l/2 [[0, 1], [-1, 0]],
-    whose Pfaffian is positive; Pf(Q^T F Q) = det Q Pf F then makes the sign
-    that of det Q.
-    """
-    m = F.shape[-1] // 2
-    V = np.linalg.eigh(1j * F)[1][..., m:]
-    Q = np.empty(F.shape)
-    Q[..., 0::2] = V.imag
-    Q[..., 1::2] = V.real
-    return np.linalg.slogdet(Q)[0]
-
-
-def nondegenerate(F: np.ndarray, det: np.ndarray | None = None) -> tuple:
-    """(non-degenerate?, sign of the Pfaffian) for skew frame matrices (..., 2n, 2n).
+def nondegenerate(F: np.ndarray, det: np.ndarray | None = None) -> np.ndarray:
+    """The link-(d) verdict: is each skew frame matrix (..., 2n, 2n) non-degenerate?
 
     The determinant is compared against NONDEGENERACY_THRESHOLD * scale^{2n}
     with scale = max |F_{AB}|, separating finite-difference noise from a
     genuine kernel; a matrix whose scale itself sits below ZERO_FORM_FLOOR is
-    a vanishing form seen through finite-difference noise (no sign of such a
-    matrix survives a frame rotation) and classifies as degenerate.  The sign
-    is computed in the interleaved basis (e_1, J e_1, e_2, J e_2, ...), the
-    orientation in which the flat form -J0 is the reference block form with
-    sign +1, by one batched ``_pfaffian_sign`` on the points that pass the
-    determinant test, and by none when no point passes.  ``det`` is
-    ``np.linalg.det`` of the matrices, computed here unless the caller
-    already holds it.
+    a vanishing form seen through finite-difference noise and classifies as
+    degenerate.  ``det`` is ``np.linalg.det`` of the matrices, computed here
+    unless the caller already holds it.
     """
-    dim = F.shape[-1]
-    n = dim // 2
     scale = np.abs(F).max(axis=(-2, -1))
     if det is None:
         det = np.linalg.det(F)
-    nondeg = (scale > ZERO_FORM_FLOOR) & (np.abs(det) > NONDEGENERACY_THRESHOLD * scale**dim)
-    interleave = np.arange(dim).reshape(2, n).T.ravel()
-    sign = np.zeros(nondeg.shape, dtype=int)
-    if nondeg.any():
-        sign[nondeg] = _pfaffian_sign(F[nondeg][..., interleave, :][..., interleave])
-    return nondeg, sign[()]
+    return (scale > ZERO_FORM_FLOOR) & (np.abs(det) > NONDEGENERACY_THRESHOLD * scale ** F.shape[-1])
+
+
+def pfaffian_sign(F: np.ndarray, nondeg: np.ndarray) -> np.ndarray:
+    """Pfaffian sign of each skew frame matrix (..., 2n, 2n) where ``nondeg`` holds, else 0.
+
+    The sign is taken in the interleaved basis (e_1, J e_1, e_2, J e_2, ...),
+    where the flat form -J0 has sign +1.  There an eigenvector a + ib of the
+    Hermitian iF for a positive eigenvalue l gives F a = l b and F b = -l a:
+    the n positive ones make the columns (b_1, a_1, b_2, a_2, ...) of Q
+    orthogonal and Q^T F Q block diagonal with positive Pfaffian, so
+    Pf(Q^T F Q) = det Q Pf F makes the sign that of det Q.  The selected
+    matrices share one ``eigh`` and one ``slogdet``, and none runs if none is.
+    """
+    sign = np.zeros(np.shape(nondeg), dtype=int)
+    if np.any(nondeg):
+        n = F.shape[-1] // 2
+        interleave = np.arange(2 * n).reshape(2, n).T.ravel()
+        G = F[nondeg][..., interleave, :][..., interleave]
+        V = np.linalg.eigh(1j * G)[1][..., n:]
+        Q = np.empty(G.shape)
+        Q[..., 0::2] = V.imag
+        Q[..., 1::2] = V.real
+        sign[nondeg] = np.linalg.slogdet(Q)[0]
+    return sign[()]
 
 
 @dataclass(frozen=True)
@@ -206,10 +201,10 @@ class TheoremReport:
 
     For a single point the fields are scalars; for a batch of points of
     shape S they are arrays of shape S (``sigma`` and ``N`` of shape
-    S + (2n,) * 3).  ``N`` holds the frame components N[..., C, A, B] of the
-    Nijenhuis tensor by the connection route.  ``n_route_mismatch`` is the
-    relative gap between those and the coordinate route's, None when the
-    report was computed from sigma alone.
+    S + (2n,) * 3, the form ``F`` = phi(e_A, e_B) of shape S + (2n, 2n)).
+    ``N`` holds the frame components N[..., C, A, B] of the Nijenhuis tensor
+    by the connection route, and ``n_route_mismatch`` the relative gap to the
+    coordinate route's, None when the report was computed from sigma alone.
     """
 
     normN2: float
@@ -219,10 +214,10 @@ class TheoremReport:
     bound_paper: float
     chain_ok: ChainChecks
     nondegenerate: bool
-    pfaffian_sign: int
     det_F: float
     sigma: np.ndarray
     N: np.ndarray
+    F: np.ndarray
     n_route_mismatch: float | None = None
 
 
@@ -251,7 +246,7 @@ def sigma_report(sigma: np.ndarray, tol: float = CHAIN_TOL) -> TheoremReport:
     F = phi_matrix(alpha, beta)
     mrg = margin(F)
     det_F = np.linalg.det(F)
-    nondeg, pf_sign = nondegenerate(F, det=det_F)
+    nondeg = nondegenerate(F, det=det_F)
 
     sum_c2 = _total(C)
     sum_cp2 = _total(Cp)
@@ -284,10 +279,10 @@ def sigma_report(sigma: np.ndarray, tol: float = CHAIN_TOL) -> TheoremReport:
         bound_paper=bound_paper,
         chain_ok=ChainChecks(a=ok_a, b=ok_b, c=ok_c, d=ok_d),
         nondegenerate=nondeg,
-        pfaffian_sign=pf_sign,
         det_F=det_F,
         sigma=sigma,
         N=N,
+        F=F,
     )
 
 

@@ -30,6 +30,7 @@ from twistorcheck import (
     nijenhuis_tensor,
     nondegenerate,
     perturbed_torus,
+    pfaffian_sign,
     phi_formula_gap,
     phi_matrix,
     point_jet,
@@ -211,7 +212,9 @@ def test_criterion_6_frame_invariance():
                         abs(rep.margin - base.margin) / max(1.0, abs(base.margin)),
                         abs(rep.det_F - base.det_F) / max(1.0, abs(base.det_F)),
                     )
-                    sign_stable = sign_stable and rep.pfaffian_sign == base.pfaffian_sign
+                    sign_stable = sign_stable and (
+                        pfaffian_sign(rep.F, rep.nondegenerate) == pfaffian_sign(base.F, base.nondegenerate)
+                    )
             c.check(worst <= 1e-8, f"{entry.id}: worst relative deviation {worst:.3e}")
             c.check(sign_stable, f"{entry.id}: Pfaffian sign changed under rotation")
 
@@ -282,4 +285,5 @@ def test_criterion_8_negative_controls():
         # zeroed block: the form must report degenerate
         F = -j0_matrix(3)
         F[0, 3] = F[3, 0] = 0.0
-        c.check(nondegenerate(F) == (False, 0), "zeroed-block form not reported degenerate")
+        nondeg = nondegenerate(F)
+        c.check(not nondeg and pfaffian_sign(F, nondeg) == 0, "zeroed-block form not reported degenerate")

@@ -20,7 +20,7 @@ from twistorcheck.connection import (
     round_sphere_curvature_residual,
     structure_equation_residual,
 )
-from twistorcheck.twistorform import chern_identity_residual, phi_formula_gap
+from twistorcheck.twistorform import chern_identity_residual, pfaffian_sign, phi_formula_gap
 
 
 def run_cli(args):
@@ -741,11 +741,11 @@ def test_report_builds_one_batch_of_frames(monkeypatch, tmp_path, manifold):
 def test_lapack_calls_per_chunk(monkeypatch, tmp_path):
     """g is decomposed once per batch of frames, by validate_patch's eigvalsh,
     whose spectrum adapt_frame's condition gate reads; christoffel reads
-    g^-1 = E E^T off the frame and calls no LAPACK routine, and a chunk with
-    no non-degenerate form makes no Pfaffian call.  On nk-s6 a scan chunk then
-    makes 3 numpy.linalg calls (validation, margin, det F) and a
-    verify-geometry chunk 4 (the same and the rotations' eigh), or 3 with
-    no rotations."""
+    g^-1 = E E^T off the frame and calls no LAPACK routine, and a scan chunk
+    makes no Pfaffian call, whether or not its forms are non-degenerate.  A
+    scan chunk then makes 3 numpy.linalg calls (validation, margin, det F) on
+    nk-s6 and on flat:3 alike, and an nk-s6 verify-geometry chunk 4 (the same
+    and the rotations' eigh), or 3 with no rotations."""
     from collections import Counter
 
     from twistorcheck import connection
@@ -774,6 +774,11 @@ def test_lapack_calls_per_chunk(monkeypatch, tmp_path):
     assert inside == [0]
     calls.clear()
     inside.clear()
+    # every flat:3 form is non-degenerate, and scan reads no sign of one
+    assert run_cli(["scan", "--manifold", "flat:3", "--grid", "2", "--out", out]) == 0
+    assert calls == {"eigvalsh": 2, "det": 1}
+    calls.clear()
+    inside.clear()
     argv = ["verify-geometry", "--manifold", "nk-s6", "--points", "4", "--rotations", "4", "--out", out]
     assert run_cli(argv) == 0
     assert calls == {"eigvalsh": 2, "eigh": 1, "det": 1}
@@ -784,6 +789,45 @@ def test_lapack_calls_per_chunk(monkeypatch, tmp_path):
     assert run_cli(argv) == 0
     # no rotation drawn, so no eigh on an empty stack
     assert calls == {"eigvalsh": 2, "det": 1}
+
+
+def test_pfaffian_sign_only_where_it_is_read(monkeypatch, tmp_path):
+    """scan forms no Pfaffian sign; report forms one, and verify-geometry one
+    per chunk, on the chunk's (1 + rotations, points) batch of forms."""
+    batches = []
+
+    def recording(F, nondeg):
+        batches.append(np.shape(nondeg))
+        return pfaffian_sign(F, nondeg)
+
+    monkeypatch.setattr(cli, "pfaffian_sign", recording)
+    out = tmp_path / "out"
+    assert run_cli(["scan", "--manifold", "flat:3", "--grid", "2", "--out", str(out)]) == 0
+    assert batches == []
+    assert run_cli(["report", "--manifold", "flat:3", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["pfaffian_sign"] == 1
+    assert batches == [()]
+    batches.clear()
+    argv = ["verify-geometry", "--manifold", "flat:3", "--points", "17", "--rotations", "2", "--out", str(out)]
+    assert run_cli(argv) == 0
+    assert batches == [(3, 16), (3, 1)]
+
+
+def test_frame_invariance_reads_the_pfaffian_sign(monkeypatch, tmp_path):
+    """Negative control: a sign that flips on every rotated row fails frame
+    invariance alone, by a residual of 1.  flat:3 has F = -J0, of sign +1."""
+    def flipped(F, nondeg):
+        sign = pfaffian_sign(F, nondeg)
+        sign[1:] *= -1
+        return sign
+
+    monkeypatch.setattr(cli, "pfaffian_sign", flipped)
+    out = tmp_path / "geo.json"
+    argv = ["verify-geometry", "--manifold", "flat:3", "--points", "3", "--rotations", "1"]
+    assert run_cli(argv + ["--out", str(out)]) == 1
+    checks = json.loads(out.read_text())["checks"]
+    assert [name for name, slot in checks.items() if not slot["pass"]] == ["frame_invariance"]
+    assert checks["frame_invariance"]["max_residual"] == 1.0
 
 
 @pytest.mark.parametrize("rotations", [0, 4])
@@ -892,7 +936,8 @@ def _geometry_reference(entry, points, seed, rotations, fd_step):
                 abs(rep.normN2 - base.normN2) / max(1.0, abs(base.normN2)),
                 abs(rep.margin - base.margin) / max(1.0, abs(base.margin)),
                 abs(rep.det_F - base.det_F) / max(1.0, abs(base.det_F)),
-                0.0 if rep.pfaffian_sign == base.pfaffian_sign else 1.0,
+                0.0 if pfaffian_sign(rep.F, rep.nondegenerate) == pfaffian_sign(base.F, base.nondegenerate)
+                else 1.0,
             ))
         if "unit_round_sphere" in patch.attributes:
             dw = connection_derivative(patch, frames)
@@ -995,6 +1040,55 @@ def test_verify_geometry_refuses_a_chunk_over_the_row_limit(monkeypatch, tmp_pat
             "exceeds the 10 guard\n"
         )
         assert not out.exists()
+
+
+def test_verify_geometry_row_limit_shrinks_above_dim_8(monkeypatch, tmp_path, capsys):
+    """Above dim 8 the row limit scales by (8 / dim)^3, since a row's memory
+    grows as dim^3; flat:16 at 9616 rows would need about 15 GiB."""
+    limit = cli.GEOMETRY_ROW_LIMIT
+    out = tmp_path / "geo.json"
+    argv = ["verify-geometry", "--out", str(out)]
+    monkeypatch.setattr(cli, "GEOMETRY_ROW_LIMIT", 8)
+    # dim 10: 8 * 8^3 // 10^3 = 4 rows
+    assert run_cli(argv + ["--manifold", "flat:5", "--points", "2", "--rotations", "1"]) == 0
+    out.unlink()
+
+    def refuse(*args):
+        raise AssertionError("sampled a chunk over the limit")
+
+    monkeypatch.setattr(catalog, "sample_points", refuse)
+    assert run_cli(argv + ["--manifold", "flat:5", "--points", "1", "--rotations", "4"]) == 2
+    assert capsys.readouterr().err == "error: a chunk of 1 points x 5 frames = 5 rows exceeds the 4 guard\n"
+    monkeypatch.setattr(cli, "GEOMETRY_ROW_LIMIT", limit)
+    assert run_cli(argv + ["--manifold", "flat:16", "--points", "16", "--rotations", "600"]) == 2
+    assert capsys.readouterr().err == (
+        "error: a chunk of 16 points x 601 frames = 9616 rows exceeds the 156 guard\n"
+    )
+    assert not out.exists()
+
+
+def test_verify_geometry_refuses_points_over_the_grid_limit(monkeypatch, tmp_path, capsys):
+    """More sample points than GRID_LIMIT exit 2 before any is drawn, as scan
+    refuses grid^dim above it."""
+    limit = cli.GRID_LIMIT
+    out = tmp_path / "geo.json"
+    argv = ["verify-geometry", "--manifold", "flat:2", "--rotations", "0", "--out", str(out)]
+    monkeypatch.setattr(cli, "GRID_LIMIT", 3)
+    assert run_cli(argv + ["--points", "3"]) == 0
+    out.unlink()
+
+    def refuse(*args):
+        raise AssertionError("sampled more points than the limit")
+
+    monkeypatch.setattr(catalog, "sample_points", refuse)
+    assert run_cli(argv + ["--points", "4"]) == 2
+    assert capsys.readouterr().err == "error: points = 4 exceeds the 3 guard\n"
+    monkeypatch.setattr(cli, "GRID_LIMIT", limit)
+    assert run_cli(argv + ["--points", "100000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: points = 100000000 exceeds the 10000000 guard\n"
+    assert not out.exists()
 
 
 def test_defaults_and_ci_cases_fit_the_row_limit():

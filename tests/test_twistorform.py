@@ -26,6 +26,7 @@ from twistorcheck import (
     nijenhuis_norm,
     nondegenerate,
     perturbed_torus,
+    pfaffian_sign,
     phi_formula_gap,
     phi_matrix,
     phi_via_bundle_formula,
@@ -49,6 +50,12 @@ def expanded_pfaffian(A):
         keep = [k for k in range(1, len(A)) if k != j]
         total += (-1) ** (j + 1) * A[0][j] * expanded_pfaffian([[A[r][c] for c in keep] for r in keep])
     return total
+
+
+def verdict_and_sign(F):
+    """(non-degenerate?, sign of the Pfaffian) of skew frame matrices, as a reader forms them."""
+    nondeg = nondegenerate(F)
+    return nondeg, pfaffian_sign(F, nondeg)
 
 
 def table_with(n, entries):
@@ -241,24 +248,24 @@ class TestMargin:
 
 class TestNondegenerate:
     def test_reference(self):
-        assert nondegenerate(-j0_matrix(2)) == (True, 1)
-        assert nondegenerate(-j0_matrix(3)) == (True, 1)
-        assert nondegenerate(-j0_matrix(4)) == (True, 1)
+        assert verdict_and_sign(-j0_matrix(2)) == (True, 1)
+        assert verdict_and_sign(-j0_matrix(3)) == (True, 1)
+        assert verdict_and_sign(-j0_matrix(4)) == (True, 1)
 
     def test_zero(self):
-        assert nondegenerate(np.zeros((6, 6))) == (False, 0)
+        assert verdict_and_sign(np.zeros((6, 6))) == (False, 0)
 
     def test_zeroed_block(self):
         F = -j0_matrix(3)
         F[0, 3] = 0.0
         F[3, 0] = 0.0
-        assert nondegenerate(F) == (False, 0)
+        assert verdict_and_sign(F) == (False, 0)
 
     def test_sign_flips_with_one_pair(self):
         F = -j0_matrix(2)
         F[:, [0]] *= -1.0
         F[[0], :] *= -1.0  # flip e1 pairing: Pfaffian sign flips
-        assert nondegenerate(F) == (True, -1)
+        assert verdict_and_sign(F) == (True, -1)
 
     def test_pfaffian_squares_to_determinant(self):
         # the reference the sign tests below compare against
@@ -277,7 +284,7 @@ class TestNondegenerate:
         # the sign is taken in the interleaved basis (e_1, e_{n+1}, e_2, e_{n+2}, ...)
         order = [k for i in range(n) for k in (i, n + i)]
         reference = [np.sign(expanded_pfaffian(a[np.ix_(order, order)].tolist())) for a in A]
-        nondeg, sign = nondegenerate(A)
+        nondeg, sign = verdict_and_sign(A)
         assert nondeg.all()
         assert sign.tolist() == reference
         assert 0 < sign.tolist().count(1) < len(A)
@@ -292,17 +299,44 @@ class TestNondegenerate:
         A = rng.standard_normal((6, 6))
         A = A - A.T
         forms = [np.zeros((6, 6)), -j0_matrix(3), flipped, zeroed, A, 1e-10 * A]
-        nondeg, sign = nondegenerate(np.stack(forms).reshape(2, 3, 6, 6))
-        alone = [nondegenerate(F) for F in forms]
+        nondeg, sign = verdict_and_sign(np.stack(forms).reshape(2, 3, 6, 6))
+        alone = [verdict_and_sign(F) for F in forms]
         assert list(zip(nondeg.ravel().tolist(), sign.ravel().tolist())) == alone
         assert alone[:4] == [(False, 0), (True, 1), (True, -1), (False, 0)]
         assert alone[5] == (False, 0)
+
+    def test_sign_is_zero_where_the_verdict_is_false(self, monkeypatch):
+        forms = np.stack([-j0_matrix(3), np.zeros((6, 6))])
+        assert pfaffian_sign(forms, np.array([True, False])).tolist() == [1, 0]
+        assert pfaffian_sign(-j0_matrix(3), np.False_) == 0
+
+        def refuse(*args):
+            raise AssertionError("decomposed a form that no verdict passed")
+
+        # no eigh and no slogdet when no form passes
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "slogdet", refuse)
+        assert pfaffian_sign(forms, np.zeros(2, dtype=bool)).tolist() == [0, 0]
+
+    def test_reports_form_no_sign(self, monkeypatch):
+        """The certificate's verdict is a determinant test: sigma_report and
+        theorem_report decompose no form, even where every form is non-degenerate."""
+        def refuse(*args):
+            raise AssertionError("a report decomposed its form")
+
+        patch = perturbed_torus(eps=0.1).patch
+        jet = point_jet(patch, grid_points(patch, 2)[::7])
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "slogdet", refuse)
+        rep = theorem_report(jet)
+        assert rep.nondegenerate.all()
+        assert sigma_report(rep.sigma).nondegenerate.all()
 
     def test_noise_scale_form_is_degenerate(self):
         rng = np.random.default_rng(1)
         A = 1e-10 * rng.standard_normal((6, 6))
         A = A - A.T
-        assert nondegenerate(A) == (False, 0)
+        assert verdict_and_sign(A) == (False, 0)
 
 
 class TestTheoremReport:
@@ -314,7 +348,7 @@ class TestTheoremReport:
         assert rep.bound_quarterA == 1.0
         assert rep.bound_paper == 1.0
         assert rep.chain_ok.all_ok
-        assert rep.nondegenerate and rep.pfaffian_sign == 1
+        assert rep.nondegenerate and pfaffian_sign(rep.F, rep.nondegenerate) == 1
 
     def test_conformal_case2(self):
         rep = theorem_report(point_jet(conformal_hermitian().patch, np.array([1.3, 0.9, 1.1, 1.7])))
@@ -334,7 +368,7 @@ class TestTheoremReport:
         assert critical_constant(3) == pytest.approx(64.0 / 5.0)
         # the pulled-back form vanishes identically on the nearly Kahler sphere
         assert abs(rep.margin) < 1e-8
-        assert not rep.nondegenerate and rep.pfaffian_sign == 0
+        assert not rep.nondegenerate and pfaffian_sign(rep.F, rep.nondegenerate) == 0
 
     def test_nearly_kahler_form_vanishes_to_rounding(self):
         # With the closed-form J jet the largest |F| on nk-s6 is 8.1e-15 over
@@ -441,7 +475,7 @@ class TestSigmaReport:
         assert rep.sumA2 == pytest.approx(8.0 * s**2, rel=1e-14)
         # equality in the sharp form margin >= 1 - 1/8 sum A^2 of link (a)
         assert rep.margin == pytest.approx(1.0 - s**2, abs=1e-14)
-        assert (rep.nondegenerate, rep.pfaffian_sign) == verdict
+        assert (rep.nondegenerate, pfaffian_sign(rep.F, rep.nondegenerate)) == verdict
         assert rep.chain_ok.to_dict() == dict.fromkeys("abcd", True)
         assert rep.n_route_mismatch is None
 
@@ -559,7 +593,7 @@ def test_frame_invariance_of_scalars():
             assert abs(rep.normN2 - base.normN2) <= 1e-8 * max(1.0, abs(base.normN2))
             assert abs(rep.margin - base.margin) <= 1e-8 * max(1.0, abs(base.margin))
             assert abs(rep.det_F - base.det_F) <= 1e-8 * max(1.0, abs(base.det_F))
-            assert rep.pfaffian_sign == base.pfaffian_sign
+            assert pfaffian_sign(rep.F, rep.nondegenerate) == pfaffian_sign(base.F, base.nondegenerate)
 
 
 def test_one_determinant_per_report(monkeypatch):
@@ -580,5 +614,5 @@ def test_one_determinant_per_report(monkeypatch):
     rep = theorem_report(jet)
     assert calls == 1
     assert np.array_equal(rep.det_F, expected)
-    nondeg, sign = nondegenerate(F, det=expected)
-    assert np.array_equal(nondeg, rep.nondegenerate) and np.array_equal(sign, rep.pfaffian_sign)
+    assert np.array_equal(nondegenerate(F, det=expected), rep.nondegenerate)
+    assert np.array_equal(F, rep.F)
