@@ -132,7 +132,7 @@ def report_payload(entry: catalog.CatalogEntry, point: np.ndarray, fd_step: floa
         "nondegenerate": rep.nondegenerate,
         "pfaffian_sign": pfaffian_sign(rep.F, rep.nondegenerate),
         "structure_residual": structure,
-        "phi_formula_mismatch": phi_formula_gap(rep.sigma),
+        "phi_formula_mismatch": phi_formula_gap(rep.sigma, rep.F),
         "n_route_mismatch": rep.n_route_mismatch,
     }
 
@@ -283,7 +283,7 @@ def geometry_checks(entry: catalog.CatalogEntry, points: int, seed: int, rotatio
         w_rotated = np.moveaxis(w_rotated, -3, -1)
         found = {
             "structure_equation": structure_equation_residual(frames),
-            "phi_formula_equivalence": phi_formula_gap(rep.sigma[0]),
+            "phi_formula_equivalence": phi_formula_gap(rep.sigma[0], rep.F[0]),
             "nijenhuis_route_equivalence": rep.n_route_mismatch[0],
             "frame_invariance": np.maximum.reduce([
                 _relative_change(rep.normN2, rep.normN2[0]),

@@ -27,7 +27,6 @@ from .geometry import (
     christoffel,
     j0_matrix,
     require_interior,
-    require_pivots,
     stencil_difference,
     stencil_points,
 )
@@ -102,17 +101,17 @@ def frame_field_jet(patch: ManifoldPatch, point: np.ndarray, step: float = DEFAU
     """Build the point jet at ``point`` (..., 2n) and differentiate its frame field at ``step``.
 
     Each point and its ``stencil_points`` form one (..., 1 + 2 dim, dim)
-    stack, and one ``adapt_frame`` call builds every frame; the stencil
-    frames must keep their point's pivot sequence.  A point's values do not
-    depend on its batch, so ``.jet`` is bitwise ``point_jet(patch, point,
-    step)``.
+    stack, and one ``adapt_frame`` call builds every frame: the point
+    decides the pivots, and its stencil frames take them.  A point's values
+    do not depend on its batch, so ``.jet`` is bitwise ``point_jet(patch,
+    point, step)``.
     """
     u = require_interior(patch, point, margin=2.0 * step)
-    frames = adapt_frame(patch, np.concatenate([u[..., None, :], stencil_points(u, step)], axis=-2))
+    stack = np.concatenate([u[..., None, :], stencil_points(u, step)], axis=-2)
+    frames = adapt_frame(patch, stack, group=stack.shape[-2])
     lead = (slice(None),) * (u.ndim - 1)
     frame, stencil = _frames_at(frames, lead + (0,)), _frames_at(frames, lead + (slice(1, None),))
     jet = _jet_of_frame(patch, frame, step)
-    require_pivots(stencil, frame.pivots[..., None, :])
     dE = stencil_difference(stencil.E, step, u.ndim - 1)
     dT = stencil_difference(stencil.g @ stencil.E, step, u.ndim - 1)
     w = coordinate_connection(frame.g, frame.E, dE, jet.Gamma)

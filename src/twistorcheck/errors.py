@@ -17,7 +17,7 @@ class IncompatibleStructure(TwistorcheckError):
 
 
 class DegeneratePivot(TwistorcheckError):
-    """Every remaining coordinate vector collapsed during frame orthogonalization."""
+    """A frame's pivot (its own choice, or one it takes from its group) collapsed during orthogonalization."""
 
 
 class BoundaryProximity(TwistorcheckError):
@@ -29,7 +29,7 @@ class SingularMetric(TwistorcheckError):
 
 
 class FrameDiscontinuity(TwistorcheckError):
-    """Pivot sequence changed between displaced frame evaluations."""
+    """``evaluate_frame_field`` found a displaced frame with pivots other than its reference frame's."""
 
 
 class CrossPathMismatch(TwistorcheckError):

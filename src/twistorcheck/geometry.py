@@ -210,10 +210,10 @@ class AdaptedFrame:
     Column A of ``E[...]`` holds the coordinate components of the frame
     vector e_A, so E^T g E = Id; ``g`` and ``J`` are the validated field
     values at ``point`` it was built from.  ``pivots[..., k]`` records which
-    coordinate vector survived Gram-Schmidt step k; displaced re-evaluations
-    compare it point by point to detect a discontinuous frame field.  A
-    rotated frame (``rotate_frame``) changes E alone, whose batch may then
-    be wider than the points'.
+    coordinate vector Gram-Schmidt step k took; the stencil frames of
+    ``frame_field_jet`` carry their point's, and ``evaluate_frame_field``
+    compares them point by point.  A rotated frame (``rotate_frame``) changes
+    E alone, whose batch may then be wider than the points'.
     """
 
     point: np.ndarray
@@ -234,7 +234,7 @@ class AdaptedFrame:
         return self.E.shape[-1] // 2
 
 
-def _gram_schmidt_adapted(g: np.ndarray, J: np.ndarray, u: np.ndarray):
+def _gram_schmidt_adapted(g: np.ndarray, J: np.ndarray, u: np.ndarray, group: int = 1):
     """Deterministic J-adapted Gram-Schmidt at every point. Returns (E, pivots).
 
     The accepted vectors e_0, J e_0, e_1, J e_1, ... are the columns of
@@ -243,8 +243,10 @@ def _gram_schmidt_adapted(g: np.ndarray, J: np.ndarray, u: np.ndarray):
     vectors at once against the first 2k of them, W, by block classical
     Gram-Schmidt run twice: V = I - W W^T g, then V - W W^T g V, the second
     pass bringing the g-orthogonality to machine precision ("twice is
-    enough").  At each point it takes the first still available coordinate
-    vector whose g-norm reaches PIVOT_TOL.
+    enough").  It takes the available vector with the largest share
+    |V e_i|_g / sqrt(g_ii) of its g-norm (the lowest index on a tie) among
+    those whose g-norm reaches PIVOT_TOL; each run of ``group`` frames in C
+    order takes the one its first frame takes, and must find it usable.
     """
     dim = g.shape[-1]
     n = dim // 2
@@ -252,6 +254,7 @@ def _gram_schmidt_adapted(g: np.ndarray, J: np.ndarray, u: np.ndarray):
     g = g.reshape((-1, dim, dim))
     J = J.reshape((-1, dim, dim))
     rows = np.arange(len(g))
+    own = np.sqrt(np.diagonal(g, axis1=-2, axis2=-1))
     available = np.ones((len(g), dim), dtype=bool)
     accepted = np.empty((len(g), dim, dim))
     pivots = np.empty((len(g), n), dtype=np.intp)
@@ -264,13 +267,15 @@ def _gram_schmidt_adapted(g: np.ndarray, J: np.ndarray, u: np.ndarray):
         V -= W @ (Wt @ (g @ V))
         nrm = np.sqrt(np.maximum(np.einsum("bij,bij->bj", V, g @ V), 0.0))
         usable = available & (nrm >= PIVOT_TOL)
-        stuck = first_index(~usable.any(axis=-1).reshape(batch))
+        idx = np.argmax(np.where(usable, nrm / own, -1.0)[::group], axis=-1)
+        if group > 1:
+            idx = idx.repeat(group)
+        stuck = first_index(~usable[rows, idx].reshape(batch))
         if stuck is not None:
-            raise DegeneratePivot(
-                f"all {dim - k} remaining coordinate vectors project below {PIVOT_TOL:g} "
-                f"at {u[stuck].tolist()}"
-            )
-        idx = np.argmax(usable, axis=-1)
+            cause = f"all {dim - k} remaining coordinate vectors project"
+            if usable.reshape(batch + (dim,))[stuck].any():
+                cause = f"coordinate vector {idx.reshape(batch)[stuck]}, shared pivot of step {k}, projects"
+            raise DegeneratePivot(f"{cause} below {PIVOT_TOL:g} at {u[stuck].tolist()}")
         e = V[rows, :, idx] / nrm[rows, idx][:, None]
         available[rows, idx] = False
         pivots[:, k] = idx
@@ -280,19 +285,22 @@ def _gram_schmidt_adapted(g: np.ndarray, J: np.ndarray, u: np.ndarray):
     return E.reshape(batch + (dim, dim)), pivots.reshape(batch + (n,))
 
 
-def adapt_frame(patch: ManifoldPatch, point: np.ndarray) -> AdaptedFrame:
+def adapt_frame(patch: ManifoldPatch, point: np.ndarray, group: int = 1) -> AdaptedFrame:
     """Build the J-adapted orthonormal frame at every point of ``point`` (..., 2n).
 
     The construction is deterministic: identical inputs give a bitwise
-    identical frame.  Gram-Schmidt sweeps the coordinate vectors in order, so
-    on a flat Kahler patch the frame is the coordinate basis itself.  After
-    the sweep, g's condition number must pass a gate read off the spectrum
-    that ``validate_patch`` computed, or ``SingularMetric`` names the point:
-    the frame factors g^-1 = E E^T for ``christoffel``.
+    identical frame.  Each Gram-Schmidt step takes the coordinate vector
+    that keeps the largest share of its g-norm, the lowest index on a tie,
+    so on a flat Kahler patch the frame is the coordinate basis.  Each point
+    decides its pivots, unless the last batch axis holds runs of ``group``
+    points whose frames take their first point's.  After the sweep, g's
+    condition number must pass a gate read off the spectrum that
+    ``validate_patch`` computed, or ``SingularMetric`` names the point: the
+    frame factors g^-1 = E E^T for ``christoffel``.
     """
     u = require_interior(patch, point)
     g, J, spectrum = validate_patch(patch, u)
-    E, pivots = _gram_schmidt_adapted(g, J, u)
+    E, pivots = _gram_schmidt_adapted(g, J, u, group)
     resid = np.abs(np.swapaxes(E, -1, -2) @ g @ E - np.eye(patch.dim)).max(axis=(-2, -1))
     bad = first_index(resid > FRAME_ORTHO_TOL)
     if bad is not None:
@@ -333,35 +341,25 @@ def evaluate_frame_field(patch: ManifoldPatch, frame: AdaptedFrame, point: np.nd
     """Evaluate the adapted frame field through ``frame`` at nearby points.
 
     ``point`` has the frame's batch axes, then any number of extra axes, then
-    2n.  Re-runs the Gram-Schmidt sweep and demands, point
-    by point, the pivot sequence of the frame it came from, so finite
-    differences of the frame field are differences of one smooth
-    matrix-valued function.  Returns the unrotated frames at ``point``, with
-    the g and J they were built from; the field through a rotated frame E U
-    is theirs times U.
+    2n.  Re-runs the Gram-Schmidt sweep, each point deciding its own pivots,
+    and raises FrameDiscontinuity at the first point whose pivot sequence
+    differs from that of the frame it came from, so finite differences of
+    the frame field are differences of one smooth matrix-valued function.
+    Returns the unrotated frames at ``point``, with the g and J they were
+    built from; the field through a rotated frame E U is theirs times U.
     """
     moved = adapt_frame(patch, point)
-    pivots = frame.pivots
-    extra = moved.pivots.ndim - pivots.ndim
+    lead = frame.pivots.shape[:-1]
+    extra = moved.pivots.ndim - 1 - len(lead)
     if extra < 0:
-        raise ValueError(
-            f"points of shape {moved.point.shape} lack the frame's batch axes {pivots.shape[:-1]}"
-        )
-    require_pivots(moved, pivots.reshape(pivots.shape[:-1] + (1,) * extra + pivots.shape[-1:]))
-    return moved
-
-
-def require_pivots(moved: AdaptedFrame, reference: np.ndarray) -> None:
-    """Raise FrameDiscontinuity at the first of the ``moved`` frames whose
-    pivot sequence differs from ``reference``, which broadcasts against them.
-    """
-    reference = np.broadcast_to(reference, moved.pivots.shape)
-    changed = first_index(np.any(moved.pivots != reference, axis=-1))
+        raise ValueError(f"points of shape {moved.point.shape} lack the frame's batch axes {lead}")
+    changed = first_index(np.any(moved.pivots != frame.pivots.reshape(lead + (1,) * extra + (-1,)), axis=-1))
     if changed is not None:
         raise FrameDiscontinuity(
-            f"pivot sequence changed from {tuple(reference[changed].tolist())} to "
+            f"pivot sequence changed from {tuple(frame.pivots[changed[: len(lead)]].tolist())} to "
             f"{tuple(moved.pivots[changed].tolist())} at {moved.point[changed].tolist()}"
         )
+    return moved
 
 
 def stencil_points(u: np.ndarray, h: float) -> np.ndarray:

@@ -112,10 +112,10 @@ def phi_via_bundle_formula(omega: np.ndarray) -> np.ndarray:
     return -0.25 * trace - J0
 
 
-def phi_formula_gap(sigma: np.ndarray) -> np.ndarray:
-    """The two phi formulas' oracle: max |phi_matrix - phi_via_bundle_formula|
-    of each table sigma[..., A, B, C], formed only where it is read."""
-    return np.abs(phi_matrix(*alpha_beta(sigma)) - phi_via_bundle_formula(sigma)).max(axis=(-2, -1))
+def phi_formula_gap(sigma: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """The two phi formulas' oracle: max |F - phi_via_bundle_formula| of each table
+    sigma[..., A, B, C] and its ``phi_matrix`` F (a report's), formed only where read."""
+    return np.abs(F - phi_via_bundle_formula(sigma)).max(axis=(-2, -1))
 
 
 def margin(F: np.ndarray) -> np.ndarray:

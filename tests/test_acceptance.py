@@ -136,7 +136,7 @@ def test_criterion_3_route_equivalence():
                 jet = point_jet(entry.patch, point)
                 rep = theorem_report(jet)
                 worst_n = max(worst_n, rep.n_route_mismatch)
-                worst_phi = max(worst_phi, phi_formula_gap(rep.sigma))
+                worst_phi = max(worst_phi, phi_formula_gap(rep.sigma, rep.F))
                 # sigma from nabla J against the frame-differentiated connection
                 full = sigma_part(connection_coefficients(frame_field_jet(entry.patch, point)))
                 worst_sigma = max(worst_sigma, float(np.abs(full - rep.sigma).max()))

@@ -922,7 +922,7 @@ def _geometry_reference(entry, points, seed, rotations, fd_step):
         w = frames.w
         base = theorem_report(jet)
         bump("structure_equation", structure_equation_residual(frames))
-        bump("phi_formula_equivalence", phi_formula_gap(base.sigma))
+        bump("phi_formula_equivalence", phi_formula_gap(base.sigma, base.F))
         bump("nijenhuis_route_equivalence", base.n_route_mismatch)
         bump("connection_route_equivalence", route_gap(w, frame.E, base.sigma))
         bump("frame_invariance", 0.0)

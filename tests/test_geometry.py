@@ -172,7 +172,8 @@ class TestAdaptFrame:
 
 def one_vector_sweep(g, J):
     """Reference J-adapted Gram-Schmidt: each coordinate vector is projected
-    against one accepted vector at a time, in two modified passes."""
+    against one accepted vector at a time, in two modified passes, and the
+    usable vector that keeps the largest share of its g-norm is taken."""
     dim = g.shape[-1]
     n = dim // 2
     batch = g.shape[:-2]
@@ -187,7 +188,8 @@ def one_vector_sweep(g, J):
                 coef = np.swapaxes(V, -1, -2) @ (g @ w[..., None])
                 V = V - w[..., :, None] * np.swapaxes(coef, -1, -2)
         nrm = np.sqrt(np.maximum((V * (g @ V)).sum(axis=-2), 0.0))
-        idx = np.argmax(available & (nrm >= PIVOT_TOL), axis=-1)[..., None]
+        share = nrm / np.sqrt(np.diagonal(g, axis1=-2, axis2=-1))
+        idx = np.argmax(np.where(available & (nrm >= PIVOT_TOL), share, -np.inf), axis=-1)[..., None]
         e = np.take_along_axis(V, idx[..., None], axis=-1)[..., 0] / np.take_along_axis(nrm, idx, axis=-1)
         je = (J @ e[..., None])[..., 0]
         np.put_along_axis(available, idx, False, axis=-1)
@@ -252,9 +254,12 @@ class TestBlockSweep:
         assert np.all(residual(E) <= 4.0 * residual(E_ref) + 1e-14)
 
     def test_skipped_pivot_only_where_j_pairs_the_first_two_vectors(self):
-        # where J e_1 = e_2 the second step finds e_2 in the span of e_1 and
-        # J e_1 and takes e_3; everywhere else the sweep takes e_2
+        # where g = I and J e_1 = e_2 all four vectors tie at the first step,
+        # which takes e_1; the second finds e_2 in the span of e_1 and J e_1
+        # and takes e_3, the lower of the tied e_3 and e_4.  Every other
+        # point keeps the pivots it has without the pairing.
         g, J = self.well_conditioned_fields(2, 4)
+        unpaired = _gram_schmidt_adapted(g, J, np.zeros(g.shape[:-1]))[1]
         pairing = np.zeros((4, 4))
         pairing[1, 0] = pairing[3, 2] = 1.0
         pairing[0, 1] = pairing[2, 3] = -1.0
@@ -263,7 +268,8 @@ class TestBlockSweep:
         g[paired], J[paired] = np.eye(4), pairing
         pivots = self.check_against_reference(g, J)
         assert np.all(pivots[paired] == [0, 2])
-        assert np.all(pivots[~paired] == [0, 1])
+        assert np.array_equal(pivots[~paired], unpaired[~paired])
+        assert np.any(unpaired[paired] != [0, 2])
 
     def test_stencil_batch_is_bitwise_each_point_alone(self):
         # a nested nk-s6 stencil, (points, 2 dim, 1 + 2 dim) frames from one
@@ -722,9 +728,51 @@ class TestBatchedFields:
         assert adapt_frame(patch, points).pivots.shape == (2, 3, 2)
 
     def test_pivot_change_at_one_stencil_point(self):
-        # At u = h e_3 alone J turns e_1 into e_2, so the second Gram-Schmidt
-        # step there skips coordinate vector 2: the frame field jumps at one
-        # displaced point, and differentiating it must say so.
+        # g = I and J e_1 = v(theta) = (sin theta, cos theta)/2 in (e_2, e_3)
+        # plus sqrt(3)/2 e_4, theta = pi/4 + u_1 + h/2: step 2 takes the one
+        # of e_2, e_3 with the smaller |v| component, e_3 at u = 0 and e_2 at
+        # u = -h e_1 alone.  The stencil frames of u = 0 carry its pivots, so
+        # differentiating the smooth field there meets no switch.
+        from twistorcheck.connection import frame_field_jet, structure_equation_residual
+        from twistorcheck.geometry import stencil_points
+
+        n = 2
+        h = 1e-5
+
+        def j_at(u):
+            theta, phi = np.pi / 4 + u[0] + h / 2, np.pi / 3
+            O = np.eye(4)
+            O[1:3, 1:3] = [[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]]
+            tilt = np.eye(4)
+            tilt[2:, 2:] = [[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]]
+            O = O @ tilt
+            return O @ j0_matrix(n) @ O.T
+
+        patch = ManifoldPatch(
+            n=n,
+            domain=box((-1.0, 1.0), 4),
+            metric_field=pointwise(lambda u: np.eye(4)),
+            j_field=pointwise(j_at),
+        )
+        origin = np.zeros(4)
+        assert point_jet(patch, origin, step=h).frame.pivots.tolist() == [0, 2]
+        assert adapt_frame(patch, -h * np.eye(4)[0]).pivots.tolist() == [0, 1]
+        jet = frame_field_jet(patch, origin, step=h)
+        assert np.all(jet.stencil.pivots == [0, 2])
+        assert structure_equation_residual(jet) < 1e-8
+        # the same point in a batch carries them too, bit for bit
+        stacked = frame_field_jet(patch, np.array([[0.5, 0.0, 0.0, 0.0], origin]), step=h)
+        assert np.all(stacked.stencil.pivots == [0, 2])
+        assert np.array_equal(stacked.stencil.E[1], jet.stencil.E)
+        # a re-evaluation that decides per point names the switch
+        message = r"^pivot sequence changed from \(0, 2\) to \(0, 1\) at \[-1e-05, 0\.0, 0\.0, 0\.0\]$"
+        with pytest.raises(FrameDiscontinuity, match=message):
+            evaluate_frame_field(patch, jet.frame, stencil_points(origin, h))
+
+    def test_imposed_pivot_below_tolerance_names_the_stencil_point(self):
+        # At u = h e_3 alone J turns e_1 into e_2, so the pivot e_2 that the
+        # point takes at step 2 projects to zero there: the frame field jumps
+        # at one displaced point, and differentiating it must say so.
         from twistorcheck.connection import frame_field_jet
 
         n = 2
@@ -744,14 +792,68 @@ class TestBatchedFields:
             metric_field=pointwise(lambda u: np.eye(4)),
             j_field=pointwise(j_at),
         )
-        jet = point_jet(patch, np.zeros(4), step=h)
-        assert jet.frame.pivots.tolist() == [0, 1]
-        message = r"^pivot sequence changed from \(0, 1\) to \(0, 2\) at \[0\.0, 0\.0, 1e-05, 0\.0\]$"
-        with pytest.raises(FrameDiscontinuity, match=message):
+        assert point_jet(patch, np.zeros(4), step=h).frame.pivots.tolist() == [0, 1]
+        assert adapt_frame(patch, jump).pivots.tolist() == [0, 2]
+        message = (
+            r"^coordinate vector 1, shared pivot of step 1, projects below 1e-08 "
+            r"at \[0\.0, 0\.0, 1e-05, 0\.0\]$"
+        )
+        with pytest.raises(DegeneratePivot, match=message):
             frame_field_jet(patch, np.zeros(4), step=h)
-        # the same point in a batch: its stencil frame is still the one named
-        with pytest.raises(FrameDiscontinuity, match=message):
+        with pytest.raises(DegeneratePivot, match=message):
             frame_field_jet(patch, np.array([[0.5, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]), step=h)
+
+
+class TestLargestShare:
+    """A flat n = 2 patch whose J e_1 lies within 2 delta of e_2 everywhere:
+    the first usable vector at step 2, e_2, keeps only about delta of its
+    norm, and the frame route stays accurate because the sweep passes it by."""
+
+    @staticmethod
+    def tilted_entry(delta):
+        # J = O J0 O^T with O = C(u) R: R fixes e_1 and turns e_3 = J0 e_1 to
+        # cos(delta) e_2 + sin(delta) e_4, and C(u) is the Cayley transform of
+        # 0.3 sum_c u_c A_c for seeded skew A_c on the box (-delta, delta)^4
+        from twistorcheck.catalog import CatalogEntry
+
+        n, dim = 2, 4
+        A = np.random.default_rng(5).standard_normal((dim, dim, dim))
+        A = 0.3 * (A - np.swapaxes(A, -1, -2))
+        R = np.zeros((dim, dim))
+        R[0, 0] = R[2, 1] = 1.0
+        R[1, 2] = R[3, 3] = np.cos(delta)
+        R[3, 2], R[1, 3] = np.sin(delta), -np.sin(delta)
+
+        def j_field(u):
+            S = np.tensordot(u, A, axes=([-1], [0]))
+            O = np.linalg.solve(np.eye(dim) - S, np.eye(dim) + S) @ R
+            return O @ j0_matrix(n) @ np.swapaxes(O, -1, -2)
+
+        patch = ManifoldPatch(
+            n=n,
+            domain=box((-delta, delta), dim),
+            metric_field=lambda u: np.broadcast_to(np.eye(dim), u.shape[:-1] + (dim, dim)),
+            j_field=j_field,
+            label="tilted",
+        )
+        return CatalogEntry(id="tilted", patch=patch)
+
+    @pytest.mark.parametrize("delta", [1e-3, 1e-2])
+    def test_frame_route_passes_the_nearly_paired_vector(self, delta):
+        from twistorcheck.cli import GEOMETRY_TOLERANCES, geometry_checks
+
+        entry = self.tilted_entry(delta)
+        u = sample_points(entry.patch, 16, np.random.default_rng(0))
+        J = entry.patch.j_field(u)
+        assert np.abs(J[:, :, 0] - np.eye(4)[1]).max() < 2.0 * delta
+        assert np.sqrt(1.0 - J[:, 1, 0] ** 2).max() < 2.0 * delta
+        pivots = adapt_frame(entry.patch, u).pivots
+        assert np.all(pivots[:, 0] == 0) and np.all(pivots[:, 1] != 1)
+        report = geometry_checks(entry, points=16, seed=0, rotations=2, fd_step=1e-5)
+        assert set(report["checks"]) == set(GEOMETRY_TOLERANCES) - {"curvature_identity", "chern_identity"}
+        for name, check in report["checks"].items():
+            assert check["max_residual"] <= check["tolerance"], name
+        assert report["all_pass"]
 
 
 class TestRotationStacks:

@@ -197,16 +197,18 @@ class TestPhi:
 
 class TestPhiFormulaGap:
     def test_zero_on_a_flat_table(self):
-        assert phi_formula_gap(table_with(3, {})) == 0.0
+        table = table_with(3, {})
+        assert phi_formula_gap(table, phi_matrix(*alpha_beta(table))) == 0.0
 
     def test_batch_gives_each_table_alone(self):
         rng = np.random.default_rng(8)
         w = rng.standard_normal((3, 4, 6, 6, 6))
         sigma = sigma_part(w - np.swapaxes(w, -3, -2))
-        gap = phi_formula_gap(sigma)
+        F = phi_matrix(*alpha_beta(sigma))
+        gap = phi_formula_gap(sigma, F)
         assert gap.shape == (3, 4)
         for index in np.ndindex(3, 4):
-            assert same_bits(gap[index], phi_formula_gap(sigma[index]))
+            assert same_bits(gap[index], phi_formula_gap(sigma[index], F[index]))
 
     def test_reports_never_run_the_bundle_formula(self, monkeypatch):
         """The oracle is read by report and verify-geometry alone, never formed by the certificate."""
