@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 import time
 
@@ -322,47 +323,29 @@ def cmd_verify_geometry(args) -> int:
     return 0 if report["all_pass"] else 1
 
 
-def _config_value(action: argparse.Action, key: str, value):
-    """Convert one config value the way the parser converts the flag's text."""
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise ValueError(f"config key {key!r} needs a string or a number, got {json.dumps(value)}")
-    try:
-        converted = action.type(str(value)) if action.type else str(value)
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"config key {key!r}: {exc}") from None
-    except ValueError:
-        kind = action.type.__name__
-        raise ValueError(f"config key {key!r}: invalid {kind} value {value!r}") from None
-    if action.choices is not None and converted not in action.choices:
-        allowed = ", ".join(action.choices)
-        raise ValueError(f"config key {key!r}: {value!r} is not one of {allowed}")
-    return converted
+def _config_argv(path: str) -> list:
+    """The flags a JSON config file stands for: each entry ``key: value`` is ``--key=value``.
 
-
-def _config_defaults(args: argparse.Namespace) -> dict:
-    """Flag defaults of the subcommand from the JSON config file ``args.config``.
-
-    Keys are flag names of the subcommand (``n-list`` or ``n_list``); each value
-    goes through the flag's type and choices, as on the command line.
+    Underscores in a key become dashes (``n_list`` is ``--n-list``).  The
+    subcommand's parser then converts and checks these arguments as it does
+    any other, so a key must be a bare flag name and a value a string or a
+    number.
     """
     try:
-        with open(args.config, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             values = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         raise ValueError(f"cannot read config file: {exc}") from None
     if not isinstance(values, dict):
         raise ValueError("config file must hold a JSON object")
-    actions = {
-        a.dest: a for a in args._parser._actions
-        if a.option_strings and a.dest not in ("help", "config")
-    }
-    defaults = {}
+    argv = []
     for key, value in values.items():
-        attr = key.replace("-", "_")
-        if attr not in actions:
-            raise ValueError(f"unknown config key {key!r}")
-        defaults[attr] = _config_value(actions[attr], key, value)
-    return defaults
+        if not re.fullmatch(r"[A-Za-z0-9][A-Za-z0-9_-]*", key) or key == "config":
+            raise ValueError(f"config key {key!r} is not a flag name")
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ValueError(f"config key {key!r} needs a string or a number, got {json.dumps(value)}")
+        argv.append(f"--{key.replace('_', '-')}={value}")
+    return argv
 
 
 def _checked(kind, ok, requirement: str):
@@ -396,15 +379,23 @@ SHARED_FLAGS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Parser whose usage errors reach ``main`` as one-line input errors (exit 2)."""
+    """Parser whose usage errors reach ``main`` as one-line input errors (exit 2).
+
+    A flag is known by its exact name only, on the command line as in a config file.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
-        raise ValueError(message)
+        # argparse quotes some arguments in its messages but not all (an
+        # unrecognized one, a value a type check refused), so a newline in
+        # one is escaped here
+        raise ValueError(message.replace("\n", "\\n"))
 
 
 def _add_common(sub: argparse.ArgumentParser, *flags: str, **help_of: str) -> None:
     """Add the named ``SHARED_FLAGS``, with ``help_of[dest]`` as a flag's own help, and --out and --config."""
-    sub.set_defaults(_parser=sub)  # a --config call checks its keys against this parser and reparses with it
     for flag in flags:
         spec = SHARED_FLAGS[flag]
         sub.add_argument(flag, **dict(spec, help=help_of.get(flag[2:].replace("-", "_"), spec["help"])))
@@ -418,8 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process on first use.
 
     Parsing leaves it unchanged: it holds no command function (``main`` picks
-    the command by name at call time) and ``--config`` values never become its
-    defaults.
+    the command by name at call time), and a ``--config`` file only adds
+    arguments to the one call's argv.
     """
     parser = _Parser(
         prog="twistorcheck",
@@ -434,12 +425,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated coordinates (default: domain center)")
 
     p = sub.add_parser("scan", help="grid scan with per-point rows and a summary")
-    _add_common(p, "--manifold", "--fd-step", "--tol",
+    _add_common(p, "--manifold", "--fd-step", "--tol", "--seed",
                 fd_step="step of the nabla J and metric stencils on a patch without jets, in "
                 "(1e-8, 1e-2) (default 1e-5); every catalog entry has both jets, so there it "
-                "moves no output")
-    p.add_argument("--seed", type=NON_NEGATIVE, default=0,
-                   help="accepted if >= 0 and ignored: the grid scan draws no random numbers")
+                "moves no output",
+                seed="accepted if >= 0 and ignored: the grid scan draws no random numbers")
     p.add_argument("--grid", type=AT_LEAST_ONE, default=3, help="points per axis, >= 1 (default 3)")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
 
@@ -463,13 +453,15 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         if args.config:
-            # Config values fill a namespace that the subcommand's flags are
-            # then parsed into.  argparse sets a default only where the
-            # namespace has no value, so explicit flags win and the parser is
-            # left as it was.  The top-level parser has no option, so the
-            # first occurrence of the command's name is the command.
-            config = argparse.Namespace(command=args.command, **_config_defaults(args))
-            args = args._parser.parse_args(argv[argv.index(args.command) + 1 :], config)
+            # The file's flags go right after the command's name, which is its
+            # first occurrence: the top-level parser has no option.  argparse
+            # keeps a flag's last occurrence, so an explicit flag wins.
+            at = argv.index(args.command) + 1
+            argv = argv[:at] + _config_argv(args.config) + argv[at:]
+            try:
+                args = build_parser().parse_args(argv)
+            except ValueError as exc:
+                raise ValueError(f"config file: {exc}") from None
         command = {
             "report": cmd_report,
             "scan": cmd_scan,

@@ -267,9 +267,7 @@ def _gram_schmidt_adapted(g: np.ndarray, J: np.ndarray, u: np.ndarray, group: in
         V -= W @ (Wt @ (g @ V))
         nrm = np.sqrt(np.maximum(np.einsum("bij,bij->bj", V, g @ V), 0.0))
         usable = available & (nrm >= PIVOT_TOL)
-        idx = np.argmax(np.where(usable, nrm / own, -1.0)[::group], axis=-1)
-        if group > 1:
-            idx = idx.repeat(group)
+        idx = np.argmax(np.where(usable, nrm / own, -1.0)[::group], axis=-1).repeat(group)
         stuck = first_index(~usable[rows, idx].reshape(batch))
         if stuck is not None:
             cause = f"all {dim - k} remaining coordinate vectors project"
@@ -293,12 +291,16 @@ def adapt_frame(patch: ManifoldPatch, point: np.ndarray, group: int = 1) -> Adap
     that keeps the largest share of its g-norm, the lowest index on a tie,
     so on a flat Kahler patch the frame is the coordinate basis.  Each point
     decides its pivots, unless the last batch axis holds runs of ``group``
-    points whose frames take their first point's.  After the sweep, g's
-    condition number must pass a gate read off the spectrum that
+    points whose frames take their first point's (``group`` must be a
+    positive int that divides that axis, or ``ValueError``).  After the
+    sweep, g's condition number must pass a gate read off the spectrum that
     ``validate_patch`` computed, or ``SingularMetric`` names the point: the
     frame factors g^-1 = E E^T for ``christoffel``.
     """
     u = require_interior(patch, point)
+    runs = u.shape[-2] if u.ndim > 1 else 1
+    if not isinstance(group, int) or group < 1 or runs % group:
+        raise ValueError(f"group must be a positive int dividing the last batch axis ({runs}), got {group!r}")
     g, J, spectrum = validate_patch(patch, u)
     E, pivots = _gram_schmidt_adapted(g, J, u, group)
     resid = np.abs(np.swapaxes(E, -1, -2) @ g @ E - np.eye(patch.dim)).max(axis=(-2, -1))

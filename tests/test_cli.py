@@ -498,8 +498,8 @@ def test_config_string_value_goes_through_flag_type(tmp_path):
         ({"samples": "five"}, "invalid int value"),
         ({"samples": 2.5}, "invalid int value"),
         ({"n_list": [2, 3]}, "needs a string or a number"),
-        ({"bogus": 1}, "unknown config key 'bogus'"),
-        ({"manifold": "flat:2"}, "unknown config key 'manifold'"),
+        ({"bogus": 1}, "config file: unrecognized arguments: --bogus=1"),
+        ({"manifold": "flat:2"}, "config file: unrecognized arguments: --manifold=flat:2"),
     ],
 )
 def test_config_bad_values_are_input_errors(tmp_path, capsys, values, message):
@@ -514,7 +514,92 @@ def test_config_choices_enforced(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"format": "xml"}))
     assert run_cli(["scan", "--manifold", "flat:2", "--grid", "1", "--config", str(cfg)]) == 2
-    assert "not one of json, csv" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the list of choices after this prefix is quoted differently across Python versions
+    assert err.startswith("error: config file: argument --format: invalid choice: 'xml'")
+    assert err.count("\n") == 1
+
+
+def _with_config(tmp_path, argv, values):
+    """``argv`` with ``--config`` pointing at a file that holds ``values``."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(values))
+    return argv + ["--config", str(cfg)]
+
+
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (["scan", "--manifold", "flat:2"], "grid", 0),
+        (["scan", "--manifold", "flat:2"], "grid", " 0\n"),
+        (["verify-geometry", "--manifold", "flat:2", "--points", "1"], "seed", -1),
+        (["report", "--manifold", "nk-s6"], "fd_step", 1e-12),
+        (["verify-algebra", "--n-list", "2"], "samples", "five"),
+        (["verify-algebra", "--n-list", "2"], "samples", 2.5),
+        (["scan", "--manifold", "flat:2"], "format", "xml"),
+        (["scan", "--manifold", "flat:2"], "bogus", 1),
+        (["scan", "--manifold", "flat:2"], "bogus", "a\nb"),
+        (["scan", "--manifold", "flat:2"], "gri", 2),  # an abbreviation of --grid
+        (["verify-algebra", "--n-list", "2"], "tol", 1e-3),  # a flag of report and scan
+        (["scan", "--manifold", "flat:2"], "rotations", 1),  # a flag of verify-geometry
+    ],
+)
+def test_a_bad_config_entry_fails_as_its_flag(tmp_path, capsys, argv, key, value):
+    """A config entry is refused with the message of the same --flag=value on the command line."""
+    assert run_cli(_with_config(tmp_path, argv, {key: value})) == 2
+    from_config = capsys.readouterr()
+    assert run_cli(argv + [f"--{key.replace('_', '-')}={value}"]) == 2
+    from_flag = capsys.readouterr()
+    assert from_config.out == from_flag.out == ""
+    assert from_flag.err.startswith("error: ") and from_flag.err.count("\n") == 1
+    assert from_config.err == "error: config file: " + from_flag.err[len("error: "):]
+
+
+@pytest.mark.parametrize(
+    "argv, values, flags",
+    [
+        (["scan", "--manifold", "nk-s6"], {"grid": 2, "format": "json"}, ["--grid", "2", "--format", "json"]),
+        (["verify-algebra", "--seed", "4"], {"samples": 5, "n_list": "2"}, ["--samples", "5", "--n-list", "2"]),
+        (["report", "--manifold", "nk-s6"], {"point": "0.1,-0.2,0.15,0.02,-0.1,0.05"},
+         ["--point", "0.1,-0.2,0.15,0.02,-0.1,0.05"]),
+        (["report", "--manifold", "nk-s6"], {"fd-step": 1e-4}, ["--fd-step", "1e-4"]),
+        # an explicit flag wins, also one equal to its default
+        (["scan", "--manifold", "flat:2", "--grid", "3"], {"grid": 2}, []),
+        (["scan", "--manifold", "flat:2", "--grid", "2", "--format", "csv"], {"grid": 3, "format": "json"}, []),
+    ],
+)
+def test_a_config_entry_is_its_flag(tmp_path, argv, values, flags):
+    from_config, from_flags = tmp_path / "config.out", tmp_path / "flags.out"
+    assert run_cli(_with_config(tmp_path, argv, values) + ["--out", str(from_config)]) == 0
+    assert run_cli(argv + flags + ["--out", str(from_flags)]) == 0
+    assert from_config.read_bytes() == from_flags.read_bytes()
+
+
+@pytest.mark.parametrize("key", ["config", "", "-grid", "out=x"])
+def test_a_config_key_must_be_a_flag_name(tmp_path, capsys, key):
+    assert run_cli(_with_config(tmp_path, ["scan", "--manifold", "flat:2", "--grid", "1"], {key: "x"})) == 2
+    assert capsys.readouterr().err == f"error: config key {key!r} is not a flag name\n"
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff{", "cannot read config file: 'utf-8' codec can't decode byte 0xff"),
+        (b"{grid: 2}", "cannot read config file: Expecting property name"),
+        (b"[2]", "config file must hold a JSON object"),
+    ],
+)
+def test_an_unreadable_config_file_is_an_input_error(tmp_path, capsys, content, message):
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(content)
+    assert run_cli(["scan", "--manifold", "flat:2", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_flags_are_known_by_exact_name(capsys):
+    assert run_cli(["scan", "--manifold", "flat:2", "--gri", "2"]) == 2
+    assert capsys.readouterr().err == "error: unrecognized arguments: --gri 2\n"
 
 
 @pytest.mark.parametrize(
@@ -529,6 +614,7 @@ def test_config_choices_enforced(tmp_path, capsys):
         (["verify-geometry", "--manifold", "flat:2", "--points", "1", "--seed", "-1"], "--seed"),
         (["verify-algebra", "--samples", "2", "--seed", "-1"], "--seed"),
         (["scan", "--manifold", "flat:2", "--grid", "1", "--seed", "-1"], "--seed"),
+        (["scan", "--manifold", "flat:2", "--grid", "0\n"], "--grid"),
     ],
 )
 def test_out_of_range_numbers_are_input_errors(capsys, argv, flag):
@@ -546,10 +632,12 @@ def test_out_of_range_numbers_are_input_errors(capsys, argv, flag):
         (["scan", "--manifold", "flat:2"], {"grid": 0}, "must be >= 1"),
         (["verify-geometry", "--manifold", "flat:2", "--points", "1"], {"rotations": -1},
          "must be >= 0"),
-        (["verify-algebra", "--samples", "3"], {"tol": 1e-3}, "unknown config key 'tol'"),
-        (["verify-algebra", "--samples", "3"], {"seed": -1}, "config key 'seed': must be >= 0, got -1"),
+        (["verify-algebra", "--samples", "3"], {"tol": 1e-3},
+         "config file: unrecognized arguments: --tol=0.001"),
+        (["verify-algebra", "--samples", "3"], {"seed": -1},
+         "config file: argument --seed: must be >= 0, got -1"),
         (["verify-geometry", "--manifold", "flat:2", "--points", "1"], {"seed": -1},
-         "config key 'seed': must be >= 0, got -1"),
+         "config file: argument --seed: must be >= 0, got -1"),
     ],
 )
 def test_config_values_get_the_flag_checks(tmp_path, capsys, argv, values, message):

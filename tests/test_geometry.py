@@ -803,6 +803,23 @@ class TestBatchedFields:
         with pytest.raises(DegeneratePivot, match=message):
             frame_field_jet(patch, np.array([[0.5, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]), step=h)
 
+    @pytest.mark.parametrize(
+        "count, shape, group",
+        [
+            (2, (2, 6), -1),  # a reversed stride would swap the two points' pivots
+            (2, (2, 6), 0),
+            (4, (4, 6), 3),
+            (6, (2, 3, 6), 2),  # divides the 6 points, but runs would straddle rows of 3
+        ],
+    )
+    def test_group_must_divide_the_last_batch_axis(self, count, shape, group):
+        patch = resolve("nk-s6").patch
+        u = sample_points(patch, count, np.random.default_rng(1))
+        if count == 2:
+            assert adapt_frame(patch, u).pivots.tolist() == [[0, 3, 1], [0, 2, 1]]
+        with pytest.raises(ValueError, match=r"^group must be a positive int dividing the last batch axis"):
+            adapt_frame(patch, u.reshape(shape), group=group)
+
 
 class TestLargestShare:
     """A flat n = 2 patch whose J e_1 lies within 2 delta of e_2 everywhere:
