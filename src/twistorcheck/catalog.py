@@ -318,7 +318,7 @@ def resolve(manifold_id: str) -> CatalogEntry:
     """Look up a catalog entry by its CLI identifier.
 
     Recognized forms: ``flat:<n>``, ``conformal4``, ``nk-s6``,
-    ``torus:eps=<r>,freq=<k>``.
+    ``torus:eps=<r>,freq=<k>``; any other id raises ValueError.
     """
     if manifold_id == "conformal4":
         return conformal_hermitian()
@@ -328,16 +328,16 @@ def resolve(manifold_id: str) -> CatalogEntry:
         try:
             n = int(manifold_id.split(":", 1)[1])
         except ValueError:
-            raise KeyError(f"bad flat manifold id {manifold_id!r}") from None
+            raise ValueError(f"bad flat manifold id {manifold_id!r}") from None
         return flat_kahler(n)
     m = _TORUS_RE.match(manifold_id)
     if m:
         try:
             eps = float(m.group(1))
         except ValueError:
-            raise KeyError(f"bad torus manifold id {manifold_id!r}") from None
+            raise ValueError(f"bad torus manifold id {manifold_id!r}") from None
         return perturbed_torus(eps=eps, freq=int(m.group(2)))
-    raise KeyError(f"unknown manifold id {manifold_id!r}")
+    raise ValueError(f"unknown manifold id {manifold_id!r}")
 
 
 # Fractions of each axis length kept clear of the boundary by grid_points and
@@ -362,8 +362,11 @@ def grid_points(patch: ManifoldPatch, per_axis: int) -> np.ndarray:
             axes.append(np.array([0.5 * (lo + hi)]))
         else:
             axes.append(np.linspace(lo + pad, hi - pad, per_axis))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    # Point k takes on each axis the matching digit of k in base per_axis, the
+    # last axis varying fastest; np.meshgrid would refuse more than 32 axes.
+    powers = per_axis ** np.arange(patch.dim - 1, -1, -1)
+    digits = np.arange(per_axis**patch.dim)[:, None] // powers % per_axis
+    return np.array(axes)[np.arange(patch.dim), digits]
 
 
 def sample_points(patch: ManifoldPatch, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -117,9 +117,9 @@ def _parse_point(text: str, dim: int) -> np.ndarray:
     return np.array(values)
 
 
-def report_payload(entry: catalog.CatalogEntry, point: np.ndarray, fd_step: float, tol: float) -> dict:
+def report_payload(entry: catalog.CatalogEntry, point: np.ndarray, fd_step: float) -> dict:
     frames = frame_field_jet(entry.patch, point, fd_step)
-    rep = theorem_report(frames.jet, tol=tol)
+    rep = theorem_report(frames.jet)
     structure = structure_equation_residual(frames)
     return {
         "manifold": entry.id,
@@ -144,12 +144,12 @@ def cmd_report(args) -> int:
         point = catalog.grid_points(entry.patch, 1)[0]
     else:
         point = _parse_point(args.point, entry.patch.dim)
-    payload = report_payload(entry, point, args.fd_step, args.tol)
+    payload = report_payload(entry, point, args.fd_step)
     _emit(_to_json(payload) + "\n", args.out)
     return 0 if all(payload["chain_ok"].values()) else 1
 
 
-def scan_rows(entry: catalog.CatalogEntry, grid: int, fd_step: float, tol: float) -> dict:
+def scan_rows(entry: catalog.CatalogEntry, grid: int, fd_step: float) -> dict:
     """The scan table: one array per column, u1 ... u{2n} then ``SCAN_COLUMNS``.
 
     Each array holds one value per grid point, row-major over the axes.
@@ -160,7 +160,7 @@ def scan_rows(entry: catalog.CatalogEntry, grid: int, fd_step: float, tol: float
     points = catalog.grid_points(entry.patch, grid)
     chunks = {name: [] for name in SCAN_COLUMNS}
     for start in range(0, len(points), SCAN_CHUNK):
-        rep = theorem_report(point_jet(entry.patch, points[start : start + SCAN_CHUNK], fd_step), tol=tol)
+        rep = theorem_report(point_jet(entry.patch, points[start : start + SCAN_CHUNK], fd_step))
         for name, parts in chunks.items():
             parts.append(rep.chain_ok.all_ok if name == "chain_ok" else getattr(rep, name))
     table = {f"u{i + 1}": points[:, i] for i in range(entry.patch.dim)}
@@ -202,7 +202,7 @@ def scan_csv(table: dict, summary: dict) -> str:
 def cmd_scan(args) -> int:
     entry = catalog.resolve(args.manifold)
     started = time.perf_counter()
-    table = scan_rows(entry, args.grid, args.fd_step, args.tol)
+    table = scan_rows(entry, args.grid, args.fd_step)
     summary = _scan_summary(table)
     elapsed = time.perf_counter() - started
     if args.format == "csv":
@@ -360,7 +360,6 @@ def _checked(kind, ok, requirement: str):
 
 
 FD_STEP = _checked(float, lambda h: 1e-8 < h < 1e-2, "must lie in (1e-8, 1e-2)")
-TOLERANCE = _checked(float, lambda t: math.isfinite(t) and t > 0.0, "must be finite and > 0")
 AT_LEAST_ONE = _checked(int, lambda k: k >= 1, "must be >= 1")
 NON_NEGATIVE = _checked(int, lambda k: k >= 0, "must be >= 0")
 
@@ -371,8 +370,6 @@ SHARED_FLAGS = {
                       help="step of the frame route's central differences, and of the nabla J "
                       "and metric stencils only on a patch without jets; in (1e-8, 1e-2) "
                       "(default 1e-5)"),
-    "--tol": dict(type=TOLERANCE, default=1e-6,
-                  help="tolerance for the inequality chain, finite and > 0 (default 1e-6)"),
     "--seed": dict(type=NON_NEGATIVE, default=0,
                    help="seed for randomized sampling, >= 0 (default 0)"),
 }
@@ -420,12 +417,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("report", help="full certificate at a single point (JSON)")
-    _add_common(p, "--manifold", "--fd-step", "--tol")
+    _add_common(p, "--manifold", "--fd-step")
     p.add_argument("--point", default=None,
                    help="comma-separated coordinates (default: domain center)")
 
     p = sub.add_parser("scan", help="grid scan with per-point rows and a summary")
-    _add_common(p, "--manifold", "--fd-step", "--tol", "--seed",
+    _add_common(p, "--manifold", "--fd-step", "--seed",
                 fd_step="step of the nabla J and metric stencils on a patch without jets, in "
                 "(1e-8, 1e-2) (default 1e-5); every catalog entry has both jets, so there it "
                 "moves no output",
@@ -469,9 +466,6 @@ def main(argv=None) -> int:
             "verify-geometry": cmd_verify_geometry,
         }[args.command]
         return command(args)
-    except KeyError as exc:  # str() of a KeyError is the repr of its message
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -39,6 +39,8 @@ from .nijenhuis import nijenhuis_frame, nijenhuis_norm, nijenhuis_tensor, route_
 C0_HIGH = 64.0 / 5.0  # n >= 3
 C0_N2 = 16.0  # n = 2
 
+# The slack every link (a)-(c) of the chain allows, wherever a report is made:
+# a fixed contract, which no caller or flag overrides.
 CHAIN_TOL = 1e-8
 NONDEGENERACY_THRESHOLD = 1e-12
 # Frame entries of phi below this are indistinguishable from the finite
@@ -226,7 +228,7 @@ def _total(a: np.ndarray) -> np.ndarray:
     return (a**2).sum(axis=(-3, -2, -1))
 
 
-def sigma_report(sigma: np.ndarray, tol: float = CHAIN_TOL) -> TheoremReport:
+def sigma_report(sigma: np.ndarray) -> TheoremReport:
     """Certify the bound chain for sigma tables sigma[..., A, B, C] = sigma_AB(e_C).
 
     Every quantity of the certificate is a function of sigma alone: alpha
@@ -257,19 +259,19 @@ def sigma_report(sigma: np.ndarray, tol: float = CHAIN_TOL) -> TheoremReport:
 
     sum_d2 = _total(d)
     sum_dp2 = _total(dp)
-    ok_a = mrg >= bound_quarterA - tol
+    ok_a = mrg >= bound_quarterA - CHAIN_TOL
     if n >= 3:
-        ok_b = (sum_c2 <= 1.25 * sum_d2 + tol) & (sum_cp2 <= 1.25 * sum_dp2 + tol)
+        ok_b = (sum_c2 <= 1.25 * sum_d2 + CHAIN_TOL) & (sum_cp2 <= 1.25 * sum_dp2 + CHAIN_TOL)
     else:
         two_diag = 2.0 * (d[..., 0, 1, 0] ** 2 + d[..., 1, 0, 1] ** 2)
         two_diag_p = 2.0 * (dp[..., 0, 1, 0] ** 2 + dp[..., 1, 0, 1] ** 2)
         ok_b = (
-            (np.abs(sum_c2 - sum_d2) <= tol)
-            & (np.abs(sum_c2 - two_diag) <= tol)
-            & (np.abs(sum_cp2 - sum_dp2) <= tol)
-            & (np.abs(sum_cp2 - two_diag_p) <= tol)
+            (np.abs(sum_c2 - sum_d2) <= CHAIN_TOL)
+            & (np.abs(sum_c2 - two_diag) <= CHAIN_TOL)
+            & (np.abs(sum_cp2 - sum_dp2) <= CHAIN_TOL)
+            & (np.abs(sum_cp2 - two_diag_p) <= CHAIN_TOL)
         )
-    ok_c = bound_quarterA >= bound_paper - tol
+    ok_c = bound_quarterA >= bound_paper - CHAIN_TOL
     ok_d = (normN2 >= c0) | nondeg
     return TheoremReport(
         normN2=normN2,
@@ -286,7 +288,7 @@ def sigma_report(sigma: np.ndarray, tol: float = CHAIN_TOL) -> TheoremReport:
     )
 
 
-def theorem_report(jet: PointJet, tol: float = CHAIN_TOL) -> TheoremReport:
+def theorem_report(jet: PointJet) -> TheoremReport:
     """``sigma_report`` of the jet's sigma table, with the Nijenhuis route gap.
 
     The jet's dJ feeds both the sigma table (``nabla_j_connection``, kept as
@@ -294,7 +296,7 @@ def theorem_report(jet: PointJet, tol: float = CHAIN_TOL) -> TheoremReport:
     components must agree with the report's ``N`` at every point
     (``route_gap``); nothing here evaluates a field.
     """
-    rep = sigma_report(nabla_j_connection(jet), tol)
+    rep = sigma_report(nabla_j_connection(jet))
     gap = route_gap(rep.N, nijenhuis_tensor(jet), jet.frame.point)
     return replace(rep, n_route_mismatch=gap)
 

@@ -41,7 +41,7 @@ from twistorcheck import (
 )
 from twistorcheck.catalog import sample_points
 from twistorcheck.connection import curvature_forms, round_sphere_curvature_residual, sigma_part
-from twistorcheck.twistorform import chern_identity_residual
+from twistorcheck.twistorform import CHAIN_TOL, chern_identity_residual
 
 
 def symmetry_residuals(N, J):
@@ -147,14 +147,13 @@ def test_criterion_3_route_equivalence():
 
 def test_criterion_4_theorem_chain():
     with Criterion(4, "bound chain at every scan point of every entry", 120.0) as c:
-        tol = 1e-6
         for entry in default_entries():
             violations = []
             for point in grid_points(entry.patch, 2):
-                rep = theorem_report(point_jet(entry.patch, point), tol=tol)
-                if rep.margin < rep.bound_quarterA - tol:
+                rep = theorem_report(point_jet(entry.patch, point))
+                if rep.margin < rep.bound_quarterA - CHAIN_TOL:
                     violations.append(f"(a) at {point.tolist()}")
-                if rep.bound_quarterA < rep.bound_paper - tol:
+                if rep.bound_quarterA < rep.bound_paper - CHAIN_TOL:
                     violations.append(f"(c) at {point.tolist()}")
                 if rep.normN2 < critical_constant(entry.patch.n) and not rep.nondegenerate:
                     violations.append(f"theorem consequence at {point.tolist()}")

@@ -202,9 +202,9 @@ class TestResolve:
         assert resolve("torus:eps=0.1250,freq=03").id == "torus:eps=0.125,freq=3"
 
     def test_unknown(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError):
             resolve("mystery-manifold")
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError):
             resolve("flat:x")
 
 

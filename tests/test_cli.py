@@ -86,7 +86,7 @@ def test_report_unknown_manifold(capsys):
     ],
 )
 def test_unknown_manifold_prints_its_message_unquoted(capsys, manifold, line):
-    """The catalog's KeyError reaches stderr as its message, not as its repr."""
+    """The catalog's ValueError reaches stderr as its message alone, one line."""
     assert run_cli(["scan", "--manifold", manifold]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -107,6 +107,63 @@ def test_report_empty_point_is_an_input_error(tmp_path, capsys):
     assert run_cli(["report", "--manifold", "nk-s6", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: point needs 6 ") and err.count("\n") == 1
+
+
+def test_a_negative_first_coordinate_needs_the_equals_form(tmp_path, capsys):
+    """``--point=-0.1,...`` is a point; ``--point -0.1,...`` reads as a flag, an input error."""
+    point = "-0.1,0.2,0.15,0.02"
+    out = tmp_path / "report.json"
+    assert run_cli(["report", "--manifold", "flat:2", f"--point={point}", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["point"] == [-0.1, 0.2, 0.15, 0.02]
+    capsys.readouterr()
+    assert run_cli(["report", "--manifold", "flat:2", "--point", point]) == 2
+    assert capsys.readouterr().err == "error: argument --point: expected one argument\n"
+
+
+@pytest.mark.parametrize(
+    "manifold, point",
+    [
+        ("flat:2", None),
+        ("conformal4", "1.3,0.9,1.1,1.7"),
+        ("nk-s6", "0.1,-0.2,0.15,0.02,-0.1,0.05"),
+        ("torus:eps=0.3,freq=2", "0.1,-0.2,0.15,0.02,-0.1,0.05"),
+    ],
+)
+def test_report_decides_the_chain_as_theorem_report(tmp_path, manifold, point):
+    """report's chain_ok is the library's verdict at CHAIN_TOL: no other tolerance enters."""
+    entry = catalog.resolve(manifold)
+    argv = ["report", "--manifold", manifold, "--out", str(tmp_path / "report.json")]
+    if point is None:
+        u = catalog.grid_points(entry.patch, 1)[0]
+    else:
+        u = np.array([float(x) for x in point.split(",")])
+        argv.append(f"--point={point}")
+    assert run_cli(argv) == 0
+    chain_ok = json.loads((tmp_path / "report.json").read_text())["chain_ok"]
+    assert chain_ok == theorem_report(point_jet(entry.patch, u)).chain_ok.to_dict()
+
+
+def test_scan_and_report_run_above_32_axes(tmp_path):
+    """flat:17 has 34 axes, more than np.meshgrid takes: its grid and default point still build."""
+    scan_out, report_out = tmp_path / "scan.json", tmp_path / "report.json"
+    argv = ["scan", "--manifold", "flat:17", "--grid", "1", "--format", "json", "--out", str(scan_out)]
+    assert run_cli(argv) == 0
+    (row,) = json.loads(scan_out.read_text())["rows"]
+    assert (row["normN2"], row["margin"]) == (0.0, 1.0)
+    assert run_cli(["report", "--manifold", "flat:17", "--out", str(report_out)]) == 0
+    report = json.loads(report_out.read_text())
+    assert (report["normN2"], report["margin"]) == (0.0, 1.0)
+    assert report["point"] == [row[f"u{i + 1}"] for i in range(34)]
+
+
+def test_a_key_error_in_a_command_is_not_an_input_error(monkeypatch):
+    """Only the input errors' types exit 2; a KeyError inside a command is a bug and propagates."""
+    def broken(args):
+        raise KeyError("missing")
+
+    monkeypatch.setattr(cli, "cmd_report", broken)
+    with pytest.raises(KeyError):
+        run_cli(["report", "--manifold", "flat:2"])
 
 
 def test_scan_torus_csv(tmp_path, capsys):
@@ -540,7 +597,7 @@ def _with_config(tmp_path, argv, values):
         (["scan", "--manifold", "flat:2"], "bogus", 1),
         (["scan", "--manifold", "flat:2"], "bogus", "a\nb"),
         (["scan", "--manifold", "flat:2"], "gri", 2),  # an abbreviation of --grid
-        (["verify-algebra", "--n-list", "2"], "tol", 1e-3),  # a flag of report and scan
+        (["verify-algebra", "--n-list", "2"], "tol", 1e-3),  # no command's flag: CHAIN_TOL is fixed
         (["scan", "--manifold", "flat:2"], "rotations", 1),  # a flag of verify-geometry
     ],
 )
@@ -605,9 +662,9 @@ def test_flags_are_known_by_exact_name(capsys):
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (["report", "--manifold", "flat:2", "--tol", "-1"], "--tol"),
-        (["report", "--manifold", "flat:2", "--tol", "nan"], "--tol"),
-        (["scan", "--manifold", "flat:2", "--grid", "1", "--tol", "-1"], "--tol"),
+        (["report", "--manifold", "nk-s6", "--fd-step", "nan"], "--fd-step"),
+        (["verify-geometry", "--manifold", "flat:2", "--points", "0"], "--points"),
+        (["verify-algebra", "--samples", "0"], "--samples"),
         (["report", "--manifold", "nk-s6", "--fd-step", "1e-12"], "--fd-step"),
         (["verify-geometry", "--manifold", "flat:2", "--points", "1", "--rotations", "-1"],
          "--rotations"),
@@ -627,7 +684,7 @@ def test_out_of_range_numbers_are_input_errors(capsys, argv, flag):
 @pytest.mark.parametrize(
     "argv, values, message",
     [
-        (["report", "--manifold", "flat:2"], {"tol": "nan"}, "must be finite and > 0"),
+        (["verify-geometry", "--manifold", "flat:2"], {"points": 0}, "must be >= 1"),
         (["report", "--manifold", "nk-s6"], {"fd-step": 1e-12}, "must lie in (1e-8, 1e-2)"),
         (["scan", "--manifold", "flat:2"], {"grid": 0}, "must be >= 1"),
         (["verify-geometry", "--manifold", "flat:2", "--points", "1"], {"rotations": -1},
@@ -654,6 +711,9 @@ def test_config_values_get_the_flag_checks(tmp_path, capsys, argv, values, messa
         ["verify-algebra", "--samples", "3", "--fd-step", "1e-4"],
         ["verify-algebra", "--samples", "3", "--tol", "1e-3"],
         ["verify-geometry", "--manifold", "flat:2", "--points", "1", "--tol", "1e-3"],
+        # the chain is decided at twistorform.CHAIN_TOL, which no flag overrides
+        ["report", "--manifold", "flat:2", "--tol", "1e-3"],
+        ["scan", "--manifold", "flat:2", "--grid", "1", "--tol", "1e-3"],
         ["report", "--manifold", "flat:2", "--seed", "3"],
     ],
 )
@@ -941,7 +1001,7 @@ def test_scan_never_runs_the_phi_formula_oracle(monkeypatch):
         raise AssertionError("phi_via_bundle_formula called")
 
     monkeypatch.setattr(twistorform, "phi_via_bundle_formula", refuse)
-    table = cli.scan_rows(catalog.resolve("nk-s6"), 2, 1e-5, 1e-6)
+    table = cli.scan_rows(catalog.resolve("nk-s6"), 2, 1e-5)
     assert table["chain_ok"].all()
 
 
@@ -1190,7 +1250,7 @@ def test_defaults_and_ci_cases_fit_the_row_limit():
 def test_scan_rows_equal_single_point_reports():
     """Every nk-s6 grid-2 row of the scan table is bitwise the report of its point computed alone."""
     entry = catalog.resolve("nk-s6")
-    table = cli.scan_rows(entry, 2, 1e-5, 1e-6)
+    table = cli.scan_rows(entry, 2, 1e-5)
     points = catalog.grid_points(entry.patch, 2)
     assert {len(column) for column in table.values()} == {len(points)} == {64}
     for i, u in enumerate(points):
@@ -1206,7 +1266,7 @@ def test_scan_rows_equal_single_point_reports():
 def test_scan_rows_do_not_depend_on_the_chunk():
     """Rows on both sides of each chunk boundary equal the point computed alone."""
     entry = catalog.resolve("nk-s6")
-    table = cli.scan_rows(entry, 3, 1e-5, 1e-6)
+    table = cli.scan_rows(entry, 3, 1e-5)
     points = catalog.grid_points(entry.patch, 3)
     assert len(table["margin"]) == 729 > 2 * cli.SCAN_CHUNK
     edges = [k * cli.SCAN_CHUNK for k in range(1, 3)]
@@ -1223,7 +1283,7 @@ def test_scan_columns_are_the_coordinates_then_scan_columns(tmp_path):
     """The CSV header, the JSON row keys and the scan table's keys are one list."""
     columns = ["u1", "u2", "u3", "u4", *cli.SCAN_COLUMNS]
     entry = catalog.resolve("flat:2")
-    assert list(cli.scan_rows(entry, 2, 1e-5, 1e-6)) == columns
+    assert list(cli.scan_rows(entry, 2, 1e-5)) == columns
     csv_out, json_out = tmp_path / "scan.csv", tmp_path / "scan.json"
     assert run_cli(["scan", "--manifold", "flat:2", "--grid", "2", "--out", str(csv_out)]) == 0
     assert csv_out.read_text().splitlines()[0] == ",".join(columns)
@@ -1254,7 +1314,7 @@ def csv_by_cell(table, summary):
     "manifold, grid", [("nk-s6", 2), ("torus:eps=0.05,freq=1", 3), ("flat:4", 2)]
 )
 def test_scan_csv_equals_per_cell_format(tmp_path, manifold, grid):
-    table = cli.scan_rows(catalog.resolve(manifold), grid, 1e-5, 1e-6)
+    table = cli.scan_rows(catalog.resolve(manifold), grid, 1e-5)
     summary = cli._scan_summary(table)
     text = cli.scan_csv(table, summary)
     assert text == csv_by_cell(table, summary)

@@ -391,10 +391,12 @@ class TestTheoremReport:
         assert rep.margin >= 1.0 - (5.0 / 64.0) * rep.normN2 - 1e-6
         assert rep.chain_ok.all_ok and rep.nondegenerate
 
-    def test_doctored_tolerance_fails_link_a(self):
+    def test_doctored_tolerance_fails_link_a(self, monkeypatch):
         # Negative tolerance turns the flat equality margin == quarterA into a
-        # strict-inequality failure: the (a) check must fire.
-        rep = theorem_report(point_jet(flat_kahler(2).patch, np.zeros(4)), tol=-1e-3)
+        # strict-inequality failure: the (a) check must fire.  The report
+        # reads CHAIN_TOL when it is made, so the doctored value reaches it.
+        monkeypatch.setattr(twistorform, "CHAIN_TOL", -1e-3)
+        rep = theorem_report(point_jet(flat_kahler(2).patch, np.zeros(4)))
         assert not rep.chain_ok.a
 
     def test_margin_positive_implies_nondegenerate(self):
