@@ -20,7 +20,7 @@ from .geometry import ManifoldPatch, first_index, j0_matrix
 
 S6_CHART_RADIUS = 0.9
 # Axis bound chosen so every corner of the box satisfies |u| <= 0.35 sqrt(6) < 0.9,
-# leaving finite-difference stencils strictly inside the chart.
+# so the whole box lies strictly inside the chart.
 S6_BOX_BOUND = 0.35
 
 # Oriented multiplication triples e_a e_b = e_c: the quaternion line (1,2,3)
@@ -50,7 +50,7 @@ _CROSS_F = _cross_structure_constants()
 
 def _cross_operator(p: np.ndarray) -> np.ndarray:
     """Matrices of X -> p x X, L[..., k, j] = sum_i f_ijk p_i."""
-    p = np.asarray(p, dtype=float)
+    p = np.asarray(p)
     L = (p[..., None, :] @ _CROSS_F.reshape(7, 49)).reshape(p.shape[:-1] + (7, 7))
     return np.swapaxes(L, -1, -2)
 
@@ -62,16 +62,16 @@ def _norm2(u: np.ndarray) -> np.ndarray:
 
 def stereographic_point(u: np.ndarray) -> np.ndarray:
     """Inverse stereographic map of the unit six-sphere, chart origin at a pole."""
-    u = np.asarray(u, dtype=float)
+    u = np.asarray(u)
     r2 = _norm2(u)[..., None]
     s = 1.0 + r2
     return np.concatenate([2.0 * u / s, (r2 - 1.0) / s], axis=-1)
 
 
 def stereographic_jacobian(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
+    u = np.asarray(u)
     s = (1.0 + _norm2(u))[..., None, None]
-    D = np.zeros(u.shape[:-1] + (7, 6))
+    D = np.zeros(u.shape[:-1] + (7, 6), dtype=np.result_type(u, float))
     D[..., :6, :] = (2.0 / s) * (np.eye(6) - 2.0 * (u[..., :, None] * u[..., None, :]) / s)
     D[..., 6, :] = 4.0 * u / s[..., 0] ** 2
     return D
@@ -131,11 +131,11 @@ def conformal_hermitian() -> CatalogEntry:
     dim = 4
 
     def metric(u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
+        u = np.asarray(u)
         return np.eye(dim) / _norm2(u)[..., None, None]
 
     def metric_jet(u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
+        u = np.asarray(u)
         r2 = _norm2(u)[..., None]
         return _radial_jet(-2.0 * u / r2**2, dim)
 
@@ -153,13 +153,13 @@ def conformal_hermitian() -> CatalogEntry:
 
 
 def _s6_metric(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
+    u = np.asarray(u)
     s = (1.0 + _norm2(u))[..., None, None]
     return (4.0 / s**2) * np.eye(6)
 
 
 def _s6_metric_jet(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
+    u = np.asarray(u)
     s = 1.0 + _norm2(u)[..., None]
     return _radial_jet(-16.0 * u / s**3, 6)
 
@@ -167,17 +167,17 @@ def _s6_metric_jet(u: np.ndarray) -> np.ndarray:
 def _s6_chart(u: np.ndarray) -> np.ndarray:
     """|u|^2 at every point, or ChartOverflow naming the first point outside the chart."""
     r2 = _norm2(u)
-    bad = first_index(r2 >= S6_CHART_RADIUS**2)
+    bad = first_index(r2.real >= S6_CHART_RADIUS**2)
     if bad is not None:
         raise ChartOverflow(
-            f"|u| = {np.sqrt(r2[bad]):.4f} >= {S6_CHART_RADIUS} at {u[bad].tolist()}; "
+            f"|u| = {np.sqrt(r2.real[bad]):.4f} >= {S6_CHART_RADIUS} at {u[bad].tolist()}; "
             "point left the chart"
         )
     return r2
 
 
 def _s6_j(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
+    u = np.asarray(u)
     r2 = _s6_chart(u)
     s = 1.0 + r2
     D = stereographic_jacobian(u)
@@ -205,7 +205,7 @@ def _s6_j_jet(u: np.ndarray) -> np.ndarray:
     d_c J_ab = (2/s) [alpha_c G_ab - f_cab - Q_cab + Q_cba],
     Q_cab = u_a K_cb + delta_ca w_b.
     """
-    u = np.asarray(u, dtype=float)
+    u = np.asarray(u)
     batch = u.shape[:-1]
     scale = 2.0 / (1.0 + _s6_chart(u))[..., None]
     alpha = scale * u
@@ -255,7 +255,7 @@ def perturbed_torus(eps: float = 0.05, freq: int = 1) -> CatalogEntry:
     fixed skew generator G = e_1 e_3^T - e_3 e_1^T, which does not commute
     with J0; the squared Nijenhuis norm grows like eps^2.  R commutes with
     G, so the J jet is closed-form: only d_1 J = t' (G J - J G) is nonzero,
-    with t' = eps freq cos(freq u_1), and no stencil can alias at high freq.
+    with t' = eps freq cos(freq u_1), exact at any freq.
     """
     if not 0.0 <= eps <= 0.5:
         raise ValueError("eps must lie in [0, 0.5]")
@@ -276,14 +276,14 @@ def perturbed_torus(eps: float = 0.05, freq: int = 1) -> CatalogEntry:
         return eye - (1.0 - np.cos(t)) * P + np.sin(t) * G
 
     def j_field(u: np.ndarray) -> np.ndarray:
-        R = rotation(eps * np.sin(freq * np.asarray(u, dtype=float)[..., 0]))
+        R = rotation(eps * np.sin(freq * np.asarray(u)[..., 0]))
         return R @ J0 @ np.swapaxes(R, -1, -2)
 
     def j_jet(u: np.ndarray) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
+        u = np.asarray(u)
         J = j_field(u)
         rate = eps * freq * np.cos(freq * u[..., 0])
-        jet = np.zeros(u.shape[:-1] + (dim, dim, dim))
+        jet = np.zeros(u.shape[:-1] + (dim, dim, dim), dtype=np.result_type(u, float))
         jet[..., 0, :, :] = rate[..., None, None] * (G @ J - J @ G)
         return jet
 
@@ -341,7 +341,7 @@ def resolve(manifold_id: str) -> CatalogEntry:
 
 
 # Fractions of each axis length kept clear of the boundary by grid_points and
-# sample_points, so finite-difference stencils stay inside the domain.
+# sample_points; their values fix the points of every scan and verify-geometry run.
 GRID_INSET = 0.05
 SAMPLE_INSET = 0.1
 

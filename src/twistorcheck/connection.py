@@ -12,23 +12,20 @@ R_{AB} = theta_A ^ theta_B.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import (
-    DEFAULT_FD_STEP,
+    COMPLEX_STEP,
     AdaptedFrame,
     ManifoldPatch,
     PointJet,
-    _jet_of_frame,
     _readonly,
-    adapt_frame,
     christoffel,
+    complex_step_frames,
     j0_matrix,
-    require_interior,
-    stencil_difference,
-    stencil_points,
+    point_jet,
 )
 
 
@@ -62,19 +59,17 @@ def coordinate_connection(g: np.ndarray, E: np.ndarray, dE: np.ndarray, Gamma: n
 class FrameFieldJet:
     """The adapted frame field at a batch of points, differentiated once.
 
-    ``jet`` is the point jet there at ``step`` (``frame`` and ``Gamma`` read
-    it); ``stencil`` holds the frames of the same field at
-    ``stencil_points(point, step)``, with the g and J they were built from;
-    ``dE`` and ``dT`` are the first differences of their E and of the
-    coframe components g E, formed once; ``w`` is ``coordinate_connection``
-    from them and the jet's Christoffel symbols.  The structure equation,
-    curvature and the Chern identity all read this one object; build it
-    with ``frame_field_jet``.
+    ``jet`` is the point jet there (``frame`` and ``Gamma`` read it);
+    ``shifted`` the frames of the same field at u + i h e_c
+    (``complex_step_frames``); ``dE`` and ``dT`` the complex-step
+    derivatives Im(.) / h of their E and coframe components g E; ``w`` is
+    ``coordinate_connection`` from them and the jet's Christoffel symbols.
+    The structure equation, curvature and the Chern identity all read this
+    one object; build it with ``frame_field_jet``.
     """
 
     jet: PointJet
-    step: float
-    stencil: AdaptedFrame
+    shifted: AdaptedFrame
     dE: np.ndarray
     dT: np.ndarray
     w: np.ndarray
@@ -92,30 +87,16 @@ class FrameFieldJet:
         return self.jet.Gamma
 
 
-def _frames_at(frames: AdaptedFrame, at: tuple) -> AdaptedFrame:
-    """The frames at the batch index ``at``."""
-    return replace(frames, **{name: getattr(frames, name)[at] for name in ("point", "E", "g", "J", "pivots")})
-
-
-def frame_field_jet(patch: ManifoldPatch, point: np.ndarray, step: float = DEFAULT_FD_STEP) -> FrameFieldJet:
-    """Build the point jet at ``point`` (..., 2n) and differentiate its frame field at ``step``.
-
-    Each point and its ``stencil_points`` form one (..., 1 + 2 dim, dim)
-    stack, and one ``adapt_frame`` call builds every frame: the point
-    decides the pivots, and its stencil frames take them.  A point's values
-    do not depend on its batch, so ``.jet`` is bitwise ``point_jet(patch,
-    point, step)``.
-    """
-    u = require_interior(patch, point, margin=2.0 * step)
-    stack = np.concatenate([u[..., None, :], stencil_points(u, step)], axis=-2)
-    frames = adapt_frame(patch, stack, group=stack.shape[-2])
-    lead = (slice(None),) * (u.ndim - 1)
-    frame, stencil = _frames_at(frames, lead + (0,)), _frames_at(frames, lead + (slice(1, None),))
-    jet = _jet_of_frame(patch, frame, step)
-    dE = stencil_difference(stencil.E, step, u.ndim - 1)
-    dT = stencil_difference(stencil.g @ stencil.E, step, u.ndim - 1)
+def frame_field_jet(patch: ManifoldPatch, point: np.ndarray) -> FrameFieldJet:
+    """``point_jet(patch, point)``, real frames and all, and its frame field
+    differentiated by the complex step, to rounding with no step to choose."""
+    jet = point_jet(patch, point)
+    frame = jet.frame
+    shifted = complex_step_frames(patch, frame)
+    dE = shifted.E.imag / COMPLEX_STEP
+    dT = (shifted.g @ shifted.E).imag / COMPLEX_STEP
     w = coordinate_connection(frame.g, frame.E, dE, jet.Gamma)
-    return FrameFieldJet(jet=jet, step=step, stencil=stencil, dE=dE, dT=dT, w=w)
+    return FrameFieldJet(jet=jet, shifted=shifted, dE=dE, dT=dT, w=w)
 
 
 def connection_coefficients(jet: FrameFieldJet) -> np.ndarray:
@@ -177,9 +158,9 @@ def sigma_part(omega: np.ndarray) -> np.ndarray:
 def structure_equation_residual(jet: FrameFieldJet) -> np.ndarray:
     """Max residual of d theta_A = sum_B theta_B ^ omega_{BA} on coordinate pairs, per point.
 
-    The connection side is the jet's ``w``, which differentiates the stencil
-    frames' E; the coframe side is the jet's ``dT``, the difference of their
-    g E, so the two sides share frames but no difference.  A jet whose ``w``
+    The connection side is the jet's ``w``, which differentiates the complex
+    frames' E; the coframe side is the jet's ``dT``, the derivative of their
+    g E, so the two sides share frames but no derivative.  A jet whose ``w``
     has the wrong sign must drive the residual far from zero on any patch
     with a nonzero connection, which is how tests pin the sign convention.
     """
@@ -204,13 +185,12 @@ def connection_derivative(patch: ManifoldPatch, jet: FrameFieldJet) -> np.ndarra
     With w_a = P_a^T g E and P_a = d_a E + Gamma_a E, as in
     ``coordinate_connection``, the second derivatives d_c d_a E cancel:
     d omega(d_c, d_a) = ((d_c Gamma_a - d_a Gamma_c) E + Gamma_a d_c E - Gamma_c d_a E)^T g E
-    + P_a^T d_c(g E) - P_c^T d_a(g E).  Every factor is a first difference
-    at the jet's step: the jet's ``dE`` and ``dT``, and the difference of the
-    Christoffel symbols of the stencil frames (one metric-jet call); no
-    frame is built.
+    + P_a^T d_c(g E) - P_c^T d_a(g E).  Every factor is a complex-step first
+    derivative: ``dE``, ``dT`` and Im Gamma / h at the shifted frames (one
+    metric-jet call, which the patch must have); no frame is built.
     """
-    frame, stencil, step, dE = jet.frame, jet.stencil, jet.step, jet.dE
-    dGamma = stencil_difference(christoffel(patch, stencil, step=step), step, frame.point.ndim - 1)
+    frame, dE = jet.frame, jet.dE
+    dGamma = christoffel(patch, jet.shifted).imag / COMPLEX_STEP
     P = dE + _gamma_times(jet.Gamma, frame.E)
     # d_c P_a less d_c d_a E, [c, a, :, B]: (d_c Gamma_a) E + Gamma_a d_c E
     Q = _gamma_times(dGamma, frame.E[..., None, :, :]) + _gamma_times(jet.Gamma[..., None, :, :, :], dE)

@@ -17,11 +17,11 @@ class IncompatibleStructure(TwistorcheckError):
 
 
 class DegeneratePivot(TwistorcheckError):
-    """A frame's pivot (its own choice, or one it takes from its group) collapsed during orthogonalization."""
+    """No coordinate vector left at a Gram-Schmidt step reaches the pivot tolerance, or E^T g E misses Id."""
 
 
 class BoundaryProximity(TwistorcheckError):
-    """A finite-difference stencil would leave the coordinate domain."""
+    """A point is not interior to the patch's coordinate box, or has the wrong shape."""
 
 
 class SingularMetric(TwistorcheckError):

@@ -3,8 +3,8 @@
 A patch is a box in R^{2n} together with a metric field g(u) and an almost
 complex field J(u).  Both are callables on batches of points: they map an
 array of shape (..., 2n) to an array of shape (..., 2n, 2n), so a whole grid
-chunk or a whole difference stencil is one call.  A callable written for one
-point at a time is wrapped by ``pointwise``.  Everything downstream
+chunk, or the complex-step points of one, is one call.  A callable written
+for one point at a time is wrapped by ``pointwise``.  Everything downstream
 (connection forms, Nijenhuis tensor, twistor 2-form) is computed from frames
 adapted to J, i.e. orthonormal frames with e_{n+k} = J e_k, built here by a
 deterministic metric Gram-Schmidt sweep of the coordinate vectors that runs on
@@ -17,14 +17,16 @@ on the batch, and every validation runs at every point and names the first
 point (in C order) that fails it.
 
 Field derivatives come from analytic jets when a patch supplies them and
-from central finite differences otherwise.  ``point_jet`` gathers everything
-the certificate at a point reads: the adapted frame (with g and J), the J
-jet and the Christoffel symbols.
+otherwise from the complex step d_c f(u) = Im f(u + i h e_c) / h, exact to
+rounding.  ``point_jet`` gathers everything the certificate at a point
+reads: the adapted frame (with g and J), the J jet and the Christoffel
+symbols.
 """
 
 from __future__ import annotations
 
 import functools
+import warnings
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -38,9 +40,9 @@ from .errors import (
     SingularMetric,
 )
 
-# Central differences: h^2 truncation vs eps/h rounding balance for first
-# derivatives of O(1) fields in double precision.
-DEFAULT_FD_STEP = 1e-5
+# h of every complex-step derivative Im f(u + i h e_c) / h (Squire and Trapp,
+# SIAM Rev. 40(1), 1998): nothing is subtracted, so no rounding grows as h shrinks.
+COMPLEX_STEP = 1e-30
 PIVOT_TOL = 1e-8
 STRUCTURE_TOL = 1e-10
 FRAME_ORTHO_TOL = 1e-9
@@ -57,11 +59,16 @@ def j0_matrix(n: int) -> np.ndarray:
     return J0
 
 
+def _real_or_complex(a) -> type:
+    """complex for complex input, such as the points of a complex step, else float."""
+    return complex if np.iscomplexobj(a) else float
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
-    """A read-only float copy of ``a``; an array that already is one is kept as is."""
-    if isinstance(a, np.ndarray) and a.dtype == float and not a.flags.writeable and a.flags.owndata:
+    """A read-only float (or complex) copy of ``a``; an array that already is one is kept as is."""
+    if isinstance(a, np.ndarray) and a.dtype in (float, complex) and not a.flags.writeable and a.flags.owndata:
         return a
-    a = np.array(a, dtype=float)
+    a = np.array(a, dtype=_real_or_complex(a))
     a.flags.writeable = False
     return a
 
@@ -78,14 +85,15 @@ def pointwise(f: FieldMap) -> FieldMap:
     """Loop adapter: a field on (..., 2n) arrays from a callable on one point.
 
     ``f`` takes a single coordinate vector of length 2n; the adapter calls it
-    once per point of the batch, in C order, and stacks the results.
+    once per point of the batch, in C order, and stacks the results; complex
+    points and values pass through.
     """
 
     @functools.wraps(f)
     def batched(u):
-        u = np.asarray(u, dtype=float)
+        u = np.asarray(u, dtype=_real_or_complex(u))
         points = np.array(u.reshape(-1, u.shape[-1]))
-        values = np.stack([np.asarray(f(p), dtype=float) for p in points])
+        values = np.stack([np.asarray(f(p), dtype=u.dtype) for p in points])
         return values.reshape(u.shape[:-1] + values.shape[1:])
 
     return batched
@@ -101,7 +109,9 @@ class ManifoldPatch:
     holds per-axis (lower, upper) bounds.  Optional jets return the arrays of
     first derivatives, of shape (..., 2n, 2n, 2n) and indexed
     [..., c, a, b] = d_c(field)_{ab}; when present they take precedence over
-    finite differencing.
+    the complex step.  The frame route evaluates both fields at complex
+    points u + i h e_c, so they must be complex-analytic in u (no abs,
+    ``.real``, cast to float or branch on u).
     """
 
     n: int
@@ -130,13 +140,15 @@ class ManifoldPatch:
 
 
 def require_interior(patch: ManifoldPatch, point: np.ndarray, margin: float = 0.0) -> np.ndarray:
-    """Return the points as a float array (..., 2n), or raise BoundaryProximity."""
-    u = np.asarray(point, dtype=float)
+    """Return the points as a float or complex array (..., 2n), or raise BoundaryProximity.
+
+    A complex point is interior when its real part is."""
+    u = np.asarray(point, dtype=_real_or_complex(point))
     if u.ndim == 0 or u.shape[-1] != patch.dim:
         raise BoundaryProximity(
             f"point has shape {u.shape}, expected (..., {patch.dim}) for patch {patch.label!r}"
         )
-    inside = (u > patch.domain[:, 0] + margin) & (u < patch.domain[:, 1] - margin)
+    inside = (u.real > patch.domain[:, 0] + margin) & (u.real < patch.domain[:, 1] - margin)
     bad = first_index(~inside.all(axis=-1))
     if bad is not None:
         raise BoundaryProximity(
@@ -147,8 +159,21 @@ def require_interior(patch: ManifoldPatch, point: np.ndarray, margin: float = 0.
 
 
 def _call_field(fn: FieldMap, u: np.ndarray, name: str, rank: int) -> np.ndarray:
-    """Evaluate a field or jet callable on the points ``u`` and check its shape and finiteness."""
-    value = np.asarray(fn(u), dtype=float)
+    """Evaluate a field or jet callable on the points ``u`` and check its shape and finiteness.
+
+    On complex points, a callable that casts them to float, which would make
+    every complex-step derivative zero, raises ValueError.
+    """
+    if not np.iscomplexobj(u):
+        value = np.asarray(fn(u), dtype=float)
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            try:
+                value = np.asarray(fn(u), dtype=complex)
+            except np.exceptions.ComplexWarning:
+                message = f"{name} casts complex points to float; a field must be complex-analytic in u"
+                raise ValueError(message) from None
     expected = u.shape[:-1] + (u.shape[-1],) * rank
     if value.shape != expected:
         raise ValueError(
@@ -210,8 +235,8 @@ class AdaptedFrame:
     Column A of ``E[...]`` holds the coordinate components of the frame
     vector e_A, so E^T g E = Id; ``g`` and ``J`` are the validated field
     values at ``point`` it was built from.  ``pivots[..., k]`` records which
-    coordinate vector Gram-Schmidt step k took; the stencil frames of
-    ``frame_field_jet`` carry their point's, and ``evaluate_frame_field``
+    coordinate vector Gram-Schmidt step k took; the complex-step frames of
+    ``complex_step_frames`` take their point's, and ``evaluate_frame_field``
     compares them point by point.  A rotated frame (``rotate_frame``) changes
     E alone, whose batch may then be wider than the points'.
     """
@@ -234,7 +259,7 @@ class AdaptedFrame:
         return self.E.shape[-1] // 2
 
 
-def _gram_schmidt_adapted(g: np.ndarray, J: np.ndarray, u: np.ndarray, group: int = 1):
+def _gram_schmidt_adapted(g: np.ndarray, J: np.ndarray, u: np.ndarray):
     """Deterministic J-adapted Gram-Schmidt at every point. Returns (E, pivots).
 
     The accepted vectors e_0, J e_0, e_1, J e_1, ... are the columns of
@@ -245,8 +270,7 @@ def _gram_schmidt_adapted(g: np.ndarray, J: np.ndarray, u: np.ndarray, group: in
     pass bringing the g-orthogonality to machine precision ("twice is
     enough").  It takes the available vector with the largest share
     |V e_i|_g / sqrt(g_ii) of its g-norm (the lowest index on a tie) among
-    those whose g-norm reaches PIVOT_TOL; each run of ``group`` frames in C
-    order takes the one its first frame takes, and must find it usable.
+    those whose g-norm reaches PIVOT_TOL.
     """
     dim = g.shape[-1]
     n = dim // 2
@@ -267,13 +291,12 @@ def _gram_schmidt_adapted(g: np.ndarray, J: np.ndarray, u: np.ndarray, group: in
         V -= W @ (Wt @ (g @ V))
         nrm = np.sqrt(np.maximum(np.einsum("bij,bij->bj", V, g @ V), 0.0))
         usable = available & (nrm >= PIVOT_TOL)
-        idx = np.argmax(np.where(usable, nrm / own, -1.0)[::group], axis=-1).repeat(group)
+        idx = np.argmax(np.where(usable, nrm / own, -1.0), axis=-1)
         stuck = first_index(~usable[rows, idx].reshape(batch))
         if stuck is not None:
-            cause = f"all {dim - k} remaining coordinate vectors project"
-            if usable.reshape(batch + (dim,))[stuck].any():
-                cause = f"coordinate vector {idx.reshape(batch)[stuck]}, shared pivot of step {k}, projects"
-            raise DegeneratePivot(f"{cause} below {PIVOT_TOL:g} at {u[stuck].tolist()}")
+            raise DegeneratePivot(
+                f"all {dim - k} remaining coordinate vectors project below {PIVOT_TOL:g} at {u[stuck].tolist()}"
+            )
         e = V[rows, :, idx] / nrm[rows, idx][:, None]
         available[rows, idx] = False
         pivots[:, k] = idx
@@ -283,26 +306,44 @@ def _gram_schmidt_adapted(g: np.ndarray, J: np.ndarray, u: np.ndarray, group: in
     return E.reshape(batch + (dim, dim)), pivots.reshape(batch + (n,))
 
 
-def adapt_frame(patch: ManifoldPatch, point: np.ndarray, group: int = 1) -> AdaptedFrame:
+def _gram_schmidt_pivoted(g: np.ndarray, J: np.ndarray, pivots: np.ndarray) -> np.ndarray:
+    """E of the J-adapted sweep that takes ``pivots`` (..., n), at every point.
+
+    Step k projects coordinate vector ``pivots[..., k]`` twice, as
+    ``_gram_schmidt_adapted`` projects every vector, with no choice, no norm
+    test, conjugate or abs: on complex g and J it is the analytic
+    continuation of the real sweep with those pivots.
+    """
+    dim = g.shape[-1]
+    accepted = np.empty(g.shape, dtype=np.result_type(g, J))
+    columns = np.eye(dim)[pivots][..., None]
+    for k in range(dim // 2):
+        v = columns[..., k, :, :]
+        if k:
+            W = accepted[..., : 2 * k]
+            Wt = np.swapaxes(W, -1, -2)
+            v = v - W @ (Wt @ (g @ v))
+            v -= W @ (Wt @ (g @ v))
+        v = v / np.sqrt(np.swapaxes(v, -1, -2) @ (g @ v))
+        accepted[..., 2 * k] = v[..., 0]
+        accepted[..., 2 * k + 1] = (J @ v)[..., 0]
+    return accepted[..., np.r_[0:dim:2, 1:dim:2]]
+
+
+def adapt_frame(patch: ManifoldPatch, point: np.ndarray) -> AdaptedFrame:
     """Build the J-adapted orthonormal frame at every point of ``point`` (..., 2n).
 
     The construction is deterministic: identical inputs give a bitwise
     identical frame.  Each Gram-Schmidt step takes the coordinate vector
     that keeps the largest share of its g-norm, the lowest index on a tie,
-    so on a flat Kahler patch the frame is the coordinate basis.  Each point
-    decides its pivots, unless the last batch axis holds runs of ``group``
-    points whose frames take their first point's (``group`` must be a
-    positive int that divides that axis, or ``ValueError``).  After the
+    so on a flat Kahler patch the frame is the coordinate basis.  After the
     sweep, g's condition number must pass a gate read off the spectrum that
     ``validate_patch`` computed, or ``SingularMetric`` names the point: the
     frame factors g^-1 = E E^T for ``christoffel``.
     """
     u = require_interior(patch, point)
-    runs = u.shape[-2] if u.ndim > 1 else 1
-    if not isinstance(group, int) or group < 1 or runs % group:
-        raise ValueError(f"group must be a positive int dividing the last batch axis ({runs}), got {group!r}")
     g, J, spectrum = validate_patch(patch, u)
-    E, pivots = _gram_schmidt_adapted(g, J, u, group)
+    E, pivots = _gram_schmidt_adapted(g, J, u)
     resid = np.abs(np.swapaxes(E, -1, -2) @ g @ E - np.eye(patch.dim)).max(axis=(-2, -1))
     bad = first_index(resid > FRAME_ORTHO_TOL)
     if bad is not None:
@@ -343,12 +384,12 @@ def evaluate_frame_field(patch: ManifoldPatch, frame: AdaptedFrame, point: np.nd
     """Evaluate the adapted frame field through ``frame`` at nearby points.
 
     ``point`` has the frame's batch axes, then any number of extra axes, then
-    2n.  Re-runs the Gram-Schmidt sweep, each point deciding its own pivots,
-    and raises FrameDiscontinuity at the first point whose pivot sequence
-    differs from that of the frame it came from, so finite differences of
-    the frame field are differences of one smooth matrix-valued function.
-    Returns the unrotated frames at ``point``, with the g and J they were
-    built from; the field through a rotated frame E U is theirs times U.
+    2n.  Re-runs the validated Gram-Schmidt sweep, each point deciding its
+    own pivots, and raises FrameDiscontinuity at the first point whose pivot
+    sequence differs from that of the frame it came from, so the frames are
+    values of one smooth matrix-valued function, which a caller may
+    difference.  Returns the unrotated frames at ``point``, with their g and
+    J; the field through a rotated frame E U is theirs times U.
     """
     moved = adapt_frame(patch, point)
     lead = frame.pivots.shape[:-1]
@@ -364,65 +405,57 @@ def evaluate_frame_field(patch: ManifoldPatch, frame: AdaptedFrame, point: np.nd
     return moved
 
 
-def stencil_points(u: np.ndarray, h: float) -> np.ndarray:
-    """The package's one difference stencil: the (..., 2 dim, dim) stack of
-    points u + h e_c, then u - h e_c.
-    """
-    u = np.asarray(u, dtype=float)
-    shift = h * np.eye(u.shape[-1])
-    return np.concatenate([u[..., None, :] + shift, u[..., None, :] - shift], axis=-2)
+def _complex_points(u: np.ndarray) -> np.ndarray:
+    """The (..., dim, dim) stack of complex points u + i h e_c, h = ``COMPLEX_STEP``."""
+    return u[..., None, :] + (1j * COMPLEX_STEP) * np.eye(u.shape[-1])
 
 
-def stencil_difference(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """D[..., c, :] = (f(u + h e_c) - f(u - h e_c)) / (2h) from ``values`` = f(stencil_points(u, h)).
-
-    ``axis`` is the stencil axis of ``values`` (u.ndim - 1 for points u).
-    """
-    dim = values.shape[axis] // 2
-    lead = (slice(None),) * axis
-    D = values[lead + (slice(0, dim),)] - values[lead + (slice(dim, 2 * dim),)]
-    D /= 2.0 * h
-    return D
-
-
-def field_derivative(
-    patch: ManifoldPatch,
-    point: np.ndarray,
-    which: str = "metric",
-    step: float = DEFAULT_FD_STEP,
-) -> np.ndarray:
+def field_derivative(patch: ManifoldPatch, point: np.ndarray, which: str = "metric") -> np.ndarray:
     """First derivatives D[..., c, a, b] = d_c (field)_{ab} of the metric or J field.
 
-    Uses the analytic jet when the patch provides one; otherwise symmetric
-    differences with the given step (O(step^2) accurate), from one field call
-    on the whole stencil.
+    Uses the analytic jet when the patch provides one; otherwise the complex
+    step Im field(u + i h e_c) / h from one field call, which cannot be taken
+    again at complex points: there a patch without the jet raises ValueError.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
     if which == "metric":
         field, jet = patch.metric_field, patch.metric_jet
     elif which == "j":
         field, jet = patch.j_field, patch.j_jet
     else:
         raise ValueError("which must be 'metric' or 'j'")
-    u = require_interior(patch, point, margin=step)
+    u = require_interior(patch, point)
     if jet is not None:
         return _call_field(jet, u, f"{which}_jet", 3)
-    values = _call_field(field, stencil_points(u, step), f"{which}_field", 2)
-    return stencil_difference(values, step, u.ndim - 1)
+    if np.iscomplexobj(u):
+        raise ValueError(f"patch {patch.label!r} has no {which} jet, which a derivative at complex points needs")
+    return _call_field(field, _complex_points(u), f"{which}_field", 2).imag / COMPLEX_STEP
 
 
-def christoffel(patch: ManifoldPatch, frame: AdaptedFrame, step: float = DEFAULT_FD_STEP) -> np.ndarray:
+def complex_step_frames(patch: ManifoldPatch, frame: AdaptedFrame) -> AdaptedFrame:
+    """The frame field through the unrotated ``frame`` at u + i h e_c, batch (..., c).
+
+    One g and one J call; each frame takes its point's pivots, so Im E / h
+    is d_c E to rounding.  Nothing is validated: a complex symmetric g has no
+    spectrum to gate.
+    """
+    z = _complex_points(frame.point)
+    g = _call_field(patch.metric_field, z, "metric_field", 2)
+    J = _call_field(patch.j_field, z, "j_field", 2)
+    pivots = np.broadcast_to(frame.pivots[..., None, :], z.shape[:-1] + frame.pivots.shape[-1:])
+    return AdaptedFrame(point=z, E=_gram_schmidt_pivoted(g, J, pivots), g=g, J=J, pivots=pivots)
+
+
+def christoffel(patch: ManifoldPatch, frame: AdaptedFrame) -> np.ndarray:
     """Levi-Civita Christoffel symbols Gamma[..., c, a, b] = Gamma^c_{ab} at the frame's points.
 
     The frame factors the metric, E^T g E = Id, so g^-1 = E E^T (also for a
-    rotated frame E U); only the metric derivatives are evaluated, and no
-    matrix is decomposed or inverted.  ``adapt_frame`` has gated g's
-    condition number.
+    rotated frame E U, and with no conjugate for complex frames); only the
+    metric derivatives are evaluated, and no matrix is decomposed or
+    inverted.  ``adapt_frame`` has gated g's condition number.
     """
     E = frame.E
     gi = E @ np.swapaxes(E, -1, -2)
-    dg = field_derivative(patch, frame.point, which="metric", step=step)
+    dg = field_derivative(patch, frame.point, which="metric")
     dim = E.shape[-1]
     # T[d, a, b] = d_a g_{db} + d_b g_{da} - d_d g_{ab}, then Gamma^c_{ab} = 1/2 g^{cd} T[d, a, b]
     X = np.swapaxes(dg, -3, -2)
@@ -455,21 +488,14 @@ class PointJet:
         return replace(self, frame=rotate_frame(self.frame, U))
 
 
-def _jet_of_frame(patch: ManifoldPatch, frame: AdaptedFrame, step: float) -> PointJet:
-    """The point jet of ``frame``: the J jet and the Christoffel symbols (from the frame) at its points."""
-    dJ = field_derivative(patch, frame.point, which="j", step=step)
-    return PointJet(frame=frame, dJ=dJ, Gamma=christoffel(patch, frame, step=step))
-
-
-def point_jet(patch: ManifoldPatch, point: np.ndarray, step: float = DEFAULT_FD_STEP) -> PointJet:
+def point_jet(patch: ManifoldPatch, point: np.ndarray) -> PointJet:
     """Evaluate the fields and their first derivatives at the points, once.
 
-    ``point`` is one point (2n,) or a batch (..., 2n).  The frame validates g
-    and J, ``step`` is the step of the J and metric stencils where the patch
-    lacks that jet, and every point must lie 2 step inside the patch.
+    ``point`` is one point (2n,) or a batch (..., 2n); the frame validates g and J.
     """
-    u = require_interior(patch, point, margin=2.0 * step)
-    return _jet_of_frame(patch, adapt_frame(patch, u), step)
+    frame = adapt_frame(patch, point)
+    dJ = field_derivative(patch, frame.point, which="j")
+    return PointJet(frame=frame, dJ=dJ, Gamma=christoffel(patch, frame))
 
 
 def random_unitary_rotation(n: int, rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:

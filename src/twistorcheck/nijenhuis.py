@@ -14,7 +14,8 @@ The two routes share no code path, so their agreement (``route_gap``, which
 ``theorem_report`` enforces at every point) is a genuine cross-check of every
 sign convention in between.
 They may share input: both read J and dJ from the same ``PointJet``, since a
-second stencil at the same point would return the same numbers.
+second evaluation of the J jet at the same point would return the same
+numbers.
 """
 
 from __future__ import annotations

@@ -43,8 +43,8 @@ C0_N2 = 16.0  # n = 2
 # a fixed contract, which no caller or flag overrides.
 CHAIN_TOL = 1e-8
 NONDEGENERACY_THRESHOLD = 1e-12
-# Frame entries of phi below this are indistinguishable from the finite
-# difference noise of an identically vanishing form (the nearly Kahler
+# Frame entries of phi below this are indistinguishable from the rounding
+# noise of an identically vanishing form (the nearly Kahler
 # six-sphere realizes phi == 0), so such forms classify as degenerate.
 ZERO_FORM_FLOOR = 1e-8
 
@@ -136,9 +136,9 @@ def nondegenerate(F: np.ndarray, det: np.ndarray | None = None) -> np.ndarray:
     """The link-(d) verdict: is each skew frame matrix (..., 2n, 2n) non-degenerate?
 
     The determinant is compared against NONDEGENERACY_THRESHOLD * scale^{2n}
-    with scale = max |F_{AB}|, separating finite-difference noise from a
-    genuine kernel; a matrix whose scale itself sits below ZERO_FORM_FLOOR is
-    a vanishing form seen through finite-difference noise and classifies as
+    with scale = max |F_{AB}|, separating rounding noise from a genuine
+    kernel; a matrix whose scale itself sits below ZERO_FORM_FLOOR is a
+    vanishing form seen through rounding noise and classifies as
     degenerate.  ``det`` is ``np.linalg.det`` of the matrices, computed here
     unless the caller already holds it.
     """

@@ -1,8 +1,11 @@
 """Benchmark entries: invariants, expected quantities, id resolution, grids."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from stencil import stencil_difference, stencil_points
 from twistorcheck import (
     ChartOverflow,
     conformal_hermitian,
@@ -20,13 +23,7 @@ from twistorcheck import (
     theorem_report,
 )
 from twistorcheck.catalog import _CROSS_F, _s6_j, _s6_j_jet, sample_points, stereographic_point
-from twistorcheck.geometry import (
-    _field_residuals,
-    require_interior,
-    stencil_difference,
-    stencil_points,
-    validate_patch,
-)
+from twistorcheck.geometry import _field_residuals, field_derivative, require_interior, validate_patch
 
 
 def patch_residuals(patch, point):
@@ -47,6 +44,24 @@ def test_every_entry_satisfies_patch_invariants():
             res = patch_residuals(entry.patch, point)
             assert res["j_square"] < 1e-10
             assert res["compatibility"] < 1e-10
+
+
+@pytest.mark.parametrize(
+    "entry",
+    default_entries() + [resolve(f"torus:eps=0.05,freq={freq}") for freq in (100, 99999999999999999999)],
+    ids=lambda entry: entry.id,
+)
+def test_every_catalog_jet_is_the_complex_step_derivative_of_its_field(entry):
+    """Each closed-form jet equals Im field(u + i h e_c) / h, which a patch
+    without that jet reads, to rounding: the fields are complex-analytic."""
+    patch = entry.patch
+    bare = dataclasses.replace(patch, metric_jet=None, j_jet=None)
+    u = sample_points(patch, 8, np.random.default_rng(6))
+    for which, jet in (("metric", patch.metric_jet), ("j", patch.j_jet)):
+        exact = jet(u)
+        stepped = field_derivative(bare, u, which)
+        assert stepped.shape == exact.shape == (8, patch.dim, patch.dim, patch.dim)
+        assert np.abs(stepped - exact).max() <= 1e-13 * max(1.0, np.abs(exact).max()), which
 
 
 def test_integrable_entries_have_vanishing_norm():
@@ -125,7 +140,8 @@ class TestNearlyKahlerSphere:
 
     def test_j_jet_matches_extrapolated_differences_of_j(self):
         # (4 D(h/2) - D(h)) / 3 of J cancels the h^2 term of the central
-        # difference D(h); at h = 1e-3 what is left is below 1e-10.
+        # difference D(h); at h = 1e-3 what is left is below 1e-10.  An
+        # oracle that shares nothing with the complex step.
         patch = nearly_kahler_s6().patch
         u = sample_points(patch, 24, np.random.default_rng(6))
         assert patch.j_jet is _s6_j_jet

@@ -27,14 +27,14 @@ def run_cli(args):
     return main(list(args))
 
 
-def structure_at(patch, u, step):
+def structure_at(patch, u):
     """The structure residual at one point, from that point's own frame-field jet."""
-    return structure_equation_residual(frame_field_jet(patch, u, step))
+    return structure_equation_residual(frame_field_jet(patch, u))
 
 
-def round_sphere_at(patch, u, step):
+def round_sphere_at(patch, u):
     """(curvature, Chern) residuals at one point, from its own jets and d omega."""
-    frames = frame_field_jet(patch, u, step)
+    frames = frame_field_jet(patch, u)
     dw = connection_derivative(patch, frames)
     return (
         round_sphere_curvature_residual(curvature_forms(frames, dw)),
@@ -324,31 +324,48 @@ ROUTE_ARGV = [
 
 @pytest.mark.parametrize("argv", ROUTE_ARGV)
 def test_route_disagreement_is_a_failed_check(monkeypatch, capsys, argv):
-    """With J differenced, at a step the flag accepts, the two Nijenhuis
-    routes drift apart: exit 1, one line.  nk-s6 without its J jet differences
-    J as every patch without a jet does."""
+    """With a J jet pushed off J's derivative by 1e-3 the two Nijenhuis
+    routes drift apart: exit 1, one line."""
     entry = catalog.resolve("nk-s6")
-    differenced = dataclasses.replace(entry, patch=dataclasses.replace(entry.patch, j_jet=None))
-    monkeypatch.setattr(catalog, "resolve", lambda manifold_id: differenced)
-    assert run_cli(argv + ["--fd-step", "5e-3"]) == 1
+    pushed = dataclasses.replace(
+        entry, patch=dataclasses.replace(entry.patch, j_jet=lambda u: catalog._s6_j_jet(u) + 1e-3)
+    )
+    monkeypatch.setattr(catalog, "resolve", lambda manifold_id: pushed)
+    assert run_cli(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
     assert captured.err.startswith("error: CrossPathMismatch: frame components from connection")
 
 
+def test_a_j_field_that_casts_complex_points_is_refused_with_one_line(monkeypatch, tmp_path, capsys):
+    """The frame route evaluates J at complex points; a J that casts them to
+    float would differentiate to zero, so report and verify-geometry exit 2
+    with one line.  scan reads J at real points only and still runs."""
+    entry = catalog.resolve("nk-s6")
+    patch = dataclasses.replace(entry.patch, j_field=lambda u: catalog._s6_j(np.asarray(u, dtype=float)))
+    casting = dataclasses.replace(entry, patch=patch)
+    monkeypatch.setattr(catalog, "resolve", lambda manifold_id: casting)
+    out = str(tmp_path / "out")
+    for argv in (["report", "--manifold", "nk-s6"], ["verify-geometry", "--manifold", "nk-s6", "--points", "1"]):
+        assert run_cli(argv + ["--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: j_field casts complex points to float; ")
+    assert run_cli(["scan", "--manifold", "nk-s6", "--grid", "1", "--out", out]) == 0
+
+
 def test_exact_j_jet_keeps_the_nijenhuis_routes_together(tmp_path):
-    """With nk-s6's closed-form J jet the routes agree at --fd-step 5e-3:
-    scan and report exit 0, and verify-geometry fails only the two checks
-    that difference the frame field (3.05e-4 and 7.7e-6, truncation)."""
+    """With nk-s6's closed-form J jet the routes agree: scan and report exit
+    0, and so does verify-geometry, whose frame route reads at rounding."""
     geometry_argv, scan_argv, report_argv = ROUTE_ARGV
     out = tmp_path / "out"
     for argv in (scan_argv, report_argv):
-        assert run_cli(argv + ["--fd-step", "5e-3", "--out", str(out)]) == 0
-    assert run_cli(geometry_argv + ["--fd-step", "5e-3", "--out", str(out)]) == 1
+        assert run_cli(argv + ["--out", str(out)]) == 0
+    assert run_cli(geometry_argv + ["--out", str(out)]) == 0
     checks = json.loads(out.read_text())["checks"]
-    failed = [name for name, slot in checks.items() if not slot["pass"]]
-    assert failed == ["structure_equation", "connection_route_equivalence"]
     assert checks["nijenhuis_route_equivalence"]["max_residual"] <= 1e-14
+    for name in ("structure_equation", "connection_route_equivalence"):
+        assert checks[name]["max_residual"] <= 1e-13, name
 
 
 def test_nk_s6_report_at_the_origin_has_the_constant_norm(tmp_path):
@@ -370,21 +387,16 @@ def test_torus_report_at_the_origin_has_the_closed_form_norm(tmp_path, freq):
     assert json.loads(out.read_text())["normN2"] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
-def test_torus_route_gap_is_the_frame_routes_truncation(tmp_path):
-    """At freq 100 the frame-differentiated route carries an O((freq h)^2)
-    truncation against the exact nabla J route: connection_route_equivalence
-    alone fails its fixed 1e-8 gate at --fd-step 1e-5 (4.1e-7), and passes at
-    1e-6 (4.4e-9), about 100 times smaller, as h^2 predicts."""
+def test_torus_route_gap_at_freq_100_is_rounding(tmp_path):
+    """At freq 100 the frame-differentiated route meets the exact nabla J
+    route at rounding: the complex step has no O((freq h)^2) truncation, which
+    at a central-difference step of 1e-5 read 4.1e-7 against the 1e-8 gate."""
     argv = ["verify-geometry", "--manifold", "torus:eps=0.05,freq=100", "--points", "5", "--rotations", "1"]
-    gaps = []
-    for fd_step, code in (("1e-5", 1), ("1e-6", 0)):
-        out = tmp_path / f"geometry-{fd_step}.json"
-        assert run_cli(argv + ["--fd-step", fd_step, "--out", str(out)]) == code
-        checks = json.loads(out.read_text())["checks"]
-        failed = [name for name, slot in checks.items() if not slot["pass"]]
-        assert failed == (["connection_route_equivalence"] if code else [])
-        gaps.append(checks["connection_route_equivalence"]["max_residual"])
-    assert 50.0 <= gaps[0] / gaps[1] <= 200.0, gaps
+    out = tmp_path / "geometry.json"
+    assert run_cli(argv + ["--out", str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert all(slot["pass"] for slot in checks.values())
+    assert checks["connection_route_equivalence"]["max_residual"] <= 1e-14
 
 
 def test_verify_geometry_conformal(tmp_path):
@@ -619,7 +631,7 @@ def test_a_bad_config_entry_fails_as_its_flag(tmp_path, capsys, argv, key, value
         (["verify-algebra", "--seed", "4"], {"samples": 5, "n_list": "2"}, ["--samples", "5", "--n-list", "2"]),
         (["report", "--manifold", "nk-s6"], {"point": "0.1,-0.2,0.15,0.02,-0.1,0.05"},
          ["--point", "0.1,-0.2,0.15,0.02,-0.1,0.05"]),
-        (["report", "--manifold", "nk-s6"], {"fd-step": 1e-4}, ["--fd-step", "1e-4"]),
+        (["verify-geometry", "--manifold", "flat:2", "--points", "1"], {"rotations": 0}, ["--rotations", "0"]),
         # an explicit flag wins, also one equal to its default
         (["scan", "--manifold", "flat:2", "--grid", "3"], {"grid": 2}, []),
         (["scan", "--manifold", "flat:2", "--grid", "2", "--format", "csv"], {"grid": 3, "format": "json"}, []),
@@ -662,10 +674,10 @@ def test_flags_are_known_by_exact_name(capsys):
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (["report", "--manifold", "nk-s6", "--fd-step", "nan"], "--fd-step"),
+        (["scan", "--manifold", "flat:2", "--grid", "nan"], "--grid"),
         (["verify-geometry", "--manifold", "flat:2", "--points", "0"], "--points"),
         (["verify-algebra", "--samples", "0"], "--samples"),
-        (["report", "--manifold", "nk-s6", "--fd-step", "1e-12"], "--fd-step"),
+        (["verify-geometry", "--manifold", "flat:2", "--points", "-3"], "--points"),
         (["verify-geometry", "--manifold", "flat:2", "--points", "1", "--rotations", "-1"],
          "--rotations"),
         (["verify-geometry", "--manifold", "flat:2", "--points", "1", "--seed", "-1"], "--seed"),
@@ -685,7 +697,8 @@ def test_out_of_range_numbers_are_input_errors(capsys, argv, flag):
     "argv, values, message",
     [
         (["verify-geometry", "--manifold", "flat:2"], {"points": 0}, "must be >= 1"),
-        (["report", "--manifold", "nk-s6"], {"fd-step": 1e-12}, "must lie in (1e-8, 1e-2)"),
+        (["report", "--manifold", "nk-s6"], {"fd-step": 1e-4},
+         "config file: unrecognized arguments: --fd-step=0.0001"),
         (["scan", "--manifold", "flat:2"], {"grid": 0}, "must be >= 1"),
         (["verify-geometry", "--manifold", "flat:2", "--points", "1"], {"rotations": -1},
          "must be >= 0"),
@@ -726,6 +739,24 @@ def test_flags_that_did_nothing_are_rejected(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["report", "--manifold", "nk-s6"],
+        ["scan", "--manifold", "nk-s6", "--grid", "1"],
+        ["verify-geometry", "--manifold", "nk-s6", "--points", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_no_command_takes_a_step(tmp_path, capsys, argv):
+    """The frame route differentiates by complex steps, which have no step to
+    choose: --fd-step is refused with one line, as a flag and as a config key."""
+    assert run_cli(argv + ["--fd-step", "1e-5"]) == 2
+    assert capsys.readouterr().err == "error: unrecognized arguments: --fd-step 1e-5\n"
+    assert run_cli(_with_config(tmp_path, argv, {"fd_step": 1e-5})) == 2
+    assert capsys.readouterr().err == "error: config file: unrecognized arguments: --fd-step=1e-05\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["report", "--manifold", "nk-s6", "--bogus"],
         ["report"],
         [],
@@ -752,37 +783,17 @@ def test_geometry_checks_share_without_changing_values():
     """One frame and one d omega per point give the standalone residuals exactly."""
     entry = catalog.resolve("nk-s6")
     patch = entry.patch
-    checks = geometry_checks(entry, points=2, seed=3, rotations=1, fd_step=1e-5)["checks"]
+    checks = geometry_checks(entry, points=2, seed=3, rotations=1)["checks"]
     samples = catalog.sample_points(patch, 2, np.random.default_rng(3))
-    assert checks["structure_equation"]["max_residual"] == max(
-        structure_at(patch, u, 1e-5) for u in samples
-    )
-    assert checks["curvature_identity"]["max_residual"] == max(
-        round_sphere_at(patch, u, 1e-5)[0] for u in samples
-    )
-    assert checks["chern_identity"]["max_residual"] == max(
-        round_sphere_at(patch, u, 1e-5)[1] for u in samples
-    )
+    assert checks["structure_equation"]["max_residual"] == max(structure_at(patch, u) for u in samples)
+    assert checks["curvature_identity"]["max_residual"] == max(round_sphere_at(patch, u)[0] for u in samples)
+    assert checks["chern_identity"]["max_residual"] == max(round_sphere_at(patch, u)[1] for u in samples)
 
 
-def test_geometry_checks_block_at_another_fd_step():
-    """Away from the default step, curvature and Chern read w and d omega at the
-    jet's step, exactly as one point alone does."""
-    entry = catalog.resolve("nk-s6")
-    patch = entry.patch
-    checks = geometry_checks(entry, points=1, seed=3, rotations=1, fd_step=1e-4)["checks"]
-    (u,) = catalog.sample_points(patch, 1, np.random.default_rng(3))
-    curvature, chern = round_sphere_at(patch, u, 1e-4)
-    assert checks["structure_equation"]["max_residual"] == structure_at(patch, u, 1e-4)
-    assert checks["curvature_identity"]["max_residual"] == curvature
-    assert checks["chern_identity"]["max_residual"] == chern
-
-
-@pytest.mark.parametrize("fd_step", ["1e-5", "1e-4"])
-def test_metric_jet_once_per_point_jet_and_once_per_block(monkeypatch, tmp_path, fd_step):
+def test_metric_jet_once_per_point_jet_and_once_per_block(monkeypatch, tmp_path):
     """The frame-differentiated route reads the point jet's Christoffel symbols:
     one metric jet per report, and per verify-geometry chunk one for the jet
-    and one for d omega at the stencil points, at any --fd-step."""
+    and one for d omega at the complex points."""
     entry = catalog.resolve("nk-s6")
     metric_jet = entry.patch.metric_jet
     calls = 0
@@ -796,11 +807,11 @@ def test_metric_jet_once_per_point_jet_and_once_per_block(monkeypatch, tmp_path,
     monkeypatch.setattr(catalog, "resolve", lambda manifold: counted)
     monkeypatch.setattr(cli, "GEOMETRY_CHUNK", 2)
     out = str(tmp_path / "out.json")
-    assert run_cli(["report", "--manifold", "nk-s6", "--fd-step", fd_step, "--out", out]) == 0
+    assert run_cli(["report", "--manifold", "nk-s6", "--out", out]) == 0
     assert calls == 1
     calls = 0
     argv = ["verify-geometry", "--manifold", "nk-s6", "--points", "3", "--rotations", "1"]
-    assert run_cli(argv + ["--fd-step", fd_step, "--out", out]) == 0
+    assert run_cli(argv + ["--out", out]) == 0
     assert calls == 2 * 2
 
 
@@ -814,7 +825,9 @@ def test_geometry_point_evaluates_j_within_budget():
     # a 12-point J stencil and 12 stencil frames, each group one batched
     # call of J.  nk-s6's closed-form J jet then dropped the J stencil,
     # leaving 13 points in 2 calls, and building the point's frame and its
-    # 12 stencil frames in one batch leaves 13 points in 1 call.  The
+    # 12 stencil frames in one batch left 13 points in 1 call.  The complex
+    # step needs no minus side: the point's frame and its 6 complex-step
+    # frames take 7 points in 2 calls, one real and one complex.  The
     # budgets are those counts.
     entry = catalog.resolve("nk-s6")
     j_field = entry.patch.j_field
@@ -827,15 +840,13 @@ def test_geometry_point_evaluates_j_within_budget():
         return j_field(u)
 
     counted = dataclasses.replace(entry, patch=dataclasses.replace(entry.patch, j_field=counting))
-    assert geometry_checks(counted, points=1, seed=0, rotations=4, fd_step=1e-5)["all_pass"]
-    assert calls <= 1
-    assert points <= 13
+    assert geometry_checks(counted, points=1, seed=0, rotations=4)["all_pass"]
+    assert calls <= 2
+    assert points <= 7
 
 
 def counting_calls(monkeypatch, entry):
     """A copy of ``entry`` whose g and J calls, and every adapt_frame call, count into the returned dict."""
-    from twistorcheck import connection, geometry
-
     patch = entry.patch
     calls = {"frame": 0, "g": 0, "J": 0}
     original = geometry.adapt_frame
@@ -844,8 +855,7 @@ def counting_calls(monkeypatch, entry):
         calls["frame"] += 1
         return original(*args, **kwargs)
 
-    for module in (geometry, connection):
-        monkeypatch.setattr(module, "adapt_frame", counting_frame)
+    monkeypatch.setattr(geometry, "adapt_frame", counting_frame)
 
     def counted(key, field):
         def call(u):
@@ -865,25 +875,27 @@ def test_geometry_calls_per_chunk_do_not_depend_on_points(monkeypatch):
 
     def calls_for(points):
         calls.update(frame=0, g=0, J=0)
-        assert geometry_checks(counting, points=points, seed=0, rotations=4, fd_step=1e-5)["all_pass"]
+        assert geometry_checks(counting, points=points, seed=0, rotations=4)["all_pass"]
         return dict(calls)
 
-    # per chunk: one batch of frames for the points and their stencils,
-    # evaluating g and J once; the J jet is closed-form
+    # per chunk: one batch of frames for the points, evaluating g and J once,
+    # and one of frames at their complex points, evaluating each once more;
+    # the J jet is closed-form
     one = calls_for(1)
-    assert one == {"frame": 1, "g": 1, "J": 1}
+    assert one == {"frame": 1, "g": 2, "J": 2}
     assert calls_for(4) == calls_for(cli.GEOMETRY_CHUNK) == one
     assert calls_for(cli.GEOMETRY_CHUNK + 1) == {key: 2 * value for key, value in one.items()}
 
 
 @pytest.mark.parametrize("manifold", ["nk-s6", "conformal4"])
 def test_report_builds_one_batch_of_frames(monkeypatch, tmp_path, manifold):
-    """A report builds the point's frame and its stencil frames in one
-    adapt_frame call, which evaluates g and J once."""
+    """A report builds the point's frame in one adapt_frame call, which
+    evaluates g and J once, and its complex-step frames from one more call
+    of each."""
     counting, calls = counting_calls(monkeypatch, catalog.resolve(manifold))
     monkeypatch.setattr(catalog, "resolve", lambda manifold_id: counting)
     assert run_cli(["report", "--manifold", manifold, "--out", str(tmp_path / "report.json")]) == 0
-    assert calls == {"frame": 1, "g": 1, "J": 1}
+    assert calls == {"frame": 1, "g": 2, "J": 2}
 
 
 def test_lapack_calls_per_chunk(monkeypatch, tmp_path):
@@ -930,7 +942,7 @@ def test_lapack_calls_per_chunk(monkeypatch, tmp_path):
     argv = ["verify-geometry", "--manifold", "nk-s6", "--points", "4", "--rotations", "4", "--out", out]
     assert run_cli(argv) == 0
     assert calls == {"eigvalsh": 2, "eigh": 1, "det": 1}
-    # the point jet's symbols and those of the stencil frames for d omega
+    # the point jet's symbols and those of the complex frames for d omega
     assert inside == [0, 0]
     calls.clear()
     argv[argv.index("--rotations") + 1] = "0"
@@ -991,7 +1003,7 @@ def test_one_report_per_geometry_chunk(monkeypatch, rotations):
     monkeypatch.setattr(cli, "theorem_report", counting)
     monkeypatch.setattr(cli, "GEOMETRY_CHUNK", 2)
     entry = catalog.resolve("flat:2")
-    assert geometry_checks(entry, points=3, seed=0, rotations=rotations, fd_step=1e-5)["all_pass"]
+    assert geometry_checks(entry, points=3, seed=0, rotations=rotations)["all_pass"]
     assert calls == 2
 
 
@@ -1001,7 +1013,7 @@ def test_scan_never_runs_the_phi_formula_oracle(monkeypatch):
         raise AssertionError("phi_via_bundle_formula called")
 
     monkeypatch.setattr(twistorform, "phi_via_bundle_formula", refuse)
-    table = cli.scan_rows(catalog.resolve("nk-s6"), 2, 1e-5)
+    table = cli.scan_rows(catalog.resolve("nk-s6"), 2)
     assert table["chain_ok"].all()
 
 
@@ -1048,7 +1060,7 @@ def test_phi_formula_equivalence_negative_control(monkeypatch, tmp_path):
     assert f"{json.loads(out.read_text())['phi_formula_mismatch']:.4f}" == "0.0100"
 
 
-def _geometry_reference(entry, points, seed, rotations, fd_step):
+def _geometry_reference(entry, points, seed, rotations):
     """The max residual of each verify-geometry check, one point and one rotation at a time."""
     from twistorcheck.connection import sigma_part
     from twistorcheck.geometry import random_unitary_rotation
@@ -1064,9 +1076,9 @@ def _geometry_reference(entry, points, seed, rotations, fd_step):
         return np.abs(sigma_part(w @ E[None, :, :]) - sigma).max()
 
     for u in catalog.sample_points(patch, points, rng):
-        jet = point_jet(patch, u, fd_step)
+        jet = point_jet(patch, u)
         frame = jet.frame
-        frames = frame_field_jet(patch, u, fd_step)
+        frames = frame_field_jet(patch, u)
         w = frames.w
         base = theorem_report(jet)
         bump("structure_equation", structure_equation_residual(frames))
@@ -1095,20 +1107,18 @@ def _geometry_reference(entry, points, seed, rotations, fd_step):
 
 
 @pytest.mark.parametrize(
-    "manifold, points, seed, rotations, fd_step, chunk",
+    "manifold, points, seed, rotations, chunk",
     [
-        ("nk-s6", 5, 7, 3, 1e-5, 2),
-        ("nk-s6", 3, 5, 2, 1e-4, 16),
-        ("torus:eps=0.05,freq=1", 4, 1, 2, 1e-5, 3),
+        ("nk-s6", 5, 7, 3, 2),
+        ("nk-s6", 3, 5, 2, 16),
+        ("torus:eps=0.05,freq=1", 4, 1, 2, 3),
     ],
 )
-def test_chunked_geometry_checks_equal_a_per_point_loop(
-    monkeypatch, manifold, points, seed, rotations, fd_step, chunk
-):
+def test_chunked_geometry_checks_equal_a_per_point_loop(monkeypatch, manifold, points, seed, rotations, chunk):
     monkeypatch.setattr(cli, "GEOMETRY_CHUNK", chunk)
     entry = catalog.resolve(manifold)
-    checks = geometry_checks(entry, points=points, seed=seed, rotations=rotations, fd_step=fd_step)["checks"]
-    expected = _geometry_reference(entry, points, seed, rotations, fd_step)
+    checks = geometry_checks(entry, points=points, seed=seed, rotations=rotations)["checks"]
+    expected = _geometry_reference(entry, points, seed, rotations)
     assert {name: slot["max_residual"] for name, slot in checks.items()} == expected
     if manifold == "nk-s6":
         assert len(expected) == 7
@@ -1128,7 +1138,7 @@ def test_verify_geometry_report_does_not_depend_on_the_chunk(monkeypatch, tmp_pa
 
 @pytest.mark.parametrize("manifold", [entry.id for entry in catalog.default_entries()])
 def test_verify_geometry_compares_connection_routes(manifold):
-    report = geometry_checks(catalog.resolve(manifold), points=2, seed=4, rotations=2, fd_step=1e-5)
+    report = geometry_checks(catalog.resolve(manifold), points=2, seed=4, rotations=2)
     slot = report["checks"]["connection_route_equivalence"]
     assert slot["tolerance"] == 1e-8
     assert slot["pass"] and slot["max_residual"] <= 1e-8
@@ -1138,7 +1148,7 @@ def test_verify_geometry_compares_connection_routes(manifold):
 @pytest.mark.parametrize("manifold, count", [("nk-s6", 7), ("flat:3", 5)])
 def test_verify_geometry_reports_checks_in_tolerance_table_order(manifold, count):
     """The report lists the checks in GEOMETRY_TOLERANCES order; the round-sphere pair only on nk-s6."""
-    report = geometry_checks(catalog.resolve(manifold), points=1, seed=0, rotations=1, fd_step=1e-5)
+    report = geometry_checks(catalog.resolve(manifold), points=1, seed=0, rotations=1)
     table = list(cli.GEOMETRY_TOLERANCES.items())[:count]
     assert [(name, slot["tolerance"]) for name, slot in report["checks"].items()] == table
 
@@ -1250,7 +1260,7 @@ def test_defaults_and_ci_cases_fit_the_row_limit():
 def test_scan_rows_equal_single_point_reports():
     """Every nk-s6 grid-2 row of the scan table is bitwise the report of its point computed alone."""
     entry = catalog.resolve("nk-s6")
-    table = cli.scan_rows(entry, 2, 1e-5)
+    table = cli.scan_rows(entry, 2)
     points = catalog.grid_points(entry.patch, 2)
     assert {len(column) for column in table.values()} == {len(points)} == {64}
     for i, u in enumerate(points):
@@ -1266,7 +1276,7 @@ def test_scan_rows_equal_single_point_reports():
 def test_scan_rows_do_not_depend_on_the_chunk():
     """Rows on both sides of each chunk boundary equal the point computed alone."""
     entry = catalog.resolve("nk-s6")
-    table = cli.scan_rows(entry, 3, 1e-5)
+    table = cli.scan_rows(entry, 3)
     points = catalog.grid_points(entry.patch, 3)
     assert len(table["margin"]) == 729 > 2 * cli.SCAN_CHUNK
     edges = [k * cli.SCAN_CHUNK for k in range(1, 3)]
@@ -1283,7 +1293,7 @@ def test_scan_columns_are_the_coordinates_then_scan_columns(tmp_path):
     """The CSV header, the JSON row keys and the scan table's keys are one list."""
     columns = ["u1", "u2", "u3", "u4", *cli.SCAN_COLUMNS]
     entry = catalog.resolve("flat:2")
-    assert list(cli.scan_rows(entry, 2, 1e-5)) == columns
+    assert list(cli.scan_rows(entry, 2)) == columns
     csv_out, json_out = tmp_path / "scan.csv", tmp_path / "scan.json"
     assert run_cli(["scan", "--manifold", "flat:2", "--grid", "2", "--out", str(csv_out)]) == 0
     assert csv_out.read_text().splitlines()[0] == ",".join(columns)
@@ -1314,7 +1324,7 @@ def csv_by_cell(table, summary):
     "manifold, grid", [("nk-s6", 2), ("torus:eps=0.05,freq=1", 3), ("flat:4", 2)]
 )
 def test_scan_csv_equals_per_cell_format(tmp_path, manifold, grid):
-    table = cli.scan_rows(catalog.resolve(manifold), grid, 1e-5)
+    table = cli.scan_rows(catalog.resolve(manifold), grid)
     summary = cli._scan_summary(table)
     text = cli.scan_csv(table, summary)
     assert text == csv_by_cell(table, summary)

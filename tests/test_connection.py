@@ -22,6 +22,7 @@ from twistorcheck import (
     rotate_frame,
     structure_equation_residual,
 )
+from stencil import stencil_difference, stencil_points
 from twistorcheck.catalog import sample_points
 from twistorcheck.connection import (
     coordinate_connection,
@@ -29,13 +30,7 @@ from twistorcheck.connection import (
     round_sphere_curvature_residual,
     sigma_part,
 )
-from twistorcheck.geometry import (
-    christoffel,
-    evaluate_frame_field,
-    require_interior,
-    stencil_difference,
-    stencil_points,
-)
+from twistorcheck.geometry import COMPLEX_STEP, christoffel, complex_step_frames, evaluate_frame_field
 
 CONFORMAL_POINT = np.array([1.3, 0.9, 1.1, 1.7])
 
@@ -56,8 +51,8 @@ def rotated_table(table, U):
 
 
 def counting_frames(monkeypatch, calls):
-    """Count adapt_frame calls in ``calls["frame"]``, from every module that imports it."""
-    from twistorcheck import connection, geometry
+    """Count adapt_frame calls in ``calls["frame"]``; only geometry calls it."""
+    from twistorcheck import geometry
 
     original = geometry.adapt_frame
 
@@ -65,8 +60,7 @@ def counting_frames(monkeypatch, calls):
         calls["frame"] += 1
         return original(*args, **kwargs)
 
-    for module in (geometry, connection):
-        monkeypatch.setattr(module, "adapt_frame", counting_frame)
+    monkeypatch.setattr(geometry, "adapt_frame", counting_frame)
 
 
 def structure_residual(patch, point):
@@ -225,14 +219,15 @@ def test_frame_discontinuity_guard():
 
 
 def test_structure_equation_shares_the_stencil_frames(monkeypatch):
-    # The connection differentiates the stencil frames' E and the coframe
-    # their g E: one batched frame call on the point and its 2 dim stencil,
-    # whose g and J are the only field values the residual evaluates, and
-    # one metric jet for the point jet's Christoffel symbols.
+    # The connection differentiates the complex-step frames' E and the
+    # coframe their g E, the frames at the stencil u + i h e_c of the complex
+    # step: one g and one J call build them, besides the one of each for the
+    # point's frame, and one metric jet gives the point jet's Christoffel
+    # symbols.
     patch = nearly_kahler_s6().patch
     u = np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])
     jet = frame_field_jet(patch, u)
-    assert jet.stencil.E.shape == (12, 6, 6)
+    assert jet.shifted.E.shape == (6, 6, 6)
     assert np.array_equal(jet.w, frame_field_jet(patch, u).w)
     expected = structure_equation_residual(jet)
 
@@ -252,18 +247,17 @@ def test_structure_equation_shares_the_stencil_frames(monkeypatch):
         metric_jet=counted("dg", patch.metric_jet),
     )
     assert structure_equation_residual(frame_field_jet(counting, u)) == expected
-    assert calls == {"frame": 1, "g": 1, "J": 1, "dg": 1}
+    assert calls == {"frame": 1, "g": 2, "J": 2, "dg": 1}
 
 
-def two_call_build(patch, point, step):
-    """The frame-field jet as two frame calls: the point jet's frames, then
-    the frame field through them at the stencil points."""
-    jet = point_jet(patch, point, step)
-    stencil = evaluate_frame_field(patch, jet.frame, stencil_points(jet.frame.point, step))
-    axis = jet.frame.point.ndim - 1
-    dE = stencil_difference(stencil.E, step, axis)
-    dT = stencil_difference(stencil.g @ stencil.E, step, axis)
-    return jet, stencil, dE, dT, coordinate_connection(jet.frame.g, jet.frame.E, dE, jet.Gamma)
+def two_call_build(patch, point):
+    """The frame-field jet as two calls: the point jet, then the frame field
+    through its frames at the complex points u + i h e_c."""
+    jet = point_jet(patch, point)
+    shifted = complex_step_frames(patch, jet.frame)
+    dE = shifted.E.imag / COMPLEX_STEP
+    dT = (shifted.g @ shifted.E).imag / COMPLEX_STEP
+    return jet, shifted, dE, dT, coordinate_connection(jet.frame.g, jet.frame.E, dE, jet.Gamma)
 
 
 def same_bits(a, b):
@@ -274,18 +268,17 @@ def same_bits(a, b):
 @pytest.mark.parametrize("shape", [(), (3, 2)])
 @pytest.mark.parametrize("entry", default_entries(), ids=lambda entry: entry.id)
 def test_one_frame_batch_is_bitwise_the_two_call_build(entry, shape):
-    """frame_field_jet builds the point's frame and its stencil frames in one
-    call; its point jet is bitwise point_jet, and its stencil frames and
-    differences are bitwise those of the two-call build."""
-    patch, step = entry.patch, 1e-5
+    """frame_field_jet builds one batch of real frames, the point jet's, and
+    one of complex frames; its point jet is bitwise point_jet, and its
+    complex frames and derivatives are bitwise those of the two-call build."""
+    patch = entry.patch
     count = int(np.prod(shape))
     u = sample_points(patch, count, np.random.default_rng(29)).reshape(shape + (patch.dim,))
-    field = frame_field_jet(patch, u, step)
-    jet, stencil, dE, dT, w = two_call_build(patch, u, step)
-    assert field.step == step
+    field = frame_field_jet(patch, u)
+    jet, shifted, dE, dT, w = two_call_build(patch, u)
     for name in ("point", "E", "g", "J", "pivots"):
         assert same_bits(getattr(field.frame, name), getattr(jet.frame, name)), name
-        assert same_bits(getattr(field.stencil, name), getattr(stencil, name)), name
+        assert same_bits(getattr(field.shifted, name), getattr(shifted, name)), name
     for name in ("dJ", "Gamma"):
         assert same_bits(getattr(field.jet, name), getattr(jet, name)), name
     assert same_bits(field.Gamma, jet.Gamma)
@@ -303,8 +296,8 @@ def test_frame_field_jet_owns_read_only_slices():
 
 
 def test_connection_at_displaced_points_reads_the_frames_metric(monkeypatch):
-    """d omega at the stencil points reads the stencil frames' g: it builds no
-    frame, evaluates no g and makes one metric-jet call."""
+    """d omega at the complex points reads the complex frames' g: it builds
+    no frame, evaluates no g and makes one metric-jet call."""
     patch = nearly_kahler_s6().patch
     u = np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])
     jet = field_jet(patch, u[None])
@@ -328,60 +321,46 @@ def test_connection_at_displaced_points_reads_the_frames_metric(monkeypatch):
     assert np.array_equal(dw[0], connection_derivative(patch, field_jet(patch, u)))
 
 
-def round_sphere_residuals(patch, u, step):
-    """(curvature, Chern) residuals per point of u, from the jets at ``step``."""
+def test_round_sphere_residuals_are_rounding():
+    """Every factor of d omega is a complex-step derivative, so the curvature
+    and Chern residuals on the unit round sphere are rounding, at every point."""
     from twistorcheck.twistorform import chern_identity_residual
 
-    frames = frame_field_jet(patch, u, step)
+    patch = nearly_kahler_s6().patch
+    frames = frame_field_jet(patch, sample_points(patch, 10, np.random.default_rng(0)))
     dw = connection_derivative(patch, frames)
-    return round_sphere_curvature_residual(curvature_forms(frames, dw)), chern_identity_residual(patch, frames, dw)
-
-
-def test_round_sphere_residuals_fall_fourfold_per_halving():
-    """d omega is a first difference at the jet's step: halving that step
-    quarters the curvature and Chern residuals at every point, so they
-    measure the O(h^2) truncation error and not rounding."""
-    patch = nearly_kahler_s6().patch
-    u = sample_points(patch, 10, np.random.default_rng(0))
-    coarse, fine = (round_sphere_residuals(patch, u, step) for step in (2e-4, 1e-4))
-    for ratio in (coarse[0] / fine[0], coarse[1] / fine[1]):
-        assert ratio.shape == (10,)
-        assert np.all((3.5 <= ratio) & (ratio <= 4.5)), ratio
-
-
-def test_round_sphere_residuals_fall_with_the_step_down_to_the_default():
-    """From jet step 1e-4 to the default 1e-5 the residuals still fall as h^2,
-    by at least 50 times at every point: no rounding floor above 1e-5."""
-    patch = nearly_kahler_s6().patch
-    u = sample_points(patch, 10, np.random.default_rng(0))
-    coarse, fine = (round_sphere_residuals(patch, u, step) for step in (1e-4, 1e-5))
-    for ratio in (coarse[0] / fine[0], coarse[1] / fine[1]):
-        assert ratio.shape == (10,)
-        assert np.all(ratio >= 50.0), ratio
+    for residual in (
+        round_sphere_curvature_residual(curvature_forms(frames, dw)),
+        chern_identity_residual(patch, frames, dw),
+    ):
+        assert residual.shape == (10,)
+        assert np.all(residual <= 1e-12), residual
 
 
 def reference_connection_derivative(patch, frame, step, U=None):
     """The nested d omega block, d_c w[..., A, B, a] as [..., c, A, B, a]: the
-    connection slices at each outer stencil point, from that point's own
-    stencil frames and Christoffel symbols, differenced again, one step at
-    both levels and all 2 dim (1 + 2 dim) frames built.  ``U``, one constant
-    rotation per point, turns the block's frames into those of the field E U."""
-    u = require_interior(patch, frame.point, margin=2.0 * step)
-    outer = stencil_points(u, step)
+    connection slices at each outer central-difference point, from that
+    point's own central-difference frames and Christoffel symbols,
+    differenced again, one step at both levels and all 2 dim (1 + 2 dim)
+    frames built.  ``U``, one constant rotation per point, turns the block's
+    frames into those of the field E U.  It shares no derivative with the
+    complex steps of ``connection_derivative``."""
+    outer = stencil_points(frame.point, step)
     block = np.concatenate([outer[..., None, :], stencil_points(outer, step)], axis=-2)
     frames = evaluate_frame_field(patch, frame, block)
     E = frames.E if U is None else frames.E @ U[..., None, None, :, :]
     g = frames.g[..., 0, :, :]
     dE = stencil_difference(E[..., 1:, :, :], step, outer.ndim - 1)
-    w = coordinate_connection(g, E[..., 0, :, :], dE, christoffel(patch, adapt_frame(patch, outer), step=step))
-    return stencil_difference(w, step, u.ndim - 1)
+    w = coordinate_connection(g, E[..., 0, :, :], dE, christoffel(patch, adapt_frame(patch, outer)))
+    return stencil_difference(w, step, frame.point.ndim - 1)
 
 
 @pytest.mark.parametrize("case", ["batch", "single", "rotated"])
 @pytest.mark.parametrize("manifold", ["nk-s6", "conformal4"])
 def test_connection_derivative_matches_the_nested_block(manifold, case):
-    """The product-rule d omega agrees with the antisymmetrised nested block
-    to O(h^2), for a batch, a single point and rotated frames.  The frame
+    """The complex-step d omega agrees with the antisymmetrised nested block
+    of central differences to its O(h^2), for a batch, a single point and
+    rotated frames.  The frame
     field through E U is E U for a constant U, so d omega rotates as
     U^T d omega U; the block differentiates the rotated field itself."""
     from twistorcheck import catalog
@@ -390,7 +369,7 @@ def test_connection_derivative_matches_the_nested_block(manifold, case):
     patch = catalog.resolve(manifold).patch
     rng = np.random.default_rng(5)
     u = sample_points(patch, 4, rng)
-    jet = frame_field_jet(patch, u[1] if case == "single" else u, step)
+    jet = frame_field_jet(patch, u[1] if case == "single" else u)
     dw = connection_derivative(patch, jet)
     frame, U = jet.frame, None
     if case == "rotated":

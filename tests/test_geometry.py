@@ -20,6 +20,7 @@ from twistorcheck import (
     random_unitary_rotation,
     rotate_frame,
 )
+from stencil import stencil_difference, stencil_points
 from twistorcheck.catalog import default_entries, resolve, sample_points
 from twistorcheck.geometry import (
     PIVOT_TOL,
@@ -277,7 +278,6 @@ class TestBlockSweep:
         # what lets verify-geometry's chunks equal a per-point loop bit for bit
         from twistorcheck import nearly_kahler_s6
         from twistorcheck.catalog import grid_points
-        from twistorcheck.geometry import stencil_points
 
         step = 1e-4
 
@@ -334,17 +334,16 @@ class TestFieldDerivative:
 
     def test_linear_metric_exact(self):
         n = 2
-        step = 1e-5
         patch = ManifoldPatch(
             n=n,
             domain=box((-1.0, 1.0), 4),
             metric_field=pointwise(lambda u: (1.0 + u[0]) * np.eye(4)),
             j_field=pointwise(lambda u: j0_matrix(n)),
         )
-        d = field_derivative(patch, np.zeros(4), which="metric", step=step)
+        d = field_derivative(patch, np.zeros(4), which="metric")
         expected = np.zeros((4, 4, 4))
         expected[0] = np.eye(4)
-        assert np.abs(d - expected).max() < step**2
+        assert np.array_equal(d, expected)
 
     def test_even_conformal_factor_critical_at_origin(self):
         n = 3
@@ -369,40 +368,33 @@ class TestFieldDerivative:
             metric_field=patch.metric_field,
             j_field=patch.j_field,
         )
-        for step in (1e-3, 5e-4):
-            fd = field_derivative(bare, u, which="metric", step=step)
-            assert np.abs(fd - jet).max() < 4.0 * step**2
-
-    def test_fd_truncation_shrinks_quadratically(self):
-        from twistorcheck import nearly_kahler_s6
-
-        patch = nearly_kahler_s6().patch
-        u = np.array([0.12, -0.05, 0.2, 0.03, -0.1, 0.07])
-        jet = patch.metric_jet(u)
-        bare = ManifoldPatch(
-            n=patch.n, domain=patch.domain, metric_field=patch.metric_field, j_field=patch.j_field
-        )
-        err_h = np.abs(field_derivative(bare, u, which="metric", step=2e-3) - jet).max()
-        err_h2 = np.abs(field_derivative(bare, u, which="metric", step=1e-3) - jet).max()
-        assert err_h2 < err_h / 3.0  # ~4x reduction for central differences
+        # the complex step has no step to tune: it meets the jet at rounding,
+        # where the central difference it replaced met it at 4 h^2
+        fd = field_derivative(bare, u, which="metric")
+        assert np.abs(fd - jet).max() <= 1e-14 * np.abs(jet).max()
+        # the central difference still agrees, to its truncation
+        central = stencil_difference(patch.metric_field(stencil_points(u, 1e-3)), 1e-3, 0)
+        assert np.abs(central - fd).max() < 4e-6
 
     def test_boundary_guard(self):
         patch = flat_patch()
+        field_derivative(patch, np.array([0.999999, 0.0, 0.0, 0.0]), which="metric")
         with pytest.raises(BoundaryProximity):
-            field_derivative(patch, np.array([0.999999, 0.0, 0.0, 0.0]), which="metric")
+            field_derivative(patch, np.array([1.0, 0.0, 0.0, 0.0]), which="metric")
 
-    def test_bad_step_and_which(self):
-        with pytest.raises(ValueError):
-            field_derivative(flat_patch(), np.zeros(4), which="metric", step=0.0)
+    def test_bad_which_and_complex_points_without_a_jet(self):
         with pytest.raises(ValueError):
             field_derivative(flat_patch(), np.zeros(4), which="volume")
+        # a complex step cannot differentiate again at a complex point
+        with pytest.raises(ValueError, match=r"^patch 'flat-1\.0' has no metric jet"):
+            field_derivative(flat_patch(), np.full(4, 1e-30j), which="metric")
 
 
-def christoffel_by_inverse(patch, u, step=1e-5):
+def christoffel_by_inverse(patch, u):
     """The Christoffel symbols with g^-1 = np.linalg.inv(g), built from no
     frame: the reference for ``christoffel``'s g^-1 = E E^T."""
     g = patch.metric_field(u)
-    dg = field_derivative(patch, u, which="metric", step=step)
+    dg = field_derivative(patch, u, which="metric")
     T = dg.swapaxes(-3, -2) + dg.swapaxes(-3, -2).swapaxes(-1, -2) - dg
     return 0.5 * np.einsum("...cd,...dab->...cab", np.linalg.inv(g), T)
 
@@ -585,8 +577,9 @@ class TestPatchValidation:
 
     def test_displaced_frames_are_validated(self):
         # J^2 = -Id breaks away from the base point only: the frame there is
-        # fine, and the stencil frames of the frame-differentiation route
-        # must still reject the field.
+        # fine, and so is the frame route, whose complex points are not
+        # validated; the frames at real displaced points must still reject
+        # the field.
         from twistorcheck.connection import frame_field_jet
 
         n = 2
@@ -596,9 +589,11 @@ class TestPatchValidation:
             metric_field=pointwise(lambda u: np.eye(2 * n)),
             j_field=pointwise(lambda u: (1.0 + u[0]) * j0_matrix(n)),
         )
-        point_jet(patch, np.zeros(4))
+        jet = frame_field_jet(patch, np.zeros(4))
+        with pytest.raises(IncompatibleStructure, match=r"at \[1e-05, 0\.0, 0\.0, 0\.0\]$"):
+            evaluate_frame_field(patch, jet.frame, stencil_points(np.zeros(4), 1e-5))
         with pytest.raises(IncompatibleStructure):
-            frame_field_jet(patch, np.zeros(4))
+            point_jet(patch, np.array([0.5, 0.0, 0.0, 0.0]))
 
     def test_frame_field_reevaluation_matches(self):
         from twistorcheck import nearly_kahler_s6
@@ -678,9 +673,11 @@ class TestPointJet:
         assert not rotated.dJ.flags.writeable and not rotated.frame.g.flags.writeable
 
     def test_margin_and_validation(self):
+        # no stencil leaves the point, so only the patch's own boundary is refused
         patch = flat_patch()
+        point_jet(patch, np.array([1.0 - 1.5e-5, 0.0, 0.0, 0.0]))
         with pytest.raises(BoundaryProximity):
-            point_jet(patch, np.array([1.0 - 1.5e-5, 0.0, 0.0, 0.0]))
+            point_jet(patch, np.array([1.0, 0.0, 0.0, 0.0]))
         jet = point_jet(patch, np.zeros(4))
         assert np.array_equal(jet.frame.E, np.eye(4))
         assert np.abs(jet.dJ).max() == 0.0 and np.abs(jet.Gamma).max() == 0.0
@@ -701,6 +698,40 @@ class TestBatchedFields:
                 assert np.abs(np.asarray(getattr(a, name)) - getattr(b, name)).max() <= 1e-12
             assert np.array_equal(a.chain_ok.all_ok, b.chain_ok.all_ok)
             assert np.array_equal(a.nondegenerate, b.nondegenerate)
+
+    def test_pointwise_carries_complex_points(self):
+        # the adapter keeps a complex point complex, value and all, so a
+        # per-point field differentiates by the complex step like a batched one
+        metric = pointwise(lambda p: np.exp(p[0] - 0.5 * p[1]) * np.eye(4))
+        u = np.array([[0.1, 0.2, 0.0, 0.0], [-0.3, 0.0, 0.5, 0.0]])
+        z = u + 1e-30j * np.eye(4)[0]
+        values = metric(z)
+        assert values.dtype == complex and values.shape == (2, 4, 4)
+        factor = np.exp(u[:, 0] - 0.5 * u[:, 1])
+        assert np.allclose(values.imag[:, 0, 0], 1e-30 * factor, rtol=1e-15, atol=0.0)
+        patch = ManifoldPatch(
+            n=2, domain=box((-1.0, 1.0), 4), metric_field=metric, j_field=pointwise(lambda p: j0_matrix(2))
+        )
+        d = field_derivative(patch, u, which="metric")
+        expected = np.zeros((2, 4, 4, 4))
+        expected[:, 0] = factor[:, None, None] * np.eye(4)
+        expected[:, 1] = -0.5 * factor[:, None, None] * np.eye(4)
+        assert np.abs(d - expected).max() <= 1e-15
+
+    def test_a_field_that_casts_complex_points_to_float_is_refused(self):
+        # the cast would drop i h e_c and make every complex-step derivative
+        # silently zero; the one real point of a report still evaluates
+        def metric(u):
+            u = np.asarray(u, dtype=float)
+            return np.exp(u[..., 0])[..., None, None] * np.eye(4)
+
+        patch = dataclasses.replace(flat_patch(), metric_field=metric)
+        point_jet(dataclasses.replace(patch, metric_jet=lambda u: np.zeros(u.shape + (4, 4))), np.zeros(4))
+        message = r"^metric_field casts complex points to float; .* complex-analytic in u$"
+        with pytest.raises(ValueError, match=message):
+            field_derivative(patch, np.zeros(4), which="metric")
+        with pytest.raises(ValueError, match=message):
+            point_jet(patch, np.zeros(4))
 
     def test_per_point_callable_needs_the_adapter(self):
         patch = ManifoldPatch(
@@ -731,17 +762,17 @@ class TestBatchedFields:
         # g = I and J e_1 = v(theta) = (sin theta, cos theta)/2 in (e_2, e_3)
         # plus sqrt(3)/2 e_4, theta = pi/4 + u_1 + h/2: step 2 takes the one
         # of e_2, e_3 with the smaller |v| component, e_3 at u = 0 and e_2 at
-        # u = -h e_1 alone.  The stencil frames of u = 0 carry its pivots, so
-        # differentiating the smooth field there meets no switch.
+        # the central-difference stencil point u = -h e_1 alone.  The complex
+        # frames of u = 0 carry its pivots, so differentiating the smooth
+        # field there meets no switch.
         from twistorcheck.connection import frame_field_jet, structure_equation_residual
-        from twistorcheck.geometry import stencil_points
 
         n = 2
         h = 1e-5
 
         def j_at(u):
             theta, phi = np.pi / 4 + u[0] + h / 2, np.pi / 3
-            O = np.eye(4)
+            O = np.eye(4, dtype=u.dtype)
             O[1:3, 1:3] = [[np.cos(theta), np.sin(theta)], [-np.sin(theta), np.cos(theta)]]
             tilt = np.eye(4)
             tilt[2:, 2:] = [[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]]
@@ -755,70 +786,19 @@ class TestBatchedFields:
             j_field=pointwise(j_at),
         )
         origin = np.zeros(4)
-        assert point_jet(patch, origin, step=h).frame.pivots.tolist() == [0, 2]
+        assert point_jet(patch, origin).frame.pivots.tolist() == [0, 2]
         assert adapt_frame(patch, -h * np.eye(4)[0]).pivots.tolist() == [0, 1]
-        jet = frame_field_jet(patch, origin, step=h)
-        assert np.all(jet.stencil.pivots == [0, 2])
-        assert structure_equation_residual(jet) < 1e-8
+        jet = frame_field_jet(patch, origin)
+        assert np.all(jet.shifted.pivots == [0, 2])
+        assert structure_equation_residual(jet) < 1e-14
         # the same point in a batch carries them too, bit for bit
-        stacked = frame_field_jet(patch, np.array([[0.5, 0.0, 0.0, 0.0], origin]), step=h)
-        assert np.all(stacked.stencil.pivots == [0, 2])
-        assert np.array_equal(stacked.stencil.E[1], jet.stencil.E)
+        stacked = frame_field_jet(patch, np.array([[0.5, 0.0, 0.0, 0.0], origin]))
+        assert np.all(stacked.shifted.pivots[1] == [0, 2])
+        assert np.array_equal(stacked.shifted.E[1], jet.shifted.E)
         # a re-evaluation that decides per point names the switch
         message = r"^pivot sequence changed from \(0, 2\) to \(0, 1\) at \[-1e-05, 0\.0, 0\.0, 0\.0\]$"
         with pytest.raises(FrameDiscontinuity, match=message):
             evaluate_frame_field(patch, jet.frame, stencil_points(origin, h))
-
-    def test_imposed_pivot_below_tolerance_names_the_stencil_point(self):
-        # At u = h e_3 alone J turns e_1 into e_2, so the pivot e_2 that the
-        # point takes at step 2 projects to zero there: the frame field jumps
-        # at one displaced point, and differentiating it must say so.
-        from twistorcheck.connection import frame_field_jet
-
-        n = 2
-        h = 1e-5
-        jump = np.zeros(4)
-        jump[2] = h
-        other = np.zeros((4, 4))
-        other[1, 0] = other[3, 2] = 1.0
-        other[0, 1] = other[2, 3] = -1.0
-
-        def j_at(u):
-            return other if np.allclose(u, jump, rtol=0.0, atol=1e-12) else j0_matrix(n)
-
-        patch = ManifoldPatch(
-            n=n,
-            domain=box((-1.0, 1.0), 4),
-            metric_field=pointwise(lambda u: np.eye(4)),
-            j_field=pointwise(j_at),
-        )
-        assert point_jet(patch, np.zeros(4), step=h).frame.pivots.tolist() == [0, 1]
-        assert adapt_frame(patch, jump).pivots.tolist() == [0, 2]
-        message = (
-            r"^coordinate vector 1, shared pivot of step 1, projects below 1e-08 "
-            r"at \[0\.0, 0\.0, 1e-05, 0\.0\]$"
-        )
-        with pytest.raises(DegeneratePivot, match=message):
-            frame_field_jet(patch, np.zeros(4), step=h)
-        with pytest.raises(DegeneratePivot, match=message):
-            frame_field_jet(patch, np.array([[0.5, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]), step=h)
-
-    @pytest.mark.parametrize(
-        "count, shape, group",
-        [
-            (2, (2, 6), -1),  # a reversed stride would swap the two points' pivots
-            (2, (2, 6), 0),
-            (4, (4, 6), 3),
-            (6, (2, 3, 6), 2),  # divides the 6 points, but runs would straddle rows of 3
-        ],
-    )
-    def test_group_must_divide_the_last_batch_axis(self, count, shape, group):
-        patch = resolve("nk-s6").patch
-        u = sample_points(patch, count, np.random.default_rng(1))
-        if count == 2:
-            assert adapt_frame(patch, u).pivots.tolist() == [[0, 3, 1], [0, 2, 1]]
-        with pytest.raises(ValueError, match=r"^group must be a positive int dividing the last batch axis"):
-            adapt_frame(patch, u.reshape(shape), group=group)
 
 
 class TestLargestShare:
@@ -866,7 +846,7 @@ class TestLargestShare:
         assert np.sqrt(1.0 - J[:, 1, 0] ** 2).max() < 2.0 * delta
         pivots = adapt_frame(entry.patch, u).pivots
         assert np.all(pivots[:, 0] == 0) and np.all(pivots[:, 1] != 1)
-        report = geometry_checks(entry, points=16, seed=0, rotations=2, fd_step=1e-5)
+        report = geometry_checks(entry, points=16, seed=0, rotations=2)
         assert set(report["checks"]) == set(GEOMETRY_TOLERANCES) - {"curvature_identity", "chern_identity"}
         for name, check in report["checks"].items():
             assert check["max_residual"] <= check["tolerance"], name
@@ -961,8 +941,8 @@ class TestRotationStacks:
                 assert np.array_equal(stacked.sigma[r, p], alone.sigma)
 
     def test_frame_field_of_a_stack_is_each_point_alone(self):
-        # one batch of frames for three points and their stencils: every
-        # slice of the frame-field jet is bitwise that point's own
+        # one frame-field jet for three points: every slice of it is
+        # bitwise that point's own
         from twistorcheck.connection import frame_field_jet
 
         patch, frame, _ = self._frames_and_stack(3)
@@ -971,26 +951,25 @@ class TestRotationStacks:
             alone = frame_field_jet(patch, frame.point[k])
             for name in ("dE", "dT", "w"):
                 assert np.array_equal(getattr(stacked, name)[k], getattr(alone, name)), name
-            assert np.array_equal(stacked.stencil.E[k], alone.stencil.E)
+            assert np.array_equal(stacked.shifted.E[k], alone.shifted.E)
             assert np.array_equal(stacked.frame.E[k], alone.frame.E)
         with pytest.raises(ValueError, match="lack the frame's batch axes"):
             evaluate_frame_field(patch, frame, frame.point[0])
 
     def test_rotated_slices_are_the_rotated_frame_field(self):
         # verify-geometry reads the connection of the frames E U as the
-        # slices U^T w U; differentiating the frame field through the rotated
-        # frames, one rotation per point across its stencil, agrees
+        # slices U^T w U; differencing the frame field through the rotated
+        # frames, one rotation per point across a central stencil, agrees
         from twistorcheck.connection import coordinate_connection, frame_field_jet
-        from twistorcheck.geometry import stencil_difference, stencil_points
 
+        h = 1e-5
         patch, frame, U = self._frames_and_stack(3)
         jet = frame_field_jet(patch, frame.point)
         law = np.swapaxes(U, -1, -2)[:, None] @ np.moveaxis(jet.w, -1, -3) @ U[:, None]
         rotated = rotate_frame(jet.frame, U)
-        stencil = evaluate_frame_field(patch, rotated, stencil_points(frame.point, jet.step))
-        assert np.array_equal(stencil.E, jet.stencil.E)
+        stencil = evaluate_frame_field(patch, rotated, stencil_points(frame.point, h))
         # the field through E U is the unrotated field times U
-        dE = stencil_difference(stencil.E @ U[:, None], jet.step, 1)
+        dE = stencil_difference(stencil.E @ U[:, None], h, 1)
         direct = coordinate_connection(rotated.g, rotated.E, dE, jet.Gamma)
         assert np.abs(direct).max() > 0.1
         assert np.abs(np.moveaxis(law, -3, -1) - direct).max() <= 1e-9

@@ -412,8 +412,8 @@ class TestTheoremReport:
     def test_one_frame_and_one_j_stencil_per_point(self, monkeypatch):
         # Differentiating the Gram-Schmidt frame field built 13 frames and
         # evaluated J 39 times; the point jet needs one frame, which
-        # evaluates g and J once, and one call of J on its 2 dim stencil
-        # (none since nk-s6 has a closed-form J jet).  The Christoffel
+        # evaluates g and J once, and one call of J on its dim complex-step
+        # points (none since nk-s6 has a closed-form J jet).  The Christoffel
         # symbols reuse the frame's g (nk-s6 has a metric jet).
         from twistorcheck import connection, geometry, nijenhuis, twistorform
 
