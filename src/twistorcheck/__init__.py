@@ -6,7 +6,7 @@ Nijenhuis tensor (two independent routes), the pulled-back twistor 2-form
 (two equivalent formulas), and the non-degeneracy margin, and it certifies
 the inequality chain tying the margin to the squared Nijenhuis norm.  The
 pointwise algebraic identities behind the chain are verified separately in
-exact rational arithmetic.
+exact arithmetic, on seeded integer samples.
 """
 
 from .errors import (

@@ -10,19 +10,17 @@ rational entries (``int`` or ``fractions.Fraction``) with leading axes over
 samples, and a single object is a batch of shape ().  numpy runs the loops and
 Python's exact arithmetic each entry operation, so no float is ever formed.  The
 sweep draws its samples in chunks, one sample after another.  A sample at half
-dimension n draws n^3 + 3 n^2 rationals, and a chunk holds as many samples as
-CHUNK_RATIONALS of them allow: 172, 64, 30, 17 and 10 at n = 2, ..., 6.  A chunk
-takes blocks of 32-bit words from getrandbits and numpy parses them as
-randint's rejection loops would, so the values and the rng state afterwards
-are those of one randint pair per rational, and a report does not depend on
-the chunk size.  It sends each chunk once through each check, the coefficient
-tensor's checks first and the matrices' checks once the tensor is gone, and
-hands the checks Python ints: each sampled object (the C cube, the C' cube, a
-skew matrix, V) is multiplied by the lcm of its denominators.  Every checked
-statement is homogeneous of degree 1 or 2 in the entries of one object, and the
-wedge identity is bilinear in its two matrices, so scaling an object by a
-positive factor preserves every equality and inequality exactly, and the case-1
-ratio 4 sum C^2 / sum d^2 is scale-free.
+dimension n draws n^3 + 3 n^2 entries, and a chunk holds as many samples as
+CHUNK_DRAWS of them allow: 172, 64, 30, 17 and 10 at n = 2, ..., 6.  A chunk
+takes all its entries from one getrandbits call, 64 bits per entry, so a
+report does not depend on the chunk size.  It sends each chunk once through
+each check, the coefficient tensor's checks first and the matrices' checks once
+the tensor is gone.  The samples are Python ints (a skew matrix's doubled, so
+its halves are ints too).  Every checked statement is homogeneous of degree 1
+or 2 in the entries of one object, and the wedge identity is bilinear in its
+two matrices, so scaling an object by a positive factor preserves every
+equality and inequality exactly, and the case-1 ratio 4 sum C^2 / sum d^2 is
+scale-free: an integer sample stands for each of its rational multiples.
 
 Verified facts, each for every index combination:
 
@@ -57,22 +55,8 @@ import numpy as np
 from .errors import NotInSigma
 
 MAX_N = 6  # exhaustive index loops stay cheap up to here
-CHUNK_RATIONALS = 3456  # rationals the sweep draws and checks as one batch: 64 samples at n = 3
-
-NUMERATOR_RANGE = 10**6
-DENOMINATOR_RANGE = 10**3
-
-# random.Random.randint(a, b) draws getrandbits(k) until the value is below the
-# width b - a + 1, with k = width.bit_length(), and getrandbits(k) with k <= 32
-# is the next 32-bit word shifted right by 32 - k.  So a numerator accepts a
-# word below _NUMERATOR_CUT, a denominator one below _DENOMINATOR_CUT (the
-# larger cut), and getrandbits(32 * k) returns the next k words, least
-# significant first: _draw_pairs parses blocks of words the way randint would.
-_NUMERATOR_WIDTH = 2 * NUMERATOR_RANGE + 1
-_NUMERATOR_SHIFT = 32 - _NUMERATOR_WIDTH.bit_length()
-_DENOMINATOR_SHIFT = 32 - DENOMINATOR_RANGE.bit_length()
-_NUMERATOR_CUT = _NUMERATOR_WIDTH << _NUMERATOR_SHIFT
-_DENOMINATOR_CUT = DENOMINATOR_RANGE << _DENOMINATOR_SHIFT
+CHUNK_DRAWS = 3456  # entries the sweep draws and checks as one batch: 64 samples at n = 3
+ENTRY_RANGE = 10**6  # a drawn entry lies in [-ENTRY_RANGE, ENTRY_RANGE]
 
 _CUBE_NAMES = ("C", "C'")
 _OUTSIDE_SIGMA = "psi does not anticommute with J0"
@@ -102,49 +86,20 @@ def _result(bad, describe) -> CheckResult:
 
 
 def random_fraction(rng: random.Random) -> tuple:
-    """One random rational as its (numerator, denominator) pair.
+    """One random rational as its (numerator, denominator) pair: one draw over 1."""
+    return _draw_ints(rng, 1)[0], 1
 
-    The numerator lies in [-10^6, 10^6] and the denominator in [1, 10^3].  The
-    pair and the rng state afterwards are those of
-    ``(rng.randint(-10**6, 10**6), rng.randint(1, 10**3))``.
+
+def _draw_ints(rng: random.Random, count: int) -> np.ndarray:
+    """``count`` successive int entries in [-ENTRY_RANGE, ENTRY_RANGE], as an object array.
+
+    Each entry is the next 64-bit word of getrandbits modulo 2 ENTRY_RANGE + 1,
+    so it equals ``rng.getrandbits(64) % (2 * ENTRY_RANGE + 1) - ENTRY_RANGE``
+    (a bias below 2e-13) and any split of a draw gives the same entries.
     """
-    return tuple(_draw_pairs(rng, 1)[0])
-
-
-def _draw_pairs(rng: random.Random, count: int) -> np.ndarray:
-    """``count`` successive random_fraction pairs as a (count, 2) object array.
-
-    Each block of words is the fewest the missing pairs can take, two per pair
-    less one for a numerator already accepted, so no word is drawn past the
-    last denominator.  A word at or above _DENOMINATOR_CUT is rejected in
-    either slot; one in [_NUMERATOR_CUT, _DENOMINATOR_CUT) is rejected only in
-    a numerator slot, so only those words go through the loop that tracks the
-    slot, and every other word fills the next one.
-    """
-    blocks, taken = [], 0  # accepted words, numerator and denominator slots alternating
-    while taken < 2 * count:
-        missing = 2 * count - taken
-        words = np.frombuffer(rng.getrandbits(32 * missing).to_bytes(4 * missing, "little"), "<u4")
-        words = words[words < _DENOMINATOR_CUT]
-        middle = np.flatnonzero(words >= _NUMERATOR_CUT).tolist()
-        if middle:
-            keep, skipped = np.ones(len(words), dtype=bool), 0
-            for k in middle:
-                if (taken + k - skipped) % 2 == 0:  # a numerator slot
-                    keep[k] = False
-                    skipped += 1
-            words = words[keep]
-        blocks.append(words)
-        taken += len(words)
-    words = np.concatenate(blocks).astype(np.int64).reshape(count, 2)
-    pairs = (words >> (_NUMERATOR_SHIFT, _DENOMINATOR_SHIFT)) + (-NUMERATOR_RANGE, 1)
-    return pairs.astype(object)
-
-
-def _scaled(pairs: np.ndarray, factor: int = 1) -> np.ndarray:
-    """The rationals p/q of ``pairs`` times ``factor`` times the lcm of each object's q."""
-    p, q = pairs[..., 0], pairs[..., 1]
-    return p * (factor * np.lcm.reduce(q, axis=-1, keepdims=True, initial=1) // q)
+    words = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"), "<u8")
+    entries = (words % np.uint64(2 * ENTRY_RANGE + 1)).astype(np.int64) - np.int64(ENTRY_RANGE)
+    return entries.astype(object)
 
 
 def _halves(x: np.ndarray) -> np.ndarray:
@@ -233,8 +188,8 @@ class RationalCTensor:
 
     ``C`` and ``Cp`` are object arrays of shape batch + (n, n, n) of exact
     rationals, antisymmetric in the last two indices; the constructor takes any
-    nested sequences and rejects anything else.  ``random`` draws each cube
-    with int entries, scaled by the lcm of that cube's denominators.
+    nested sequences and rejects anything else.  ``random`` draws each cube's
+    upper triangles as int entries.
     """
 
     def __init__(self, n: int, C, Cp):
@@ -253,14 +208,12 @@ class RationalCTensor:
 
     @classmethod
     def random(cls, n: int, rng: random.Random) -> "RationalCTensor":
-        return cls._of_draws(n, _draw_pairs(rng, n * n * (n - 1)))
+        return cls._of_draws(n, _draw_ints(rng, n * n * (n - 1)))
 
     @classmethod
-    def _of_draws(cls, n: int, pairs: np.ndarray) -> "RationalCTensor":
-        """Tensors of drawn pairs: C from the first half, C' from the second."""
-        half = pairs.shape[-2] // 2
-        values = _pair(_scaled(pairs[..., :half, :]), _scaled(pairs[..., half:, :]))
-        planes = _skew_planes(values, n, 2 * n)
+    def _of_draws(cls, n: int, draws: np.ndarray) -> "RationalCTensor":
+        """Tensors of drawn entries: C from the first half, C' from the second."""
+        planes = _skew_planes(draws, n, 2 * n)
         return cls(n, planes[..., :n, :, :], planes[..., n:, :, :])
 
     @cached_property
@@ -353,8 +306,8 @@ class RationalSkewMatrix:
     """Skew 2n x 2n matrices over exact rationals, from any nested sequence.
 
     ``array`` has shape batch + (2n, 2n); ``entries`` reads it as tuples of
-    rows.  ``random`` draws int entries scaled by twice the lcm of the
-    denominators, so the halves that ``skew_decompose`` takes stay ints.
+    rows.  ``random`` draws int entries and doubles them, so the halves that
+    ``skew_decompose`` takes stay ints.
     """
 
     def __init__(self, n: int, entries):
@@ -373,11 +326,12 @@ class RationalSkewMatrix:
 
     @classmethod
     def random(cls, n: int, rng: random.Random) -> "RationalSkewMatrix":
-        return cls._of_draws(n, _draw_pairs(rng, n * (2 * n - 1)))
+        return cls._of_draws(n, _draw_ints(rng, n * (2 * n - 1)))
 
     @classmethod
-    def _of_draws(cls, n: int, pairs: np.ndarray) -> "RationalSkewMatrix":
-        return cls(n, _skew_planes(_scaled(pairs, factor=2), 2 * n, 1)[..., 0, :, :])
+    def _of_draws(cls, n: int, draws: np.ndarray) -> "RationalSkewMatrix":
+        """The skew matrices of drawn upper triangles, doubled so their halves stay ints."""
+        return cls(n, _skew_planes(2 * draws, 2 * n, 1)[..., 0, :, :])
 
 
 def _blocks(m: RationalSkewMatrix) -> tuple:
@@ -491,11 +445,11 @@ def run_algebra_sweep(n_list, samples: int, seed: int) -> dict:
         worst = None
         # per sample, the draws of C and C', the skew matrix, V, then Q
         ends = np.cumsum((n * n * (n - 1), n * (2 * n - 1), 2 * n, n * (2 * n - 1)))
-        chunk = max(1, CHUNK_RATIONALS // int(ends[-1]))
+        chunk = max(1, CHUNK_DRAWS // int(ends[-1]))
         for start in range(0, samples, chunk):
             size = min(chunk, samples - start)
-            pairs = _draw_pairs(rng, size * ends[-1]).reshape(size, ends[-1], 2)
-            cubes, skew, V, Q = np.split(pairs, ends[:-1], axis=1)
+            draws = _draw_ints(rng, size * ends[-1]).reshape(size, ends[-1])
+            cubes, skew, V, Q = np.split(draws, ends[:-1], axis=1)
             tensor, results = RationalCTensor._of_draws(n, cubes), []
             if n >= 3:
                 results.append(("identity_c1", check_identity_c1(tensor)))
@@ -507,7 +461,6 @@ def run_algebra_sweep(n_list, samples: int, seed: int) -> dict:
             else:
                 results.append(("case2_identities", check_case2_identities(tensor)))
             del tensor  # with its cached d, before the matrices are built: one kind alive at a time
-            V = _scaled(V)
             skew, Q = (RationalSkewMatrix._of_draws(n, x) for x in (skew, Q))
             u_part, sigma_part = skew_decompose(skew)
             inside = anticommutes_with_j0(sigma_part)

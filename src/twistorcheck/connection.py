@@ -129,7 +129,7 @@ def nabla_j_connection(jet: PointJet) -> np.ndarray:
     nabla = _nabla_j(frame.J, jet.dJ, jet.Gamma)
     # K[C] = E^-1 (nabla_{e_C} J) E with E^-1 = E^T g; a rotated E may
     # carry a wider batch than nabla, so the product sets the batch
-    along = Et @ nabla.reshape(nabla.shape[:-3] + (E.shape[-1], -1))
+    along = Et @ nabla.reshape(nabla.shape[:-3] + (E.shape[-1], E.shape[-1] ** 2))
     along = along.reshape(along.shape[:-1] + nabla.shape[-2:])
     K = (Et @ frame.g)[..., None, :, :] @ along @ E[..., None, :, :]
     J0 = j0_matrix(frame.n)

@@ -139,7 +139,7 @@ class ManifoldPatch:
         return 2 * self.n
 
 
-def require_interior(patch: ManifoldPatch, point: np.ndarray, margin: float = 0.0) -> np.ndarray:
+def require_interior(patch: ManifoldPatch, point: np.ndarray) -> np.ndarray:
     """Return the points as a float or complex array (..., 2n), or raise BoundaryProximity.
 
     A complex point is interior when its real part is."""
@@ -148,13 +148,10 @@ def require_interior(patch: ManifoldPatch, point: np.ndarray, margin: float = 0.
         raise BoundaryProximity(
             f"point has shape {u.shape}, expected (..., {patch.dim}) for patch {patch.label!r}"
         )
-    inside = (u.real > patch.domain[:, 0] + margin) & (u.real < patch.domain[:, 1] - margin)
+    inside = (u.real > patch.domain[:, 0]) & (u.real < patch.domain[:, 1])
     bad = first_index(~inside.all(axis=-1))
     if bad is not None:
-        raise BoundaryProximity(
-            f"point {u[bad].tolist()} is not interior to patch {patch.label!r} "
-            f"with margin {margin:g}"
-        )
+        raise BoundaryProximity(f"point {u[bad].tolist()} is not interior to patch {patch.label!r}")
     return u
 
 

@@ -105,7 +105,7 @@ def test_criterion_1_flat_kahler():
 # sha256 of cli._to_json of the criterion-2 report: 10^4 samples per n cross
 # many sweep chunks and end in a partial one, and the worst case-1 ratio
 # depends on every drawn value.
-CRITERION_2_SHA256 = "db0ec80a75798f09b2bc7d386fa6fadbbb3d74a9a488f3b52c1c2cc09b09a3aa"
+CRITERION_2_SHA256 = "bf576256840adbb80bb8940ecd6863dc660130ba9e10a22de1df6b2898cd8f3b"
 
 
 def test_criterion_2_exact_algebra_sweep():

@@ -1,6 +1,5 @@
 """Exact rational checks: identities, inequalities, decomposition, wedge identity."""
 
-import math
 import operator
 import random
 from fractions import Fraction
@@ -23,8 +22,7 @@ from twistorcheck import (
     skew_decompose,
 )
 from twistorcheck.algebra import (
-    DENOMINATOR_RANGE,
-    NUMERATOR_RANGE,
+    ENTRY_RANGE,
     anticommutes_with_j0,
     commutes_with_j0,
     trace_pairing,
@@ -319,12 +317,20 @@ class TestCanonicalJ1:
         with pytest.raises(NotInSigma):
             canonical_j1(j0_skew(2), tuple(F(0) for _ in range(4)))
 
+    def test_v_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="^V must have length 4$"):
+            canonical_j1(skew_from_entries(2, {}), (F(0),) * 3)
+
 
 class TestWedgeIdentity:
     def test_equal_arguments(self):
         rng = random.Random(8)
         P = RationalSkewMatrix.random(2, rng)
         assert check_wedge_identity(P, P)
+
+    def test_matrices_of_different_n(self):
+        with pytest.raises(ValueError, match="^matrices must share the same n$"):
+            check_wedge_identity(skew_from_entries(2, {}), skew_from_entries(3, {}))
 
     def test_specific_pair(self):
         n = 2
@@ -356,116 +362,69 @@ def skew_from_rows(n, rows):
     return RationalSkewMatrix(n=n, entries=[[F(x) for x in row] for row in rows])
 
 
-def scaled_draws(rng, count):
-    """``count`` random rationals times the lcm of their denominators, as the sweep draws V."""
-    return algebra._scaled(algebra._draw_pairs(rng, count))
-
-
-def reference_draw(rng, count):
-    """Fraction draws making the rng calls of the integer path, with their lcm.
-
-    The lcm is taken over the denominators as drawn, before Fraction reduces them.
-    """
-    pairs = [
-        (rng.randint(-NUMERATOR_RANGE, NUMERATOR_RANGE), rng.randint(1, DENOMINATOR_RANGE))
-        for _ in range(count)
-    ]
-    return [Fraction(p, q) for p, q in pairs], math.lcm(*(q for _, q in pairs))
-
-
-def assert_scaled(ints, fractions, scale):
-    assert len(ints) == len(fractions)
-    for x, ref in zip(ints, fractions):
-        assert type(x) is int
-        assert x == ref * scale
-
-
-def assert_skew_scaled(rng, ref_rng, n):
-    """A random skew matrix carries twice the lcm, so its halves are ints too."""
-    dim = 2 * n
-    upper = [(a, b) for a in range(dim) for b in range(a + 1, dim)]
-    m = RationalSkewMatrix.random(n, rng)
-    ref, lcm = reference_draw(ref_rng, len(upper))
-    assert_scaled([m.entries[a][b] for a, b in upper], ref, 2 * lcm)
-    assert all(type(x) is int for row in m.entries for x in row)
-
-
-class ScriptedRandom(random.Random):
-    """A Random whose 32-bit words come from a script, served as CPython serves
-    them: getrandbits(k) is the next word shifted right by 32 - k for k <= 32,
-    and the next k / 32 words, least significant first, for a multiple of 32."""
-
-    def __init__(self, words):
-        super().__init__(0)
-        self.words, self.used, self.requests = list(words), 0, []
-
-    def getrandbits(self, k):
-        self.requests.append(k)
-        count = max(1, k // 32)
-        assert k <= 32 or k % 32 == 0
-        words = self.words[self.used:self.used + count]
-        assert len(words) == count, "script exhausted"
-        self.used += count
-        if k <= 32:
-            return words[0] >> (32 - k)
-        return sum(w << (32 * i) for i, w in enumerate(words))
-
-
-def randint_pairs(rng, count):
-    return [
-        [rng.randint(-NUMERATOR_RANGE, NUMERATOR_RANGE), rng.randint(1, DENOMINATOR_RANGE)]
-        for _ in range(count)
-    ]
-
-
-# Words by how randint's two loops read them: LOW fills either slot, MID only a
-# denominator slot, HIGH neither.
-LOW = (0, algebra._NUMERATOR_CUT - 1, 1234567890, 3_000_000_000)
-MID = (algebra._NUMERATOR_CUT, algebra._DENOMINATOR_CUT - 1)
-HIGH = (algebra._DENOMINATOR_CUT, 2**32 - 1)
-A, B, C, D = LOW
-
-
-@pytest.mark.parametrize(
-    "count, words, requests",
-    [
-        # a numerator slot rejects a middle word, the next numerator is pending
-        (2, [A, B, MID[0], C, D], [128, 32]),
-        # a denominator slot accepts a middle word
-        (1, [A, MID[1]], [64]),
-        # no slot accepts a high word
-        (1, [HIGH[0], A, B], [64, 32]),
-        (1, [A, HIGH[1], B], [64, 32]),
-        # a block that ends on an accepted numerator
-        (2, [A, B, C, HIGH[0], D], [128, 32]),
-        # the slot parity after several rejections, over three blocks
-        (3, [MID[0], MID[1], A, MID[0], MID[1], B, HIGH[0], MID[0], C, D], [192, 96, 32]),
-    ],
-)
-def test_block_draw_parses_words_as_randint(count, words, requests):
-    """Each branch of the block parser gives randint's pairs and leaves the rng
-    where randint leaves it, drawing only the words the missing pairs can use."""
-    rng, ref = ScriptedRandom(words), ScriptedRandom(words)
-    assert algebra._draw_pairs(rng, count).tolist() == randint_pairs(ref, count)
-    assert rng.used == ref.used == len(words)
-    assert rng.requests == requests
+def reference_draws(rng, count):
+    """The draw in pure Python, value by value: each entry is the next 64-bit
+    word modulo 2 * 10^6 + 1, shifted to [-10^6, 10^6]."""
+    return [rng.getrandbits(64) % (2 * 10**6 + 1) - 10**6 for _ in range(count)]
 
 
 @pytest.mark.parametrize("count", [1, 2, 7, 1728])
-def test_block_draw_is_a_randint_loop(count):
+def test_draw_is_the_getrandbits_oracle(count):
+    """The draw equals the oracle's values and leaves the rng where the oracle does."""
     rng, ref = random.Random(1300 + count), random.Random(1300 + count)
-    pairs = algebra._draw_pairs(rng, count)
-    assert pairs.shape == (count, 2) and pairs.dtype == object
-    assert pairs.tolist() == randint_pairs(ref, count)
-    assert all(type(x) is int for x in pairs.flat)
+    draws = algebra._draw_ints(rng, count)
+    assert draws.shape == (count,) and draws.dtype == object
+    assert all(type(x) is int for x in draws)
+    assert draws.tolist() == reference_draws(ref, count)
     assert rng.getstate() == ref.getstate()
-    pair = algebra.random_fraction(rng)
-    assert type(pair) is tuple and list(pair) == randint_pairs(ref, 1)[0]
+    assert algebra.random_fraction(rng) == (reference_draws(ref, 1)[0], 1)
     assert rng.getstate() == ref.getstate()
 
 
-def test_sweep_draws_a_chunk_in_a_few_blocks(monkeypatch):
-    """A sweep chunk reads its words through a few getrandbits calls, with no
+class WordRandom(random.Random):
+    """A Random whose getrandbits serves the given 64-bit words, least significant first."""
+
+    def __init__(self, words):
+        super().__init__(0)
+        self.words = words
+
+    def getrandbits(self, k):
+        assert k == 64 * len(self.words)
+        return sum(w << (64 * i) for i, w in enumerate(self.words))
+
+
+def test_draw_reads_words_unsigned():
+    """The lowest and highest words and the residues at the ends of the range."""
+    width = 2 * ENTRY_RANGE + 1
+    words = [0, width - 1, width, 2**63, 2**64 - 1]
+    assert ENTRY_RANGE == 10**6
+    assert algebra._draw_ints(WordRandom(words), len(words)).tolist() == [
+        w % width - ENTRY_RANGE for w in words
+    ]
+
+
+def test_any_split_of_a_draw_gives_the_same_entries():
+    """Each entry takes exactly 64 bits, so the draws of any split concatenate to one draw."""
+    whole = algebra._draw_ints(random.Random(31), 100).tolist()
+    for cuts in ([50], [1, 2, 3], [0, 37, 37, 99]):
+        rng, bounds = random.Random(31), [0, *cuts, 100]
+        parts = [algebra._draw_ints(rng, b - a).tolist() for a, b in zip(bounds, bounds[1:])]
+        assert sum(parts, []) == whole
+
+
+def draws_per_sample(n):
+    """Entries one sweep sample draws: n^2 (n - 1) / 2 each for the upper
+    triangles of C and C', n (2n - 1) each for the skew matrix and Q, 2n for V."""
+    return n * n * (n - 1) + 2 * n * (2 * n - 1) + 2 * n
+
+
+def chunk_size(n):
+    """Samples in a full sweep chunk: as many as CHUNK_DRAWS entries allow, at least one."""
+    return max(1, algebra.CHUNK_DRAWS // draws_per_sample(n))
+
+
+def test_sweep_draws_a_chunk_in_one_call(monkeypatch):
+    """A sweep chunk reads its entries through one getrandbits call, with no
     call of random_fraction."""
     calls = []
 
@@ -479,41 +438,30 @@ def test_sweep_draws_a_chunk_in_a_few_blocks(monkeypatch):
     monkeypatch.setattr(algebra, "random", SimpleNamespace(Random=Counting))
     monkeypatch.setattr(algebra, "random_fraction", None)
     assert run_algebra_sweep([2, 3], samples=samples, seed=0) == expected
-    chunks = sum(-(-samples // chunk_size(n)) for n in (2, 3))  # 2 + 4
-    assert chunks <= len(calls) <= 4 * chunks
-
-
-def draws_per_sample(n):
-    """Rationals one sweep sample draws: n^2 (n - 1) / 2 each for the upper
-    triangles of C and C', n (2n - 1) each for the skew matrix and Q, 2n for V."""
-    return n * n * (n - 1) + 2 * n * (2 * n - 1) + 2 * n
-
-
-def chunk_size(n):
-    """Samples in a full sweep chunk: as many as CHUNK_RATIONALS draws allow, at least one."""
-    return max(1, algebra.CHUNK_RATIONALS // draws_per_sample(n))
+    sizes = {2: [172, 28], 3: [64, 64, 64, 8]}
+    assert calls == [64 * size * draws_per_sample(n) for n in (2, 3) for size in sizes[n]]
 
 
 @pytest.mark.parametrize("n, size", [(2, 172), (3, 64), (4, 30), (5, 17), (6, 10)])
 def test_sweep_chunk_draws_stay_within_the_budget(n, size, monkeypatch):
     """Each chunk draws its samples in one call, a full chunk as many as fit the budget."""
-    counts, draw = [], algebra._draw_pairs
+    counts, draw = [], algebra._draw_ints
 
     def recording(rng, count):
         counts.append(count)
         return draw(rng, count)
 
-    monkeypatch.setattr(algebra, "_draw_pairs", recording)
+    monkeypatch.setattr(algebra, "_draw_ints", recording)
     assert chunk_size(n) == size
     assert run_algebra_sweep([n], samples=size + 1, seed=8)["all_pass"]
     assert counts == [size * draws_per_sample(n), draws_per_sample(n)]
-    assert max(counts) <= algebra.CHUNK_RATIONALS
+    assert max(counts) <= algebra.CHUNK_DRAWS
 
 
-# One rational per chunk gives 1-sample chunks, 7 * 54 gives 7 samples at
+# One entry per chunk gives 1-sample chunks, 7 * 54 gives 7 samples at
 # n = 3 (18 at n = 2, 3 at n = 4), the default budget puts 35 samples in one
 # chunk at n = 2 and 3 and two at n = 4, and a large one one chunk per n.
-CHUNK_BUDGETS = (1, 7 * 54, algebra.CHUNK_RATIONALS, 10**6)
+CHUNK_BUDGETS = (1, 7 * 54, algebra.CHUNK_DRAWS, 10**6)
 
 
 def slipped_beta(m, n):
@@ -536,7 +484,7 @@ def test_sweep_report_does_not_depend_on_chunking(control, monkeypatch):
         monkeypatch.setattr(algebra, *control)
     reports = []
     for budget in CHUNK_BUDGETS:
-        monkeypatch.setattr(algebra, "CHUNK_RATIONALS", budget)
+        monkeypatch.setattr(algebra, "CHUNK_DRAWS", budget)
         reports.append(run_algebra_sweep([2, 3, 4], samples=35, seed=12))
     assert all(report == reports[0] for report in reports[1:])
     assert reports[0]["all_pass"] == (control is None)
@@ -547,34 +495,37 @@ def test_sweep_report_does_not_depend_on_chunking(control, monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_integer_draws_are_scaled_reference_draws(n):
-    """Each sampled object equals its Fraction draw times a positive common scale."""
+    """A random tensor lays out its reference draws as its cubes' upper
+    triangles, and a random skew matrix its doubled reference draws."""
     rng, ref_rng = random.Random(900 + n), random.Random(900 + n)
     dim = 2 * n
     slots = [(i, j, k) for i in range(n) for j in range(n) for k in range(j + 1, n)]
+    upper = [(a, b) for a in range(dim) for b in range(a + 1, dim)]
     for _ in range(20):
         t = RationalCTensor.random(n, rng)
         for cube in (t.C, t.Cp):
-            ref, lcm = reference_draw(ref_rng, len(slots))
-            assert_scaled([cube[i][j][k] for i, j, k in slots], ref, lcm)
+            assert [cube[i][j][k] for i, j, k in slots] == reference_draws(ref_rng, len(slots))
             assert all(cube[i][k][j] == -cube[i][j][k]
                        for i in range(n) for j in range(n) for k in range(n))
-        assert_skew_scaled(rng, ref_rng, n)  # the decomposed matrix
-        ref, lcm = reference_draw(ref_rng, dim)
-        assert_scaled(scaled_draws(rng, dim), ref, lcm)  # V
-        assert_skew_scaled(rng, ref_rng, n)  # the wedge partner
+        m = RationalSkewMatrix.random(n, rng)
+        assert [m.entries[a][b] for a, b in upper] == [
+            2 * x for x in reference_draws(ref_rng, len(upper))
+        ]
+        assert all(type(x) is int for row in m.entries for x in row)
         assert rng.getstate() == ref_rng.getstate()
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_case1_ratio_is_scale_free(n):
-    """An int sample and its Fraction reference give the same verdict and worst ratio."""
-    rng, ref_rng = random.Random(950 + n), random.Random(950 + n)
-    slots = [(i, j, k) for i in range(n) for j in range(n) for k in range(j + 1, n)]
+    """An int sample and that sample divided by a positive int, as Fractions,
+    give the same verdict and case-1 ratio: by this homogeneity an int sample
+    checks each of its rational multiples."""
+    rng = random.Random(950 + n)
     for _ in range(20):
-        ok, worst = check_case1_inequality(RationalCTensor.random(n, rng))
-        c_ref = zip(slots, reference_draw(ref_rng, len(slots))[0])
-        cp_ref = zip(slots, reference_draw(ref_rng, len(slots))[0])
-        ref_ok, ref_worst = check_case1_inequality(tensor_from_entries(n, c_ref, cp_ref))
+        t = RationalCTensor.random(n, rng)
+        scale = F(1, rng.randint(2, 10**3))
+        ok, worst = check_case1_inequality(t)
+        ref_ok, ref_worst = check_case1_inequality(RationalCTensor(n, t.C * scale, t.Cp * scale))
         assert ok and ref_ok
         assert type(worst) is Fraction and worst == ref_worst
 

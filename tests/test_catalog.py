@@ -23,7 +23,7 @@ from twistorcheck import (
     theorem_report,
 )
 from twistorcheck.catalog import _CROSS_F, _s6_j, _s6_j_jet, sample_points, stereographic_point
-from twistorcheck.geometry import _field_residuals, field_derivative, require_interior, validate_patch
+from twistorcheck.geometry import _field_residuals, field_derivative, validate_patch
 
 
 def patch_residuals(patch, point):
@@ -224,12 +224,22 @@ class TestResolve:
             resolve("flat:x")
 
 
+def assert_inset(patch, points, inset):
+    """Every coordinate of every point lies at least ``inset`` inside the domain."""
+    lower, upper = patch.domain[:, 0], patch.domain[:, 1]
+    assert np.all((points > lower + inset) & (points < upper - inset))
+
+
 class TestGrids:
     def test_grid_count_and_interiority(self):
         entry = conformal_hermitian()
         pts = grid_points(entry.patch, 3)
         assert pts.shape == (81, 4)
-        require_interior(entry.patch, pts, margin=1e-3)
+        assert_inset(entry.patch, pts, 1e-3)
+
+    def test_grid_needs_a_point_per_axis(self):
+        with pytest.raises(ValueError, match="^per_axis must be >= 1$"):
+            grid_points(flat_kahler(2).patch, 0)
 
     def test_single_point_is_center(self):
         entry = flat_kahler(2)
@@ -241,4 +251,4 @@ class TestGrids:
         a = sample_points(entry.patch, 7, np.random.default_rng(1))
         b = sample_points(entry.patch, 7, np.random.default_rng(1))
         assert np.array_equal(a, b)
-        require_interior(entry.patch, a, margin=1e-3)
+        assert_inset(entry.patch, a, 1e-3)

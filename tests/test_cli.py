@@ -83,6 +83,7 @@ def test_report_unknown_manifold(capsys):
         ("torus:eps=1e,freq=1", "error: bad torus manifold id 'torus:eps=1e,freq=1'\n"),
         # a well-formed id out of range keeps the family's own message
         ("torus:eps=0.9,freq=1", "error: eps must lie in [0, 0.5]\n"),
+        ("flat:1", "error: n must be at least 2\n"),
     ],
 )
 def test_unknown_manifold_prints_its_message_unquoted(capsys, manifold, line):
@@ -263,8 +264,8 @@ def test_verify_algebra_unwritable_out(tmp_path, capsys):
 # sha256 of the report bytes of the two negative controls below: the failure
 # texts carry the exact lhs and rhs of every failing wedge sample, and the
 # order of the failures list is by sample and then by check.
-NEGATIVE_CONTROL_BETA_SHA256 = "1bcda407391c9306c96168228180e8a40a0d43a7bf5130ae6234a84d53389fc3"
-NEGATIVE_CONTROL_SPLIT_SHA256 = "4b35f1950253418acb9998c326e601cb7b2924126285090a20f7a16d66374548"
+NEGATIVE_CONTROL_BETA_SHA256 = "b1aa9375a4cdc087e824889a6f44fee25c0da13911e4f5a8e511f46011a84241"
+NEGATIVE_CONTROL_SPLIT_SHA256 = "402862bbdf2742c8af56103b4ff2bc41ed0ab599690a0bb8ea88e009e433bd7d"
 
 
 def test_verify_algebra_negative_control(tmp_path, monkeypatch):
@@ -303,7 +304,7 @@ def test_verify_algebra_negative_control_swapped_split(tmp_path, monkeypatch):
 # and every check feeds the counts, so a drift in either changes the hash; the
 # worst case-1 sample of each n carries its exact ratio, so a drift in the
 # drawn values changes it too.
-GOLDEN_ALGEBRA_SHA256 = "467b12668fabbb7c36c061eed6053916f663d2a13af430e82fa70d905e4d4543"
+GOLDEN_ALGEBRA_SHA256 = "8faf61089a3d18c77d2969de0d3e826c147d86f8bfef1008f6a250551fe47179"
 
 
 def test_verify_algebra_report_bytes_are_pinned(tmp_path):
@@ -1222,6 +1223,21 @@ def test_verify_geometry_row_limit_shrinks_above_dim_8(monkeypatch, tmp_path, ca
     assert capsys.readouterr().err == (
         "error: a chunk of 16 points x 601 frames = 9616 rows exceeds the 156 guard\n"
     )
+    assert not out.exists()
+
+
+def test_scan_refuses_a_grid_over_the_grid_limit(monkeypatch, tmp_path, capsys):
+    """grid^dim above GRID_LIMIT exits 2 before a grid point is built."""
+    out = tmp_path / "scan.txt"
+
+    def refuse(*args):
+        raise AssertionError("built a grid over the limit")
+
+    monkeypatch.setattr(catalog, "grid_points", refuse)
+    assert run_cli(["scan", "--manifold", "flat:40", "--grid", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: grid^dim = 1208925819614629174706176 exceeds the 10000000 guard\n"
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """Patch invariants, adapted frames, field derivatives, Christoffel symbols."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -538,6 +539,29 @@ class TestChristoffel:
 
 
 class TestPatchValidation:
+    @pytest.mark.parametrize(
+        "n, domain, message",
+        [
+            (0, np.zeros((0, 2)), "half-dimension n must be a positive integer"),
+            (2, box((-1.0, 1.0), 3), r"domain must have shape \(4, 2\)"),
+            (1, [(-1.0, 1.0), (2.0, -2.0)], "domain bounds must satisfy lower < upper"),
+        ],
+    )
+    def test_patch_rejects_a_bad_n_or_domain(self, n, domain, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ManifoldPatch(n=n, domain=domain, metric_field=np.eye, j_field=np.eye)
+
+    @pytest.mark.parametrize("point", [np.zeros(3), np.float64(0.0), np.zeros((2, 6))])
+    def test_require_interior_rejects_a_point_of_the_wrong_shape(self, point):
+        shape = re.escape(str(np.shape(point)))
+        with pytest.raises(BoundaryProximity, match=f"^point has shape {shape}, expected"):
+            require_interior(flat_patch(), point)
+
+    def test_boundary_message_names_the_point_and_patch(self):
+        with pytest.raises(BoundaryProximity) as error:
+            require_interior(flat_patch(), np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]))
+        assert str(error.value) == "point [0.0, 1.0, 0.0, 0.0] is not interior to patch 'flat-1.0'"
+
     def test_residuals_clean_on_catalog(self):
         from twistorcheck import nearly_kahler_s6
 
@@ -545,12 +569,6 @@ class TestPatchValidation:
         assert res["j_square"] < 1e-12
         assert res["compatibility"] < 1e-12
         assert res["metric_spectrum"].min() > 0
-
-    def test_require_interior_margin(self):
-        patch = flat_patch()
-        require_interior(patch, np.array([0.9, 0.0, 0.0, 0.0]), margin=0.05)
-        with pytest.raises(BoundaryProximity):
-            require_interior(patch, np.array([0.99, 0.0, 0.0, 0.0]), margin=0.05)
 
     def test_validate_patch_accepts_flat(self):
         g, J, spectrum = validate_patch(flat_patch(), np.zeros(4))

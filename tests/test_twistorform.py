@@ -368,6 +368,8 @@ class TestTheoremReport:
         assert rep.bound_paper <= 0.0  # hypothesis vacuous here
         assert rep.chain_ok.a and rep.chain_ok.b and rep.chain_ok.c and rep.chain_ok.d
         assert critical_constant(3) == pytest.approx(64.0 / 5.0)
+        with pytest.raises(ValueError, match="needs n >= 2"):
+            critical_constant(1)
         # the pulled-back form vanishes identically on the nearly Kahler sphere
         assert abs(rep.margin) < 1e-8
         assert not rep.nondegenerate and pfaffian_sign(rep.F, rep.nondegenerate) == 0
@@ -497,6 +499,18 @@ class TestSigmaReport:
                 assert rep.n_route_mismatch.shape == rep.normN2.shape
             else:
                 assert same_bits(getattr(rep, name), getattr(alone, name)), name
+
+    @pytest.mark.parametrize("batch", [(0,), (2, 0)])
+    @pytest.mark.parametrize("entry", default_entries(), ids=lambda e: e.id)
+    def test_empty_batch_gives_empty_arrays(self, entry, batch):
+        dim = entry.patch.dim
+        rep = theorem_report(point_jet(entry.patch, np.zeros(batch + (dim,))))
+        tails = {"sigma": (dim,) * 3, "N": (dim,) * 3, "F": (dim, dim)}
+        for field in dataclasses.fields(rep):
+            value = getattr(rep, field.name)
+            arrays = [getattr(value, flag) for flag in "abcd"] if field.name == "chain_ok" else [value]
+            for x in arrays:
+                assert x.shape == batch + tails.get(field.name, ()), field.name
 
     def test_batch_gives_each_table_alone(self):
         rng = np.random.default_rng(12)
