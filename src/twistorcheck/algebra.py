@@ -5,20 +5,26 @@ check is a transcription bug in the inequality chain, not numerical noise.  The
 objects are free algebraic models -- coefficient tensors with the right
 antisymmetries and skew matrices -- so no manifold is involved.
 
-Every object is a batch: a numpy ``dtype=object`` array holds its exact
-rational entries (``int`` or ``fractions.Fraction``) with leading axes over
-samples, and a single object is a batch of shape ().  numpy runs the loops and
-Python's exact arithmetic each entry operation, so no float is ever formed.  The
-sweep draws its samples in chunks, one sample after another.  A sample at half
-dimension n draws n^3 + 3 n^2 entries, and a chunk holds as many samples as
-CHUNK_DRAWS of them allow: 172, 64, 30, 17 and 10 at n = 2, ..., 6.  A chunk
-takes all its entries from one getrandbits call, 64 bits per entry, so a
+Every object is a batch: a numpy array holds its exact rational entries with
+leading axes over samples, and a single object is a batch of shape ().  An
+integer array whose entries all lie in [-INT64_BOUND, INT64_BOUND] is held as
+``int64``, where no sum or product a check forms can leave int64's range (see
+INT64_BOUND); any other entries (Fractions, larger ints, nested sequences) are
+held in a ``dtype=object`` array of Python ``int`` and ``fractions.Fraction``.
+One code path serves both: numpy runs the loops, in machine integers or in
+Python's exact arithmetic, so no float is ever formed.  The case-1 ratio, the
+one product of degree 4, is formed on Python ints.
+
+The sweep draws its samples in chunks, one sample after another.  A sample at
+half dimension n draws n^3 + 3 n^2 entries, and a chunk holds as many samples
+as CHUNK_DRAWS of them allow: 691, 256, 123, 69 and 42 at n = 2, ..., 6.  A
+chunk takes all its entries from one getrandbits call, 64 bits per entry, so a
 report does not depend on the chunk size.  It sends each chunk once through
 each check, the coefficient tensor's checks first and the matrices' checks once
-the tensor is gone.  The samples are Python ints (a skew matrix's doubled, so
-its halves are ints too).  Every checked statement is homogeneous of degree 1
-or 2 in the entries of one object, and the wedge identity is bilinear in its
-two matrices, so scaling an object by a positive factor preserves every
+the tensor is gone.  The samples are int64 integers (a skew matrix's doubled,
+so its halves are integers too).  Every checked statement is homogeneous of
+degree 1 or 2 in the entries of one object, and the wedge identity is bilinear
+in its two matrices, so scaling an object by a positive factor preserves every
 equality and inequality exactly, and the case-1 ratio 4 sum C^2 / sum d^2 is
 scale-free: an integer sample stands for each of its rational multiples.
 
@@ -55,8 +61,17 @@ import numpy as np
 from .errors import NotInSigma
 
 MAX_N = 6  # exhaustive index loops stay cheap up to here
-CHUNK_DRAWS = 3456  # entries the sweep draws and checks as one batch: 64 samples at n = 3
+CHUNK_DRAWS = 13824  # entries the sweep draws and checks as one batch: 256 samples at n = 3
 ENTRY_RANGE = 10**6  # a drawn entry lies in [-ENTRY_RANGE, ENTRY_RANGE]
+# Integer arrays with every entry in [-INT64_BOUND, INT64_BOUND] are held as
+# int64 (a drawn skew matrix is doubled, so this is 2 ENTRY_RANGE).  With n <=
+# MAX_N and |entry| <= B, every sum and product a check forms stays exact: d is
+# at most 2B, a per-triple sum 60 B^2, and the largest, the case-1 aggregate
+# 5 sum d^2 over n^3 triples, at most 5 MAX_N^3 (2B)^2 = 4320 B^2 = 1.7e16 at
+# B = 2e6, about 530 times below 2^63 = 9.2e18.  The wedge sums reach 288 B^2
+# and -tr(PQ) 144 B^2.  Only the case-1 ratio's cross-multiplication is of
+# degree 4, and it runs on Python ints.
+INT64_BOUND = 2 * ENTRY_RANGE
 
 _CUBE_NAMES = ("C", "C'")
 _OUTSIDE_SIGMA = "psi does not anticommute with J0"
@@ -86,33 +101,47 @@ def _result(bad, describe) -> CheckResult:
 
 
 def random_fraction(rng: random.Random) -> tuple:
-    """One random rational as its (numerator, denominator) pair: one draw over 1."""
-    return _draw_ints(rng, 1)[0], 1
+    """One random rational as its (numerator, denominator) pair of Python ints: one draw over 1."""
+    return int(_draw_ints(rng, 1)[0]), 1
 
 
 def _draw_ints(rng: random.Random, count: int) -> np.ndarray:
-    """``count`` successive int entries in [-ENTRY_RANGE, ENTRY_RANGE], as an object array.
+    """``count`` successive int entries in [-ENTRY_RANGE, ENTRY_RANGE], as an int64 array.
 
     Each entry is the next 64-bit word of getrandbits modulo 2 ENTRY_RANGE + 1,
     so it equals ``rng.getrandbits(64) % (2 * ENTRY_RANGE + 1) - ENTRY_RANGE``
     (a bias below 2e-13) and any split of a draw gives the same entries.
     """
     words = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"), "<u8")
-    entries = (words % np.uint64(2 * ENTRY_RANGE + 1)).astype(np.int64) - np.int64(ENTRY_RANGE)
-    return entries.astype(object)
+    return (words % np.uint64(2 * ENTRY_RANGE + 1)).astype(np.int64) - np.int64(ENTRY_RANGE)
+
+
+def _exact(x) -> np.ndarray:
+    """A new array of the exact entries of ``x``: int64 if ``x`` is a signed
+    integer array with every entry in [-INT64_BOUND, INT64_BOUND], else objects."""
+    if (
+        isinstance(x, np.ndarray)
+        and x.dtype.kind == "i"
+        and ((x >= -INT64_BOUND) & (x <= INT64_BOUND)).all()  # np.abs(INT64_MIN) is negative
+    ):
+        return x.astype(np.int64)
+    return np.array(x, dtype=object)
 
 
 def _halves(x: np.ndarray) -> np.ndarray:
-    """x / 2 exactly, entrywise: to an int where the half is integral, else to a Fraction."""
+    """x / 2 exactly, entrywise: an integer where the half is integral, else a
+    Fraction, in an object array only where some entry is odd."""
     h = x // 2
     odd = h + h != x
-    h[odd] = [Fraction(v) / 2 for v in x[odd]]
+    if odd.any():
+        h = h.astype(object)
+        h[odd] = [Fraction(v) / 2 for v in x[odd].tolist()]
     return h
 
 
 def _total(x: np.ndarray, axis) -> np.ndarray:
-    """Exact sum over ``axis``, as an object array (0-d for one sample)."""
-    return np.asarray(x.sum(axis), dtype=object)
+    """Exact sum over ``axis``, as an array of ``x``'s dtype (0-d for one sample)."""
+    return np.asarray(x.sum(axis), dtype=x.dtype)  # an object sum's int would become int64
 
 
 def _pair(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -120,19 +149,20 @@ def _pair(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 def _skew_entries(x, shape: tuple, message: str) -> tuple:
-    """A nested sequence of exact rationals as a read-only object array ending in
-    axes ``shape``, and the first index (b >= a) where its last two axes are not skew.
+    """A nested sequence of exact rationals as a read-only array (see ``_exact``)
+    ending in axes ``shape``, and the first index (b >= a) where its last two
+    axes are not skew.
 
     Skewness is a_ab + a_ba = 0 on the upper triangle with its diagonal, one
     exact sum per entry pair; only a broken array is searched for the index.
     """
-    a = np.array(x, dtype=object)
+    a = _exact(x)
     a.flags.writeable = False
     if a.shape[a.ndim - len(shape):] != shape:
         raise ValueError(message)
     i, j = _upper_triangle(shape[-1])
     sums = a[..., i, j] + a[..., j, i]
-    if not any(sums.ravel().tolist()):
+    if not sums.any():
         return a, None
     *batch, k = np.argwhere(sums.astype(bool))[0].tolist()  # the triangle runs row by row
     return a, [*batch, int(i[k]), int(j[k])]
@@ -162,8 +192,13 @@ def _skew_layout(dim: int, planes: int) -> np.ndarray:
 
 def _skew_planes(values: np.ndarray, dim: int, planes: int) -> np.ndarray:
     """``planes`` skew dim x dim matrices per sample, upper triangles from ``values``."""
-    zero = np.zeros(values.shape[:-1] + (1,), dtype=object)
+    zero = np.zeros(values.shape[:-1] + (1,), dtype=values.dtype)
     return np.concatenate((zero, values, -values), axis=-1)[..., _skew_layout(dim, planes)]
+
+
+def _check_n(n: int, low: int) -> None:
+    if not low <= n <= MAX_N:
+        raise ValueError(f"n must lie in [{low}, {MAX_N}]")
 
 
 def _triple(i: int, j: int, k: int) -> str:
@@ -186,15 +221,14 @@ def _orbits(n: int) -> tuple:
 class RationalCTensor:
     """Free algebraic model of the C / C' coefficient tensors.
 
-    ``C`` and ``Cp`` are object arrays of shape batch + (n, n, n) of exact
+    ``C`` and ``Cp`` are arrays of shape batch + (n, n, n) of exact
     rationals, antisymmetric in the last two indices; the constructor takes any
     nested sequences and rejects anything else.  ``random`` draws each cube's
     upper triangles as int entries.
     """
 
     def __init__(self, n: int, C, Cp):
-        if not 2 <= n <= MAX_N:
-            raise ValueError(f"n must lie in [2, {MAX_N}]")
+        _check_n(n, 2)
         cubes = []
         for name, cube in (("C", C), ("Cp", Cp)):
             t, broken = _skew_entries(cube, (n, n, n), f"{name} must be an n x n x n nested tuple")
@@ -208,6 +242,7 @@ class RationalCTensor:
 
     @classmethod
     def random(cls, n: int, rng: random.Random) -> "RationalCTensor":
+        _check_n(n, 2)  # before the draw: a refused call leaves the rng as it was
         return cls._of_draws(n, _draw_ints(rng, n * n * (n - 1)))
 
     @classmethod
@@ -266,7 +301,9 @@ def check_case1_inequality(t: RationalCTensor) -> tuple:
     bad = (off | over).any(-1) | (total > 5 * total_d2)  # per sample and cube
     passed = np.logical_and.accumulate(~bad, axis=-1)
     counted = passed & (total_d2 > 0)
-    top, bottom = np.where(counted, total, 0), np.where(counted, total_d2, 1)
+    # on Python ints: the cross-multiplication is of degree 4 in the entries
+    top = np.where(counted, total, 0).astype(object)
+    bottom = np.where(counted, total_d2, 1).astype(object)
     # the larger of C's and C''s ratio, by cross-multiplying over positive bottoms
     primed = top[..., 1] * bottom[..., 0] > top[..., 0] * bottom[..., 1]
     ratio = _fractions(*(np.where(primed, x[..., 1], x[..., 0]) for x in (top, bottom)))
@@ -303,7 +340,7 @@ def check_case2_identities(t: RationalCTensor) -> CheckResult:
 # --- exact skew-matrix algebra -------------------------------------------------
 
 class RationalSkewMatrix:
-    """Skew 2n x 2n matrices over exact rationals, from any nested sequence.
+    """Skew 2n x 2n matrices over exact rationals, from any nested sequence, 1 <= n <= MAX_N.
 
     ``array`` has shape batch + (2n, 2n); ``entries`` reads it as tuples of
     rows.  ``random`` draws int entries and doubles them, so the halves that
@@ -311,6 +348,7 @@ class RationalSkewMatrix:
     """
 
     def __init__(self, n: int, entries):
+        _check_n(n, 1)
         dim = 2 * n
         m, broken = _skew_entries(entries, (dim, dim), f"entries must be {dim} x {dim}")
         if broken:
@@ -326,6 +364,7 @@ class RationalSkewMatrix:
 
     @classmethod
     def random(cls, n: int, rng: random.Random) -> "RationalSkewMatrix":
+        _check_n(n, 1)  # before the draw: a refused call leaves the rng as it was
         return cls._of_draws(n, _draw_ints(rng, n * (2 * n - 1)))
 
     @classmethod
@@ -385,14 +424,14 @@ def canonical_j1(psi: RationalSkewMatrix, V) -> tuple:
     if not np.all(anticommutes_with_j0(psi)):
         raise NotInSigma(_OUTSIDE_SIGMA)
     n, a = psi.n, psi.array
-    V = np.asarray(V, dtype=object)
+    V = _exact(V)
     if V.shape[-1:] != (2 * n,):
         raise ValueError(f"V must have length {2 * n}")
     # J0 psi = [[-C, -D], [A, B]]: the lower rows negated, then the upper rows
     new_psi = RationalSkewMatrix(n, np.concatenate((-a[..., n:, :], a[..., :n, :]), axis=-2))
     # -V J0 : (V J0)_b = V_{b+n} for b < n, -(V_{b-n}) otherwise
     new_v = _pair(-V[..., n:], V[..., :n])
-    return new_psi, (tuple(new_v) if new_v.ndim == 1 else new_v)
+    return new_psi, (tuple(new_v.tolist()) if new_v.ndim == 1 else new_v)
 
 
 def _alpha_of(m: np.ndarray, n: int) -> np.ndarray:
@@ -418,7 +457,7 @@ def check_wedge_identity(P: RationalSkewMatrix, Q: RationalSkewMatrix) -> CheckR
     pq, qp = (x[..., :n, :] * y[..., n:].swapaxes(-1, -2) for x, y in ((p, q), (q, p)))
     (ap, bp), (aq, bq) = ((_alpha_of(m, n), _beta_of(m, n)) for m in (p, q))
     lhs, wedge = _total(pq - qp, (-2, -1)), _total(ap * bq - aq * bp, (-2, -1))
-    return _result(2 * lhs != -wedge, lambda s: f"lhs={lhs[s]} rhs={Fraction(-wedge[s], 2)}")
+    return _result(2 * lhs != -wedge, lambda s: f"lhs={lhs[s]} rhs={-wedge[s] / Fraction(2)}")
 
 
 def run_algebra_sweep(n_list, samples: int, seed: int) -> dict:

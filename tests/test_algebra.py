@@ -18,6 +18,7 @@ from twistorcheck import (
     check_case2_identities,
     check_identity_c1,
     check_wedge_identity,
+    cli,
     run_algebra_sweep,
     skew_decompose,
 )
@@ -103,6 +104,28 @@ class TestDFromC:
             RationalCTensor.random(1, random.Random(0))
         with pytest.raises(ValueError):
             RationalCTensor.random(7, random.Random(0))
+
+
+@pytest.mark.parametrize(
+    "cls, n",
+    [(RationalCTensor, 1), (RationalCTensor, 7), (RationalSkewMatrix, 0), (RationalSkewMatrix, 7)],
+)
+def test_a_refused_random_call_draws_nothing(cls, n):
+    """n is checked before the draw, so a refused call leaves the rng as it was."""
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=r"^n must lie in"):
+        cls.random(n, rng)
+    assert rng.getstate() == state
+
+
+def test_skew_matrix_n_bounds():
+    """A skew matrix takes 1 <= n <= MAX_N, the range its int64 bound is derived for."""
+    assert algebra.MAX_N == 6
+    assert RationalSkewMatrix(1, [[0, 3], [-3, 0]]).entries == ((0, 3), (-3, 0))
+    for n in (0, 7):
+        with pytest.raises(ValueError, match=r"^n must lie in \[1, 6\]"):
+            RationalSkewMatrix(n, np.zeros((2 * n, 2 * n), dtype=np.int64))
 
 
 class TestCyclicIdentity:
@@ -373,12 +396,17 @@ def test_draw_is_the_getrandbits_oracle(count):
     """The draw equals the oracle's values and leaves the rng where the oracle does."""
     rng, ref = random.Random(1300 + count), random.Random(1300 + count)
     draws = algebra._draw_ints(rng, count)
-    assert draws.shape == (count,) and draws.dtype == object
-    assert all(type(x) is int for x in draws)
+    assert draws.shape == (count,) and draws.dtype == np.int64
     assert draws.tolist() == reference_draws(ref, count)
     assert rng.getstate() == ref.getstate()
     assert algebra.random_fraction(rng) == (reference_draws(ref, 1)[0], 1)
     assert rng.getstate() == ref.getstate()
+
+
+def test_random_fraction_is_a_pair_of_python_ints():
+    numerator, denominator = algebra.random_fraction(random.Random(5))
+    assert type(numerator) is int and denominator == 1
+    assert -ENTRY_RANGE <= numerator <= ENTRY_RANGE
 
 
 class WordRandom(random.Random):
@@ -433,18 +461,17 @@ def test_sweep_draws_a_chunk_in_one_call(monkeypatch):
             calls.append(k)
             return super().getrandbits(k)
 
-    samples = 200
+    samples = 700
     expected = run_algebra_sweep([2, 3], samples=samples, seed=0)
     monkeypatch.setattr(algebra, "random", SimpleNamespace(Random=Counting))
     monkeypatch.setattr(algebra, "random_fraction", None)
     assert run_algebra_sweep([2, 3], samples=samples, seed=0) == expected
-    sizes = {2: [172, 28], 3: [64, 64, 64, 8]}
+    sizes = {2: [691, 9], 3: [256, 256, 188]}
     assert calls == [64 * size * draws_per_sample(n) for n in (2, 3) for size in sizes[n]]
 
 
-@pytest.mark.parametrize("n, size", [(2, 172), (3, 64), (4, 30), (5, 17), (6, 10)])
-def test_sweep_chunk_draws_stay_within_the_budget(n, size, monkeypatch):
-    """Each chunk draws its samples in one call, a full chunk as many as fit the budget."""
+def record_chunk_draws(monkeypatch):
+    """The entry counts of the sweep's draws, one per chunk, as the sweep makes them."""
     counts, draw = [], algebra._draw_ints
 
     def recording(rng, count):
@@ -452,15 +479,38 @@ def test_sweep_chunk_draws_stay_within_the_budget(n, size, monkeypatch):
         return draw(rng, count)
 
     monkeypatch.setattr(algebra, "_draw_ints", recording)
+    return counts
+
+
+@pytest.mark.parametrize("n, size", [(2, 172), (3, 64), (4, 30), (5, 17), (6, 10)])
+def test_sweep_chunk_draws_stay_within_the_budget(n, size, monkeypatch):
+    """Each chunk draws its samples in one call, a full chunk as many as fit
+    the budget: here a budget of 3456 entries."""
+    monkeypatch.setattr(algebra, "CHUNK_DRAWS", 3456)
+    counts = record_chunk_draws(monkeypatch)
     assert chunk_size(n) == size
     assert run_algebra_sweep([n], samples=size + 1, seed=8)["all_pass"]
     assert counts == [size * draws_per_sample(n), draws_per_sample(n)]
     assert max(counts) <= algebra.CHUNK_DRAWS
 
 
+def test_default_chunks_hold_as_many_samples_as_the_budget_allows(monkeypatch):
+    """At the default budget a full chunk holds 691, 256, 123, 69 and 42
+    samples at n = 2, ..., 6, each drawn in one call."""
+    assert algebra.CHUNK_DRAWS == 13824
+    sizes = dict(zip(range(2, 7), (691, 256, 123, 69, 42)))
+    counts = record_chunk_draws(monkeypatch)
+    for n, size in sizes.items():
+        assert chunk_size(n) == size
+        counts.clear()
+        assert run_algebra_sweep([n], samples=size + 1, seed=8)["all_pass"]
+        assert counts == [size * draws_per_sample(n), draws_per_sample(n)]
+        assert max(counts) <= algebra.CHUNK_DRAWS
+
+
 # One entry per chunk gives 1-sample chunks, 7 * 54 gives 7 samples at
-# n = 3 (18 at n = 2, 3 at n = 4), the default budget puts 35 samples in one
-# chunk at n = 2 and 3 and two at n = 4, and a large one one chunk per n.
+# n = 3 (18 at n = 2, 3 at n = 4), and the default budget and a large one
+# put the 35 samples of each n in one chunk.
 CHUNK_BUDGETS = (1, 7 * 54, algebra.CHUNK_DRAWS, 10**6)
 
 
@@ -819,7 +869,8 @@ def exact_kinds(arrays):
 
 def test_every_entry_and_every_compared_sum_is_exact(monkeypatch):
     """No float enters: every constructed object's entries and every sum a check
-    compares are ints or Fractions, through a sweep and on Fraction inputs."""
+    compares are ints or Fractions, through a sweep and on Fraction inputs, held
+    in int64 arrays (the sweep) or object arrays (the Fractions), never floats."""
     seen = {"_skew_entries": [], "_total": []}
     for name, arrays in seen.items():
         fn = getattr(algebra, name)
@@ -842,3 +893,149 @@ def test_every_entry_and_every_compared_sum_is_exact(monkeypatch):
     for name, arrays in seen.items():
         assert arrays, name
         assert exact_kinds(arrays) == {int, Fraction}, name
+        assert {np.asarray(a).dtype for a in arrays} == {np.dtype(np.int64), np.dtype(object)}, name
+
+
+# --- int64 and object arithmetic ----------------------------------------------
+
+INT64_MIN = int(np.iinfo(np.int64).min)
+
+
+def test_int64_bound_leaves_a_wide_margin_at_max_n():
+    """The largest sum a check forms on entries in [-B, B], the case-1
+    aggregate 5 sum d^2 <= 5 MAX_N^3 (2B)^2, stays 500 times inside int64."""
+    B, n = algebra.INT64_BOUND, algebra.MAX_N
+    assert B >= 2 * ENTRY_RANGE
+    assert 500 * 5 * n**3 * (2 * B) ** 2 < 2**63
+
+
+def test_exact_holds_int64_only_within_the_bound():
+    """A signed integer array inside [-B, B] becomes a new int64 array; an
+    array holding INT64_MIN, whose abs is negative, or an entry just past B, or
+    anything that is not a signed integer array, becomes Python objects."""
+    B = algebra.INT64_BOUND
+    for x in (np.array([-B, 0, B]), np.array([[1, -2]], dtype=np.int32), np.zeros((0, 2), np.int64)):
+        out = algebra._exact(x)
+        assert out.dtype == np.int64 and out.tolist() == x.tolist()
+        assert not np.shares_memory(out, x)
+    wide = (
+        np.array([INT64_MIN]), np.array([0, INT64_MIN, 1]), np.array([B + 1]),
+        np.array([-B - 1, 0]), np.array([2**62]), np.array([1, 2], dtype=np.uint8),
+        [[1, 2]], [F(1, 2)], np.array([3, F(1, 3)], dtype=object),
+    )
+    for x in wide:
+        out = algebra._exact(x)
+        assert out.dtype == object and out.tolist() == np.asarray(x).tolist()
+        assert {type(v) for v in out.ravel().tolist()} <= {int, Fraction}
+
+
+def test_entries_past_the_bound_keep_exact_arithmetic():
+    """Past the bound int64 would wrap: INT64_MIN + INT64_MIN is 0 and
+    -INT64_MIN is INT64_MIN.  Held as Python ints, the skew gate still refuses
+    that pair and J1 applied twice negates V exactly."""
+    with pytest.raises(ValueError, match="breaks skew symmetry"):
+        RationalSkewMatrix(1, np.array([[0, INT64_MIN], [INT64_MIN, 0]]))
+    B = algebra.INT64_BOUND
+    wide = RationalSkewMatrix(1, np.array([[0, B + 1], [-B - 1, 0]]))
+    assert wide.array.dtype == object and wide.entries == ((0, B + 1), (-B - 1, 0))
+    # a sum of Python ints that fits int64 stays a Python int: -(-2^63) is 2^63
+    big = RationalSkewMatrix(1, [[0, 2**31], [-(2**31), 0]])
+    assert trace_pairing(big, big) == 2**63
+    zero = RationalSkewMatrix(1, np.zeros((2, 2), dtype=np.int64))
+    psi1, v1 = canonical_j1(zero, np.array([INT64_MIN, 5]))
+    assert v1 == (-5, INT64_MIN)
+    assert canonical_j1(psi1, np.array(v1))[1] == (-INT64_MIN, -5) == (2**63, -5)
+
+
+@pytest.mark.parametrize(
+    "control", [None, ("_beta_of", slipped_beta)], ids=["passing", "slipped-beta"]
+)
+def test_int64_sweep_report_is_the_object_sweep_report(control, monkeypatch):
+    """The sweep on int64 arrays and on the same draws held as Python ints in
+    object arrays writes the same report bytes at n = 2, ..., 6, failure texts
+    included; every sum runs in the arithmetic the draws set."""
+    if control:
+        monkeypatch.setattr(algebra, *control)
+    total, kinds = algebra._total, []
+
+    def recording(x, axis):
+        kinds.append(x.dtype)
+        return total(x, axis)
+
+    monkeypatch.setattr(algebra, "_total", recording)
+    args = ([2, 3, 4, 5, 6], 45, 21)
+    int64 = cli._to_json(run_algebra_sweep(*args))
+    assert set(kinds) == {np.dtype(np.int64)}
+    draw = algebra._draw_ints
+    monkeypatch.setattr(algebra, "_draw_ints", lambda rng, count: draw(rng, count).astype(object))
+    kinds.clear()
+    assert cli._to_json(run_algebra_sweep(*args)) == int64
+    assert set(kinds) == {np.dtype(object)}
+
+
+def extreme_values(count, dtype):
+    """Rows of ``count`` entries at +-INT64_BOUND: all plus, all minus, both
+    alternations and four seeded random sign patterns."""
+    rng = random.Random(17)
+    rows = [[1] * count, [-1] * count, [(-1) ** k for k in range(count)],
+            [(-1) ** (k + 1) for k in range(count)]]
+    rows += [[rng.choice((-1, 1)) for _ in range(count)] for _ in range(4)]
+    return (algebra.INT64_BOUND * np.array(rows, dtype=np.int64)).astype(dtype)
+
+
+def verdicts(res):
+    return np.asarray(res.ok).tolist(), [str(x) for x in res.counterexample]
+
+
+def extreme_results(dtype, monkeypatch):
+    """Every check on an extreme batch at MAX_N held in ``dtype``: verdicts,
+    texts, ratios and built entries, as Python values."""
+    n = algebra.MAX_N
+    cubes = algebra._skew_planes(extreme_values(n * n * (n - 1), dtype), n, 2 * n)
+    t = RationalCTensor(n, cubes[:, :n], cubes[:, n:])
+    rows = extreme_values(n * (2 * n - 1), dtype)
+    P, Q = (RationalSkewMatrix(n, algebra._skew_planes(r, 2 * n, 1)[:, 0]) for r in (rows, rows[::-1]))
+    u_part, sigma_part = skew_decompose(P)
+    assert {x.array.dtype for x in (P, Q, u_part, sigma_part)} == {t.cubes.dtype} == {np.dtype(dtype)}
+    psi1, v1 = canonical_j1(sigma_part, extreme_values(2 * n, dtype))
+    psi2, v2 = canonical_j1(psi1, v1)
+    res, ratio = check_case1_inequality(t)
+    out = {
+        "c1": verdicts(check_identity_c1(t)),
+        "case1": verdicts(res),
+        "ratio": [(str(r), type(r)) for r in ratio],
+        "wedge": verdicts(check_wedge_identity(P, Q)),
+    }
+    d = t.d.copy()
+    d[1, 0, 0, 1, 2] += 1  # one sample's d off by one: failure texts at extreme sums
+    t = with_d(t, d)
+    res, ratio = check_case1_inequality(t)
+    out["c1 doctored"] = verdicts(check_identity_c1(t))
+    out["case1 doctored"], out["ratio doctored"] = verdicts(res), [str(r) for r in ratio]
+    with monkeypatch.context() as m:
+        m.setattr(algebra, "_beta_of", slipped_beta)
+        out["wedge slipped"] = verdicts(check_wedge_identity(P, Q))
+    arrays = {
+        "split": (u_part.array, sigma_part.array),
+        "j0 tests": (commutes_with_j0(u_part), anticommutes_with_j0(sigma_part)),
+        "pairings": (trace_pairing(u_part, sigma_part), trace_pairing(P, Q)),
+        "j1 twice": (psi2.array, v2),
+    }
+    return out | {k: [np.asarray(x).tolist() for x in v] for k, v in arrays.items()}
+
+
+def test_extreme_batch_is_the_same_in_int64_and_object_arithmetic(monkeypatch):
+    """At MAX_N, with every entry at +-INT64_BOUND in several sign patterns,
+    int64 and Python-int arithmetic give the same verdicts, ratios and texts."""
+    int64 = extreme_results(np.int64, monkeypatch)
+    assert int64 == extreme_results(object, monkeypatch)
+    samples = len(int64["c1"][0])
+    for name in ("c1", "case1", "wedge"):
+        assert int64[name] == ([True] * samples, ["None"] * samples), name
+    assert all(kind is Fraction for _, kind in int64["ratio"])
+    for name in ("c1 doctored", "case1 doctored"):
+        ok, texts = int64[name]
+        assert [k for k in range(samples) if not ok[k]] == [1] and texts[1] != "None", name
+    ok, texts = int64["wedge slipped"]
+    assert not all(ok) and all(t.startswith("lhs=") for k, t in enumerate(texts) if not ok[k])
+    assert int64["j0 tests"] == [[True] * samples] * 2
