@@ -5,15 +5,17 @@ check is a transcription bug in the inequality chain, not numerical noise.  The
 objects are free algebraic models -- coefficient tensors with the right
 antisymmetries and skew matrices -- so no manifold is involved.
 
-Every object is a batch: a numpy array holds its exact rational entries with
-leading axes over samples, and a single object is a batch of shape ().  An
-integer array whose entries all lie in [-INT64_BOUND, INT64_BOUND] is held as
-``int64``, where no sum or product a check forms can leave int64's range (see
-INT64_BOUND); any other entries (Fractions, larger ints, nested sequences) are
-held in a ``dtype=object`` array of Python ``int`` and ``fractions.Fraction``.
-One code path serves both: numpy runs the loops, in machine integers or in
-Python's exact arithmetic, so no float is ever formed.  The case-1 ratio, the
-one product of degree 4, is formed on Python ints.
+Every object is a batch: an int64 array holds its entries with leading axes
+over samples, and a single object is a batch of shape ().  A constructor takes
+integers in [-INT64_BOUND, INT64_BOUND], within which no sum a check forms
+leaves int64 (see INT64_BOUND), and refuses anything else -- floats, bools,
+rationals, larger ints -- with a ValueError.  Every checked statement is
+homogeneous of degree 1 or 2 in the entries of one object, and the wedge
+identity is bilinear in its two matrices, so scaling an object by a positive
+factor preserves every equality and inequality and the case-1 ratio
+4 sum C^2 / sum d^2: an integer object stands for each of its rational
+multiples.  The case-1 ratios come back as int64 numerators and denominators;
+the sweep compares them, the one product of degree 4, on Python ints.
 
 The sweep draws its samples in chunks, one sample after another.  A sample at
 half dimension n draws n^3 + 3 n^2 entries, and a chunk holds as many samples
@@ -21,12 +23,8 @@ as CHUNK_DRAWS of them allow: 691, 256, 123, 69 and 42 at n = 2, ..., 6.  A
 chunk takes all its entries from one getrandbits call, 64 bits per entry, so a
 report does not depend on the chunk size.  It sends each chunk once through
 each check, the coefficient tensor's checks first and the matrices' checks once
-the tensor is gone.  The samples are int64 integers (a skew matrix's doubled,
-so its halves are integers too).  Every checked statement is homogeneous of
-degree 1 or 2 in the entries of one object, and the wedge identity is bilinear
-in its two matrices, so scaling an object by a positive factor preserves every
-equality and inequality exactly, and the case-1 ratio 4 sum C^2 / sum d^2 is
-scale-free: an integer sample stands for each of its rational multiples.
+the tensor is gone.  A skew matrix's draws are doubled, so its halves are
+integers too.
 
 Verified facts, each for every index combination:
 
@@ -50,9 +48,9 @@ compare and halve blocks without forming any product.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, cached_property
 from itertools import product
 
@@ -63,19 +61,18 @@ from .errors import NotInSigma
 MAX_N = 6  # exhaustive index loops stay cheap up to here
 CHUNK_DRAWS = 13824  # entries the sweep draws and checks as one batch: 256 samples at n = 3
 ENTRY_RANGE = 10**6  # a drawn entry lies in [-ENTRY_RANGE, ENTRY_RANGE]
-# Integer arrays with every entry in [-INT64_BOUND, INT64_BOUND] are held as
-# int64 (a drawn skew matrix is doubled, so this is 2 ENTRY_RANGE).  With n <=
+# Every entry lies in [-INT64_BOUND, INT64_BOUND] (a drawn skew matrix is
+# doubled, so this is 2 ENTRY_RANGE), and objects are held as int64.  With n <=
 # MAX_N and |entry| <= B, every sum and product a check forms stays exact: d is
 # at most 2B, a per-triple sum 60 B^2, and the largest, the case-1 aggregate
 # 5 sum d^2 over n^3 triples, at most 5 MAX_N^3 (2B)^2 = 4320 B^2 = 1.7e16 at
 # B = 2e6, about 530 times below 2^63 = 9.2e18.  The wedge sums reach 288 B^2
 # and -tr(PQ) 144 B^2.  Only the case-1 ratio's cross-multiplication is of
-# degree 4, and it runs on Python ints.
+# degree 4, and the sweep runs it on Python ints.
 INT64_BOUND = 2 * ENTRY_RANGE
 
 _CUBE_NAMES = ("C", "C'")
 _OUTSIDE_SIGMA = "psi does not anticommute with J0"
-_fractions = np.frompyfunc(Fraction, 2, 1)
 
 
 @dataclass(frozen=True)
@@ -94,7 +91,7 @@ def _result(bad, describe) -> CheckResult:
     """CheckResult of samples failing where ``bad`` is set, with ``describe(index)`` text."""
     if np.ndim(bad) == 0:
         return CheckResult(not bad, describe(()) if bad else None)
-    texts = np.full(bad.shape, None, dtype=object)
+    texts = np.empty(bad.shape, object)  # None until a failing sample's text
     for index in zip(*np.nonzero(bad)):
         texts[index] = describe(index)
     return CheckResult(~bad, texts)
@@ -117,31 +114,31 @@ def _draw_ints(rng: random.Random, count: int) -> np.ndarray:
 
 
 def _exact(x) -> np.ndarray:
-    """A new array of the exact entries of ``x``: int64 if ``x`` is a signed
-    integer array with every entry in [-INT64_BOUND, INT64_BOUND], else objects."""
-    if (
-        isinstance(x, np.ndarray)
-        and x.dtype.kind == "i"
-        and ((x >= -INT64_BOUND) & (x <= INT64_BOUND)).all()  # np.abs(INT64_MIN) is negative
-    ):
-        return x.astype(np.int64)
-    return np.array(x, dtype=object)
+    """A new int64 array of the entries of ``x``, an integer array (or nested
+    ints) with every entry in [-INT64_BOUND, INT64_BOUND]; ValueError otherwise."""
+    a = np.asarray(x)
+    # both ends compared: np.abs(INT64_MIN) is negative
+    if np.issubdtype(a.dtype, np.integer) and ((a >= -INT64_BOUND) & (a <= INT64_BOUND)).all():
+        return a.astype(np.int64)
+    raise ValueError(f"entries must be integers of magnitude at most INT64_BOUND = {INT64_BOUND}")
 
 
 def _halves(x: np.ndarray) -> np.ndarray:
-    """x / 2 exactly, entrywise: an integer where the half is integral, else a
-    Fraction, in an object array only where some entry is odd."""
-    h = x // 2
-    odd = h + h != x
-    if odd.any():
-        h = h.astype(object)
-        h[odd] = [Fraction(v) / 2 for v in x[odd].tolist()]
-    return h
+    """x / 2 entrywise, of an array of even integers; an odd entry raises ValueError."""
+    if (x & 1).any():
+        raise ValueError("skew_decompose takes even entries: a half would not be an integer")
+    return x >> 1
+
+
+def _ratio_text(p: int, q: int) -> str:
+    """p / q (q > 0) in lowest terms as the fractions module writes it: "p/q", or "p" if q = 1."""
+    g = math.gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
 
 
 def _total(x: np.ndarray, axis) -> np.ndarray:
     """Exact sum over ``axis``, as an array of ``x``'s dtype (0-d for one sample)."""
-    return np.asarray(x.sum(axis), dtype=x.dtype)  # an object sum's int would become int64
+    return np.asarray(x.sum(axis), dtype=x.dtype)
 
 
 def _pair(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -149,9 +146,8 @@ def _pair(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 def _skew_entries(x, shape: tuple, message: str) -> tuple:
-    """A nested sequence of exact rationals as a read-only array (see ``_exact``)
-    ending in axes ``shape``, and the first index (b >= a) where its last two
-    axes are not skew.
+    """Integer entries as a read-only int64 array (see ``_exact``) ending in axes
+    ``shape``, and the first index (b >= a) where its last two axes are not skew.
 
     Skewness is a_ab + a_ba = 0 on the upper triangle with its diagonal, one
     exact sum per entry pair; only a broken array is searched for the index.
@@ -164,7 +160,7 @@ def _skew_entries(x, shape: tuple, message: str) -> tuple:
     sums = a[..., i, j] + a[..., j, i]
     if not sums.any():
         return a, None
-    *batch, k = np.argwhere(sums.astype(bool))[0].tolist()  # the triangle runs row by row
+    *batch, k = np.argwhere(sums)[0].tolist()  # the triangle runs row by row
     return a, [*batch, int(i[k]), int(j[k])]
 
 
@@ -221,10 +217,10 @@ def _orbits(n: int) -> tuple:
 class RationalCTensor:
     """Free algebraic model of the C / C' coefficient tensors.
 
-    ``C`` and ``Cp`` are arrays of shape batch + (n, n, n) of exact
-    rationals, antisymmetric in the last two indices; the constructor takes any
-    nested sequences and rejects anything else.  ``random`` draws each cube's
-    upper triangles as int entries.
+    ``C`` and ``Cp`` are int64 arrays of shape batch + (n, n, n),
+    antisymmetric in the last two indices; the constructor takes integer arrays
+    or nested sequences of ints within INT64_BOUND and refuses anything else.
+    ``random`` draws each cube's upper triangles.
     """
 
     def __init__(self, n: int, C, Cp):
@@ -279,10 +275,11 @@ def check_identity_c1(t: RationalCTensor) -> CheckResult:
 def check_case1_inequality(t: RationalCTensor) -> tuple:
     """Per-triple expansion equality, the <= 5 bound, and the aggregate 5/4 bound.
 
-    Returns (CheckResult, ratio) with ratio, a Fraction per sample, the larger
-    over C and C' of the aggregate 4 sum C^2 / sum d^2; it lies in [1, 4] and is
-    zero if both d vanish.  C is checked before C', each through its triples and
-    then its aggregate, and a failing sample's ratio reads only the cubes before.
+    Returns (CheckResult, top, bottom): int64 arrays of shape batch + (2,) with
+    each cube's aggregate ratio 4 sum C^2 / sum d^2 = top / bottom, C before C'.
+    A counted ratio lies in [1, 4]; a cube is not counted, 0 / 1, where its d
+    vanishes or it or C fails.  C is checked before C', each through its
+    triples and then its aggregate.
 
     Both sides of the per-triple statement are invariant under cyclic rotation
     of (i, j, k), so each rotation orbit is checked once through its
@@ -301,12 +298,7 @@ def check_case1_inequality(t: RationalCTensor) -> tuple:
     bad = (off | over).any(-1) | (total > 5 * total_d2)  # per sample and cube
     passed = np.logical_and.accumulate(~bad, axis=-1)
     counted = passed & (total_d2 > 0)
-    # on Python ints: the cross-multiplication is of degree 4 in the entries
-    top = np.where(counted, total, 0).astype(object)
-    bottom = np.where(counted, total_d2, 1).astype(object)
-    # the larger of C's and C''s ratio, by cross-multiplying over positive bottoms
-    primed = top[..., 1] * bottom[..., 0] > top[..., 0] * bottom[..., 1]
-    ratio = _fractions(*(np.where(primed, x[..., 1], x[..., 0]) for x in (top, bottom)))
+    top, bottom = np.where(counted, total, 0), np.where(counted, total_d2, 1)
 
     def describe(s):
         m = int(np.argmax(bad[s]))
@@ -317,7 +309,7 @@ def check_case1_inequality(t: RationalCTensor) -> tuple:
         kind = "expansion equality" if off[s][m][o] else "5-bound"
         return f"{_CUBE_NAMES[m]} {kind} at {_triple(*triples[o])}"
 
-    return _result(~passed[..., -1], describe), ratio
+    return _result(~passed[..., -1], describe), top, bottom
 
 
 def check_case2_identities(t: RationalCTensor) -> CheckResult:
@@ -340,11 +332,11 @@ def check_case2_identities(t: RationalCTensor) -> CheckResult:
 # --- exact skew-matrix algebra -------------------------------------------------
 
 class RationalSkewMatrix:
-    """Skew 2n x 2n matrices over exact rationals, from any nested sequence, 1 <= n <= MAX_N.
+    """Skew 2n x 2n integer matrices, 1 <= n <= MAX_N, from integers within INT64_BOUND.
 
-    ``array`` has shape batch + (2n, 2n); ``entries`` reads it as tuples of
-    rows.  ``random`` draws int entries and doubles them, so the halves that
-    ``skew_decompose`` takes stay ints.
+    ``array`` is int64 of shape batch + (2n, 2n); ``entries`` reads it as
+    tuples of rows.  ``random`` draws entries and doubles them, so the halves
+    that ``skew_decompose`` takes stay integers.
     """
 
     def __init__(self, n: int, entries):
@@ -387,6 +379,8 @@ def skew_decompose(omega: RationalSkewMatrix) -> tuple:
     With J0 omega J0 = [[-D, C], [B, -A]] the upper rows are
     [(A + D)/2, (B - C)/2] and [(A - D)/2, (B + C)/2]; the lower rows follow
     from the upper ones, [-(B - C)/2, (A + D)/2] and [(B + C)/2, -(A - D)/2].
+    The halves must be integers: an omega with even entries always passes, and
+    an odd entry of A + D, A - D, B - C or B + C raises ValueError.
     """
     n = omega.n
     A, B, C, D = _blocks(omega)
@@ -457,15 +451,15 @@ def check_wedge_identity(P: RationalSkewMatrix, Q: RationalSkewMatrix) -> CheckR
     pq, qp = (x[..., :n, :] * y[..., n:].swapaxes(-1, -2) for x, y in ((p, q), (q, p)))
     (ap, bp), (aq, bq) = ((_alpha_of(m, n), _beta_of(m, n)) for m in (p, q))
     lhs, wedge = _total(pq - qp, (-2, -1)), _total(ap * bq - aq * bp, (-2, -1))
-    return _result(2 * lhs != -wedge, lambda s: f"lhs={lhs[s]} rhs={-wedge[s] / Fraction(2)}")
+    return _result(2 * lhs != -wedge, lambda s: f"lhs={lhs[s]} rhs={_ratio_text(-int(wedge[s]), 2)}")
 
 
 def run_algebra_sweep(n_list, samples: int, seed: int) -> dict:
     """Seeded randomized sweep of every exact check; returns per-check pass counts.
 
     The report carries every counterexample, by sample and then by check,
-    and, for each n >= 3, the sample with the largest case-1 ratio
-    4 sum C^2 / sum d^2: its index and the ratio as an exact fraction.
+    and, for each n >= 3, the first sample with the largest case-1 ratio
+    4 sum C^2 / sum d^2 of either cube: its index and the ratio as an exact fraction.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -481,7 +475,7 @@ def run_algebra_sweep(n_list, samples: int, seed: int) -> dict:
     worst_case1 = []
     for n in n_list:
         rng = random.Random(seed * 100003 + n)
-        worst = None
+        worst = (-1, 1, 0)  # top, bottom and sample of the largest ratio so far
         # per sample, the draws of C and C', the skew matrix, V, then Q
         ends = np.cumsum((n * n * (n - 1), n * (2 * n - 1), 2 * n, n * (2 * n - 1)))
         chunk = max(1, CHUNK_DRAWS // int(ends[-1]))
@@ -492,10 +486,12 @@ def run_algebra_sweep(n_list, samples: int, seed: int) -> dict:
             tensor, results = RationalCTensor._of_draws(n, cubes), []
             if n >= 3:
                 results.append(("identity_c1", check_identity_c1(tensor)))
-                res, ratio = check_case1_inequality(tensor)
-                k = int(np.argmax(ratio))
-                if worst is None or ratio[k] > worst[0]:
-                    worst = ratio[k], start + k
+                res, top, bottom = check_case1_inequality(tensor)
+                # on Python ints: the cross-multiplication is of degree 4 in the entries
+                for k, pairs in enumerate(zip(top.tolist(), bottom.tolist())):
+                    for p, q in zip(*pairs):
+                        if p * worst[1] > worst[0] * q:
+                            worst = p, q, start + k
                 results.append(("case1_inequality", res))
             else:
                 results.append(("case2_identities", check_case2_identities(tensor)))
@@ -530,8 +526,8 @@ def run_algebra_sweep(n_list, samples: int, seed: int) -> dict:
                     for name, res in results
                     if not res.ok[k]
                 ]
-        if worst is not None:
-            worst_case1.append({"n": n, "sample": worst[1], "ratio": str(worst[0])})
+        if n >= 3:
+            worst_case1.append({"n": n, "sample": worst[2], "ratio": _ratio_text(*worst[:2])})
     report["checks"] = counts
     report["worst_case1"] = worst_case1
     report["all_pass"] = not report["failures"]
