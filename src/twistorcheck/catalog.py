@@ -79,10 +79,13 @@ def stereographic_jacobian(u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """A benchmark patch, which carries the attribute flags, under its catalog id."""
+    """A benchmark patch, which carries the attribute flags; its catalog id is the patch's label."""
 
-    id: str
     patch: ManifoldPatch
+
+    @property
+    def id(self) -> str:
+        return self.patch.label
 
 
 def _box(bound_per_axis, dim: int) -> np.ndarray:
@@ -117,7 +120,7 @@ def flat_kahler(n: int) -> CatalogEntry:
         label=f"flat:{n}",
         attributes=frozenset({"integrable", "flat"}),
     )
-    return CatalogEntry(id=f"flat:{n}", patch=patch)
+    return CatalogEntry(patch=patch)
 
 
 def conformal_hermitian() -> CatalogEntry:
@@ -149,7 +152,7 @@ def conformal_hermitian() -> CatalogEntry:
         label="conformal4",
         attributes=frozenset({"integrable"}),
     )
-    return CatalogEntry(id="conformal4", patch=patch)
+    return CatalogEntry(patch=patch)
 
 
 def _s6_metric(u: np.ndarray) -> np.ndarray:
@@ -245,7 +248,7 @@ def nearly_kahler_s6() -> CatalogEntry:
         label="nk-s6",
         attributes=frozenset({"unit_round_sphere", "nearly_kahler"}),
     )
-    return CatalogEntry(id="nk-s6", patch=patch)
+    return CatalogEntry(patch=patch)
 
 
 def perturbed_torus(eps: float = 0.05, freq: int = 1) -> CatalogEntry:
@@ -294,9 +297,10 @@ def perturbed_torus(eps: float = 0.05, freq: int = 1) -> CatalogEntry:
         j_field=j_field,
         metric_jet=_constant(np.zeros((dim, dim, dim))),
         j_jet=j_jet,
-        label=f"torus:eps={eps:g},freq={freq}",
+        # repr: the shortest text that reads back as eps, so the id resolves to this torus
+        label=f"torus:eps={float(eps)!r},freq={freq}",
     )
-    return CatalogEntry(id=f"torus:eps={eps:g},freq={freq}", patch=patch)
+    return CatalogEntry(patch=patch)
 
 
 def default_entries() -> list:

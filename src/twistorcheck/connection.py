@@ -21,6 +21,7 @@ from .geometry import (
     AdaptedFrame,
     ManifoldPatch,
     PointJet,
+    _complex_points,
     _readonly,
     christoffel,
     complex_step_frames,
@@ -60,22 +61,22 @@ class FrameFieldJet:
     """The adapted frame field at a batch of points, differentiated once.
 
     ``jet`` is the point jet there (``frame`` and ``Gamma`` read it);
-    ``shifted`` the frames of the same field at u + i h e_c
-    (``complex_step_frames``); ``dE`` and ``dT`` the complex-step
-    derivatives Im(.) / h of their E and coframe components g E; ``w`` is
+    ``shifted`` the complex E of the same field at u + i h e_c, batch
+    (..., c, 2n, 2n) (``complex_step_frames``); ``dE`` and ``dT`` the
+    complex-step derivatives Im(.) / h of E and of g E; ``w`` is
     ``coordinate_connection`` from them and the jet's Christoffel symbols.
     The structure equation, curvature and the Chern identity all read this
     one object; build it with ``frame_field_jet``.
     """
 
     jet: PointJet
-    shifted: AdaptedFrame
+    shifted: np.ndarray
     dE: np.ndarray
     dT: np.ndarray
     w: np.ndarray
 
     def __post_init__(self):
-        for name in ("dE", "dT", "w"):
+        for name in ("shifted", "dE", "dT", "w"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
 
     @property
@@ -91,12 +92,11 @@ def frame_field_jet(patch: ManifoldPatch, point: np.ndarray) -> FrameFieldJet:
     """``point_jet(patch, point)``, real frames and all, and its frame field
     differentiated by the complex step, to rounding with no step to choose."""
     jet = point_jet(patch, point)
-    frame = jet.frame
-    shifted = complex_step_frames(patch, frame)
-    dE = shifted.E.imag / COMPLEX_STEP
-    dT = (shifted.g @ shifted.E).imag / COMPLEX_STEP
-    w = coordinate_connection(frame.g, frame.E, dE, jet.Gamma)
-    return FrameFieldJet(jet=jet, shifted=shifted, dE=dE, dT=dT, w=w)
+    g, E = complex_step_frames(patch, jet.frame)
+    dE = E.imag / COMPLEX_STEP
+    dT = (g @ E).imag / COMPLEX_STEP
+    w = coordinate_connection(jet.frame.g, jet.frame.E, dE, jet.Gamma)
+    return FrameFieldJet(jet=jet, shifted=E, dE=dE, dT=dT, w=w)
 
 
 def connection_coefficients(jet: FrameFieldJet) -> np.ndarray:
@@ -186,11 +186,11 @@ def connection_derivative(patch: ManifoldPatch, jet: FrameFieldJet) -> np.ndarra
     ``coordinate_connection``, the second derivatives d_c d_a E cancel:
     d omega(d_c, d_a) = ((d_c Gamma_a - d_a Gamma_c) E + Gamma_a d_c E - Gamma_c d_a E)^T g E
     + P_a^T d_c(g E) - P_c^T d_a(g E).  Every factor is a complex-step first
-    derivative: ``dE``, ``dT`` and Im Gamma / h at the shifted frames (one
+    derivative: ``dE``, ``dT`` and Im Gamma / h at the complex points (one
     metric-jet call, which the patch must have); no frame is built.
     """
     frame, dE = jet.frame, jet.dE
-    dGamma = christoffel(patch, jet.shifted).imag / COMPLEX_STEP
+    dGamma = christoffel(patch, _complex_points(frame.point), jet.shifted).imag / COMPLEX_STEP
     P = dE + _gamma_times(jet.Gamma, frame.E)
     # d_c P_a less d_c d_a E, [c, a, :, B]: (d_c Gamma_a) E + Gamma_a d_c E
     Q = _gamma_times(dGamma, frame.E[..., None, :, :]) + _gamma_times(jet.Gamma[..., None, :, :, :], dE)

@@ -232,10 +232,9 @@ class AdaptedFrame:
     Column A of ``E[...]`` holds the coordinate components of the frame
     vector e_A, so E^T g E = Id; ``g`` and ``J`` are the validated field
     values at ``point`` it was built from.  ``pivots[..., k]`` records which
-    coordinate vector Gram-Schmidt step k took; the complex-step frames of
-    ``complex_step_frames`` take their point's, and ``evaluate_frame_field``
-    compares them point by point.  A rotated frame (``rotate_frame``) changes
-    E alone, whose batch may then be wider than the points'.
+    coordinate vector Gram-Schmidt step k took.  A rotated frame
+    (``rotate_frame``) changes E alone, whose batch may then be wider than
+    the points'.
     """
 
     point: np.ndarray
@@ -256,6 +255,15 @@ class AdaptedFrame:
         return self.E.shape[-1] // 2
 
 
+def _project_twice(W: np.ndarray, g: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """v - W W^T g v for g-orthonormal columns W, run twice to reach machine
+    precision ("twice is enough"); an empty W returns v."""
+    Wt = np.swapaxes(W, -1, -2)
+    v = v - W @ (Wt @ (g @ v))
+    v -= W @ (Wt @ (g @ v))
+    return v
+
+
 def _gram_schmidt_adapted(g: np.ndarray, J: np.ndarray, u: np.ndarray):
     """Deterministic J-adapted Gram-Schmidt at every point. Returns (E, pivots).
 
@@ -263,11 +271,10 @@ def _gram_schmidt_adapted(g: np.ndarray, J: np.ndarray, u: np.ndarray):
     ``accepted``, in that order; E holds the same columns as
     (e_0 ... e_{n-1}, J e_0 ... J e_{n-1}).  Step k projects all coordinate
     vectors at once against the first 2k of them, W, by block classical
-    Gram-Schmidt run twice: V = I - W W^T g, then V - W W^T g V, the second
-    pass bringing the g-orthogonality to machine precision ("twice is
-    enough").  It takes the available vector with the largest share
-    |V e_i|_g / sqrt(g_ii) of its g-norm (the lowest index on a tie) among
-    those whose g-norm reaches PIVOT_TOL.
+    Gram-Schmidt run twice (``_project_twice`` on the identity).  It takes
+    the available vector with the largest share |V e_i|_g / sqrt(g_ii) of its
+    g-norm (the lowest index on a tie) among those whose g-norm reaches
+    PIVOT_TOL.
     """
     dim = g.shape[-1]
     n = dim // 2
@@ -279,13 +286,8 @@ def _gram_schmidt_adapted(g: np.ndarray, J: np.ndarray, u: np.ndarray):
     available = np.ones((len(g), dim), dtype=bool)
     accepted = np.empty((len(g), dim, dim))
     pivots = np.empty((len(g), n), dtype=np.intp)
-    eye = np.eye(dim)
     for k in range(n):
-        W = accepted[:, :, : 2 * k]
-        Wt = np.swapaxes(W, -1, -2)
-        V = W @ (Wt @ g)
-        np.subtract(eye, V, out=V)
-        V -= W @ (Wt @ (g @ V))
+        V = _project_twice(accepted[:, :, : 2 * k], g, np.eye(dim))
         nrm = np.sqrt(np.maximum(np.einsum("bij,bij->bj", V, g @ V), 0.0))
         usable = available & (nrm >= PIVOT_TOL)
         idx = np.argmax(np.where(usable, nrm / own, -1.0), axis=-1)
@@ -306,21 +308,16 @@ def _gram_schmidt_adapted(g: np.ndarray, J: np.ndarray, u: np.ndarray):
 def _gram_schmidt_pivoted(g: np.ndarray, J: np.ndarray, pivots: np.ndarray) -> np.ndarray:
     """E of the J-adapted sweep that takes ``pivots`` (..., n), at every point.
 
-    Step k projects coordinate vector ``pivots[..., k]`` twice, as
-    ``_gram_schmidt_adapted`` projects every vector, with no choice, no norm
-    test, conjugate or abs: on complex g and J it is the analytic
-    continuation of the real sweep with those pivots.
+    Step k projects coordinate vector ``pivots[..., k]`` by the projection of
+    ``_gram_schmidt_adapted``, with no choice, no norm test, conjugate or
+    abs: on complex g and J it is the analytic continuation of the real
+    sweep with those pivots.  ``pivots`` broadcasts against the batch of g.
     """
     dim = g.shape[-1]
     accepted = np.empty(g.shape, dtype=np.result_type(g, J))
     columns = np.eye(dim)[pivots][..., None]
     for k in range(dim // 2):
-        v = columns[..., k, :, :]
-        if k:
-            W = accepted[..., : 2 * k]
-            Wt = np.swapaxes(W, -1, -2)
-            v = v - W @ (Wt @ (g @ v))
-            v -= W @ (Wt @ (g @ v))
+        v = _project_twice(accepted[..., : 2 * k], g, columns[..., k, :, :])
         v = v / np.sqrt(np.swapaxes(v, -1, -2) @ (g @ v))
         accepted[..., 2 * k] = v[..., 0]
         accepted[..., 2 * k + 1] = (J @ v)[..., 0]
@@ -384,9 +381,9 @@ def evaluate_frame_field(patch: ManifoldPatch, frame: AdaptedFrame, point: np.nd
     2n.  Re-runs the validated Gram-Schmidt sweep, each point deciding its
     own pivots, and raises FrameDiscontinuity at the first point whose pivot
     sequence differs from that of the frame it came from, so the frames are
-    values of one smooth matrix-valued function, which a caller may
-    difference.  Returns the unrotated frames at ``point``, with their g and
-    J; the field through a rotated frame E U is theirs times U.
+    values of one smooth matrix-valued function.  Returns the unrotated
+    frames at ``point``, with their g and J; the field through a rotated
+    frame E U is theirs times U.
     """
     moved = adapt_frame(patch, point)
     lead = frame.pivots.shape[:-1]
@@ -428,31 +425,29 @@ def field_derivative(patch: ManifoldPatch, point: np.ndarray, which: str = "metr
     return _call_field(field, _complex_points(u), f"{which}_field", 2).imag / COMPLEX_STEP
 
 
-def complex_step_frames(patch: ManifoldPatch, frame: AdaptedFrame) -> AdaptedFrame:
-    """The frame field through the unrotated ``frame`` at u + i h e_c, batch (..., c).
+def complex_step_frames(patch: ManifoldPatch, frame: AdaptedFrame) -> tuple:
+    """The arrays ``(g, E)`` of the field through the unrotated ``frame`` at u + i h e_c, batch (..., c).
 
-    One g and one J call; each frame takes its point's pivots, so Im E / h
-    is d_c E to rounding.  Nothing is validated: a complex symmetric g has no
+    One g and one J call; each E takes its point's pivots, so Im E / h is
+    d_c E to rounding.  Nothing is validated: a complex symmetric g has no
     spectrum to gate.
     """
     z = _complex_points(frame.point)
     g = _call_field(patch.metric_field, z, "metric_field", 2)
     J = _call_field(patch.j_field, z, "j_field", 2)
-    pivots = np.broadcast_to(frame.pivots[..., None, :], z.shape[:-1] + frame.pivots.shape[-1:])
-    return AdaptedFrame(point=z, E=_gram_schmidt_pivoted(g, J, pivots), g=g, J=J, pivots=pivots)
+    return g, _gram_schmidt_pivoted(g, J, frame.pivots[..., None, :])
 
 
-def christoffel(patch: ManifoldPatch, frame: AdaptedFrame) -> np.ndarray:
-    """Levi-Civita Christoffel symbols Gamma[..., c, a, b] = Gamma^c_{ab} at the frame's points.
+def christoffel(patch: ManifoldPatch, point: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Levi-Civita Christoffel symbols Gamma[..., c, a, b] = Gamma^c_{ab} at ``point``.
 
-    The frame factors the metric, E^T g E = Id, so g^-1 = E E^T (also for a
-    rotated frame E U, and with no conjugate for complex frames); only the
-    metric derivatives are evaluated, and no matrix is decomposed or
+    ``E`` holds frames of the metric there, E^T g E = Id, so g^-1 = E E^T
+    (also for a rotated E U, and with no conjugate for complex frames); only
+    the metric derivatives are evaluated, and no matrix is decomposed or
     inverted.  ``adapt_frame`` has gated g's condition number.
     """
-    E = frame.E
     gi = E @ np.swapaxes(E, -1, -2)
-    dg = field_derivative(patch, frame.point, which="metric")
+    dg = field_derivative(patch, point, which="metric")
     dim = E.shape[-1]
     # T[d, a, b] = d_a g_{db} + d_b g_{da} - d_d g_{ab}, then Gamma^c_{ab} = 1/2 g^{cd} T[d, a, b]
     X = np.swapaxes(dg, -3, -2)
@@ -492,7 +487,7 @@ def point_jet(patch: ManifoldPatch, point: np.ndarray) -> PointJet:
     """
     frame = adapt_frame(patch, point)
     dJ = field_derivative(patch, frame.point, which="j")
-    return PointJet(frame=frame, dJ=dJ, Gamma=christoffel(patch, frame))
+    return PointJet(frame=frame, dJ=dJ, Gamma=christoffel(patch, frame.point, frame.E))
 
 
 def random_unitary_rotation(n: int, rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:

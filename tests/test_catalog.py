@@ -216,6 +216,28 @@ class TestResolve:
 
     def test_torus_parameters(self):
         assert resolve("torus:eps=0.1250,freq=03").id == "torus:eps=0.125,freq=3"
+        assert perturbed_torus(eps=np.float64(0.05)).id == "torus:eps=0.05,freq=1"
+
+    @pytest.mark.parametrize(
+        "manifold",
+        [
+            "torus:eps=0.123456789,freq=3",
+            "torus:eps=0.05,freq=1",
+            "torus:eps=1e-07,freq=2",
+            "nk-s6",
+            "flat:3",
+            "conformal4",
+        ],
+    )
+    def test_printed_id_resolves_to_the_same_patch(self, manifold):
+        # an id is what report prints: read back, it must give the same
+        # fields bit for bit, not a torus of a rounded eps
+        entry = resolve(manifold)
+        again = resolve(entry.id)
+        assert again.id == entry.id
+        u = sample_points(entry.patch, 3, np.random.default_rng(8))
+        for field in ("metric_field", "j_field"):
+            assert np.array_equal(getattr(again.patch, field)(u), getattr(entry.patch, field)(u)), field
 
     def test_unknown(self):
         with pytest.raises(ValueError):

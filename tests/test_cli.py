@@ -355,6 +355,26 @@ def test_a_j_field_that_casts_complex_points_is_refused_with_one_line(monkeypatc
     assert run_cli(["scan", "--manifold", "nk-s6", "--grid", "1", "--out", out]) == 0
 
 
+def test_a_round_sphere_patch_without_a_metric_jet(monkeypatch, tmp_path, capsys):
+    """The curvature and Chern checks differentiate the Christoffel symbols
+    at the complex points, which takes the metric jet: without it
+    verify-geometry on the round sphere exits 2 with one line.  report and
+    scan, whose Christoffel symbols are complex steps of g at real points,
+    run."""
+    entry = catalog.resolve("nk-s6")
+    bare = dataclasses.replace(entry, patch=dataclasses.replace(entry.patch, metric_jet=None))
+    monkeypatch.setattr(catalog, "resolve", lambda manifold_id: bare)
+    out = tmp_path / "out"
+    assert run_cli(["verify-geometry", "--manifold", "nk-s6", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: patch 'nk-s6' has no metric jet, which a derivative at complex points needs\n"
+    assert not out.exists()
+    assert run_cli(["report", "--manifold", "nk-s6", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["manifold"] == "nk-s6"
+    assert run_cli(["scan", "--manifold", "nk-s6", "--grid", "1", "--out", str(out)]) == 0
+
+
 def test_exact_j_jet_keeps_the_nijenhuis_routes_together(tmp_path):
     """With nk-s6's closed-form J jet the routes agree: scan and report exit
     0, and so does verify-geometry, whose frame route reads at rounding."""

@@ -227,7 +227,7 @@ def test_structure_equation_shares_the_stencil_frames(monkeypatch):
     patch = nearly_kahler_s6().patch
     u = np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])
     jet = frame_field_jet(patch, u)
-    assert jet.shifted.E.shape == (6, 6, 6)
+    assert jet.shifted.shape == (6, 6, 6)
     assert np.array_equal(jet.w, frame_field_jet(patch, u).w)
     expected = structure_equation_residual(jet)
 
@@ -254,10 +254,10 @@ def two_call_build(patch, point):
     """The frame-field jet as two calls: the point jet, then the frame field
     through its frames at the complex points u + i h e_c."""
     jet = point_jet(patch, point)
-    shifted = complex_step_frames(patch, jet.frame)
-    dE = shifted.E.imag / COMPLEX_STEP
-    dT = (shifted.g @ shifted.E).imag / COMPLEX_STEP
-    return jet, shifted, dE, dT, coordinate_connection(jet.frame.g, jet.frame.E, dE, jet.Gamma)
+    g, E = complex_step_frames(patch, jet.frame)
+    dE = E.imag / COMPLEX_STEP
+    dT = (g @ E).imag / COMPLEX_STEP
+    return jet, E, dE, dT, coordinate_connection(jet.frame.g, jet.frame.E, dE, jet.Gamma)
 
 
 def same_bits(a, b):
@@ -278,7 +278,7 @@ def test_one_frame_batch_is_bitwise_the_two_call_build(entry, shape):
     jet, shifted, dE, dT, w = two_call_build(patch, u)
     for name in ("point", "E", "g", "J", "pivots"):
         assert same_bits(getattr(field.frame, name), getattr(jet.frame, name)), name
-        assert same_bits(getattr(field.shifted, name), getattr(shifted, name)), name
+    assert same_bits(field.shifted, shifted)
     for name in ("dJ", "Gamma"):
         assert same_bits(getattr(field.jet, name), getattr(jet, name)), name
     assert same_bits(field.Gamma, jet.Gamma)
@@ -351,7 +351,7 @@ def reference_connection_derivative(patch, frame, step, U=None):
     E = frames.E if U is None else frames.E @ U[..., None, None, :, :]
     g = frames.g[..., 0, :, :]
     dE = stencil_difference(E[..., 1:, :, :], step, outer.ndim - 1)
-    w = coordinate_connection(g, E[..., 0, :, :], dE, christoffel(patch, adapt_frame(patch, outer)))
+    w = coordinate_connection(g, E[..., 0, :, :], dE, christoffel(patch, outer, adapt_frame(patch, outer).E))
     return stencil_difference(w, step, frame.point.ndim - 1)
 
 
