@@ -22,6 +22,7 @@ import numpy as np
 from . import catalog
 from .algebra import run_algebra_sweep
 from .connection import (
+    connection_coefficients,
     connection_derivative,
     curvature_forms,
     frame_field_jet,
@@ -235,7 +236,7 @@ def cmd_verify_algebra(args) -> int:
 
 def _sigma_route_gap(w: np.ndarray, E: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Max |sigma part of the frame-differentiated table - sigma from nabla J|, per point."""
-    return np.abs(sigma_part(w @ E[..., None, :, :]) - sigma).max(axis=(-3, -2, -1))
+    return np.abs(sigma_part(connection_coefficients(w, E)) - sigma).max(axis=(-3, -2, -1))
 
 
 def _relative_change(new: np.ndarray, old: np.ndarray) -> np.ndarray:
@@ -279,9 +280,7 @@ def geometry_checks(entry: catalog.CatalogEntry, points: int, seed: int, rotatio
         rep = theorem_report(rotated)
         sign = pfaffian_sign(rep.F, rep.nondegenerate)
         # The rotated frame field is E U with U constant, so its slices are U^T w U.
-        slices = np.moveaxis(frames.w, -1, -3)
-        w_rotated = np.swapaxes(U, -1, -2)[..., None, :, :] @ slices @ U[..., None, :, :]
-        w_rotated = np.moveaxis(w_rotated, -3, -1)
+        w_rotated = np.swapaxes(U, -1, -2)[..., None, :, :] @ frames.w @ U[..., None, :, :]
         found = {
             "structure_equation": structure_equation_residual(frames),
             "phi_formula_equivalence": phi_formula_gap(rep.sigma[0], rep.F[0]),

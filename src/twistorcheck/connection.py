@@ -30,11 +30,6 @@ from .geometry import (
 )
 
 
-def _slices(table: np.ndarray) -> np.ndarray:
-    """The matrices omega(X_C) of a table [..., A, B, C], indexed [..., C, A, B]."""
-    return np.moveaxis(table, -1, -3)
-
-
 def _gamma_times(Gamma: np.ndarray, X: np.ndarray) -> np.ndarray:
     """(Gamma_a X)[..., a, c, B] = sum_b Gamma^c_{ab} X^b_B for Gamma[..., c, a, b] and square X."""
     dim = X.shape[-1]
@@ -43,7 +38,7 @@ def _gamma_times(Gamma: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def coordinate_connection(g: np.ndarray, E: np.ndarray, dE: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
-    """Coordinate slices w[..., A, B, a] = omega_{AB}(d/du^a) of the connection forms.
+    """Coordinate slices w[..., a, A, B] = omega_{AB}(d/du^a) of the connection forms.
 
     ``E`` holds frames built from the metric ``g``, ``dE[..., c, :, :]`` the
     derivatives d_c E of their frame field and ``Gamma`` the Christoffel
@@ -51,9 +46,8 @@ def coordinate_connection(g: np.ndarray, E: np.ndarray, dE: np.ndarray, Gamma: n
     """
     # (nabla_{d_a} e_B)^c = d_a E^c_B + Gamma^c_{ab} E^b_B, indexed [a, c, B]
     cov = dE + _gamma_times(Gamma, E)
-    # w[B, A, a] = g(nabla_{d_a} e_B, e_A)
-    lowered = np.swapaxes(cov, -1, -2) @ (g @ E)[..., None, :, :]
-    return np.moveaxis(lowered, -3, -1)
+    # w[a, B, A] = g(nabla_{d_a} e_B, e_A)
+    return np.swapaxes(cov, -1, -2) @ (g @ E)[..., None, :, :]
 
 
 @dataclass(frozen=True)
@@ -63,8 +57,9 @@ class FrameFieldJet:
     ``jet`` is the point jet there (``frame`` and ``Gamma`` read it);
     ``shifted`` the complex E of the same field at u + i h e_c, batch
     (..., c, 2n, 2n) (``complex_step_frames``); ``dE`` and ``dT`` the
-    complex-step derivatives Im(.) / h of E and of g E; ``w`` is
-    ``coordinate_connection`` from them and the jet's Christoffel symbols.
+    complex-step derivatives Im(.) / h of E and of g E, indexed [..., c, :, :];
+    ``w`` is ``coordinate_connection`` from them and the jet's Christoffel
+    symbols, the matrices omega(d_a) indexed [..., a, A, B].
     The structure equation, curvature and the Chern identity all read this
     one object; build it with ``frame_field_jet``.
     """
@@ -99,13 +94,20 @@ def frame_field_jet(patch: ManifoldPatch, point: np.ndarray) -> FrameFieldJet:
     return FrameFieldJet(jet=jet, shifted=E, dE=dE, dT=dT, w=w)
 
 
-def connection_coefficients(jet: FrameFieldJet) -> np.ndarray:
-    """Connection table omega[..., A, B, C] = omega_{AB}(e_C) of the jet's frames, skew in (A, B)."""
-    return jet.w @ jet.frame.E[..., None, :, :]
+def connection_coefficients(w: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Connection table omega[..., C, A, B] = omega_{AB}(e_C) = sum_a E^a_C w[..., a, A, B].
+
+    ``w`` holds coordinate slices (``coordinate_connection``) and ``E`` frames
+    at the same points; a rotated ``E`` may carry a wider batch than ``w``,
+    so the product sets the batch.  Each slice is skew in (A, B).
+    """
+    dim = E.shape[-1]
+    omega = np.swapaxes(E, -1, -2) @ w.reshape(w.shape[:-3] + (dim, dim * dim))
+    return omega.reshape(omega.shape[:-1] + (dim, dim))
 
 
 def nabla_j_connection(jet: PointJet) -> np.ndarray:
-    """The sigma part of the connection table, read off nabla J at the jet's points.
+    """The sigma part sigma[..., C, A, B] of the connection table, read off nabla J at the jet's points.
 
     Reads the jet's frame with its g and J, the J jet and the Christoffel
     symbols; the frame field is never differentiated.  In an adapted frame
@@ -137,7 +139,7 @@ def nabla_j_connection(jet: PointJet) -> np.ndarray:
     sigma = K @ J0
     sigma -= J0 @ K
     sigma *= 0.25
-    return np.moveaxis(sigma, -3, -1)
+    return sigma
 
 
 def _nabla_j(J: np.ndarray, dJ: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
@@ -149,38 +151,33 @@ def _nabla_j(J: np.ndarray, dJ: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
 
 
 def sigma_part(omega: np.ndarray) -> np.ndarray:
-    """The J0-anticommuting part sigma(e_C) = 1/2 (w_C + J0 w_C J0) of each slice of a table."""
+    """The J0-anticommuting part sigma(e_C) = 1/2 (w_C + J0 w_C J0) of each slice omega[..., C, :, :]."""
     J0 = j0_matrix(omega.shape[-1] // 2)
-    slices = _slices(omega)
-    return np.moveaxis(0.5 * (slices + J0 @ slices @ J0), -3, -1)
+    return 0.5 * (omega + J0 @ omega @ J0)
 
 
 def structure_equation_residual(jet: FrameFieldJet) -> np.ndarray:
     """Max residual of d theta_A = sum_B theta_B ^ omega_{BA} on coordinate pairs, per point.
 
-    The connection side is the jet's ``w``, which differentiates the complex
-    frames' E; the coframe side is the jet's ``dT``, the derivative of their
-    g E, so the two sides share frames but no derivative.  A jet whose ``w``
-    has the wrong sign must drive the residual far from zero on any patch
-    with a nonzero connection, which is how tests pin the sign convention.
+    The connection side is the jet's slices ``w[..., b, :, :]``, which
+    differentiate the complex frames' E; the coframe side is the jet's
+    ``dT[..., a, :, :]``, the derivatives of their g E, so the two sides share
+    frames but no derivative.  A jet whose ``w`` has the wrong sign must drive
+    the residual far from zero on any patch with a nonzero connection, which
+    is how tests pin the sign convention.
     """
-    frame, w = jet.frame, jet.w
-    dim = frame.E.shape[-1]
-
     # theta_A(d_a) = g(d_a, e_A) = (g E)_{aA}
-    T0 = frame.g @ frame.E
-    # dtheta[A, a, b] = d_a theta_A(d_b) - d_b theta_A(d_a)
-    dtheta = np.moveaxis(jet.dT, -1, -3)
-    dtheta = dtheta - np.swapaxes(dtheta, -1, -2)
-    # X[A, a, b] = sum_B theta_B(d_a) omega_{BA}(d_b)
-    X = (T0 @ w.reshape(w.shape[:-3] + (dim, dim * dim))).reshape(w.shape)
-    X = np.swapaxes(X, -3, -2)
-    rhs = X - np.swapaxes(X, -1, -2)
+    T0 = jet.frame.g @ jet.frame.E
+    # dtheta[a, b, A] = d_a theta_A(d_b) - d_b theta_A(d_a)
+    dtheta = jet.dT - np.swapaxes(jet.dT, -3, -2)
+    # X[b, a, A] = sum_B theta_B(d_a) omega_{BA}(d_b)
+    X = T0[..., None, :, :] @ jet.w
+    rhs = np.swapaxes(X, -3, -2) - X
     return np.abs(dtheta - rhs).max(axis=(-3, -2, -1))
 
 
 def connection_derivative(patch: ManifoldPatch, jet: FrameFieldJet) -> np.ndarray:
-    """d omega[..., c, a, A, B] = d_c w[..., A, B, a] - d_a w[..., A, B, c] at the jet's points.
+    """d omega[..., c, a, A, B] = d_c w[..., a, A, B] - d_a w[..., c, A, B] at the jet's points.
 
     With w_a = P_a^T g E and P_a = d_a E + Gamma_a E, as in
     ``coordinate_connection``, the second derivatives d_c d_a E cancel:
@@ -205,9 +202,9 @@ def curvature_forms(jet: FrameFieldJet, dw: np.ndarray) -> np.ndarray:
 
     ``dw`` is ``connection_derivative(patch, jet)``.
     """
-    # Both terms indexed [a, b, A, B]; slices[a] is the matrix omega(d_a).
-    slices = _slices(jet.w)
-    products = slices[..., :, None, :, :] @ slices[..., None, :, :, :]
+    # Both terms indexed [a, b, A, B]; w[a] is the matrix omega(d_a).
+    w = jet.w
+    products = w[..., :, None, :, :] @ w[..., None, :, :, :]
     wedge = products - np.swapaxes(products, -4, -3)
     pairs = np.moveaxis(wedge - dw, (-2, -1), (-4, -3))
     E = jet.frame.E[..., None, None, :, :]

@@ -1,6 +1,7 @@
 """The pulled-back twistor 2-form, its non-degeneracy margin, and the bound chain.
 
-Starting from the connection table of an adapted frame this module builds the
+Starting from the connection table omega[..., C, A, B] = omega_AB(e_C) of an
+adapted frame, one skew matrix per frame vector, this module builds the
 coefficient tensors
 
     alpha_ij = omega_{i,j+n} + omega_{i+n,j}      beta_ij = omega_{i+n,j+n} - omega_{ij}
@@ -57,19 +58,19 @@ def critical_constant(n: int) -> float:
 
 
 def alpha_beta(omega: np.ndarray) -> tuple:
-    """(alpha, beta) with alpha[..., i, j, A] = alpha_ij(e_A), read off a connection table."""
+    """(alpha, beta) with alpha[..., A, i, j] = alpha_ij(e_A), read off a table omega[..., C, A, B]."""
     n = omega.shape[-1] // 2
-    alpha = omega[..., :n, n:, :] + omega[..., n:, :n, :]
-    beta = omega[..., n:, n:, :] - omega[..., :n, :n, :]
+    alpha = omega[..., :n, n:] + omega[..., n:, :n]
+    beta = omega[..., n:, n:] - omega[..., :n, :n]
     return alpha, beta
 
 
 def structure_coefficients(alpha: np.ndarray, beta: np.ndarray) -> tuple:
-    """(C, C', d, d'): the structure coefficients of alpha/beta tables, indexed [..., i, j, k]."""
-    n = alpha.shape[-3]
-    # [j, k, i] -> [i, j, k]
-    alpha = np.moveaxis(alpha, -1, -3)
-    beta = np.moveaxis(beta, -1, -3)
+    """(C, C', d, d'): the structure coefficients of tables alpha[..., A, i, j], indexed [..., i, j, k].
+
+    C_ijk = alpha_jk(e_{i+n}) + beta_jk(e_i) and C'_ijk = alpha_jk(e_i) - beta_jk(e_{i+n}).
+    """
+    n = alpha.shape[-1]
     C = alpha[..., n:, :, :] + beta[..., :n, :, :]
     Cp = alpha[..., :n, :, :] - beta[..., n:, :, :]
     d = C - np.swapaxes(C, -3, -2)
@@ -78,24 +79,24 @@ def structure_coefficients(alpha: np.ndarray, beta: np.ndarray) -> tuple:
 
 
 def phi_matrix(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Twistor form F[..., A, B] = phi(e_A, e_B) from the coefficient expansion.
+    """Twistor form F[..., A, B] = phi(e_A, e_B) from tables alpha[..., A, i, j] and beta.
 
     F_{AB} = 1/2 sum_ij (alpha_ij^A beta_ij^B - alpha_ij^B beta_ij^A) - (J0)_{AB},
     the last term being theta_i ^ theta_{i+n} written as a matrix.  The double
     sum runs over all ordered pairs (i, j), which together with the 1/2 factor
     reproduces phi(e_i, e_{i+n}) = 1 on a flat patch.
     """
-    n = alpha.shape[-3]
-    pairs = alpha.shape[:-3] + (n * n, 2 * n)
-    S = np.swapaxes(alpha.reshape(pairs), -1, -2) @ beta.reshape(pairs)
+    n = alpha.shape[-1]
+    rows = alpha.shape[:-2] + (n * n,)
+    S = alpha.reshape(rows) @ np.swapaxes(beta.reshape(rows), -1, -2)
     return 0.5 * (S - np.swapaxes(S, -1, -2)) - j0_matrix(n)
 
 
 def phi_via_bundle_formula(omega: np.ndarray) -> np.ndarray:
     """Twistor form F[..., A, B] from the trace pairing on so(2n) plus the canonical-form term.
 
-    Evaluates, for X = e_A and Y = e_B with w_C = omega(e_C) the skew matrix
-    slice and theta(e_A) the A-th standard basis vector,
+    Evaluates, for X = e_A and Y = e_B with w_C = omega[..., C, :, :] the skew
+    matrix omega(e_C) and theta(e_A) the A-th standard basis vector,
 
         F_{AB} = 1/4 (-tr(P_A Q_B)) - (e_A J0) . e_B ,
         P_A = J0 w_A - w_A J0 ,   Q_B = w_B + J0 w_B J0 .
@@ -105,18 +106,17 @@ def phi_via_bundle_formula(omega: np.ndarray) -> np.ndarray:
     """
     dim = omega.shape[-1]
     J0 = j0_matrix(dim // 2)
-    w = np.moveaxis(omega, -1, -3)  # w[..., A] is the matrix omega(e_A)
-    P = J0 @ w - w @ J0
-    Q = w + J0 @ w @ J0
+    P = J0 @ omega - omega @ J0
+    Q = omega + J0 @ omega @ J0
     # tr(P_A Q_B) = sum_xy P_A[x, y] Q_B[y, x]
-    rows = w.shape[:-2] + (dim * dim,)
+    rows = omega.shape[:-2] + (dim * dim,)
     trace = P.reshape(rows) @ np.swapaxes(np.swapaxes(Q, -1, -2).reshape(rows), -1, -2)
     return -0.25 * trace - J0
 
 
 def phi_formula_gap(sigma: np.ndarray, F: np.ndarray) -> np.ndarray:
     """The two phi formulas' oracle: max |F - phi_via_bundle_formula| of each table
-    sigma[..., A, B, C] and its ``phi_matrix`` F (a report's), formed only where read."""
+    sigma[..., C, A, B] and its ``phi_matrix`` F (a report's), formed only where read."""
     return np.abs(F - phi_via_bundle_formula(sigma)).max(axis=(-2, -1))
 
 
@@ -204,9 +204,10 @@ class TheoremReport:
     For a single point the fields are scalars; for a batch of points of
     shape S they are arrays of shape S (``sigma`` and ``N`` of shape
     S + (2n,) * 3, the form ``F`` = phi(e_A, e_B) of shape S + (2n, 2n)).
-    ``N`` holds the frame components N[..., C, A, B] of the Nijenhuis tensor
-    by the connection route, and ``n_route_mismatch`` the relative gap to the
-    coordinate route's, None when the report was computed from sigma alone.
+    ``sigma`` holds the table sigma[..., C, A, B] = sigma_AB(e_C) it was
+    computed from, ``N`` the frame components N[..., C, A, B] of the Nijenhuis
+    tensor by the connection route, and ``n_route_mismatch`` the relative gap
+    to the coordinate route's, None when the report was computed from sigma alone.
     """
 
     normN2: float
@@ -229,7 +230,7 @@ def _total(a: np.ndarray) -> np.ndarray:
 
 
 def sigma_report(sigma: np.ndarray) -> TheoremReport:
-    """Certify the bound chain for sigma tables sigma[..., A, B, C] = sigma_AB(e_C).
+    """Certify the bound chain for sigma tables sigma[..., C, A, B] = sigma_AB(e_C).
 
     Every quantity of the certificate is a function of sigma alone: alpha
     and beta, the structure coefficients, N by the connection route, phi by
@@ -319,7 +320,7 @@ def chern_identity_residual(patch: ManifoldPatch, jet: FrameFieldJet, dw: np.nda
     # sum_i d omega_{i,i+n}(d_a, d_b)
     diagonal = np.arange(n)
     dsum = dw[..., diagonal, n + diagonal].sum(axis=-1)
-    F = phi_matrix(*alpha_beta(connection_coefficients(jet)))
+    F = phi_matrix(*alpha_beta(connection_coefficients(jet.w, frame.E)))
     T = frame.g @ frame.E  # theta_A(d_a) = T[a, A]
     phi_coord = T @ F @ np.swapaxes(T, -1, -2)
     return np.abs(dsum + phi_coord).max(axis=(-2, -1))

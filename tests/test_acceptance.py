@@ -95,9 +95,8 @@ def test_criterion_1_flat_kahler():
             rep = theorem_report(point_jet(patch, origin))
             c.check(abs(rep.normN2) <= 1e-10, f"n={n}: |N|^2 = {rep.normN2:.3e}")
             c.check(abs(rep.margin - 1.0) <= 1e-9, f"n={n}: margin = {rep.margin!r}")
-            F = phi_matrix(
-                *alpha_beta(connection_coefficients(frame_field_jet(patch, origin)))
-            )
+            frames = frame_field_jet(patch, origin)
+            F = phi_matrix(*alpha_beta(connection_coefficients(frames.w, frames.frame.E)))
             dev = np.abs(F + j0_matrix(n)).max()
             c.check(dev <= 1e-10, f"n={n}: max |F + J0| = {dev:.3e}")
 
@@ -138,7 +137,8 @@ def test_criterion_3_route_equivalence():
                 worst_n = max(worst_n, rep.n_route_mismatch)
                 worst_phi = max(worst_phi, phi_formula_gap(rep.sigma, rep.F))
                 # sigma from nabla J against the frame-differentiated connection
-                full = sigma_part(connection_coefficients(frame_field_jet(entry.patch, point)))
+                frames = frame_field_jet(entry.patch, point)
+                full = sigma_part(connection_coefficients(frames.w, frames.frame.E))
                 worst_sigma = max(worst_sigma, float(np.abs(full - rep.sigma).max()))
             c.check(worst_n < 1e-6, f"{entry.id}: |N|^2 route mismatch {worst_n:.3e}")
             c.check(worst_phi < 1e-10, f"{entry.id}: phi formula mismatch {worst_phi:.3e}")
@@ -277,7 +277,8 @@ def test_criterion_8_negative_controls():
         u = np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])
         jet = point_jet(s6, u)
         sigma = theorem_report(jet).sigma
-        full = sigma_part(connection_coefficients(frame_field_jet(s6, u)))
+        frames = frame_field_jet(s6, u)
+        full = sigma_part(connection_coefficients(frames.w, frames.frame.E))
         gap = float(np.abs(full + sigma).max())
         c.check(gap > 1e-3, f"sign-flipped sigma route mismatch only {gap:.3e}")
 

@@ -95,7 +95,8 @@ class TestConformal:
     def test_connection_genuinely_nonzero(self):
         entry = conformal_hermitian()
         point = np.array([1.3, 0.9, 1.1, 1.7])
-        table = connection_coefficients(frame_field_jet(entry.patch, point))
+        frames = frame_field_jet(entry.patch, point)
+        table = connection_coefficients(frames.w, frames.frame.E)
         assert np.abs(table).max() > 0.1
 
 

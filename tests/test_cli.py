@@ -14,6 +14,7 @@ import pytest
 from twistorcheck import algebra, catalog, cli, geometry, point_jet, theorem_report, twistorform
 from twistorcheck.cli import geometry_checks, main
 from twistorcheck.connection import (
+    connection_coefficients,
     connection_derivative,
     curvature_forms,
     frame_field_jet,
@@ -1094,7 +1095,7 @@ def _geometry_reference(entry, points, seed, rotations):
         worst[name] = max(worst.get(name, 0.0), float(value))
 
     def route_gap(w, E, sigma):
-        return np.abs(sigma_part(w @ E[None, :, :]) - sigma).max()
+        return np.abs(sigma_part(connection_coefficients(w, E)) - sigma).max()
 
     for u in catalog.sample_points(patch, points, rng):
         jet = point_jet(patch, u)
@@ -1111,7 +1112,7 @@ def _geometry_reference(entry, points, seed, rotations):
             U = random_unitary_rotation(patch.n, rng)
             rotated = jet.rotated(U)
             rep = theorem_report(rotated)
-            w_rotated = np.moveaxis(U.T @ np.moveaxis(w, -1, -3) @ U, -3, -1)
+            w_rotated = U.T @ w @ U
             bump("connection_route_equivalence", route_gap(w_rotated, rotated.frame.E, rep.sigma))
             bump("frame_invariance", max(
                 abs(rep.normN2 - base.normN2) / max(1.0, abs(base.normN2)),

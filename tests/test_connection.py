@@ -41,13 +41,14 @@ def field_jet(patch, point):
 
 
 def table_at(patch, point):
-    return connection_coefficients(frame_field_jet(patch, point))
+    jet = frame_field_jet(patch, point)
+    return connection_coefficients(jet.w, jet.frame.E)
 
 
 def rotated_table(table, U):
     """The connection table of the frame E U for a constant U(n) element U: a
     tensor in all three slots."""
-    return np.einsum("abc,aA,bB,cC->ABC", table, U, U, U)
+    return np.einsum("cab,cC,aA,bB->CAB", table, U, U, U)
 
 
 def counting_frames(monkeypatch, calls):
@@ -83,10 +84,31 @@ def test_flat_connection_vanishes():
     assert np.abs(table_at(patch, np.zeros(6))).max() == 0.0
 
 
+@pytest.mark.parametrize("manifold", ["nk-s6", "conformal4"])
+def test_connection_coefficients_contract_the_slots_with_the_frame(manifold):
+    """omega[..., C, :, :] = sum_a E^a_C w[..., a, :, :], summed one slot at a
+    time, for the jet's frames and for rotated frames E U, whose batch is
+    wider than the slices' (verify-geometry's rotated route)."""
+    from twistorcheck import catalog
+
+    patch = catalog.resolve(manifold).patch
+    rng = np.random.default_rng(11)
+    jet = frame_field_jet(patch, sample_points(patch, 3, rng))
+    U = random_unitary_rotation(patch.n, rng, (2, 3))
+    for E in (jet.frame.E, jet.frame.E @ U):
+        omega = connection_coefficients(jet.w, E)
+        expected = np.zeros(E.shape[:-2] + (patch.dim,) * 3)
+        for C in range(patch.dim):
+            for a in range(patch.dim):
+                expected[..., C, :, :] += E[..., a, C, None, None] * jet.w[..., a, :, :]
+        assert omega.shape == expected.shape
+        assert np.abs(omega - expected).max() <= 1e-14 * np.abs(jet.w).max()
+
+
 def test_conformal_antisymmetry_and_magnitude():
     patch = conformal_hermitian().patch
     omega = table_at(patch, CONFORMAL_POINT)
-    assert np.abs(omega + omega.transpose(1, 0, 2)).max() < 1e-9
+    assert np.abs(omega + omega.transpose(0, 2, 1)).max() < 1e-9
     assert np.abs(omega).max() > 0.1  # guards against a degenerate test
 
 
@@ -150,7 +172,7 @@ def test_metric_compatibility_via_antisymmetry():
     patch = nearly_kahler_s6().patch
     u = np.array([0.15, -0.1, 0.05, 0.0, 0.2, 0.1])
     w = field_jet(patch, u).w
-    assert np.abs(w + w.transpose(1, 0, 2)).max() < 1e-9
+    assert np.abs(w + w.transpose(0, 2, 1)).max() < 1e-9
 
 
 def test_connection_encodes_nabla_j():
@@ -167,7 +189,7 @@ def test_connection_encodes_nabla_j():
         J0 = j0_matrix(patch.n)
 
         def bracket(om):
-            return np.einsum("xz,zyC->Cxy", J0, om) - np.einsum("xzC,zy->Cxy", om, J0)
+            return J0 @ om - om @ J0
 
         om = table_at(patch, point)
         sigma = nabla_j_connection(jet)
@@ -338,7 +360,7 @@ def test_round_sphere_residuals_are_rounding():
 
 
 def reference_connection_derivative(patch, frame, step, U=None):
-    """The nested d omega block, d_c w[..., A, B, a] as [..., c, A, B, a]: the
+    """The nested d omega block, d_c w[..., a, A, B] as [..., c, a, A, B]: the
     connection slices at each outer central-difference point, from that
     point's own central-difference frames and Christoffel symbols,
     differenced again, one step at both levels and all 2 dim (1 + 2 dim)
@@ -376,7 +398,7 @@ def test_connection_derivative_matches_the_nested_block(manifold, case):
         U = random_unitary_rotation(patch.n, rng, (4,))
         frame = rotate_frame(frame, U)
         dw = np.swapaxes(U, -1, -2)[:, None, None] @ dw @ U[:, None, None]
-    nested = np.moveaxis(reference_connection_derivative(patch, frame, step, U), -1, -3)
+    nested = reference_connection_derivative(patch, frame, step, U)
     expected = nested - np.swapaxes(nested, -4, -3)
     assert dw.shape == expected.shape == frame.point.shape[:-1] + (patch.dim,) * 4
     assert np.abs(dw - expected).max() <= 1e-6

@@ -52,9 +52,8 @@ def symmetry_residuals(N, J):
 
 def frame_d(patch, jet):
     """The d and d' tensors of the frame-differentiated connection table at the jet's points."""
-    _, _, d, dp = structure_coefficients(
-        *alpha_beta(connection_coefficients(frame_field_jet(patch, jet.frame.point)))
-    )
+    frames = frame_field_jet(patch, jet.frame.point)
+    _, _, d, dp = structure_coefficients(*alpha_beta(connection_coefficients(frames.w, frames.frame.E)))
     return d, dp
 
 

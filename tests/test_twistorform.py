@@ -59,11 +59,11 @@ def verdict_and_sign(F):
 
 
 def table_with(n, entries):
-    """Skew connection table with omega[A, B, C] = v and the (B, A, C) mirror."""
+    """Skew connection table with omega[C, A, B] = v and the (C, B, A) mirror."""
     om = np.zeros((2 * n, 2 * n, 2 * n))
-    for (a, b, c), v in entries.items():
-        om[a, b, c] = v
-        om[b, a, c] = -v
+    for (c, a, b), v in entries.items():
+        om[c, a, b] = v
+        om[c, b, a] = -v
     return om
 
 
@@ -75,42 +75,42 @@ class TestAlphaBeta:
     def test_alpha_slot_bookkeeping(self):
         # omega_{1, n+2}(e_1) = 1 lands in alpha_12^1 and nowhere else.
         n = 2
-        alpha, beta = alpha_beta(table_with(n, {(0, n + 1, 0): 1.0}))
-        expected = np.zeros((n, n, 2 * n))
-        expected[0, 1, 0] = 1.0
-        expected[1, 0, 0] = -1.0
+        alpha, beta = alpha_beta(table_with(n, {(0, 0, n + 1): 1.0}))
+        expected = np.zeros((2 * n, n, n))
+        expected[0, 0, 1] = 1.0
+        expected[0, 1, 0] = -1.0
         assert np.array_equal(alpha, expected)
         assert np.abs(beta).max() == 0.0
 
     def test_beta_slot_bookkeeping(self):
         # omega_{n+1, n+2}(e_3) = 1 lands in beta_12^3 (and the beta_21^3 mirror).
         n = 2
-        alpha, beta = alpha_beta(table_with(n, {(n, n + 1, 2): 1.0}))
-        expected = np.zeros((n, n, 2 * n))
-        expected[0, 1, 2] = 1.0
-        expected[1, 0, 2] = -1.0
+        alpha, beta = alpha_beta(table_with(n, {(2, n, n + 1): 1.0}))
+        expected = np.zeros((2 * n, n, n))
+        expected[2, 0, 1] = 1.0
+        expected[2, 1, 0] = -1.0
         assert np.array_equal(beta, expected)
         assert np.abs(alpha).max() == 0.0
 
     def test_antisymmetry_inherited(self):
         patch = conformal_hermitian().patch
         point = np.array([1.3, 0.9, 1.1, 1.7])
-        alpha, beta = alpha_beta(
-            connection_coefficients(frame_field_jet(patch, point))
-        )
-        assert np.abs(alpha + alpha.transpose(1, 0, 2)).max() < 1e-9
-        assert np.abs(beta + beta.transpose(1, 0, 2)).max() < 1e-9
+        jet = frame_field_jet(patch, point)
+        alpha, beta = alpha_beta(connection_coefficients(jet.w, jet.frame.E))
+        assert np.abs(alpha + alpha.transpose(0, 2, 1)).max() < 1e-9
+        assert np.abs(beta + beta.transpose(0, 2, 1)).max() < 1e-9
 
 
 def ab_with(n, alpha_entries, beta_entries):
-    alpha = np.zeros((n, n, 2 * n))
-    beta = np.zeros((n, n, 2 * n))
-    for (i, j, a), v in alpha_entries.items():
-        alpha[i, j, a] = v
-        alpha[j, i, a] = -v
-    for (i, j, a), v in beta_entries.items():
-        beta[i, j, a] = v
-        beta[j, i, a] = -v
+    """Tables alpha[A, i, j] and beta with the given entries and their (A, j, i) mirrors."""
+    alpha = np.zeros((2 * n, n, n))
+    beta = np.zeros((2 * n, n, n))
+    for (a, i, j), v in alpha_entries.items():
+        alpha[a, i, j] = v
+        alpha[a, j, i] = -v
+    for (a, i, j), v in beta_entries.items():
+        beta[a, i, j] = v
+        beta[a, j, i] = -v
     return alpha, beta
 
 
@@ -122,7 +122,7 @@ class TestStructureCoefficients:
     def test_alpha_slot_example(self):
         # alpha_23^{1+n} = 1, n = 3: C_123 = 1 with the full d fan-out.
         n = 3
-        C, _, d, _ = structure_coefficients(*ab_with(n, {(1, 2, n + 0): 1.0}, {}))
+        C, _, d, _ = structure_coefficients(*ab_with(n, {(n + 0, 1, 2): 1.0}, {}))
         expected_C = np.zeros((n, n, n))
         expected_C[0, 1, 2] = 1.0
         expected_C[0, 2, 1] = -1.0
@@ -138,7 +138,7 @@ class TestStructureCoefficients:
 
     def test_beta_slot_example(self):
         # beta_12^1 = 1, n = 2: C_112 = 1, C_121 = -1, sum A^2 = sum C^2 + sum C'^2 = 2.
-        C, Cp, _, _ = structure_coefficients(*ab_with(2, {}, {(0, 1, 0): 1.0}))
+        C, Cp, _, _ = structure_coefficients(*ab_with(2, {}, {(0, 0, 1): 1.0}))
         assert C[0, 0, 1] == 1.0
         assert C[0, 1, 0] == -1.0
         assert (C**2).sum() + (Cp**2).sum() == 2.0
@@ -146,9 +146,8 @@ class TestStructureCoefficients:
     def test_antisymmetries(self):
         patch = nearly_kahler_s6().patch
         point = np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])
-        C, Cp, d, dp = structure_coefficients(
-            *alpha_beta(connection_coefficients(frame_field_jet(patch, point)))
-        )
+        jet = frame_field_jet(patch, point)
+        C, Cp, d, dp = structure_coefficients(*alpha_beta(connection_coefficients(jet.w, jet.frame.E)))
         assert np.abs(C + C.transpose(0, 2, 1)).max() < 1e-9
         assert np.abs(Cp + Cp.transpose(0, 2, 1)).max() < 1e-9
         assert np.abs(d + d.transpose(1, 0, 2)).max() < 1e-9
@@ -166,7 +165,7 @@ class TestPhi:
 
     def test_single_pair_contribution(self):
         # alpha_12^1 = 1 and beta_12^2 = 1 (n = 2) add exactly +1 at F_12.
-        F = phi_matrix(*ab_with(2, {(0, 1, 0): 1.0}, {(0, 1, 1): 1.0}))
+        F = phi_matrix(*ab_with(2, {(0, 0, 1): 1.0}, {(1, 0, 1): 1.0}))
         expected = -j0_matrix(2)
         expected[0, 1] += 1.0
         expected[1, 0] -= 1.0
@@ -176,7 +175,7 @@ class TestPhi:
         rng = np.random.default_rng(5)
         for n in (2, 3):
             om = rng.standard_normal((2 * n, 2 * n, 2 * n))
-            om = om - om.transpose(1, 0, 2)
+            om = om - om.transpose(0, 2, 1)
             F1 = phi_matrix(*alpha_beta(om))
             F2 = phi_via_bundle_formula(om)
             assert np.abs(F1 + F1.T).max() == 0.0
@@ -189,7 +188,8 @@ class TestPhi:
             (nearly_kahler_s6().patch, np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])),
         )
         for patch, point in cases:
-            table = connection_coefficients(frame_field_jet(patch, point))
+            jet = frame_field_jet(patch, point)
+            table = connection_coefficients(jet.w, jet.frame.E)
             F1 = phi_matrix(*alpha_beta(table))
             F2 = phi_via_bundle_formula(table)
             assert np.abs(F1 - F2).max() < 1e-10
@@ -203,7 +203,7 @@ class TestPhiFormulaGap:
     def test_batch_gives_each_table_alone(self):
         rng = np.random.default_rng(8)
         w = rng.standard_normal((3, 4, 6, 6, 6))
-        sigma = sigma_part(w - np.swapaxes(w, -3, -2))
+        sigma = sigma_part(w - np.swapaxes(w, -2, -1))
         F = phi_matrix(*alpha_beta(sigma))
         gap = phi_formula_gap(sigma, F)
         assert gap.shape == (3, 4)
@@ -453,11 +453,11 @@ def witness_sigma(n, s):
 
     Its slices are [[X, Y], [Y, -X]] with X = -beta/2 and Y = alpha/2.
     """
-    alpha, beta = ab_with(n, {(0, 1, 0): s}, {(0, 1, n): -s})
+    alpha, beta = ab_with(n, {(0, 0, 1): s}, {(n, 0, 1): -s})
     X, Y = -0.5 * beta, 0.5 * alpha
     sigma = np.zeros((2 * n, 2 * n, 2 * n))
-    sigma[:n, :n], sigma[:n, n:] = X, Y
-    sigma[n:, :n], sigma[n:, n:] = Y, -X
+    sigma[:, :n, :n], sigma[:, :n, n:] = X, Y
+    sigma[:, n:, :n], sigma[:, n:, n:] = Y, -X
     return sigma, alpha, beta
 
 
@@ -515,7 +515,7 @@ class TestSigmaReport:
     def test_batch_gives_each_table_alone(self):
         rng = np.random.default_rng(12)
         w = rng.standard_normal((2, 5, 6, 6, 6))
-        sigma = sigma_part(w - np.swapaxes(w, -3, -2))
+        sigma = sigma_part(w - np.swapaxes(w, -2, -1))
         batch = sigma_report(sigma)
         for index in np.ndindex(2, 5):
             alone = sigma_report(sigma[index])
@@ -542,7 +542,7 @@ def rational_sigma(n, rng, batch=()):
     w = np.array(entries, dtype=object).reshape(shape)
     w = w - np.swapaxes(w, -1, -2)
     J0 = j0_matrix(n).astype(int).astype(object)
-    return np.moveaxis(Fraction(1, 2) * (w + J0 @ w @ J0), -3, -1)
+    return Fraction(1, 2) * (w + J0 @ w @ J0)
 
 
 class TestExactStages:
