@@ -322,19 +322,19 @@ def resolve(manifold_id: str) -> CatalogEntry:
     """Look up a catalog entry by its CLI identifier.
 
     Recognized forms: ``flat:<n>``, ``conformal4``, ``nk-s6``,
-    ``torus:eps=<r>,freq=<k>``; any other id raises ValueError.
+    ``torus:eps=<r>,freq=<k>``, each matched whole with ASCII digits; any
+    other id raises ValueError.
     """
     if manifold_id == "conformal4":
         return conformal_hermitian()
     if manifold_id == "nk-s6":
         return nearly_kahler_s6()
     if manifold_id.startswith("flat:"):
-        try:
-            n = int(manifold_id.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"bad flat manifold id {manifold_id!r}") from None
-        return flat_kahler(n)
-    m = _TORUS_RE.match(manifold_id)
+        m = re.fullmatch(r"flat:([0-9]+)", manifold_id)
+        if not m:
+            raise ValueError(f"bad flat manifold id {manifold_id!r}")
+        return flat_kahler(int(m.group(1)))
+    m = _TORUS_RE.fullmatch(manifold_id)
     if m:
         try:
             eps = float(m.group(1))

@@ -30,22 +30,16 @@ from .geometry import (
 )
 
 
-def _gamma_times(Gamma: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """(Gamma_a X)[..., a, c, B] = sum_b Gamma^c_{ab} X^b_B for Gamma[..., c, a, b] and square X."""
-    dim = X.shape[-1]
-    GX = Gamma.reshape(Gamma.shape[:-3] + (dim * dim, dim)) @ X
-    return np.swapaxes(GX.reshape(GX.shape[:-2] + (dim, dim, dim)), -3, -2)
-
-
 def coordinate_connection(g: np.ndarray, E: np.ndarray, dE: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
     """Coordinate slices w[..., a, A, B] = omega_{AB}(d/du^a) of the connection forms.
 
     ``E`` holds frames built from the metric ``g``, ``dE[..., c, :, :]`` the
-    derivatives d_c E of their frame field and ``Gamma`` the Christoffel
-    symbols, all at the same points; nothing is evaluated here.
+    derivatives d_c E of their frame field and ``Gamma[..., a, :, :]`` the
+    Christoffel matrices Gamma_a (``christoffel``), all at the same points;
+    nothing is evaluated here.
     """
-    # (nabla_{d_a} e_B)^c = d_a E^c_B + Gamma^c_{ab} E^b_B, indexed [a, c, B]
-    cov = dE + _gamma_times(Gamma, E)
+    # (nabla_{d_a} e_B)^c = d_a E^c_B + Gamma^c_{ab} E^b_B: the matrices d_a E + Gamma_a E
+    cov = dE + Gamma @ E[..., None, :, :]
     # w[a, B, A] = g(nabla_{d_a} e_B, e_A)
     return np.swapaxes(cov, -1, -2) @ (g @ E)[..., None, :, :]
 
@@ -59,7 +53,8 @@ class FrameFieldJet:
     (..., c, 2n, 2n) (``complex_step_frames``); ``dE`` and ``dT`` the
     complex-step derivatives Im(.) / h of E and of g E, indexed [..., c, :, :];
     ``w`` is ``coordinate_connection`` from them and the jet's Christoffel
-    symbols, the matrices omega(d_a) indexed [..., a, A, B].
+    matrices ``Gamma[..., a, :, :]`` = Gamma_a, the matrices omega(d_a)
+    indexed [..., a, A, B].
     The structure equation, curvature and the Chern identity all read this
     one object; build it with ``frame_field_jet``.
     """
@@ -109,12 +104,14 @@ def connection_coefficients(w: np.ndarray, E: np.ndarray) -> np.ndarray:
 def nabla_j_connection(jet: PointJet) -> np.ndarray:
     """The sigma part sigma[..., C, A, B] of the connection table, read off nabla J at the jet's points.
 
-    Reads the jet's frame with its g and J, the J jet and the Christoffel
-    symbols; the frame field is never differentiated.  In an adapted frame
-    nabla_{e_C} J has frame matrix K_C = E^-1 (nabla_{e_C} J) E =
-    [J0, omega(e_C)], and the bracket only sees the J0-anticommuting part
-    sigma of omega, so
-    sigma(e_C) = 1/2 K_C J0 with nabla_c J = d_c J + Gamma_c J - J Gamma_c.
+    Reads the jet's frame with its g and J, the J jet dJ[..., c, :, :] and
+    the Christoffel matrices Gamma[..., c, :, :] = Gamma_c; the frame field
+    is never differentiated.  The covariant derivative along each coordinate
+    is the matrix
+    nabla_c J = d_c J + Gamma_c J - J Gamma_c, indexed [..., c, :, :].
+    In an adapted frame nabla_{e_C} J has frame matrix
+    K_C = E^-1 (nabla_{e_C} J) E = [J0, omega(e_C)], and the bracket only
+    sees the J0-anticommuting part sigma of omega, so sigma(e_C) = 1/2 K_C J0.
     It is formed as 1/4 (K_C J0 - J0 K_C), equal for an exact K_C and
     anticommuting with J0 exactly even though dJ carries rounding.
 
@@ -128,7 +125,8 @@ def nabla_j_connection(jet: PointJet) -> np.ndarray:
     """
     frame = jet.frame
     E, Et = frame.E, np.swapaxes(frame.E, -1, -2)
-    nabla = _nabla_j(frame.J, jet.dJ, jet.Gamma)
+    J = frame.J[..., None, :, :]
+    nabla = jet.dJ + (jet.Gamma @ J - J @ jet.Gamma)
     # K[C] = E^-1 (nabla_{e_C} J) E with E^-1 = E^T g; a rotated E may
     # carry a wider batch than nabla, so the product sets the batch
     along = Et @ nabla.reshape(nabla.shape[:-3] + (E.shape[-1], E.shape[-1] ** 2))
@@ -140,14 +138,6 @@ def nabla_j_connection(jet: PointJet) -> np.ndarray:
     sigma -= J0 @ K
     sigma *= 0.25
     return sigma
-
-
-def _nabla_j(J: np.ndarray, dJ: np.ndarray, Gamma: np.ndarray) -> np.ndarray:
-    """(nabla_c J)^a_b = d_c J^a_b + Gamma^a_{cd} J^d_b - Gamma^d_{cb} J^a_d, as [..., c, a, b]."""
-    dim = J.shape[-1]
-    # [a, c, b]: sum_d J^a_d Gamma^d_{cb}
-    JGamma = (J @ Gamma.reshape(Gamma.shape[:-3] + (dim, dim * dim))).reshape(Gamma.shape)
-    return dJ + (_gamma_times(Gamma, J) - np.swapaxes(JGamma, -3, -2))
 
 
 def sigma_part(omega: np.ndarray) -> np.ndarray:
@@ -184,13 +174,14 @@ def connection_derivative(patch: ManifoldPatch, jet: FrameFieldJet) -> np.ndarra
     d omega(d_c, d_a) = ((d_c Gamma_a - d_a Gamma_c) E + Gamma_a d_c E - Gamma_c d_a E)^T g E
     + P_a^T d_c(g E) - P_c^T d_a(g E).  Every factor is a complex-step first
     derivative: ``dE``, ``dT`` and Im Gamma / h at the complex points (one
-    metric-jet call, which the patch must have); no frame is built.
+    metric-jet call, which the patch must have), indexed
+    dGamma[..., c, a, :, :] = d_c Gamma_a; no frame is built.
     """
     frame, dE = jet.frame, jet.dE
     dGamma = christoffel(patch, _complex_points(frame.point), jet.shifted).imag / COMPLEX_STEP
-    P = dE + _gamma_times(jet.Gamma, frame.E)
+    P = dE + jet.Gamma @ frame.E[..., None, :, :]
     # d_c P_a less d_c d_a E, [c, a, :, B]: (d_c Gamma_a) E + Gamma_a d_c E
-    Q = _gamma_times(dGamma, frame.E[..., None, :, :]) + _gamma_times(jet.Gamma[..., None, :, :, :], dE)
+    Q = dGamma @ frame.E[..., None, None, :, :] + jet.Gamma[..., None, :, :, :] @ dE[..., :, None, :, :]
     # X[c, a, B, A] = d_c w_a less (d_c d_a E)^T g E, which is symmetric in (c, a)
     X = np.swapaxes(Q, -1, -2) @ (frame.g @ frame.E)[..., None, None, :, :]
     X += np.swapaxes(P, -1, -2)[..., None, :, :, :] @ jet.dT[..., :, None, :, :]

@@ -439,7 +439,8 @@ def complex_step_frames(patch: ManifoldPatch, frame: AdaptedFrame) -> tuple:
 
 
 def christoffel(patch: ManifoldPatch, point: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """Levi-Civita Christoffel symbols Gamma[..., c, a, b] = Gamma^c_{ab} at ``point``.
+    """Levi-Civita Christoffel symbols at ``point`` as a stack of matrices:
+    Gamma[..., a, :, :] = Gamma_a, with (Gamma_a)^c_b = Gamma^c_{ab}.
 
     ``E`` holds frames of the metric there, E^T g E = Id, so g^-1 = E E^T
     (also for a rotated E U, and with no conjugate for complex frames); only
@@ -453,14 +454,16 @@ def christoffel(patch: ManifoldPatch, point: np.ndarray, E: np.ndarray) -> np.nd
     X = np.swapaxes(dg, -3, -2)
     T = X + np.swapaxes(X, -1, -2) - dg
     Gamma = gi @ T.reshape(T.shape[:-3] + (dim, dim * dim))
-    return 0.5 * Gamma.reshape(Gamma.shape[:-1] + (dim, dim))
+    # [c, a, b] -> [a, c, b]: the matrix Gamma_a for each slot a
+    return np.swapaxes(0.5 * Gamma.reshape(Gamma.shape[:-1] + (dim, dim)), -3, -2)
 
 
 @dataclass(frozen=True)
 class PointJet:
     """What the certificate at a batch of points reads: adapted frames, with
     the g and J they were built from, the J jet dJ[..., c, a, b] = d_c J^a_b
-    and the Christoffel symbols Gamma[..., c, a, b] = Gamma^c_{ab}.
+    and the Christoffel symbols Gamma[..., a, c, b] = (Gamma_a)^c_b = Gamma^c_{ab}
+    (``christoffel``), both stacks of matrices indexed by their slot first.
     """
 
     frame: AdaptedFrame

@@ -1,6 +1,7 @@
 """Benchmark entries: invariants, expected quantities, id resolution, grids."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -245,6 +246,26 @@ class TestResolve:
             resolve("mystery-manifold")
         with pytest.raises(ValueError):
             resolve("flat:x")
+
+    @pytest.mark.parametrize(
+        "manifold, message",
+        [
+            ("flat: 3", "bad flat manifold id"),
+            ("flat:+3", "bad flat manifold id"),
+            ("flat:\u0663", "bad flat manifold id"),
+            ("flat:3_0", "bad flat manifold id"),
+            ("flat:3\n", "bad flat manifold id"),
+            ("torus:eps=0.05,freq=1\n", "unknown manifold id"),
+        ],
+    )
+    def test_ids_are_matched_whole(self, manifold, message):
+        # int() would read each of these flat ids as a number (flat:3_0 as
+        # 30), and a $ anchor matches before a final newline
+        with pytest.raises(ValueError, match=f"^{message} {re.escape(repr(manifold))}$"):
+            resolve(manifold)
+
+    def test_leading_zeros_are_digits(self):
+        assert resolve("flat:03").id == "flat:3"
 
 
 def assert_inset(patch, points, inset):

@@ -1188,6 +1188,25 @@ def test_verify_geometry_connection_route_negative_control(monkeypatch, tmp_path
     assert slot["pass"] is False and slot["max_residual"] > 1e-3
 
 
+@pytest.mark.parametrize("manifold", ["nk-s6", "conformal4"])
+def test_verify_geometry_catches_transposed_christoffel_symbols(monkeypatch, manifold):
+    """Christoffel symbols stored as Gamma^c_{ab} at [c, a, b] instead of
+    [a, c, b] fail the structure equation and the connection routes.  The
+    report alone would not notice: its Nijenhuis route reads no connection."""
+    from twistorcheck import connection
+
+    original = geometry.christoffel
+
+    def transposed(*args, **kwargs):
+        return np.swapaxes(original(*args, **kwargs), -3, -2)
+
+    for module in (geometry, connection):
+        monkeypatch.setattr(module, "christoffel", transposed)
+    checks = geometry_checks(catalog.resolve(manifold), points=4, seed=0, rotations=1)["checks"]
+    for name in ("structure_equation", "connection_route_equivalence"):
+        assert checks[name]["pass"] is False and checks[name]["max_residual"] > 1e-2, name
+
+
 def test_verify_geometry_fails_a_nan_residual(monkeypatch, tmp_path):
     """A NaN residual fails its check with exit 1, and the report stays JSON."""
     monkeypatch.setattr(cli, "structure_equation_residual", lambda *a, **k: np.full(2, np.nan))

@@ -7,6 +7,7 @@ import pytest
 
 from twistorcheck import (
     FrameDiscontinuity,
+    ManifoldPatch,
     adapt_frame,
     conformal_hermitian,
     connection_coefficients,
@@ -18,6 +19,7 @@ from twistorcheck import (
     j0_matrix,
     nearly_kahler_s6,
     point_jet,
+    pointwise,
     random_unitary_rotation,
     rotate_frame,
     structure_equation_residual,
@@ -217,6 +219,43 @@ def test_nabla_j_route_rejects_flipped_sigma():
     sigma = nabla_j_connection(jet)
     reference = sigma_part(table_at(patch, CONFORMAL_POINT))
     assert np.abs(reference + sigma).max() > 1e-3
+
+
+def kahler_patch(n, metric):
+    """A patch with J = J0 and the given pointwise metric on the box [-1, 1]^2n."""
+    return ManifoldPatch(
+        n=n,
+        domain=np.array([(-1.0, 1.0)] * (2 * n)),
+        metric_field=pointwise(metric),
+        j_field=pointwise(lambda u: j0_matrix(n)),
+    )
+
+
+def product_of_conformal_surfaces(u):
+    # f(u1, u3) (du1^2 + du3^2) + h(u2, u4) (du2^2 + du4^2): each factor is
+    # a conformal metric on a surface whose J0 pairs u_i with u_{i+2}
+    f = np.exp(u[0] - 0.6 * u[2])
+    h = np.exp(0.4 * u[1] * u[3])
+    return np.diag([f, h, f, h])
+
+
+@pytest.mark.parametrize(
+    "patch",
+    [
+        kahler_patch(1, lambda u: np.exp(2.0 * u[0]) * np.eye(2)),
+        kahler_patch(2, product_of_conformal_surfaces),
+    ],
+    ids=["conformal-surface", "product-of-surfaces"],
+)
+def test_nabla_j_vanishes_on_a_curved_kahler_patch(patch):
+    # On a Kahler patch nabla J = 0 although Gamma does not vanish, so
+    # d_c J = 0 and Gamma_c J0 = J0 Gamma_c must cancel slot by slot; a
+    # Gamma read with its indices in the wrong order leaves |sigma| near
+    # |Gamma| here
+    for point in sample_points(patch, 3, np.random.default_rng(5)):
+        jet = point_jet(patch, point)
+        assert np.abs(jet.Gamma).max() >= 0.5
+        assert np.abs(nabla_j_connection(jet)).max() <= 1e-14
 
 
 def test_nearly_kahler_connection_carries_the_torsion():

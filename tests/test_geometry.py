@@ -420,12 +420,13 @@ class TestFieldDerivative:
 
 
 def christoffel_by_inverse(patch, u):
-    """The Christoffel symbols with g^-1 = np.linalg.inv(g), built from no
-    frame: the reference for ``christoffel``'s g^-1 = E E^T."""
+    """The Christoffel matrices Gamma[..., a, c, b] = Gamma^c_{ab} with
+    g^-1 = np.linalg.inv(g), built from no frame: the reference for
+    ``christoffel``'s g^-1 = E E^T."""
     g = patch.metric_field(u)
     dg = field_derivative(patch, u, which="metric")
     T = dg.swapaxes(-3, -2) + dg.swapaxes(-3, -2).swapaxes(-1, -2) - dg
-    return 0.5 * np.einsum("...cd,...dab->...cab", np.linalg.inv(g), T)
+    return 0.5 * np.einsum("...cd,...dab->...acb", np.linalg.inv(g), T)
 
 
 class TestChristoffel:
@@ -435,7 +436,9 @@ class TestChristoffel:
         assert np.abs(gamma).max() == 0.0
 
     def test_exponential_metric_two_dimensional(self):
-        # g = e^{2 u1} Id in dimension 2: the nonzero symbols are known in closed form.
+        # g = e^{2 u1} Id in dimension 2: the nonzero symbols are known in
+        # closed form, Gamma^0_{00} = Gamma^1_{01} = Gamma^1_{10} = 1 and
+        # Gamma^0_{11} = -1, stored at [a, c, b]
         patch = ManifoldPatch(
             n=1,
             domain=box((-1.0, 1.0), 2),
@@ -446,8 +449,8 @@ class TestChristoffel:
         gamma = christoffel(patch, u, adapt_frame(patch, u).E)
         expected = np.zeros((2, 2, 2))
         expected[0, 0, 0] = 1.0
-        expected[0, 1, 1] = -1.0
-        expected[1, 0, 1] = expected[1, 1, 0] = 1.0
+        expected[1, 0, 1] = -1.0
+        expected[0, 1, 1] = expected[1, 1, 0] = 1.0
         assert np.abs(gamma - expected).max() < 1e-9
 
     def test_round_sphere_origin(self):
@@ -462,7 +465,8 @@ class TestChristoffel:
 
         patch, u = conformal_hermitian().patch, np.array([1.2, 0.8, 1.6, 0.9])
         gamma = christoffel(patch, u, adapt_frame(patch, u).E)
-        assert np.abs(gamma - gamma.transpose(0, 2, 1)).max() < 1e-12
+        # Gamma[a, c, b] = Gamma[b, c, a]
+        assert np.abs(gamma - gamma.transpose(2, 1, 0)).max() < 1e-12
 
     @staticmethod
     def diagonal_patch(small, factor=lambda u: 1.0):
