@@ -48,33 +48,9 @@ def _cross_structure_constants() -> np.ndarray:
 _CROSS_F = _cross_structure_constants()
 
 
-def _cross_operator(p: np.ndarray) -> np.ndarray:
-    """Matrices of X -> p x X, L[..., k, j] = sum_i f_ijk p_i."""
-    p = np.asarray(p)
-    L = (p[..., None, :] @ _CROSS_F.reshape(7, 49)).reshape(p.shape[:-1] + (7, 7))
-    return np.swapaxes(L, -1, -2)
-
-
 def _norm2(u: np.ndarray) -> np.ndarray:
     """|u|^2 along the last axis."""
     return (u * u).sum(axis=-1)
-
-
-def stereographic_point(u: np.ndarray) -> np.ndarray:
-    """Inverse stereographic map of the unit six-sphere, chart origin at a pole."""
-    u = np.asarray(u)
-    r2 = _norm2(u)[..., None]
-    s = 1.0 + r2
-    return np.concatenate([2.0 * u / s, (r2 - 1.0) / s], axis=-1)
-
-
-def stereographic_jacobian(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u)
-    s = (1.0 + _norm2(u))[..., None, None]
-    D = np.zeros(u.shape[:-1] + (7, 6), dtype=np.result_type(u, float))
-    D[..., :6, :] = (2.0 / s) * (np.eye(6) - 2.0 * (u[..., :, None] * u[..., None, :]) / s)
-    D[..., 6, :] = 4.0 * u / s[..., 0] ** 2
-    return D
 
 
 @dataclass(frozen=True)
@@ -179,36 +155,14 @@ def _s6_chart(u: np.ndarray) -> np.ndarray:
     return r2
 
 
-def _s6_j(u: np.ndarray) -> np.ndarray:
-    u = np.asarray(u)
-    r2 = _s6_chart(u)
-    s = 1.0 + r2
-    D = stereographic_jacobian(u)
-    J = np.swapaxes(D, -1, -2) @ (_cross_operator(stereographic_point(u)) @ D)
-    # pinv(D) = (s^2/4) D^T because D^T D = (4/s^2) Id
-    J *= (s**2 / 4.0)[..., None, None]
-    return J
+def _s6_cross_forms(u: np.ndarray):
+    """(2/s, alpha, v, G, K) at each point of a batch, the terms that J and its jet share.
 
-
-def _s6_j_jet(u: np.ndarray) -> np.ndarray:
-    """Closed-form jet dJ[..., c, a, b] = d_c J^a_b of ``_s6_j``.
-
-    With v = (u, -1) and s = 1 + |u|^2 the reflection H = I_7 - 2 v v^T / s
-    has columns P_y = e_y - alpha_y v, alpha_y = 2 v_y / s.  The stereographic
-    Jacobian is (2/s) H[:, :6] and the base point P_7, so J_ab = T[7, a, b]
-    for T[x, a, b] = f(P_x, P_b, P_a) and the alternating cross-product form
-    f(x, y, z) = sum_ijk f_ijk x_i y_j z_k.  Since H d_c H = (2/s)(v e_c^T -
-    e_c v^T),
-    d_c J_ab = (2/s) [T_cab - u_a J_cb - u_b J_ac - delta_ca w_b + delta_cb w_a]
-    with w = J u.  Only the terms of T with at most one v survive: with
-    G_pq = f(v, e_p, e_q) and g_a = G_a7, T_cab = alpha_c G_ab - f_cab -
-    alpha_b G_ac - alpha_a G_cb and J_ab = K_ab - (2/s) G_ab, where
-    K_ab = alpha_a g_b - g_a alpha_b - f_7ab is skew.  Collecting the u_a and
-    u_b terms,
-    d_c J_ab = (2/s) [alpha_c G_ab - f_cab - Q_cab + Q_cba],
-    Q_cab = u_a K_cb + delta_ca w_b.
+    With s = 1 + |u|^2, alpha = (2/s) u, v = (u, -1), the alternating
+    cross-product form f(x, y, z) = sum_ijk f_ijk x_i y_j z_k and
+    G_pq = f(v, e_p, e_q), K is the skew K_ab = alpha_a G_b7 - G_a7 alpha_b -
+    f_7ab.  A point outside the chart raises ``_s6_chart``'s ChartOverflow.
     """
-    u = np.asarray(u)
     batch = u.shape[:-1]
     scale = 2.0 / (1.0 + _s6_chart(u))[..., None]
     alpha = scale * u
@@ -217,6 +171,33 @@ def _s6_j_jet(u: np.ndarray) -> np.ndarray:
     K = alpha[..., :, None] * G[..., None, :6, 6]
     K -= np.swapaxes(K, -1, -2)
     K -= _CROSS_F[6, :6, :6]
+    return scale, alpha, v, G, K
+
+
+def _s6_j(u: np.ndarray) -> np.ndarray:
+    """The cross-product J in closed form: J_ab = K_ab - (2/s) G_ab (see ``_s6_j_jet``)."""
+    scale, _, _, G, K = _s6_cross_forms(np.asarray(u))
+    return K - scale[..., None] * G[..., :6, :6]
+
+
+def _s6_j_jet(u: np.ndarray) -> np.ndarray:
+    """Closed-form jet dJ[..., c, a, b] = d_c J^a_b of ``_s6_j``, from the same v, G and K.
+
+    J is X -> p x X on the sphere pulled back by the chart.  The reflection
+    H = I_7 - 2 v v^T / s has columns P_y = e_y - alpha_y v, alpha_y =
+    2 v_y / s; the stereographic Jacobian is (2/s) H[:, :6] and the base
+    point P_7, so J_ab = T[7, a, b] for T[x, a, b] = f(P_x, P_b, P_a).  Only
+    the terms of T with at most one v survive: J_ab = K_ab - (2/s) G_ab and
+    T_cab = alpha_c G_ab - f_cab - alpha_b G_ac - alpha_a G_cb.  Since
+    H d_c H = (2/s)(v e_c^T - e_c v^T),
+    d_c J_ab = (2/s) [T_cab - u_a J_cb - u_b J_ac - delta_ca w_b + delta_cb w_a]
+    with w = J u.  Collecting the u_a and u_b terms,
+    d_c J_ab = (2/s) [alpha_c G_ab - f_cab - Q_cab + Q_cba],
+    Q_cab = u_a K_cb + delta_ca w_b.
+    """
+    u = np.asarray(u)
+    batch = u.shape[:-1]
+    scale, alpha, v, G, K = _s6_cross_forms(u)
     w = ((K - scale[..., None] * G[..., :6, :6]) @ u[..., :, None])[..., 0]
     # (2/s)(alpha_c G_ab - f_cab) = sum_i Z_ci f_iab
     Z = alpha[..., :, None] * v[..., None, :]
@@ -234,9 +215,11 @@ def _s6_j_jet(u: np.ndarray) -> np.ndarray:
 def nearly_kahler_s6() -> CatalogEntry:
     """Unit round six-sphere with the cross-product almost complex structure.
 
-    The chart is the stereographic one; tangent vectors are pushed to the
-    sphere in R^7, rotated by X -> p x X at the base point p, and pulled back.
-    Both fields and their jets are closed-form.
+    The chart is the stereographic one, and J pushes tangent vectors to the
+    sphere in R^7, rotates them by X -> p x X at the base point p and pulls
+    them back.  Both J fields, ``_s6_j`` and its jet ``_s6_j_jet``, evaluate
+    that pull-back's closed form from the same v, G and K; the metric and its
+    jet are closed-form too.
     """
     patch = ManifoldPatch(
         n=3,

@@ -57,9 +57,10 @@ GEOMETRY_ROW_LIMIT = 10_000
 # The report columns of ``scan``, after the grid coordinates u1 ... u{2n}.
 SCAN_COLUMNS = ("normN2", "margin", "bound_paper", "chain_ok", "nondegenerate")
 
-# Per-check residual gates for verify-geometry, in report order; the complex-step
-# frame route reads far inside them on the catalog (nk-s6: 1e-14 and below).  The
-# last two checks run only on the unit round sphere.
+# Per-check residual gates for verify-geometry, in report order; ``report`` gates
+# its three printed cross-checks by the first three.  The complex-step frame route
+# reads far inside them on the catalog (nk-s6: 1e-14 and below).  The last two
+# checks run only on the unit round sphere.
 GEOMETRY_TOLERANCES = {
     "structure_equation": 1e-6,
     "phi_formula_equivalence": 1e-10,
@@ -140,6 +141,11 @@ def report_payload(entry: catalog.CatalogEntry, point: np.ndarray) -> dict:
 
 
 def cmd_report(args) -> int:
+    """Print the report at one point; exit 1 if a chain link or a printed cross-check fails.
+
+    Each cross-check is gated by the ``GEOMETRY_TOLERANCES`` entry that
+    verify-geometry applies to it, and a NaN fails it.
+    """
     entry = catalog.resolve(args.manifold)
     if args.point is None:
         point = catalog.grid_points(entry.patch, 1)[0]
@@ -147,7 +153,12 @@ def cmd_report(args) -> int:
         point = _parse_point(args.point, entry.patch.dim)
     payload = report_payload(entry, point)
     _emit(_to_json(payload) + "\n", args.out)
-    return 0 if all(payload["chain_ok"].values()) else 1
+    checks_ok = (
+        payload["structure_residual"] <= GEOMETRY_TOLERANCES["structure_equation"]
+        and payload["phi_formula_mismatch"] <= GEOMETRY_TOLERANCES["phi_formula_equivalence"]
+        and payload["n_route_mismatch"] <= GEOMETRY_TOLERANCES["nijenhuis_route_equivalence"]
+    )
+    return 0 if checks_ok and all(payload["chain_ok"].values()) else 1
 
 
 def scan_rows(entry: catalog.CatalogEntry, grid: int) -> dict:

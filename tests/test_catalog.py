@@ -23,7 +23,7 @@ from twistorcheck import (
     resolve,
     theorem_report,
 )
-from twistorcheck.catalog import _CROSS_F, _s6_j, _s6_j_jet, sample_points, stereographic_point
+from twistorcheck.catalog import _CROSS_F, _s6_j, _s6_j_jet, sample_points
 from twistorcheck.geometry import _field_residuals, field_derivative, validate_patch
 
 
@@ -35,6 +35,22 @@ def patch_residuals(patch, point):
 def cross7(x, y):
     """Seven-dimensional cross product of imaginary octonions, from the catalog's structure constants."""
     return np.einsum("ijk,i,j->k", _CROSS_F, x, y)
+
+
+def stereographic_pull_back(u):
+    """(p, (s^2/4) D^T L D): the inverse stereographic point p of the unit
+    six-sphere (chart origin at a pole), and X -> p x X pulled back through
+    the chart's 7 x 6 Jacobian D, whose pseudo-inverse is (s^2/4) D^T.
+    Complex-analytic, so it takes complex points too."""
+    r2 = (u * u).sum(axis=-1)[..., None]
+    s = 1.0 + r2
+    p = np.concatenate([2.0 * u / s, (r2 - 1.0) / s], axis=-1)
+    D = np.zeros(u.shape[:-1] + (7, 6), dtype=u.dtype)
+    outer = u[..., :, None] * u[..., None, :]
+    D[..., :6, :] = (2.0 / s[..., None]) * (np.eye(6) - 2.0 * outer / s[..., None])
+    D[..., 6, :] = 4.0 * u / s**2
+    L = np.einsum("ijk,...i->...kj", _CROSS_F, p)  # (L X)_k = (p x X)_k
+    return p, (s[..., None] ** 2 / 4.0) * (np.swapaxes(D, -1, -2) @ L @ D)
 
 
 def test_every_entry_satisfies_patch_invariants():
@@ -119,10 +135,18 @@ class TestNearlyKahlerSphere:
         assert res["j_square"] < 1e-12
         assert res["compatibility"] < 1e-12
 
-    def test_chart_point_on_unit_sphere(self):
-        u = np.array([0.2, -0.1, 0.05, 0.3, 0.0, -0.2])
-        p = stereographic_point(u)
-        assert abs(p @ p - 1.0) < 1e-14
+    def test_j_is_the_pull_back_of_the_cross_product(self):
+        """The closed form J = K - (2/s) G is its geometric meaning, p x pulled
+        back by the stereographic chart, to rounding; so are its complex
+        steps, Im J(u + i h e_c) / h, which the frame route differentiates."""
+        u = sample_points(nearly_kahler_s6().patch, 64, np.random.default_rng(8))
+        p, J = stereographic_pull_back(u)
+        assert np.abs((p * p).sum(axis=-1) - 1.0).max() <= 1e-14
+        assert np.abs(_s6_j(u) - J).max() <= 1e-14
+        h = 1e-30
+        for c in range(6):
+            z = u + 1j * h * np.eye(6)[c]
+            assert np.abs(_s6_j(z).imag - stereographic_pull_back(z)[1].imag).max() <= 1e-14 * h, c
 
     def test_norm_constant_and_at_least_threshold(self):
         patch = nearly_kahler_s6().patch
@@ -156,11 +180,15 @@ class TestNearlyKahlerSphere:
         assert np.abs(_s6_j_jet(u) - richardson).max() <= 1e-10
 
     def test_j_jet_of_a_batch_is_each_points_jet(self):
+        """J and its jet give each point of a batch bitwise what they give it
+        alone, at real points and at complex-step points."""
         u = sample_points(nearly_kahler_s6().patch, 12, np.random.default_rng(7)).reshape(3, 4, 6)
-        batch = _s6_j_jet(u)
-        assert batch.shape == (3, 4, 6, 6, 6)
-        for index in np.ndindex(3, 4):
-            assert np.array_equal(batch[index], _s6_j_jet(u[index]))
+        for points in (u, u + 1e-30j * np.eye(6)[2]):
+            for field, shape in ((_s6_j, (6, 6)), (_s6_j_jet, (6, 6, 6))):
+                batch = field(points)
+                assert batch.shape == (3, 4) + shape
+                for index in np.ndindex(3, 4):
+                    assert np.array_equal(batch[index], field(points[index])), field.__name__
 
     def test_j_jet_leaves_the_chart_as_j_does(self):
         u = np.array([[0.1, 0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.6, 0.0, 0.7, 0.0]])

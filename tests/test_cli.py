@@ -129,10 +129,12 @@ def test_a_negative_first_coordinate_needs_the_equals_form(tmp_path, capsys):
         ("conformal4", "1.3,0.9,1.1,1.7"),
         ("nk-s6", "0.1,-0.2,0.15,0.02,-0.1,0.05"),
         ("torus:eps=0.3,freq=2", "0.1,-0.2,0.15,0.02,-0.1,0.05"),
-    ],
+    ] + [(entry.id, None) for entry in catalog.default_entries()[1:]],
 )
 def test_report_decides_the_chain_as_theorem_report(tmp_path, manifold, point):
-    """report's chain_ok is the library's verdict at CHAIN_TOL: no other tolerance enters."""
+    """report's chain_ok is the library's verdict at CHAIN_TOL: no other
+    tolerance enters; at these points, every catalog id's default among
+    them, its printed cross-checks pass too, so it exits 0."""
     entry = catalog.resolve(manifold)
     argv = ["report", "--manifold", manifold, "--out", str(tmp_path / "report.json")]
     if point is None:
@@ -1067,8 +1069,8 @@ def test_phi_formula_oracle_runs_on_the_identity_row_once_per_chunk(monkeypatch,
 
 def test_phi_formula_equivalence_negative_control(monkeypatch, tmp_path):
     """A bundle formula off by 1 % fails phi_formula_equivalence alone; report
-    prints the gap and still exits 0.  flat:3 has phi = -J0, so the slip
-    shows as a gap of 0.01 (on nk-s6 phi vanishes and a scaling would not)."""
+    prints the gap and exits 1 by the same gate.  flat:3 has phi = -J0, so the
+    slip shows as a gap of 0.01 (on nk-s6 phi vanishes and a scaling would not)."""
     original = twistorform.phi_via_bundle_formula
     monkeypatch.setattr(twistorform, "phi_via_bundle_formula", lambda omega: 1.01 * original(omega))
     out = tmp_path / "geo.json"
@@ -1078,7 +1080,7 @@ def test_phi_formula_equivalence_negative_control(monkeypatch, tmp_path):
     assert [name for name, slot in checks.items() if not slot["pass"]] == ["phi_formula_equivalence"]
     assert f"{checks['phi_formula_equivalence']['max_residual']:.4f}" == "0.0100"
     out = tmp_path / "report.json"
-    assert run_cli(["report", "--manifold", "flat:3", "--out", str(out)]) == 0
+    assert run_cli(["report", "--manifold", "flat:3", "--out", str(out)]) == 1
     assert f"{json.loads(out.read_text())['phi_formula_mismatch']:.4f}" == "0.0100"
 
 
@@ -1188,11 +1190,8 @@ def test_verify_geometry_connection_route_negative_control(monkeypatch, tmp_path
     assert slot["pass"] is False and slot["max_residual"] > 1e-3
 
 
-@pytest.mark.parametrize("manifold", ["nk-s6", "conformal4"])
-def test_verify_geometry_catches_transposed_christoffel_symbols(monkeypatch, manifold):
-    """Christoffel symbols stored as Gamma^c_{ab} at [c, a, b] instead of
-    [a, c, b] fail the structure equation and the connection routes.  The
-    report alone would not notice: its Nijenhuis route reads no connection."""
+def transpose_christoffel_symbols(monkeypatch):
+    """Store Gamma^c_{ab} at [c, a, b] instead of [a, c, b], where the frame route reads it."""
     from twistorcheck import connection
 
     original = geometry.christoffel
@@ -1202,9 +1201,49 @@ def test_verify_geometry_catches_transposed_christoffel_symbols(monkeypatch, man
 
     for module in (geometry, connection):
         monkeypatch.setattr(module, "christoffel", transposed)
+
+
+@pytest.mark.parametrize("manifold", ["nk-s6", "conformal4"])
+def test_verify_geometry_catches_transposed_christoffel_symbols(monkeypatch, manifold):
+    """Transposed Christoffel symbols fail the structure equation and the
+    connection routes.  The chain alone would not notice: its Nijenhuis
+    route reads no connection."""
+    transpose_christoffel_symbols(monkeypatch)
     checks = geometry_checks(catalog.resolve(manifold), points=4, seed=0, rotations=1)["checks"]
     for name in ("structure_equation", "connection_route_equivalence"):
         assert checks[name]["pass"] is False and checks[name]["max_residual"] > 1e-2, name
+
+
+@pytest.mark.parametrize(
+    "manifold, point",
+    [("nk-s6", "0.1,-0.2,0.15,0.02,-0.1,0.05"), ("conformal4", "1.2,0.8,1.6,0.9")],
+)
+def test_report_catches_transposed_christoffel_symbols(monkeypatch, tmp_path, manifold, point):
+    """With Gamma transposed the chain still holds at these points (margin
+    0.17 on nk-s6, where it is 0, and 2 on conformal4, where it is 1), but
+    the structure equation that report prints fails its verify-geometry
+    gate: exit 1, and the report, with its usual keys, is still written."""
+    argv = ["report", "--manifold", manifold, f"--point={point}", "--out", str(tmp_path / "good.json")]
+    assert run_cli(argv) == 0
+    transpose_christoffel_symbols(monkeypatch)
+    argv[-1] = str(tmp_path / "bad.json")
+    assert run_cli(argv) == 1
+    good, bad = (json.loads((tmp_path / name).read_text()) for name in ("good.json", "bad.json"))
+    assert list(bad) == list(good)
+    assert all(bad["chain_ok"].values())
+    assert bad["structure_residual"] > 1e-2 > good["structure_residual"]
+
+
+@pytest.mark.parametrize("key", ["structure_residual", "phi_formula_mismatch", "n_route_mismatch"])
+def test_report_fails_a_nan_cross_check(monkeypatch, tmp_path, key):
+    """A NaN cross-check fails report with exit 1, and the report stays JSON."""
+    original = cli.report_payload
+    monkeypatch.setattr(cli, "report_payload", lambda *args: {**original(*args), key: np.nan})
+    out = tmp_path / "report.json"
+    assert run_cli(["report", "--manifold", "flat:3", "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report[key] is None
+    assert all(report["chain_ok"].values())
 
 
 def test_verify_geometry_fails_a_nan_residual(monkeypatch, tmp_path):
