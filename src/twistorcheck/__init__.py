@@ -11,8 +11,6 @@ exact arithmetic, on seeded integer samples.
 
 from .errors import (
     BoundaryProximity,
-    ChartOverflow,
-    CrossPathMismatch,
     DegeneratePivot,
     FrameDiscontinuity,
     IncompatibleStructure,

@@ -15,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChartOverflow
-from .geometry import ManifoldPatch, first_index, j0_matrix
+from .geometry import ManifoldPatch, j0_matrix
 
-S6_CHART_RADIUS = 0.9
-# Axis bound chosen so every corner of the box satisfies |u| <= 0.35 sqrt(6) < 0.9,
-# so the whole box lies strictly inside the chart.
+# Axis bound of the nk-s6 box, whose corners have |u| = 0.35 sqrt(6) < 0.86.
+# J and its jet hold on all of R^6 (s = 1 + |u|^2 >= 1), so the bound only
+# fixes where points are sampled and scanned.
 S6_BOX_BOUND = 0.35
 
 # Oriented multiplication triples e_a e_b = e_c: the quaternion line (1,2,3)
@@ -143,28 +142,16 @@ def _s6_metric_jet(u: np.ndarray) -> np.ndarray:
     return _radial_jet(-16.0 * u / s**3, 6)
 
 
-def _s6_chart(u: np.ndarray) -> np.ndarray:
-    """|u|^2 at every point, or ChartOverflow naming the first point outside the chart."""
-    r2 = _norm2(u)
-    bad = first_index(r2.real >= S6_CHART_RADIUS**2)
-    if bad is not None:
-        raise ChartOverflow(
-            f"|u| = {np.sqrt(r2.real[bad]):.4f} >= {S6_CHART_RADIUS} at {u[bad].tolist()}; "
-            "point left the chart"
-        )
-    return r2
-
-
 def _s6_cross_forms(u: np.ndarray):
     """(2/s, alpha, v, G, K) at each point of a batch, the terms that J and its jet share.
 
     With s = 1 + |u|^2, alpha = (2/s) u, v = (u, -1), the alternating
     cross-product form f(x, y, z) = sum_ijk f_ijk x_i y_j z_k and
     G_pq = f(v, e_p, e_q), K is the skew K_ab = alpha_a G_b7 - G_a7 alpha_b -
-    f_7ab.  A point outside the chart raises ``_s6_chart``'s ChartOverflow.
+    f_7ab.  Since s >= 1, the forms hold at every point of R^6.
     """
     batch = u.shape[:-1]
-    scale = 2.0 / (1.0 + _s6_chart(u))[..., None]
+    scale = 2.0 / (1.0 + _norm2(u))[..., None]
     alpha = scale * u
     v = np.concatenate([u, np.full(batch + (1,), -1.0)], axis=-1)
     G = (v[..., None, :] @ _CROSS_F.reshape(7, 49)).reshape(batch + (7, 7))

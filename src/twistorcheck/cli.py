@@ -1,8 +1,9 @@
 """Batch front end: point reports, grid scans, and verification sweeps.
 
 Exit codes follow one contract everywhere: 0 means every check passed,
-1 means a mathematical check failed (the bug-detector outcome), 2 means the
-invocation or its inputs were unusable.  Output files are byte-identical for
+1 means a gated check failed (the bug-detector outcome) and the output is
+still written, 2 means an exception: the invocation or its inputs were
+unusable.  Output files are byte-identical for
 identical configuration and seed; floating point values are serialized with
 17 significant digits so they round-trip exactly.
 """
@@ -30,7 +31,7 @@ from .connection import (
     sigma_part,
     structure_equation_residual,
 )
-from .errors import CrossPathMismatch, TwistorcheckError
+from .errors import TwistorcheckError
 from .geometry import point_jet, random_unitary_rotation
 from .nijenhuis import ROUTE_REL_TOL
 from .twistorform import chern_identity_residual, pfaffian_sign, phi_formula_gap, theorem_report
@@ -58,7 +59,8 @@ GEOMETRY_ROW_LIMIT = 10_000
 SCAN_COLUMNS = ("normN2", "margin", "bound_paper", "chain_ok", "nondegenerate")
 
 # Per-check residual gates for verify-geometry, in report order; ``report`` gates
-# its three printed cross-checks by the first three.  The complex-step frame route
+# its three printed cross-checks by the first three, and ``scan`` each point's
+# Nijenhuis route gap by the third.  The complex-step frame route
 # reads far inside them on the catalog (nk-s6: 1e-14 and below).  The last two
 # checks run only on the unit round sphere.
 GEOMETRY_TOLERANCES = {
@@ -161,23 +163,28 @@ def cmd_report(args) -> int:
     return 0 if checks_ok and all(payload["chain_ok"].values()) else 1
 
 
-def scan_rows(entry: catalog.CatalogEntry, grid: int) -> dict:
-    """The scan table: one array per column, u1 ... u{2n} then ``SCAN_COLUMNS``.
+def scan_rows(entry: catalog.CatalogEntry, grid: int) -> tuple:
+    """The scan table and the Nijenhuis route gap at each grid point.
 
-    Each array holds one value per grid point, row-major over the axes.
+    The table holds one array per column, u1 ... u{2n} then ``SCAN_COLUMNS``,
+    each with one value per grid point, row-major over the axes; the gap is
+    the reports' ``n_route_mismatch``, in the same order, which the table
+    does not print.
     """
     total = grid ** entry.patch.dim
     if total > GRID_LIMIT:
         raise ValueError(f"grid^dim = {total} exceeds the {GRID_LIMIT} guard")
     points = catalog.grid_points(entry.patch, grid)
     chunks = {name: [] for name in SCAN_COLUMNS}
+    gaps = []
     for start in range(0, len(points), SCAN_CHUNK):
         rep = theorem_report(point_jet(entry.patch, points[start : start + SCAN_CHUNK]))
         for name, parts in chunks.items():
             parts.append(rep.chain_ok.all_ok if name == "chain_ok" else getattr(rep, name))
+        gaps.append(rep.n_route_mismatch)
     table = {f"u{i + 1}": points[:, i] for i in range(entry.patch.dim)}
     table.update((name, np.concatenate(parts)) for name, parts in chunks.items())
-    return table
+    return table, np.concatenate(gaps)
 
 
 def _scan_summary(table: dict) -> dict:
@@ -212,10 +219,18 @@ def scan_csv(table: dict, summary: dict) -> str:
 
 
 def cmd_scan(args) -> int:
+    """Write the scan table; exit 1 if a chain link or the Nijenhuis route check fails at a point.
+
+    The route gap is gated by ``GEOMETRY_TOLERANCES["nijenhuis_route_equivalence"]``,
+    and a NaN fails it; the stderr line counts the points that fail and names
+    the first.
+    """
     entry = catalog.resolve(args.manifold)
     started = time.perf_counter()
-    table = scan_rows(entry, args.grid)
+    table, gap = scan_rows(entry, args.grid)
     summary = _scan_summary(table)
+    tolerance = GEOMETRY_TOLERANCES["nijenhuis_route_equivalence"]
+    off_route = np.flatnonzero(~(gap <= tolerance))
     elapsed = time.perf_counter() - started
     if args.format == "csv":
         text = scan_csv(table, summary)
@@ -224,15 +239,23 @@ def cmd_scan(args) -> int:
         json_rows = [dict(zip(table, row)) for row in rows]
         text = _to_json({"manifold": entry.id, "rows": json_rows, "summary": summary}) + "\n"
     _emit(text, args.out)
+    routes = ""
+    if len(off_route):
+        first = off_route[0]
+        point = [float(table[f"u{i + 1}"][first]) for i in range(entry.patch.dim)]
+        routes = (
+            f"{len(off_route)} points fail nijenhuis_route_equivalence at {tolerance:g}, "
+            f"the first at {point} with gap {gap[first]:.3e}, "
+        )
     # Wall time goes to stderr, never into the file: identical config and seed
     # must produce byte-identical output.
     print(
         f"scan {entry.id}: {summary['points']} points, "
         f"min margin {summary['min_margin']:.6g}, max |N|^2 {summary['max_normN2']:.6g}, "
-        f"{summary['chain_violations']} chain violations, {elapsed:.2f}s",
+        f"{summary['chain_violations']} chain violations, {routes}{elapsed:.2f}s",
         file=sys.stderr,
     )
-    return 1 if summary["chain_violations"] else 0
+    return 1 if summary["chain_violations"] or len(off_route) else 0
 
 
 def cmd_verify_algebra(args) -> int:
@@ -295,7 +318,7 @@ def geometry_checks(entry: catalog.CatalogEntry, points: int, seed: int, rotatio
         found = {
             "structure_equation": structure_equation_residual(frames),
             "phi_formula_equivalence": phi_formula_gap(rep.sigma[0], rep.F[0]),
-            "nijenhuis_route_equivalence": rep.n_route_mismatch[0],
+            "nijenhuis_route_equivalence": rep.n_route_mismatch,
             "frame_invariance": np.maximum.reduce([
                 _relative_change(rep.normN2, rep.normN2[0]),
                 _relative_change(rep.margin, rep.margin[0]),
@@ -473,8 +496,7 @@ def main(argv=None) -> int:
         return 2
     except TwistorcheckError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        # two routes that disagree are a failed check, not bad input
-        return 1 if isinstance(exc, CrossPathMismatch) else 2
+        return 2
     except OSError as exc:  # the only file a command opens is its output
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2

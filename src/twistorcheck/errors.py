@@ -1,10 +1,9 @@
 """Exception hierarchy for the toolkit.
 
-Errors split into two families: input/precondition problems (bad patch data,
-points too close to the boundary, ...) and mathematical cross-check failures
-(two independent computation routes disagreeing).  The latter are the most
-valuable failure mode of the whole toolkit: they signal a convention bug, not
-a user mistake.
+Every error is an input or precondition problem: bad patch data, a point
+outside its patch, a frame or metric that cannot be built, a patch that lacks
+what an operation needs.  A failed mathematical check is never an exception:
+two routes that disagree give a residual, which the commands gate.
 """
 
 
@@ -32,16 +31,8 @@ class FrameDiscontinuity(TwistorcheckError):
     """``evaluate_frame_field`` found a displaced frame with pivots other than its reference frame's."""
 
 
-class CrossPathMismatch(TwistorcheckError):
-    """Two independent computation routes disagree beyond tolerance."""
-
-
 class WrongPatch(TwistorcheckError):
     """Operation requires a patch attribute the given patch does not carry."""
-
-
-class ChartOverflow(TwistorcheckError):
-    """Point left the validity region of the chart."""
 
 
 class NotInSigma(TwistorcheckError):

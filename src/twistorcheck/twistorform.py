@@ -294,11 +294,12 @@ def theorem_report(jet: PointJet) -> TheoremReport:
 
     The jet's dJ feeds both the sigma table (``nabla_j_connection``, kept as
     ``sigma`` in the report) and the coordinate Nijenhuis route, whose frame
-    components must agree with the report's ``N`` at every point
-    (``route_gap``); nothing here evaluates a field.
+    components' relative gap to the report's ``N`` is ``n_route_mismatch``
+    (``route_gap``), one value per point for the caller to gate; nothing here
+    evaluates a field.
     """
     rep = sigma_report(nabla_j_connection(jet))
-    gap = route_gap(rep.N, nijenhuis_tensor(jet), jet.frame.point)
+    gap = route_gap(rep.N, nijenhuis_tensor(jet))
     return replace(rep, n_route_mismatch=gap)
 
 

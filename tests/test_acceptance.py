@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from symmetry import symmetry_residuals
 from twistorcheck import (
     alpha_beta,
     cli,
@@ -42,20 +43,6 @@ from twistorcheck import (
 from twistorcheck.catalog import sample_points
 from twistorcheck.connection import curvature_forms, round_sphere_curvature_residual, sigma_part
 from twistorcheck.twistorform import CHAIN_TOL, chern_identity_residual
-
-
-def symmetry_residuals(N, J):
-    """Max-norm residuals of N(Y,X) = -N(X,Y) and N(JX,Y) = -J N(X,Y) = N(X,JY)
-    for coordinate components N[..., c, a, b] and the field J at the same points."""
-    dim = J.shape[-1]
-    axes = (-3, -2, -1)
-    # jn[c, a, b] = J^c_e N^e_{ab}
-    jn = (J @ N.reshape(N.shape[:-3] + (dim, dim * dim))).reshape(N.shape)
-    return {
-        "antisymmetry": np.abs(N + np.swapaxes(N, -1, -2)).max(axis=axes),
-        "j_first_slot": np.abs(np.swapaxes(J, -1, -2)[..., None, :, :] @ N + jn).max(axis=axes),
-        "j_second_slot": np.abs(N @ J[..., None, :, :] + jn).max(axis=axes),
-    }
 
 
 class Criterion:

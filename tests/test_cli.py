@@ -327,18 +327,70 @@ ROUTE_ARGV = [
 
 
 @pytest.mark.parametrize("argv", ROUTE_ARGV)
-def test_route_disagreement_is_a_failed_check(monkeypatch, capsys, argv):
+def test_route_disagreement_is_a_failed_check(monkeypatch, tmp_path, capsys, argv):
     """With a J jet pushed off J's derivative by 1e-3 the two Nijenhuis
-    routes drift apart: exit 1, one line."""
+    routes drift apart: a failed check, so every command exits 1 with its
+    output written and no error line.  verify-geometry fails the two checks
+    that read the pushed jet against another route, and no other; report
+    prints the gap; scan names the first failing point and still writes
+    every row and its summary."""
     entry = catalog.resolve("nk-s6")
     pushed = dataclasses.replace(
         entry, patch=dataclasses.replace(entry.patch, j_jet=lambda u: catalog._s6_j_jet(u) + 1e-3)
     )
     monkeypatch.setattr(catalog, "resolve", lambda manifold_id: pushed)
-    assert run_cli(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.count("\n") == 1
-    assert captured.err.startswith("error: CrossPathMismatch: frame components from connection")
+    out = tmp_path / "out"
+    assert run_cli(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" not in err
+    if argv[0] == "verify-geometry":
+        checks = json.loads(out.read_text())["checks"]
+        assert [name for name, slot in checks.items() if not slot["pass"]] == [
+            "nijenhuis_route_equivalence", "connection_route_equivalence",
+        ]
+    elif argv[0] == "report":
+        report = json.loads(out.read_text())
+        assert report["n_route_mismatch"] > cli.GEOMETRY_TOLERANCES["nijenhuis_route_equivalence"]
+    else:
+        first = catalog.grid_points(pushed.patch, 2)[0].tolist()
+        assert f"64 points fail nijenhuis_route_equivalence at 1e-06, the first at {first} with gap " in err
+        lines = out.read_text().splitlines()
+        assert len(lines) == 66 and lines[0] == ",".join(["u1", "u2", "u3", "u4", "u5", "u6", *cli.SCAN_COLUMNS])
+        assert lines[-1].startswith("# summary ") and lines[-1].endswith(" chain_violations=0 points=64")
+
+
+def test_verify_geometry_gates_the_route_gap_of_every_rotated_frame(monkeypatch, tmp_path):
+    """A route gap past the tolerance in the rotated frames alone, with the
+    unrotated frame's gap untouched, still fails nijenhuis_route_equivalence."""
+    original = twistorform.route_gap
+
+    def bump_rotated(N, reference):
+        gap = original(N, reference).copy()
+        gap[1:] += 1.0
+        return gap
+
+    monkeypatch.setattr(twistorform, "route_gap", bump_rotated)
+    out = tmp_path / "geo.json"
+    argv = ["verify-geometry", "--manifold", "flat:2", "--points", "2", "--rotations", "1"]
+    assert run_cli(argv + ["--out", str(out)]) == 1
+    checks = json.loads(out.read_text())["checks"]
+    assert [name for name, slot in checks.items() if not slot["pass"]] == ["nijenhuis_route_equivalence"]
+
+
+def test_a_nan_route_gap_fails_scan(monkeypatch, tmp_path, capsys):
+    """A NaN Nijenhuis route gap fails scan with exit 1, and scan still
+    writes its table byte for byte as when the gap is finite."""
+    argv = ROUTE_ARGV[1]
+    out, exact = tmp_path / "out", tmp_path / "exact"
+    assert run_cli(argv + ["--out", str(exact)]) == 0
+    original = twistorform.route_gap
+    monkeypatch.setattr(twistorform, "route_gap", lambda *args: np.nan * original(*args))
+    capsys.readouterr()
+    assert run_cli(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" not in err
+    assert out.read_bytes() == exact.read_bytes()
+    assert "64 points fail nijenhuis_route_equivalence" in err and "with gap nan" in err
 
 
 def test_a_j_field_that_casts_complex_points_is_refused_with_one_line(monkeypatch, tmp_path, capsys):
@@ -1037,7 +1089,7 @@ def test_scan_never_runs_the_phi_formula_oracle(monkeypatch):
         raise AssertionError("phi_via_bundle_formula called")
 
     monkeypatch.setattr(twistorform, "phi_via_bundle_formula", refuse)
-    table = cli.scan_rows(catalog.resolve("nk-s6"), 2)
+    table, _ = cli.scan_rows(catalog.resolve("nk-s6"), 2)
     assert table["chain_ok"].all()
 
 
@@ -1115,6 +1167,7 @@ def _geometry_reference(entry, points, seed, rotations):
             rotated = jet.rotated(U)
             rep = theorem_report(rotated)
             w_rotated = U.T @ w @ U
+            bump("nijenhuis_route_equivalence", rep.n_route_mismatch)
             bump("connection_route_equivalence", route_gap(w_rotated, rotated.frame.E, rep.sigma))
             bump("frame_invariance", max(
                 abs(rep.normN2 - base.normN2) / max(1.0, abs(base.normN2)),
@@ -1353,11 +1406,12 @@ def test_defaults_and_ci_cases_fit_the_row_limit():
 
 
 def test_scan_rows_equal_single_point_reports():
-    """Every nk-s6 grid-2 row of the scan table is bitwise the report of its point computed alone."""
+    """Every nk-s6 grid-2 row of the scan table, and its route gap, is
+    bitwise the report of its point computed alone."""
     entry = catalog.resolve("nk-s6")
-    table = cli.scan_rows(entry, 2)
+    table, gap = cli.scan_rows(entry, 2)
     points = catalog.grid_points(entry.patch, 2)
-    assert {len(column) for column in table.values()} == {len(points)} == {64}
+    assert {len(column) for column in table.values()} == {len(gap), len(points)} == {64}
     for i, u in enumerate(points):
         rep = theorem_report(point_jet(entry.patch, u))
         assert [table[f"u{k + 1}"][i] for k in range(6)] == u.tolist()
@@ -1366,12 +1420,13 @@ def test_scan_rows_equal_single_point_reports():
         assert table["bound_paper"][i] == rep.bound_paper
         assert table["chain_ok"][i] == bool(rep.chain_ok.all_ok)
         assert table["nondegenerate"][i] == bool(rep.nondegenerate)
+        assert gap[i] == rep.n_route_mismatch
 
 
 def test_scan_rows_do_not_depend_on_the_chunk():
     """Rows on both sides of each chunk boundary equal the point computed alone."""
     entry = catalog.resolve("nk-s6")
-    table = cli.scan_rows(entry, 3)
+    table, _ = cli.scan_rows(entry, 3)
     points = catalog.grid_points(entry.patch, 3)
     assert len(table["margin"]) == 729 > 2 * cli.SCAN_CHUNK
     edges = [k * cli.SCAN_CHUNK for k in range(1, 3)]
@@ -1388,7 +1443,7 @@ def test_scan_columns_are_the_coordinates_then_scan_columns(tmp_path):
     """The CSV header, the JSON row keys and the scan table's keys are one list."""
     columns = ["u1", "u2", "u3", "u4", *cli.SCAN_COLUMNS]
     entry = catalog.resolve("flat:2")
-    assert list(cli.scan_rows(entry, 2)) == columns
+    assert list(cli.scan_rows(entry, 2)[0]) == columns
     csv_out, json_out = tmp_path / "scan.csv", tmp_path / "scan.json"
     assert run_cli(["scan", "--manifold", "flat:2", "--grid", "2", "--out", str(csv_out)]) == 0
     assert csv_out.read_text().splitlines()[0] == ",".join(columns)
@@ -1419,7 +1474,7 @@ def csv_by_cell(table, summary):
     "manifold, grid", [("nk-s6", 2), ("torus:eps=0.05,freq=1", 3), ("flat:4", 2)]
 )
 def test_scan_csv_equals_per_cell_format(tmp_path, manifold, grid):
-    table = cli.scan_rows(catalog.resolve(manifold), grid)
+    table, _ = cli.scan_rows(catalog.resolve(manifold), grid)
     summary = cli._scan_summary(table)
     text = cli.scan_csv(table, summary)
     assert text == csv_by_cell(table, summary)
