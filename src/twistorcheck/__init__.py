@@ -64,18 +64,6 @@ from .twistorform import (
     structure_coefficients,
     theorem_report,
 )
-from .algebra import (
-    CheckResult,
-    RationalCTensor,
-    RationalSkewMatrix,
-    canonical_j1,
-    check_case1_inequality,
-    check_case2_identities,
-    check_identity_c1,
-    check_wedge_identity,
-    run_algebra_sweep,
-    skew_decompose,
-)
 from .catalog import (
     CatalogEntry,
     conformal_hermitian,
@@ -90,4 +78,29 @@ from .catalog import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The exact sweep's names, resolved from ``twistorcheck.algebra`` on first
+# access (PEP 562): only ``verify-algebra`` runs the sweep, so no other
+# command compiles the module.  ``__all__`` lists them, and the module, as
+# when they were imported here.
+_ALGEBRA_NAMES = (
+    "CheckResult",
+    "RationalCTensor",
+    "RationalSkewMatrix",
+    "canonical_j1",
+    "check_case1_inequality",
+    "check_case2_identities",
+    "check_identity_c1",
+    "check_wedge_identity",
+    "run_algebra_sweep",
+    "skew_decompose",
+)
+
+__all__ = [name for name in dir() if not name.startswith("_")] + ["algebra", *_ALGEBRA_NAMES]
+
+
+def __getattr__(name: str):
+    if name in _ALGEBRA_NAMES:
+        from . import algebra
+
+        return getattr(algebra, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

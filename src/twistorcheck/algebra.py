@@ -75,7 +75,7 @@ _CUBE_NAMES = ("C", "C'")
 _OUTSIDE_SIGMA = "psi does not anticommute with J0"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CheckResult:
     """Verdict plus a serialized counterexample when it fails.  For a batch both
     are arrays over the samples, and the result is truthy when every sample passes."""
@@ -487,11 +487,16 @@ def run_algebra_sweep(n_list, samples: int, seed: int) -> dict:
             if n >= 3:
                 results.append(("identity_c1", check_identity_c1(tensor)))
                 res, top, bottom = check_case1_inequality(tensor)
-                # on Python ints: the cross-multiplication is of degree 4 in the entries
-                for k, pairs in enumerate(zip(top.tolist(), bottom.tolist())):
-                    for p, q in zip(*pairs):
-                        if p * worst[1] > worst[0] * q:
-                            worst = p, q, start + k
+                # Each float ratio lies within a few ulps of the exact one, so an
+                # entry below the cut is strictly below the chunk's exact maximum:
+                # it can never become the worst or tie it.  The rest are compared
+                # in sample order on Python ints, as the cross-multiplication is
+                # of degree 4 in the entries.
+                ratio = top / bottom
+                for k, m in np.argwhere(ratio >= ratio.max() * (1 - 1e-12)).tolist():
+                    p, q = int(top[k, m]), int(bottom[k, m])
+                    if p * worst[1] > worst[0] * q:
+                        worst = p, q, start + k
                 results.append(("case1_inequality", res))
             else:
                 results.append(("case2_identities", check_case2_identities(tensor)))

@@ -52,7 +52,7 @@ def _norm2(u: np.ndarray) -> np.ndarray:
     return (u * u).sum(axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CatalogEntry:
     """A benchmark patch, which carries the attribute flags; its catalog id is the patch's label."""
 

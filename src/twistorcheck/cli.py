@@ -21,7 +21,6 @@ import time
 import numpy as np
 
 from . import catalog
-from .algebra import run_algebra_sweep
 from .connection import (
     connection_coefficients,
     connection_derivative,
@@ -259,6 +258,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_verify_algebra(args) -> int:
+    from .algebra import run_algebra_sweep  # here: the other three commands never compile algebra.py
+
     try:
         n_list = [int(tok) for tok in args.n_list.split(",")]
     except ValueError:

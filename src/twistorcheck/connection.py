@@ -44,7 +44,7 @@ def coordinate_connection(g: np.ndarray, E: np.ndarray, dE: np.ndarray, Gamma: n
     return np.swapaxes(cov, -1, -2) @ (g @ E)[..., None, :, :]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameFieldJet:
     """The adapted frame field at a batch of points, differentiated once.
 

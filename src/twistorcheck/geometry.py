@@ -99,7 +99,7 @@ def pointwise(f: FieldMap) -> FieldMap:
     return batched
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ManifoldPatch:
     """Local chart of an almost Hermitian manifold of real dimension 2n.
 
@@ -225,7 +225,7 @@ def validate_patch(patch: ManifoldPatch, point: np.ndarray) -> tuple:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdaptedFrame:
     """Orthonormal frames with e_{n+k} = J e_k at a batch of points.
 
@@ -458,7 +458,7 @@ def christoffel(patch: ManifoldPatch, point: np.ndarray, E: np.ndarray) -> np.nd
     return np.swapaxes(0.5 * Gamma.reshape(Gamma.shape[:-1] + (dim, dim)), -3, -2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointJet:
     """What the certificate at a batch of points reads: adapted frames, with
     the g and J they were built from, the J jet dJ[..., c, a, b] = d_c J^a_b

@@ -172,7 +172,7 @@ def pfaffian_sign(F: np.ndarray, nondeg: np.ndarray) -> np.ndarray:
     return sign[()]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainChecks:
     """Outcome of the four inequalities certified at each point (one boolean per point).
 
@@ -197,7 +197,7 @@ class ChainChecks:
         return {name: bool(getattr(self, name)) for name in "abcd"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TheoremReport:
     """Every quantity of the non-degeneracy certificate, one value per point.
 

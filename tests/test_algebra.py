@@ -1,10 +1,12 @@
 """Exact rational checks: identities, inequalities, decomposition, wedge identity."""
 
+import json
 import operator
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -646,6 +648,26 @@ def test_sweep_keeps_the_first_of_equal_ratios(monkeypatch):
     assert slot == {"n": 3, "sample": 0, "ratio": "1"}
 
 
+@pytest.mark.parametrize("step", [1, -1], ids=["second-larger", "second-smaller"])
+def test_sweep_compares_ratios_a_float_cannot_tell_apart(step, monkeypatch):
+    """The float pre-screen leaves every ratio within rounding of the chunk's
+    largest to the exact comparison: 3 and (3 q + step) / q at q = 10^16 are
+    the same float, and the exactly larger one is named."""
+    check = algebra.check_case1_inequality
+    q = 10**16
+
+    def near_three(t):
+        res, top, _ = check(t)
+        tops = np.full(top.shape, 3 * q, np.int64)
+        tops[1, 1] += step
+        return res, tops, np.full(top.shape, q, np.int64)
+
+    monkeypatch.setattr(algebra, "check_case1_inequality", near_three)
+    (slot,) = run_algebra_sweep([3], samples=2, seed=5)["worst_case1"]
+    expected = {1: (1, f"{3 * q + 1}/{q}"), -1: (0, "3")}[step]
+    assert (slot["sample"], slot["ratio"]) == expected
+
+
 def test_sweep_rejects_bad_input():
     with pytest.raises(ValueError):
         run_algebra_sweep([2], samples=0, seed=1)
@@ -1016,13 +1038,60 @@ def test_a_pair_that_wraps_to_skew_is_refused_before_the_skew_gate():
         RationalCTensor(2, np.zeros((2, 2, 2)), np.zeros((2, 2, 2), np.int64))
 
 
-def test_importing_the_cli_loads_no_fractions():
-    """The package's exact arithmetic is int64 alone: a fresh interpreter that
-    imports the CLI has loaded neither fractions nor decimal."""
-    code = "import sys, twistorcheck.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+# The sweep's names the package resolves from twistorcheck.algebra on first use.
+ALGEBRA_NAMES = (
+    "CheckResult",
+    "RationalCTensor",
+    "RationalSkewMatrix",
+    "canonical_j1",
+    "check_case1_inequality",
+    "check_case2_identities",
+    "check_identity_c1",
+    "check_wedge_identity",
+    "run_algebra_sweep",
+    "skew_decompose",
+)
+
+FOOTPRINT_CHILD = """\
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from twistorcheck import catalog, cli
+cli.build_parser()
+catalog.resolve("nk-s6")
+watched = ("fractions", "decimal", "twistorcheck.algebra")
+codes = [cli.main(["scan", "--manifold", "nk-s6", "--grid", "1", "--out", sys.argv[2]])]
+after_scan = sorted(set(watched) & set(sys.modules))
+codes.append(cli.main(["verify-algebra", "--samples", "2", "--out", sys.argv[2]]))
+import twistorcheck as tc
+print(json.dumps({
+    "codes": codes,
+    "after_scan": after_scan,
+    "after_sweep": sorted(set(watched) & set(sys.modules)),
+    "same_sweep": tc.run_algebra_sweep is sys.modules["twistorcheck.algebra"].run_algebra_sweep,
+    "all": tc.__all__,
+}))
+"""
+
+
+def test_importing_the_cli_loads_no_fractions(tmp_path):
+    """The package's exact arithmetic is int64 alone, and only verify-algebra
+    loads it: a fresh interpreter that takes the benchmark's set-up steps (the
+    CLI imported, its parser built, nk-s6 resolved) and runs a scan has loaded
+    neither fractions, decimal nor twistorcheck.algebra; verify-algebra then
+    loads the sweep, still without fractions or decimal, and the package's
+    names for the sweep resolve to it."""
+    src = str(Path(algebra.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_CHILD, src, str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120,
+    )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    found = json.loads(proc.stdout)
+    assert found["codes"] == [0, 0]
+    assert found["after_scan"] == []
+    assert found["after_sweep"] == ["twistorcheck.algebra"]
+    assert found["same_sweep"]
+    assert set(ALGEBRA_NAMES) <= set(found["all"])
 
 
 def object_exact(x):

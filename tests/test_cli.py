@@ -1531,3 +1531,31 @@ def test_ill_conditioned_metric_exits_2_naming_the_point(monkeypatch, capsys, co
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.fullmatch(r"error: SingularMetric: metric condition number exceeds 1e\+12 at \[[^]\n]*\]\n", captured.err)
+
+
+def test_array_records_compare_by_identity():
+    """The frozen records that hold arrays compare and hash by identity: the
+    generated __eq__ would raise on two distinct instances (the truth value of
+    an array is ambiguous) and the generated __hash__ on any (unhashable)."""
+    entry = catalog.resolve("nk-s6")
+    u = catalog.grid_points(entry.patch, 1)[0]
+    jet = point_jet(entry.patch, u)
+    rep = theorem_report(jet)
+    records = [
+        entry,
+        entry.patch,
+        jet,
+        jet.frame,
+        frame_field_jet(entry.patch, u),
+        rep,
+        rep.chain_ok,
+        algebra.CheckResult(np.array([True, False]), np.array([None, "failed"], object)),
+    ]
+    assert [type(x).__name__ for x in records] == [
+        "CatalogEntry", "ManifoldPatch", "PointJet", "AdaptedFrame",
+        "FrameFieldJet", "TheoremReport", "ChainChecks", "CheckResult",
+    ]
+    for x in records:
+        assert hash(x) == hash(x)
+        assert x == x
+        assert x != dataclasses.replace(x)
