@@ -9,16 +9,6 @@ pointwise algebraic identities behind the chain are verified separately in
 exact arithmetic, on seeded integer samples.
 """
 
-from .errors import (
-    BoundaryProximity,
-    DegeneratePivot,
-    FrameDiscontinuity,
-    IncompatibleStructure,
-    NotInSigma,
-    SingularMetric,
-    TwistorcheckError,
-    WrongPatch,
-)
 from .geometry import (
     AdaptedFrame,
     ManifoldPatch,

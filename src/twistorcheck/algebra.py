@@ -56,8 +56,6 @@ from itertools import product
 
 import numpy as np
 
-from .errors import NotInSigma
-
 MAX_N = 6  # exhaustive index loops stay cheap up to here
 CHUNK_DRAWS = 13824  # entries the sweep draws and checks as one batch: 256 samples at n = 3
 ENTRY_RANGE = 10**6  # a drawn entry lies in [-ENTRY_RANGE, ENTRY_RANGE]
@@ -411,12 +409,12 @@ def trace_pairing(p: RationalSkewMatrix, q: RationalSkewMatrix):
 def canonical_j1(psi: RationalSkewMatrix, V) -> tuple:
     """One application of the canonical complex structure (psi, V) -> (J0 psi, -V J0).
 
-    ``psi`` must anticommute with J0 in every sample (raise NotInSigma
+    ``psi`` must anticommute with J0 in every sample (raise ValueError
     otherwise); the first output slot anticommutes again and applying the map
     twice negates both slots exactly.  One V comes back as a tuple.
     """
     if not np.all(anticommutes_with_j0(psi)):
-        raise NotInSigma(_OUTSIDE_SIGMA)
+        raise ValueError(_OUTSIDE_SIGMA)
     n, a = psi.n, psi.array
     V = _exact(V)
     if V.shape[-1:] != (2 * n,):

@@ -3,9 +3,13 @@
 Exit codes follow one contract everywhere: 0 means every check passed,
 1 means a gated check failed (the bug-detector outcome) and the output is
 still written, 2 means an exception: the invocation or its inputs were
-unusable.  Output files are byte-identical for
-identical configuration and seed; floating point values are serialized with
-17 significant digits so they round-trip exactly.
+unusable.  Every such refusal is a ``ValueError`` (bad patch data, a point
+outside its patch, a frame or metric that cannot be built, a patch that
+lacks what an operation needs), which ``main`` prints as one ``error: ...``
+line.  A failed mathematical check is never an exception: two routes that
+disagree give a residual, which the commands gate.  Output files are
+byte-identical for identical configuration and seed; floating point values
+are serialized with 17 significant digits so they round-trip exactly.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .connection import (
     sigma_part,
     structure_equation_residual,
 )
-from .errors import TwistorcheckError
 from .geometry import point_jet, random_unitary_rotation
 from .nijenhuis import ROUTE_REL_TOL
 from .twistorform import chern_identity_residual, pfaffian_sign, phi_formula_gap, theorem_report
@@ -290,6 +293,10 @@ def geometry_checks(entry: catalog.CatalogEntry, points: int, seed: int, rotatio
         raise ValueError(f"points = {points} exceeds the {GRID_LIMIT} guard")
     chunk = min(points, GEOMETRY_CHUNK)
     limit = GEOMETRY_ROW_LIMIT * 8**3 // max(patch.dim, 8) ** 3
+    if limit == 0:
+        raise ValueError(
+            f"one row at dim {patch.dim} exceeds the memory budget of a chunk ({GEOMETRY_ROW_LIMIT} rows at dim 8)"
+        )
     if chunk * (1 + rotations) > limit:
         raise ValueError(
             f"a chunk of {chunk} points x {1 + rotations} frames = {chunk * (1 + rotations)} rows "
@@ -492,17 +499,12 @@ def main(argv=None) -> int:
             "verify-geometry": cmd_verify_geometry,
         }[args.command]
         return command(args)
-    except ValueError as exc:
+    # MemoryError: e.g. a catalog id whose dimension cannot be allocated
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TwistorcheckError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # the only file a command opens is its output
         print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:  # e.g. a catalog id whose dimension cannot be allocated
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -32,14 +32,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    BoundaryProximity,
-    DegeneratePivot,
-    FrameDiscontinuity,
-    IncompatibleStructure,
-    SingularMetric,
-)
-
 # h of every complex-step derivative Im f(u + i h e_c) / h (Squire and Trapp,
 # SIAM Rev. 40(1), 1998): nothing is subtracted, so no rounding grows as h shrinks.
 COMPLEX_STEP = 1e-30
@@ -140,18 +132,18 @@ class ManifoldPatch:
 
 
 def require_interior(patch: ManifoldPatch, point: np.ndarray) -> np.ndarray:
-    """Return the points as a float or complex array (..., 2n), or raise BoundaryProximity.
+    """Return the points as a float or complex array (..., 2n), or raise ValueError.
 
     A complex point is interior when its real part is."""
     u = np.asarray(point, dtype=_real_or_complex(point))
     if u.ndim == 0 or u.shape[-1] != patch.dim:
-        raise BoundaryProximity(
+        raise ValueError(
             f"point has shape {u.shape}, expected (..., {patch.dim}) for patch {patch.label!r}"
         )
     inside = (u.real > patch.domain[:, 0]) & (u.real < patch.domain[:, 1])
     bad = first_index(~inside.all(axis=-1))
     if bad is not None:
-        raise BoundaryProximity(f"point {u[bad].tolist()} is not interior to patch {patch.label!r}")
+        raise ValueError(f"point {u[bad].tolist()} is not interior to patch {patch.label!r}")
     return u
 
 
@@ -179,7 +171,7 @@ def _call_field(fn: FieldMap, u: np.ndarray, name: str, rank: int) -> np.ndarray
         )
     bad = first_index(~np.isfinite(value).all(axis=tuple(range(-rank, 0))))
     if bad is not None:
-        raise IncompatibleStructure(f"{name} is not finite at {u[bad].tolist()}")
+        raise ValueError(f"{name} is not finite at {u[bad].tolist()}")
     return value
 
 
@@ -197,7 +189,7 @@ def _field_residuals(g: np.ndarray, J: np.ndarray) -> dict:
 
 
 def validate_patch(patch: ManifoldPatch, point: np.ndarray) -> tuple:
-    """Raise IncompatibleStructure unless, at every point, g is symmetric
+    """Raise ValueError unless, at every point, g is symmetric
     positive definite, J^2 = -Id and J^T g J = g.
 
     Returns the checked field values ``(g, J)`` at ``point`` and the
@@ -215,12 +207,12 @@ def validate_patch(patch: ManifoldPatch, point: np.ndarray) -> tuple:
     if bad is None:
         return g, J, spectrum
     if not_pd[bad]:
-        raise IncompatibleStructure(
+        raise ValueError(
             f"metric not positive definite at {u[bad].tolist()} "
             f"(min eigenvalue {spectrum[bad][0]:.3e})"
         )
     key = next(key for key in keys if res[key][bad] >= STRUCTURE_TOL)
-    raise IncompatibleStructure(
+    raise ValueError(
         f"{key} residual {res[key][bad]:.3e} exceeds {STRUCTURE_TOL:g} at {u[bad].tolist()}"
     )
 
@@ -293,7 +285,7 @@ def _gram_schmidt_adapted(g: np.ndarray, J: np.ndarray, u: np.ndarray):
         idx = np.argmax(np.where(usable, nrm / own, -1.0), axis=-1)
         stuck = first_index(~usable[rows, idx].reshape(batch))
         if stuck is not None:
-            raise DegeneratePivot(
+            raise ValueError(
                 f"all {dim - k} remaining coordinate vectors project below {PIVOT_TOL:g} at {u[stuck].tolist()}"
             )
         e = V[rows, :, idx] / nrm[rows, idx][:, None]
@@ -332,7 +324,7 @@ def adapt_frame(patch: ManifoldPatch, point: np.ndarray) -> AdaptedFrame:
     that keeps the largest share of its g-norm, the lowest index on a tie,
     so on a flat Kahler patch the frame is the coordinate basis.  After the
     sweep, g's condition number must pass a gate read off the spectrum that
-    ``validate_patch`` computed, or ``SingularMetric`` names the point: the
+    ``validate_patch`` computed, or a ValueError names the point: the
     frame factors g^-1 = E E^T for ``christoffel``.
     """
     u = require_interior(patch, point)
@@ -341,7 +333,7 @@ def adapt_frame(patch: ManifoldPatch, point: np.ndarray) -> AdaptedFrame:
     resid = np.abs(np.swapaxes(E, -1, -2) @ g @ E - np.eye(patch.dim)).max(axis=(-2, -1))
     bad = first_index(resid > FRAME_ORTHO_TOL)
     if bad is not None:
-        raise DegeneratePivot(
+        raise ValueError(
             f"orthonormality residual {resid[bad]:.3e} after Gram-Schmidt at {u[bad].tolist()}; "
             "the metric is too ill-conditioned for a reliable frame"
         )
@@ -349,7 +341,7 @@ def adapt_frame(patch: ManifoldPatch, point: np.ndarray) -> AdaptedFrame:
     # without a division
     bad = first_index(~(spectrum[..., -1] <= METRIC_COND_LIMIT * spectrum[..., 0]))
     if bad is not None:
-        raise SingularMetric(f"metric condition number exceeds {METRIC_COND_LIMIT:g} at {u[bad].tolist()}")
+        raise ValueError(f"metric condition number exceeds {METRIC_COND_LIMIT:g} at {u[bad].tolist()}")
     return AdaptedFrame(point=u, E=E, g=g, J=J, pivots=pivots)
 
 
@@ -379,7 +371,7 @@ def evaluate_frame_field(patch: ManifoldPatch, frame: AdaptedFrame, point: np.nd
 
     ``point`` has the frame's batch axes, then any number of extra axes, then
     2n.  Re-runs the validated Gram-Schmidt sweep, each point deciding its
-    own pivots, and raises FrameDiscontinuity at the first point whose pivot
+    own pivots, and raises ValueError at the first point whose pivot
     sequence differs from that of the frame it came from, so the frames are
     values of one smooth matrix-valued function.  Returns the unrotated
     frames at ``point``, with their g and J; the field through a rotated
@@ -392,7 +384,7 @@ def evaluate_frame_field(patch: ManifoldPatch, frame: AdaptedFrame, point: np.nd
         raise ValueError(f"points of shape {moved.point.shape} lack the frame's batch axes {lead}")
     changed = first_index(np.any(moved.pivots != frame.pivots.reshape(lead + (1,) * extra + (-1,)), axis=-1))
     if changed is not None:
-        raise FrameDiscontinuity(
+        raise ValueError(
             f"pivot sequence changed from {tuple(frame.pivots[changed[: len(lead)]].tolist())} to "
             f"{tuple(moved.pivots[changed].tolist())} at {moved.point[changed].tolist()}"
         )

@@ -31,7 +31,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import WrongPatch
 from .geometry import ManifoldPatch, PointJet, j0_matrix
 from .connection import FrameFieldJet, connection_coefficients, nabla_j_connection
 from .nijenhuis import nijenhuis_frame, nijenhuis_norm, nijenhuis_tensor, route_gap
@@ -308,11 +307,11 @@ def chern_identity_residual(patch: ManifoldPatch, jet: FrameFieldJet, dw: np.nda
 
     Only meaningful where the curvature terms R_{i,i+n} equal
     theta_i ^ theta_{i+n}, i.e. on a patch flagged ``unit_round_sphere``;
-    any other patch raises WrongPatch.  ``dw`` is
+    any other patch raises ValueError.  ``dw`` is
     ``connection_derivative(patch, jet)``.
     """
     if "unit_round_sphere" not in patch.attributes:
-        raise WrongPatch(
+        raise ValueError(
             f"patch {patch.label!r} lacks the unit_round_sphere attribute; "
             "the identity only holds at constant curvature one"
         )

@@ -1358,6 +1358,26 @@ def test_verify_geometry_row_limit_shrinks_above_dim_8(monkeypatch, tmp_path, ca
     assert not out.exists()
 
 
+def test_verify_geometry_refuses_a_single_row_above_dim_173(monkeypatch, tmp_path, capsys):
+    """At dim 172 (flat:86) the row limit is 1; from dim 174 (flat:87) it is
+    0, and the one line says that a single row is over the memory budget."""
+    out = tmp_path / "geo.json"
+
+    def refuse(*args):
+        raise AssertionError("sampled a chunk over the limit")
+
+    monkeypatch.setattr(catalog, "sample_points", refuse)
+    argv = ["verify-geometry", "--points", "1", "--out", str(out)]
+    assert run_cli(argv + ["--manifold", "flat:86", "--rotations", "1"]) == 2
+    assert capsys.readouterr().err == "error: a chunk of 1 points x 2 frames = 2 rows exceeds the 1 guard\n"
+    assert run_cli(argv + ["--manifold", "flat:87", "--rotations", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == (
+        "error: one row at dim 174 exceeds the memory budget of a chunk (10000 rows at dim 8)\n"
+    )
+
+
 def test_scan_refuses_a_grid_over_the_grid_limit(monkeypatch, tmp_path, capsys):
     """grid^dim above GRID_LIMIT exits 2 before a grid point is built."""
     out = tmp_path / "scan.txt"
@@ -1514,7 +1534,6 @@ def test_scan_names_the_one_point_that_breaks_j(monkeypatch, capsys):
     assert run_cli(["scan", "--manifold", "nk-s6", "--grid", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
-    assert captured.err.startswith("error: IncompatibleStructure: j_square residual")
     assert f"at {bad.tolist()}" in captured.err
 
 
@@ -1522,7 +1541,7 @@ def test_scan_names_the_one_point_that_breaks_j(monkeypatch, capsys):
 def test_ill_conditioned_metric_exits_2_naming_the_point(monkeypatch, capsys, command):
     """A positive definite metric of condition 1e13 passes validation and
     Gram-Schmidt, and adapt_frame's condition gate rejects it: exit 2 with one
-    SingularMetric line."""
+    line naming the point."""
     entry = catalog.resolve("flat:2")
     metric = geometry.pointwise(lambda u: np.diag([1.0, 1e-13, 1.0, 1e-13]))
     doctored = dataclasses.replace(entry, patch=dataclasses.replace(entry.patch, metric_field=metric))
@@ -1530,7 +1549,42 @@ def test_ill_conditioned_metric_exits_2_naming_the_point(monkeypatch, capsys, co
     assert run_cli(command[:1] + ["--manifold", "flat:2"] + command[1:]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert re.fullmatch(r"error: SingularMetric: metric condition number exceeds 1e\+12 at \[[^]\n]*\]\n", captured.err)
+    assert re.fullmatch(r"error: metric condition number exceeds 1e\+12 at \[[^]\n]*\]\n", captured.err)
+
+
+@pytest.mark.parametrize(
+    "fields, point, message",
+    [
+        ({}, "1,0,0,0", r"point \[1\.0, 0\.0, 0\.0, 0\.0\] is not interior to patch 'flat:2'"),
+        ({"j_field": geometry.pointwise(lambda u: np.full((4, 4), np.nan))}, None,
+         r"j_field is not finite at \[0\.0, 0\.0, 0\.0, 0\.0\]"),
+        ({"j_field": geometry.pointwise(lambda u: 1.001 * geometry.j0_matrix(2))}, None,
+         r"j_square residual 2\.001e-03 exceeds 1e-10 at \[0\.0, 0\.0, 0\.0, 0\.0\]"),
+        ({"metric_field": geometry.pointwise(lambda u: np.diag([1.0, -1.0, 1.0, -1.0]))}, None,
+         r"metric not positive definite at \[0\.0, 0\.0, 0\.0, 0\.0\] \(min eigenvalue -1\.000e\+00\)"),
+        ({"metric_field": geometry.pointwise(lambda u: 1e-18 * np.eye(4))}, None,
+         r"all 4 remaining coordinate vectors project below 1e-08 at \[0\.0, 0\.0, 0\.0, 0\.0\]"),
+        ({"metric_field": geometry.pointwise(lambda u: np.diag([1.0, 1e-13, 1.0, 1e-13]))}, None,
+         r"metric condition number exceeds 1e\+12 at \[0\.0, 0\.0, 0\.0, 0\.0\]"),
+        ({"j_field": lambda u: np.broadcast_to(geometry.j0_matrix(2), np.asarray(u, dtype=float).shape + (4,))}, None,
+         r"j_field casts complex points to float; a field must be complex-analytic in u"),
+    ],
+    ids=["boundary", "nan-j", "j-square", "not-positive", "degenerate-pivot", "ill-conditioned", "casts-complex"],
+)
+def test_every_refusal_prints_one_error_line(monkeypatch, tmp_path, capsys, fields, point, message):
+    """A point on the box edge, a non-finite J, J^2 != -Id, a metric that is
+    not positive definite, no usable pivot, a metric of condition 1e13 and a
+    J that casts complex points to float: each exits 2, writes nothing and
+    prints one line, ``error: `` then the message."""
+    entry = catalog.resolve("flat:2")
+    doctored = dataclasses.replace(entry, patch=dataclasses.replace(entry.patch, **fields))
+    monkeypatch.setattr(catalog, "resolve", lambda manifold_id: doctored)
+    out = tmp_path / "report.json"
+    argv = ["report", "--manifold", "flat:2", "--out", str(out)]
+    assert run_cli(argv + ([f"--point={point}"] if point else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert re.fullmatch(f"error: {message}\n", captured.err)
 
 
 def test_array_records_compare_by_identity():

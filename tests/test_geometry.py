@@ -7,10 +7,6 @@ import numpy as np
 import pytest
 
 from twistorcheck import (
-    BoundaryProximity,
-    DegeneratePivot,
-    FrameDiscontinuity,
-    IncompatibleStructure,
     ManifoldPatch,
     adapt_frame,
     christoffel,
@@ -123,7 +119,7 @@ class TestAdaptFrame:
 
     def test_degenerate_seed_raises(self):
         # Every coordinate vector has g-norm 1e-9, below PIVOT_TOL.
-        with pytest.raises(DegeneratePivot):
+        with pytest.raises(ValueError, match=r"^all 4 remaining coordinate vectors project below 1e-08 at "):
             adapt_frame(flat_patch(scale=1e-18), np.zeros(4))
 
     def test_degenerate_pivot_advances_to_next_column(self):
@@ -151,7 +147,7 @@ class TestAdaptFrame:
             metric_field=pointwise(lambda u: np.eye(4)),
             j_field=pointwise(lambda u: bad_j),
         )
-        with pytest.raises(IncompatibleStructure):
+        with pytest.raises(ValueError, match=r"^j_square residual .* exceeds 1e-10 at \[0\.0, 0\.0, 0\.0, 0\.0\]$"):
             adapt_frame(patch, np.zeros(4))
 
     def test_asymmetric_metric_rejected(self):
@@ -165,11 +161,11 @@ class TestAdaptFrame:
             metric_field=pointwise(lambda u: np.eye(4) + 0.1 * J0),
             j_field=pointwise(lambda u: J0),
         )
-        with pytest.raises(IncompatibleStructure, match="metric_symmetry residual 2.000e-01"):
+        with pytest.raises(ValueError, match="^metric_symmetry residual 2.000e-01"):
             adapt_frame(patch, np.zeros(4))
 
     def test_point_outside_domain(self):
-        with pytest.raises(BoundaryProximity):
+        with pytest.raises(ValueError, match=r"^point \[2\.0, 0\.0, 0\.0, 0\.0\] is not interior to patch "):
             adapt_frame(flat_patch(), np.array([2.0, 0.0, 0.0, 0.0]))
 
 
@@ -336,7 +332,7 @@ class TestBlockSweep:
         points = np.zeros((2, 3, 4))
         points[1, 1, 0] = 0.75
         with pytest.raises(
-            DegeneratePivot,
+            ValueError,
             match=r"^all 3 remaining coordinate vectors project below 1e-08 at \[0\.75, 0\.0, 0\.0, 0\.0\]$",
         ):
             adapt_frame(patch, points)
@@ -408,7 +404,7 @@ class TestFieldDerivative:
     def test_boundary_guard(self):
         patch = flat_patch()
         field_derivative(patch, np.array([0.999999, 0.0, 0.0, 0.0]), which="metric")
-        with pytest.raises(BoundaryProximity):
+        with pytest.raises(ValueError, match=r"^point \[1\.0, 0\.0, 0\.0, 0\.0\] is not interior to patch "):
             field_derivative(patch, np.array([1.0, 0.0, 0.0, 0.0]), which="metric")
 
     def test_bad_which_and_complex_points_without_a_jet(self):
@@ -480,9 +476,7 @@ class TestChristoffel:
         )
 
     def test_singular_metric(self):
-        from twistorcheck import SingularMetric
-
-        with pytest.raises(SingularMetric):
+        with pytest.raises(ValueError, match=r"^metric condition number exceeds 1e\+12 at "):
             adapt_frame(self.diagonal_patch(1e-15), np.zeros(4))
 
     @staticmethod
@@ -499,14 +493,13 @@ class TestChristoffel:
         # adapt_frame gates the spectrum validate_patch computed instead of
         # taking an SVD; on diagonal metrics of condition 1e11 and 1e13 it
         # agrees with np.linalg.cond
-        from twistorcheck import SingularMetric
         from twistorcheck.geometry import METRIC_COND_LIMIT
 
         patch, u = self.diagonal_patch(small), np.zeros(4)
         assert (np.linalg.cond(patch.metric_field(u)) > METRIC_COND_LIMIT) == singular
         if singular:
             with pytest.raises(
-                SingularMetric, match=r"^metric condition number exceeds 1e\+12 at \[0\.0, 0\.0, 0\.0, 0\.0\]$"
+                ValueError, match=r"^metric condition number exceeds 1e\+12 at \[0\.0, 0\.0, 0\.0, 0\.0\]$"
             ):
                 adapt_frame(patch, u)
         else:
@@ -524,7 +517,7 @@ class TestChristoffel:
             message = r"^metric not positive definite at \[0\.0, 0\.0\] \(min eigenvalue 0\.000e\+00\)$"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(IncompatibleStructure, match=message):
+            with pytest.raises(ValueError, match=message):
                 adapt_frame(self.constant_metric_patch(g), np.zeros(2))
 
     @staticmethod
@@ -586,11 +579,11 @@ class TestPatchValidation:
     @pytest.mark.parametrize("point", [np.zeros(3), np.float64(0.0), np.zeros((2, 6))])
     def test_require_interior_rejects_a_point_of_the_wrong_shape(self, point):
         shape = re.escape(str(np.shape(point)))
-        with pytest.raises(BoundaryProximity, match=f"^point has shape {shape}, expected"):
+        with pytest.raises(ValueError, match=f"^point has shape {shape}, expected"):
             require_interior(flat_patch(), point)
 
     def test_boundary_message_names_the_point_and_patch(self):
-        with pytest.raises(BoundaryProximity) as error:
+        with pytest.raises(ValueError) as error:
             require_interior(flat_patch(), np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]))
         assert str(error.value) == "point [0.0, 1.0, 0.0, 0.0] is not interior to patch 'flat-1.0'"
 
@@ -640,9 +633,9 @@ class TestPatchValidation:
             j_field=pointwise(lambda u: (1.0 + u[0]) * j0_matrix(n)),
         )
         jet = frame_field_jet(patch, np.zeros(4))
-        with pytest.raises(IncompatibleStructure, match=r"at \[1e-05, 0\.0, 0\.0, 0\.0\]$"):
+        with pytest.raises(ValueError, match=r"^j_square residual .* at \[1e-05, 0\.0, 0\.0, 0\.0\]$"):
             evaluate_frame_field(patch, jet.frame, stencil_points(np.zeros(4), 1e-5))
-        with pytest.raises(IncompatibleStructure):
+        with pytest.raises(ValueError, match=r"^j_square residual .* at \[0\.5, 0\.0, 0\.0, 0\.0\]$"):
             point_jet(patch, np.array([0.5, 0.0, 0.0, 0.0]))
 
     def test_frame_field_reevaluation_matches(self):
@@ -666,9 +659,9 @@ class TestNonFiniteFields:
             return np.full((4, 4), np.nan) if u[0] > 0.5 else j0_matrix(2)
 
         patch = dataclasses.replace(flat_patch(), j_field=pointwise(j_field))
-        with pytest.raises(IncompatibleStructure, match=r"^j_field is not finite at \[0\.6, 0\.2,"):
+        with pytest.raises(ValueError, match=r"^j_field is not finite at \[0\.6, 0\.2,"):
             validate_patch(patch, self.POINTS)
-        with pytest.raises(IncompatibleStructure, match="j_field is not finite"):
+        with pytest.raises(ValueError, match="^j_field is not finite"):
             adapt_frame(patch, self.POINTS)
 
     def test_nan_metric_is_an_incompatible_structure(self):
@@ -676,14 +669,14 @@ class TestNonFiniteFields:
             return np.eye(4) * (np.nan if u[0] > 0.5 else 1.0)
 
         patch = dataclasses.replace(flat_patch(), metric_field=pointwise(metric_field))
-        with pytest.raises(IncompatibleStructure, match=r"^metric_field is not finite at \[0\.6, 0\.2,"):
+        with pytest.raises(ValueError, match=r"^metric_field is not finite at \[0\.6, 0\.2,"):
             validate_patch(patch, self.POINTS)
 
     def test_nan_metric_jet_is_an_incompatible_structure(self):
         patch = dataclasses.replace(flat_patch(), metric_jet=pointwise(lambda u: np.full((4, 4, 4), np.nan)))
-        with pytest.raises(IncompatibleStructure, match=r"^metric_jet is not finite at \[0\.1, 0\.0,"):
+        with pytest.raises(ValueError, match=r"^metric_jet is not finite at \[0\.1, 0\.0,"):
             field_derivative(patch, self.POINTS, which="metric")
-        with pytest.raises(IncompatibleStructure, match="metric_jet is not finite"):
+        with pytest.raises(ValueError, match="^metric_jet is not finite"):
             point_jet(patch, self.POINTS)
 
     def test_nan_rotation_is_rejected(self):
@@ -726,7 +719,7 @@ class TestPointJet:
         # no stencil leaves the point, so only the patch's own boundary is refused
         patch = flat_patch()
         point_jet(patch, np.array([1.0 - 1.5e-5, 0.0, 0.0, 0.0]))
-        with pytest.raises(BoundaryProximity):
+        with pytest.raises(ValueError, match=r"^point \[1\.0, 0\.0, 0\.0, 0\.0\] is not interior to patch "):
             point_jet(patch, np.array([1.0, 0.0, 0.0, 0.0]))
         jet = point_jet(patch, np.zeros(4))
         assert np.array_equal(jet.frame.E, np.eye(4))
@@ -803,7 +796,7 @@ class TestBatchedFields:
         )
         points = np.zeros((2, 3, 4))
         points[1, 1, 0] = 0.75
-        with pytest.raises(IncompatibleStructure, match=r"at \[0\.75, 0\.0, 0\.0, 0\.0\]"):
+        with pytest.raises(ValueError, match=r"^j_square residual .* at \[0\.75, 0\.0, 0\.0, 0\.0\]$"):
             adapt_frame(patch, points)
         points[1, 1, 0] = 0.25
         assert adapt_frame(patch, points).pivots.shape == (2, 3, 2)
@@ -848,7 +841,7 @@ class TestBatchedFields:
         assert np.array_equal(stacked.shifted[1], jet.shifted)
         # a re-evaluation that decides per point names the switch
         message = r"^pivot sequence changed from \(0, 2\) to \(0, 1\) at \[-1e-05, 0\.0, 0\.0, 0\.0\]$"
-        with pytest.raises(FrameDiscontinuity, match=message):
+        with pytest.raises(ValueError, match=message):
             evaluate_frame_field(patch, jet.frame, stencil_points(origin, h))
 
 

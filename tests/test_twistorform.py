@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from twistorcheck import (
-    WrongPatch,
     alpha_beta,
     chern_identity_residual,
     conformal_hermitian,
@@ -591,7 +590,7 @@ class TestChernIdentity:
         assert self.residual(patch, np.full(6, 0.5 / np.sqrt(6.0))) < 1e-4
 
     def test_wrong_patch(self):
-        with pytest.raises(WrongPatch):
+        with pytest.raises(ValueError, match="^patch 'flat:3' lacks the unit_round_sphere attribute; "):
             self.residual(flat_kahler(3).patch, np.zeros(6))
 
 
