@@ -39,7 +39,6 @@ from .nijenhuis import (
     route_gap,
 )
 from .twistorform import (
-    ChainChecks,
     TheoremReport,
     alpha_beta,
     chern_identity_residual,

@@ -1,6 +1,6 @@
 """Benchmark patches: flat, conformal Hermitian, round six-sphere, perturbed torus.
 
-Each entry packages a ``ManifoldPatch``, with its attribute flags, under the
+Each entry packages a ``ManifoldPatch``, its flags included, under the
 identifier the command line resolves.
 The six-sphere entry carries the canonical almost complex structure built
 from the seven-dimensional cross product; the patch invariants J^2 = -Id and
@@ -54,7 +54,7 @@ def _norm2(u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CatalogEntry:
-    """A benchmark patch, which carries the attribute flags; its catalog id is the patch's label."""
+    """A benchmark patch, its flags included; its catalog id is the patch's label."""
 
     patch: ManifoldPatch
 
@@ -93,7 +93,7 @@ def flat_kahler(n: int) -> CatalogEntry:
         metric_jet=zero_jet,
         j_jet=zero_jet,
         label=f"flat:{n}",
-        attributes=frozenset({"integrable", "flat"}),
+        integrable=True,
     )
     return CatalogEntry(patch=patch)
 
@@ -125,7 +125,7 @@ def conformal_hermitian() -> CatalogEntry:
         metric_jet=metric_jet,
         j_jet=_constant(np.zeros((dim, dim, dim))),
         label="conformal4",
-        attributes=frozenset({"integrable"}),
+        integrable=True,
     )
     return CatalogEntry(patch=patch)
 
@@ -216,7 +216,7 @@ def nearly_kahler_s6() -> CatalogEntry:
         metric_jet=_s6_metric_jet,
         j_jet=_s6_j_jet,
         label="nk-s6",
-        attributes=frozenset({"unit_round_sphere", "nearly_kahler"}),
+        unit_round_sphere=True,
     )
     return CatalogEntry(patch=patch)
 
@@ -329,18 +329,17 @@ def grid_points(patch: ManifoldPatch, per_axis: int) -> np.ndarray:
     """
     if per_axis < 1:
         raise ValueError("per_axis must be >= 1")
-    axes = []
-    for lo, hi in patch.domain:
+    lo, hi = patch.domain.T
+    if per_axis == 1:
+        axes = 0.5 * (lo + hi)[:, None]
+    else:
         pad = GRID_INSET * (hi - lo)
-        if per_axis == 1:
-            axes.append(np.array([0.5 * (lo + hi)]))
-        else:
-            axes.append(np.linspace(lo + pad, hi - pad, per_axis))
+        axes = np.linspace(lo + pad, hi - pad, per_axis, axis=-1)
     # Point k takes on each axis the matching digit of k in base per_axis, the
     # last axis varying fastest; np.meshgrid would refuse more than 32 axes.
     powers = per_axis ** np.arange(patch.dim - 1, -1, -1)
     digits = np.arange(per_axis**patch.dim)[:, None] // powers % per_axis
-    return np.array(axes)[np.arange(patch.dim), digits]
+    return axes[np.arange(patch.dim), digits]
 
 
 def sample_points(patch: ManifoldPatch, count: int, rng: np.random.Generator) -> np.ndarray:

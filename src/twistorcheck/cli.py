@@ -135,7 +135,7 @@ def report_payload(entry: catalog.CatalogEntry, point: np.ndarray) -> dict:
         "sumA2": rep.sumA2,
         "bound_quarterA": rep.bound_quarterA,
         "bound_paper": rep.bound_paper,
-        "chain_ok": rep.chain_ok.to_dict(),
+        "chain_ok": {k: bool(v) for k, v in rep.links.items()},
         "nondegenerate": rep.nondegenerate,
         "pfaffian_sign": pfaffian_sign(rep.F, rep.nondegenerate),
         "structure_residual": structure,
@@ -182,7 +182,7 @@ def scan_rows(entry: catalog.CatalogEntry, grid: int) -> tuple:
     for start in range(0, len(points), SCAN_CHUNK):
         rep = theorem_report(point_jet(entry.patch, points[start : start + SCAN_CHUNK]))
         for name, parts in chunks.items():
-            parts.append(rep.chain_ok.all_ok if name == "chain_ok" else getattr(rep, name))
+            parts.append(getattr(rep, name))
         gaps.append(rep.n_route_mismatch)
     table = {f"u{i + 1}": points[:, i] for i in range(entry.patch.dim)}
     table.update((name, np.concatenate(parts)) for name, parts in chunks.items())
@@ -304,7 +304,6 @@ def geometry_checks(entry: catalog.CatalogEntry, points: int, seed: int, rotatio
         )
     rng = np.random.default_rng(seed)
     samples = catalog.sample_points(patch, points, rng)
-    is_round = "unit_round_sphere" in patch.attributes
     residuals = {name: [] for name in GEOMETRY_TOLERANCES}
     for start in range(0, points, GEOMETRY_CHUNK):
         u = samples[start : start + GEOMETRY_CHUNK]
@@ -335,7 +334,7 @@ def geometry_checks(entry: catalog.CatalogEntry, points: int, seed: int, rotatio
             ]),
             "connection_route_equivalence": _sigma_route_gap(w_rotated, rotated.frame.E, rep.sigma),
         }
-        if is_round:
+        if patch.unit_round_sphere:
             dw = connection_derivative(patch, frames)
             found["curvature_identity"] = round_sphere_curvature_residual(curvature_forms(frames, dw))
             found["chern_identity"] = chern_identity_residual(patch, frames, dw)

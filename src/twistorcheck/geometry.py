@@ -103,7 +103,9 @@ class ManifoldPatch:
     [..., c, a, b] = d_c(field)_{ab}; when present they take precedence over
     the complex step.  The frame route evaluates both fields at complex
     points u + i h e_c, so they must be complex-analytic in u (no abs,
-    ``.real``, cast to float or branch on u).
+    ``.real``, cast to float or branch on u).  ``unit_round_sphere`` marks a
+    chart of the unit round sphere, where the curvature and Chern identities
+    hold; ``integrable`` marks a J whose Nijenhuis tensor vanishes.
     """
 
     n: int
@@ -113,7 +115,8 @@ class ManifoldPatch:
     metric_jet: FieldMap | None = None
     j_jet: FieldMap | None = None
     label: str = ""
-    attributes: frozenset = frozenset()
+    unit_round_sphere: bool = False
+    integrable: bool = False
 
     def __post_init__(self):
         if self.n < 1:
@@ -124,7 +127,6 @@ class ManifoldPatch:
         if np.any(dom[:, 0] >= dom[:, 1]):
             raise ValueError("domain bounds must satisfy lower < upper")
         object.__setattr__(self, "domain", _readonly(dom))
-        object.__setattr__(self, "attributes", frozenset(self.attributes))
 
     @property
     def dim(self) -> int:

@@ -172,8 +172,18 @@ def pfaffian_sign(F: np.ndarray, nondeg: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class ChainChecks:
-    """Outcome of the four inequalities certified at each point (one boolean per point).
+class TheoremReport:
+    """Every quantity of the non-degeneracy certificate, one value per point.
+
+    For a batch of points of shape S every per-point field is an array of
+    shape S (a numpy scalar for a single point), ``sigma`` and ``N`` of shape
+    S + (2n,) * 3 and the form ``F`` = phi(e_A, e_B) of shape S + (2n, 2n).
+    ``sigma`` holds the table sigma[..., C, A, B] = sigma_AB(e_C) it was
+    computed from, ``N`` the frame components N[..., C, A, B] of the Nijenhuis
+    tensor by the connection route, and ``n_route_mismatch`` the relative gap
+    to the coordinate route's, None when the report was computed from sigma alone.
+    ``links`` maps each link of the chain to its bool array over the points,
+    and ``chain_ok`` is their conjunction:
 
     a: margin >= 1 - 1/4 sum A^2
     b: sum C^2 <= 5/4 sum d^2 and primed (n >= 3), or the n = 2 equalities
@@ -182,45 +192,19 @@ class ChainChecks:
     d: |N|^2 < c0 implies the form is non-degenerate
     """
 
-    a: bool
-    b: bool
-    c: bool
-    d: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return self.a & self.b & self.c & self.d
-
-    def to_dict(self) -> dict:
-        """The four booleans of a single point."""
-        return {name: bool(getattr(self, name)) for name in "abcd"}
-
-
-@dataclass(frozen=True, eq=False)
-class TheoremReport:
-    """Every quantity of the non-degeneracy certificate, one value per point.
-
-    For a single point the fields are scalars; for a batch of points of
-    shape S they are arrays of shape S (``sigma`` and ``N`` of shape
-    S + (2n,) * 3, the form ``F`` = phi(e_A, e_B) of shape S + (2n, 2n)).
-    ``sigma`` holds the table sigma[..., C, A, B] = sigma_AB(e_C) it was
-    computed from, ``N`` the frame components N[..., C, A, B] of the Nijenhuis
-    tensor by the connection route, and ``n_route_mismatch`` the relative gap
-    to the coordinate route's, None when the report was computed from sigma alone.
-    """
-
-    normN2: float
-    margin: float
-    sumA2: float
-    bound_quarterA: float
-    bound_paper: float
-    chain_ok: ChainChecks
-    nondegenerate: bool
-    det_F: float
+    normN2: np.ndarray
+    margin: np.ndarray
+    sumA2: np.ndarray
+    bound_quarterA: np.ndarray
+    bound_paper: np.ndarray
+    chain_ok: np.ndarray
+    links: dict
+    nondegenerate: np.ndarray
+    det_F: np.ndarray
     sigma: np.ndarray
     N: np.ndarray
     F: np.ndarray
-    n_route_mismatch: float | None = None
+    n_route_mismatch: np.ndarray | None = None
 
 
 def _total(a: np.ndarray) -> np.ndarray:
@@ -279,7 +263,8 @@ def sigma_report(sigma: np.ndarray) -> TheoremReport:
         sumA2=sumA2,
         bound_quarterA=bound_quarterA,
         bound_paper=bound_paper,
-        chain_ok=ChainChecks(a=ok_a, b=ok_b, c=ok_c, d=ok_d),
+        chain_ok=ok_a & ok_b & ok_c & ok_d,
+        links={"a": ok_a, "b": ok_b, "c": ok_c, "d": ok_d},
         nondegenerate=nondeg,
         det_F=det_F,
         sigma=sigma,
@@ -310,7 +295,7 @@ def chern_identity_residual(patch: ManifoldPatch, jet: FrameFieldJet, dw: np.nda
     any other patch raises ValueError.  ``dw`` is
     ``connection_derivative(patch, jet)``.
     """
-    if "unit_round_sphere" not in patch.attributes:
+    if not patch.unit_round_sphere:
         raise ValueError(
             f"patch {patch.label!r} lacks the unit_round_sphere attribute; "
             "the identity only holds at constant curvature one"

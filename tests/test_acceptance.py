@@ -144,8 +144,9 @@ def test_criterion_4_theorem_chain():
                     violations.append(f"(c) at {point.tolist()}")
                 if rep.normN2 < critical_constant(entry.patch.n) and not rep.nondegenerate:
                     violations.append(f"theorem consequence at {point.tolist()}")
-                if not rep.chain_ok.all_ok:
-                    violations.append(f"chain flags {rep.chain_ok.to_dict()} at {point.tolist()}")
+                if not rep.chain_ok:
+                    links = {k: bool(v) for k, v in rep.links.items()}
+                    violations.append(f"chain flags {links} at {point.tolist()}")
             c.check(not violations, f"{entry.id}: {violations[:3]} ({len(violations)} total)")
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from stencil import stencil_difference, stencil_points
 from twistorcheck import (
+    ManifoldPatch,
     conformal_hermitian,
     connection_coefficients,
     default_entries,
@@ -22,7 +23,7 @@ from twistorcheck import (
     resolve,
     theorem_report,
 )
-from twistorcheck.catalog import _CROSS_F, _s6_j, _s6_j_jet, sample_points
+from twistorcheck.catalog import _CROSS_F, GRID_INSET, _s6_j, _s6_j_jet, sample_points
 from twistorcheck.geometry import _field_residuals, field_derivative, validate_patch
 
 
@@ -80,10 +81,22 @@ def test_every_catalog_jet_is_the_complex_step_derivative_of_its_field(entry):
         assert np.abs(stepped - exact).max() <= 1e-13 * max(1.0, np.abs(exact).max()), which
 
 
+def test_catalog_flags():
+    flags = {entry.id: (entry.patch.unit_round_sphere, entry.patch.integrable) for entry in default_entries()}
+    assert flags == {
+        "flat:2": (False, True),
+        "flat:3": (False, True),
+        "flat:4": (False, True),
+        "conformal4": (False, True),
+        "nk-s6": (True, False),
+        "torus:eps=0.05,freq=1": (False, False),
+    }
+
+
 def test_integrable_entries_have_vanishing_norm():
     rng = np.random.default_rng(3)
     for entry in default_entries():
-        if "integrable" not in entry.patch.attributes:
+        if not entry.patch.integrable:
             continue
         for point in sample_points(entry.patch, 4, rng):
             tensor = nijenhuis_tensor(point_jet(entry.patch, point))
@@ -96,7 +109,7 @@ def test_flat_kahler_reports(n):
     rep = theorem_report(point_jet(entry.patch, np.zeros(2 * n)))
     assert rep.normN2 == 0.0
     assert rep.margin == pytest.approx(1.0, abs=1e-12)
-    assert rep.chain_ok.all_ok
+    assert rep.chain_ok
 
 
 class TestConformal:
@@ -312,6 +325,18 @@ class TestGrids:
     def test_grid_needs_a_point_per_axis(self):
         with pytest.raises(ValueError, match="^per_axis must be >= 1$"):
             grid_points(flat_kahler(2).patch, 0)
+
+    @pytest.mark.parametrize("per_axis", [2, 3, 6, 7])
+    def test_grid_axes_are_each_axis_linspace(self, per_axis):
+        # One np.linspace call lays out every axis; the grid fixes the bytes
+        # of every scan, so each axis must be bitwise its own scalar call.
+        domain = np.array([(-1.0, 1.0), (0.5, 2.5), (-np.pi, np.pi), (-0.35, 0.35)])
+        patch = ManifoldPatch(n=2, domain=domain, metric_field=np.eye, j_field=np.eye)
+        pts = grid_points(patch, per_axis)
+        for axis, (lo, hi) in enumerate(domain):
+            pad = GRID_INSET * (hi - lo)
+            expected = np.linspace(lo + pad, hi - pad, per_axis)
+            assert np.unique(pts[:, axis]).tobytes() == expected.tobytes(), axis
 
     def test_single_point_is_center(self):
         entry = flat_kahler(2)

@@ -144,7 +144,7 @@ def test_report_decides_the_chain_as_theorem_report(tmp_path, manifold, point):
         argv.append(f"--point={point}")
     assert run_cli(argv) == 0
     chain_ok = json.loads((tmp_path / "report.json").read_text())["chain_ok"]
-    assert chain_ok == theorem_report(point_jet(entry.patch, u)).chain_ok.to_dict()
+    assert chain_ok == {k: bool(v) for k, v in theorem_report(point_jet(entry.patch, u)).links.items()}
 
 
 def test_scan_and_report_run_above_32_axes(tmp_path):
@@ -473,6 +473,21 @@ def test_torus_route_gap_at_freq_100_is_rounding(tmp_path):
     checks = json.loads(out.read_text())["checks"]
     assert all(slot["pass"] for slot in checks.values())
     assert checks["connection_route_equivalence"]["max_residual"] <= 1e-14
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="frame_invariance reads 2.96e-8 against its constant 1e-8 gate: rounding of order u |N|^2",
+)
+def test_torus_at_freq_1e6_passes_verify_geometry(tmp_path):
+    """The command exits 1 here, which is wrong: at freq 10^6 every check
+    reads at rounding, frame_invariance too, about 0.02 u |N|^2 with
+    |N|^2 = 0.02 freq^2, but its gate is relative to max(1, |value|) and
+    ignores the scale of sigma.  A gate that scales with |sigma|^2 passes
+    it, and then this test passes."""
+    argv = ["verify-geometry", "--manifold", "torus:eps=0.05,freq=1000000", "--points", "3", "--rotations", "1"]
+    assert run_cli(argv + ["--out", str(tmp_path / "geometry.json")]) == 0
 
 
 def test_verify_geometry_conformal(tmp_path):
@@ -1176,7 +1191,7 @@ def _geometry_reference(entry, points, seed, rotations):
                 0.0 if pfaffian_sign(rep.F, rep.nondegenerate) == pfaffian_sign(base.F, base.nondegenerate)
                 else 1.0,
             ))
-        if "unit_round_sphere" in patch.attributes:
+        if patch.unit_round_sphere:
             dw = connection_derivative(patch, frames)
             bump("curvature_identity", round_sphere_curvature_residual(curvature_forms(frames, dw)))
             bump("chern_identity", chern_identity_residual(patch, frames, dw))
@@ -1438,7 +1453,7 @@ def test_scan_rows_equal_single_point_reports():
         assert table["normN2"][i] == rep.normN2
         assert table["margin"][i] == rep.margin
         assert table["bound_paper"][i] == rep.bound_paper
-        assert table["chain_ok"][i] == bool(rep.chain_ok.all_ok)
+        assert table["chain_ok"][i] == rep.chain_ok
         assert table["nondegenerate"][i] == bool(rep.nondegenerate)
         assert gap[i] == rep.n_route_mismatch
 
@@ -1455,7 +1470,7 @@ def test_scan_rows_do_not_depend_on_the_chunk():
         assert (table["normN2"][i], table["margin"][i], table["bound_paper"][i]) == (
             rep.normN2, rep.margin, rep.bound_paper
         ), f"row {i}"
-        assert table["chain_ok"][i] == bool(rep.chain_ok.all_ok)
+        assert table["chain_ok"][i] == rep.chain_ok
         assert table["nondegenerate"][i] == bool(rep.nondegenerate)
 
 
@@ -1602,12 +1617,11 @@ def test_array_records_compare_by_identity():
         jet.frame,
         frame_field_jet(entry.patch, u),
         rep,
-        rep.chain_ok,
         algebra.CheckResult(np.array([True, False]), np.array([None, "failed"], object)),
     ]
     assert [type(x).__name__ for x in records] == [
         "CatalogEntry", "ManifoldPatch", "PointJet", "AdaptedFrame",
-        "FrameFieldJet", "TheoremReport", "ChainChecks", "CheckResult",
+        "FrameFieldJet", "TheoremReport", "CheckResult",
     ]
     for x in records:
         assert hash(x) == hash(x)

@@ -576,6 +576,15 @@ class TestPatchValidation:
         with pytest.raises(ValueError, match=f"^{message}$"):
             ManifoldPatch(n=n, domain=domain, metric_field=np.eye, j_field=np.eye)
 
+    def test_patch_rejects_an_unknown_flag(self):
+        # The flags are keywords: a misspelt one is refused, not dropped,
+        # so it cannot silently switch verify-geometry's round-sphere checks off.
+        fields = dict(n=1, domain=box((-1.0, 1.0), 2), metric_field=np.eye, j_field=np.eye)
+        with pytest.raises(TypeError, match="unit_round_shpere"):
+            ManifoldPatch(**fields, unit_round_shpere=True)
+        patch = ManifoldPatch(**fields)
+        assert not patch.unit_round_sphere and not patch.integrable
+
     @pytest.mark.parametrize("point", [np.zeros(3), np.float64(0.0), np.zeros((2, 6))])
     def test_require_interior_rejects_a_point_of_the_wrong_shape(self, point):
         shape = re.escape(str(np.shape(point)))
@@ -739,7 +748,7 @@ class TestBatchedFields:
             b = theorem_report(point_jet(looped, u))
             for name in ("normN2", "margin", "bound_paper", "det_F"):
                 assert np.abs(np.asarray(getattr(a, name)) - getattr(b, name)).max() <= 1e-12
-            assert np.array_equal(a.chain_ok.all_ok, b.chain_ok.all_ok)
+            assert np.array_equal(a.chain_ok, b.chain_ok)
             assert np.array_equal(a.nondegenerate, b.nondegenerate)
 
     def test_pointwise_carries_complex_points(self):

@@ -217,8 +217,8 @@ class TestPhiFormulaGap:
         monkeypatch.setattr(twistorform, "phi_via_bundle_formula", refuse)
         patch = nearly_kahler_s6().patch
         rep = theorem_report(point_jet(patch, grid_points(patch, 2)))
-        assert rep.chain_ok.all_ok.all()
-        assert sigma_report(rep.sigma).chain_ok.all_ok.all()
+        assert rep.chain_ok.all()
+        assert sigma_report(rep.sigma).chain_ok.all()
         assert not hasattr(rep, "phi_formula_mismatch")
 
 
@@ -348,7 +348,7 @@ class TestTheoremReport:
         assert rep.sumA2 == 0.0
         assert rep.bound_quarterA == 1.0
         assert rep.bound_paper == 1.0
-        assert rep.chain_ok.all_ok
+        assert rep.chain_ok
         assert rep.nondegenerate and pfaffian_sign(rep.F, rep.nondegenerate) == 1
 
     def test_conformal_case2(self):
@@ -357,7 +357,7 @@ class TestTheoremReport:
         assert rep.bound_paper == pytest.approx(1.0, abs=1e-8)
         assert rep.margin > 0.0
         assert rep.margin >= 1.0 - rep.normN2 / 16.0 - 1e-6
-        assert rep.chain_ok.all_ok
+        assert rep.chain_ok
         assert critical_constant(2) == 16.0
 
     def test_nearly_kahler(self):
@@ -365,7 +365,7 @@ class TestTheoremReport:
         rep = theorem_report(point_jet(nearly_kahler_s6().patch, point))
         assert rep.normN2 >= 64.0 / 5.0
         assert rep.bound_paper <= 0.0  # hypothesis vacuous here
-        assert rep.chain_ok.a and rep.chain_ok.b and rep.chain_ok.c and rep.chain_ok.d
+        assert all(rep.links.values()) and rep.chain_ok
         assert critical_constant(3) == pytest.approx(64.0 / 5.0)
         with pytest.raises(ValueError, match="needs n >= 2"):
             critical_constant(1)
@@ -390,7 +390,7 @@ class TestTheoremReport:
         rep = theorem_report(point_jet(perturbed_torus(eps=0.05).patch, point))
         assert 0.0 < rep.normN2 < 64.0 / 5.0
         assert rep.margin >= 1.0 - (5.0 / 64.0) * rep.normN2 - 1e-6
-        assert rep.chain_ok.all_ok and rep.nondegenerate
+        assert rep.chain_ok and rep.nondegenerate
 
     def test_doctored_tolerance_fails_link_a(self, monkeypatch):
         # Negative tolerance turns the flat equality margin == quarterA into a
@@ -398,7 +398,7 @@ class TestTheoremReport:
         # reads CHAIN_TOL when it is made, so the doctored value reaches it.
         monkeypatch.setattr(twistorform, "CHAIN_TOL", -1e-3)
         rep = theorem_report(point_jet(flat_kahler(2).patch, np.zeros(4)))
-        assert not rep.chain_ok.a
+        assert not rep.links["a"] and not rep.chain_ok
 
     def test_margin_positive_implies_nondegenerate(self):
         for patch, point in (
@@ -441,7 +441,7 @@ class TestTheoremReport:
         )
         point = np.array([0.1, -0.2, 0.15, 0.02, -0.1, 0.05])
         rep = theorem_report(point_jet(counting, point))
-        assert rep.chain_ok.all_ok
+        assert rep.chain_ok
         assert calls["frame"] == 1
         assert calls["J"] <= 2
         assert calls["g"] <= 1
@@ -481,7 +481,7 @@ class TestSigmaReport:
         # equality in the sharp form margin >= 1 - 1/8 sum A^2 of link (a)
         assert rep.margin == pytest.approx(1.0 - s**2, abs=1e-14)
         assert (rep.nondegenerate, pfaffian_sign(rep.F, rep.nondegenerate)) == verdict
-        assert rep.chain_ok.to_dict() == dict.fromkeys("abcd", True)
+        assert rep.links == dict.fromkeys("abcd", True) and rep.chain_ok
         assert rep.n_route_mismatch is None
 
     @pytest.mark.parametrize("entry", default_entries(), ids=lambda e: e.id)
@@ -490,14 +490,28 @@ class TestSigmaReport:
         alone = sigma_report(rep.sigma)
         for field in dataclasses.fields(rep):
             name = field.name
-            if name == "chain_ok":
-                for flag in "abcd":
-                    assert same_bits(getattr(rep.chain_ok, flag), getattr(alone.chain_ok, flag))
+            if name == "links":
+                assert list(rep.links) == list(alone.links) == list("abcd")
+                for flag, value in rep.links.items():
+                    assert same_bits(value, alone.links[flag]), flag
             elif name == "n_route_mismatch":
                 assert alone.n_route_mismatch is None
                 assert rep.n_route_mismatch.shape == rep.normN2.shape
             else:
                 assert same_bits(getattr(rep, name), getattr(alone, name)), name
+
+    def test_chain_ok_is_the_conjunction_of_the_links(self, monkeypatch):
+        # With a negative tolerance the vanishing table, the flat one, fails
+        # links (a)-(c), which it meets with equality, and a random table,
+        # which meets every link with room, fails none.
+        monkeypatch.setattr(twistorform, "CHAIN_TOL", -1e-3)
+        w = np.random.default_rng(12).standard_normal((6, 6, 6))
+        sigma = np.stack([np.zeros((6, 6, 6)), sigma_part(w - np.swapaxes(w, -2, -1))])
+        rep = sigma_report(sigma)
+        assert {k: v.tolist() for k, v in rep.links.items()} == {
+            "a": [False, True], "b": [False, True], "c": [False, True], "d": [True, True]
+        }
+        assert same_bits(rep.chain_ok, np.array([False, True]))
 
     @pytest.mark.parametrize("batch", [(0,), (2, 0)])
     @pytest.mark.parametrize("entry", default_entries(), ids=lambda e: e.id)
@@ -507,7 +521,7 @@ class TestSigmaReport:
         tails = {"sigma": (dim,) * 3, "N": (dim,) * 3, "F": (dim, dim)}
         for field in dataclasses.fields(rep):
             value = getattr(rep, field.name)
-            arrays = [getattr(value, flag) for flag in "abcd"] if field.name == "chain_ok" else [value]
+            arrays = list(value.values()) if field.name == "links" else [value]
             for x in arrays:
                 assert x.shape == batch + tails.get(field.name, ()), field.name
 
@@ -520,9 +534,9 @@ class TestSigmaReport:
             alone = sigma_report(sigma[index])
             for field in dataclasses.fields(batch):
                 name = field.name
-                if name == "chain_ok":
-                    for flag in "abcd":
-                        assert getattr(batch.chain_ok, flag)[index] == getattr(alone.chain_ok, flag)
+                if name == "links":
+                    for flag, value in batch.links.items():
+                        assert value[index] == alone.links[flag]
                 elif name != "n_route_mismatch":
                     assert same_bits(getattr(batch, name)[index], getattr(alone, name)), name
 
