@@ -93,7 +93,6 @@ def flat_kahler(n: int) -> CatalogEntry:
         metric_jet=zero_jet,
         j_jet=zero_jet,
         label=f"flat:{n}",
-        integrable=True,
     )
     return CatalogEntry(patch=patch)
 
@@ -125,7 +124,6 @@ def conformal_hermitian() -> CatalogEntry:
         metric_jet=metric_jet,
         j_jet=_constant(np.zeros((dim, dim, dim))),
         label="conformal4",
-        integrable=True,
     )
     return CatalogEntry(patch=patch)
 

@@ -105,7 +105,7 @@ class ManifoldPatch:
     points u + i h e_c, so they must be complex-analytic in u (no abs,
     ``.real``, cast to float or branch on u).  ``unit_round_sphere`` marks a
     chart of the unit round sphere, where the curvature and Chern identities
-    hold; ``integrable`` marks a J whose Nijenhuis tensor vanishes.
+    hold.
     """
 
     n: int
@@ -116,7 +116,6 @@ class ManifoldPatch:
     j_jet: FieldMap | None = None
     label: str = ""
     unit_round_sphere: bool = False
-    integrable: bool = False
 
     def __post_init__(self):
         if self.n < 1:

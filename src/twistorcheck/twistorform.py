@@ -28,6 +28,7 @@ a determinant verdict (``nondegenerate``) that no Pfaffian sign enters.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -183,7 +184,7 @@ class TheoremReport:
     tensor by the connection route, and ``n_route_mismatch`` the relative gap
     to the coordinate route's, None when the report was computed from sigma alone.
     ``links`` maps each link of the chain to its bool array over the points,
-    and ``chain_ok`` is their conjunction:
+    read-only so that ``chain_ok`` stays their conjunction:
 
     a: margin >= 1 - 1/4 sum A^2
     b: sum C^2 <= 5/4 sum d^2 and primed (n >= 3), or the n = 2 equalities
@@ -198,7 +199,7 @@ class TheoremReport:
     bound_quarterA: np.ndarray
     bound_paper: np.ndarray
     chain_ok: np.ndarray
-    links: dict
+    links: MappingProxyType
     nondegenerate: np.ndarray
     det_F: np.ndarray
     sigma: np.ndarray
@@ -264,7 +265,7 @@ def sigma_report(sigma: np.ndarray) -> TheoremReport:
         bound_quarterA=bound_quarterA,
         bound_paper=bound_paper,
         chain_ok=ok_a & ok_b & ok_c & ok_d,
-        links={"a": ok_a, "b": ok_b, "c": ok_c, "d": ok_d},
+        links=MappingProxyType({"a": ok_a, "b": ok_b, "c": ok_c, "d": ok_d}),
         nondegenerate=nondeg,
         det_F=det_F,
         sigma=sigma,

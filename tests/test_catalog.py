@@ -82,22 +82,20 @@ def test_every_catalog_jet_is_the_complex_step_derivative_of_its_field(entry):
 
 
 def test_catalog_flags():
-    flags = {entry.id: (entry.patch.unit_round_sphere, entry.patch.integrable) for entry in default_entries()}
+    flags = {entry.id: entry.patch.unit_round_sphere for entry in default_entries()}
     assert flags == {
-        "flat:2": (False, True),
-        "flat:3": (False, True),
-        "flat:4": (False, True),
-        "conformal4": (False, True),
-        "nk-s6": (True, False),
-        "torus:eps=0.05,freq=1": (False, False),
+        "flat:2": False,
+        "flat:3": False,
+        "flat:4": False,
+        "conformal4": False,
+        "nk-s6": True,
+        "torus:eps=0.05,freq=1": False,
     }
 
 
 def test_integrable_entries_have_vanishing_norm():
     rng = np.random.default_rng(3)
-    for entry in default_entries():
-        if not entry.patch.integrable:
-            continue
+    for entry in [flat_kahler(n) for n in (2, 3, 4)] + [conformal_hermitian()]:
         for point in sample_points(entry.patch, 4, rng):
             tensor = nijenhuis_tensor(point_jet(entry.patch, point))
             assert nijenhuis_norm(tensor) < 1e-8

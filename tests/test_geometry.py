@@ -583,7 +583,7 @@ class TestPatchValidation:
         with pytest.raises(TypeError, match="unit_round_shpere"):
             ManifoldPatch(**fields, unit_round_shpere=True)
         patch = ManifoldPatch(**fields)
-        assert not patch.unit_round_sphere and not patch.integrable
+        assert not patch.unit_round_sphere
 
     @pytest.mark.parametrize("point", [np.zeros(3), np.float64(0.0), np.zeros((2, 6))])
     def test_require_interior_rejects_a_point_of_the_wrong_shape(self, point):

@@ -512,6 +512,9 @@ class TestSigmaReport:
             "a": [False, True], "b": [False, True], "c": [False, True], "d": [True, True]
         }
         assert same_bits(rep.chain_ok, np.array([False, True]))
+        # The links are read-only: the report cannot come to contradict its verdict.
+        with pytest.raises(TypeError):
+            rep.links["a"] = np.array([True, True])
 
     @pytest.mark.parametrize("batch", [(0,), (2, 0)])
     @pytest.mark.parametrize("entry", default_entries(), ids=lambda e: e.id)
